@@ -915,7 +915,7 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _print(e: Expr) -> tuple:
+def _print(e: Expr, memo: dict) -> tuple:
     """Return (text, precedence)."""
     if isinstance(e, Rat):
         if e.value.denominator == 1:
@@ -931,12 +931,12 @@ def _print(e: Expr) -> tuple:
         for t in e.terms:
             n = _negated(t)
             if parts and n is not None:
-                parts.append("- " + _wrap(n, _PREC_PROD))
+                parts.append("- " + _wrap(n, _PREC_PROD, memo))
             elif parts:
-                parts.append("+ " + _wrap(t, _PREC_PROD))
+                parts.append("+ " + _wrap(t, _PREC_PROD, memo))
             else:
-                parts.append(_wrap(t, _PREC_PROD) if n is None
-                             else "-" + _wrap(n, _PREC_PROD))
+                parts.append(_wrap(t, _PREC_PROD, memo) if n is None
+                             else "-" + _wrap(n, _PREC_PROD, memo))
         return " ".join(parts), _PREC_SUM
     if isinstance(e, Prod):
         num, den = [], []
@@ -951,28 +951,37 @@ def _print(e: Expr) -> tuple:
         num_parts = []
         if c.numerator != 1 or not num:
             num_parts.append(str(c.numerator))
-        num_parts += [_wrap(f, _PREC_POW) for f in num]
+        num_parts += [_wrap(f, _PREC_POW, memo) for f in num]
         text = lead + "*".join(num_parts)
         if c.denominator != 1:
             den_first = str(c.denominator)
             text += "/" + den_first
         for f in den:
-            text += "/" + _wrap(f, _PREC_ATOM)
+            text += "/" + _wrap(f, _PREC_ATOM, memo)
         return text, (_PREC_SUM if lead else _PREC_PROD)
     if isinstance(e, Pow):
         if e.exponent == Fraction(1, 2):
-            return f"sqrt({to_dsl(e.base)})", _PREC_ATOM
-        btxt = _wrap(e.base, _PREC_ATOM)
+            return f"sqrt({_printed(e.base, memo)[0]})", _PREC_ATOM
+        btxt = _wrap(e.base, _PREC_ATOM, memo)
         q = e.exponent
         qtxt = str(q.numerator) if q.denominator == 1 else f"({_frac_str(q)})"
         return f"{btxt}^{qtxt}", _PREC_POW
-    return f"{e.name}({to_dsl(e.arg)})", _PREC_ATOM
+    return f"{e.name}({_printed(e.arg, memo)[0]})", _PREC_ATOM
 
 
-def _wrap(e: Expr, min_prec: int) -> str:
-    text, prec = _print(e)
+def _printed(e: Expr, memo: dict) -> tuple:
+    """The (text, precedence) of `e`, printed once per `to_dsl` call: a
+    node shared by many parents is looked up, not printed again."""
+    hit = memo.get(e)
+    if hit is None:
+        hit = memo[e] = _print(e, memo)
+    return hit
+
+
+def _wrap(e: Expr, min_prec: int, memo: dict) -> str:
+    text, prec = _printed(e, memo)
     return f"({text})" if prec < min_prec else text
 
 
 def to_dsl(e: Expr) -> str:
-    return _print(e)[0]
+    return _print(e, {})[0]

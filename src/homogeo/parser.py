@@ -14,6 +14,10 @@ Grammar (EBNF, also documented in the README):
     Bare exponents are integers; fractional exponents must be
     parenthesized (x^(1/2)), since x^2/4 reads as (x^2)/4.
 
+    Parentheses (grouping or a function's argument list) nest at most
+    MAX_DEPTH deep; deeper input is a ParseError, since the recursive
+    walkers of the expression kernel would overflow the stack on it.
+
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
 sign, sin, cos.  ``sqrt(x)`` is sugar for ``x^(1/2)``.
@@ -27,10 +31,13 @@ from typing import Optional, Sequence
 
 from . import expr as ex
 
-__all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS"]
+__all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS",
+           "MAX_DEPTH"]
 
 FUNCTIONS = {"exp": ex.exp_, "log": ex.log_, "sqrt": ex.sqrt_,
              "abs": ex.abs_, "sign": ex.sign_, "sin": ex.sin_, "cos": ex.cos_}
+
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -101,6 +108,18 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
         allowed = None
         where = ""
     lx = _Lexer(text)
+    depth = 0
+
+    def p_nested(pos: int) -> ex.Expr:
+        """The expression inside a parenthesis opened at `pos`."""
+        nonlocal depth
+        if depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested more than {MAX_DEPTH} deep", pos)
+        depth += 1
+        inner = p_expr()
+        depth -= 1
+        lx.expect_op(")")
+        return inner
 
     def p_expr() -> ex.Expr:
         parts = [p_term()]
@@ -184,10 +203,8 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
             if k2 == "op" and v2 == "(":
                 if val not in FUNCTIONS:
                     raise UnknownIdentifierError(f"unknown function {val!r}", pos)
-                lx.next()
-                arg = p_expr()
-                lx.expect_op(")")
-                return FUNCTIONS[val](arg)
+                _, _, paren = lx.next()
+                return FUNCTIONS[val](p_nested(paren))
             if val in FUNCTIONS:
                 raise ParseError(f"function {val!r} needs an argument list", pos)
             if allowed is not None and val not in allowed:
@@ -195,9 +212,7 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
                     f"unknown identifier {val!r}; {where}", pos)
             return ex.var(val)
         if kind == "op" and val == "(":
-            inner = p_expr()
-            lx.expect_op(")")
-            return inner
+            return p_nested(pos)
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
     out = p_expr()

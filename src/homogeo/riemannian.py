@@ -311,14 +311,17 @@ class RdFormulaReport:
 
 def verify_rd_formulas(triple: MetricTriple,
                        policy: ZeroTestPolicy = DEFAULT_POLICY,
-                       tensors: Optional[dict] = None) -> RdFormulaReport:
+                       tensors: Optional[dict] = None,
+                       RD: Optional[List] = None) -> RdFormulaReport:
     """Curvature of the Koszul connection against the closed-form tensors.
-    A false result is a first-class finding, not an error."""
+    A false result is a first-class finding, not an error.  `tensors` and
+    `RD`, when given, are the precomputed `tensors_ABCD` and `curvature_RD`
+    of this triple."""
     scn = triple.scenario
     n = scn.base.dim
     pol = policy.with_constraints(scn.base.constraints)
-    conn = koszul_connection(triple_to_G(triple), policy)
-    RD = curvature_RD(conn)
+    if RD is None:
+        RD = curvature_RD(koszul_connection(triple_to_G(triple), policy))
     t = tensors_ABCD(triple, policy) if tensors is None else tensors
     quarter = ex.rat(Fraction(1, 4))
 
@@ -623,10 +626,15 @@ class FlatnessReport:
 
 
 def flatness_report(triple: MetricTriple,
-                    policy: ZeroTestPolicy = DEFAULT_POLICY) -> FlatnessReport:
+                    policy: ZeroTestPolicy = DEFAULT_POLICY,
+                    tensors: Optional[dict] = None,
+                    RD: Optional[List] = None) -> FlatnessReport:
+    """Which of A, B, C, D and the connection curvature vanish.  `tensors`
+    and `RD`, when given, are the precomputed `tensors_ABCD` and
+    `curvature_RD` of this triple."""
     scn = triple.scenario
     pol = policy.with_constraints(scn.base.constraints)
-    t = tensors_ABCD(triple, policy)
+    t = tensors_ABCD(triple, policy) if tensors is None else tensors
     n = scn.base.dim
 
     def all_zero_arr(arr) -> Tuple[bool, Optional[dict]]:
@@ -647,8 +655,9 @@ def flatness_report(triple: MetricTriple,
     b0, wb = all_zero_arr(t["B"])
     c0, wc = all_zero_arr(t["C"])
     d0, wd = all_zero_arr(t["D"])
-    conn = koszul_connection(triple_to_G(triple), policy)
-    rd0, wr = all_zero_arr(curvature_RD(conn))
+    if RD is None:
+        RD = curvature_RD(koszul_connection(triple_to_G(triple), policy))
+    rd0, wr = all_zero_arr(RD)
     witness = wa or wb or wc or wd or wr
     return FlatnessReport(a0, b0, c0, d0, rd0,
                           equivalence_consistent=((a0 and b0 and d0) == rd0),

@@ -376,7 +376,10 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                          "the reflection",
                          witness=None if hom_ok else hom_bad[1].witness))
 
-    rrep = rm.verify_rd_formulas(triple, policy)
+    # both checks below share one build of the curvature tensors
+    RD = rm.curvature_RD(rm.koszul_connection(rm.triple_to_G(triple), policy))
+    tensors = rm.tensors_ABCD(triple, policy)
+    rrep = rm.verify_rd_formulas(triple, policy, tensors=tensors, RD=RD)
     checks.append(_check(
         "curvature formulas", rrep.agree,
         "connection curvature matches the closed-form tensors" if rrep.agree
@@ -384,7 +387,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         witness=None if rrep.agree else {"component": rrep.mismatch},
         falsification=True))
 
-    frep = rm.flatness_report(triple, policy)
+    frep = rm.flatness_report(triple, policy, tensors=tensors, RD=RD)
     checks.append(_check(
         "flatness equivalence", frep.equivalence_consistent,
         f"A=0:{frep.A_zero} B=0:{frep.B_zero} C=0:{frep.C_zero} "

@@ -8,12 +8,22 @@ evaluated in exact arithmetic (a nonzero verdict is then sound and comes
 with an exact witness); everything else is compared against
 `tolerance` in floating point.  The per-query RNG is derived from
 (seed, expression fingerprint), so verdicts and witnesses are stable
-across runs and independent of evaluation order.
+across runs and independent of evaluation order.  The fingerprint is the
+printed DSL text of the simplified expression plus the constraints.
+
+Candidate points are drawn from that RNG in order and evaluated in
+floating point one batch at a time, each batch being the points still
+missing.  A point with a non-finite value is redrawn, with at most
+_MAX_REDRAWS + 1 = 201 draws per query.  On the exact path each accepted
+point is evaluated exactly at most once.  Batching accepts the same points
+as drawing one at a time, and the fingerprint text is unchanged, so
+seeds and witnesses are too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
@@ -117,6 +127,14 @@ def sample_points(names, policy: ZeroTestPolicy, rng: random.Random, count=None)
     return [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(count)]
 
 
+def _exact_or_pole(e: ex.Expr, point) -> Optional[Fraction]:
+    """Exact value of `e` at `point`, or None at a pole."""
+    try:
+        return ex.eval_exact(e, point)
+    except ZeroDivisionError:
+        return None
+
+
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     e = ex.simplify(e, policy.constraints)
     if isinstance(e, ex.Rat):
@@ -134,27 +152,27 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     floats = []
     draws = 0
     while len(points) < policy.sample_count:
-        if draws > _MAX_REDRAWS:
+        k = min(policy.sample_count - len(points), _MAX_REDRAWS + 1 - draws)
+        if k == 0:
             raise ConfigError("could not find enough valid sample points "
                               "(expression may be singular on the whole domain)")
-        draws += 1
-        p = {n: _draw(rng, lo, hi, excl, n) for n in names}
-        vals = np.array([[float(p[n])] for n in names], dtype=np.float64)
-        if not names:
-            vals = vals.reshape(0, 1)
-        v = float(numtape.eval_tape(tape, vals)[0])
-        if not np.isfinite(v):
-            continue  # outside the expression's domain; redraw
-        points.append(p)
-        floats.append(v)
+        draws += k
+        batch = [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(k)]
+        vals = np.array([[float(p[n]) for p in batch] for n in names],
+                        dtype=np.float64).reshape(len(names), k)
+        for p, v in zip(batch, numtape.eval_tape(tape, vals).tolist()):
+            if math.isfinite(v):  # otherwise outside the expression's domain; redraw
+                points.append(p)
+                floats.append(v)
 
     if e.rational:
-        # float prefilter: likely witnesses first, then exact confirmation
+        # float prefilter: likely witnesses first, then exact confirmation;
+        # each point is evaluated exactly at most once
+        exact = {}
         order = sorted(range(len(points)), key=lambda i: -abs(floats[i]))
         for i in order:
-            try:
-                val = ex.eval_exact(e, points[i])
-            except ZeroDivisionError:
+            val = exact[i] = _exact_or_pole(e, points[i])
+            if val is None:
                 continue
             if val != 0:
                 return ZeroVerdict(False, True, witness=points[i], witness_value=val,
@@ -162,12 +180,9 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             if abs(floats[i]) <= _PREFILTER:
                 # remaining floats are all small; confirm each exactly
                 break
-        for p in points:
-            try:
-                val = ex.eval_exact(e, p)
-            except ZeroDivisionError:
-                continue
-            if val != 0:
+        for i, p in enumerate(points):
+            val = exact[i] if i in exact else _exact_or_pole(e, p)
+            if val is not None and val != 0:
                 return ZeroVerdict(False, True, witness=p, witness_value=val,
                                    samples=len(points))
         return ZeroVerdict(True, True, samples=len(points))

@@ -63,6 +63,31 @@ def test_run_dsl_error_forwarded(tmp_path, capsys):
     assert "position" in err and "objects.theta.u" in err
 
 
+def _nested_contact(path, depth):
+    text = "u"
+    for _ in range(depth):
+        text = f"sin({text})"
+    path.write_text(json.dumps({
+        "name": "nested", "kind": "contact",
+        "base": {"coords": ["u"]},
+        "objects": {"theta": {"u": text}, "upsilon": {}}}))
+    return str(path)
+
+
+def test_run_nesting_limit(tmp_path):
+    from homogeo.parser import MAX_DEPTH
+    too_deep = _nested_contact(tmp_path / "deep.json", 400)
+    proc = subprocess.run([sys.executable, "-m", "homogeo.cli", "run", too_deep],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: objects.theta.u: ")
+    assert "nested more than" in proc.stderr and "Traceback" not in proc.stderr
+    at_limit = _nested_contact(tmp_path / "limit.json", MAX_DEPTH)
+    proc = subprocess.run([sys.executable, "-m", "homogeo.cli", "run", at_limit],
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+
+
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):
     p = tmp_path / "bad3.json"
     p.write_text(json.dumps({

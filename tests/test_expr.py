@@ -1,11 +1,16 @@
+import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homogeo import expr as ex
+from homogeo import numtape
+from homogeo import zerotest as zt
 from homogeo.chart import Chart
-from homogeo.parser import ParseError, UnknownIdentifierError, parse
+from homogeo.parser import MAX_DEPTH, ParseError, UnknownIdentifierError, parse
 from homogeo.zerotest import ConfigError, ZeroTestPolicy, is_zero, zero_report
 
 from conftest import finite_difference, rand_expr, rand_point
@@ -59,6 +64,25 @@ def test_parse_rational_literals():
     assert parse("1.25", chart=CHART) is ex.rat(Fraction(5, 4))
     assert parse("x^(1/2)", chart=CHART) is ex.sqrt_(ex.var("x"))
     assert parse("x^-2", chart=CHART) is ex.pw(ex.var("x"), -2)
+
+
+def _nested_sin(depth: int) -> str:
+    text = "x"
+    for _ in range(depth):
+        text = f"sin({text})"
+    return text
+
+
+def test_parse_nesting_limit():
+    deep = parse(_nested_sin(MAX_DEPTH), names=["x"])
+    assert ex.to_dsl(deep) == _nested_sin(MAX_DEPTH)
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, names=["x"]) is ex.var("x")
+    with pytest.raises(ParseError) as err:
+        parse(_nested_sin(MAX_DEPTH + 1), names=["x"])
+    assert err.value.pos == 4 * (MAX_DEPTH + 1) - 1   # the innermost "("
+    with pytest.raises(ParseError) as err:
+        parse("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), names=["x"])
+    assert err.value.pos == MAX_DEPTH
 
 
 def test_parse_totality_on_printer_output():
@@ -178,6 +202,132 @@ def test_exact_path_is_exact():
     x = ex.var("x")
     tiny = ex.mul(ex.rat(Fraction(1, 10 ** 30)), x)
     assert not is_zero(tiny)
+
+
+def _reference_report(e, policy):
+    """The zero test drawing and evaluating one point at a time, exactly
+    evaluating a point again in the confirmation pass: the loop that
+    zero_report's batched sampling must reproduce.  Returns the verdict
+    fields and the number of draws."""
+    e = ex.simplify(e, policy.constraints)
+    names = sorted(e.free)
+    rng = random.Random(zt._fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15))
+    lo, hi, excl = zt._bounds(policy.constraints, set(names))
+    tape = numtape.compile_tape(e, names)
+    points, floats, draws = [], [], 0
+    while len(points) < policy.sample_count:
+        if draws > zt._MAX_REDRAWS:
+            raise ConfigError("could not find enough valid sample points")
+        draws += 1
+        p = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
+        vals = np.array([[float(p[n])] for n in names], dtype=np.float64)
+        v = float(numtape.eval_tape(tape, vals.reshape(len(names), 1))[0])
+        if math.isfinite(v):
+            points.append(p)
+            floats.append(v)
+    n = len(points)
+    if e.rational:
+        def exact(p):
+            try:
+                return ex.eval_exact(e, p)
+            except ZeroDivisionError:
+                return None
+        for i in sorted(range(n), key=lambda i: -abs(floats[i])):
+            val = exact(points[i])
+            if val is None:
+                continue
+            if val != 0:
+                return (False, True, points[i], val, n), draws
+            if abs(floats[i]) <= zt._PREFILTER:
+                break
+        for p in points:
+            val = exact(p)
+            if val is not None and val != 0:
+                return (False, True, p, val, n), draws
+        return (True, True, None, None, n), draws
+    worst = max(range(n), key=lambda i: abs(floats[i]))
+    if abs(floats[worst]) > policy.tolerance:
+        return (False, False, points[worst], floats[worst], n), draws
+    return (True, False, None, None, n), draws
+
+
+def test_batched_sampling_matches_one_point_at_a_time():
+    # log(x - 5/2) is finite on about 1 draw in 9, so the 201-draw limit
+    # ends some of its queries and not others
+    exprs = ["1/x", "sqrt(x)", "log(x)", "1/(x - y) + x",
+             "(x^2 - y^2)/(x - y) - x - y", "abs(x)/x - sign(x)", "log(x - 5/2)"]
+    redraws = limits = 0
+    for text in exprs:
+        e = parse(text, names=["x", "y"])
+        for seed in range(6):
+            pol = ZeroTestPolicy(seed=seed)
+            try:
+                want, draws = _reference_report(e, pol)
+            except ConfigError:
+                limits += 1
+                with pytest.raises(ConfigError):
+                    zero_report(e, pol)
+                continue
+            rep = zero_report(e, pol)
+            assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value,
+                    rep.samples) == want, (text, seed)
+            redraws += draws - rep.samples
+    assert redraws > 100 and 0 < limits < 6   # redraws and the limit both occur
+
+
+def test_sampling_nowhere_finite_raises():
+    with pytest.raises(ConfigError):
+        zero_report(parse("log(-1 - x^2)", names=["x"]))
+
+
+def test_exact_confirmation_once_per_point(monkeypatch):
+    calls = []
+    real = ex.eval_exact
+
+    def counting(e, point):
+        calls.append(point)
+        return real(e, point)
+
+    monkeypatch.setattr(ex, "eval_exact", counting)
+    x, y = ex.var("x"), ex.var("y")
+    e = ex.sub(ex.pw(ex.add(x, y), 2),
+               ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y), ex.pw(y, 2)))
+    rep = zero_report(e)
+    assert rep.is_zero and rep.exact
+    assert len(calls) == rep.samples == 20
+
+
+def _squares_dag(k: int) -> ex.Expr:
+    """e_0 = x + 1, e_{j+1} = e_j^2 + e_j: about 2k distinct nodes, and a
+    printed text that doubles in length with each step."""
+    e = ex.add(ex.var("x"), ex.ONE)
+    for _ in range(k):
+        e = ex.add(ex.pw(e, 2), e)
+    return e
+
+
+def test_fingerprint_pinned():
+    # values computed with the printer that reprinted shared nodes at every
+    # use; any change to the printed text or the seed derivation moves them
+    # and with them every sample point
+    pos = ZeroTestPolicy(constraints=(ex.Constraint("y", ">", 0),))
+    cases = [("x^2 + 3*x*y - 1/2", ZeroTestPolicy(), 8321579195803922586),
+             ("sin(x)/sqrt(y) - exp(-x)*abs(x - y)", pos, 11795782361207312575),
+             ("(x - y)^(-2)*log(y) + cos(x)^3/7", pos, 14624512756561861609)]
+    for text, pol, want in cases:
+        assert zt._fingerprint(parse(text, names=["x", "y"]), pol) == want, text
+    assert zt._fingerprint(_squares_dag(14), ZeroTestPolicy()) == 7523176240437427788
+    assert zt._fingerprint(_squares_dag(16), ZeroTestPolicy()) == 16131354673289354566
+
+
+def test_to_dsl_prints_shared_nodes_once():
+    # 12.6 MB of text.  On a 2-core Xeon host, printing each use of a
+    # shared node again took about 6 s; printing each node once, 0.1 s
+    e = _squares_dag(20)
+    t0 = time.perf_counter()
+    text = ex.to_dsl(e)
+    assert time.perf_counter() - t0 < 1.5
+    assert len(text) == 12582905
 
 
 # -- simplification and signs --------------------------------------------------

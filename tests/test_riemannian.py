@@ -276,9 +276,15 @@ def test_flatness_equivalence_suite():
         rep = flatness_report(sphere_triple(n))
         assert rep.A_zero and rep.B_zero and rep.C_zero and rep.D_zero
         assert rep.RD_zero and rep.equivalence_consistent
-    rep = flatness_report(euclid_triple())
+    triple = euclid_triple()
+    rep = flatness_report(triple)
     assert rep.A_zero and rep.B_zero and not rep.D_zero and not rep.RD_zero
     assert rep.equivalence_consistent and rep.witness is not None
+    # precomputed tensors, as a scenario run shares them, change nothing
+    RD = curvature_RD(koszul_connection(triple_to_G(triple)))
+    t = tensors_ABCD(triple)
+    assert flatness_report(triple, tensors=t, RD=RD) == rep
+    assert verify_rd_formulas(triple, tensors=t, RD=RD).agree
     for seed in (0, 1):
         rep = flatness_report(rand_triple(seed))
         assert rep.equivalence_consistent
