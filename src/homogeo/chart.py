@@ -58,14 +58,6 @@ class Chart:
                 f"expression uses {stray} which are not coordinates of {self.name!r}")
 
 
-def _as_expr(chart: Chart, x) -> ex.Expr:
-    if isinstance(x, str):
-        return chart.parse(x)
-    e = ex._coerce(x)
-    chart.check_owns(e)
-    return e
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """Map source -> target given by one expression per target coordinate.

@@ -9,19 +9,23 @@ backends exist:
 
 Set the environment variable ``HOMOGEO_NO_NUMBA=1`` to force the numpy
 path.  ``benchmarks/bench_eval.py`` compares the two.
+
+The same tape also keeps its constants as exact Fractions, so a rational
+tape can be evaluated over GF(p) with Python ints (``eval_tape_mod``); the
+zero test uses the residues in place of exact Fraction values.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
 
-__all__ = ["Tape", "compile_tape", "eval_tape", "NUMBA_ENABLED"]
+__all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod", "NUMBA_ENABLED"]
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
     OP_SIN, OP_COS = range(11)
@@ -38,13 +42,17 @@ else:
 
 
 class Tape:
-    __slots__ = ("ops", "a", "b", "consts", "varnames")
+    """`consts` holds each constant as a float for the float evaluators;
+    `exact` holds the same constants as Fractions for eval_tape_mod."""
 
-    def __init__(self, ops, a, b, consts, varnames):
+    __slots__ = ("ops", "a", "b", "consts", "exact", "varnames")
+
+    def __init__(self, ops, a, b, consts, exact, varnames):
         self.ops = ops
         self.a = a
         self.b = b
         self.consts = consts
+        self.exact = exact
         self.varnames = varnames
 
     def __len__(self):
@@ -66,8 +74,8 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
         bb.append(b)
         return len(ops) - 1
 
-    def cidx(v: float) -> int:
-        consts.append(float(v))
+    def cidx(v: Fraction) -> int:
+        consts.append(v)
         return len(consts) - 1
 
     def rec(x: ex.Expr) -> int:
@@ -102,7 +110,8 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
     rec(e)
     return Tape(np.array(ops, dtype=np.int64), np.array(aa, dtype=np.int64),
                 np.array(bb, dtype=np.int64),
-                np.array(consts, dtype=np.float64), tuple(varnames))
+                np.array([float(c) for c in consts], dtype=np.float64),
+                tuple(consts), tuple(varnames))
 
 
 def _eval_numpy(ops, a, b, consts, values):
@@ -188,6 +197,58 @@ def eval_tape(tape: Tape, values: np.ndarray, backend: str | None = None) -> np.
             raise RuntimeError("numba backend unavailable")
         return _eval_numba(tape.ops, tape.a, tape.b, tape.consts, values)
     return _eval_numpy(tape.ops, tape.a, tape.b, tape.consts, values)
+
+
+def _residue(q: Fraction, p: int) -> Optional[int]:
+    """q mod p, or None when p divides the denominator."""
+    d = q.denominator % p
+    return None if d == 0 else q.numerator * pow(d, -1, p) % p
+
+
+def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
+                  p: int) -> List[Optional[int]]:
+    """Evaluate a rational tape over GF(p), p prime, at exact rational points.
+
+    Returns each point's residue, or None where reduction mod p is not
+    defined: a constant or coordinate denominator, or the base of a negative
+    power, is divisible by p.  A residue is the exact value mod p, so a
+    nonzero residue proves the exact value nonzero.  Raises DomainError on a
+    non-rational tape (functions or fractional powers)."""
+    n = len(points)
+    consts = [_residue(c, p) for c in tape.exact]
+    if None in consts:
+        return [None] * n
+    failed = [False] * n
+    cols = []
+    for name in tape.varnames:
+        col = [_residue(pt[name], p) for pt in points]
+        for j, r in enumerate(col):
+            if r is None:
+                failed[j] = True
+                col[j] = 0
+        cols.append(col)
+    buf: list = []
+    for op, a, b in zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()):
+        if op == OP_CONST:
+            buf.append([consts[a]] * n)
+        elif op == OP_VAR:
+            buf.append(cols[a])
+        elif op == OP_ADD:
+            buf.append([(x + y) % p for x, y in zip(buf[a], buf[b])])
+        elif op == OP_MUL:
+            buf.append([x * y % p for x, y in zip(buf[a], buf[b])])
+        elif op == OP_POW and tape.exact[b].denominator == 1:
+            k = tape.exact[b].numerator
+            col = buf[a]
+            if k < 0:
+                for j, x in enumerate(col):
+                    if x == 0:
+                        failed[j] = True
+                col = [x or 1 for x in col]
+            buf.append([pow(x, k, p) for x in col])
+        else:
+            raise ex.DomainError("tape is not rational-exact")
+    return [None if bad else r for bad, r in zip(failed, buf[-1])]
 
 
 def eval_points(e: ex.Expr, points: Sequence[Mapping[str, Fraction]],

@@ -260,10 +260,6 @@ def d(w: KForm) -> KForm:
     return KForm(chart, w.degree + 1, out)
 
 
-def d_function(chart: Chart, f: ex.Expr) -> KForm:
-    return d(KForm(chart, 0, {(): f}))
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
     _same_chart(a, b)
     deg = a.degree + b.degree

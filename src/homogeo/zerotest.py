@@ -4,8 +4,8 @@ Every identity check in the package reduces to this test.  The verdict
 policy is: a literal 0 after simplification is zero; otherwise the
 expression is evaluated at `sample_count` random rational points of the
 constrained domain.  Expressions that are rational in all variables are
-evaluated in exact arithmetic (a nonzero verdict is then sound and comes
-with an exact witness); everything else is compared against
+decided in exact arithmetic (a nonzero verdict is then sound and comes
+with an exact Fraction witness); everything else is compared against
 `tolerance` in floating point.  The per-query RNG is derived from
 (seed, expression fingerprint), so verdicts and witnesses are stable
 across runs and independent of evaluation order.  The fingerprint is the
@@ -14,10 +14,26 @@ printed DSL text of the simplified expression plus the constraints.
 Candidate points are drawn from that RNG in order and evaluated in
 floating point one batch at a time, each batch being the points still
 missing.  A point with a non-finite value is redrawn, with at most
-_MAX_REDRAWS + 1 = 201 draws per query.  On the exact path each accepted
-point is evaluated exactly at most once.  Batching accepts the same points
+_MAX_REDRAWS + 1 = 201 draws per query.  Batching accepts the same points
 as drawing one at a time, and the fingerprint text is unchanged, so
 seeds and witnesses are too.
+
+On the exact path the accepted points are evaluated over GF(p)
+(numtape.eval_tape_mod), for a prime p drawn uniformly from [2^61, 2^62)
+per query.  p comes from a second RNG seeded from the same (seed,
+fingerprint) key, so the point stream is untouched.  The residue stands
+in for each point's exact value (Schwartz-Zippel identity testing): a
+nonzero residue proves the value nonzero, and only the witness is then
+evaluated in Fraction arithmetic, so witness_value stays exact.  A point
+falls back to Fraction arithmetic when p divides the denominator of a
+constant or coordinate, or the base of a negative power is 0 mod p; an
+exact pole is such a case and is skipped as before.  Each point is
+evaluated exactly at most once.
+
+A zero residue can hide a nonzero value N/D only if p divides N.  At most
+log2|N|/61 primes in [2^61, 2^62) divide N, out of about 5.3e16, so this
+adds at most log2|N|/(61 * 5.3e16) per point to a zero verdict's error,
+on top of the sampling error.
 """
 
 from __future__ import annotations
@@ -127,6 +143,50 @@ def sample_points(names, policy: ZeroTestPolicy, rng: random.Random, count=None)
     return [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(count)]
 
 
+# Miller-Rabin bases that decide primality for every n < 2^64 (Sinclair)
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                 61, 67, 71, 73, 79, 83, 89, 97)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < 2^64."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    if n in _SMALL_PRIMES:
+        return True
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _query_prime(key: int) -> int:
+    """A prime drawn uniformly from [2^61, 2^62) by an RNG of its own,
+    seeded from the query key, so the point stream is left untouched."""
+    rng = random.Random(f"prime:{key}")
+    while True:
+        n = rng.getrandbits(61) | (1 << 61) | 1
+        if _is_prime(n):
+            return n
+
+
 def _exact_or_pole(e: ex.Expr, point) -> Optional[Fraction]:
     """Exact value of `e` at `point`, or None at a pole."""
     try:
@@ -144,7 +204,8 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
                            note="literal nonzero constant")
 
     names = sorted(e.free)
-    rng = random.Random(_fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15))
+    key = _fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15)
+    rng = random.Random(key)
     lo, hi, excl = _bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
 
@@ -166,22 +227,34 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
                 floats.append(v)
 
     if e.rational:
-        # float prefilter: likely witnesses first, then exact confirmation;
-        # each point is evaluated exactly at most once
+        # float prefilter: likely witnesses first, then confirmation of every
+        # point.  A residue mod a per-query prime stands in for each exact
+        # value; a zero residue counts as zero, and only a nonzero residue
+        # (the witness) or a point the prime cannot reduce is evaluated
+        # exactly, each at most once
+        residues = numtape.eval_tape_mod(tape, points, _query_prime(key))
         exact = {}
+
+        def value(i):
+            if residues[i] == 0:
+                return 0
+            if i not in exact:
+                exact[i] = _exact_or_pole(e, points[i])
+            return exact[i]
+
         order = sorted(range(len(points)), key=lambda i: -abs(floats[i]))
         for i in order:
-            val = exact[i] = _exact_or_pole(e, points[i])
+            val = value(i)
             if val is None:
                 continue
             if val != 0:
                 return ZeroVerdict(False, True, witness=points[i], witness_value=val,
                                    samples=len(points))
             if abs(floats[i]) <= _PREFILTER:
-                # remaining floats are all small; confirm each exactly
+                # remaining floats are all small; confirm every point
                 break
         for i, p in enumerate(points):
-            val = exact[i] if i in exact else _exact_or_pole(e, p)
+            val = value(i)
             if val is not None and val != 0:
                 return ZeroVerdict(False, True, witness=p, witness_value=val,
                                    samples=len(points))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from homogeo import expr as ex
 from homogeo import numtape
@@ -206,9 +208,10 @@ def test_exact_path_is_exact():
 
 def _reference_report(e, policy):
     """The zero test drawing and evaluating one point at a time, exactly
-    evaluating a point again in the confirmation pass: the loop that
-    zero_report's batched sampling must reproduce.  Returns the verdict
-    fields and the number of draws."""
+    evaluating a point again in the confirmation pass, all in Fraction
+    arithmetic: the loop that zero_report's batched sampling and modular
+    confirmation must reproduce.  Returns the verdict fields and the number
+    of draws."""
     e = ex.simplify(e, policy.constraints)
     names = sorted(e.free)
     rng = random.Random(zt._fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15))
@@ -290,11 +293,136 @@ def test_exact_confirmation_once_per_point(monkeypatch):
 
     monkeypatch.setattr(ex, "eval_exact", counting)
     x, y = ex.var("x"), ex.var("y")
-    e = ex.sub(ex.pw(ex.add(x, y), 2),
-               ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y), ex.pw(y, 2)))
-    rep = zero_report(e)
-    assert rep.is_zero and rep.exact
-    assert len(calls) == rep.samples == 20
+    square = ex.pw(ex.add(x, y), 2)
+    # residues mod the query's prime decide a zero verdict without poles
+    rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y),
+                                            ex.pw(y, 2))))
+    assert rep.is_zero and rep.exact and rep.samples == 20
+    assert calls == []
+    # a nonzero verdict evaluates its witness exactly, and nothing else
+    rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.pw(y, 2))))
+    assert not rep.is_zero and rep.exact
+    assert calls == [rep.witness]
+    assert rep.witness_value == 2 * rep.witness["x"] * rep.witness["y"]
+    assert type(rep.witness_value) is Fraction
+
+
+# 20-digit numerators and denominators; negative powers put poles on the
+# sampled domain (their points are redrawn)
+_LEAVES = st.sampled_from(
+    ["x", "y", "x", "y", "1/2", "-1/3", "12345678901234567890",
+     "98765432109876543211/10000000000000000019",
+     "-31415926535897932384/27182818284590452353"])
+
+_TERMS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(inner, st.sampled_from([-2, -1, 2, 3])).map(
+            lambda t: f"({t[0]})^({t[1]})")),
+    max_leaves=6)
+
+# (a + b)*c - a*c - b*c is zero, but simplify leaves it to the sampler;
+# adding a term / 10^40 makes it nonzero and tiny
+_IDENTITIES = st.tuples(_TERMS, _TERMS, _TERMS).map(
+    lambda t: "({0} + {1})*({2}) - ({0})*({2}) - ({1})*({2})".format(*t))
+_RATIONAL_DSL = st.one_of(
+    _TERMS, _IDENTITIES,
+    st.tuples(_IDENTITIES, _TERMS).map(lambda t: f"{t[0]} + ({t[1]})/10^40"))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_RATIONAL_DSL, st.integers(0, 3))
+def test_modular_confirmation_matches_fraction_reference(text, seed):
+    try:
+        e = parse(text, names=["x", "y"])
+    except ZeroDivisionError:
+        return      # a literal division by zero never reaches the zero test
+    assume(not isinstance(ex.simplify(e), ex.Rat))
+    pol = ZeroTestPolicy(seed=seed)
+    try:
+        want, _ = _reference_report(e, pol)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            zero_report(e, pol)
+        return
+    rep = zero_report(e, pol)
+    assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value,
+            rep.samples) == want, text
+
+
+_MERSENNE_61 = 2 ** 61 - 1
+# primes in [2^61, 2^62), the range the per-query prime is drawn from
+_BIG_PRIMES = (2 ** 61 + 15, 2 ** 61 + 21, 2 ** 61 + 57)
+
+
+@pytest.mark.parametrize("gap", [_MERSENNE_61, math.prod(_BIG_PRIMES)])
+def test_modular_confirmation_sees_multiples_of_large_primes(gap):
+    # A*(x+1)^2 - B*(x^2+2*x+1) = (A - B)*(x+1)^2: every value is a multiple
+    # of A - B, so a modulus dividing A - B would read it as zero everywhere
+    x = ex.var("x")
+    b = Fraction(3, 7)
+    e = ex.sub(ex.mul(ex.rat(gap + b), ex.pw(ex.add(x, ex.ONE), 2)),
+               ex.mul(ex.rat(b), ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x), ex.ONE)))
+    assert not isinstance(ex.simplify(e), ex.Rat)
+    if gap == _MERSENNE_61:
+        tape = numtape.compile_tape(ex.simplify(e), ["x"])
+        points = [{"x": Fraction(k, 5)} for k in range(1, 6)]
+        assert numtape.eval_tape_mod(tape, points, _MERSENNE_61) == [0] * 5
+    for seed in range(4):
+        rep = zero_report(e, ZeroTestPolicy(seed=seed))
+        assert not rep.is_zero and rep.exact
+        assert rep.witness_value == gap * (rep.witness["x"] + 1) ** 2
+        assert type(rep.witness_value) is Fraction
+
+
+def test_modular_evaluator_falls_back():
+    p = _BIG_PRIMES[0]
+    x = ex.var("x")
+    tape = numtape.compile_tape(ex.add(x, ex.rat(Fraction(1, p))), ["x"])
+    assert numtape.eval_tape_mod(tape, [{"x": Fraction(1, 2)}], p) == [None]
+    q = _BIG_PRIMES[1]
+    v = Fraction(1, 2) + Fraction(1, p)
+    assert numtape.eval_tape_mod(tape, [{"x": Fraction(1, 2)}], q) == [
+        v.numerator * pow(v.denominator, -1, q) % q]
+    # an exact pole falls back at its point only
+    e = ex.add(ex.pw(ex.sub(x, ex.rat(Fraction(1, 2))), -1), x)
+    tape = numtape.compile_tape(e, ["x"])
+    points = [{"x": Fraction(1, 2)}, {"x": Fraction(3, 2)}, {"x": Fraction(1, p)}]
+    assert numtape.eval_tape_mod(tape, points, p) == [None, 5 * pow(2, -1, p) % p, None]
+
+
+def test_zero_report_falls_back_to_fractions(monkeypatch):
+    # with the query's prime dividing a constant's denominator no residue
+    # exists; the points are decided in Fraction arithmetic instead
+    p = _BIG_PRIMES[0]
+    monkeypatch.setattr(zt, "_query_prime", lambda key: p)
+    x = ex.var("x")
+    rep = zero_report(ex.add(ex.pw(x, 2), ex.rat(Fraction(1, p))))
+    assert not rep.is_zero and rep.exact
+    assert rep.witness_value == rep.witness["x"] ** 2 + Fraction(1, p)
+    e = ex.sub(ex.pw(ex.add(x, ex.rat(Fraction(1, p))), 2),
+               ex.add(ex.pw(x, 2), ex.mul(ex.rat(Fraction(2, p)), x),
+                      ex.rat(Fraction(1, p * p))))
+    assert not isinstance(ex.simplify(e), ex.Rat)
+    assert zero_report(e).is_zero
+
+
+def test_query_prime_is_prime():
+    sympy = pytest.importorskip("sympy")
+    for key in range(200):
+        n = zt._query_prime(key)
+        assert 2 ** 61 <= n < 2 ** 62 and sympy.isprime(n)
+    assert len({zt._query_prime(key) for key in range(200)}) == 200
+    rng = random.Random(3)
+    numbers = list(range(3000)) + [rng.getrandbits(64) for _ in range(2000)]
+    # strong pseudoprimes to several of the bases
+    numbers += [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                3825123056546413051]
+    for n in numbers:
+        assert zt._is_prime(n) == sympy.isprime(n), n
 
 
 def _squares_dag(k: int) -> ex.Expr:

@@ -83,3 +83,55 @@ def test_signs_and_abs_ops():
     vals = numtape.eval_points(e, [{"x": Fraction(-5, 2)}, {"x": Fraction(3)}])
     assert vals[0] == pytest.approx(-2.5)
     assert vals[1] == pytest.approx(3.0)
+
+
+def _rand_rational(rng: random.Random, names, depth=4) -> ex.Expr:
+    """Random rational expression with negative powers and non-integer
+    constants."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return ex.var(rng.choice(names))
+        return ex.rat(Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+    a = _rand_rational(rng, names, depth - 1)
+    op = rng.choice(["add", "mul", "pow"])
+    if op == "add":
+        return ex.add(a, _rand_rational(rng, names, depth - 1))
+    if op == "mul":
+        return ex.mul(a, _rand_rational(rng, names, depth - 1))
+    return ex.pw(a, rng.choice([-2, -1, 2, 3]))
+
+
+def test_modular_evaluation_is_exact_value_mod_p():
+    # small primes make every fallback frequent: denominators of constants
+    # and coordinates divisible by p, and negative powers of bases = 0 mod p
+    rng = random.Random(24)
+    residues = fallbacks = poles = 0
+    for p in (5, 7, 11, 13, 101):
+        for _ in range(40):
+            e = _rand_rational(rng, ["x", "y"])
+            if not e.free:
+                continue
+            tape = numtape.compile_tape(e, ["x", "y"])
+            points = [{n: Fraction(rng.randint(-6, 6), rng.randint(1, 13))
+                       for n in ("x", "y")} for _ in range(8)]
+            for pt, r in zip(points, numtape.eval_tape_mod(tape, points, p)):
+                try:
+                    val = ex.eval_exact(e, pt)
+                except ZeroDivisionError:
+                    poles += 1
+                    assert r is None
+                    continue
+                if r is None:
+                    fallbacks += 1
+                else:
+                    residues += 1
+                    assert val.denominator % p != 0
+                    assert r == val.numerator * pow(val.denominator, -1, p) % p
+    assert residues > 500 and fallbacks > 100 and poles > 10
+
+
+def test_modular_evaluation_rejects_non_rational_tapes():
+    x = ex.var("x")
+    for e in (ex.sin_(x), ex.sqrt_(ex.add(ex.mul(x, x), ex.ONE))):
+        with pytest.raises(ex.DomainError):
+            numtape.eval_tape_mod(numtape.compile_tape(e), [{"x": Fraction(1, 2)}], 101)
