@@ -2,11 +2,12 @@
 trivialized line bundle chart.
 
 The package couples a small exact-rational expression kernel (parser,
-differentiation, probabilistic zero test with a numba-accelerated numeric
-path) with coordinate tensor calculus, and uses them to machine-check the
-dictionaries between scaling-homogeneous frame structures upstairs and
-geometric data on the base: contact pairs, cosymplectic pairs, fiberwise
-complex structures, and metric triples with their curvature tensors.
+differentiation, probabilistic zero test on compiled tapes evaluated in
+numpy floats and over GF(p)) with coordinate tensor calculus, and uses them
+to machine-check the dictionaries between scaling-homogeneous frame
+structures upstairs and geometric data on the base: contact pairs,
+cosymplectic pairs, fiberwise complex structures, and metric triples with
+their curvature tensors.
 
 Everything is immutable and every operation is pure; concurrent use needs
 no locking, and all random verdicts are deterministic per seed.

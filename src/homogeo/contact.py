@@ -84,25 +84,12 @@ def _theta_pivot(pair: ContactPair, policy: ZeroTestPolicy) -> int:
     names = list(scn.base.coords)
     pts = sample_points(names, pol, rng)
     n = scn.base.dim
-    scores = []
-    for i in range(n):
-        c = pair.theta.coeff((i,))
-        if c.is_zero_literal():
-            scores.append(0.0)
-            continue
-        vals = numtape.eval_points(c, [{k: v for k, v in p.items() if k in c.free}
-                                       for p in pts])
-        scores.append(min(abs(float(v)) for v in vals))
+    cols = [[0.0] * len(pts) if c.is_zero_literal()
+            else [float(v) for v in numtape.eval_points(c, pts)]
+            for c in (pair.theta.coeff((i,)) for i in range(n))]
+    scores = [min(abs(v) for v in col) for col in cols]
     for j, p in enumerate(pts):
-        colvals = []
-        for i in range(n):
-            c = pair.theta.coeff((i,))
-            if c.is_zero_literal():
-                colvals.append(0.0)
-            else:
-                colvals.append(float(numtape.eval_points(
-                    c, [{k: v for k, v in p.items() if k in c.free}])[0]))
-        if max(abs(v) for v in colvals) <= policy.tolerance:
+        if max(abs(col[j]) for col in cols) <= policy.tolerance:
             raise InvalidPairError(f"theta vanishes at sample point {p}")
     best = max(range(n), key=lambda i: (scores[i], -i))
     if scores[best] == 0.0:

@@ -35,7 +35,7 @@ from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, is_zero,
 __all__ = ["Frame", "TransitionResult", "transition", "build_frame",
            "degree_coset", "CosetReport", "frames_G_equivalent",
            "is_homogeneous_chart", "ChartHomReport", "NotHomogeneousError",
-           "chart_frame", "coframe_matrix"]
+           "chart_frame"]
 
 
 class NotHomogeneousError(ValueError):
@@ -84,11 +84,6 @@ def frame_from_matrix(scn: LineBundleScenario, S) -> Frame:
     for a in range(n):
         comps.append(VectorField(scn.total, tuple(S[i][a] for i in range(n))))
     return Frame(scn, tuple(comps))
-
-
-def coframe_matrix(frame: Frame) -> List[List[ex.Expr]]:
-    """Rows are the dual coframe 1-forms of the frame."""
-    return symmat.inverse(frame.matrix())
 
 
 def _scaling_jacobian(n: int, factor: ex.Expr) -> List[List[ex.Expr]]:

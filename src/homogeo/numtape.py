@@ -1,23 +1,17 @@
-"""Batched floating-point evaluation of expression DAGs.
+"""Batched evaluation of expression DAGs on a flat tape.
 
-An Expr is compiled once into a flat postfix tape (numpy arrays); the tape
-is then evaluated over many sample points at once.  Two interpreter
-backends exist:
+An Expr is compiled once into a flat postfix tape (numpy arrays).  The tape
+has two evaluators:
 
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Set the environment variable ``HOMOGEO_NO_NUMBA=1`` to force the numpy
-path.  ``benchmarks/bench_eval.py`` compares the two.
-
-The same tape also keeps its constants as exact Fractions, so a rational
-tape can be evaluated over GF(p) with Python ints (``eval_tape_mod``); the
-zero test uses the residues in place of exact Fraction values.
+* ``eval_tape`` evaluates it in floats with numpy, one tape node at a time
+  over a whole batch of sample points;
+* ``eval_tape_mod`` evaluates a rational tape over GF(p) with Python ints,
+  from the exact Fraction constants the tape keeps next to their floats.
+  The zero test uses these residues in place of exact Fraction values.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence
 
@@ -25,24 +19,14 @@ import numpy as np
 
 from . import expr as ex
 
-__all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod", "NUMBA_ENABLED"]
+__all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod"]
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
     OP_SIN, OP_COS = range(11)
 
-_env_off = os.environ.get("HOMOGEO_NO_NUMBA", "") not in ("", "0")
-if not _env_off:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except Exception:  # pragma: no cover - exercised only without numba
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
 
 class Tape:
-    """`consts` holds each constant as a float for the float evaluators;
+    """`consts` holds each constant as a float for eval_tape;
     `exact` holds the same constants as Fractions for eval_tape_mod."""
 
     __slots__ = ("ops", "a", "b", "consts", "exact", "varnames")
@@ -146,56 +130,12 @@ def _eval_numpy(ops, a, b, consts, values):
     return buf[-1]
 
 
-if NUMBA_ENABLED:
-    @njit(cache=True)
-    def _eval_numba(ops, a, b, consts, values):  # pragma: no cover - compiled
-        n = ops.shape[0]
-        ns = values.shape[1]
-        buf = np.empty((n, ns), dtype=np.float64)
-        for i in range(n):
-            op = ops[i]
-            for s in range(ns):
-                if op == OP_CONST:
-                    v = consts[a[i]]
-                elif op == OP_VAR:
-                    v = values[a[i], s]
-                elif op == OP_ADD:
-                    v = buf[a[i], s] + buf[b[i], s]
-                elif op == OP_MUL:
-                    v = buf[a[i], s] * buf[b[i], s]
-                elif op == OP_POW:
-                    v = buf[a[i], s] ** consts[b[i]]
-                elif op == OP_EXP:
-                    v = np.exp(buf[a[i], s])
-                elif op == OP_LOG:
-                    v = np.log(buf[a[i], s])
-                elif op == OP_ABS:
-                    v = abs(buf[a[i], s])
-                elif op == OP_SIGN:
-                    x = buf[a[i], s]
-                    v = 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
-                elif op == OP_SIN:
-                    v = np.sin(buf[a[i], s])
-                else:
-                    v = np.cos(buf[a[i], s])
-                buf[i, s] = v
-        return buf[n - 1]
-else:
-    _eval_numba = None
-
-
-def eval_tape(tape: Tape, values: np.ndarray, backend: str | None = None) -> np.ndarray:
+def eval_tape(tape: Tape, values: np.ndarray) -> np.ndarray:
     """Evaluate at a batch of points.  `values` has shape (nvars, nsamples)
     ordered like tape.varnames.  Returns the root row (nsamples,)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != len(tape.varnames):
         raise ValueError("values must have shape (nvars, nsamples)")
-    if backend is None:
-        backend = "numba" if NUMBA_ENABLED else "numpy"
-    if backend == "numba":
-        if _eval_numba is None:
-            raise RuntimeError("numba backend unavailable")
-        return _eval_numba(tape.ops, tape.a, tape.b, tape.consts, values)
     return _eval_numpy(tape.ops, tape.a, tape.b, tape.consts, values)
 
 
@@ -251,12 +191,11 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     return [None if bad else r for bad, r in zip(failed, buf[-1])]
 
 
-def eval_points(e: ex.Expr, points: Sequence[Mapping[str, Fraction]],
-                backend: str | None = None) -> np.ndarray:
+def eval_points(e: ex.Expr, points: Sequence[Mapping[str, Fraction]]) -> np.ndarray:
     """Convenience wrapper: evaluate an expression at a list of points."""
     names = sorted(e.free)
     tape = compile_tape(e, names)
     vals = np.array([[float(p[n]) for p in points] for n in names], dtype=np.float64)
     if not names:
         vals = vals.reshape(0, len(points))
-    return eval_tape(tape, vals, backend=backend)
+    return eval_tape(tape, vals)

@@ -14,7 +14,7 @@ Mat = Tuple[Tuple[Fraction, ...], ...]
 Poly = Tuple[Fraction, ...]
 
 __all__ = ["rmat", "rident", "rzeros", "rmul", "radd", "rsub", "rscale",
-           "rtranspose", "rneg", "req", "rinv", "rdet", "is_scalar",
+           "rtranspose", "req", "rinv", "rdet", "is_scalar",
            "char_poly", "rational_eigenvalues", "spectral_projectors",
            "UnsupportedMatrixError", "nullspace", "rsqrt"]
 
@@ -53,10 +53,6 @@ def rsub(a: Mat, b: Mat) -> Mat:
 def rscale(a: Mat, s) -> Mat:
     s = Fraction(s)
     return tuple(tuple(s * x for x in row) for row in a)
-
-
-def rneg(a: Mat) -> Mat:
-    return rscale(a, -1)
 
 
 def rtranspose(a: Mat) -> Mat:

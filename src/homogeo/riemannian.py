@@ -50,8 +50,7 @@ def _check_definite(g: SymTensor2, policy: ZeroTestPolicy):
     pts = sample_points(list(chart.coords), pol, rng)
     for lead in range(1, chart.dim + 1):
         minor = symmat.det([row[:lead] for row in g.rows()[:lead]])
-        vals = numtape.eval_points(
-            minor, [{k: v for k, v in p.items() if k in minor.free} for p in pts])
+        vals = numtape.eval_points(minor, pts)
         if not all(v > policy.tolerance for v in vals):
             raise DegeneracyError(
                 f"metric is not positive definite: leading {lead}-minor "

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 
 from . import expr as ex
 from .chart import ChartError
-from .linebundle import DEG0, DEG1, LineBundleScenario
+from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from .parser import ParseError
 from .tensors import KForm, SymTensor2, VectorField
-from .zerotest import ConfigError, ZeroTestPolicy
+from .zerotest import ConfigError, ZeroTestPolicy, is_zero
 
 __all__ = ["SchemaError", "load_scenario", "run_scenario", "Scenario",
            "render_text", "KINDS"]
@@ -48,6 +48,14 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _convert(conv, value, where: str):
+    """conv(value) for a numeric field, or a SchemaError naming the field."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{where}: {value!r} is not a valid {conv.__name__}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,8 +79,10 @@ def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
     samples = overrides.get("samples", pol.get("samples", 20))
     tol = overrides.get("tolerance", pol.get("tolerance", 1e-9))
     try:
-        return ZeroTestPolicy(sample_count=int(samples), tolerance=float(tol),
-                              seed=int(seed))
+        return ZeroTestPolicy(
+            sample_count=_convert(int, samples, "policy.samples"),
+            tolerance=_convert(float, tol, "policy.tolerance"),
+            seed=_convert(int, seed, "policy.seed"))
     except ConfigError as err:
         raise SchemaError(f"policy: {err}")
 
@@ -147,6 +157,20 @@ def _jsonable(x):
     return str(x)
 
 
+def _homogeneity_check(scn: LineBundleScenario, form, degree,
+                       policy: ZeroTestPolicy, detail: str) -> dict:
+    ok, bad = scn.homogeneity_report(form, degree, policy)
+    return _check("homogeneity", ok, detail,
+                  witness=None if ok else bad[1].witness)
+
+
+def _chart_suffix(irep) -> str:
+    """The `; chart [...]` and `(note)` tail of an integrability detail."""
+    return ((f"; chart {[ex.to_dsl(c) for c in irep.witness_chart]}"
+             if irep.witness_chart else "")
+            + (f" ({irep.note})" if irep.note else ""))
+
+
 def _expectations(data: dict, computed: Dict[str, bool], checks: List[dict]):
     expect = data.get("expect", {})
     if not isinstance(expect, dict):
@@ -192,19 +216,16 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                          falsification=True))
 
     omega = ct.pair_to_omega(pair)
-    hom_ok, hom_bad = scn.homogeneity_report(omega, DEG1, policy)
-    checks.append(_check("homogeneity", hom_ok,
-                         "omega is degree 1 for r > 0 and under the reflection",
-                         witness=None if hom_ok else hom_bad[1].witness))
+    checks.append(_homogeneity_check(
+        scn, omega, DEG1, policy,
+        "omega is degree 1 for r > 0 and under the reflection"))
 
     try:
         back = ct.omega_to_pair(scn, omega, policy)
         pol = policy.with_constraints(scn.base.constraints)
-        from .zerotest import is_zero as _iz
-        rt = all(_iz(ex.sub(back.theta.coeff(k), theta.coeff(k)), pol)
-                 for k in set(back.theta.coeffs) | set(theta.coeffs))
-        rt = rt and all(_iz(ex.sub(back.upsilon.coeff(k), upsilon.coeff(k)), pol)
-                        for k in set(back.upsilon.coeffs) | set(upsilon.coeffs))
+        rt = all(is_zero(ex.sub(got.coeff(k), want.coeff(k)), pol)
+                 for got, want in ((back.theta, theta), (back.upsilon, upsilon))
+                 for k in set(got.coeffs) | set(want.coeffs))
         checks.append(_check("roundtrip", rt,
                              "descend(promote) recovers (theta, upsilon)"))
     except Exception as err:
@@ -216,9 +237,7 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         irep.falsification or
         f"integrable={irep.integrable}, contact={irep.contact}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"
-        + (f"; chart {[ex.to_dsl(c) for c in irep.witness_chart]}"
-           if irep.witness_chart else "")
-        + (f" ({irep.note})" if irep.note else ""),
+        + _chart_suffix(irep),
         falsification=True))
 
     _expectations(data, {
@@ -255,10 +274,8 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                          f"{rep.omega_closed}", falsification=True))
 
     omega = cs.pair_to_omega0(pair)
-    hom_ok, hom_bad = scn.homogeneity_report(omega, DEG0, policy)
-    checks.append(_check("homogeneity", hom_ok,
-                         "omega is fiber-invariant (degree 0)",
-                         witness=None if hom_ok else hom_bad[1].witness))
+    checks.append(_homogeneity_check(scn, omega, DEG0, policy,
+                                     "omega is fiber-invariant (degree 0)"))
 
     irep = cs.integrability_report0(pair, k, policy)
     checks.append(_check(
@@ -266,9 +283,7 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         irep.falsification or
         f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"
-        + (f"; chart {[ex.to_dsl(c) for c in irep.witness_chart]}"
-           if irep.witness_chart else "")
-        + (f" ({irep.note})" if irep.note else ""),
+        + _chart_suffix(irep),
         falsification=True))
 
     _expectations(data, {
@@ -368,13 +383,9 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         checks.append(_check("definite", False, str(err)))
         return checks
 
-    from .linebundle import DEG_ABS
-    gt = rm.triple_to_gtilde(triple)
-    hom_ok, hom_bad = triple.scenario.homogeneity_report(gt, DEG_ABS, policy)
-    checks.append(_check("homogeneity", hom_ok,
-                         "upstairs metric has degree |r| for r > 0 and under "
-                         "the reflection",
-                         witness=None if hom_ok else hom_bad[1].witness))
+    checks.append(_homogeneity_check(
+        triple.scenario, rm.triple_to_gtilde(triple), DEG_ABS, policy,
+        "upstairs metric has degree |r| for r > 0 and under the reflection"))
 
     # both checks below share one build of the curvature tensors
     RD = rm.curvature_RD(rm.koszul_connection(rm.triple_to_G(triple), policy))
@@ -407,7 +418,6 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 
 def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import frames as fr
-    from . import groups as gr
     scn = _build_scenario_charts(data)
     objects = _need(data, "objects", "scenario")
     frame = _frame_from(objects, scn, "objects")
@@ -443,9 +453,9 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 def _group_from(gspec: dict, where: str):
     from . import groups as gr
     family = _need(gspec, "family", where)
-    param = _need(gspec, "param", where)
+    param = _convert(int, _need(gspec, "param", where), f"{where}.param")
     try:
-        return gr.GroupId(str(family), int(param))
+        return gr.GroupId(str(family), param)
     except ValueError as err:
         raise SchemaError(f"{where}: {err}")
 
@@ -456,7 +466,7 @@ def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import ratmat as rmat
     objects = _need(data, "objects", "scenario")
     G = _group_from(objects, "objects")
-    count = int(objects.get("elements", 50))
+    count = _convert(int, objects.get("elements", 50), "objects.elements")
     rng = random.Random(policy.seed)
     checks: List[dict] = []
 

@@ -12,9 +12,8 @@ from typing import List, Sequence
 
 from . import expr as ex
 
-__all__ = ["mat", "identity", "zeros", "mat_mul", "mat_vec", "transpose",
-           "mat_add", "mat_sub", "mat_scale", "det", "inverse", "solve_mat",
-           "simplify_mat"]
+__all__ = ["mat", "identity", "mat_mul", "mat_vec", "transpose", "mat_sub",
+           "mat_scale", "det", "inverse", "simplify_mat"]
 
 Matrix = List[List[ex.Expr]]
 
@@ -25,11 +24,6 @@ def mat(rows) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-
-
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[ex.ZERO] * m for _ in range(n)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -46,10 +40,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Sequence[ex.Expr]):
     return [ex.add(*[ex.mul(a[i][j], v[j]) for j in range(len(v))])
             for i in range(len(a))]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[ex.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -100,11 +90,6 @@ def inverse(a: Matrix, precomputed_det: ex.Expr | None = None) -> Matrix:
     d = det(a) if precomputed_det is None else precomputed_det
     dinv = ex.pw(d, Fraction(-1))
     return [[ex.mul(_cofactor(a, j, i), dinv) for j in range(n)] for i in range(n)]
-
-
-def solve_mat(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b symbolically (x = a^{-1} b)."""
-    return mat_mul(inverse(a), b)
 
 
 def simplify_mat(a: Matrix, constraints=()) -> Matrix:

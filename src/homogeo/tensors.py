@@ -25,7 +25,7 @@ from .chart import Chart, ChartError, SmoothMap
 __all__ = ["VectorField", "KForm", "SymTensor2", "Endo11",
            "d", "wedge", "interior", "lie_bracket", "lie_derivative",
            "pullback", "pushforward", "pullback_sym", "pullback_endo",
-           "sym_product", "form_from_coeffs", "one_form", "zero_form"]
+           "sym_product", "one_form", "zero_form"]
 
 Index = Tuple[int, ...]
 
@@ -205,10 +205,6 @@ def zero_form(chart: Chart, degree: int) -> KForm:
 
 def one_form(chart: Chart, comps: Sequence) -> KForm:
     return KForm(chart, 1, {(i,): c for i, c in enumerate(comps)})
-
-
-def form_from_coeffs(chart: Chart, degree: int, coeffs) -> KForm:
-    return KForm(chart, degree, coeffs)
 
 
 def coordinate_field(chart: Chart, i: int) -> VectorField:

@@ -166,17 +166,54 @@ def test_reports_match_goldens():
         assert got == want, f"report drift for {name}"
 
 
-def test_numpy_fallback_env_flag():
-    env = dict(os.environ, HOMOGEO_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from homogeo import numtape; print(numtape.NUMBA_ENABLED)"],
-        capture_output=True, text=True, env=env)
-    assert proc.stdout.strip() == "False"
-    proc = subprocess.run(
-        [sys.executable, "-m", "homogeo.cli", "run",
-         os.path.join(SCENARIOS, "sphere_n1.json"), "--json"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)
-    assert report["summary"]["fail"] == 0
+
+_BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
+                "policy": {"seed": 0, "samples": 20},
+                "objects": {"family": "sp", "param": 1, "elements": 5}}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("policy", "samples", "lots"),
+    ("policy", "seed", None),
+    ("objects", "elements", "many"),
+    ("objects", "param", [1]),
+    ("objects", "param", None),
+], ids=["samples-text", "seed-null", "elements-text", "param-list",
+        "param-null"])
+def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value):
+    data = json.loads(json.dumps(_BAD_NUMBERS))
+    data[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {section}.{key}: ")
+    # in a suite the bad file is listed under errors; the others still run
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "bad.json").write_text(bad.read_text())
+    with open(os.path.join(SCENARIOS, "group_sp2.json")) as fh:
+        (suite / "group_sp2.json").write_text(fh.read())
+    code, out, _ = run_cli(["suite", str(suite), "--json"], capsys)
+    agg = json.loads(out)
+    assert code == 2
+    assert [e["path"] for e in agg["errors"]] == [str(suite / "bad.json")]
+    assert agg["errors"][0]["error"].startswith(f"{section}.{key}: ")
+    assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
+    assert agg["summary"]["pass"] > 0
+
+
+def test_suite_verdicts_independent_of_seed(capsys):
+    """Metamorphic gate: the zero-test seed moves sample points and
+    witnesses, never a verdict."""
+    verdicts = {}
+    for seed in (0, 1, 2, 3, 7, 42):
+        code, out, _ = run_cli(["suite", SCENARIOS, "--json", "--seed",
+                                str(seed)], capsys)
+        assert code == 0
+        verdicts[seed] = [(r["scenario"], c["name"], c["verdict"])
+                          for r in json.loads(out)["scenarios"]
+                          for c in r["checks"]]
+    assert verdicts[0]
+    for seed, got in verdicts.items():
+        assert got == verdicts[0], f"verdicts differ for seed {seed}"

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from homogeo import expr as ex
@@ -46,26 +45,6 @@ def test_tape_matches_exact_on_rational():
         want = float(ex.eval_exact(e, p))
         got = float(numtape.eval_points(e, [p])[0])
         assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_backends_agree():
-    if not numtape.NUMBA_ENABLED:
-        pytest.skip("numba backend disabled")
-    rng = random.Random(23)
-    for _ in range(10):
-        e = rand_expr(rng, ("x", "y", "z"), depth=6)
-        names = sorted(e.free)
-        if not names:
-            continue
-        tape = numtape.compile_tape(e, names)
-        vals = np.array([[float(v) for v in rng_vals]
-                         for rng_vals in [[rand_point(rng, [n])[n] for _ in range(16)]
-                                          for n in names]])
-        a = numtape.eval_tape(tape, vals, backend="numba")
-        b = numtape.eval_tape(tape, vals, backend="numpy")
-        both = np.isfinite(a) & np.isfinite(b)
-        assert np.array_equal(np.isfinite(a), np.isfinite(b))
-        assert np.allclose(a[both], b[both], rtol=1e-13, atol=1e-13)
 
 
 def test_shared_subexpressions_evaluate_once():
