@@ -1,7 +1,10 @@
 """Command line entry point: run one scenario file or a directory suite.
 
 Exit codes: 0 all checks pass, 1 at least one fail or FALSIFICATION,
-2 input error (bad schema, DSL parse error, unreadable file).
+2 input error (bad schema, DSL parse error, unreadable file, an operation
+the domain constraints do not allow), 3 internal error (an unexpected
+exception in a scenario; its traceback goes to stderr and `suite` lists it
+under `errors`, never as a pass).
 """
 
 from __future__ import annotations
@@ -11,13 +14,17 @@ import fnmatch
 import json
 import os
 import sys
+import traceback
 from typing import List, Optional
 
+from .expr import DomainError
 from .parser import ParseError
 from .scenarios import SchemaError, load_scenario, render_text, run_scenario
 from .zerotest import ConfigError
 
-EXIT_OK, EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR = 0, 1, 2
+EXIT_OK, EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR = 0, 1, 2, 3
+
+INPUT_ERRORS = (SchemaError, ParseError, ConfigError, DomainError, OSError)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -57,13 +64,22 @@ def _report_json(report) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+def _internal_error(err: Exception) -> str:
+    """Print err's traceback to stderr; return its one-line message."""
+    traceback.print_exception(err, file=sys.stderr)
+    return f"internal error: {type(err).__name__}: {err}"
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         report = run_scenario(scenario, _overrides(args), with_timing=args.timing)
-    except (SchemaError, ParseError, ConfigError, OSError) as err:
+    except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as err:
+        print(f"error: {_internal_error(err)}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     _emit(_report_json(report) if args.json else render_text(report), args.output)
     bad = report["summary"]["fail"] + report["summary"]["falsification"]
     return EXIT_CHECK_FAILURE if bad else EXIT_OK
@@ -84,13 +100,17 @@ def cmd_suite(args) -> int:
 
     reports = []
     errors = []
+    internal = 0
     for path in paths:
         try:
             scenario = load_scenario(path)
             reports.append(run_scenario(scenario, _overrides(args),
                                         with_timing=args.timing))
-        except (SchemaError, ParseError, ConfigError, OSError) as err:
+        except INPUT_ERRORS as err:
             errors.append({"path": path, "error": str(err)})
+        except Exception as err:
+            internal += 1
+            errors.append({"path": path, "error": _internal_error(err)})
 
     reports.sort(key=lambda r: r["scenario"])
     total = {
@@ -98,7 +118,7 @@ def cmd_suite(args) -> int:
         "fail": sum(r["summary"]["fail"] for r in reports),
         "falsification": sum(r["summary"]["falsification"] for r in reports),
         "scenarios": len(reports),
-        "input_errors": len(errors),
+        "input_errors": len(errors) - internal,
     }
     aggregate = {"scenarios": reports, "errors": errors, "summary": total}
 
@@ -111,9 +131,12 @@ def cmd_suite(args) -> int:
         blocks.append(
             f"suite: {total['scenarios']} scenarios, {total['pass']} pass, "
             f"{total['fail']} fail, {total['falsification']} FALSIFICATION, "
-            f"{total['input_errors']} input errors")
+            f"{total['input_errors']} input errors"
+            + (f", {internal} internal errors" if internal else ""))
         _emit("\n\n".join(blocks), args.output)
 
+    if internal:
+        return EXIT_INTERNAL_ERROR
     if errors:
         return EXIT_INPUT_ERROR
     if total["fail"] or total["falsification"]:

@@ -8,6 +8,12 @@ folding, flattening, like-term and like-base collection) and intern the
 resulting node, so structurally equal expressions are the *same* object.
 Heavy canonical simplification is intentionally absent; identity checking
 is the zero test's job (see zerotest.py).
+
+Because a node is immutable and stays interned for the life of the
+process, `simplify` and `diff` keep their results on the node itself (the
+`cache` slot), keyed by the constraints and, for `diff`, the variable.  A
+later call on a shared subtree is a lookup, not a walk.  An exception such
+as DomainError is never cached.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class DomainError(ValueError):
 class Constraint:
     """Strict inequality or non-equality on a single variable: var <op> bound."""
 
-    __slots__ = ("name", "op", "bound")
+    __slots__ = ("name", "op", "bound", "_hash")
 
     def __init__(self, name: str, op: str, bound: Rational):
         if op not in (">", "<", "!="):
@@ -60,6 +66,7 @@ class Constraint:
         self.name = name
         self.op = op
         self.bound = Fraction(bound)
+        self._hash = hash((name, op, self.bound))
 
     def __repr__(self):
         return f"{self.name} {self.op} {self.bound}"
@@ -69,7 +76,7 @@ class Constraint:
                 and (self.name, self.op, self.bound) == (other.name, other.op, other.bound))
 
     def __hash__(self):
-        return hash((self.name, self.op, self.bound))
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "Constraint":
@@ -83,7 +90,7 @@ class Constraint:
 class Expr:
     """Base node.  Instances are interned: structural equality is identity."""
 
-    __slots__ = ("shash", "free", "rational", "size")
+    __slots__ = ("shash", "free", "rational", "size", "cache")
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -191,6 +198,7 @@ def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool, size: 
     node.free = free
     node.rational = rational
     node.size = size
+    node.cache = None   # results of simplify/diff, see _cache_put
     _INTERN[key] = node
     return node
 
@@ -701,21 +709,35 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return rec(e)
 
 
+def _cache_put(x: Expr, key: tuple, out: Expr) -> Expr:
+    """Keep `out` as x's result for `key`.  Keys are ("simplify",
+    constraints) or ("diff", variable, constraints): the lengths differ, so
+    the two never collide."""
+    if x.cache is None:
+        x.cache = {key: out}
+    else:
+        x.cache[key] = out
+    return out
+
+
 def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
     """Exact partial derivative with respect to the variable named v.
 
     abs/sign arguments must be sign-definite under the constraints,
-    otherwise a DomainError is raised.
+    otherwise a DomainError is raised.  Results are cached on each interned
+    node for the life of the process, keyed by (v, constraints); an
+    exception is not cached.
     """
     constraints = tuple(constraints)
-    memo: dict = {}
+    key = ("diff", v, constraints)
 
     def rec(x: Expr) -> Expr:
         if v not in x.free:
             return ZERO
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
+        if x.cache is not None:
+            hit = x.cache.get(key)
+            if hit is not None:
+                return hit
         if isinstance(x, Var):
             out = ONE
         elif isinstance(x, Sum):
@@ -756,25 +778,28 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
                         f"cannot differentiate sign({to_dsl(a)}): argument sign is not "
                         f"fixed by the domain constraints")
                 out = ZERO
-        memo[id(x)] = out
-        return out
+        return _cache_put(x, key, out)
 
     return rec(e)
 
 
 def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
     """Rebuild through the canonicalizing constructors and resolve
-    abs/sign/fractional powers on sign-definite subexpressions."""
+    abs/sign/fractional powers on sign-definite subexpressions.
+
+    Results are cached on each interned node for the life of the process,
+    keyed by the constraints; an exception is not cached."""
     constraints = tuple(constraints)
-    memo: dict = {}
+    key = ("simplify", constraints)
 
     def rec(x: Expr) -> Expr:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
         if isinstance(x, (Rat, Var)):
-            out = x
-        elif isinstance(x, Sum):
+            return x
+        if x.cache is not None:
+            hit = x.cache.get(key)
+            if hit is not None:
+                return hit
+        if isinstance(x, Sum):
             out = add(rat(x.const), *[rec(t) for t in x.terms])
         elif isinstance(x, Prod):
             out = mul(rat(x.coeff), *[rec(f) for f in x.factors])
@@ -808,8 +833,7 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
                 out = _log_expand(a, constraints)
             else:
                 out = _FUN_MAKERS[x.name](a)
-        memo[id(x)] = out
-        return out
+        return _cache_put(x, key, out)
 
     return rec(e)
 

@@ -56,6 +56,18 @@ def _convert(conv, value, where: str):
         raise SchemaError(f"{where}: {value!r} is not a valid {conv.__name__}")
 
 
+def _integer(value, where: str, minimum: Optional[int] = None) -> int:
+    """An integral JSON number (2 or 2.0; not 2.5, "2" or true), at least
+    `minimum` if given, or a SchemaError naming the field."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{where}: {value} is less than {minimum}")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,9 +92,9 @@ def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
     tol = overrides.get("tolerance", pol.get("tolerance", 1e-9))
     try:
         return ZeroTestPolicy(
-            sample_count=_convert(int, samples, "policy.samples"),
+            sample_count=_integer(samples, "policy.samples"),
             tolerance=_convert(float, tol, "policy.tolerance"),
-            seed=_convert(int, seed, "policy.seed"))
+            seed=_integer(seed, "policy.seed"))
     except ConfigError as err:
         raise SchemaError(f"policy: {err}")
 
@@ -453,7 +465,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 def _group_from(gspec: dict, where: str):
     from . import groups as gr
     family = _need(gspec, "family", where)
-    param = _convert(int, _need(gspec, "param", where), f"{where}.param")
+    param = _integer(_need(gspec, "param", where), f"{where}.param")
     try:
         return gr.GroupId(str(family), param)
     except ValueError as err:
@@ -466,7 +478,8 @@ def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import ratmat as rmat
     objects = _need(data, "objects", "scenario")
     G = _group_from(objects, "objects")
-    count = _convert(int, objects.get("elements", 50), "objects.elements")
+    count = _integer(objects.get("elements", 50), "objects.elements",
+                     minimum=1)
     rng = random.Random(policy.seed)
     checks: List[dict] = []
 

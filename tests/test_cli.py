@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +168,16 @@ def test_reports_match_goldens():
 
 
 
+def _write_suite(tmp_path, bad):
+    """A suite directory holding `bad` (a scenario dict) and group_sp2."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "bad.json").write_text(json.dumps(bad))
+    with open(os.path.join(SCENARIOS, "group_sp2.json")) as fh:
+        (suite / "group_sp2.json").write_text(fh.read())
+    return suite
+
+
 _BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
                 "policy": {"seed": 0, "samples": 20},
                 "objects": {"family": "sp", "param": 1, "elements": 5}}
@@ -178,22 +189,23 @@ _BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
     ("objects", "elements", "many"),
     ("objects", "param", [1]),
     ("objects", "param", None),
+    ("policy", "samples", 2.7),
+    ("policy", "samples", "20"),
+    ("policy", "seed", True),
+    ("objects", "param", 1.5),
+    ("objects", "elements", -5),
+    ("objects", "elements", 0),
 ], ids=["samples-text", "seed-null", "elements-text", "param-list",
-        "param-null"])
+        "param-null", "samples-fraction", "samples-digits", "seed-bool",
+        "param-fraction", "elements-negative", "elements-zero"])
 def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value):
     data = json.loads(json.dumps(_BAD_NUMBERS))
     data[section][key] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    code, out, err = run_cli(["run", str(bad)], capsys)
+    suite = _write_suite(tmp_path, data)
+    code, out, err = run_cli(["run", str(suite / "bad.json")], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {section}.{key}: ")
     # in a suite the bad file is listed under errors; the others still run
-    suite = tmp_path / "suite"
-    suite.mkdir()
-    (suite / "bad.json").write_text(bad.read_text())
-    with open(os.path.join(SCENARIOS, "group_sp2.json")) as fh:
-        (suite / "group_sp2.json").write_text(fh.read())
     code, out, _ = run_cli(["suite", str(suite), "--json"], capsys)
     agg = json.loads(out)
     assert code == 2
@@ -203,17 +215,94 @@ def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value)
     assert agg["summary"]["pass"] > 0
 
 
+def test_integral_float_field_accepted():
+    scenario = load_scenario(os.path.join(SCENARIOS, "group_sp2.json"))
+    scenario.data["policy"] = {"seed": 3.0, "samples": 20.0}
+    scenario.data["objects"]["elements"] = 2.0
+    rep = run_scenario(scenario)
+    assert rep["policy"]["seed"] == 3 and type(rep["policy"]["seed"]) is int
+    assert rep["checks"][0]["detail"].startswith("2 random elements")
+
+
+@pytest.mark.parametrize("bad", [
+    {"name": "abs_theta", "kind": "contact",
+     "base": {"coords": ["u", "x1", "p1"]},
+     "objects": {"theta": {"u": "1", "x1": "abs(p1)"}, "upsilon": {}}},
+    {"name": "abs_metric", "kind": "riemannian",
+     "base": {"coords": ["x", "y"]},
+     "objects": {"g": [["1 + abs(x)", "0"], ["0", "1"]], "eta": {}}},
+], ids=["contact", "riemannian"])
+def test_domain_error_is_input_error(tmp_path, capsys, bad):
+    # differentiating abs of an argument whose sign the (absent)
+    # constraints do not fix raises DomainError in the kernel
+    suite = _write_suite(tmp_path, bad)
+    code, out, err = run_cli(["run", str(suite / "bad.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot differentiate abs(")
+    code, out, _ = run_cli(["suite", str(suite), "--json"], capsys)
+    agg = json.loads(out)
+    assert code == 2
+    assert [e["path"] for e in agg["errors"]] == [str(suite / "bad.json")]
+    assert agg["errors"][0]["error"].startswith("cannot differentiate abs(")
+    assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
+    assert agg["summary"]["input_errors"] == 1
+
+
+def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):
+    import homogeo.cli as cli
+    real = cli.run_scenario
+
+    def flaky(scenario, *args, **kwargs):
+        if scenario.name == "boom":
+            raise RuntimeError("kernel bug")
+        return real(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", flaky)
+    suite = _write_suite(tmp_path, {"name": "boom", "kind": "contact"})
+    code, out, err = run_cli(["suite", str(suite), "--json"], capsys)
+    agg = json.loads(out)
+    assert code == 3
+    assert agg["errors"] == [{"path": str(suite / "bad.json"),
+                              "error": "internal error: RuntimeError: kernel bug"}]
+    assert "Traceback" in err and "kernel bug" in err
+    assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
+    assert agg["summary"]["input_errors"] == 0
+    assert agg["summary"]["pass"] == agg["scenarios"][0]["summary"]["pass"]
+    code, out, err = run_cli(["suite", str(suite)], capsys)
+    assert code == 3
+    assert "[ERROR] internal error: RuntimeError: kernel bug" in out
+    assert out.rstrip().endswith("0 input errors, 1 internal errors")
+    code, out, err = run_cli(["run", str(suite / "bad.json")], capsys)
+    assert code == 3 and out == ""
+    assert "Traceback" in err
+    assert err.rstrip().endswith("error: internal error: RuntimeError: kernel bug")
+
+
+# sha256 of `homogeo suite scenarios --json --seed S` (stdout, with the final
+# newline), as recorded in BENCH_3.json: any change to a report byte fails
+_SUITE_SHA256 = {
+    0: "0e497a7a006c7bec1e84b220765152de52765a12df93014c1e0c8b0a70e3f312",
+    1: "15aaa217c26aabe17b3d2579bd1dc06212b952d9c001b1e4ad53a4d7ca9e2ba5",
+    2: "4b67ade92c2925dde2ae38508370323bc9d4c61999c81458795599f66759f10e",
+    3: "af1e2a0ed9695878115ffce157170739f5111e4b75fa161c635032429a0592c0",
+    7: "855241b8cd04e09039d68735015d8718cefe354a4696410ab757e23bdc208c69",
+    42: "71785b1b173431b735a2ddb6fc1bf478db3e2782a2b9b9c93bdea25df57655e0",
+}
+
+
 def test_suite_verdicts_independent_of_seed(capsys):
     """Metamorphic gate: the zero-test seed moves sample points and
-    witnesses, never a verdict."""
+    witnesses, never a verdict.  Each report is also pinned byte for byte."""
     verdicts = {}
-    for seed in (0, 1, 2, 3, 7, 42):
+    for seed, want_sha in _SUITE_SHA256.items():
         code, out, _ = run_cli(["suite", SCENARIOS, "--json", "--seed",
                                 str(seed)], capsys)
         assert code == 0
         verdicts[seed] = [(r["scenario"], c["name"], c["verdict"])
                           for r in json.loads(out)["scenarios"]
                           for c in r["checks"]]
+        assert hashlib.sha256(out.encode()).hexdigest() == want_sha, \
+            f"suite report bytes changed for seed {seed}"
     assert verdicts[0]
     for seed, got in verdicts.items():
         assert got == verdicts[0], f"verdicts differ for seed {seed}"

@@ -491,3 +491,128 @@ def test_interning_dedup():
     a = ex.add(ex.var("x"), ex.var("u"))
     b = ex.add(ex.var("u"), ex.var("x"))
     assert a is b
+
+
+# -- results cached on the interned node ---------------------------------------
+
+def _count_constructors(monkeypatch):
+    """Record each call of ex.add / ex.mul, by name, in the returned list."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*xs):
+            calls.append(name)
+            return real(*xs)
+        return wrapper
+
+    for name in ("add", "mul"):
+        monkeypatch.setattr(ex, name, counting(name, getattr(ex, name)))
+    return calls
+
+
+def _shared_dag(a: str, b: str, k: int) -> ex.Expr:
+    """Nested sums and quotients over fresh variables a, b, so that no
+    earlier test has simplified or differentiated any of its nodes."""
+    e = ex.add(ex.var(a), ex.mul(ex.rat(2), ex.var(b)))
+    for j in range(k):
+        e = ex.add(ex.mul(e, ex.pw(ex.add(e, ex.rat(j + 1)), -1)),
+                   ex.pw(e, 2), ex.mul(ex.var(b), e))
+    return e
+
+
+def test_simplify_and_diff_cached_across_calls(monkeypatch):
+    e = _shared_dag("cache_a", "cache_b", 6)
+    calls = _count_constructors(monkeypatch)
+    s1 = ex.simplify(e)
+    d1 = ex.diff(e, "cache_a")
+    assert calls        # the first calls walk and rebuild
+    calls.clear()
+    assert ex.simplify(e) is s1
+    assert ex.diff(e, "cache_a") is d1
+    assert calls == []  # the second calls are lookups on the root node
+    # a cached subtree is not walked again under a new parent: only the
+    # chain rule's product at the new root is built
+    ex.simplify(ex.sin_(e))
+    ex.diff(ex.sin_(e), "cache_a")
+    assert calls == ["mul"]
+
+
+def test_cache_key_holds_constraints():
+    for first_constrained in (True, False):
+        x = ex.var(f"cache_k{first_constrained}")
+        pos = (ex.Constraint(x.name, ">", 0),)
+        calls = [(pos, x), ((), ex.abs_(x))]
+        if not first_constrained:
+            calls.reverse()
+        for cons, want in calls:
+            assert ex.simplify(ex.abs_(x), cons) is want
+        assert ex.diff(ex.abs_(x), x.name, pos) is ex.ONE
+        with pytest.raises(ex.DomainError):
+            ex.diff(ex.abs_(x), x.name)
+
+
+def test_cache_key_holds_variable():
+    x, y = ex.var("cache_vx"), ex.var("cache_vy")
+    e = ex.mul(x, ex.pw(y, 2))
+    assert ex.diff(e, "cache_vx") is ex.pw(y, 2)
+    assert ex.diff(e, "cache_vy") is ex.mul(ex.rat(2), x, y)
+    assert ex.diff(e, "cache_vx") is ex.pw(y, 2)
+
+
+def test_cache_keys_of_simplify_and_diff_apart():
+    # variables named like a key tag: a diff result must never be returned
+    # for simplify, or the other way round
+    for tag in ("simplify", "diff"):
+        v = ex.var(tag)
+        e = ex.add(ex.pw(v, 3), ex.abs_(v))
+        pos = (ex.Constraint(tag, ">", 0),)
+        assert ex.diff(e, tag, pos) is ex.add(ex.mul(ex.rat(3), ex.pw(v, 2)), ex.ONE)
+        assert ex.simplify(e, pos) is ex.add(ex.pw(v, 3), v)
+        assert ex.simplify(e) is e
+        with pytest.raises(ex.DomainError):
+            ex.diff(e, tag)
+
+
+def test_domain_error_not_cached():
+    x, y = ex.var("x"), ex.var("y")
+    bad = ex.add(ex.abs_(x), ex.mul(x, y))
+    for _ in range(2):
+        with pytest.raises(ex.DomainError):
+            ex.diff(bad, "x")
+    assert ex.diff(ex.mul(x, y), "x") is y
+    assert ex.diff(bad, "x", (ex.Constraint("x", "<", 0),)) is ex.add(y, ex.rat(-1))
+
+
+# -- differential oracle: sympy ---------------------------------------------------
+
+_ORACLE_POINT = st.fixed_dictionaries({
+    v: st.fractions(min_value=-3, max_value=3, max_denominator=6) for v in "xy"})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_TERMS, st.lists(_ORACLE_POINT, min_size=3, max_size=3))
+def test_diff_and_simplify_match_sympy(text, points):
+    """`diff` and `simplify`-then-`eval_exact` agree with sympy, which
+    parses the same DSL text on its own, at exact rational points."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        e = parse(text, names=["x", "y"])
+    except ZeroDivisionError:
+        return      # a literal division by zero
+    sym = sympy.sympify(text.replace("^", "**"))
+    X, Y = sympy.symbols("x y")
+    pairs = [(ex.simplify(e), sym), (ex.diff(e, "x"), sympy.diff(sym, X)),
+             (ex.diff(e, "y"), sympy.diff(sym, Y))]
+    for point in points:
+        at = {X: sympy.Rational(point["x"].numerator, point["x"].denominator),
+              Y: sympy.Rational(point["y"].numerator, point["y"].denominator)}
+        for ours, theirs in pairs:
+            want = theirs.subs(at)
+            if not want.is_Rational:
+                continue    # a pole of sympy's form
+            try:
+                got = ex.eval_exact(ours, point)
+            except ZeroDivisionError:
+                continue    # a pole of ours that sympy cancelled
+            assert got == Fraction(int(want.p), int(want.q)), (text, point)
