@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import List, Optional, Union
 
@@ -94,35 +95,49 @@ def _check_size(G: GroupId, M: rm.Mat):
         raise ValueError(f"matrix size {len(M)} does not match {G} (size {G.size})")
 
 
-def member(G: GroupId, M) -> bool:
-    """Exact membership test in rational arithmetic."""
+def _qchecked(G: GroupId, M) -> rm.QMat:
     M = rm.rmat(M)
     _check_size(G, M)
+    return rm.qmat(M)
+
+
+@lru_cache(maxsize=None)
+def _qJ(k: int) -> rm.QMat:
+    return rm.qmat(std_J(k))
+
+
+def member(G: GroupId, M) -> bool:
+    """Exact membership test in rational arithmetic."""
+    return _qmember(G, _qchecked(G, M))
+
+
+def _qmember(G: GroupId, M: rm.QMat) -> bool:
     if G.family == "sp":
-        J = std_J(G.param)
-        return rm.req(rm.rmul(rm.rmul(rm.rtranspose(M), J), M), J)
+        J = _qJ(G.param)
+        return rm.qeq(rm.qmul(rm.qtranspose(M), J, M), J)
     if G.family == "glc":
-        if rm.rdet(M) == 0:
-            return False
-        J = std_J(G.param)
-        return rm.req(rm.rmul(M, J), rm.rmul(J, M))
+        J = _qJ(G.param)
+        return rm.qdet(M) != 0 and rm.qeq(rm.qmul(M, J), rm.qmul(J, M))
     if G.family == "o":
-        return rm.req(rm.rmul(rm.rtranspose(M), M), rm.rident(G.size))
-    return rm.rdet(M) != 0
+        return rm.qscalar(rm.qmul(rm.qtranspose(M), M)) == 1
+    return rm.qdet(M) != 0
 
 
 def normalizer_product(G: GroupId, B) -> rm.Mat:
     """The defining product whose scalarity characterizes N(G)."""
-    B = rm.rmat(B)
-    _check_size(G, B)
+    return rm.to_mat(_qnormalizer_product(G, _qchecked(G, B)))
+
+
+def _qnormalizer_product(G: GroupId, B: rm.QMat) -> rm.QMat:
     if G.family == "sp":
-        J = std_J(G.param)
-        return rm.rmul(rm.rmul(rm.rmul(rm.rtranspose(J), rm.rtranspose(B)), J), B)
+        J = _qJ(G.param)
+        return rm.qmul(rm.qtranspose(J), rm.qtranspose(B), J, B)
     if G.family == "glc":
-        J = std_J(G.param)
-        return rm.rmul(rm.rmul(rm.rinv(J), rm.rinv(B)), rm.rmul(J, B))
+        # J^-1 = J^t since J^2 = -I and J^t = -J; B^-1 (J B) is one solve
+        J = _qJ(G.param)
+        return rm.qmul(rm.qtranspose(J), rm.qsolve(B, rm.qmul(J, B)))
     if G.family == "o":
-        return rm.rmul(rm.rtranspose(B), B)
+        return rm.qmul(rm.qtranspose(B), B)
     raise ValueError("GL is its own normalizer; no defining product")
 
 
@@ -130,24 +145,16 @@ def in_normalizer(G: GroupId, B) -> bool:
     if G.family == "gl":
         return rm.rdet(rm.rmat(B)) != 0
     try:
-        prod = normalizer_product(G, B)
-    except ZeroDivisionError:
+        normalizer_p(G, B)
+    except (NotInNormalizerError, ZeroDivisionError):
         return False
-    c = rm.is_scalar(prod)
-    if c is None:
-        return False
-    if G.family == "sp":
-        return c != 0
-    if G.family == "glc":
-        return c in (1, -1)
-    return c > 0
+    return True
 
 
 def normalizer_p(G: GroupId, B) -> Union[Fraction, int]:
     """Quotient value of B in N(G): a nonzero rational for Sp, a parity
     (0 or 1) for GLC, a positive rational for O."""
-    prod = normalizer_product(G, B)
-    c = rm.is_scalar(prod)
+    c = rm.qscalar(_qnormalizer_product(G, _qchecked(G, B)))
     if c is None:
         raise NotInNormalizerError(f"matrix is not in N({G}): defining product "
                                    "is not scalar")
@@ -193,7 +200,7 @@ def splitting(G: GroupId, value) -> rm.Mat:
         value = Fraction(value)
         if value <= 0:
             raise ValueError("quotient value must be positive")
-        root = rm.rsqrt(value)
+        root = rm.rroot(value)
         if root is None:
             raise ValueError(f"{value} has no exact rational square root; "
                              "pick a square value for exact arithmetic")
@@ -266,7 +273,6 @@ def hom_eval(A: DegreeHom, q) -> rm.Mat:
         out = rm.rzeros(n)
         for (lam, _), P in zip(eigs, projectors):
             # aq ** lam must be rational
-            num, den = aq.numerator, aq.denominator
             root_num = _exact_pow(aq, lam)
             if root_num is None:
                 raise rm.UnsupportedMatrixError(
@@ -283,56 +289,41 @@ def _exact_pow(q: Fraction, lam: Fraction) -> Optional[Fraction]:
         return Fraction(1)
     if lam.denominator == 1:
         return q ** lam.numerator
-    root = _nth_root(q, lam.denominator)
+    root = rm.rroot(q, lam.denominator)
     if root is None:
         return None
     return root ** lam.numerator
 
 
-def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
-    if q < 0:
-        return None
-
-    def iroot(m: int) -> Optional[int]:
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
-def hom_eval_symbolic(A: DegreeHom, param: str = "r") -> List[List[ex.Expr]]:
-    """A(r) on the branch r > 0 as a matrix of expressions:
-    sum_i r^lam_i (log r)^j / j! P_i N^j.  Needs rational eigenvalues."""
-    eigs, projectors, nil = rm.spectral_projectors(A.B)
-    n = A.size
-    r = ex.var(param)
+def _exp_symbolic(B: rm.Mat, base: ex.Expr) -> List[List[ex.Expr]]:
+    """exp(B log base) as a matrix of expressions:
+    sum_i base^lam_i (log base)^j / j! P_i N^j.  Needs rational eigenvalues."""
+    eigs, projectors, nil = rm.spectral_projectors(B)
+    n = len(B)
     out = [[ex.ZERO] * n for _ in range(n)]
     for (lam, mult), P in zip(eigs, projectors):
         coeff_mat = P
         j = 0
         while True:
-            scalar = ex.mul(ex.pw(r, lam),
-                            ex.pw(ex.log_(r), j) if j else ex.ONE,
+            scalar = ex.mul(ex.pw(base, lam),
+                            ex.pw(ex.log_(base), j) if j else ex.ONE,
                             ex.rat(Fraction(1, factorial(j))))
-            if any(v != 0 for row in coeff_mat for v in row):
-                for i in range(n):
-                    for jj in range(n):
-                        if coeff_mat[i][jj] != 0:
-                            out[i][jj] = ex.add(out[i][jj],
-                                                ex.mul(scalar, ex.rat(coeff_mat[i][jj])))
+            for i in range(n):
+                for jj in range(n):
+                    if coeff_mat[i][jj] != 0:
+                        out[i][jj] = ex.add(out[i][jj],
+                                            ex.mul(scalar, ex.rat(coeff_mat[i][jj])))
             j += 1
             coeff_mat = rm.rmul(coeff_mat, nil)
             if all(v == 0 for row in coeff_mat for v in row) or j > n:
                 break
     return out
+
+
+def hom_eval_symbolic(A: DegreeHom, param: str = "r") -> List[List[ex.Expr]]:
+    """A(r) on the branch r > 0 as a matrix of expressions.  Needs rational
+    eigenvalues."""
+    return _exp_symbolic(A.B, ex.var(param))
 
 
 def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
@@ -346,27 +337,8 @@ def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
     All factors commute (C commutes with B, hence with every polynomial in
     B), and the inverse flips B while keeping C."""
     from . import symmat
-    B = rm.rscale(A.B, -1) if invert else A.B
-    eigs, projectors, nil = rm.spectral_projectors(B)
     n = A.size
-    exp_part = [[ex.ZERO] * n for _ in range(n)]
-    for (lam, mult), P in zip(eigs, projectors):
-        coeff_mat = P
-        j = 0
-        while True:
-            scalar = ex.mul(ex.pw(abs_value, lam),
-                            ex.pw(ex.log_(abs_value), j) if j else ex.ONE,
-                            ex.rat(Fraction(1, factorial(j))))
-            for i in range(n):
-                for jj in range(n):
-                    if coeff_mat[i][jj] != 0:
-                        exp_part[i][jj] = ex.add(
-                            exp_part[i][jj],
-                            ex.mul(scalar, ex.rat(coeff_mat[i][jj])))
-            j += 1
-            coeff_mat = rm.rmul(coeff_mat, nil)
-            if all(v == 0 for row in coeff_mat for v in row) or j > n:
-                break
+    exp_part = _exp_symbolic(rm.rscale(A.B, -1) if invert else A.B, abs_value)
     half = Fraction(1, 2)
     csplit = [[ex.add(ex.rat(half * (int(i == j) + A.C[i][j])),
                       ex.mul(sign_value,
@@ -510,22 +482,22 @@ def rand_element(G: GroupId, rng: random.Random) -> rm.Mat:
     """Random exact group element: Cayley transform (I-X)^{-1}(I+X) of a
     random Lie algebra element (O elements land in SO; a reflection is
     mixed in half the time for full O)."""
-    n = G.size
-    ident = rm.rident(n)
     for _ in range(50):
-        X = rand_lie_element(G, rng)
+        rows, d = rm.qmat(rand_lie_element(G, rng))
+        # (I - X) M = I + X, with both sides over the denominator d of X
+        minus = [[d * (i == j) - v for j, v in enumerate(row)]
+                 for i, row in enumerate(rows)]
+        plus = [[d * (i == j) + v for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
         try:
-            M = rm.rmul(rm.rinv(rm.rsub(ident, X)), rm.radd(ident, X))
+            M = rm.qsolve(rm.QMat(minus, 1), rm.QMat(plus, 1))
         except ZeroDivisionError:
             continue
-        if G.family == "gl" and rm.rdet(M) == 0:
-            continue
         if G.family == "o" and rng.random() < 0.5:
-            refl = [list(row) for row in rm.rident(n)]
-            refl[0][0] = Fraction(-1)
-            M = rm.rmul(M, tuple(tuple(row) for row in refl))
-        if member(G, M):
-            return M
+            # M diag(-1, 1, ..., 1)
+            M = rm.QMat([[-row[0]] + row[1:] for row in M.rows], M.den)
+        if _qmember(G, M):
+            return rm.to_mat(M)
     raise RuntimeError(f"could not sample an element of {G}")
 
 
@@ -537,23 +509,18 @@ def centralizer_basis(k: int) -> List[rm.Mat]:
     gens = []
     for a in range(k):
         for b in range(k):
-            U = [[Fraction(int(i == a and j == b)) for j in range(k)] for i in range(k)]
-            g1 = [[Fraction(0)] * n for _ in range(n)]
-            g2 = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(k):
-                for j in range(k):
-                    g1[i][j] = U[i][j]
-                    g1[k + i][k + j] = U[i][j]
-                    g2[i][k + j] = U[i][j]
-                    g2[k + i][j] = -U[i][j]
-            gens.append(tuple(tuple(row) for row in g1))
-            gens.append(tuple(tuple(row) for row in g2))
+            # U = E_ab, the matrix unit
+            g1 = [[0] * n for _ in range(n)]
+            g2 = [[0] * n for _ in range(n)]
+            g1[a][b] = g1[k + a][k + b] = 1
+            g2[a][k + b], g2[k + a][b] = 1, -1
+            gens += [g1, g2]
     rows = []
     for g in gens:
         # (Xg - gX)[i][j] = 0, unknowns X flattened row-major
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for t in range(n):
                     row[i * n + t] += g[t][j]
                     row[t * n + j] -= g[i][t]

@@ -3,12 +3,23 @@
 Matrices are tuples of tuples of Fraction.  Polynomials are coefficient
 tuples in increasing degree, also over Fraction.  Everything here is
 exactly decidable; no tolerances are involved.
+
+The matrix kernels (products, elimination, comparisons) run on a second
+form, `QMat`: integer rows over one positive common denominator.  Their
+inner loops multiply and add Python integers only.  gcds are taken where a
+matrix enters that form (`qmat`, one lcm of the denominators) and where a
+Fraction leaves it (`to_mat`, `qdet`, `qscalar`), never per multiply-add.
+`rmul`, `rinv`, `rdet`, `req` and `is_scalar` keep the Fraction interface
+and convert at both ends; callers with a chain of products (`groups`) stay
+in the integer form until the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import isqrt, lcm
+from operator import mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Mat = Tuple[Tuple[Fraction, ...], ...]
 Poly = Tuple[Fraction, ...]
@@ -16,7 +27,9 @@ Poly = Tuple[Fraction, ...]
 __all__ = ["rmat", "rident", "rzeros", "rmul", "radd", "rsub", "rscale",
            "rtranspose", "req", "rinv", "rdet", "is_scalar",
            "char_poly", "rational_eigenvalues", "spectral_projectors",
-           "UnsupportedMatrixError", "nullspace", "rsqrt"]
+           "UnsupportedMatrixError", "nullspace", "rroot",
+           "QMat", "qmat", "to_mat", "qmul", "qtranspose", "qeq",
+           "qscalar", "qsolve", "qdet"]
 
 
 class UnsupportedMatrixError(ValueError):
@@ -36,12 +49,6 @@ def rzeros(n: int, m: Optional[int] = None) -> Mat:
     return tuple((Fraction(0),) * m for _ in range(n))
 
 
-def rmul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-                 for i in range(n))
-
-
 def radd(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -59,105 +66,179 @@ def rtranspose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
+# ---------------------------------------------------------------------------
+# integer kernels
+
+class QMat(NamedTuple):
+    """The matrix with entries rows[i][j] / den, den > 0.  den need not be
+    the least common denominator.  No function mutates rows in place, so a
+    QMat may be shared."""
+
+    rows: List[List[int]]
+    den: int
+
+
+def qmat(a) -> QMat:
+    """Integer form of a matrix of ints or Fractions, over the least common
+    denominator of its entries."""
+    den = lcm(*(v.denominator for row in a for v in row))
+    return QMat([[v.numerator * (den // v.denominator) for v in row]
+                 for row in a], den)
+
+
+def to_mat(a: QMat) -> Mat:
+    """Back to Fraction entries, each reduced by its own gcd."""
+    den = a.den
+    return tuple(tuple(Fraction(v, den) for v in row) for row in a.rows)
+
+
+def qmul(a: QMat, *rest: QMat) -> QMat:
+    """The product a b c ... : integer row-by-column sums, and the
+    denominators multiply."""
+    rows, den = a
+    for b in rest:
+        cols = list(zip(*b.rows))
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        den *= b.den
+    return QMat(rows, den)
+
+
+def qtranspose(a: QMat) -> QMat:
+    return QMat([list(col) for col in zip(*a.rows)], a.den)
+
+
+def qeq(a: QMat, b: QMat) -> bool:
+    """Entrywise equality, cross-multiplied when the denominators differ."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.rows == b.rows
+    return all(x * db == y * da for ra, rb in zip(a.rows, b.rows)
+               for x, y in zip(ra, rb))
+
+
+def qscalar(a: QMat) -> Optional[Fraction]:
+    """Return c when a == c * I, else None."""
+    c = a.rows[0][0]
+    for i, row in enumerate(a.rows):
+        for j, v in enumerate(row):
+            if v != (c if i == j else 0):
+                return None
+    return Fraction(c, a.den)
+
+
+def _eliminate(rows: List[List[int]], ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer
+    rows, pivoting on the first ncols columns; replaces the rows in place.
+
+    With p the current pivot and prev the one before it, every other row
+    becomes (p*row - f*pivot_row) // prev, f its entry in the pivot column.
+    The division is exact: each entry stays a minor of the input.  At the
+    end each pivot row holds the last pivot in its own pivot column and 0
+    in the other pivot columns, and for a square nonsingular input the last
+    pivot is sign * det.  Returns (pivot columns, last pivot, sign of the
+    row permutation)."""
+    pivots: List[int] = []
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or (f == 0 and p == prev):
+                continue
+            rows[i] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, prev, sign
+
+
+def qsolve(a: QMat, b: QMat) -> QMat:
+    """X with a X = b, by one elimination of the block rows [a | b];
+    raises ZeroDivisionError when a is singular.  The elimination leaves
+    [p I | p a^-1 b] up to the denominators, so X is the adjugate of a
+    applied to b, over det a."""
+    n = len(a.rows)
+    work = [ra + rb for ra, rb in zip(a.rows, b.rows)]
+    pivots, p, _ = _eliminate(work, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    scale = a.den if p > 0 else -a.den
+    return QMat([[scale * v for v in row[n:]] for row in work], abs(p) * b.den)
+
+
+def qdet(a: QMat) -> Fraction:
+    n = len(a.rows)
+    pivots, p, sign = _eliminate(list(a.rows), n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * p, a.den ** n)
+
+
+def rmul(a: Mat, b: Mat) -> Mat:
+    return to_mat(qmul(qmat(a), qmat(b)))
+
+
 def req(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return qeq(qmat(a), qmat(b))
 
 
 def rinv(a: Mat) -> Mat:
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
-    n = len(a)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    """Exact inverse; raises ZeroDivisionError on singular input."""
+    return to_mat(qsolve(qmat(a), qmat(rident(len(a)))))
 
 
 def rdet(a: Mat) -> Fraction:
-    """Fraction-free-ish elimination determinant."""
-    n = len(a)
-    work = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return det
+    """Exact determinant by fraction-free elimination."""
+    return qdet(qmat(a))
 
 
 def is_scalar(a: Mat) -> Optional[Fraction]:
     """Return c when a == c * I, else None."""
-    n = len(a)
-    c = a[0][0]
-    for i in range(n):
-        for j in range(n):
-            if (a[i][j] != c) if i == j else (a[i][j] != 0):
-                return None
-    return c
+    return qscalar(qmat(a))
 
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]]:
-    """Basis of the right nullspace of a (rows x cols), exact."""
-    rows = [list(map(Fraction, row)) for row in a]
-    if not rows:
+    """Basis of the right nullspace of a (rows x cols), exact: one basis
+    vector per non-pivot column of the reduced row echelon form."""
+    if not a:
         return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(a[0])
+    # zero and repeated rows add no equation
+    rows = [list(row) for row in dict.fromkeys(map(tuple, qmat(rmat(a)).rows))
+            if any(row)]
+    pivots, p, _ = _eliminate(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[fc], p)
         basis.append(tuple(vec))
     return basis
 
 
-def rsqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, if it exists."""
+def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
+    """Exact n-th root of a nonnegative rational, if it exists."""
     if q < 0:
         return None
-    import math
-    a = math.isqrt(q.numerator)
-    b = math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b)
-    return None
+
+    def iroot(m: int) -> Optional[int]:
+        r = isqrt(m) if n == 2 else round(m ** (1.0 / n))
+        return next((c for c in (r - 1, r, r + 1) if c >= 0 and c ** n == m), None)
+
+    a, b = iroot(q.numerator), iroot(q.denominator)
+    return None if a is None or b is None else Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +249,6 @@ def _ptrim(p: Sequence[Fraction]) -> Poly:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _ptrim([ (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(n)])
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def pscale(a: Poly, s: Fraction) -> Poly:
-    return _ptrim([s * x for x in a])
 
 
 def pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
@@ -204,17 +265,6 @@ def pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
             a[shift + i] -= f * x
         a.pop()
     return _ptrim(q), _ptrim(a or [Fraction(0)])
-
-
-def peval_mat(p: Poly, m: Mat) -> Mat:
-    n = len(m)
-    out = rscale(rident(n), p[0])
-    power = rident(n)
-    for c in p[1:]:
-        power = rmul(power, m)
-        if c != 0:
-            out = radd(out, rscale(power, c))
-    return out
 
 
 def char_poly(a: Mat) -> Poly:
@@ -236,10 +286,7 @@ def char_poly(a: Mat) -> Poly:
 def rational_roots(p: Poly) -> List[Tuple[Fraction, int]]:
     """All rational roots of p with multiplicities (rational root theorem
     on the denominator-cleared polynomial, then repeated deflation)."""
-    from math import gcd
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
@@ -295,53 +342,30 @@ def rational_eigenvalues(a: Mat) -> List[Tuple[Fraction, int]]:
     return sorted(roots)
 
 
-def _poly_crt(moduli: List[Poly], targets: List[Poly]) -> Poly:
-    """Find f with f = targets[i] mod moduli[i] (moduli pairwise coprime)."""
-
-    def pgcd_ext(a: Poly, b: Poly):
-        r0, r1 = a, b
-        s0, s1 = (Fraction(1),), (Fraction(0),)
-        t0, t1 = (Fraction(0),), (Fraction(1),)
-        while any(v != 0 for v in r1):
-            q, r = pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, padd(s0, pscale(pmul(q, s1), Fraction(-1)))
-            t0, t1 = t1, padd(t0, pscale(pmul(q, t1), Fraction(-1)))
-        return r0, s0, t0
-
-    total = (Fraction(1),)
-    for m in moduli:
-        total = pmul(total, m)
-    out = (Fraction(0),)
-    for m, t in zip(moduli, targets):
-        rest, _ = pdivmod(total, m)
-        g, u, v = pgcd_ext(rest, m)
-        # g is a nonzero constant; rest*u = g mod m
-        ginv = Fraction(1) / g[0]
-        e = pmul(rest, pscale(u, ginv))  # e = 1 mod m, 0 mod others
-        out = padd(out, pmul(t, e))
-    _, out = pdivmod(out, total)
-    return out
-
-
 def spectral_projectors(a: Mat):
     """For a matrix whose char poly splits over Q: eigenvalues lam_i with
     multiplicities m_i, projectors P_i onto generalized eigenspaces, and the
-    nilpotent part N = A - sum lam_i P_i.  Exact Jordan-Chevalley data."""
+    nilpotent part N = A - sum lam_i P_i.  Exact Jordan-Chevalley data.
+
+    With bases of the generalized eigenspaces ker (A - lam_i I)^m_i as the
+    columns of V, P_i is V times the rows of V^-1 that belong to block i."""
     eigs = rational_eigenvalues(a)
     n = len(a)
-    moduli = []
+    bases = []
     for lam, m in eigs:
-        f = (Fraction(1),)
-        for _ in range(m):
-            f = pmul(f, (-lam, Fraction(1)))
-        moduli.append(f)
+        shifted = rsub(a, rscale(rident(n), lam))
+        power = shifted
+        for _ in range(m - 1):
+            power = rmul(power, shifted)
+        bases.append(nullspace(power))
+    V = rtranspose([v for basis in bases for v in basis])
+    Vinv = rinv(V)
     projectors = []
-    for i, (lam, m) in enumerate(eigs):
-        targets = [((Fraction(1),) if j == i else (Fraction(0),))
-                   for j in range(len(eigs))]
-        p = _poly_crt(moduli, targets)
-        projectors.append(peval_mat(p, a))
+    start = 0
+    for basis in bases:
+        stop = start + len(basis)
+        projectors.append(rmul(tuple(row[start:stop] for row in V), Vinv[start:stop]))
+        start = stop
     s = rzeros(n)
     for (lam, _), proj in zip(eigs, projectors):
         s = radd(s, rscale(proj, lam))

@@ -12,6 +12,7 @@ a fixed seed: no timing data unless explicitly requested.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,12 +49,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _convert(conv, value, where: str):
-    """conv(value) for a numeric field, or a SchemaError naming the field."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where}: {value!r} is not a valid {conv.__name__}")
+def _positive(value, where: str) -> float:
+    """A finite JSON number > 0 (not true, "1e-9", NaN or infinity), or a
+    SchemaError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value <= sys.float_info.max:
+        raise SchemaError(f"{where}: {value!r} is not a finite number > 0")
+    return float(value)
 
 
 def _integer(value, where: str, minimum: Optional[int] = None) -> int:
@@ -93,7 +95,7 @@ def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
     try:
         return ZeroTestPolicy(
             sample_count=_integer(samples, "policy.samples"),
-            tolerance=_convert(float, tol, "policy.tolerance"),
+            tolerance=_positive(tol, "policy.tolerance"),
             seed=_integer(seed, "policy.seed"))
     except ConfigError as err:
         raise SchemaError(f"policy: {err}")

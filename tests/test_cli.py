@@ -195,9 +195,16 @@ _BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
     ("objects", "param", 1.5),
     ("objects", "elements", -5),
     ("objects", "elements", 0),
+    ("policy", "tolerance", True),
+    ("policy", "tolerance", "1e-9"),
+    ("policy", "tolerance", 0),
+    ("policy", "tolerance", float("nan")),
+    ("policy", "tolerance", float("inf")),
 ], ids=["samples-text", "seed-null", "elements-text", "param-list",
         "param-null", "samples-fraction", "samples-digits", "seed-bool",
-        "param-fraction", "elements-negative", "elements-zero"])
+        "param-fraction", "elements-negative", "elements-zero",
+        "tolerance-bool", "tolerance-text", "tolerance-zero", "tolerance-nan",
+        "tolerance-inf"])
 def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value):
     data = json.loads(json.dumps(_BAD_NUMBERS))
     data[section][key] = value
@@ -213,6 +220,14 @@ def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value)
     assert agg["errors"][0]["error"].startswith(f"{section}.{key}: ")
     assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
     assert agg["summary"]["pass"] > 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_bad_tol_option_is_input_error(capsys, tol):
+    code, out, err = run_cli(["run", os.path.join(SCENARIOS, "complex_twisted.json"),
+                              "--tol", tol], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: policy.tolerance: ")
 
 
 def test_integral_float_field_accepted():

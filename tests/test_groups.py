@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -86,6 +87,32 @@ def test_conjugation_property():
         for _ in range(20):
             g = rand_element(G, rng)
             assert member(G, rm.rmul(rm.rmul(B, g), rm.rinv(B)))
+
+
+# sha256 of the first 60 rand_element outputs, one "a,b;c,d" line per
+# matrix with entries as str(Fraction); reports print no matrices, so these
+# pins are what notices a change in the sampled elements or the RNG order
+_RAND_ELEMENT_PINS = {
+    (SP(2), 0): "b83e2bed307bb524ce69c5b7d3a8b9d4ab75e73ee1f9ac402304aaa74f5b5622",
+    (SP(2), 7): "832ba4af7c6dc63c92f1afc750462e5a719203e4943bf72a1e7b9b95791b87d1",
+    (GLC(2), 0): "6f92c2541d4334f11aa0194ec89e04a2d039284374f8ef860d84d408d33aa8d6",
+    (GLC(2), 7): "0b6a9b46349ebfdad4f12ad3829163fc480c80b8e5db08344d115757aaf4db40",
+    (O(3), 0): "f9e13cf19e5844bcb78cbaf00c7cbb185cb2847a3702acd465d7ebc9440c23d4",
+    (O(3), 7): "95e629951fe8ba7d4a43869fd7b131ed6ba3d08bd8b384d0884ea87f021980e9",
+    (GL(3), 0): "c2dc9b7f6cc8f2448d9ff9d83c28156e59b89766de49b88b6ebd638b301c89f0",
+    (GL(3), 7): "30e82137c7b7182536a3a04052ff85e66be1eed0944a7d2496ca5d9b6e7be6ae",
+}
+
+
+@pytest.mark.parametrize("G, seed", list(_RAND_ELEMENT_PINS), ids=str)
+def test_rand_element_pins(G, seed):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(60):
+        M = rand_element(G, rng)
+        h.update((";".join(",".join(str(v) for v in row) for row in M)
+                  + "\n").encode())
+    assert h.hexdigest() == _RAND_ELEMENT_PINS[G, seed]
 
 
 def test_centralizer_is_complex_scalars():
