@@ -3,18 +3,18 @@ trivialized line bundle chart.
 
 The package couples a small exact-rational expression kernel (parser,
 differentiation, probabilistic zero test on compiled tapes evaluated in
-numpy floats and over GF(p)) with coordinate tensor calculus, and uses them
-to machine-check the dictionaries between scaling-homogeneous frame
-structures upstairs and geometric data on the base: contact pairs,
-cosymplectic pairs, fiberwise complex structures, and metric triples with
-their curvature tensors.
+numpy floats, over GF(p) and in exact rationals) with coordinate tensor
+calculus, and uses them to machine-check the dictionaries between
+scaling-homogeneous frame structures upstairs and geometric data on the
+base: contact pairs, cosymplectic pairs, fiberwise complex structures, and
+metric triples with their curvature tensors.
 
 Everything is immutable and every operation is pure; concurrent use needs
 no locking, and all random verdicts are deterministic per seed.
 """
 
-from .expr import (Constraint, DomainError, Expr, diff, eval_exact,
-                   eval_float, rat, sign_of, simplify, subs, to_dsl, var)
+from .expr import (Constraint, DomainError, Expr, diff, eval_exact, rat,
+                   sign_of, simplify, subs, to_dsl, var)
 from .parser import ParseError, UnknownIdentifierError, parse
 from .zerotest import (ConfigError, DEFAULT_POLICY, ZeroTestPolicy,
                        ZeroVerdict, all_zero, is_zero, zero_report)

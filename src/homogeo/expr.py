@@ -18,9 +18,10 @@ as DomainError is never cached.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
+
+from .ratmat import rroot
 
 __all__ = [
     "Expr", "Rat", "Var", "Sum", "Prod", "Pow", "Fun",
@@ -29,7 +30,7 @@ __all__ = [
     "exp_", "log_", "sqrt_", "abs_", "sign_", "sin_", "cos_",
     "ZERO", "ONE",
     "subs", "diff", "simplify", "sign_of",
-    "eval_exact", "eval_float", "to_dsl",
+    "eval_exact", "to_dsl",
 ]
 
 Rational = Union[int, Fraction]
@@ -404,27 +405,6 @@ def div(a, b) -> Expr:
     return mul(_coerce(a), pw(_coerce(b), Fraction(-1)))
 
 
-def _rat_root(q: Fraction, n: int) -> Optional[Fraction]:
-    """Exact n-th root of a nonnegative rational, if it exists."""
-    if q < 0:
-        return None
-
-    def iroot(m: int) -> Optional[int]:
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    a = iroot(q.numerator)
-    b = iroot(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
 def pw(base, q: Rational) -> Expr:
     base = _coerce(base)
     q = Fraction(q)
@@ -441,7 +421,7 @@ def pw(base, q: Rational) -> Expr:
         if v == 0:
             return ZERO  # q > 0 here since q != 0 and 0**neg raised above
         if v > 0:
-            root = _rat_root(v, q.denominator)
+            root = rroot(v, q.denominator)
             if root is not None:
                 return rat(root ** q.numerator)
     if isinstance(base, Pow):
@@ -853,80 +833,11 @@ def _log_expand(a: Expr, constraints) -> Expr:
 # evaluation
 
 def eval_exact(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
-    """Exact rational evaluation.  Raises DomainError on non-rational nodes
-    and ZeroDivisionError on division by zero."""
-    memo: dict = {}
-
-    def rec(x: Expr) -> Fraction:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
-        if isinstance(x, Rat):
-            out = x.value
-        elif isinstance(x, Var):
-            out = Fraction(point[x.name])
-        elif isinstance(x, Sum):
-            out = x.const + sum(rec(t) for t in x.terms)
-        elif isinstance(x, Prod):
-            out = x.coeff
-            for f in x.factors:
-                out *= rec(f)
-        elif isinstance(x, Pow):
-            if x.exponent.denominator != 1:
-                raise DomainError("fractional power is not rational-exact")
-            b = rec(x.base)
-            if b == 0 and x.exponent < 0:
-                raise ZeroDivisionError("pole at sample point")
-            out = b ** x.exponent.numerator
-        else:
-            raise DomainError(f"{x.name} is not rational-exact")
-        memo[id(x)] = out
-        return out
-
-    return rec(e)
-
-
-def eval_float(e: Expr, point: Mapping[str, float]) -> float:
-    """Floating point evaluation by tree walk (single point; batched
-    evaluation lives in numtape)."""
-    memo: dict = {}
-
-    def rec(x: Expr) -> float:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
-        if isinstance(x, Rat):
-            out = float(x.value)
-        elif isinstance(x, Var):
-            out = float(point[x.name])
-        elif isinstance(x, Sum):
-            out = float(x.const) + math.fsum(rec(t) for t in x.terms)
-        elif isinstance(x, Prod):
-            out = float(x.coeff)
-            for f in x.factors:
-                out *= rec(f)
-        elif isinstance(x, Pow):
-            out = rec(x.base) ** float(x.exponent)
-            if isinstance(out, complex):
-                raise ValueError("fractional power of a negative base")
-        else:
-            a = rec(x.arg)
-            if x.name == "exp":
-                out = math.exp(a)
-            elif x.name == "log":
-                out = math.log(a)
-            elif x.name == "abs":
-                out = abs(a)
-            elif x.name == "sign":
-                out = math.copysign(1.0, a) if a != 0 else 0.0
-            elif x.name == "sin":
-                out = math.sin(a)
-            else:
-                out = math.cos(a)
-        memo[id(x)] = out
-        return out
-
-    return rec(e)
+    """Exact rational evaluation, on a tape compiled for the call (see
+    numtape).  Raises DomainError on non-rational nodes and
+    ZeroDivisionError on division by zero."""
+    from . import numtape   # numtape imports this module
+    return numtape.eval_tape_exact(numtape.compile_tape(e), point)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,20 @@ degree data is extracted as the pair (B, C) = (dA/dr at 1, A(-1)).
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import random
-
 from . import expr as ex
+from . import numtape
 from . import ratmat as rm
 from . import symmat
 from .chart import ChartError
 from .groups import (DegreeHom, GroupId, NotInNormalizerError,
-                     hom_eval_symbolic_full, member_residual_symbolic,
-                     normalizer_p)
+                     defining_product_symbolic, hom_eval_symbolic_full,
+                     member_residual_symbolic, normalizer_p)
 from .linebundle import FIBER, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import VectorField
@@ -92,8 +93,7 @@ def _scaling_jacobian(n: int, factor: ex.Expr) -> List[List[ex.Expr]]:
     return out
 
 
-def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy,
-                        param_free=True):
+def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy):
     """A sample point of the total chart where every det in `dets` is nonzero."""
     pol = policy.with_constraints(scn.total.constraints)
     rng = random.Random(pol.seed ^ 0x5EED)
@@ -101,20 +101,17 @@ def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy,
     for point in sample_points(names, pol.with_constraints(()), rng, count=40):
         ok = True
         for d in dets:
-            probe = ex.subs(d, {k: ex.rat(v) for k, v in point.items()})
             try:
-                if probe.rational and not probe.free:
-                    if ex.eval_exact(probe, {}) == 0:
-                        ok = False
-                        break
+                probe = ex.subs(d, {k: ex.rat(v) for k, v in point.items()})
+                if isinstance(probe, ex.Rat):
+                    ok = probe.value != 0
                 else:
                     # may still involve r; check at a generic positive r
-                    val = ex.eval_float(probe, {"r": 1.7320508})
-                    if not abs(val) > 1e-12:
-                        ok = False
-                        break
+                    val = float(numtape.eval_points(probe, [{"r": 1.7320508}])[0])
+                    ok = math.isfinite(val) and abs(val) > 1e-12
             except (ZeroDivisionError, ValueError, OverflowError):
                 ok = False
+            if not ok:
                 break
         if ok:
             return point
@@ -141,14 +138,7 @@ def _fold_rational(e: ex.Expr, constraints,
         return e.value
     if e.free:
         raise NotHomogeneousError(f"expected a constant, got {ex.to_dsl(e)}")
-    if e.rational:
-        return ex.eval_exact(e, {})
-    try:
-        val = ex.eval_float(e, {})
-    except (ValueError, OverflowError, ZeroDivisionError) as err:
-        raise NotHomogeneousError(f"constant {ex.to_dsl(e)} cannot be "
-                                  f"evaluated: {err}")
-    import math
+    val = float(numtape.eval_points(e, [{}])[0])
     if not math.isfinite(val):
         raise NotHomogeneousError(
             f"constant {ex.to_dsl(e)} evaluates to {val} (expression leaves "
@@ -268,23 +258,9 @@ def degree_coset(frame: Frame, G: GroupId,
     n = len(A)
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
 
-    if G.family == "sp":
-        from .groups import std_J
-        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
-        P = symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(symmat.transpose(J),
-                                                         symmat.transpose(A)), J), A)
-    elif G.family == "glc":
-        from .groups import std_J
-        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
-        # A(r)^{-1} = A(1/r) since A is a homomorphism
-        Ainv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
-                for row in A]
-        Jinv = symmat.mat_scale(J, ex.rat(-1))  # J^{-1} = -J
-        P = symmat.mat_mul(symmat.mat_mul(Jinv, Ainv), symmat.mat_mul(J, A))
-    elif G.family == "o":
-        P = symmat.mat_mul(symmat.transpose(A), A)
-    else:
+    if G.family == "gl":
         return CosetReport(G, True, ex.ONE, Fraction(1), tr.hom)
+    P = defining_product_symbolic(G, A)
 
     diag = ex.simplify(P[0][0], pol.constraints)
     for i in range(n):
@@ -297,14 +273,10 @@ def degree_coset(frame: Frame, G: GroupId,
                             f"{'diagonal-constant' if i == j else 'zero'}")
 
     try:
-        neg1 = normalizer_p(G, hom_from_transition_neg1(tr))
+        neg1 = normalizer_p(G, tr.hom.C)
     except NotInNormalizerError as err:
         return CosetReport(G, False, None, None, tr.hom, failure=str(err))
     return CosetReport(G, True, diag, neg1, tr.hom)
-
-
-def hom_from_transition_neg1(tr: TransitionResult) -> rm.Mat:
-    return tr.hom.C
 
 
 def frames_G_equivalent(f1: Frame, f2: Frame, G: GroupId,

@@ -26,10 +26,11 @@ from typing import List, Optional, Union
 
 from . import expr as ex
 from . import ratmat as rm
+from . import symmat
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero
 
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
-           "normalizer_product", "in_normalizer", "normalizer_p",
+           "defining_product_symbolic", "in_normalizer", "normalizer_p",
            "NotInNormalizerError", "splitting", "DegreeHom", "hom_eval",
            "hom_eval_symbolic", "hom_eval_symbolic_full", "coset_eq",
            "member_residual_symbolic", "rand_element", "rand_lie_element",
@@ -121,11 +122,6 @@ def _qmember(G: GroupId, M: rm.QMat) -> bool:
     if G.family == "o":
         return rm.qscalar(rm.qmul(rm.qtranspose(M), M)) == 1
     return rm.qdet(M) != 0
-
-
-def normalizer_product(G: GroupId, B) -> rm.Mat:
-    """The defining product whose scalarity characterizes N(G)."""
-    return rm.to_mat(_qnormalizer_product(G, _qchecked(G, B)))
 
 
 def _qnormalizer_product(G: GroupId, B: rm.QMat) -> rm.QMat:
@@ -336,7 +332,6 @@ def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
 
     All factors commute (C commutes with B, hence with every polynomial in
     B), and the inverse flips B while keeping C."""
-    from . import symmat
     n = A.size
     exp_part = _exp_symbolic(rm.rscale(A.B, -1) if invert else A.B, abs_value)
     half = Fraction(1, 2)
@@ -350,7 +345,6 @@ def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
 def member_residual_symbolic(G: GroupId, M: List[List[ex.Expr]]):
     """Entries that must vanish for M(r) to lie in G, plus invertibility
     requirement for GLC/GL (checked separately)."""
-    from . import symmat
     n = len(M)
     if G.family == "sp":
         J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
@@ -367,26 +361,33 @@ def member_residual_symbolic(G: GroupId, M: List[List[ex.Expr]]):
     return []
 
 
-def _symbolic_in_normalizer(G: GroupId, M, policy: ZeroTestPolicy) -> bool:
-    """Defining product of M(r) must be a scalar matrix for symbolic r > 0."""
-    from . import symmat
-    if G.family == "gl":
-        return not is_zero(symmat.det(M),
-                           policy.with_constraints((ex.Constraint("r", ">", 0),)))
-    n = len(M)
-    J = [[ex.rat(v) for v in row] for row in std_J(G.param)] \
-        if G.family in ("sp", "glc") else None
+def defining_product_symbolic(G: GroupId, M: List[List[ex.Expr]]
+                              ) -> List[List[ex.Expr]]:
+    """The defining product of N(G) (see the module docstring) for a
+    homomorphism M(r) given as expressions in r > 0; M(r)^{-1} is taken as
+    M(1/r).  GL has none."""
+    if G.family == "o":
+        return symmat.mat_mul(symmat.transpose(M), M)
+    J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
     if G.family == "sp":
-        P = symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(symmat.transpose(J),
-                                                         symmat.transpose(M)), J), M)
-    elif G.family == "glc":
+        return symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(symmat.transpose(J),
+                                                            symmat.transpose(M)), J), M)
+    if G.family == "glc":
         Minv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
                 for row in M]
-        P = symmat.mat_mul(symmat.mat_mul(symmat.mat_scale(J, ex.rat(-1)), Minv),
-                           symmat.mat_mul(J, M))
-    else:
-        P = symmat.mat_mul(symmat.transpose(M), M)
+        # J^{-1} = -J
+        return symmat.mat_mul(symmat.mat_mul(symmat.mat_scale(J, ex.rat(-1)), Minv),
+                              symmat.mat_mul(J, M))
+    raise ValueError("GL is its own normalizer; no defining product")
+
+
+def _symbolic_in_normalizer(G: GroupId, M, policy: ZeroTestPolicy) -> bool:
+    """Defining product of M(r) must be a scalar matrix for symbolic r > 0."""
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
+    if G.family == "gl":
+        return not is_zero(symmat.det(M), pol)
+    P = defining_product_symbolic(G, M)
+    n = len(M)
     for i in range(n):
         for j in range(n):
             target = P[0][0] if i == j else ex.ZERO
@@ -420,7 +421,6 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
     M1 = hom_eval_symbolic(A1)
     M2inv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
              for row in hom_eval_symbolic(A2)]
-    from . import symmat
     M = symmat.mat_mul(M1, M2inv)
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
     for v in member_residual_symbolic(G, M):

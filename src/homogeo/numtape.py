@@ -1,17 +1,21 @@
 """Batched evaluation of expression DAGs on a flat tape.
 
-An Expr is compiled once into a flat postfix tape (numpy arrays).  The tape
-has two evaluators:
+An Expr is compiled once into a flat postfix tape (numpy arrays).  This is
+the only code that evaluates an expression; the tape has three evaluators:
 
 * ``eval_tape`` evaluates it in floats with numpy, one tape node at a time
   over a whole batch of sample points;
 * ``eval_tape_mod`` evaluates a rational tape over GF(p) with Python ints,
   from the exact Fraction constants the tape keeps next to their floats.
-  The zero test uses these residues in place of exact Fraction values.
+  The zero test uses these residues in place of exact Fraction values;
+* ``eval_tape_exact`` evaluates a rational tape at one point in Fraction
+  arithmetic, from the same exact constants.  The zero test evaluates its
+  witness on the tape it compiled for the query.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence
 
@@ -19,7 +23,8 @@ import numpy as np
 
 from . import expr as ex
 
-__all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod"]
+__all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod",
+           "eval_tape_exact", "eval_points"]
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
     OP_SIN, OP_COS = range(11)
@@ -27,7 +32,8 @@ OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
 
 class Tape:
     """`consts` holds each constant as a float for eval_tape;
-    `exact` holds the same constants as Fractions for eval_tape_mod."""
+    `exact` holds the same constants as Fractions for eval_tape_mod and
+    eval_tape_exact."""
 
     __slots__ = ("ops", "a", "b", "consts", "exact", "varnames")
 
@@ -41,6 +47,15 @@ class Tape:
 
     def __len__(self):
         return len(self.ops)
+
+
+def _to_float(q: Fraction) -> float:
+    """q as a float; beyond the float range, the infinity of q's sign, so
+    the tape still compiles and the float evaluator finds no finite point."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
@@ -94,7 +109,7 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
     rec(e)
     return Tape(np.array(ops, dtype=np.int64), np.array(aa, dtype=np.int64),
                 np.array(bb, dtype=np.int64),
-                np.array([float(c) for c in consts], dtype=np.float64),
+                np.array([_to_float(c) for c in consts], dtype=np.float64),
                 tuple(consts), tuple(varnames))
 
 
@@ -191,11 +206,32 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     return [None if bad else r for bad, r in zip(failed, buf[-1])]
 
 
+def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:
+    """Exact value of a rational tape at one rational point.  Raises
+    ZeroDivisionError at a pole and DomainError on a non-rational tape
+    (functions or fractional powers)."""
+    exact = tape.exact
+    buf: list = []
+    for op, a, b in zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()):
+        if op == OP_CONST:
+            buf.append(exact[a])
+        elif op == OP_VAR:
+            buf.append(Fraction(point[tape.varnames[a]]))
+        elif op == OP_ADD:
+            buf.append(buf[a] + buf[b])
+        elif op == OP_MUL:
+            buf.append(buf[a] * buf[b])
+        elif op == OP_POW and exact[b].denominator == 1:
+            buf.append(buf[a] ** exact[b].numerator)   # 0 ** -k raises
+        else:
+            raise ex.DomainError("tape is not rational-exact")
+    return buf[-1]
+
+
 def eval_points(e: ex.Expr, points: Sequence[Mapping[str, Fraction]]) -> np.ndarray:
     """Convenience wrapper: evaluate an expression at a list of points."""
     names = sorted(e.free)
     tape = compile_tape(e, names)
-    vals = np.array([[float(p[n]) for p in points] for n in names], dtype=np.float64)
-    if not names:
-        vals = vals.reshape(0, len(points))
+    vals = np.array([[float(p[n]) for p in points] for n in names],
+                    dtype=np.float64).reshape(len(names), len(points))
     return eval_tape(tape, vals)

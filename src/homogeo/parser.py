@@ -17,6 +17,9 @@ Grammar (EBNF, also documented in the README):
     Parentheses (grouping or a function's argument list) nest at most
     MAX_DEPTH deep; deeper input is a ParseError, since the recursive
     walkers of the expression kernel would overflow the stack on it.
+    An exponent is at most MAX_EXPONENT in absolute value; a larger one is
+    a ParseError, since substituting a rational point into x^1000003 takes
+    minutes of exact arithmetic.
 
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
@@ -32,12 +35,13 @@ from typing import Optional, Sequence
 from . import expr as ex
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS",
-           "MAX_DEPTH"]
+           "MAX_DEPTH", "MAX_EXPONENT"]
 
 FUNCTIONS = {"exp": ex.exp_, "log": ex.log_, "sqrt": ex.sqrt_,
              "abs": ex.abs_, "sign": ex.sign_, "sin": ex.sin_, "cos": ex.cos_}
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 10 ** 4
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -177,22 +181,25 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
 
     def p_signed_rational(allow_fraction: bool) -> Fraction:
         sign = 1
-        kind, val, pos = lx.peek()
+        kind, val, start = lx.peek()
         if kind == "op" and val == "-":
             lx.next()
             sign = -1
         kind, val, pos = lx.next()
         if kind != "num" or "." in val:
             raise ParseError(f"expected an integer exponent, found {val!r}", pos)
-        num = int(val)
+        q = Fraction(sign * int(val))
         kind, val, _ = lx.peek()
         if allow_fraction and kind == "op" and val == "/":
             lx.next()
             kind, val, pos = lx.next()
             if kind != "num" or "." in val:
                 raise ParseError(f"expected an integer denominator, found {val!r}", pos)
-            return Fraction(sign * num, int(val))
-        return Fraction(sign * num)
+            q /= int(val)
+        if abs(q) > MAX_EXPONENT:
+            raise ParseError(f"exponent {q} exceeds {MAX_EXPONENT} in absolute value",
+                             start)
+        return q
 
     def p_atom() -> ex.Expr:
         kind, val, pos = lx.next()

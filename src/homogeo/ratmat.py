@@ -27,7 +27,7 @@ Poly = Tuple[Fraction, ...]
 __all__ = ["rmat", "rident", "rzeros", "rmul", "radd", "rsub", "rscale",
            "rtranspose", "req", "rinv", "rdet", "is_scalar",
            "char_poly", "rational_eigenvalues", "spectral_projectors",
-           "UnsupportedMatrixError", "nullspace", "rroot",
+           "UnsupportedMatrixError", "nullspace", "iroot", "rroot",
            "QMat", "qmat", "to_mat", "qmul", "qtranspose", "qeq",
            "qscalar", "qsolve", "qdet"]
 
@@ -228,17 +228,31 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]]:
     return basis
 
 
+def iroot(m: int, n: int) -> int:
+    """floor(m ** (1/n)) for integers m >= 0 and n >= 1, in integer
+    arithmetic only (Newton's iteration from above), so exact at any size."""
+    if m < 2 or n == 1:
+        return m
+    if n == 2:
+        return isqrt(m)
+    if m.bit_length() <= n:              # 1 < m^(1/n) < 2
+        return 1
+    x = 1 << -(-m.bit_length() // n)     # 2^ceil(bits/n) > m^(1/n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
 def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
     """Exact n-th root of a nonnegative rational, if it exists."""
     if q < 0:
         return None
-
-    def iroot(m: int) -> Optional[int]:
-        r = isqrt(m) if n == 2 else round(m ** (1.0 / n))
-        return next((c for c in (r - 1, r, r + 1) if c >= 0 and c ** n == m), None)
-
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    return None if a is None or b is None else Fraction(a, b)
+    a, b = iroot(q.numerator, n), iroot(q.denominator, n)
+    if a ** n != q.numerator or b ** n != q.denominator:
+        return None
+    return Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ per query.  p comes from a second RNG seeded from the same (seed,
 fingerprint) key, so the point stream is untouched.  The residue stands
 in for each point's exact value (Schwartz-Zippel identity testing): a
 nonzero residue proves the value nonzero, and only the witness is then
-evaluated in Fraction arithmetic, so witness_value stays exact.  A point
-falls back to Fraction arithmetic when p divides the denominator of a
-constant or coordinate, or the base of a negative power is 0 mod p; an
-exact pole is such a case and is skipped as before.  Each point is
-evaluated exactly at most once.
+evaluated in Fraction arithmetic (numtape.eval_tape_exact), so
+witness_value stays exact.  A point falls back to Fraction arithmetic when
+p divides the denominator of a constant or coordinate, or the base of a
+negative power is 0 mod p; an exact pole is such a case and is skipped as
+before.  Each point is evaluated exactly at most once.  One tape is
+compiled per sampled query, and the float, GF(p) and Fraction evaluations
+all run on it.
 
 A zero residue can hide a nonzero value N/D only if p divides N.  At most
 log2|N|/61 primes in [2^61, 2^62) divide N, out of about 5.3e16, so this
@@ -187,14 +189,6 @@ def _query_prime(key: int) -> int:
             return n
 
 
-def _exact_or_pole(e: ex.Expr, point) -> Optional[Fraction]:
-    """Exact value of `e` at `point`, or None at a pole."""
-    try:
-        return ex.eval_exact(e, point)
-    except ZeroDivisionError:
-        return None
-
-
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     e = ex.simplify(e, policy.constraints)
     if isinstance(e, ex.Rat):
@@ -239,7 +233,10 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             if residues[i] == 0:
                 return 0
             if i not in exact:
-                exact[i] = _exact_or_pole(e, points[i])
+                try:
+                    exact[i] = numtape.eval_tape_exact(tape, points[i])
+                except ZeroDivisionError:
+                    exact[i] = None     # a pole
             return exact[i]
 
         order = sorted(range(len(points)), key=lambda i: -abs(floats[i]))

@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from homogeo import expr as ex
+from homogeo import numtape
 from homogeo.tensors import VectorField
 from homogeo.zerotest import ZeroTestPolicy
 
@@ -75,26 +77,60 @@ def rand_point(rng: random.Random, names, lo=-2, hi=2):
     return {n: frac(rng, lo, hi) for n in names}
 
 
+def float_value(e: ex.Expr, point) -> float:
+    """Float value of `e` at one point (a mapping of names to numbers);
+    nan or an infinity outside the expression's domain."""
+    return float(numtape.eval_points(e, [point])[0])
+
+
 def finite_difference(e: ex.Expr, v: str, point, h=1e-6) -> float:
     """Independent derivative oracle: central difference of the float
     evaluation."""
-    up = dict(point)
-    dn = dict(point)
-    up[v] = float(up[v]) + h
-    dn[v] = float(dn[v]) - h
-    fl = {k: float(x) for k, x in point.items()}
-    up = {k: float(x) for k, x in up.items()}
-    dn = {k: float(x) for k, x in dn.items()}
-    return (ex.eval_float(e, up) - ex.eval_float(e, dn)) / (2 * h)
+    up = {k: float(x) for k, x in point.items()}
+    dn = dict(up)
+    up[v] += h
+    dn[v] -= h
+    lo, hi = numtape.eval_points(e, [dn, up]).tolist()
+    return (hi - lo) / (2 * h)
 
 
 def vf_apply_numeric(X: VectorField, f: ex.Expr, point, h=1e-6) -> float:
     """Numeric directional derivative (oracle for bracket tests)."""
     total = 0.0
     for comp, name in zip(X.comps, X.chart.coords):
-        c = ex.eval_float(comp, {k: float(v) for k, v in point.items()})
-        total += c * finite_difference(f, name, point, h)
+        total += float_value(comp, point) * finite_difference(f, name, point, h)
     return total
+
+
+# -- hypothesis strategies: rational DSL text and exact points -----------------
+
+# 20-digit numerators and denominators; negative powers put poles on the
+# sampled domain (their points are redrawn)
+_LEAVES = st.sampled_from(
+    ["x", "y", "x", "y", "1/2", "-1/3", "12345678901234567890",
+     "98765432109876543211/10000000000000000019",
+     "-31415926535897932384/27182818284590452353"])
+
+RATIONAL_TERMS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(inner, st.sampled_from([-2, -1, 2, 3])).map(
+            lambda t: f"({t[0]})^({t[1]})")),
+    max_leaves=6)
+
+# (a + b)*c - a*c - b*c is zero, but simplify leaves it to the sampler;
+# adding a term / 10^40 makes it nonzero and tiny
+_IDENTITIES = st.tuples(*[RATIONAL_TERMS] * 3).map(
+    lambda t: "({0} + {1})*({2}) - ({0})*({2}) - ({1})*({2})".format(*t))
+RATIONAL_DSL = st.one_of(
+    RATIONAL_TERMS, _IDENTITIES,
+    st.tuples(_IDENTITIES, RATIONAL_TERMS).map(lambda t: f"{t[0]} + ({t[1]})/10^40"))
+
+
+ORACLE_POINT = st.fixed_dictionaries({
+    v: st.fractions(min_value=-3, max_value=3, max_denominator=6) for v in "xy"})
 
 
 @pytest.fixture

@@ -89,6 +89,26 @@ def test_run_nesting_limit(tmp_path):
     assert proc.returncode in (0, 1) and proc.stderr == ""
 
 
+@pytest.mark.parametrize("frame, message", [
+    ([["mu^1000003", "0"], ["0", "mu^1000033"]],
+     "objects.frame[0][0]: exponent 1000003 exceeds 10000"),
+    ([["(10^400)^(1/3)", "0"], ["0", "mu"]],
+     "could not find enough valid sample points"),
+], ids=["huge-exponent", "constant-beyond-float-range"])
+def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
+    # the huge exponent once ran for minutes in exact powers of the sampled
+    # point; the constant beyond the float range ended in OverflowError
+    with open(os.path.join(SCENARIOS, "frame_euler.json")) as fh:
+        scenario = json.load(fh)
+    scenario["objects"]["frame"] = frame
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    proc = subprocess.run([sys.executable, "-m", "homogeo.cli", "run", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):
     p = tmp_path / "bad3.json"
     p.write_text(json.dumps({

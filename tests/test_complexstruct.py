@@ -10,7 +10,7 @@ from homogeo.linebundle import DEG0, LineBundleScenario
 from homogeo.tensors import Endo11, VectorField, coordinate_field
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
-from conftest import rand_point, rand_poly
+from conftest import float_value, rand_point, rand_poly
 
 SCN1 = LineBundleScenario("c1", ("x",))
 SCN3 = LineBundleScenario("c3", ("x", "y", "z"))
@@ -107,7 +107,7 @@ def _numeric_nijenhuis(J, c, a, b, point, h=1e-6):
     fl = {k: float(v) for k, v in point.items()}
 
     def jval(i, j, pt):
-        return ex.eval_float(J.mat[i][j], pt)
+        return float_value(J.mat[i][j], pt)
 
     def djval(i, j, wrt):
         up = dict(fl)
@@ -137,10 +137,9 @@ def test_nijenhuis_twisted_nonzero_with_numeric_oracle():
     checked = 0
     for _ in range(5):
         point = rand_point(rng, SCN3.total.coords, lo=1, hi=2)
-        fl = {k: float(v) for k, v in point.items()}
         for (c, a, b) in ((0, 0, 2), (1, 0, 1), (3, 0, 3)):
             want = _numeric_nijenhuis(ac.J, c, a, b, point)
-            got = ex.eval_float(N[c][a][b], fl)
+            got = float_value(N[c][a][b], point)
             assert got == pytest.approx(want, rel=1e-4, abs=1e-5)
             checked += 1
     assert checked == 15

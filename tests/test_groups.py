@@ -12,6 +12,8 @@ from homogeo.groups import (DegreeHom, GL, GLC, NotInNormalizerError, O, SP,
                             member, normalizer_p, rand_element, splitting,
                             sqrt_abs_lift, std_J, trivial_hom)
 
+from conftest import float_value
+
 
 def test_std_J_identities():
     for k in (1, 2, 3):
@@ -201,7 +203,7 @@ def test_hom_eval_symbolic_matches_rational_points():
                 continue
             for i in range(A.size):
                 for j in range(A.size):
-                    got = ex.eval_float(M[i][j], {"r": float(q)})
+                    got = float_value(M[i][j], {"r": q})
                     assert abs(got - float(want[i][j])) < 1e-9
 
 

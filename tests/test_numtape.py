@@ -3,34 +3,87 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from homogeo import expr as ex
 from homogeo import numtape
+from homogeo.parser import parse
 
-from conftest import rand_expr, rand_point
-
-
-def _valid_points(e, rng, count=8):
-    pts = []
-    while len(pts) < count:
-        p = rand_point(rng, sorted(e.free) or ("x",))
-        try:
-            v = ex.eval_float(e, {k: float(x) for k, x in p.items()})
-        except (ValueError, OverflowError, ZeroDivisionError):
-            continue
-        if math.isfinite(v):
-            pts.append((p, v))
-    return pts
+from conftest import ORACLE_POINT, RATIONAL_DSL, rand_expr, rand_point
 
 
-def test_tape_matches_tree_walk():
+def _sympy_value(sympy, text, point):
+    """sympy's value of the DSL text at an exact rational point: sympy parses
+    the printed text on its own and shares no code with the tape."""
+    sym = sympy.sympify(text.replace("^", "**"))
+    return sym.subs({sympy.Symbol(k): sympy.Rational(v.numerator, v.denominator)
+                     for k, v in point.items()})
+
+
+def test_tape_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(21)
+    checked = 0
     for _ in range(30):
         e = rand_expr(rng, ("x", "y"), depth=5)
-        pts = _valid_points(e, rng)
-        vals = numtape.eval_points(e, [p for p, _ in pts])
-        for got, (_, want) in zip(vals, pts):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        text = ex.to_dsl(e)
+        points = [rand_point(rng, ("x", "y")) for _ in range(8)]
+        vals = numtape.eval_points(e, points)
+        for got, p in zip(vals.tolist(), points):
+            want = _sympy_value(sympy, text, p).evalf(30)
+            if not (math.isfinite(got) and want.is_real and want.is_finite):
+                continue    # a pole, or outside the domain
+            assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9), (text, p)
+            checked += 1
+    assert checked > 200
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL, st.lists(ORACLE_POINT, min_size=3, max_size=3))
+@example("(x - y)^(3) - (x)^(-2)", [{"x": Fraction(-2, 3), "y": Fraction(1, 2)}])
+def test_exact_evaluation_matches_sympy_and_residues(text, points):
+    """eval_tape_exact equals sympy's exact value, and reduces to the
+    residue eval_tape_mod returns, over a small and a large prime."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        e = parse(text, names=["x", "y"])
+    except ZeroDivisionError:
+        return      # a literal division by zero
+    tape = numtape.compile_tape(e, ["x", "y"])
+    for point in points:
+        try:
+            got = numtape.eval_tape_exact(tape, point)
+        except ZeroDivisionError:
+            got = None  # a pole of ours, which sympy may have cancelled
+        want = _sympy_value(sympy, text, point)
+        if got is not None and want.is_Rational:
+            assert type(got) is Fraction
+            assert got == Fraction(int(want.p), int(want.q)), (text, point)
+        for p in (101, 2 ** 61 - 1):
+            r = numtape.eval_tape_mod(tape, [point], p)[0]
+            if got is None:
+                assert r is None
+            elif r is not None:
+                assert got.denominator % p != 0
+                assert r == got.numerator * pow(got.denominator, -1, p) % p
+
+
+def test_exact_evaluation_poles_and_non_rational_tapes():
+    x, y = ex.var("x"), ex.var("y")
+    tape = numtape.compile_tape(ex.add(ex.pw(ex.sub(x, y), -1), ex.ONE))
+    assert numtape.eval_tape_exact(tape, {"x": 3, "y": Fraction(1, 2)}) == Fraction(7, 5)
+    with pytest.raises(ZeroDivisionError):
+        numtape.eval_tape_exact(tape, {"x": Fraction(1, 2), "y": Fraction(1, 2)})
+    for e in (ex.sin_(x), ex.sqrt_(ex.add(ex.mul(x, x), ex.ONE))):
+        with pytest.raises(ex.DomainError):
+            numtape.eval_tape_exact(numtape.compile_tape(e), {"x": Fraction(1, 2)})
+    # a constant beyond the float range is exact on the tape and infinite
+    # in its float column
+    big = ex.sub(ex.mul(ex.rat(-10 ** 400), x), ex.rat(Fraction(1, 10 ** 400)))
+    assert ex.eval_exact(big, {"x": 3}) == -3 * 10 ** 400 - Fraction(1, 10 ** 400)
+    assert numtape.eval_points(big, [{"x": 3}])[0] == -math.inf
 
 
 def test_tape_matches_exact_on_rational():

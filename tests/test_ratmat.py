@@ -241,3 +241,26 @@ def test_det_and_inverse_match_sympy():
                 inv = S.inv()
                 assert rm.rinv(a) == tuple(tuple(frac(inv[i, j]) for j in range(n))
                                            for i in range(n))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 3000)),
+       st.integers(1, 40), st.integers(-1, 1))
+@example(10 ** 400, 3, 0)
+@example(2 ** 300, 3, 0)
+def test_iroot_matches_sympy(m, n, shift):
+    # perfect powers and their neighbours, as well as arbitrary integers
+    sympy = pytest.importorskip("sympy")
+    for k in (m, max(0, (m % 10 ** 4) ** n + shift)):
+        assert rm.iroot(k, n) == int(sympy.integer_nthroot(k, n)[0])
+
+
+def test_rroot_is_exact_beyond_float_range():
+    # a float estimate of the root is off by far more than 1 at this size,
+    # and raises OverflowError above about 1e308
+    assert rm.rroot(Fraction(2 ** 300), 3) == 2 ** 100
+    assert rm.rroot(Fraction(10 ** 402, 3 ** 600), 3) == Fraction(10 ** 134, 3 ** 200)
+    assert rm.rroot(Fraction(10 ** 400), 3) is None
+    assert rm.rroot(Fraction(10 ** 400 + 1), 2) is None
+    assert rm.rroot(Fraction(-8), 3) is None
+    assert rm.iroot(7, 10 ** 100) == 1
