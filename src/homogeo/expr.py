@@ -13,7 +13,13 @@ Because a node is immutable and stays interned for the life of the
 process, `simplify` and `diff` keep their results on the node itself (the
 `cache` slot), keyed by the constraints and, for `diff`, the variable.  A
 later call on a shared subtree is a lookup, not a walk.  An exception such
-as DomainError is never cached.
+as DomainError is never cached.  The printer keeps the text of every
+subexpression it prints in the same slot, so `to_dsl` prints each node
+once per process; only the root's text, the largest and rarely printed
+again, is not kept.
+
+The intern keys hold a coefficient or exponent as its numerator and
+denominator ints, not as a Fraction, which keeps hashing them cheap.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ Rational = Union[int, Fraction]
 _FUN_NAMES = ("exp", "log", "abs", "sign", "sin", "cos")
 
 _MASK = (1 << 64) - 1
+
+# shared coefficients for the constructors' accumulators
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _fnv(data: Iterable[int]) -> int:
@@ -205,14 +215,16 @@ def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool, size: 
 
 
 def rat(q: Rational) -> Rat:
-    q = Fraction(q)
-    key = ("R", q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    key = ("R", n, d)
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Rat.__new__(Rat)
     node.value = q
-    return _finish(node, key, _fnv((1, q.numerator, q.denominator)), frozenset(), True, 1)
+    return _finish(node, key, _fnv((1, n, d)), frozenset(), True, 1)
 
 
 def var(name: str) -> Var:
@@ -225,8 +237,26 @@ def var(name: str) -> Var:
     return _finish(node, key, _fnv((2, _strhash(name))), frozenset((name,)), True, 1)
 
 
-ZERO = rat(0)
-ONE = rat(1)
+ZERO = rat(_F0)
+ONE = rat(_F1)
+
+
+def _qadd(a: Fraction, b: Fraction) -> Fraction:
+    """a + b, with no new Fraction when either term is the shared 0."""
+    if a is _F0:
+        return b
+    if b is _F0:
+        return a
+    return a + b
+
+
+def _qmul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, with no new Fraction when either factor is the shared 1."""
+    if a is _F1:
+        return b
+    if b is _F1:
+        return a
+    return a * b
 
 
 def _coerce(x) -> Expr:
@@ -241,16 +271,16 @@ def _term_core(t: Expr):
     """Split a summand into (rational coefficient, coefficient-free core)."""
     if isinstance(t, Prod):
         if t.coeff == 1:
-            return Fraction(1), t
-        return t.coeff, _make_prod(Fraction(1), t.factors)
-    return Fraction(1), t
+            return _F1, t
+        return t.coeff, _make_prod(_F1, t.factors)
+    return _F1, t
 
 
 def _factor_base(f: Expr):
     """Split a product factor into (base, rational exponent)."""
     if isinstance(f, Pow):
         return f.base, f.exponent
-    return f, Fraction(1)
+    return f, _F1
 
 
 def _sorted_nodes(nodes):
@@ -262,14 +292,15 @@ def _make_sum(const: Fraction, terms: tuple) -> Expr:
         return rat(const)
     if const == 0 and len(terms) == 1:
         return terms[0]
-    key = ("S", const, tuple(id(t) for t in terms))
+    n, d = const.numerator, const.denominator
+    key = ("S", n, d, *[id(t) for t in terms])
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Sum.__new__(Sum)
     node.const = const
     node.terms = terms
-    shash = _fnv((3, const.numerator, const.denominator, *(t.shash for t in terms)))
+    shash = _fnv((3, n, d, *(t.shash for t in terms)))
     free = frozenset().union(*(t.free for t in terms))
     rational = all(t.rational for t in terms)
     size = 1 + sum(t.size for t in terms)
@@ -277,20 +308,20 @@ def _make_sum(const: Fraction, terms: tuple) -> Expr:
 
 
 def add(*xs) -> Expr:
-    const = Fraction(0)
+    const = _F0
     acc: dict = {}   # core -> coeff (insertion ordered)
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Rat):
-            const += x.value
+            const = _qadd(const, x.value)
         elif isinstance(x, Sum):
-            const += x.const
+            const = _qadd(const, x.const)
             for t in x.terms:
                 c, core = _term_core(t)
-                acc[core] = acc.get(core, Fraction(0)) + c
+                acc[core] = _qadd(acc.get(core, _F0), c)
         else:
             c, core = _term_core(x)
-            acc[core] = acc.get(core, Fraction(0)) + c
+            acc[core] = _qadd(acc.get(core, _F0), c)
     terms = []
     for core, c in acc.items():
         if c == 0:
@@ -301,7 +332,7 @@ def add(*xs) -> Expr:
 
 def _scale(core: Expr, c: Fraction) -> Expr:
     if isinstance(core, Prod):
-        return _make_prod(c * core.coeff, core.factors)
+        return _make_prod(_qmul(c, core.coeff), core.factors)
     if isinstance(core, Sum):
         return mul(rat(c), core)
     return _make_prod(c, (core,))
@@ -312,16 +343,17 @@ def _make_prod(coeff: Fraction, factors: tuple) -> Expr:
         return ZERO
     if not factors:
         return rat(coeff)
-    if coeff == 1 and len(factors) == 1:
+    if len(factors) == 1 and coeff == 1:
         return factors[0]
-    key = ("P", coeff, tuple(id(f) for f in factors))
+    n, d = coeff.numerator, coeff.denominator
+    key = ("P", n, d, *[id(f) for f in factors])
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Prod.__new__(Prod)
     node.coeff = coeff
     node.factors = factors
-    shash = _fnv((4, coeff.numerator, coeff.denominator, *(f.shash for f in factors)))
+    shash = _fnv((4, n, d, *(f.shash for f in factors)))
     free = frozenset().union(*(f.free for f in factors))
     rational = all(f.rational for f in factors)
     size = 1 + sum(f.size for f in factors)
@@ -329,7 +361,7 @@ def _make_prod(coeff: Fraction, factors: tuple) -> Expr:
 
 
 def mul(*xs) -> Expr:
-    coeff = Fraction(1)
+    coeff = _F1
     acc: dict = {}   # base -> exponent
     stack = [_coerce(x) for x in xs]
 
@@ -340,15 +372,15 @@ def mul(*xs) -> Expr:
                 coeff_part = base.value ** q.numerator if base.value != 0 or q >= 0 else None
                 if coeff_part is None:
                     raise ZeroDivisionError("0 raised to a negative power")
-                coeff *= coeff_part  # exact
+                coeff = _qmul(coeff, coeff_part)  # exact
                 return
-        acc[base] = acc.get(base, Fraction(0)) + q
+        acc[base] = _qadd(acc.get(base, _F0), q)
 
     for x in stack:
         if isinstance(x, Rat):
-            coeff *= x.value
+            coeff = _qmul(coeff, x.value)
         elif isinstance(x, Prod):
-            coeff *= x.coeff
+            coeff = _qmul(coeff, x.coeff)
             for f in x.factors:
                 b, q = _factor_base(f)
                 put(b, q)
@@ -365,19 +397,19 @@ def mul(*xs) -> Expr:
     # pw may have folded to Rat or nested products; re-run once if so
     if any(isinstance(f, (Rat, Prod)) for f in factors):
         flat = [rat(coeff)] + factors
-        coeff = Fraction(1)
+        coeff = _F1
         redo: dict = {}
         for f in flat:
             if isinstance(f, Rat):
-                coeff *= f.value
+                coeff = _qmul(coeff, f.value)
             elif isinstance(f, Prod):
-                coeff *= f.coeff
+                coeff = _qmul(coeff, f.coeff)
                 for g in f.factors:
                     b, q = _factor_base(g)
-                    redo[b] = redo.get(b, Fraction(0)) + q
+                    redo[b] = _qadd(redo.get(b, _F0), q)
             else:
                 b, q = _factor_base(f)
-                redo[b] = redo.get(b, Fraction(0)) + q
+                redo[b] = _qadd(redo.get(b, _F0), q)
         factors = [pw(b, q) for b, q in redo.items() if q != 0]
         if coeff == 0:
             return ZERO
@@ -407,7 +439,8 @@ def div(a, b) -> Expr:
 
 def pw(base, q: Rational) -> Expr:
     base = _coerce(base)
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q == 0:
         return ONE
     if q == 1:
@@ -429,16 +462,16 @@ def pw(base, q: Rational) -> Expr:
             return pw(base.base, base.exponent * q)
     if isinstance(base, Prod) and q.denominator == 1:
         return mul(rat(base.coeff ** q.numerator), *[pw(f, q) for f in base.factors])
-    key = ("W", id(base), q)
+    n, d = q.numerator, q.denominator
+    key = ("W", id(base), n, d)
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Pow.__new__(Pow)
     node.base = base
     node.exponent = q
-    shash = _fnv((5, q.numerator, q.denominator, base.shash))
-    return _finish(node, key, shash, base.free,
-                   base.rational and q.denominator == 1, base.size + 1)
+    shash = _fnv((5, n, d, base.shash))
+    return _finish(node, key, shash, base.free, base.rational and d == 1, base.size + 1)
 
 
 def _make_fun(name: str, arg: Expr) -> Expr:
@@ -691,8 +724,9 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def _cache_put(x: Expr, key: tuple, out: Expr) -> Expr:
     """Keep `out` as x's result for `key`.  Keys are ("simplify",
-    constraints) or ("diff", variable, constraints): the lengths differ, so
-    the two never collide."""
+    constraints) or ("diff", variable, constraints), and the printer keeps
+    its text under ("dsl",) (see _printed): the lengths differ, so no two
+    kinds collide."""
     if x.cache is None:
         x.cache = {key: out}
     else:
@@ -845,12 +879,14 @@ def eval_exact(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
 
 _PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
+_DSL_KEY = ("dsl",)     # cache key of a node's printed (text, precedence)
+
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _print(e: Expr, memo: dict) -> tuple:
+def _print(e: Expr) -> tuple:
     """Return (text, precedence)."""
     if isinstance(e, Rat):
         if e.value.denominator == 1:
@@ -866,12 +902,12 @@ def _print(e: Expr, memo: dict) -> tuple:
         for t in e.terms:
             n = _negated(t)
             if parts and n is not None:
-                parts.append("- " + _wrap(n, _PREC_PROD, memo))
+                parts.append("- " + _wrap(n, _PREC_PROD))
             elif parts:
-                parts.append("+ " + _wrap(t, _PREC_PROD, memo))
+                parts.append("+ " + _wrap(t, _PREC_PROD))
             else:
-                parts.append(_wrap(t, _PREC_PROD, memo) if n is None
-                             else "-" + _wrap(n, _PREC_PROD, memo))
+                parts.append(_wrap(t, _PREC_PROD) if n is None
+                             else "-" + _wrap(n, _PREC_PROD))
         return " ".join(parts), _PREC_SUM
     if isinstance(e, Prod):
         num, den = [], []
@@ -886,37 +922,44 @@ def _print(e: Expr, memo: dict) -> tuple:
         num_parts = []
         if c.numerator != 1 or not num:
             num_parts.append(str(c.numerator))
-        num_parts += [_wrap(f, _PREC_POW, memo) for f in num]
+        num_parts += [_wrap(f, _PREC_POW) for f in num]
         text = lead + "*".join(num_parts)
         if c.denominator != 1:
             den_first = str(c.denominator)
             text += "/" + den_first
         for f in den:
-            text += "/" + _wrap(f, _PREC_ATOM, memo)
+            text += "/" + _wrap(f, _PREC_ATOM)
         return text, (_PREC_SUM if lead else _PREC_PROD)
     if isinstance(e, Pow):
         if e.exponent == Fraction(1, 2):
-            return f"sqrt({_printed(e.base, memo)[0]})", _PREC_ATOM
-        btxt = _wrap(e.base, _PREC_ATOM, memo)
+            return f"sqrt({_printed(e.base)[0]})", _PREC_ATOM
+        btxt = _wrap(e.base, _PREC_ATOM)
         q = e.exponent
         qtxt = str(q.numerator) if q.denominator == 1 else f"({_frac_str(q)})"
         return f"{btxt}^{qtxt}", _PREC_POW
-    return f"{e.name}({_printed(e.arg, memo)[0]})", _PREC_ATOM
+    return f"{e.name}({_printed(e.arg)[0]})", _PREC_ATOM
 
 
-def _printed(e: Expr, memo: dict) -> tuple:
-    """The (text, precedence) of `e`, printed once per `to_dsl` call: a
-    node shared by many parents is looked up, not printed again."""
-    hit = memo.get(e)
+def _printed(e: Expr) -> tuple:
+    """The (text, precedence) of a subexpression `e`, printed once for the
+    life of the process and kept in its `cache` slot: a node shared by many
+    parents, or met again in a later `to_dsl` call, is looked up, not
+    printed again.  `to_dsl` prints its root with `_print` and does not
+    keep that text: a query root is rarely printed twice, and its text is
+    the largest of all, so keeping it would cost memory for no speed."""
+    cache = e.cache
+    if cache is None:
+        cache = e.cache = {}
+    hit = cache.get(_DSL_KEY)
     if hit is None:
-        hit = memo[e] = _print(e, memo)
+        hit = cache[_DSL_KEY] = _print(e)
     return hit
 
 
-def _wrap(e: Expr, min_prec: int, memo: dict) -> str:
-    text, prec = _printed(e, memo)
+def _wrap(e: Expr, min_prec: int) -> str:
+    text, prec = _printed(e)
     return f"({text})" if prec < min_prec else text
 
 
 def to_dsl(e: Expr) -> str:
-    return _print(e, {})[0]
+    return _print(e)[0]

@@ -19,7 +19,9 @@ Grammar (EBNF, also documented in the README):
     walkers of the expression kernel would overflow the stack on it.
     An exponent is at most MAX_EXPONENT in absolute value; a larger one is
     a ParseError, since substituting a rational point into x^1000003 takes
-    minutes of exact arithmetic.
+    minutes of exact arithmetic.  The cap holds for the literal and for the
+    exponent the constructors fold: (x^10000)^10000 is x^100000000 and
+    x^6000*x^6000 is x^12000, and both are ParseErrors.
 
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
@@ -226,4 +228,29 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
     kind, val, pos = lx.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
+    _check_exponents(out)
     return out
+
+
+def _check_exponents(e: ex.Expr) -> None:
+    """Raise ParseError for a power whose exponent, as nested powers and
+    products folded it, exceeds MAX_EXPONENT in absolute value.  Each shared
+    node is visited once."""
+    seen = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, ex.Pow):
+            if abs(x.exponent) > MAX_EXPONENT:
+                raise ParseError(f"folded exponent {x.exponent} exceeds {MAX_EXPONENT} "
+                                 f"in absolute value", 0)
+            stack.append(x.base)
+        elif isinstance(x, ex.Sum):
+            stack.extend(x.terms)
+        elif isinstance(x, ex.Prod):
+            stack.extend(x.factors)
+        elif isinstance(x, ex.Fun):
+            stack.append(x.arg)

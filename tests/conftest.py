@@ -6,6 +6,7 @@ so failures reproduce exactly.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -128,6 +129,20 @@ RATIONAL_DSL = st.one_of(
     RATIONAL_TERMS, _IDENTITIES,
     st.tuples(_IDENTITIES, RATIONAL_TERMS).map(lambda t: f"{t[0]} + ({t[1]})/10^40"))
 
+# every function head, with sqrt and fractional powers; arguments of
+# log/sqrt may be negative and arguments of abs/sign zero, so a caller
+# evaluating these at a point must allow for values off the real domain
+FUNCTION_DSL = st.recursive(
+    st.sampled_from(["x", "y", "x", "y", "1/2", "-1/3", "2", "7/5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "sign", "sin", "cos"]),
+                  inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["-1", "2", "3", "1/2", "-3/2"])).map(
+            lambda t: f"({t[0]})^({t[1]})")),
+    max_leaves=6)
+
 
 ORACLE_POINT = st.fixed_dictionaries({
     v: st.fractions(min_value=-3, max_value=3, max_denominator=6) for v in "xy"})
@@ -136,3 +151,13 @@ ORACLE_POINT = st.fixed_dictionaries({
 @pytest.fixture
 def policy():
     return ZeroTestPolicy()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """Child processes (`python -m homogeo.cli`) import the package from
+    src/, as pytest's `pythonpath` setting makes this process do."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield

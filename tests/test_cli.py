@@ -94,10 +94,15 @@ def test_run_nesting_limit(tmp_path):
      "objects.frame[0][0]: exponent 1000003 exceeds 10000"),
     ([["(10^400)^(1/3)", "0"], ["0", "mu"]],
      "could not find enough valid sample points"),
-], ids=["huge-exponent", "constant-beyond-float-range"])
+    ([["(mu^10000)^10000", "0"], ["0", "mu"]],
+     "objects.frame[0][0]: folded exponent 100000000 exceeds 10000"),
+    ([["1", "0"], ["0", "mu^6000*mu^6000"]],
+     "objects.frame[1][1]: folded exponent 12000 exceeds 10000"),
+], ids=["huge-exponent", "constant-beyond-float-range", "nested-power", "product-power"])
 def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
-    # the huge exponent once ran for minutes in exact powers of the sampled
-    # point; the constant beyond the float range ended in OverflowError
+    # the huge exponent, literal or folded from nested powers, once ran for
+    # minutes in exact powers of the sampled point; the constant beyond the
+    # float range ended in OverflowError
     with open(os.path.join(SCENARIOS, "frame_euler.json")) as fh:
         scenario = json.load(fh)
     scenario["objects"]["frame"] = frame

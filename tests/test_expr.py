@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from homogeo import expr as ex
@@ -16,7 +17,7 @@ from homogeo.parser import (MAX_DEPTH, MAX_EXPONENT, ParseError, UnknownIdentifi
                             parse)
 from homogeo.zerotest import ConfigError, ZeroTestPolicy, is_zero, zero_report
 
-from conftest import (ORACLE_POINT, RATIONAL_DSL, RATIONAL_TERMS,
+from conftest import (FUNCTION_DSL, ORACLE_POINT, RATIONAL_DSL, RATIONAL_TERMS,
                       finite_difference, float_value, rand_expr, rand_point)
 
 CHART = Chart("m", ("x", "u", "p", "mu"), (ex.Constraint("mu", ">", 0),))
@@ -99,6 +100,22 @@ def test_parse_exponent_limit():
         with pytest.raises(ParseError) as err:
             parse(text, names=["x"])
         assert "exceeds" in str(err.value) and err.value.pos == pos
+
+
+def test_parse_folded_exponent_limit():
+    # each literal is within the cap, but nested powers multiply their
+    # exponents and a product collects equal bases; substituting a point
+    # into the folded power takes minutes, as for a huge literal
+    x = ex.var("x")
+    for text in ("(x^10000)^10000", "((x^100)^100)^(-2)", "x^6000*x^6000",
+                 "x^6000/x^(-6000)", "sin((x^5001)^2) + 1", "((x^(1/2))^101)^200"):
+        with pytest.raises(ParseError) as err:
+            parse(text, names=["x"])
+        assert "exceeds" in str(err.value), text
+    # at the cap, and within it after the folding
+    assert parse("(x^100)^100", names=["x"]) is ex.pw(x, MAX_EXPONENT)
+    assert parse("x^6000*x^6000/x^6000", names=["x"]) is ex.pw(x, 6000)
+    assert parse("(x^(-5000))^2", names=["x"]) is ex.pw(x, -MAX_EXPONENT)
 
 
 def test_rational_roots_exact_at_any_size():
@@ -458,6 +475,143 @@ def test_to_dsl_prints_shared_nodes_once():
     assert len(text) == 12582905
 
 
+# -- the printed text kept on the node ------------------------------------------
+
+def _ref_print(e, memo):
+    """Reference printer: the one that kept each node's text in a memo for
+    one call only.  Returns (text, precedence)."""
+    if isinstance(e, ex.Rat):
+        if e.value.denominator == 1:
+            return str(e.value.numerator), (4 if e.value >= 0 else 1)
+        return ex._frac_str(e.value), 2
+    if isinstance(e, ex.Var):
+        return e.name, 4
+    if isinstance(e, ex.Sum):
+        parts = []
+        if e.const != 0:
+            parts.append(ex._frac_str(e.const))
+        for t in e.terms:
+            n = ex._negated(t)
+            if parts and n is not None:
+                parts.append("- " + _ref_wrap(n, 2, memo))
+            elif parts:
+                parts.append("+ " + _ref_wrap(t, 2, memo))
+            else:
+                parts.append(_ref_wrap(t, 2, memo) if n is None
+                             else "-" + _ref_wrap(n, 2, memo))
+        return " ".join(parts), 1
+    if isinstance(e, ex.Prod):
+        num, den = [], []
+        for f in e.factors:
+            b, q = (f.base, f.exponent) if isinstance(f, ex.Pow) else (f, 1)
+            (den if q < 0 else num).append(ex.pw(b, abs(q)))
+        c, lead = e.coeff, ""
+        if c < 0:
+            lead, c = "-", -c
+        num_parts = []
+        if c.numerator != 1 or not num:
+            num_parts.append(str(c.numerator))
+        num_parts += [_ref_wrap(f, 3, memo) for f in num]
+        text = lead + "*".join(num_parts)
+        if c.denominator != 1:
+            text += "/" + str(c.denominator)
+        for f in den:
+            text += "/" + _ref_wrap(f, 4, memo)
+        return text, (1 if lead else 2)
+    if isinstance(e, ex.Pow):
+        if e.exponent == Fraction(1, 2):
+            return f"sqrt({_ref_printed(e.base, memo)[0]})", 4
+        q = e.exponent
+        qtxt = str(q.numerator) if q.denominator == 1 else f"({ex._frac_str(q)})"
+        return f"{_ref_wrap(e.base, 4, memo)}^{qtxt}", 3
+    return f"{e.name}({_ref_printed(e.arg, memo)[0]})", 4
+
+
+def _ref_printed(e, memo):
+    if id(e) not in memo:
+        memo[id(e)] = _ref_print(e, memo)
+    return memo[id(e)]
+
+
+def _ref_wrap(e, min_prec, memo):
+    text, prec = _ref_printed(e, memo)
+    return f"({text})" if prec < min_prec else text
+
+
+def ref_to_dsl(e):
+    return _ref_print(e, {})[0]
+
+
+def _children(e):
+    if isinstance(e, ex.Sum):
+        return list(e.terms)
+    if isinstance(e, ex.Prod):
+        return list(e.factors)
+    if isinstance(e, ex.Pow):
+        return [e.base]
+    if isinstance(e, ex.Fun):
+        return [e.arg]
+    return []
+
+
+_FRESH = itertools.count()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(RATIONAL_DSL, FUNCTION_DSL))
+def test_to_dsl_matches_reference_printer(text):
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return      # a literal division by zero, or sign(0)
+    # fresh variable names, so that no earlier call has kept any text of
+    # these nodes
+    k = next(_FRESH)
+    names = [f"p{k}", f"q{k}"]
+    e = ex.subs(e, {"x": ex.var(names[0]), "y": ex.var(names[1])})
+    want = ref_to_dsl(e)
+    kids = _children(e)
+    if kids:        # a subexpression printed before its parent
+        assert ex.to_dsl(kids[0]) == ref_to_dsl(kids[0])
+    assert ex.to_dsl(e) == want
+    assert ex.to_dsl(e) == want     # and the same parent printed again
+    stack, seen, scaled_sum = [e], set(), False
+    while stack:    # every subexpression printed after its parent
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            assert ex.to_dsl(x) == ref_to_dsl(x)
+            stack += _children(x)
+            scaled_sum = scaled_sum or _may_print_scaled_sum(x)
+    back = parse(want, names=names)
+    if not scaled_sum:
+        assert back is e
+    assert ex.to_dsl(back) == ref_to_dsl(back)
+
+
+def _may_print_scaled_sum(x):
+    """Whether x is a product that may print as `c*(sum)*...` or
+    `-(sum)*...`.  The parser reads that as (c*sum)*..., and the constructors
+    distribute c over the sum, so the text parses to an equal expression
+    but not to the same node: `-(x + y)/z` parses as `(-x - y)/z`."""
+    if not isinstance(x, ex.Prod) or x.coeff == 1:
+        return False
+    num = [f for f in x.factors if not (isinstance(f, ex.Pow) and f.exponent < 0)]
+    return bool(num) and isinstance(num[0], ex.Sum)
+
+
+def test_root_text_not_kept():
+    # the root's text is printed, not kept: it is the largest text, and a
+    # zero-test query is rarely printed twice; its subexpressions' are kept
+    x = ex.var("keep_x")
+    inner = ex.add(x, ex.ONE)
+    e = ex.sin_(inner)
+    assert ex.to_dsl(e) == "sin(1 + keep_x)"
+    assert e.cache is None or ("dsl",) not in e.cache
+    assert inner.cache[("dsl",)] == ("1 + keep_x", 1)
+
+
 # -- simplification and signs --------------------------------------------------
 
 def test_simplify_branch_resolution():
@@ -491,6 +645,23 @@ def test_interning_dedup():
     a = ex.add(ex.var("x"), ex.var("u"))
     b = ex.add(ex.var("u"), ex.var("x"))
     assert a is b
+
+
+def test_intern_keys_by_value():
+    # keys hold numerator and denominator: an int and an equal Fraction,
+    # reduced or not, give the same node
+    x, y = ex.var("x"), ex.var("y")
+    assert ex.rat(2) is ex.rat(Fraction(4, 2))
+    assert ex.rat(Fraction(-6, 4)) is ex.rat(Fraction(-3, 2))
+    assert ex.mul(2, x) is ex.mul(Fraction(2), x)
+    assert ex.pw(x, 2) is ex.pw(x, Fraction(2))
+    assert ex.pw(x, Fraction(2, 4)) is ex.sqrt_(x)
+    assert ex.add(Fraction(1, 2), x) is ex.add(ex.rat(Fraction(2, 4)), x)
+    # a sum and a product of the same number and children stay apart
+    s, p = ex.add(3, x, y), ex.mul(3, x, y)
+    assert isinstance(s, ex.Sum) and isinstance(p, ex.Prod)
+    assert s.const == p.coeff and s.terms == p.factors
+    assert s is not p
 
 
 # -- results cached on the interned node ---------------------------------------
@@ -573,6 +744,30 @@ def test_cache_keys_of_simplify_and_diff_apart():
             ex.diff(e, tag)
 
 
+def test_cache_keys_of_simplify_diff_and_text_apart():
+    # a variable named like the text key's tag; each of the three results
+    # keeps its own entry on the node, whichever call comes first
+    for text_first in (True, False):
+        v = ex.var("dsl")
+        c = ex.rat(5 if text_first else 7)
+        s = ex.add(ex.pw(v, 3), ex.abs_(v), c)
+        parent = ex.cos_(s)
+        pos = (ex.Constraint("dsl", ">", 0),)
+        if text_first:
+            ex.to_dsl(parent)
+        simplified = ex.simplify(s, pos)
+        derivative = ex.diff(s, "dsl", pos)
+        assert simplified is ex.add(ex.pw(v, 3), v, c)
+        assert derivative is ex.add(ex.mul(ex.rat(3), ex.pw(v, 2)), ex.ONE)
+        assert ex.to_dsl(parent) == f"cos({ref_to_dsl(s)})"
+        assert s.cache[("dsl",)] == (ref_to_dsl(s), 1)
+        assert s.cache[("simplify", pos)] is simplified
+        assert s.cache[("diff", "dsl", pos)] is derivative
+        assert ex.simplify(s, pos) is simplified
+        assert ex.diff(s, "dsl", pos) is derivative
+        assert ex.to_dsl(s) == ref_to_dsl(s)
+
+
 def test_domain_error_not_cached():
     x, y = ex.var("x"), ex.var("y")
     bad = ex.add(ex.abs_(x), ex.mul(x, y))
@@ -612,3 +807,96 @@ def test_diff_and_simplify_match_sympy(text, points):
             except ZeroDivisionError:
                 continue    # a pole of ours that sympy cancelled
             assert got == Fraction(int(want.p), int(want.q)), (text, point)
+
+
+def _sympy_float_off_cuts(sympy, sym, at):
+    """sympy's float value of `sym` at the point `at`, or None where the
+    point is near a branch cut or a discontinuity: an argument of log or of
+    a fractional power that is not positive and clear of 0, an argument of
+    abs or sign or a base of a negative power within 1e-6 of 0, or a value
+    that is not a finite real."""
+    for node in sympy.preorder_traversal(sym):
+        if isinstance(node, sympy.log):
+            arg, positive = node.args[0], True
+        elif isinstance(node, (sympy.Abs, sympy.sign)):
+            arg, positive = node.args[0], False
+        elif node.is_Pow and not (node.exp.is_Integer and node.exp > 0):
+            arg, positive = node.base, not node.exp.is_Integer
+        else:
+            continue
+        v = arg.subs(at).evalf(30)
+        if not v.is_real or abs(v) < 1e-6 or (positive and v < 0):
+            return None
+    value = sym.subs(at).evalf(30)
+    if not (value.is_real and value.is_finite):
+        return None
+    return float(value)
+
+
+def _sympy_point(sympy, point):
+    return {sympy.Symbol(k): sympy.Rational(v.numerator, v.denominator)
+            for k, v in point.items()}
+
+
+def _compare_floats(sympy, ours, sym, points, text):
+    checked = 0
+    for point in points:
+        want = _sympy_float_off_cuts(sympy, sym, _sympy_point(sympy, point))
+        got = float_value(ours, point)
+        if want is None or not math.isfinite(got):
+            continue    # near a cut, at a pole, or past the float range
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (text, point)
+        checked += 1
+    return checked
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(FUNCTION_DSL, st.lists(ORACLE_POINT, min_size=3, max_size=3))
+@example("sign((-1/3) * (x)) - abs((-2) * (y)) + sin((-1/2) * (x)) * cos((-3) * (y))"
+         " + exp(-x) * log((x)^(2) + (7/5)) - (y)^(-3/2)",
+         [{"x": Fraction(1, 3), "y": Fraction(5, 4)},
+          {"x": Fraction(-2, 3), "y": Fraction(1, 2)}])
+def test_function_heads_match_sympy(text, points):
+    """Every head (exp/log/abs/sign/sin/cos, sqrt and fractional powers),
+    as built by the constructors, agrees in floats with sympy parsing the
+    same text on its own, at points away from branch cuts."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return      # a literal division by zero, or sign(0)
+    _compare_floats(sympy, e, sympy.sympify(text.replace("^", "**")), points, text)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(FUNCTION_DSL, FUNCTION_DSL, RATIONAL_TERMS,
+       st.lists(ORACLE_POINT, min_size=3, max_size=3))
+def test_subs_matches_sympy(text, x_text, y_text, points):
+    """`subs` replaces x and y at once, as sympy's simultaneous subs does,
+    including substitutes that contain x and y themselves."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        e = parse(text, names=["x", "y"])
+        mapping = {"x": parse(x_text, names=["x", "y"]),
+                   "y": parse(y_text, names=["x", "y"])}
+        ours = ex.subs(e, mapping)
+    except (ZeroDivisionError, ex.DomainError):
+        return      # the substitution folded to a division by zero or sign(0)
+    sym = sympy.sympify(text.replace("^", "**")).subs(
+        {sympy.Symbol(k): sympy.sympify(t.replace("^", "**"))
+         for k, t in (("x", x_text), ("y", y_text))}, simultaneous=True)
+    _compare_floats(sympy, ours, sym, points, (text, x_text, y_text))
+
+
+def test_sympy_oracles_check_points():
+    # the skips of the two oracles above leave most points checked
+    sympy = pytest.importorskip("sympy")
+    pts = [{"x": Fraction(1, 3), "y": Fraction(5, 4)},
+           {"x": Fraction(-2, 3), "y": Fraction(1, 2)}]
+    text = "log(x^2 + y) - sign(x)*abs(y - 2) + sin(x)*cos(y)^2 + exp(-x)*sqrt(y)"
+    e = parse(text, names=["x", "y"])
+    sym = sympy.sympify(text.replace("^", "**"))
+    assert _compare_floats(sympy, e, sym, pts, text) == 2
+    assert _compare_floats(sympy, e, sym, [{"x": Fraction(0), "y": Fraction(1)}], text) == 0
