@@ -22,11 +22,11 @@ from typing import List, Optional
 from . import expr as ex
 from . import symmat
 from .chart import ChartError
-from .frames import Frame, degree_coset
+from .frames import Frame, require_coset
 from .groups import GLC
 from .linebundle import DEG0, LineBundleScenario
 from .tensors import Endo11, VectorField, coordinate_field, lie_bracket
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero, zero_report
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero
 
 __all__ = ["AlmostComplex", "frame_to_j", "nijenhuis", "nijenhuis_fields",
            "IntegrabilityCReport", "integrability_report_c"]
@@ -47,11 +47,10 @@ class AlmostComplex:
         pol = policy.with_constraints(scn.total.constraints)
         n = scn.total.dim
         sq = symmat.mat_mul(self.J.rows(), self.J.rows())
-        for i in range(n):
-            for j in range(n):
-                want = ex.rat(-1 if i == j else 0)
-                if not is_zero(ex.sub(sq[i][j], want), pol):
-                    return f"J^2 + I is nonzero at entry ({i},{j})"
+        ok, bad = all_zero((((i, j), ex.sub(sq[i][j], ex.rat(-1 if i == j else 0)))
+                            for i in range(n) for j in range(n)), pol)
+        if not ok:
+            return "J^2 + I is nonzero at entry ({},{})".format(*bad[0])
         if not scn.is_homogeneous(self.J, DEG0, policy):
             return "J is not fiber-invariant (degree 0)"
         return None
@@ -65,13 +64,7 @@ def frame_to_j(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
         raise ChartError("total dimension must be even")
     k = n1 // 2
     if check_degree:
-        rep = degree_coset(frame, GLC(k), policy)
-        if not rep.in_normalizer:
-            raise ValueError(f"frame transition not in N(GL_k(C)): {rep.failure}")
-        pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-        if not is_zero(ex.sub(rep.quotient_value, ex.ONE), pol) or \
-                rep.quotient_value_neg1 != 0:
-            raise ValueError("frame degree coset is not trivial")
+        require_coset(frame, GLC(k), "GL_k(C)", ex.ONE, 0, "trivial", policy)
     S = frame.matrix()
     K = [[ex.ZERO] * n1 for _ in range(n1)]
     for i in range(k):
@@ -131,21 +124,13 @@ def integrability_report_c(ac: AlmostComplex,
     pol = policy.with_constraints(scn.total.constraints)
     N = nijenhuis(ac.J)
     n = scn.total.dim
-    torsion_zero = True
+    torsion_zero, bad = all_zero((((c, a, b), N[c][a][b]) for c in range(n)
+                                  for a in range(n) for b in range(a + 1, n)), pol)
     witness = None
-    for c in range(n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                rep = zero_report(N[c][a][b], pol)
-                if not rep.is_zero:
-                    torsion_zero = False
-                    witness = {"component": (c, a, b), "point": rep.witness,
-                               "value": rep.witness_value}
-                    break
-            if not torsion_zero:
-                break
-        if not torsion_zero:
-            break
+    if not torsion_zero:
+        component, rep = bad
+        witness = {"component": component, "point": rep.witness,
+                   "value": rep.witness_value}
 
     fals = None
     if n == 2 and not torsion_zero:

@@ -15,6 +15,7 @@ and a disagreement is a falsification event, never silently repaired.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -23,13 +24,13 @@ from . import expr as ex
 from . import numtape
 from . import symmat
 from .chart import ChartError
-from .frames import Frame, degree_coset, is_homogeneous_chart
+from .frames import Frame, is_homogeneous_chart, require_coset
 from .groups import SP, std_J
 from .linebundle import DEG1, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import (KForm, VectorField, coordinate_field, d, interior,
                       lie_bracket, one_form, wedge, zero_form)
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero, sample_points
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_points
 
 __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
            "omega_to_pair", "check_pair", "sp_frame_from_omega",
@@ -94,10 +95,10 @@ def _theta_pivot(pair: ContactPair, policy: ZeroTestPolicy) -> int:
     best = max(range(n), key=lambda i: (scores[i], -i))
     if scores[best] == 0.0:
         # fall back: first coefficient that is not identically zero
-        for i in range(n):
-            if not is_zero(pair.theta.coeff((i,)), pol):
-                return i
-        raise InvalidPairError("theta is identically zero")
+        zero, bad = all_zero(((i, pair.theta.coeff((i,))) for i in range(n)), pol)
+        if zero:
+            raise InvalidPairError("theta is identically zero")
+        return bad[0]
     return best
 
 
@@ -136,20 +137,16 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
     piv, basis = kernel_basis(pair, policy)   # raises on vanishing theta
 
     dtheta = d(pair.theta)
-    routes_agree = True
     m = len(basis)
+    # curvature via bracket mod H: theta([X, Y])
+    brackets = {(a, b): pair.theta(lie_bracket(basis[a], basis[b]))
+                for a in range(m) for b in range(m) if a != b}
+    routes_agree, _ = all_zero(
+        (((a, b), ex.sub(br, ex.neg(dtheta(basis[a], basis[b]))))
+         for (a, b), br in brackets.items()), pol)
     gram = [[ex.ZERO] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            # curvature via bracket mod H: theta([X, Y])
-            br = lie_bracket(basis[a], basis[b])
-            r_bracket = pair.theta(br)
-            r_dform = ex.neg(dtheta(basis[a], basis[b]))
-            if routes_agree and not is_zero(ex.sub(r_bracket, r_dform), pol):
-                routes_agree = False
-            gram[a][b] = ex.sub(pair.upsilon(basis[a], basis[b]), r_bracket)
+    for (a, b), br in brackets.items():
+        gram[a][b] = ex.sub(pair.upsilon(basis[a], basis[b]), br)
 
     nondeg_on_H = not is_zero(symmat.det(gram), pol) if m else True
 
@@ -212,14 +209,10 @@ def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
     remaining = list(vecs)
     while remaining:
         u = remaining.pop(0)
-        partner = None
-        for idx, v in enumerate(remaining):
-            if not is_zero(pairing(u, v), pol):
-                partner = idx
-                break
-        if partner is None:
+        degenerate, bad = all_zero(((idx, pairing(u, v)) for idx, v in enumerate(remaining)), pol)
+        if degenerate:
             raise DegeneracyError("pairing is degenerate: no symplectic partner")
-        v = remaining.pop(partner)
+        v = remaining.pop(bad[0])
         norm = pairing(u, v)
         v = tuple(ex.div(c, norm) for c in v)
         fixed = []
@@ -263,15 +256,9 @@ def frame_to_omega(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
         raise ChartError("total dimension must be even")
     k = n1 // 2
     if quotient != "any":
-        rep = degree_coset(frame, SP(k), policy)
-        if not rep.in_normalizer:
-            raise ValueError(f"frame transition not in N(Sp): {rep.failure}")
-        pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-        want_pos = ex.var("r") if quotient == "identity" else ex.ONE
-        want_neg = Fraction(-1) if quotient == "identity" else Fraction(1)
-        if not is_zero(ex.sub(rep.quotient_value, want_pos), pol) or \
-                rep.quotient_value_neg1 != want_neg:
-            raise ValueError(f"frame degree coset is not the {quotient} map")
+        identity = quotient == "identity"
+        require_coset(frame, SP(k), "Sp", ex.var("r") if identity else ex.ONE,
+                      Fraction(-1 if identity else 1), f"the {quotient} map", policy)
     co = symmat.simplify_mat(symmat.inverse(frame.matrix()), scn.total.constraints)
     out = zero_form(scn.total, 2)
     for i in range(k):
@@ -301,10 +288,10 @@ def integrability_report(pair: ContactPair,
 
     omega = pair_to_omega(pair)
     domega = d(omega)
-    closed = all(is_zero(c, pol_tot) for c in domega.coeffs.values())
+    closed, _ = all_zero(domega.coeffs.items(), pol_tot)
     integrable = rep.omega_nondegenerate and closed
 
-    ups_zero = all(is_zero(c, pol_base) for c in pair.upsilon.coeffs.values())
+    ups_zero, _ = all_zero(pair.upsilon.coeffs.items(), pol_base)
     contact = ups_zero and rep.nondeg_on_H
 
     witness = None
@@ -389,28 +376,38 @@ def _verify_darboux_chart(scn: LineBundleScenario, chi, omega: KForm,
                           policy: ZeroTestPolicy) -> Tuple[bool, str]:
     """The chart must be homogeneous with A = diag(I_k, r I_k), b = 0, and
     its coordinate frame must be a symplectic frame of omega."""
-    n1 = scn.total.dim
-    k = n1 // 2
+    def affine_residuals(rep):
+        n1 = len(rep.b_sym)
+        r = ex.var("r")
+        for i in range(n1):
+            for j in range(n1):
+                want = (ex.ONE if i < n1 // 2 else r) if i == j else ex.ZERO
+                yield (f"chart matrix is not diag(I_k, r I_k) at ({i},{j})",
+                       ex.sub(rep.A_sym[i][j], want))
+            yield f"chart translation part b[{i}] is nonzero", rep.b_sym[i]
+
+    return _verify_symplectic_chart(scn, chi, omega, affine_residuals, policy,
+                                    "homogeneous Darboux chart constructed and verified")
+
+
+def _verify_symplectic_chart(scn: LineBundleScenario, chi, omega: KForm, affine_residuals,
+                             policy: ZeroTestPolicy, verified: str) -> Tuple[bool, str]:
+    """(True, verified) when chi is a homogeneous chart, each (failure note,
+    residual) of affine_residuals(report) vanishes and the coordinate frame
+    is symplectic for omega; otherwise (False, the first failure note)."""
     try:
         rep = is_homogeneous_chart(scn, chi, policy)
     except Exception as err:
         return False, f"chart verification failed: {err}"
-    pol = scn.policy_for(policy)
-    r = ex.var("r")
-    for i in range(n1):
-        for j in range(n1):
-            want = (ex.ONE if i < k else r) if i == j else ex.ZERO
-            if not is_zero(ex.sub(rep.A_sym[i][j], want), pol):
-                return False, f"chart matrix is not diag(I_k, r I_k) at ({i},{j})"
-        if not is_zero(rep.b_sym[i], pol):
-            return False, f"chart translation part b[{i}] is nonzero"
-    J = std_J(k)
-    for a in range(n1):
-        for b in range(n1):
-            val = omega(rep.frame.components[a], rep.frame.components[b])
-            if not is_zero(ex.sub(val, ex.rat(J[a][b])), pol):
-                return False, f"coordinate frame is not symplectic at ({a},{b})"
-    return True, "homogeneous Darboux chart constructed and verified"
+    frame = rep.frame.components
+    n1 = len(frame)
+    J = std_J(n1 // 2)
+    ok, bad = all_zero(itertools.chain(
+        affine_residuals(rep),
+        ((f"coordinate frame is not symplectic at ({a},{b})",
+          ex.sub(omega(frame[a], frame[b]), ex.rat(J[a][b])))
+         for a in range(n1) for b in range(n1))), scn.policy_for(policy))
+    return (True, verified) if ok else (False, bad[0])
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,10 @@ from . import expr as ex
 from . import ratmat as rm
 from . import symmat
 from .chart import ChartError
-from .contact import _form_matrix
-from .frames import is_homogeneous_chart
-from .groups import std_J
+from .contact import _form_matrix, _verify_symplectic_chart
 from .linebundle import LineBundleScenario
 from .tensors import KForm, d, one_form, wedge
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 
 __all__ = ["CosymplecticPair", "pair_to_omega0", "check_cosymplectic",
            "CosymplecticReport", "integrability_report0",
@@ -83,13 +81,13 @@ def check_cosymplectic(pair: CosymplecticPair, k: int,
 
     dOm = d(pair.Omega)
     deta = d(pair.eta)
-    dOmega_zero = all(is_zero(c, pol_b) for c in dOm.coeffs.values())
-    deta_zero = all(is_zero(c, pol_b) for c in deta.coeffs.values())
+    dOmega_zero, _ = all_zero(dOm.coeffs.items(), pol_b)
+    deta_zero, _ = all_zero(deta.coeffs.items(), pol_b)
 
     omega = pair_to_omega0(pair)
     omega_nondeg = not is_zero(symmat.det(_form_matrix(omega)), pol_t)
     domega = d(omega)
-    omega_closed = all(is_zero(c, pol_t) for c in domega.coeffs.values())
+    omega_closed, _ = all_zero(domega.coeffs.items(), pol_t)
 
     return CosymplecticReport(
         volume=volume,
@@ -206,31 +204,20 @@ def _verify_flat_chart(scn: LineBundleScenario, chi, pair: CosymplecticPair,
                        policy: ZeroTestPolicy) -> Tuple[bool, str]:
     """Chart must be homogeneous with A = I and constant b(r) proportional
     to log r, and its frame must be a symplectic frame of omega."""
-    n1 = scn.total.dim
-    k = n1 // 2
-    try:
-        rep = is_homogeneous_chart(scn, chi, policy)
-    except Exception as err:
-        return False, f"chart verification failed: {err}"
-    pol = scn.policy_for(policy)
-    for i in range(n1):
-        for j in range(n1):
-            want = ex.ONE if i == j else ex.ZERO
-            if not is_zero(ex.sub(rep.A_sym[i][j], want), pol):
-                return False, "chart matrix is not the identity"
-        # b entries must be multiples of log r
-        resid = ex.diff(ex.div(rep.b_sym[i], ex.log_(ex.var("r"))), "r",
-                        (ex.Constraint("r", ">", 0),)) if not rep.b_sym[i].is_zero_literal() else ex.ZERO
-        if not is_zero(resid, pol):
-            return False, f"chart translation b[{i}] is not a multiple of log r"
-    omega = pair_to_omega0(pair)
-    J = std_J(k)
-    for a in range(n1):
-        for b in range(n1):
-            val = omega(rep.frame.components[a], rep.frame.components[b])
-            if not is_zero(ex.sub(val, ex.rat(J[a][b])), pol):
-                return False, f"coordinate frame is not symplectic at ({a},{b})"
-    return True, "homogeneous flat chart constructed and verified"
+    def affine_residuals(rep):
+        n1 = len(rep.b_sym)
+        for i in range(n1):
+            for j in range(n1):
+                yield ("chart matrix is not the identity",
+                       ex.sub(rep.A_sym[i][j], ex.ONE if i == j else ex.ZERO))
+            # b entries must be multiples of log r
+            b = rep.b_sym[i]
+            yield (f"chart translation b[{i}] is not a multiple of log r",
+                   ex.ZERO if b.is_zero_literal() else
+                   ex.diff(ex.div(b, ex.log_(ex.var("r"))), "r", (ex.Constraint("r", ">", 0),)))
+
+    return _verify_symplectic_chart(scn, chi, pair_to_omega0(pair), affine_residuals, policy,
+                                    "homogeneous flat chart constructed and verified")
 
 
 def standard_cosymplectic_pair(k: int) -> CosymplecticPair:

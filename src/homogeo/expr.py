@@ -20,10 +20,17 @@ again, is not kept.
 
 The intern keys hold a coefficient or exponent as its numerator and
 denominator ints, not as a Fraction, which keeps hashing them cheap.
+
+The walkers are recursive.  Under Python's default recursion limit of
+1000, `to_dsl` (and so every sampled zero test) handled 498 nested
+function heads or 284 nested alternating sums and products, and
+`simplify`, `diff` and `subs` about twice as deep (Python 3.11.7); deeper
+expressions built in code raise RecursionError.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -31,7 +38,7 @@ from .ratmat import rroot
 
 __all__ = [
     "Expr", "Rat", "Var", "Sum", "Prod", "Pow", "Fun",
-    "Constraint", "DomainError",
+    "Constraint", "DomainError", "ConstantTooLargeError", "MAX_CONSTANT_BITS",
     "rat", "var", "add", "mul", "neg", "sub", "div", "pw",
     "exp_", "log_", "sqrt_", "abs_", "sign_", "sin_", "cos_",
     "ZERO", "ONE",
@@ -44,6 +51,9 @@ Rational = Union[int, Fraction]
 _FUN_NAMES = ("exp", "log", "abs", "sign", "sin", "cos")
 
 _MASK = (1 << 64) - 1
+
+# `pw` refuses to raise a constant to a power with more bits than this
+MAX_CONSTANT_BITS = 1 << 20
 
 # shared coefficients for the constructors' accumulators
 _F0 = Fraction(0)
@@ -64,6 +74,10 @@ def _strhash(s: str) -> int:
 
 class DomainError(ValueError):
     """Operation needs sign information the domain constraints do not fix."""
+
+
+class ConstantTooLargeError(OverflowError):
+    """A constant power would have more than MAX_CONSTANT_BITS bits."""
 
 
 class Constraint:
@@ -132,14 +146,10 @@ class Expr:
     def __pow__(self, q):
         return pw(self, q)
 
+    # == is identity (interning makes it structural); the structural hash
+    # keeps the order of sets of nodes the same in every run
     def __hash__(self):
         return self.shash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Expr) and _struct_eq(self, other))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return to_dsl(self)
@@ -176,26 +186,6 @@ class Pow(Expr):
 
 class Fun(Expr):
     __slots__ = ("name", "arg")
-
-
-def _struct_eq(a: Expr, b: Expr) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b) or a.shash != b.shash:
-        return False
-    if isinstance(a, Rat):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Sum):
-        return a.const == b.const and len(a.terms) == len(b.terms) and all(
-            _struct_eq(x, y) for x, y in zip(a.terms, b.terms))
-    if isinstance(a, Prod):
-        return a.coeff == b.coeff and len(a.factors) == len(b.factors) and all(
-            _struct_eq(x, y) for x, y in zip(a.factors, b.factors))
-    if isinstance(a, Pow):
-        return a.exponent == b.exponent and _struct_eq(a.base, b.base)
-    return a.name == b.name and _struct_eq(a.arg, b.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +427,14 @@ def div(a, b) -> Expr:
     return mul(_coerce(a), pw(_coerce(b), Fraction(-1)))
 
 
+def _qpow(v: Fraction, n: int) -> Fraction:
+    """v ** n, refused before it is computed if it exceeds MAX_CONSTANT_BITS."""
+    big = max(abs(v.numerator), v.denominator)
+    if big > 1 and abs(n) * math.log2(big) > MAX_CONSTANT_BITS:
+        raise ConstantTooLargeError(f"constant power exceeds {MAX_CONSTANT_BITS} bits")
+    return v ** n
+
+
 def pw(base, q: Rational) -> Expr:
     base = _coerce(base)
     if type(q) is not Fraction:
@@ -450,18 +448,18 @@ def pw(base, q: Rational) -> Expr:
         if q.denominator == 1:
             if v == 0 and q < 0:
                 raise ZeroDivisionError("0 raised to a negative power")
-            return rat(v ** q.numerator)
+            return rat(_qpow(v, q.numerator))
         if v == 0:
             return ZERO  # q > 0 here since q != 0 and 0**neg raised above
         if v > 0:
             root = rroot(v, q.denominator)
             if root is not None:
-                return rat(root ** q.numerator)
+                return rat(_qpow(root, q.numerator))
     if isinstance(base, Pow):
         if q.denominator == 1 or _syntactic_pos(base.base):
             return pw(base.base, base.exponent * q)
     if isinstance(base, Prod) and q.denominator == 1:
-        return mul(rat(base.coeff ** q.numerator), *[pw(f, q) for f in base.factors])
+        return mul(rat(_qpow(base.coeff, q.numerator)), *[pw(f, q) for f in base.factors])
     n, d = q.numerator, q.denominator
     key = ("W", id(base), n, d)
     hit = _INTERN.get(key)

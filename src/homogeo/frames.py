@@ -26,15 +26,15 @@ from . import symmat
 from .chart import ChartError
 from .groups import (DegreeHom, GroupId, NotInNormalizerError,
                      defining_product_symbolic, hom_eval_symbolic_full,
-                     member_residual_symbolic, normalizer_p)
+                     member_symbolic, normalizer_p, scalar_mismatch)
 from .linebundle import FIBER, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import VectorField
-from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, is_zero,
-                       sample_points, zero_report)
+from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, all_zero,
+                       is_zero, sample_points)
 
 __all__ = ["Frame", "TransitionResult", "transition", "build_frame",
-           "degree_coset", "CosetReport", "frames_G_equivalent",
+           "degree_coset", "CosetReport", "require_coset", "frames_G_equivalent",
            "is_homogeneous_chart", "ChartHomReport", "NotHomogeneousError",
            "chart_frame"]
 
@@ -150,6 +150,12 @@ def _fold_rational(e: ex.Expr, constraints,
         f"constant {ex.to_dsl(e)} = {val} is not a small rational")
 
 
+def _varies_along(M, coords, constraints):
+    """((i, j, coord), dM[i][j]/dcoord) for every entry of M and coordinate."""
+    return (((i, j, coord), ex.diff(v, coord, constraints))
+            for i, row in enumerate(M) for j, v in enumerate(row) for coord in coords)
+
+
 def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> TransitionResult:
     """Solve S(h_r eps) A = Dh_r S(eps) for A(r, eps), decide whether A is
     point-independent, and if so extract the degree pair (B, C)."""
@@ -166,16 +172,13 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     cons = pol.constraints
     A_pt = symmat.simplify_mat(A_pt, cons)
 
-    for i in range(n):
-        for j in range(n):
-            for coord in scn.total.coords:
-                resid = ex.diff(A_pt[i][j], coord, cons)
-                rep = zero_report(resid, pol)
-                if not rep.is_zero:
-                    return TransitionResult(
-                        A_pt, False,
-                        failure=f"entry ({i},{j}) varies along {coord}: "
-                                f"d/d{coord} = {ex.to_dsl(resid)}")
+    ok, bad = all_zero(_varies_along(A_pt, scn.total.coords, cons), pol)
+    if not ok:
+        (i, j, coord), _ = bad
+        return TransitionResult(
+            A_pt, False,
+            failure=f"entry ({i},{j}) varies along {coord}: "
+                    f"d/d{coord} = {ex.to_dsl(ex.diff(A_pt[i][j], coord, cons))}")
 
     point = _sample_valid_point(scn, [symmat.det(S), detSr], policy)
     point_map = {k: ex.rat(v) for k, v in point.items()}
@@ -207,11 +210,8 @@ def homomorphism_law_holds(tr: TransitionResult,
     prod = symmat.mat_mul(A, As)
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),
                                    ex.Constraint("s", ">", 0)))
-    for i in range(len(A)):
-        for j in range(len(A)):
-            if not is_zero(ex.sub(Ars[i][j], prod[i][j]), pol):
-                return False
-    return True
+    return all_zero((((i, j), ex.sub(Ars[i][j], prod[i][j]))
+                     for i in range(len(A)) for j in range(len(A))), pol)[0]
 
 
 def build_frame(scn: LineBundleScenario, sigma0: Frame, section_value: ex.Expr,
@@ -254,29 +254,38 @@ def degree_coset(frame: Frame, G: GroupId,
     tr = transition(frame, policy)
     if not tr.homogeneous:
         raise NotHomogeneousError(tr.failure or "frame is not homogeneous")
-    A = tr.matrix_sym
-    n = len(A)
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-
     if G.family == "gl":
         return CosetReport(G, True, ex.ONE, Fraction(1), tr.hom)
-    P = defining_product_symbolic(G, A)
+    P = defining_product_symbolic(G, tr.matrix_sym)
 
     diag = ex.simplify(P[0][0], pol.constraints)
-    for i in range(n):
-        for j in range(n):
-            target = diag if i == j else ex.ZERO
-            if not is_zero(ex.sub(P[i][j], target), pol):
-                return CosetReport(
-                    G, False, None, None, tr.hom,
-                    failure=f"defining product entry ({i},{j}) is not "
-                            f"{'diagonal-constant' if i == j else 'zero'}")
+    bad = scalar_mismatch(P, diag, pol)
+    if bad is not None:
+        i, j = bad
+        return CosetReport(
+            G, False, None, None, tr.hom,
+            failure=f"defining product entry ({i},{j}) is not "
+                    f"{'diagonal-constant' if i == j else 'zero'}")
 
     try:
         neg1 = normalizer_p(G, tr.hom.C)
     except NotInNormalizerError as err:
         return CosetReport(G, False, None, None, tr.hom, failure=str(err))
     return CosetReport(G, True, diag, neg1, tr.hom)
+
+
+def require_coset(frame: Frame, G: GroupId, group: str, value: ex.Expr, value_neg1,
+                  name: str, policy: ZeroTestPolicy = DEFAULT_POLICY) -> None:
+    """Raise ValueError unless the frame's transition lies in N(G) with
+    quotient value `value` for r > 0 and `value_neg1` at r = -1."""
+    rep = degree_coset(frame, G, policy)
+    if not rep.in_normalizer:
+        raise ValueError(f"frame transition not in N({group}): {rep.failure}")
+    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
+    if not is_zero(ex.sub(rep.quotient_value, value), pol) or \
+            rep.quotient_value_neg1 != value_neg1:
+        raise ValueError(f"frame degree coset is not {name}")
 
 
 def frames_G_equivalent(f1: Frame, f2: Frame, G: GroupId,
@@ -289,14 +298,7 @@ def frames_G_equivalent(f1: Frame, f2: Frame, G: GroupId,
     S1, S2 = f1.matrix(), f2.matrix()
     g = symmat.mat_mul(symmat.inverse(S1), S2)
     g = symmat.simplify_mat(g, f1.scenario.total.constraints)
-    pol = policy.with_constraints(f1.scenario.total.constraints)
-    for v in member_residual_symbolic(G, g):
-        if not is_zero(v, pol):
-            return False
-    if G.family in ("glc", "gl"):
-        if is_zero(symmat.det(g), pol):
-            return False
-    return True
+    return member_symbolic(G, g, policy.with_constraints(f1.scenario.total.constraints))
 
 
 @dataclass(frozen=True)
@@ -338,21 +340,20 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     dh = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in hchi]
     A_pt = symmat.simplify_mat(symmat.mat_mul(dh, jinv), cons)
 
-    for i in range(n):
-        for j in range(n):
-            for coord in scn.total.coords:
-                if not is_zero(ex.diff(A_pt[i][j], coord, cons), pol):
-                    raise NotHomogeneousError(
-                        f"no affine relation: A entry ({i},{j}) varies along {coord}")
+    ok, bad = all_zero(_varies_along(A_pt, scn.total.coords, cons), pol)
+    if not ok:
+        (i, j, coord), _ = bad
+        raise NotHomogeneousError(
+            f"no affine relation: A entry ({i},{j}) varies along {coord}")
 
     b_pt = [ex.simplify(ex.sub(hchi[i],
                                ex.add(*[ex.mul(A_pt[i][j], chi[j]) for j in range(n)])),
                         cons) for i in range(n)]
-    for i in range(n):
-        for coord in scn.total.coords:
-            if not is_zero(ex.diff(b_pt[i], coord, cons), pol):
-                raise NotHomogeneousError(
-                    f"no affine relation: b entry {i} varies along {coord}")
+    ok, bad = all_zero(_varies_along([b_pt], scn.total.coords, cons), pol)
+    if not ok:
+        (_, i, coord), _ = bad
+        raise NotHomogeneousError(
+            f"no affine relation: b entry {i} varies along {coord}")
 
     point = _sample_valid_point(scn, [detj], policy)
     point_map = {k: ex.rat(v) for k, v in point.items()}
@@ -367,24 +368,26 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     Ars = [[ex.subs(v, {"r": ex.mul(r, s)}) for v in row] for row in A_sym]
     brs = [ex.subs(v, {"r": ex.mul(r, s)}) for v in b_sym]
     prod = symmat.mat_mul(A_sym, As)
-    for i in range(n):
-        for j in range(n):
-            if not is_zero(ex.sub(Ars[i][j], prod[i][j]), pol2):
-                raise NotHomogeneousError("affine data violates A(rs) = A(r)A(s)")
-        rhs = ex.add(ex.add(*[ex.mul(A_sym[i][j], bs[j]) for j in range(n)]), b_sym[i])
-        if not is_zero(ex.sub(brs[i], rhs), pol2):
-            raise NotHomogeneousError("affine data violates b(rs) = A(r)b(s) + b(r)")
+
+    def law_residuals():
+        for i in range(n):
+            for j in range(n):
+                yield "A(rs) = A(r)A(s)", ex.sub(Ars[i][j], prod[i][j])
+            rhs = ex.add(ex.add(*[ex.mul(A_sym[i][j], bs[j]) for j in range(n)]), b_sym[i])
+            yield "b(rs) = A(r)b(s) + b(r)", ex.sub(brs[i], rhs)
+
+    ok, bad = all_zero(law_residuals(), pol2)
+    if not ok:
+        raise NotHomogeneousError(f"affine data violates {bad[0]}")
 
     # agreement with the chart frame's transition on r > 0
     frame = chart_frame(scn, chi, jinv=jinv)
     tr = transition(frame, policy)
     if not tr.homogeneous:
         raise NotHomogeneousError("chart frame transition is not point-independent")
-    for i in range(n):
-        for j in range(n):
-            if not is_zero(ex.sub(tr.matrix_sym[i][j], A_sym[i][j]), pol):
-                raise NotHomogeneousError(
-                    "chart frame transition disagrees with the affine matrix")
+    if not all_zero((((i, j), ex.sub(tr.matrix_sym[i][j], A_sym[i][j]))
+                     for i in range(n) for j in range(n)), pol)[0]:
+        raise NotHomogeneousError("chart frame transition disagrees with the affine matrix")
 
     # reflection data (absent when h_{-1} leaves the chart domain)
     A_neg1 = b_neg1 = None

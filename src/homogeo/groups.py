@@ -22,18 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from . import expr as ex
 from . import ratmat as rm
 from . import symmat
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
            "defining_product_symbolic", "in_normalizer", "normalizer_p",
            "NotInNormalizerError", "splitting", "DegreeHom", "hom_eval",
            "hom_eval_symbolic", "hom_eval_symbolic_full", "coset_eq",
-           "member_residual_symbolic", "rand_element", "rand_lie_element",
+           "member_symbolic", "scalar_mismatch", "rand_element", "rand_lie_element",
            "centralizer_basis", "contact_lift", "trivial_hom", "sqrt_abs_lift"]
 
 
@@ -342,23 +342,23 @@ def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
     return symmat.mat_mul(exp_part, csplit)
 
 
-def member_residual_symbolic(G: GroupId, M: List[List[ex.Expr]]):
-    """Entries that must vanish for M(r) to lie in G, plus invertibility
-    requirement for GLC/GL (checked separately)."""
-    n = len(M)
-    if G.family == "sp":
-        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
-        res = symmat.mat_sub(symmat.mat_mul(symmat.mat_mul(symmat.transpose(M), J), M), J)
-        return [v for row in res for v in row]
-    if G.family == "glc":
-        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
-        res = symmat.mat_sub(symmat.mat_mul(M, J), symmat.mat_mul(J, M))
-        return [v for row in res for v in row]
+def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
+                    policy: ZeroTestPolicy) -> bool:
+    """M, a matrix of expressions, lies in G at the zero test's sample
+    points: the defining residuals vanish and, for GL_k(C) and GL, det M
+    does not."""
+    res = []
     if G.family == "o":
-        res = symmat.mat_sub(symmat.mat_mul(symmat.transpose(M), M),
-                             symmat.identity(n))
-        return [v for row in res for v in row]
-    return []
+        res = symmat.mat_sub(symmat.mat_mul(symmat.transpose(M), M), symmat.identity(len(M)))
+    elif G.family != "gl":
+        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
+        res = (symmat.mat_sub(symmat.mat_mul(symmat.mat_mul(symmat.transpose(M), J), M), J)
+               if G.family == "sp" else
+               symmat.mat_sub(symmat.mat_mul(M, J), symmat.mat_mul(J, M)))
+    if not all_zero((((i, j), v) for i, row in enumerate(res) for j, v in enumerate(row)),
+                    policy)[0]:
+        return False
+    return G.family in ("sp", "o") or not is_zero(symmat.det(M), policy)
 
 
 def defining_product_symbolic(G: GroupId, M: List[List[ex.Expr]]
@@ -381,19 +381,13 @@ def defining_product_symbolic(G: GroupId, M: List[List[ex.Expr]]
     raise ValueError("GL is its own normalizer; no defining product")
 
 
-def _symbolic_in_normalizer(G: GroupId, M, policy: ZeroTestPolicy) -> bool:
-    """Defining product of M(r) must be a scalar matrix for symbolic r > 0."""
-    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    if G.family == "gl":
-        return not is_zero(symmat.det(M), pol)
-    P = defining_product_symbolic(G, M)
-    n = len(M)
-    for i in range(n):
-        for j in range(n):
-            target = P[0][0] if i == j else ex.ZERO
-            if not is_zero(ex.sub(P[i][j], target), pol):
-                return False
-    return True
+def scalar_mismatch(P: List[List[ex.Expr]], c: ex.Expr,
+                    policy: ZeroTestPolicy) -> Optional[Tuple[int, int]]:
+    """The first entry (i, j) at which P differs from c I, or None."""
+    n = len(P)
+    ok, bad = all_zero((((i, j), ex.sub(P[i][j], c if i == j else ex.ZERO))
+                        for i in range(n) for j in range(n)), policy)
+    return None if ok else bad[0]
 
 
 def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
@@ -405,6 +399,7 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
     symbolically through the defining product."""
     if A1.size != A2.size or A1.size != G.size:
         raise ValueError("size mismatch")
+    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
     for A in (A1, A2):
         for q in (Fraction(2), Fraction(-1), Fraction(1, 3)):
             try:
@@ -414,21 +409,22 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
             if not in_normalizer(G, M):
                 raise NotInNormalizerError(
                     f"hom value at r={q} is not in N({G})")
-        if not _symbolic_in_normalizer(G, hom_eval_symbolic(A), policy):
+        # the defining product of A(r) must be a scalar matrix
+        M = hom_eval_symbolic(A)
+        if G.family == "gl":
+            normal = not is_zero(symmat.det(M), pol)
+        else:
+            P = defining_product_symbolic(G, M)
+            normal = scalar_mismatch(P, P[0][0], pol) is None
+        if not normal:
             raise NotInNormalizerError(
                 f"hom does not take values in N({G}) for symbolic r > 0")
     # A2(r)^{-1} = A2(1/r) since A2 is a homomorphism
     M1 = hom_eval_symbolic(A1)
     M2inv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
              for row in hom_eval_symbolic(A2)]
-    M = symmat.mat_mul(M1, M2inv)
-    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    for v in member_residual_symbolic(G, M):
-        if not is_zero(v, pol):
-            return False
-    if G.family in ("glc", "gl"):
-        if is_zero(symmat.det(M), pol):
-            return False
+    if not member_symbolic(G, symmat.mat_mul(M1, M2inv), pol):
+        return False
     # reflection: exact rational check at r = -1
     C = rm.rmul(hom_eval(A1, -1), rm.rinv(hom_eval(A2, -1)))
     return member(G, C)

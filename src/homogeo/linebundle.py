@@ -13,6 +13,7 @@ abs/sign resolved on the branch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -177,19 +178,13 @@ class LineBundleScenario:
     def descend_derivation(self, V: VectorField,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
         """Inverse of promote_derivation: (base field, zero-order part)."""
-        pol = self.policy_for(policy)
-        base_comps = []
-        for c in V.comps[:-1]:
-            rep = zero_report(ex.diff(c, FIBER, self.total.constraints), pol)
-            if not rep.is_zero:
-                raise DegreeError("field is not a promoted derivation")
-            base_comps.append(ex.subs(c, {FIBER: ex.ONE}))
-        f = ex.simplify(ex.div(V.comps[-1], self.mu), self.total.constraints)
-        rep = zero_report(ex.diff(f, FIBER, self.total.constraints), pol)
-        if not rep.is_zero:
+        cons = self.total.constraints
+        comps = V.comps[:-1] + (ex.simplify(ex.div(V.comps[-1], self.mu), cons),)
+        if not all_zero(((i, ex.diff(c, FIBER, cons)) for i, c in enumerate(comps)),
+                        self.policy_for(policy))[0]:
             raise DegreeError("field is not a promoted derivation")
-        return (VectorField(self.base, tuple(base_comps)),
-                ex.subs(f, {FIBER: ex.ONE}))
+        *base_comps, f = (ex.subs(c, {FIBER: ex.ONE}) for c in comps)
+        return VectorField(self.base, tuple(base_comps)), f
 
     def promote_atiyah_form(self, beta: KForm, gamma: KForm,
                             degree: ScalarDegree = DEG1) -> "AtiyahObject":
@@ -211,7 +206,7 @@ class LineBundleScenario:
         """Descend a homogeneous form with zero fiber contraction to the base."""
         pol = self.policy_for(policy)
         contracted = interior(self.euler(), w)
-        ok, bad = all_zero(dict(contracted.coeffs), pol)
+        ok, bad = all_zero(contracted.coeffs.items(), pol)
         if not ok:
             key, rep = bad
             raise NotBasicError(
@@ -251,35 +246,21 @@ class LineBundleScenario:
                 for k in sorted(keys):
                     yield (f"coefficient {k}",
                            ex.sub(lhs.coeff(k), ex.mul(factor, obj.coeff(k))))
-            elif isinstance(obj, SymTensor2):
-                lhs = pullback_sym(mp, obj)
+            elif isinstance(obj, (SymTensor2, Endo11)):
+                sym = isinstance(obj, SymTensor2)
+                lhs = (pullback_sym if sym else pullback_endo)(mp, obj)
                 for i in range(obj.chart.dim):
-                    for j in range(i, obj.chart.dim):
-                        yield (f"entry ({i},{j})",
-                               ex.sub(lhs.mat[i][j], ex.mul(factor, obj.mat[i][j])))
-            elif isinstance(obj, Endo11):
-                lhs = pullback_endo(mp, obj)
-                for i in range(obj.chart.dim):
-                    for j in range(obj.chart.dim):
+                    for j in range(i if sym else 0, obj.chart.dim):
                         yield (f"entry ({i},{j})",
                                ex.sub(lhs.mat[i][j], ex.mul(factor, obj.mat[i][j])))
             else:
                 raise TypeError(f"unsupported object {type(obj).__name__}")
 
-        pos_factor = degree.factor_pos(param)
-        neg_factor = degree.factor_neg1()
-        if isinstance(obj, (VectorField,)):
-            # pushforward convention: (h_r)_* X = phi(r) X
-            pass
-        for where, res in residuals(hr, pos_factor):
-            rep = zero_report(res, pol)
-            if not rep.is_zero:
-                return False, (f"r>0 branch, {where}", rep)
-        for where, res in residuals(href, neg_factor):
-            rep = zero_report(res, pol)
-            if not rep.is_zero:
-                return False, (f"r=-1 reflection, {where}", rep)
-        return True, None
+        return all_zero(itertools.chain(
+            ((f"r>0 branch, {where}", res)
+             for where, res in residuals(hr, degree.factor_pos(param))),
+            ((f"r=-1 reflection, {where}", res)
+             for where, res in residuals(href, degree.factor_neg1()))), pol)
 
     def is_homogeneous(self, obj: GeomObject, degree: ScalarDegree,
                        policy: ZeroTestPolicy = DEFAULT_POLICY) -> bool:

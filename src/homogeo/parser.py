@@ -21,7 +21,9 @@ Grammar (EBNF, also documented in the README):
     a ParseError, since substituting a rational point into x^1000003 takes
     minutes of exact arithmetic.  The cap holds for the literal and for the
     exponent the constructors fold: (x^10000)^10000 is x^100000000 and
-    x^6000*x^6000 is x^12000, and both are ParseErrors.
+    x^6000*x^6000 is x^12000, and both are ParseErrors.  So is a constant
+    power, written or folded, of more than MAX_CONSTANT_BITS = 2^20 bits:
+    (10^10000)^10000 and ((3*x)^10000)^10000, refused before computing it.
 
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
@@ -37,13 +39,14 @@ from typing import Optional, Sequence
 from . import expr as ex
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS",
-           "MAX_DEPTH", "MAX_EXPONENT"]
+           "MAX_DEPTH", "MAX_EXPONENT", "MAX_CONSTANT_BITS"]
 
 FUNCTIONS = {"exp": ex.exp_, "log": ex.log_, "sqrt": ex.sqrt_,
              "abs": ex.abs_, "sign": ex.sign_, "sin": ex.sin_, "cos": ex.cos_}
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 10 ** 4
+MAX_CONSTANT_BITS = ex.MAX_CONSTANT_BITS   # enforced by ex.pw
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -224,7 +227,10 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
             return p_nested(pos)
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
-    out = p_expr()
+    try:
+        out = p_expr()
+    except ex.ConstantTooLargeError as err:
+        raise ParseError(str(err), 0) from None
     kind, val, pos = lx.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)

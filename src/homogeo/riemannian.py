@@ -23,14 +23,13 @@ from . import expr as ex
 from . import numtape
 from . import symmat
 from .chart import Chart, ChartError, SmoothMap
-from .frames import Frame, degree_coset
+from .frames import Frame, require_coset
 from .groups import O as O_GROUP
 from .linebundle import DEG_ABS, FIBER, LineBundleScenario
 from .metric import (DegeneracyError, christoffel, covariant_derivative_oneform,
                      covariant_derivative_twoform, metric_inverse, riemann)
 from .tensors import KForm, SymTensor2, VectorField, d, one_form, pullback_sym
-from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, is_zero, sample_points,
-                       zero_report)
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_points
 
 __all__ = ["MetricTriple", "AlgebroidMetric", "AlgebroidConnection",
            "triple_to_G", "koszul_connection", "curvature_RD",
@@ -350,14 +349,13 @@ def verify_rd_formulas(triple: MetricTriple,
         return ex.mul(quarter, t["D"][e - 1][i][j][k])
 
     n1 = n + 1
-    for a in range(n1):
-        for b in range(n1):
-            for cc in range(n1):
-                for e in range(n1):
-                    resid = ex.sub(RD[e][cc][a][b], expected(e, cc, a, b))
-                    if not is_zero(resid, pol):
-                        return RdFormulaReport(False, (e, cc, a, b), resid)
-    return RdFormulaReport(True)
+    ok, bad = all_zero((((e, cc, a, b), ex.sub(RD[e][cc][a][b], expected(e, cc, a, b)))
+                        for a in range(n1) for b in range(n1)
+                        for cc in range(n1) for e in range(n1)), pol)
+    if ok:
+        return RdFormulaReport(True)
+    e, cc, a, b = bad[0]
+    return RdFormulaReport(False, bad[0], ex.sub(RD[e][cc][a][b], expected(e, cc, a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +449,7 @@ def frame_to_gtilde(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
     scn = frame.scenario
     n1 = scn.total.dim
     if check_degree:
-        rep = degree_coset(frame, O_GROUP(n1), policy)
-        if not rep.in_normalizer:
-            raise ValueError(f"frame transition not in N(O): {rep.failure}")
-        pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-        if not is_zero(ex.sub(rep.quotient_value, ex.var("r")), pol) or \
-                rep.quotient_value_neg1 != Fraction(1):
-            raise ValueError("frame degree coset is not |r|^(1/2)")
+        require_coset(frame, O_GROUP(n1), "O", ex.var("r"), Fraction(1), "|r|^(1/2)", policy)
     S = frame.matrix()
     gram = symmat.mat_mul(S, symmat.transpose(S))
     T = symmat.simplify_mat(symmat.inverse(gram), scn.total.constraints)
@@ -571,45 +563,31 @@ def sphere_flat_chart(n: int, policy: ZeroTestPolicy = DEFAULT_POLICY
     R = ex.mul(ex.rat(2), ex.pw(ex.abs_(scn.mu), Fraction(1, 2)))
     chi = tuple(ex.mul(R, y) for y in sphere_embedding(n, scn.base))
 
-    failure = None
     Rm = riemann(gt, policy.with_constraints(cons))
-    flat = True
     n1 = scn.total.dim
-    for e in range(n1):
-        for k in range(n1):
-            for i in range(n1):
-                for j in range(n1):
-                    if not is_zero(Rm[e][k][i][j], pol):
-                        flat = False
-                        failure = f"curvature entry {(e, k, i, j)} is nonzero"
-                        break
+    idx = range(n1)
+    coords = scn.total.coords
+    flat, bad_flat = all_zero(
+        ((f"curvature entry {(e, k, i, j)} is nonzero", Rm[e][k][i][j])
+         for e in idx for k in idx for i in idx for j in idx), pol)
+    reproduces, bad_chart = all_zero(
+        ((f"sum of chart differentials misses entry {(i, j)}",
+          ex.sub(ex.add(*[ex.mul(ex.diff(c, coords[i], cons), ex.diff(c, coords[j], cons))
+                          for c in chi]), gt.mat[i][j]))
+         for i in idx for j in range(i, n1)), pol)
 
-    reproduces = True
-    for i in range(n1):
-        for j in range(i, n1):
-            acc = [ex.mul(ex.diff(c, scn.total.coords[i], cons),
-                          ex.diff(c, scn.total.coords[j], cons)) for c in chi]
-            resid = ex.sub(ex.add(*acc), gt.mat[i][j])
-            if not is_zero(resid, pol):
-                reproduces = False
-                failure = f"sum of chart differentials misses entry {(i, j)}"
-                break
+    def homogeneity_residuals():
+        r = ex.var("r")
+        for c in chi:
+            yield ("chi is not homogeneous of degree r^(1/2) on r > 0",
+                   ex.sub(ex.subs(c, {FIBER: ex.mul(r, scn.mu)}),
+                          ex.mul(ex.pw(r, Fraction(1, 2)), c)))
+            yield ("chi is not even under the reflection",
+                   ex.sub(ex.subs(c, {FIBER: ex.neg(scn.mu)}), c))
 
-    homogeneous = True
-    r = ex.var("r")
-    for c in chi:
-        lhs = ex.subs(c, {FIBER: ex.mul(r, scn.mu)})
-        resid = ex.sub(lhs, ex.mul(ex.pw(r, Fraction(1, 2)), c))
-        if not is_zero(resid, pol):
-            homogeneous = False
-            failure = "chi is not homogeneous of degree r^(1/2) on r > 0"
-            break
-        refl = ex.subs(c, {FIBER: ex.neg(scn.mu)})
-        if not is_zero(ex.sub(refl, c), pol):
-            homogeneous = False
-            failure = "chi is not even under the reflection"
-            break
-
+    homogeneous, bad_hom = all_zero(homogeneity_residuals(), pol)
+    # the last failing check names the failure
+    failure = next((bad[0] for bad in (bad_hom, bad_chart, bad_flat) if bad), None)
     return SphereChartReport(scn, gt, chi, flat, reproduces, homogeneous, failure)
 
 
@@ -624,6 +602,17 @@ class FlatnessReport:
     witness: Optional[dict] = None
 
 
+def _entries_last_first(arr, idx=()):
+    """(index, entry) for every entry of a nested array of expressions, in
+    descending index order: the order in which the reports' witnesses were
+    found."""
+    if isinstance(arr, ex.Expr):
+        yield idx, arr
+    else:
+        for i in reversed(range(len(arr))):
+            yield from _entries_last_first(arr[i], idx + (i,))
+
+
 def flatness_report(triple: MetricTriple,
                     policy: ZeroTestPolicy = DEFAULT_POLICY,
                     tensors: Optional[dict] = None,
@@ -636,27 +625,18 @@ def flatness_report(triple: MetricTriple,
     t = tensors_ABCD(triple, policy) if tensors is None else tensors
     n = scn.base.dim
 
-    def all_zero_arr(arr) -> Tuple[bool, Optional[dict]]:
-        stack = [((), arr)]
-        while stack:
-            idx, node = stack.pop()
-            if isinstance(node, ex.Expr):
-                rep = zero_report(node, pol)
-                if not rep.is_zero:
-                    return False, {"index": idx, "point": rep.witness,
-                                   "value": str(rep.witness_value)}
-            else:
-                for i, sub in enumerate(node):
-                    stack.append((idx + (i,), sub))
-        return True, None
+    def vanishes(arr) -> Tuple[bool, Optional[dict]]:
+        ok, bad = all_zero(_entries_last_first(arr), pol)
+        return ok, bad and {"index": bad[0], "point": bad[1].witness,
+                            "value": str(bad[1].witness_value)}
 
-    a0, wa = all_zero_arr(t["A"])
-    b0, wb = all_zero_arr(t["B"])
-    c0, wc = all_zero_arr(t["C"])
-    d0, wd = all_zero_arr(t["D"])
+    a0, wa = vanishes(t["A"])
+    b0, wb = vanishes(t["B"])
+    c0, wc = vanishes(t["C"])
+    d0, wd = vanishes(t["D"])
     if RD is None:
         RD = curvature_RD(koszul_connection(triple_to_G(triple), policy))
-    rd0, wr = all_zero_arr(RD)
+    rd0, wr = vanishes(RD)
     witness = wa or wb or wc or wd or wr
     return FlatnessReport(a0, b0, c0, d0, rd0,
                           equivalence_consistent=((a0 and b0 and d0) == rd0),

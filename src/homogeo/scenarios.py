@@ -23,7 +23,7 @@ from .chart import ChartError
 from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from .parser import ParseError
 from .tensors import KForm, SymTensor2, VectorField
-from .zerotest import ConfigError, ZeroTestPolicy, is_zero
+from .zerotest import ConfigError, ZeroTestPolicy, all_zero
 
 __all__ = ["SchemaError", "load_scenario", "run_scenario", "Scenario",
            "render_text", "KINDS"]
@@ -237,9 +237,9 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     try:
         back = ct.omega_to_pair(scn, omega, policy)
         pol = policy.with_constraints(scn.base.constraints)
-        rt = all(is_zero(ex.sub(got.coeff(k), want.coeff(k)), pol)
-                 for got, want in ((back.theta, theta), (back.upsilon, upsilon))
-                 for k in set(got.coeffs) | set(want.coeffs))
+        rt, _ = all_zero(((k, ex.sub(got.coeff(k), want.coeff(k)))
+                          for got, want in ((back.theta, theta), (back.upsilon, upsilon))
+                          for k in set(got.coeffs) | set(want.coeffs)), pol)
         checks.append(_check("roundtrip", rt,
                              "descend(promote) recovers (theta, upsilon)"))
     except Exception as err:

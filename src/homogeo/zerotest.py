@@ -11,6 +11,11 @@ with an exact Fraction witness); everything else is compared against
 across runs and independent of evaluation order.  The fingerprint is the
 printed DSL text of the simplified expression plus the constraints.
 
+`all_zero` is the one sweep for a family of residuals: it tests
+(key, expression) pairs in order and stops at the first nonzero one
+without advancing its iterable further, so the checks hand it generators
+and build no residual past a failure.
+
 Candidate points are drawn from that RNG in order and evaluated in
 floating point one batch at a time, each batch being the points still
 missing.  A point with a non-finite value is redrawn, with at most
@@ -79,9 +84,6 @@ class ZeroTestPolicy:
     def with_constraints(self, extra: Iterable[ex.Constraint]) -> "ZeroTestPolicy":
         merged = self.constraints + tuple(c for c in extra if c not in self.constraints)
         return replace(self, constraints=merged)
-
-    def with_seed(self, seed: int) -> "ZeroTestPolicy":
-        return replace(self, seed=seed)
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
@@ -268,9 +270,13 @@ def is_zero(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> bool:
     return zero_report(e, policy).is_zero
 
 
-def all_zero(exprs, policy: ZeroTestPolicy = DEFAULT_POLICY):
-    """Test a collection of expressions; returns (ok, first_bad_report)."""
-    for key, e in (exprs.items() if isinstance(exprs, dict) else enumerate(exprs)):
+def all_zero(pairs: Iterable[Tuple[object, ex.Expr]],
+             policy: ZeroTestPolicy = DEFAULT_POLICY):
+    """Zero-test each (key, expression) pair in order and stop at the first
+    nonzero one: (True, None), or (False, (key, report)) for that pair.
+    `pairs` is never advanced past it, so a generator builds no residual
+    after a failure."""
+    for key, e in pairs:
         rep = zero_report(e, policy)
         if not rep.is_zero:
             return False, (key, rep)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from homogeo import zerotest
 from homogeo.cli import main
 from homogeo.scenarios import SchemaError, load_scenario, run_scenario
 
@@ -98,11 +99,17 @@ def test_run_nesting_limit(tmp_path):
      "objects.frame[0][0]: folded exponent 100000000 exceeds 10000"),
     ([["1", "0"], ["0", "mu^6000*mu^6000"]],
      "objects.frame[1][1]: folded exponent 12000 exceeds 10000"),
-], ids=["huge-exponent", "constant-beyond-float-range", "nested-power", "product-power"])
+    ([["(10^10000)^10000", "0"], ["0", "mu"]],
+     "objects.frame[0][0]: constant power exceeds 1048576 bits"),
+    ([["1", "0"], ["0", "((3*mu)^10000)^10000"]],
+     "objects.frame[1][1]: constant power exceeds 1048576 bits"),
+], ids=["huge-exponent", "constant-beyond-float-range", "nested-power", "product-power",
+        "constant-power", "coefficient-power"])
 def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
     # the huge exponent, literal or folded from nested powers, once ran for
     # minutes in exact powers of the sampled point; the constant beyond the
-    # float range ended in OverflowError
+    # float range ended in OverflowError; a constant raised to a folded
+    # power hung inside the parser
     with open(os.path.join(SCENARIOS, "frame_euler.json")) as fh:
         scenario = json.load(fh)
     scenario["objects"]["frame"] = frame
@@ -328,6 +335,25 @@ _SUITE_SHA256 = {
     7: "855241b8cd04e09039d68735015d8718cefe354a4696410ab757e23bdc208c69",
     42: "71785b1b173431b735a2ddb6fc1bf478db3e2782a2b9b9c93bdea25df57655e0",
 }
+
+
+def test_bundled_suite_queries_pinned(monkeypatch, capsys):
+    """The sampled zero-test queries of `homogeo suite scenarios --seed 0`,
+    in order, pinned by the count and sha256 of their fingerprints: a check
+    that tests more, fewer or reordered queries moves them."""
+    seen = []
+    fingerprint = zerotest._fingerprint
+
+    def record(e, policy):
+        seen.append(fingerprint(e, policy))
+        return seen[-1]
+
+    monkeypatch.setattr(zerotest, "_fingerprint", record)
+    code, _, _ = run_cli(["suite", SCENARIOS, "--seed", "0"], capsys)
+    assert code == 0
+    assert len(seen) == 61
+    assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
+        "88abd8dcf20176422ff100067505d32c8475f467fe7e79bfe8a610b632966919"
 
 
 def test_suite_verdicts_independent_of_seed(capsys):

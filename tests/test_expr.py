@@ -13,8 +13,8 @@ from homogeo import expr as ex
 from homogeo import numtape
 from homogeo import zerotest as zt
 from homogeo.chart import Chart
-from homogeo.parser import (MAX_DEPTH, MAX_EXPONENT, ParseError, UnknownIdentifierError,
-                            parse)
+from homogeo.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT, ParseError,
+                            UnknownIdentifierError, parse)
 from homogeo.zerotest import ConfigError, ZeroTestPolicy, is_zero, zero_report
 
 from conftest import (FUNCTION_DSL, ORACLE_POINT, RATIONAL_DSL, RATIONAL_TERMS,
@@ -116,6 +116,17 @@ def test_parse_folded_exponent_limit():
     assert parse("(x^100)^100", names=["x"]) is ex.pw(x, MAX_EXPONENT)
     assert parse("x^6000*x^6000/x^6000", names=["x"]) is ex.pw(x, 6000)
     assert parse("(x^(-5000))^2", names=["x"]) is ex.pw(x, -MAX_EXPONENT)
+    # a constant raised to a folded power is refused before it is computed;
+    # the first two once ran past a 10 s timeout, the next two for seconds
+    for text in ("(10^10000)^10000", "((3*x)^10000)^10000", "(10^400)^10000",
+                 "(3^10000)^1000", "1/(2^10000)^(-105)", "x*(2^10000)^105"):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text, names=["x"])
+        assert f"exceeds {MAX_CONSTANT_BITS} bits" in str(err.value), text
+        assert time.perf_counter() - t0 < 1, text
+    # within the budget
+    assert parse("(2^10000)^104", names=[]) is ex.rat(2 ** 1040000)
 
 
 def test_rational_roots_exact_at_any_size():
@@ -323,6 +334,32 @@ def test_batched_sampling_matches_one_point_at_a_time():
 def test_sampling_nowhere_finite_raises():
     with pytest.raises(ConfigError):
         zero_report(parse("log(-1 - x^2)", names=["x"]))
+
+
+def test_all_zero_stops_at_first_nonzero_pair(monkeypatch):
+    # (key, expression) pairs are tested in order; the sweep returns the
+    # first nonzero pair's key and report and leaves the rest untouched
+    x = ex.var("x")
+    tested = []
+    real = zt.zero_report
+
+    def spy(e, policy=zt.DEFAULT_POLICY):
+        tested.append(e)
+        return real(e, policy)
+
+    monkeypatch.setattr(zt, "zero_report", spy)
+    pairs = iter([("a", ex.sub(x, x)), ("b", ex.sub(ex.pw(x, 2), ex.mul(x, x))),
+                  ("c", ex.sub(x, 1)), ("d", x)])
+    ok, (key, rep) = zt.all_zero(pairs)
+    assert not ok and key == "c"
+    assert not rep.is_zero and rep.exact and rep.witness_value == rep.witness["x"] - 1
+    assert tested == [ex.ZERO, ex.ZERO, ex.sub(x, 1)]
+    assert next(pairs) == ("d", x)
+    # a list of pairs is one such iterable, never read as enumerate()
+    ok, (key, _) = zt.all_zero([((0, 1), ex.ZERO), ((1, 0), x)])
+    assert not ok and key == (1, 0)
+    assert zt.all_zero([("p", ex.ZERO), ("q", ex.sub(x, x))]) == (True, None)
+    assert zt.all_zero(iter(())) == (True, None)
 
 
 def test_exact_confirmation_once_per_point(monkeypatch):
