@@ -39,23 +39,17 @@ class Chart:
             raise ChartError(f"{name!r} is not a coordinate of chart {self.name!r}")
         return ex.var(name)
 
-    def vars(self):
-        return tuple(ex.var(c) for c in self.coords)
-
     def index(self, name: str) -> int:
         return self.coords.index(name)
 
     def parse(self, text: str) -> ex.Expr:
         return parser.parse(text, chart=self)
 
-    def owns(self, e: ex.Expr) -> bool:
-        return e.free <= (set(self.coords) | {"r", "s"})
-
     def check_owns(self, e: ex.Expr):
-        if not self.owns(e):
-            stray = sorted(e.free - set(self.coords) - {"r", "s"})
+        stray = e.free - set(self.coords) - {"r", "s"}
+        if stray:
             raise ChartError(
-                f"expression uses {stray} which are not coordinates of {self.name!r}")
+                f"expression uses {sorted(stray)} which are not coordinates of {self.name!r}")
 
 
 @dataclass(frozen=True)

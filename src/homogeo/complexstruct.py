@@ -56,15 +56,13 @@ class AlmostComplex:
         return None
 
 
-def frame_to_j(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
-               check_degree: bool = True) -> AlmostComplex:
+def frame_to_j(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> AlmostComplex:
     scn = frame.scenario
     n1 = scn.total.dim
     if n1 % 2:
         raise ChartError("total dimension must be even")
     k = n1 // 2
-    if check_degree:
-        require_coset(frame, GLC(k), "GL_k(C)", ex.ONE, 0, "trivial", policy)
+    require_coset(frame, GLC(k), "GL_k(C)", ex.ONE, 0, "trivial", policy)
     S = frame.matrix()
     K = [[ex.ZERO] * n1 for _ in range(n1)]
     for i in range(k):

@@ -150,9 +150,7 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
 
     nondeg_on_H = not is_zero(symmat.det(gram), pol) if m else True
 
-    omega = pair_to_omega(pair)
-    W = _form_matrix(omega)
-    omega_nondeg = not is_zero(symmat.det(W),
+    omega_nondeg = not is_zero(symmat.det(pair_to_omega(pair).rows()),
                                policy.with_constraints(scn.total.constraints))
 
     return PairReport(
@@ -164,16 +162,6 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
         curvature_routes_agree=routes_agree,
         gram=gram,
     )
-
-
-def _form_matrix(omega: KForm) -> List[List[ex.Expr]]:
-    """Full antisymmetric coefficient matrix of a 2-form."""
-    n = omega.chart.dim
-    W = [[ex.ZERO] * n for _ in range(n)]
-    for (i, j), c in omega.coeffs.items():
-        W[i][j] = c
-        W[j][i] = ex.neg(c)
-    return W
 
 
 def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
@@ -248,17 +236,16 @@ def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
 def frame_to_omega(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
                    quotient: str = "identity") -> KForm:
     """Sum of coframe wedges xi^i ^ eta_i for a frame whose degree coset in
-    N(Sp_k)/Sp_k is the identity map (contact case) or trivial
-    (cosymplectic case); pass quotient='any' to skip the degree check."""
+    N(Sp_k)/Sp_k is the identity map (quotient='identity', the contact
+    case) or trivial (quotient='trivial', the cosymplectic case)."""
     scn = frame.scenario
     n1 = scn.total.dim
     if n1 % 2:
         raise ChartError("total dimension must be even")
     k = n1 // 2
-    if quotient != "any":
-        identity = quotient == "identity"
-        require_coset(frame, SP(k), "Sp", ex.var("r") if identity else ex.ONE,
-                      Fraction(-1 if identity else 1), f"the {quotient} map", policy)
+    identity = quotient == "identity"
+    require_coset(frame, SP(k), "Sp", ex.var("r") if identity else ex.ONE,
+                  Fraction(-1 if identity else 1), f"the {quotient} map", policy)
     co = symmat.simplify_mat(symmat.inverse(frame.matrix()), scn.total.constraints)
     out = zero_form(scn.total, 2)
     for i in range(k):
@@ -401,11 +388,11 @@ def _verify_symplectic_chart(scn: LineBundleScenario, chi, omega: KForm, affine_
         return False, f"chart verification failed: {err}"
     frame = rep.frame.components
     n1 = len(frame)
-    J = std_J(n1 // 2)
+    J = symmat.mat(std_J(n1 // 2))
     ok, bad = all_zero(itertools.chain(
         affine_residuals(rep),
         ((f"coordinate frame is not symplectic at ({a},{b})",
-          ex.sub(omega(frame[a], frame[b]), ex.rat(J[a][b])))
+          ex.sub(omega(frame[a], frame[b]), J[a][b]))
          for a in range(n1) for b in range(n1))), scn.policy_for(policy))
     return (True, verified) if ok else (False, bad[0])
 

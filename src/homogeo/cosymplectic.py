@@ -22,7 +22,7 @@ from . import expr as ex
 from . import ratmat as rm
 from . import symmat
 from .chart import ChartError
-from .contact import _form_matrix, _verify_symplectic_chart
+from .contact import _verify_symplectic_chart
 from .linebundle import LineBundleScenario
 from .tensors import KForm, d, one_form, wedge
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
@@ -85,7 +85,7 @@ def check_cosymplectic(pair: CosymplecticPair, k: int,
     deta_zero, _ = all_zero(deta.coeffs.items(), pol_b)
 
     omega = pair_to_omega0(pair)
-    omega_nondeg = not is_zero(symmat.det(_form_matrix(omega)), pol_t)
+    omega_nondeg = not is_zero(symmat.det(omega.rows()), pol_t)
     domega = d(omega)
     omega_closed, _ = all_zero(domega.coeffs.items(), pol_t)
 

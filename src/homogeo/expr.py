@@ -21,11 +21,15 @@ again, is not kept.
 The intern keys hold a coefficient or exponent as its numerator and
 denominator ints, not as a Fraction, which keeps hashing them cheap.
 
-The walkers are recursive.  Under Python's default recursion limit of
-1000, `to_dsl` (and so every sampled zero test) handled 498 nested
-function heads or 284 nested alternating sums and products, and
-`simplify`, `diff` and `subs` about twice as deep (Python 3.11.7); deeper
-expressions built in code raise RecursionError.
+The walkers are `subs`, `diff`, `simplify`, the printer, `_sign_class`
+(the sign under domain constraints, for `sign_of`) and `_syntactic_sign`
+(positivity and nonnegativity read off the syntax alone, one walk for
+both, which `abs_`, `sign_` and `pw` consult).  They are recursive.
+Under Python's default recursion limit of 1000, `to_dsl` (and so every
+sampled zero test) handled 498 nested function heads or 284 nested
+alternating sums and products, and `simplify`, `diff` and `subs` about
+twice as deep (Python 3.11.7); deeper expressions built in code raise
+RecursionError.
 """
 
 from __future__ import annotations
@@ -456,7 +460,7 @@ def pw(base, q: Rational) -> Expr:
             if root is not None:
                 return rat(_qpow(root, q.numerator))
     if isinstance(base, Pow):
-        if q.denominator == 1 or _syntactic_pos(base.base):
+        if q.denominator == 1 or _syntactic_sign(base.base)[0]:
             return pw(base.base, base.exponent * q)
     if isinstance(base, Prod) and q.denominator == 1:
         return mul(rat(_qpow(base.coeff, q.numerator)), *[pw(f, q) for f in base.factors])
@@ -519,7 +523,7 @@ def abs_(x) -> Expr:
     x = _coerce(x)
     if isinstance(x, Rat):
         return rat(abs(x.value))
-    if _syntactic_nonneg(x):
+    if _syntactic_sign(x)[1]:
         return x
     n = _negated(x)
     if n is not None:
@@ -535,7 +539,7 @@ def sign_(x) -> Expr:
         if x.value == 0:
             raise DomainError("sign(0) is undefined")
         return rat(1 if x.value > 0 else -1)
-    if _syntactic_pos(x):
+    if _syntactic_sign(x)[0]:
         return ONE
     n = _negated(x)
     if n is not None:
@@ -569,34 +573,29 @@ _FUN_MAKERS = {"exp": exp_, "log": log_, "abs": abs_, "sign": sign_, "sin": sin_
 # ---------------------------------------------------------------------------
 # syntactic sign information (no constraints involved)
 
-def _syntactic_pos(x: Expr) -> bool:
+def _syntactic_sign(x: Expr) -> tuple:
+    """(positive, nonnegative) as far as the syntax alone shows: constants,
+    exp, abs, even integer powers, and sums and products of such terms.
+    Positive implies nonnegative, so a term that is not nonnegative ends
+    the scan of a sum or product."""
     if isinstance(x, Rat):
-        return x.value > 0
+        return x.value > 0, x.value >= 0
     if isinstance(x, Fun):
-        return x.name == "exp"
+        return x.name == "exp", x.name in ("exp", "abs")
     if isinstance(x, Pow):
-        return _syntactic_pos(x.base)
-    if isinstance(x, Prod):
-        return x.coeff > 0 and all(_syntactic_pos(f) for f in x.factors)
-    if isinstance(x, Sum):
-        return x.const > 0 and all(_syntactic_pos(t) for t in x.terms)
-    return False
-
-
-def _syntactic_nonneg(x: Expr) -> bool:
-    if isinstance(x, Rat):
-        return x.value >= 0
-    if isinstance(x, Fun):
-        return x.name in ("exp", "abs")
-    if isinstance(x, Pow):
-        if _syntactic_pos(x.base):
-            return True
-        return x.exponent.denominator == 1 and x.exponent.numerator % 2 == 0
-    if isinstance(x, Prod):
-        return x.coeff >= 0 and all(_syntactic_nonneg(f) for f in x.factors)
-    if isinstance(x, Sum):
-        return x.const >= 0 and all(_syntactic_nonneg(t) for t in x.terms)
-    return False
+        pos = _syntactic_sign(x.base)[0]
+        q = x.exponent
+        return pos, pos or (q.denominator == 1 and q.numerator % 2 == 0)
+    if isinstance(x, (Prod, Sum)):
+        c, parts = (x.coeff, x.factors) if isinstance(x, Prod) else (x.const, x.terms)
+        pos, nonneg = c > 0, c >= 0
+        for p in parts:
+            if not nonneg:
+                break
+            p_pos, p_nonneg = _syntactic_sign(p)
+            pos, nonneg = pos and p_pos, p_nonneg
+        return pos, nonneg
+    return False, False
 
 
 # sign lattice: "+" / "-" strictly signed, "0" zero, "0+" / "0-" weakly

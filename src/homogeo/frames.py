@@ -98,7 +98,7 @@ def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy):
     pol = policy.with_constraints(scn.total.constraints)
     rng = random.Random(pol.seed ^ 0x5EED)
     names = list(scn.total.coords)
-    for point in sample_points(names, pol.with_constraints(()), rng, count=40):
+    for point in sample_points(names, pol, rng, count=40):
         ok = True
         for d in dets:
             try:
@@ -165,8 +165,7 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     r = ex.var("r")
     S = frame.matrix()
     Sr = [[ex.subs(v, {FIBER: ex.mul(r, scn.mu)}) for v in row] for row in S]
-    detSr = symmat.det(Sr)
-    A_pt = symmat.mat_mul(symmat.mat_mul(symmat.inverse(Sr, detSr),
+    A_pt = symmat.mat_mul(symmat.mat_mul(symmat.inverse(Sr),
                                          _scaling_jacobian(n, r)), S)
     pol = scn.policy_for(policy)
     cons = pol.constraints
@@ -180,7 +179,7 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
             failure=f"entry ({i},{j}) varies along {coord}: "
                     f"d/d{coord} = {ex.to_dsl(ex.diff(A_pt[i][j], coord, cons))}")
 
-    point = _sample_valid_point(scn, [symmat.det(S), detSr], policy)
+    point = _sample_valid_point(scn, [symmat.det(S), symmat.det(Sr)], policy)
     point_map = {k: ex.rat(v) for k, v in point.items()}
     A_sym = [[ex.simplify(ex.subs(v, point_map), cons) for v in row] for row in A_pt]
 
@@ -231,7 +230,7 @@ def build_frame(scn: LineBundleScenario, sigma0: Frame, section_value: ex.Expr,
     S0 = [[ex.subs(v, {FIBER: section_value}) for v in row] for row in sigma0.matrix()]
     abs_r = ex.div(ex.abs_(scn.mu), section_value)
     sign_r = ex.sign_(scn.mu)
-    Ainv_eps = hom_eval_symbolic_full(hom, abs_r, sign_r, invert=True)
+    Ainv_eps = hom_eval_symbolic_full(hom, abs_r, sign_r)
     S = symmat.mat_mul(symmat.mat_mul(_scaling_jacobian(n, r_of_eps), S0), Ainv_eps)
     S = symmat.simplify_mat(S, scn.base.constraints)
     return frame_from_matrix(scn, S)
@@ -333,7 +332,7 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     detj = symmat.det(jac)
     if is_zero(detj, pol):
         raise DegeneracyError("chart map has a degenerate Jacobian")
-    jinv = symmat.inverse(jac, detj)
+    jinv = symmat.inverse(jac)
 
     r = ex.var("r")
     hchi = [ex.subs(c, {FIBER: ex.mul(r, scn.mu)}) for c in chi]
@@ -381,7 +380,7 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
         raise NotHomogeneousError(f"affine data violates {bad[0]}")
 
     # agreement with the chart frame's transition on r > 0
-    frame = chart_frame(scn, chi, jinv=jinv)
+    frame = frame_from_matrix(scn, symmat.simplify_mat(jinv, scn.total.constraints))
     tr = transition(frame, policy)
     if not tr.homogeneous:
         raise NotHomogeneousError("chart frame transition is not point-independent")
@@ -406,11 +405,8 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     return ChartHomReport(A_sym, b_sym, frame, A_neg1, b_neg1)
 
 
-def chart_frame(scn: LineBundleScenario, chi: Sequence[ex.Expr], jinv=None) -> Frame:
+def chart_frame(scn: LineBundleScenario, chi: Sequence[ex.Expr]) -> Frame:
     """The coordinate frame of a chart map: columns of the inverse Jacobian."""
     cons = scn.total.constraints
-    if jinv is None:
-        jac = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in chi]
-        jinv = symmat.inverse(jac)
-    jinv = symmat.simplify_mat(jinv, cons)
-    return frame_from_matrix(scn, jinv)
+    jac = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in chi]
+    return frame_from_matrix(scn, symmat.simplify_mat(symmat.inverse(jac), cons))

@@ -316,24 +316,24 @@ def _exp_symbolic(B: rm.Mat, base: ex.Expr) -> List[List[ex.Expr]]:
     return out
 
 
-def hom_eval_symbolic(A: DegreeHom, param: str = "r") -> List[List[ex.Expr]]:
+def hom_eval_symbolic(A: DegreeHom) -> List[List[ex.Expr]]:
     """A(r) on the branch r > 0 as a matrix of expressions.  Needs rational
     eigenvalues."""
-    return _exp_symbolic(A.B, ex.var(param))
+    return _exp_symbolic(A.B, ex.var("r"))
 
 
 def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
-                           sign_value: ex.Expr, invert: bool = False
-                           ) -> List[List[ex.Expr]]:
-    """A(r) (or its inverse) over both branches as a matrix of expressions,
+                           sign_value: ex.Expr) -> List[List[ex.Expr]]:
+    """The inverse A(r)^{-1} over both branches as a matrix of expressions,
     with |r| and sign(r) supplied as expressions:
 
-        A(r) = exp(B log|r|) ((I + C)/2 + sign(r) (I - C)/2).
+        A(r)^{-1} = exp(-B log|r|) ((I + C)/2 + sign(r) (I - C)/2),
 
-    All factors commute (C commutes with B, hence with every polynomial in
-    B), and the inverse flips B while keeping C."""
+    since A(r) = exp(B log|r|) ((I + C)/2 + sign(r) (I - C)/2), all factors
+    commute (C commutes with B, hence with every polynomial in B), and the
+    last factor is its own inverse (C^2 = I)."""
     n = A.size
-    exp_part = _exp_symbolic(rm.rscale(A.B, -1) if invert else A.B, abs_value)
+    exp_part = _exp_symbolic(rm.rscale(A.B, -1), abs_value)
     half = Fraction(1, 2)
     csplit = [[ex.add(ex.rat(half * (int(i == j) + A.C[i][j])),
                       ex.mul(sign_value,
@@ -351,7 +351,7 @@ def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
     if G.family == "o":
         res = symmat.mat_sub(symmat.mat_mul(symmat.transpose(M), M), symmat.identity(len(M)))
     elif G.family != "gl":
-        J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
+        J = symmat.mat(std_J(G.param))
         res = (symmat.mat_sub(symmat.mat_mul(symmat.mat_mul(symmat.transpose(M), J), M), J)
                if G.family == "sp" else
                symmat.mat_sub(symmat.mat_mul(M, J), symmat.mat_mul(J, M)))
@@ -368,7 +368,7 @@ def defining_product_symbolic(G: GroupId, M: List[List[ex.Expr]]
     M(1/r).  GL has none."""
     if G.family == "o":
         return symmat.mat_mul(symmat.transpose(M), M)
-    J = [[ex.rat(v) for v in row] for row in std_J(G.param)]
+    J = symmat.mat(std_J(G.param))
     if G.family == "sp":
         return symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(symmat.transpose(J),
                                                             symmat.transpose(M)), J), M)

@@ -58,9 +58,9 @@ class ScalarDegree:
         parity = "odd" if (self.parity == "odd") != (other.parity == "odd") else "even"
         return ScalarDegree(self.exponent + other.exponent, parity)
 
-    def factor_pos(self, param: str = "r") -> ex.Expr:
+    def factor_pos(self) -> ex.Expr:
         """phi(r) as an expression, valid on the branch r > 0."""
-        return ex.pw(ex.var(param), self.exponent)
+        return ex.pw(ex.var("r"), self.exponent)
 
     def factor_neg1(self) -> ex.Expr:
         return ex.rat(-1 if self.parity == "odd" else 1)
@@ -224,12 +224,11 @@ class LineBundleScenario:
 
     # -- homogeneity ------------------------------------------------------
     def homogeneity_report(self, obj: GeomObject, degree: ScalarDegree,
-                           policy: ZeroTestPolicy = DEFAULT_POLICY,
-                           param: str = "r"):
+                           policy: ZeroTestPolicy = DEFAULT_POLICY):
         """Check h_r^* obj = phi(r) obj for symbolic r > 0 and at r = -1.
         Vector fields use the pushforward convention (h_r)_* X = phi(r) X."""
-        pol = self.policy_for(policy, with_params=(param,))
-        hr = self.h_sym(param)
+        pol = self.policy_for(policy)
+        hr = self.h_sym()
         href = self.reflection
 
         def residuals(mp: SmoothMap, factor: ex.Expr):
@@ -258,7 +257,7 @@ class LineBundleScenario:
 
         return all_zero(itertools.chain(
             ((f"r>0 branch, {where}", res)
-             for where, res in residuals(hr, degree.factor_pos(param))),
+             for where, res in residuals(hr, degree.factor_pos())),
             ((f"r=-1 reflection, {where}", res)
              for where, res in residuals(href, degree.factor_neg1()))), pol)
 

@@ -13,7 +13,7 @@ from typing import List
 
 from . import expr as ex
 from . import symmat
-from .chart import Chart, ChartError
+from .chart import ChartError
 from .tensors import KForm, SymTensor2, VectorField, one_form
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero
 
@@ -26,14 +26,9 @@ class DegeneracyError(ValueError):
     pass
 
 
-def _check_nondegenerate(g: SymTensor2, policy: ZeroTestPolicy):
-    pol = policy.with_constraints(g.chart.constraints)
-    if is_zero(symmat.det(g.rows()), pol):
-        raise DegeneracyError("metric is degenerate at the sampled points")
-
-
 def metric_inverse(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY):
-    _check_nondegenerate(g, policy)
+    if is_zero(symmat.det(g.rows()), policy.with_constraints(g.chart.constraints)):
+        raise DegeneracyError("metric is degenerate at the sampled points")
     return symmat.inverse(g.rows())
 
 
@@ -88,12 +83,11 @@ def riemann(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY,
     return out
 
 
-def sharp(g: SymTensor2, alpha: KForm, policy: ZeroTestPolicy = DEFAULT_POLICY,
-          ginv=None) -> VectorField:
+def sharp(g: SymTensor2, alpha: KForm,
+          policy: ZeroTestPolicy = DEFAULT_POLICY) -> VectorField:
     if alpha.degree != 1:
         raise ChartError("sharp acts on 1-forms")
-    if ginv is None:
-        ginv = metric_inverse(g, policy)
+    ginv = metric_inverse(g, policy)
     n = g.chart.dim
     comps = [ex.add(*[ex.mul(ginv[i][j], alpha.coeff((j,))) for j in range(n)])
              for i in range(n)]
@@ -106,14 +100,9 @@ def flat(g: SymTensor2, X: VectorField) -> KForm:
                                        for j in range(n)]) for i in range(n)])
 
 
-def covariant_derivative_oneform(g_or_gamma, eta: KForm, chart: Chart = None,
-                                 policy: ZeroTestPolicy = DEFAULT_POLICY) -> List:
+def covariant_derivative_oneform(gamma, eta: KForm) -> List:
     """(nabla_a eta)_b = d_a eta_b - Gamma^c_{ab} eta_c, returned as [a][b]."""
-    if isinstance(g_or_gamma, SymTensor2):
-        chart = g_or_gamma.chart
-        gamma = christoffel(g_or_gamma, policy)
-    else:
-        gamma = g_or_gamma
+    chart = eta.chart
     n = chart.dim
     cons = chart.constraints
     out = []
@@ -134,24 +123,17 @@ def covariant_derivative_twoform(gamma, w: KForm) -> List:
     chart = w.chart
     n = chart.dim
     cons = chart.constraints
-
-    def wfull(b, c):
-        if b == c:
-            return ex.ZERO
-        if b < c:
-            return w.coeff((b, c))
-        return ex.neg(w.coeff((c, b)))
-
+    W = w.rows()
     out = []
     for a in range(n):
         plane = []
         for b in range(n):
             row = []
             for c in range(n):
-                parts = [ex.diff(wfull(b, c), chart.coords[a], cons)]
+                parts = [ex.diff(W[b][c], chart.coords[a], cons)]
                 for dd in range(n):
-                    parts.append(ex.neg(ex.mul(gamma[dd][a][b], wfull(dd, c))))
-                    parts.append(ex.neg(ex.mul(gamma[dd][a][c], wfull(b, dd))))
+                    parts.append(ex.neg(ex.mul(gamma[dd][a][b], W[dd][c])))
+                    parts.append(ex.neg(ex.mul(gamma[dd][a][c], W[b][dd])))
                 row.append(ex.add(*parts))
             plane.append(row)
         out.append(plane)

@@ -24,6 +24,11 @@ Grammar (EBNF, also documented in the README):
     x^6000*x^6000 is x^12000, and both are ParseErrors.  So is a constant
     power, written or folded, of more than MAX_CONSTANT_BITS = 2^20 bits:
     (10^10000)^10000 and ((3*x)^10000)^10000, refused before computing it.
+    A constant must also have at most sys.get_int_max_str_digits() digits
+    (4300 by default) in its numerator and denominator, since the zero
+    test prints it: a longer number token is a ParseError, and so is a
+    constant the constructors fold, such as 10^5000, x*10^2500*10^2500 or
+    x/10^5000.
 
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
@@ -33,6 +38,7 @@ sign, sin, cos.  ``sqrt(x)`` is sugar for ``x^(1/2)``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -118,6 +124,13 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
         where = ""
     lx = _Lexer(text)
     depth = 0
+    digits = sys.get_int_max_str_digits()
+
+    def p_number(val: str, pos: int) -> Fraction:
+        # int() refuses a longer string, and the printer a longer constant
+        if digits and len(val) - ("." in val) > digits:
+            raise ParseError(f"number has more than {digits} digits", pos)
+        return Fraction(val)
 
     def p_nested(pos: int) -> ex.Expr:
         """The expression inside a parenthesis opened at `pos`."""
@@ -193,14 +206,14 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
         kind, val, pos = lx.next()
         if kind != "num" or "." in val:
             raise ParseError(f"expected an integer exponent, found {val!r}", pos)
-        q = Fraction(sign * int(val))
+        q = sign * p_number(val, pos)
         kind, val, _ = lx.peek()
         if allow_fraction and kind == "op" and val == "/":
             lx.next()
             kind, val, pos = lx.next()
             if kind != "num" or "." in val:
                 raise ParseError(f"expected an integer denominator, found {val!r}", pos)
-            q /= int(val)
+            q /= p_number(val, pos)
         if abs(q) > MAX_EXPONENT:
             raise ParseError(f"exponent {q} exceeds {MAX_EXPONENT} in absolute value",
                              start)
@@ -209,7 +222,7 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
     def p_atom() -> ex.Expr:
         kind, val, pos = lx.next()
         if kind == "num":
-            return ex.rat(Fraction(val))
+            return ex.rat(p_number(val, pos))
         if kind == "ident":
             k2, v2, _ = lx.peek()
             if k2 == "op" and v2 == "(":
@@ -234,14 +247,17 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
     kind, val, pos = lx.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
-    _check_exponents(out)
+    _check_folded(out, digits)
     return out
 
 
-def _check_exponents(e: ex.Expr) -> None:
+def _check_folded(e: ex.Expr, digits: int) -> None:
     """Raise ParseError for a power whose exponent, as nested powers and
-    products folded it, exceeds MAX_EXPONENT in absolute value.  Each shared
-    node is visited once."""
+    products folded it, exceeds MAX_EXPONENT in absolute value, or for a
+    constant, coefficient or sum constant with more than `digits` digits
+    in its numerator or denominator (no limit when `digits` is 0).  Each
+    shared node is visited once."""
+    bound = 10 ** digits if digits else None
     seen = set()
     stack = [e]
     while stack:
@@ -249,14 +265,22 @@ def _check_exponents(e: ex.Expr) -> None:
         if id(x) in seen:
             continue
         seen.add(id(x))
-        if isinstance(x, ex.Pow):
+        const = None
+        if isinstance(x, ex.Rat):
+            const = x.value
+        elif isinstance(x, ex.Pow):
             if abs(x.exponent) > MAX_EXPONENT:
                 raise ParseError(f"folded exponent {x.exponent} exceeds {MAX_EXPONENT} "
                                  f"in absolute value", 0)
             stack.append(x.base)
         elif isinstance(x, ex.Sum):
+            const = x.const
             stack.extend(x.terms)
         elif isinstance(x, ex.Prod):
+            const = x.coeff
             stack.extend(x.factors)
         elif isinstance(x, ex.Fun):
             stack.append(x.arg)
+        if bound is not None and const is not None and \
+                max(abs(const.numerator), const.denominator) >= bound:
+            raise ParseError(f"folded constant has more than {digits} digits", 0)

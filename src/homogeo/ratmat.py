@@ -44,9 +44,8 @@ def rident(n: int) -> Mat:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def rzeros(n: int, m: Optional[int] = None) -> Mat:
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
+def rzeros(n: int) -> Mat:
+    return tuple((Fraction(0),) * n for _ in range(n))
 
 
 def radd(a: Mat, b: Mat) -> Mat:

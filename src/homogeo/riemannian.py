@@ -87,11 +87,8 @@ class AlgebroidMetric:
     def bracket_coeffs(self) -> List[List[List[ex.Expr]]]:
         """c[d][a][b] with [E_a, E_b] = sum_d c^d_{ab} E_d."""
         n1 = self.dim
-        w = d(self.eta)
         out = [[[ex.ZERO] * n1 for _ in range(n1)] for _ in range(n1)]
-        for (i, j), cval in w.coeffs.items():
-            out[0][i + 1][j + 1] = cval
-            out[0][j + 1][i + 1] = ex.neg(cval)
+        out[0][1:] = [[ex.ZERO] + row for row in d(self.eta).rows()]
         return out
 
     def diamond(self, a: int, f: ex.Expr) -> ex.Expr:
@@ -159,7 +156,7 @@ def koszul_connection(G: AlgebroidMetric,
     det = symmat.det(gram)
     if is_zero(det, pol):
         raise DegeneracyError("algebroid metric is degenerate at samples")
-    ginv = symmat.inverse(gram, det)
+    ginv = symmat.inverse(gram)
     c = G.bracket_coeffs()
 
     def gbr(a, b, cc):
@@ -227,19 +224,14 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
     gamma = christoffel(g, policy, ginv=ginv)
     Rm = riemann(g, policy, gamma=gamma)
     w = d(eta)
-
-    def wfull(i, j):
-        if i == j:
-            return ex.ZERO
-        return w.coeff((i, j)) if i < j else ex.neg(w.coeff((j, i)))
-
-    nabla_eta = covariant_derivative_oneform(gamma, eta, chart=chart)
+    W = w.rows()
+    nabla_eta = covariant_derivative_oneform(gamma, eta)
     nabla_w = covariant_derivative_twoform(gamma, w)
     eta_up = [ex.add(*[ex.mul(ginv[a][b], eta.coeff((b,))) for b in range(n)])
               for a in range(n)]
     eta_norm2 = ex.add(*[ex.mul(eta_up[a], eta.coeff((a,))) for a in range(n)])
     # (i_{eta#} w)_c = sum_a eta^a w_{ac}
-    iw = [ex.add(*[ex.mul(eta_up[a], wfull(a, cidx)) for a in range(n)])
+    iw = [ex.add(*[ex.mul(eta_up[a], W[a][cidx]) for a in range(n)])
           for cidx in range(n)]
 
     def S(i, j):
@@ -250,7 +242,7 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
 
     A_low = [[ex.simplify(
         ex.add(S(i, j),
-               ex.neg(ex.add(*[ex.mul(ginv[c][dd], wfull(i, c), wfull(j, dd))
+               ex.neg(ex.add(*[ex.mul(ginv[c][dd], W[i][c], W[j][dd])
                                for c in range(n) for dd in range(n)]))),
         chart.constraints) for j in range(n)] for i in range(n)]
     A_up = symmat.mat_mul(ginv, A_low)
@@ -284,8 +276,8 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
             ex.neg(ex.mul(ex.add(nabla_eta[i][l], nabla_eta[l][i],
                                  ex.neg(ex.mul(eta.coeff((i,)), eta.coeff((l,))))),
                           g.mat[j][k])),
-            ex.mul(wfull(i, j), wfull(k, l)),
-            ex.mul(wfull(i, k), wfull(j, l)))
+            ex.mul(W[i][j], W[k][l]),
+            ex.mul(W[i][k], W[j][l]))
 
     D_low = [[[[ex.simplify(ex.sub(Eterm(i, j, k, l), Eterm(j, i, k, l)),
                             chart.constraints)
@@ -387,7 +379,7 @@ def triple_to_gtilde(triple: MetricTriple, u: ex.Expr = ex.ONE) -> SymTensor2:
     rows.append([ex.neg(ex.mul(smu, triple.eta.coeff((j,)))) for j in range(n)]
                 + [ex.pw(amu, Fraction(-1))])
     gt = SymTensor2(scn.total, tuple(tuple(r) for r in rows))
-    if u is ex.ONE or u == ex.ONE:
+    if u is ex.ONE:
         return gt
     scn.base.check_owns(u)
     comps = tuple(ex.var(c) for c in scn.base.coords) + (ex.mul(scn.mu, u),)
@@ -442,14 +434,12 @@ def _fiber_free(scn: LineBundleScenario, val: ex.Expr,
     return ex.simplify(ex.subs(val, {FIBER: ex.ONE}), scn.base.constraints)
 
 
-def frame_to_gtilde(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
-                    check_degree: bool = True) -> SymTensor2:
+def frame_to_gtilde(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> SymTensor2:
     """Sum of squares of the dual coframe: coefficient matrix (S S^t)^{-1};
     requires the square-root-of-absolute-value degree coset."""
     scn = frame.scenario
     n1 = scn.total.dim
-    if check_degree:
-        require_coset(frame, O_GROUP(n1), "O", ex.var("r"), Fraction(1), "|r|^(1/2)", policy)
+    require_coset(frame, O_GROUP(n1), "O", ex.var("r"), Fraction(1), "|r|^(1/2)", policy)
     S = frame.matrix()
     gram = symmat.mat_mul(S, symmat.transpose(S))
     T = symmat.simplify_mat(symmat.inverse(gram), scn.total.constraints)

@@ -40,7 +40,6 @@ class Scenario:
     name: str
     kind: str
     data: dict
-    path: Optional[str] = None
 
 
 def _need(obj: dict, key: str, where: str):
@@ -82,7 +81,13 @@ def load_scenario(path: str) -> Scenario:
     kind = _need(data, "kind", path)
     if kind not in KINDS:
         raise SchemaError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    return Scenario(name=name, kind=kind, data=data, path=path)
+    expect = data.get("expect", {})
+    if not isinstance(expect, dict):
+        raise SchemaError("expect: must be an object")
+    for key, want in expect.items():
+        if not isinstance(want, bool):     # "false" would read as true
+            raise SchemaError(f"expect.{key}: {want!r} is not true or false")
+    return Scenario(name=name, kind=kind, data=data)
 
 
 def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
@@ -186,16 +191,13 @@ def _chart_suffix(irep) -> str:
 
 
 def _expectations(data: dict, computed: Dict[str, bool], checks: List[dict]):
-    expect = data.get("expect", {})
-    if not isinstance(expect, dict):
-        raise SchemaError("expect: must be an object")
-    for key, want in sorted(expect.items()):
+    for key, want in sorted(data.get("expect", {}).items()):
         if key not in computed:
             raise SchemaError(f"expect.{key}: unknown outcome name "
                               f"(known: {sorted(computed)})")
         got = computed[key]
-        checks.append(_check(f"expect {key}", got == bool(want),
-                             f"expected {bool(want)}, computed {got}"))
+        checks.append(_check(f"expect {key}", got == want,
+                             f"expected {want}, computed {got}"))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     checks: List[dict] = []
     objects = data.get("objects", {})
     if "sphere" in objects:
-        n = objects["sphere"]
+        n = _integer(objects["sphere"], "objects.sphere")
         if n not in (1, 2, 3):
             raise SchemaError("objects.sphere: supported dimensions are 1, 2, 3")
         triple = rm.sphere_triple(n)
@@ -437,7 +439,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     frame = _frame_from(objects, scn, "objects")
     checks: List[dict] = []
     tr = fr.transition(frame, policy)
-    want_hom = bool(data.get("expect", {}).get("homogeneous", True))
+    want_hom = data.get("expect", {}).get("homogeneous", True)
     checks.append(_check("homogeneous", tr.homogeneous == want_hom,
                          tr.failure or "transition matrix is point-independent"))
     computed = {"homogeneous": tr.homogeneous}

@@ -50,11 +50,17 @@ def mat_scale(a: Matrix, s) -> Matrix:
     return [[ex.mul(s, x) for x in row] for row in a]
 
 
-def det(a: Matrix) -> ex.Expr:
-    n = len(a)
+def _minor_table(a: Matrix):
+    """minor(rows, cols): the determinant of the submatrix of `a` on those
+    index tuples (1 for the empty one), by cofactor expansion along its
+    first row, skipping literal-zero entries.  Minors are memoised, so the
+    determinant and every cofactor taken from one table share their
+    subminors."""
     memo: dict = {}
 
     def minor(rows: tuple, cols: tuple) -> ex.Expr:
+        if not rows:
+            return ex.ONE
         if len(rows) == 1:
             return a[rows[0]][cols[0]]
         key = (rows, cols)
@@ -74,22 +80,26 @@ def det(a: Matrix) -> ex.Expr:
         memo[key] = out
         return out
 
-    return minor(tuple(range(n)), tuple(range(n)))
+    return minor
 
 
-def _cofactor(a: Matrix, i: int, j: int) -> ex.Expr:
-    n = len(a)
-    sub = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-    d = det(sub) if sub else ex.ONE
-    return d if (i + j) % 2 == 0 else ex.neg(d)
+def det(a: Matrix) -> ex.Expr:
+    full = tuple(range(len(a)))
+    return _minor_table(a)(full, full)
 
 
-def inverse(a: Matrix, precomputed_det: ex.Expr | None = None) -> Matrix:
+def inverse(a: Matrix) -> Matrix:
     """Adjugate inverse; entries are exact symbolic quotients by det."""
     n = len(a)
-    d = det(a) if precomputed_det is None else precomputed_det
-    dinv = ex.pw(d, Fraction(-1))
-    return [[ex.mul(_cofactor(a, j, i), dinv) for j in range(n)] for i in range(n)]
+    minor = _minor_table(a)
+    full = tuple(range(n))
+    dinv = ex.pw(minor(full, full), Fraction(-1))
+
+    def cofactor(i: int, j: int) -> ex.Expr:
+        m = minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+        return m if (i + j) % 2 == 0 else ex.neg(m)
+
+    return [[ex.mul(cofactor(j, i), dinv) for j in range(n)] for i in range(n)]
 
 
 def simplify_mat(a: Matrix, constraints=()) -> Matrix:

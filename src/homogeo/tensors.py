@@ -120,6 +120,31 @@ class KForm:
             parts.append(ex.mul(c, symmat.det(block)))
         return ex.add(*parts) if parts else ex.ZERO
 
+    def rows(self):
+        """The full antisymmetric coefficient matrix W[i][j] = w(d_i, d_j)
+        of a 2-form."""
+        if self.degree != 2:
+            raise ChartError("rows() is defined for 2-forms")
+        n = self.chart.dim
+        W = [[ex.ZERO] * n for _ in range(n)]
+        for (i, j), c in self.coeffs.items():
+            W[i][j] = c
+            W[j][i] = ex.neg(c)
+        return W
+
+
+def _square_matrix(chart: Chart, mat) -> Tuple[Tuple[ex.Expr, ...], ...]:
+    """mat as a tuple of rows of expressions, checked to be dim x dim with
+    every entry owned by the chart."""
+    n = chart.dim
+    m = tuple(tuple(ex._coerce(v) for v in row) for row in mat)
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ChartError("matrix shape must equal chart dimension")
+    for row in m:
+        for v in row:
+            chart.check_owns(v)
+    return m
+
 
 @dataclass(frozen=True)
 class SymTensor2:
@@ -131,15 +156,10 @@ class SymTensor2:
 
     def __post_init__(self):
         n = self.chart.dim
-        m = tuple(tuple(ex._coerce(v) for v in row) for row in self.mat)
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ChartError("matrix shape must equal chart dimension")
-        for row in m:
-            for v in row:
-                self.chart.check_owns(v)
+        m = _square_matrix(self.chart, self.mat)
         for i in range(n):
             for j in range(i):
-                if m[i][j] is not m[j][i] and m[i][j] != m[j][i]:
+                if m[i][j] is not m[j][i]:
                     # symmetrize structurally distinct but equal entries
                     avg = ex.mul(ex.rat(Fraction(1, 2)), ex.add(m[i][j], m[j][i]))
                     m = tuple(tuple(avg if (a, b) in ((i, j), (j, i)) else m[a][b]
@@ -175,14 +195,7 @@ class Endo11:
     mat: Tuple[Tuple[ex.Expr, ...], ...]
 
     def __post_init__(self):
-        n = self.chart.dim
-        m = tuple(tuple(ex._coerce(v) for v in row) for row in self.mat)
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ChartError("matrix shape must equal chart dimension")
-        for row in m:
-            for v in row:
-                self.chart.check_owns(v)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _square_matrix(self.chart, self.mat))
 
     def apply(self, X: VectorField) -> VectorField:
         return VectorField(self.chart, tuple(symmat.mat_vec(self.rows(), list(X.comps))))
@@ -361,7 +374,7 @@ def pullback(f: SmoothMap, w: KForm) -> KForm:
         cpull = f.pull_function(c)
         for jdx in combinations(range(m), w.degree):
             block = [[jac[i][j] for j in jdx] for i in idx]
-            dmin = symmat.det(block) if block else ex.ONE
+            dmin = symmat.det(block)
             if dmin.is_zero_literal():
                 continue
             term = ex.mul(cpull, dmin)

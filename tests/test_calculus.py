@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homogeo import expr as ex
+from homogeo import symmat
 from homogeo.chart import Chart, ChartError, SmoothMap
 from homogeo.metric import (DegeneracyError, christoffel, flat, riemann,
                             sectional_curvature, sharp)
@@ -12,7 +15,10 @@ from homogeo.tensors import (KForm, SymTensor2, VectorField, coordinate_field,
                              pullback, pushforward, sym_product, wedge)
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
-from conftest import float_value, rand_point, rand_poly, vf_apply_numeric
+from homogeo.parser import parse
+
+from conftest import (FUNCTION_DSL, RATIONAL_DSL, float_value, rand_point, rand_poly,
+                      vf_apply_numeric)
 
 B2 = Chart("b2", ("x", "y"))
 B3 = Chart("b3", ("x", "y", "z"))
@@ -317,3 +323,79 @@ def test_sym_product_pin():
     assert is_zero(ex.sub(s(X, Y), s(Y, X)))
     assert is_zero(ex.sub(ex.mul(ex.rat(2), s(X, Y)),
                           ex.add(ex.mul(a(X), b(Y)), ex.mul(a(Y), b(X)))))
+
+
+# -- symbolic matrices against the cofactor-per-entry reference ------------------
+
+def _ref_det(a):
+    """Reference determinant: expansion along the first row, memoised for
+    one call."""
+    memo = {}
+
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return a[rows[0]][cols[0]]
+        if (rows, cols) not in memo:
+            parts = []
+            for k, c in enumerate(cols):
+                if a[rows[0]][c].is_zero_literal():
+                    continue
+                term = ex.mul(a[rows[0]][c], minor(rows[1:], cols[:k] + cols[k + 1:]))
+                parts.append(term if k % 2 == 0 else ex.neg(term))
+            memo[rows, cols] = ex.add(*parts) if parts else ex.ZERO
+        return memo[rows, cols]
+
+    return minor(tuple(range(len(a))), tuple(range(len(a))))
+
+
+def _ref_inverse(a):
+    """Reference adjugate inverse: each cofactor the determinant of its own
+    submatrix, taken afresh."""
+    n = len(a)
+
+    def cofactor(i, j):
+        sub = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        m = _ref_det(sub) if sub else ex.ONE
+        return m if (i + j) % 2 == 0 else ex.neg(m)
+
+    dinv = ex.pw(_ref_det(a), Fraction(-1))
+    return [[ex.mul(cofactor(j, i), dinv) for j in range(n)] for i in range(n)]
+
+
+_ENTRY = st.one_of(st.just("0"), RATIONAL_DSL, FUNCTION_DSL)
+_MATRIX = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_MATRIX)
+def test_inverse_matches_cofactor_reference(texts):
+    try:
+        a = [[parse(t, names=["x", "y"]) for t in row] for row in texts]
+    except (ZeroDivisionError, ex.DomainError):
+        return      # a literal division by zero, or sign(0)
+    assert symmat.det(a) is _ref_det(a)
+    try:
+        want = _ref_inverse(a)
+    except ZeroDivisionError:   # the determinant is a literal zero
+        with pytest.raises(ZeroDivisionError):
+            symmat.inverse(a)
+        return
+    got = symmat.inverse(a)
+    assert all(g is w for grow, wrow in zip(got, want) for g, w in zip(grow, wrow))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                       st.one_of(RATIONAL_DSL, FUNCTION_DSL)))
+def test_two_form_rows_are_its_values_on_coordinate_fields(texts):
+    try:
+        w = KForm(B3, 2, {idx: parse(t, names=["x", "y"]) for idx, t in texts.items()})
+    except (ZeroDivisionError, ex.DomainError):
+        return
+    W = w.rows()
+    for i in range(3):
+        for j in range(3):
+            assert W[i][j] is w(coordinate_field(B3, i), coordinate_field(B3, j))

@@ -103,8 +103,15 @@ def test_run_nesting_limit(tmp_path):
      "objects.frame[0][0]: constant power exceeds 1048576 bits"),
     ([["1", "0"], ["0", "((3*mu)^10000)^10000"]],
      "objects.frame[1][1]: constant power exceeds 1048576 bits"),
+    ([["mu*10^5000", "0"], ["0", "mu"]],
+     "objects.frame[0][0]: folded constant has more than 4300 digits"),
+    ([["1" * 5000, "0"], ["0", "mu"]],
+     "objects.frame[0][0]: number has more than 4300 digits"),
+    ([["1", "0"], ["0", "mu*10^2500*10^2500"]],
+     "objects.frame[1][1]: folded constant has more than 4300 digits"),
 ], ids=["huge-exponent", "constant-beyond-float-range", "nested-power", "product-power",
-        "constant-power", "coefficient-power"])
+        "constant-power", "coefficient-power", "coefficient-digits", "literal-digits",
+        "folded-coefficient-digits"])
 def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
     # the huge exponent, literal or folded from nested powers, once ran for
     # minutes in exact powers of the sampled point; the constant beyond the
@@ -119,6 +126,33 @@ def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("sphere_n1", lambda d: d["objects"].update(sphere=True),
+     "objects.sphere: True is not an integer"),
+    ("sphere_n1", lambda d: d["objects"].update(sphere="2"),
+     "objects.sphere: '2' is not an integer"),
+    ("frame_euler", lambda d: d["expect"].update(in_normalizer="false"),
+     "expect.in_normalizer: 'false' is not true or false"),
+    ("frame_euler", lambda d: d["expect"].update(homogeneous="false"),
+     "expect.homogeneous: 'false' is not true or false"),
+    ("darboux_k1", lambda d: d["expect"].update(integrable=1),
+     "expect.integrable: 1 is not true or false"),
+    ("frame_euler", lambda d: d.update(expect=[]), "expect: must be an object"),
+], ids=["sphere-bool", "sphere-text", "expect-text", "expect-homogeneous-text",
+        "expect-number", "expect-list"])
+def test_mistyped_sphere_or_expect_is_input_error(tmp_path, capsys, name, edit, message):
+    # each once ran as if valid (true as the circle, "false" as true), or
+    # ended in an internal error (a frame scenario's list of expectations)
+    with open(os.path.join(SCENARIOS, name + ".json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):

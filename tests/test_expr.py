@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -125,8 +126,30 @@ def test_parse_folded_exponent_limit():
             parse(text, names=["x"])
         assert f"exceeds {MAX_CONSTANT_BITS} bits" in str(err.value), text
         assert time.perf_counter() - t0 < 1, text
-    # within the budget
-    assert parse("(2^10000)^104", names=[]) is ex.rat(2 ** 1040000)
+    # within the bit budget, so the power is computed, but too long to print
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        parse("(2^10000)^104", names=[])
+    assert f"folded constant has more than {digits} digits" in str(err.value)
+    assert parse("(2^100)^140", names=[]) is ex.rat(2 ** 14000)
+    # a constant the zero test could not print is refused: a number token,
+    # an exponent, and a folded constant, coefficient or sum constant
+    long = "1" * (digits + 1)
+    for text, message in ((long, "number has"), ("x + 0." + long, "number has"),
+                          ("x^" + long, "number has"), ("x^(1/" + long + ")", "number has"),
+                          (f"10^{digits}", "folded constant has"),
+                          (f"x*10^{digits}", "folded constant has"),
+                          (f"x*10^{digits // 2}*10^{digits // 2 + 1}", "folded constant has"),
+                          (f"x/10^{digits}", "folded constant has"),
+                          (f"x + 10^{digits}", "folded constant has"),
+                          (f"sin(3*10^{digits})", "folded constant has"),
+                          (f"(2*10^{digits})^(1/2)", "folded constant has")):
+        with pytest.raises(ParseError) as err:
+            parse(text, names=["x"])
+        assert f"{message} more than {digits} digits" in str(err.value), text[:40]
+    # at the limit
+    assert parse(f"x*10^{digits - 1}", names=["x"]) is ex.mul(ex.rat(10 ** (digits - 1)), x)
+    assert parse("9" * digits, names=[]) is ex.rat(10 ** digits - 1)
 
 
 def test_rational_roots_exact_at_any_size():
@@ -650,6 +673,63 @@ def test_root_text_not_kept():
 
 
 # -- simplification and signs --------------------------------------------------
+
+def _ref_syntactic_pos(x):
+    """Reference: positivity read off the syntax, the walker before
+    positivity and nonnegativity were read in one walk."""
+    if isinstance(x, ex.Rat):
+        return x.value > 0
+    if isinstance(x, ex.Fun):
+        return x.name == "exp"
+    if isinstance(x, ex.Pow):
+        return _ref_syntactic_pos(x.base)
+    if isinstance(x, ex.Prod):
+        return x.coeff > 0 and all(_ref_syntactic_pos(f) for f in x.factors)
+    if isinstance(x, ex.Sum):
+        return x.const > 0 and all(_ref_syntactic_pos(t) for t in x.terms)
+    return False
+
+
+def _ref_syntactic_nonneg(x):
+    """Reference: nonnegativity read off the syntax."""
+    if isinstance(x, ex.Rat):
+        return x.value >= 0
+    if isinstance(x, ex.Fun):
+        return x.name in ("exp", "abs")
+    if isinstance(x, ex.Pow):
+        if _ref_syntactic_pos(x.base):
+            return True
+        return x.exponent.denominator == 1 and x.exponent.numerator % 2 == 0
+    if isinstance(x, ex.Prod):
+        return x.coeff >= 0 and all(_ref_syntactic_nonneg(f) for f in x.factors)
+    if isinstance(x, ex.Sum):
+        return x.const >= 0 and all(_ref_syntactic_nonneg(t) for t in x.terms)
+    return False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(RATIONAL_DSL, FUNCTION_DSL), st.sampled_from(["2", "3", "-2", "1/2"]))
+def test_syntactic_sign_matches_reference_walkers(text, power):
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return
+    # every subexpression, and its abs, exp and a power of it
+    stack, seen = [e], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        stack += _children(x)
+        ys = [x, ex._make_fun("abs", x), ex._make_fun("exp", x)]
+        if not x.is_zero_literal():
+            ys.append(ex.pw(x, Fraction(power)))
+        for y in ys:
+            assert ex._syntactic_sign(y) == (_ref_syntactic_pos(y),
+                                             _ref_syntactic_nonneg(y)), ex.to_dsl(y)
+
 
 def test_simplify_branch_resolution():
     mu = ex.var("mu")

@@ -1,0 +1,103 @@
+"""Record every zero-test query of a run, one line per query.
+
+    python tools/query_log.py [--src DIR] -o FILE pytest TESTS_DIR [PYTEST_ARG ...]
+    python tools/query_log.py [--src DIR] -o FILE suite SCENARIO_DIR [--seed N]
+
+`zerotest.zero_report` is replaced by a wrapper, and the name is rebound in
+every loaded homogeo module (as `perfbench/tracing.py` does), so calls
+through `is_zero`, `all_zero` and names bound by `from .zerotest import
+zero_report` are all recorded.  Each line holds, tab-separated: the
+fingerprint of the simplified expression, the verdict (zero or nonzero),
+the exact flag, the witness point, the witness value and the sample count.
+
+The package is imported from --src (default: the src/ next to this
+script), so the same tests or scenarios can be logged against two trees
+and the logs compared with `cmp`.  Queries made in child processes (the
+CLI tests that spawn `python -m homogeo.cli`) are not seen.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import inspect
+import os
+import pkgutil
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _install(out):
+    """Wrap zero_report and rebind it in every homogeo module."""
+    import homogeo
+    from homogeo import expr as ex
+    from homogeo import zerotest
+
+    for mod in pkgutil.iter_modules(homogeo.__path__):
+        importlib.import_module("homogeo." + mod.name)
+    original = zerotest.zero_report
+    # bound now: a test that patches zerotest._fingerprint sees only its
+    # own calls
+    fingerprint = zerotest._fingerprint
+
+    def witness_text(w):
+        if w is None:
+            return "-"
+        return ",".join(f"{k}={v}" for k, v in sorted(w.items()))
+
+    def zero_report(e, policy=zerotest.DEFAULT_POLICY):
+        rep = original(e, policy)
+        # simplify is cached on the node, so this is a lookup of the
+        # expression zero_report just fingerprinted
+        fp = fingerprint(ex.simplify(e, policy.constraints), policy)
+        value = "-" if rep.witness_value is None else repr(rep.witness_value)
+        out.write(f"{fp:016x}\t{'zero' if rep.is_zero else 'nonzero'}\t"
+                  f"{'exact' if rep.exact else 'float'}\t{witness_text(rep.witness)}\t"
+                  f"{value}\t{rep.samples}\n")
+        return rep
+
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "homogeo" or name.startswith("homogeo.")):
+            continue
+        for attr, val in list(vars(mod).items()):
+            if inspect.isfunction(val) and val is original:
+                setattr(mod, attr, zero_report)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                    help="directory holding the homogeo package")
+    ap.add_argument("-o", "--output", required=True, help="query log to write")
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_test = sub.add_parser("pytest", help="run pytest on a tests directory")
+    p_test.add_argument("tests", help="tests directory")
+    p_test.add_argument("pytest_args", nargs=argparse.REMAINDER,
+                        help="further pytest arguments")
+    p_suite = sub.add_parser("suite", help="run `homogeo suite` on a directory")
+    p_suite.add_argument("directory", help="directory of scenario JSON files")
+    p_suite.add_argument("--seed", type=int, default=None,
+                         help="override the scenarios' zero-test seed")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    with open(args.output, "w", encoding="utf-8") as out:
+        _install(out)
+        if args.command == "pytest":
+            import pytest
+            # the tests import their helpers (conftest) by module name
+            sys.path.insert(0, os.path.abspath(args.tests))
+            return int(pytest.main(["-q", "-p", "no:cacheprovider", args.tests,
+                                    *args.pytest_args]))
+        from homogeo import cli
+        suite = ["suite", args.directory]
+        if args.seed is not None:
+            suite += ["--seed", str(args.seed)]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            return cli.main(suite)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
