@@ -127,8 +127,7 @@ def integrability_report_c(ac: AlmostComplex,
     witness = None
     if not torsion_zero:
         component, rep = bad
-        witness = {"component": component, "point": rep.witness,
-                   "value": rep.witness_value}
+        witness = {"component": component, **rep.witness_fields()}
 
     fals = None
     if n == 2 and not torsion_zero:

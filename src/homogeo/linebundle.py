@@ -163,7 +163,7 @@ class LineBundleScenario:
         rep = zero_report(ex.diff(s, FIBER, self.total.constraints), pol)
         if not rep.is_zero:
             raise DegreeError(f"function is not homogeneous of the claimed degree: "
-                              f"residual {rep.witness_value} at {rep.witness}")
+                              f"residual {rep.witness_fields(str)}")
         return ex.simplify(ex.subs(s, {FIBER: ex.ONE}), self.base.constraints)
 
     def promote_derivation(self, X: VectorField, f: ex.Expr) -> "AtiyahObject":
@@ -282,7 +282,7 @@ class AtiyahObject:
             if not ok:
                 where, rep = bad
                 raise DegreeError(f"homogeneity claim fails: {where}, "
-                                  f"residual {rep.witness_value} at {rep.witness}")
+                                  f"residual {rep.witness_fields(str)}")
             object.__setattr__(self, "verified", True)
 
 

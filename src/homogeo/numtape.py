@@ -6,11 +6,17 @@ the only code that evaluates an expression; the tape has three evaluators:
 * ``eval_tape`` evaluates it in floats with numpy, one tape node at a time
   over a whole batch of sample points;
 * ``eval_tape_mod`` evaluates a rational tape over GF(p) with Python ints,
-  from the exact Fraction constants the tape keeps next to their floats.
-  The zero test uses these residues in place of exact Fraction values;
+  one point at a time, from the exact Fraction constants the tape keeps
+  next to their floats.  The zero test decides a rational query by its
+  residues at uniform points, and uses residues in place of exact
+  Fraction values while it looks for a witness;
 * ``eval_tape_exact`` evaluates a rational tape at one point in Fraction
   arithmetic, from the same exact constants.  The zero test evaluates its
   witness on the tape it compiled for the query.
+
+``degree_bound`` is one more pass over a rational tape: a bound on the
+numerator degree of its value, from which the zero test sets how many
+uniform points decide a rational query.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from . import expr as ex
 
 __all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod",
-           "eval_tape_exact", "eval_points"]
+           "degree_bound", "eval_tape_exact", "eval_points"]
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
     OP_SIN, OP_COS = range(11)
@@ -169,41 +175,65 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     power, is divisible by p.  A residue is the exact value mod p, so a
     nonzero residue proves the exact value nonzero.  Raises DomainError on a
     non-rational tape (functions or fractional powers)."""
-    n = len(points)
     consts = [_residue(c, p) for c in tape.exact]
     if None in consts:
-        return [None] * n
-    failed = [False] * n
-    cols = []
-    for name in tape.varnames:
-        col = [_residue(pt[name], p) for pt in points]
-        for j, r in enumerate(col):
-            if r is None:
-                failed[j] = True
-                col[j] = 0
-        cols.append(col)
-    buf: list = []
+        return [None] * len(points)
+    exps = [c.numerator if c.denominator == 1 else None for c in tape.exact]
+    code = list(zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()))
+    out: List[Optional[int]] = []
+    for pt in points:
+        coords = [_residue(pt[name], p) for name in tape.varnames]
+        if None in coords:
+            out.append(None)
+            continue
+        buf: list = []
+        for op, a, b in code:
+            if op == OP_MUL:
+                buf.append(buf[a] * buf[b] % p)
+            elif op == OP_ADD:
+                buf.append((buf[a] + buf[b]) % p)
+            elif op == OP_CONST:
+                buf.append(consts[a])
+            elif op == OP_VAR:
+                buf.append(coords[a])
+            elif op == OP_POW and exps[b] is not None:
+                if exps[b] < 0 and buf[a] == 0:
+                    out.append(None)    # a pole mod p
+                    break
+                buf.append(pow(buf[a], exps[b], p))
+            else:
+                raise ex.DomainError("tape is not rational-exact")
+        else:
+            out.append(buf[-1])
+    return out
+
+
+def degree_bound(tape: Tape) -> int:
+    """A bound on the total degree of the numerator of a rational tape's
+    value, written as one fraction N/D, from one pass over the tape: a
+    variable is (1, 0), a constant (0, 0); n1/d1 + n2/d2 gives
+    (max(n1 + d2, n2 + d1), d1 + d2), a product adds both degrees, and a
+    power ^k scales them by |k|, swapping them for k < 0."""
+    exact = tape.exact
+    num: list = []
+    den: list = []
     for op, a, b in zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()):
         if op == OP_CONST:
-            buf.append([consts[a]] * n)
+            n, d = 0, 0
         elif op == OP_VAR:
-            buf.append(cols[a])
+            n, d = 1, 0
         elif op == OP_ADD:
-            buf.append([(x + y) % p for x, y in zip(buf[a], buf[b])])
+            n, d = max(num[a] + den[b], num[b] + den[a]), den[a] + den[b]
         elif op == OP_MUL:
-            buf.append([x * y % p for x, y in zip(buf[a], buf[b])])
-        elif op == OP_POW and tape.exact[b].denominator == 1:
-            k = tape.exact[b].numerator
-            col = buf[a]
-            if k < 0:
-                for j, x in enumerate(col):
-                    if x == 0:
-                        failed[j] = True
-                col = [x or 1 for x in col]
-            buf.append([pow(x, k, p) for x in col])
+            n, d = num[a] + num[b], den[a] + den[b]
+        elif op == OP_POW and exact[b].denominator == 1:
+            k = exact[b].numerator
+            n, d = (k * num[a], k * den[a]) if k >= 0 else (-k * den[a], -k * num[a])
         else:
             raise ex.DomainError("tape is not rational-exact")
-    return [None if bad else r for bad, r in zip(failed, buf[-1])]
+        num.append(n)
+        den.append(d)
+    return num[-1]
 
 
 def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:

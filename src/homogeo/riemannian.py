@@ -617,8 +617,7 @@ def flatness_report(triple: MetricTriple,
 
     def vanishes(arr) -> Tuple[bool, Optional[dict]]:
         ok, bad = all_zero(_entries_last_first(arr), pol)
-        return ok, bad and {"index": bad[0], "point": bad[1].witness,
-                            "value": str(bad[1].witness_value)}
+        return ok, bad and {"index": bad[0], **bad[1].witness_fields(str)}
 
     a0, wa = vanishes(t["A"])
     b0, wb = vanishes(t["B"])

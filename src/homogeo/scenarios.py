@@ -48,6 +48,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(value, where: str) -> dict:
+    """`value` if it is a JSON object, else a SchemaError naming the field."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: must be an object")
+    return value
+
+
 def _positive(value, where: str) -> float:
     """A finite JSON number > 0 (not true, "1e-9", NaN or infinity), or a
     SchemaError naming the field."""
@@ -81,9 +88,7 @@ def load_scenario(path: str) -> Scenario:
     kind = _need(data, "kind", path)
     if kind not in KINDS:
         raise SchemaError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    expect = data.get("expect", {})
-    if not isinstance(expect, dict):
-        raise SchemaError("expect: must be an object")
+    expect = _object(data.get("expect", {}), "expect")
     for key, want in expect.items():
         if not isinstance(want, bool):     # "false" would read as true
             raise SchemaError(f"expect.{key}: {want!r} is not true or false")
@@ -91,9 +96,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
-    pol = data.get("policy", {})
-    if not isinstance(pol, dict):
-        raise SchemaError("policy: must be an object")
+    pol = _object(data.get("policy", {}), "policy")
     seed = overrides.get("seed", pol.get("seed", 0))
     samples = overrides.get("samples", pol.get("samples", 20))
     tol = overrides.get("tolerance", pol.get("tolerance", 1e-9))
@@ -107,7 +110,7 @@ def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
 
 
 def _build_scenario_charts(data: dict) -> LineBundleScenario:
-    base = _need(data, "base", "scenario")
+    base = _object(_need(data, "base", "scenario"), "base")
     coords = _need(base, "coords", "base")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise SchemaError("base.coords: must be a list of strings")
@@ -135,7 +138,7 @@ def _parse_on(chart, text: str, where: str) -> ex.Expr:
 
 def _form_from_dict(chart, degree: int, coeffs: dict, where: str) -> KForm:
     out = {}
-    for key, text in coeffs.items():
+    for key, text in _object(coeffs, where).items():
         names = [k.strip() for k in key.split(",")] if key else []
         if len(names) != degree:
             raise SchemaError(f"{where}.{key}: index must have {degree} "
@@ -180,7 +183,7 @@ def _homogeneity_check(scn: LineBundleScenario, form, degree,
                        policy: ZeroTestPolicy, detail: str) -> dict:
     ok, bad = scn.homogeneity_report(form, degree, policy)
     return _check("homogeneity", ok, detail,
-                  witness=None if ok else bad[1].witness)
+                  witness=None if ok else bad[1].witness_fields())
 
 
 def _chart_suffix(irep) -> str:
@@ -206,7 +209,7 @@ def _expectations(data: dict, computed: Dict[str, bool], checks: List[dict]):
 def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import contact as ct
     scn = _build_scenario_charts(data)
-    objects = _need(data, "objects", "scenario")
+    objects = _object(_need(data, "objects", "scenario"), "objects")
     theta = _form_from_dict(scn.base, 1, _need(objects, "theta", "objects"),
                             "objects.theta")
     upsilon = _form_from_dict(scn.base, 2, objects.get("upsilon", {}),
@@ -272,7 +275,7 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     if scn.base.dim % 2 != 1:
         raise SchemaError("base: cosymplectic scenarios need odd base dimension")
     k = (scn.base.dim + 1) // 2
-    objects = _need(data, "objects", "scenario")
+    objects = _object(_need(data, "objects", "scenario"), "objects")
     Omega = _form_from_dict(scn.base, 2, objects.get("Omega", {}), "objects.Omega")
     eta = _form_from_dict(scn.base, 1, objects.get("eta", {}), "objects.eta")
     pair = cs.CosymplecticPair(scn, Omega, eta)
@@ -331,7 +334,7 @@ def _frame_from(data: dict, scn: LineBundleScenario, where: str):
 def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import complexstruct as cx
     scn = _build_scenario_charts(data)
-    objects = _need(data, "objects", "scenario")
+    objects = _object(_need(data, "objects", "scenario"), "objects")
     frame = _frame_from(objects, scn, "objects")
     checks: List[dict] = []
     try:
@@ -359,7 +362,7 @@ def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import riemannian as rm
     checks: List[dict] = []
-    objects = data.get("objects", {})
+    objects = _object(data.get("objects", {}), "objects")
     if "sphere" in objects:
         n = _integer(objects["sphere"], "objects.sphere")
         if n not in (1, 2, 3):
@@ -435,7 +438,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import frames as fr
     scn = _build_scenario_charts(data)
-    objects = _need(data, "objects", "scenario")
+    objects = _object(_need(data, "objects", "scenario"), "objects")
     frame = _frame_from(objects, scn, "objects")
     checks: List[dict] = []
     tr = fr.transition(frame, policy)
@@ -468,6 +471,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
 
 def _group_from(gspec: dict, where: str):
     from . import groups as gr
+    _object(gspec, where)
     family = _need(gspec, "family", where)
     param = _integer(_need(gspec, "param", where), f"{where}.param")
     try:
@@ -480,7 +484,7 @@ def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     import random
     from . import groups as gr
     from . import ratmat as rmat
-    objects = _need(data, "objects", "scenario")
+    objects = _object(_need(data, "objects", "scenario"), "objects")
     G = _group_from(objects, "objects")
     count = _integer(objects.get("elements", 50), "objects.elements",
                      minimum=1)

@@ -1,46 +1,66 @@
 """Probabilistic zero testing: simplify, then sample.
 
 Every identity check in the package reduces to this test.  The verdict
-policy is: a literal 0 after simplification is zero; otherwise the
-expression is evaluated at `sample_count` random rational points of the
-constrained domain.  Expressions that are rational in all variables are
-decided in exact arithmetic (a nonzero verdict is then sound and comes
-with an exact Fraction witness); everything else is compared against
-`tolerance` in floating point.  The per-query RNG is derived from
-(seed, expression fingerprint), so verdicts and witnesses are stable
-across runs and independent of evaluation order.  The fingerprint is the
-printed DSL text of the simplified expression plus the constraints.
+policy is: a literal 0 after simplification is zero.  An expression that
+is rational in all variables is decided over GF(p) at uniform points;
+everything else is evaluated at `sample_count` random rational points of
+the constrained domain and compared against `tolerance` in floating
+point.  The per-query RNG is derived from (seed, expression fingerprint),
+so verdicts and witnesses are stable across runs and independent of
+evaluation order.  The fingerprint is the printed DSL text of the
+simplified expression plus the constraints.
 
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one
 without advancing its iterable further, so the checks hand it generators
 and build no residual past a failure.
 
-Candidate points are drawn from that RNG in order and evaluated in
-floating point one batch at a time, each batch being the points still
+Candidate rational points are drawn from that RNG in order and evaluated
+in floating point one batch at a time, each batch being the points still
 missing.  A point with a non-finite value is redrawn, with at most
 _MAX_REDRAWS + 1 = 201 draws per query.  Batching accepts the same points
 as drawing one at a time, and the fingerprint text is unchanged, so
 seeds and witnesses are too.
 
-On the exact path the accepted points are evaluated over GF(p)
-(numtape.eval_tape_mod), for a prime p drawn uniformly from [2^61, 2^62)
-per query.  p comes from a second RNG seeded from the same (seed,
-fingerprint) key, so the point stream is untouched.  The residue stands
-in for each point's exact value (Schwartz-Zippel identity testing): a
-nonzero residue proves the value nonzero, and only the witness is then
-evaluated in Fraction arithmetic (numtape.eval_tape_exact), so
-witness_value stays exact.  A point falls back to Fraction arithmetic when
-p divides the denominator of a constant or coordinate, or the base of a
-negative power is 0 mod p; an exact pole is such a case and is skipped as
-before.  Each point is evaluated exactly at most once.  One tape is
-compiled per sampled query, and the float, GF(p) and Fraction evaluations
-all run on it.
+A rational query draws a prime p uniformly from [2^61, 2^62) from a
+second RNG seeded from the same (seed, fingerprint) key, so the rational
+point stream is untouched.  That RNG goes on to draw k points uniform in
+GF(p)^n, and the query's tape is evaluated there (numtape.eval_tape_mod).
+k is the fewest points with (D/p)^k <= 2^-40, where D is a bound on the
+numerator degree of the tape's value (numtape.degree_bound): one point
+while D <= 2^21, two up to about 2^41, and ConfigError when D > p/2.
+Zero residues at all k points are a zero verdict at once, with `samples`
+= k: no rational point is drawn and no float pass runs.  The domain
+constraints do not restrict these points: a rational function that
+vanishes on an open set vanishes identically.  A nonzero residue proves
+the query nonzero, and the rational points then only look for a witness
+(Schwartz-Zippel identity testing):
 
-A zero residue can hide a nonzero value N/D only if p divides N.  At most
-log2|N|/61 primes in [2^61, 2^62) divide N, out of about 5.3e16, so this
-adds at most log2|N|/(61 * 5.3e16) per point to a zero verdict's error,
-on top of the sampling error.
+* the accepted points are evaluated over GF(p); the float values order
+  the search, and only a point with a nonzero residue, or one the prime
+  cannot reduce, is evaluated in Fraction arithmetic
+  (numtape.eval_tape_exact), at most once, so witness_value stays exact.
+  A point falls back to Fraction arithmetic when p divides the
+  denominator of a constant or coordinate, or the base of a negative
+  power is 0 mod p; an exact pole is such a case and is skipped;
+* when no accepted point has a nonzero value, or none is accepted at all
+  (every float value infinite), the verdict is nonzero and exact with
+  witness None: a certificate whose note names p and the residue.
+  `samples` is then the number of accepted rational points.
+
+When a uniform point has no residue (p divides a constant's denominator,
+or the point is a pole mod p) and none is nonzero, the query is decided
+on the rational points as above, zero when every exact value is zero.
+One tape is compiled per sampled query, and the float, GF(p) and
+Fraction evaluations all run on it.
+
+A zero verdict from the uniform points is wrong with probability at most
+(D/p)^k <= 2^-40 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on
+top of the chance that p divides every coefficient of the numerator N:
+at most log2|N|/61 primes in [2^61, 2^62) divide a nonzero coefficient,
+out of about 5.3e16.  A zero residue at a rational point adds at most
+log2|N|/(61 * 5.3e16) per point on the fallback path.  A nonzero verdict
+has no added error.
 """
 
 from __future__ import annotations
@@ -97,6 +117,14 @@ class ZeroVerdict:
     witness_value: Optional[object] = None
     samples: int = 0
     note: str = ""
+
+    def witness_fields(self, fmt=lambda value: value) -> dict:
+        """What shows a nonzero verdict: {"point", "value"} for a witness,
+        the value passed through `fmt`, or {"note"} for a certificate that
+        has no rational witness."""
+        if self.witness is None:
+            return {"note": self.note}
+        return {"point": self.witness, "value": fmt(self.witness_value)}
 
 
 def _fingerprint(e: ex.Expr, policy: ZeroTestPolicy) -> int:
@@ -181,14 +209,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _query_prime(key: int) -> int:
+def _query_prime(key: int) -> Tuple[int, random.Random]:
     """A prime drawn uniformly from [2^61, 2^62) by an RNG of its own,
-    seeded from the query key, so the point stream is left untouched."""
+    seeded from the query key, so the point stream is left untouched; and
+    that RNG, which goes on to draw the uniform points of GF(p)^n."""
     rng = random.Random(f"prime:{key}")
     while True:
         n = rng.getrandbits(61) | (1 << 61) | 1
         if _is_prime(n):
-            return n
+            return n, rng
+
+
+def _uniform_residue(tape: numtape.Tape, p: int, rng: random.Random):
+    """The tape's residue at uniform points of GF(p)^n, and how many points
+    were drawn: the fewest k with (D/p)^k <= 2^-40 for the numerator-degree
+    bound D = numtape.degree_bound(tape), so one point while D <= 2^21.
+    The residue is the first nonzero one, else None when a point has none
+    (p divides a constant's denominator, or a pole mod p), else 0.  Raises
+    ConfigError when D > p/2, where 40 points do not reach 2^-40."""
+    d = numtape.degree_bound(tape)
+    k = next((k for k in range(1, 41) if d ** k << 40 <= p ** k), None)
+    if k is None:
+        raise ConfigError(f"numerator degree bound {d} is too large for a "
+                          "zero test over GF(p)")
+    points = [{n: rng.randrange(p) for n in tape.varnames} for _ in range(k)]
+    residues = numtape.eval_tape_mod(tape, points, p)
+    return next((r for r in residues if r), None if None in residues else 0), k
 
 
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
@@ -204,6 +250,14 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     rng = random.Random(key)
     lo, hi, excl = _bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
+    residue = None
+    if e.rational:
+        # uniform points of GF(p)^n decide the query; the rational points
+        # below only look for a witness of a nonzero residue
+        p, prime_rng = _query_prime(key)
+        residue, count = _uniform_residue(tape, p, prime_rng)
+        if residue == 0:
+            return ZeroVerdict(True, True, samples=count)
 
     points = []
     floats = []
@@ -211,15 +265,17 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     while len(points) < policy.sample_count:
         k = min(policy.sample_count - len(points), _MAX_REDRAWS + 1 - draws)
         if k == 0:
+            if residue is not None:
+                break       # proven nonzero; search the accepted points
             raise ConfigError("could not find enough valid sample points "
                               "(expression may be singular on the whole domain)")
         draws += k
         batch = [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(k)]
-        vals = np.array([[float(p[n]) for p in batch] for n in names],
+        vals = np.array([[float(pt[n]) for pt in batch] for n in names],
                         dtype=np.float64).reshape(len(names), k)
-        for p, v in zip(batch, numtape.eval_tape(tape, vals).tolist()):
+        for pt, v in zip(batch, numtape.eval_tape(tape, vals).tolist()):
             if math.isfinite(v):  # otherwise outside the expression's domain; redraw
-                points.append(p)
+                points.append(pt)
                 floats.append(v)
 
     if e.rational:
@@ -228,7 +284,7 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
         # value; a zero residue counts as zero, and only a nonzero residue
         # (the witness) or a point the prime cannot reduce is evaluated
         # exactly, each at most once
-        residues = numtape.eval_tape_mod(tape, points, _query_prime(key))
+        residues = numtape.eval_tape_mod(tape, points, p)
         exact = {}
 
         def value(i):
@@ -252,11 +308,16 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             if abs(floats[i]) <= _PREFILTER:
                 # remaining floats are all small; confirm every point
                 break
-        for i, p in enumerate(points):
+        for i, pt in enumerate(points):
             val = value(i)
             if val is not None and val != 0:
-                return ZeroVerdict(False, True, witness=p, witness_value=val,
+                return ZeroVerdict(False, True, witness=pt, witness_value=val,
                                    samples=len(points))
+        if residue is not None:
+            # no accepted point is a witness: the residue is the certificate
+            return ZeroVerdict(False, True, samples=len(points),
+                               note=f"nonzero residue {residue} mod p = {p} at a "
+                                    "uniform point; no rational sample is a witness")
         return ZeroVerdict(True, True, samples=len(points))
 
     worst = max(range(len(points)), key=lambda i: abs(floats[i]))

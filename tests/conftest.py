@@ -6,6 +6,7 @@ so failures reproduce exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from homogeo import expr as ex
 from homogeo import numtape
+from homogeo import zerotest
 from homogeo.tensors import VectorField
 from homogeo.zerotest import ZeroTestPolicy
 
@@ -151,6 +153,28 @@ ORACLE_POINT = st.fixed_dictionaries({
 @pytest.fixture
 def policy():
     return ZeroTestPolicy()
+
+
+CERTIFICATE_NOTE = ("nonzero residue 5 mod p = 2305843009213693951 at a uniform "
+                    "point; no rational sample is a witness")
+
+
+@pytest.fixture
+def certificate_verdicts(monkeypatch):
+    """`all_zero` sees every nonzero verdict that has a witness as a
+    certificate with none, the form zero_report returns when no rational
+    sample is a witness; yields that certificate's note."""
+    real = zerotest.zero_report
+
+    def certify(e, policy=zerotest.DEFAULT_POLICY):
+        rep = real(e, policy)
+        if rep.is_zero or rep.witness is None:
+            return rep
+        return dataclasses.replace(rep, witness=None, witness_value=None,
+                                   note=CERTIFICATE_NOTE)
+
+    monkeypatch.setattr(zerotest, "zero_report", certify)
+    yield CERTIFICATE_NOTE
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -5,6 +5,7 @@ exact rational arithmetic where stated, otherwise 20 samples at 1e-9.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import collections
 import json
 import random
 import subprocess
@@ -15,6 +16,7 @@ from itertools import combinations
 
 from homogeo import expr as ex
 from homogeo import ratmat as rm
+from homogeo import zerotest
 from homogeo.contact import (ContactPair, check_pair, darboux_homogeneous_chart,
                              omega_to_pair, pair_to_omega, standard_darboux_pair)
 from homogeo.cosymplectic import CosymplecticPair, check_cosymplectic
@@ -174,10 +176,23 @@ def test_criterion_4_normalizer_lemmas():
                 assert normalizer_p(G, rm.rmul(g, splitting(G, v))) == v
 
 
-def test_criterion_5_rd_cross_check():
+def test_criterion_5_rd_cross_check(monkeypatch):
     """Connection curvature equals the closed-form tensors on the flat
     plane, the radius-2 sphere, and 5 seeded random (g, eta) on the
-    2-dimensional base."""
+    2-dimensional base.  Also pins how its sampled rational queries are
+    decided: most are zero at one uniform point of GF(p)^n, the rest go on
+    to the witness path (rational points, float prefilter, exact witness),
+    and none falls back to the rational path for want of a residue."""
+    mix = collections.Counter()
+    real = zerotest._uniform_residue
+
+    def record(tape, p, rng):
+        residue, count = real(tape, p, rng)
+        mix["fallback" if residue is None else
+            "uniform point" if residue == 0 else "witness path"] += 1
+        return residue, count
+
+    monkeypatch.setattr(zerotest, "_uniform_residue", record)
     with _Budget("5 curvature formula cross-check", 300):
         from homogeo import symmat
         flat2 = LineBundleScenario("e2", ("x", "y"))
@@ -208,6 +223,7 @@ def test_criterion_5_rd_cross_check():
                                             rand_affine(rng, ("x", "y"))]))
             triple.check_definite(POLICY)
             assert verify_rd_formulas(triple, POLICY).agree
+    assert mix == {"uniform point": 270, "witness path": 10}
 
 
 def test_criterion_6_flatness_equivalence():

@@ -155,6 +155,23 @@ def test_mistyped_sphere_or_expect_is_input_error(tmp_path, capsys, name, edit, 
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name, objects, message", [
+    ("sphere_n1", "sphere", "objects: must be an object"),
+    ("darboux_k1", {"theta": ["u"]}, "objects.theta: must be an object"),
+], ids=["objects-text", "form-list"])
+def test_non_object_objects_is_input_error(tmp_path, capsys, name, objects, message):
+    # a string for `objects` was read with a substring test, and a list for
+    # a form dictionary had no .items(): both ended in an internal error
+    with open(os.path.join(SCENARIOS, name + ".json")) as fh:
+        data = json.load(fh)
+    data["objects"] = objects
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):
     p = tmp_path / "bad3.json"
     p.write_text(json.dumps({

@@ -125,6 +125,13 @@ def _numeric_nijenhuis(J, c, a, b, point, h=1e-6):
     return total
 
 
+def test_torsion_witness_of_a_certificate_is_its_note(certificate_verdicts):
+    rep = integrability_report_c(frame_to_j(twisted_frame(SCN3)))
+    assert not rep.torsion_zero
+    assert rep.witness == {"component": rep.witness["component"],
+                           "note": certificate_verdicts}
+
+
 def test_nijenhuis_twisted_nonzero_with_numeric_oracle():
     rng = random.Random(83)
     ac = frame_to_j(twisted_frame(SCN3))

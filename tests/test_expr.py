@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -330,12 +331,48 @@ def _reference_report(e, policy):
     return (True, False, None, None, n), draws
 
 
+@contextlib.contextmanager
+def _tape_calls():
+    """Record each float (`eval_tape`) and GF(p) (`eval_tape_mod`) tape
+    evaluation as ("float" | "mod", number of points)."""
+    calls = []
+    real_float, real_mod = numtape.eval_tape, numtape.eval_tape_mod
+
+    def float_spy(tape, values):
+        calls.append(("float", values.shape[1]))
+        return real_float(tape, values)
+
+    def mod_spy(tape, points, p):
+        calls.append(("mod", len(points)))
+        return real_mod(tape, points, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtape, "eval_tape", float_spy)
+        mp.setattr(numtape, "eval_tape_mod", mod_spy)
+        yield calls
+
+
+def _report_matching_reference(e, pol, want, label):
+    """zero_report against the one-point-at-a-time reference: verdict, exact
+    flag, witness and value agree, and so does `samples` on a nonzero
+    verdict.  A zero rational verdict is decided at one uniform point of
+    GF(p)^n: one eval_tape_mod call at one point, no float call."""
+    with _tape_calls() as calls:
+        rep = zero_report(e, pol)
+    assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value) == want[:4], label
+    if rep.is_zero and rep.exact:
+        assert rep.samples == 1 and calls == [("mod", 1)], label
+    else:
+        assert rep.samples == want[4], label
+    return rep
+
+
 def test_batched_sampling_matches_one_point_at_a_time():
     # log(x - 5/2) is finite on about 1 draw in 9, so the 201-draw limit
     # ends some of its queries and not others
     exprs = ["1/x", "sqrt(x)", "log(x)", "1/(x - y) + x",
              "(x^2 - y^2)/(x - y) - x - y", "abs(x)/x - sign(x)", "log(x - 5/2)"]
-    redraws = limits = 0
+    redraws = limits = uniform = 0
     for text in exprs:
         e = parse(text, names=["x", "y"])
         for seed in range(6):
@@ -347,11 +384,13 @@ def test_batched_sampling_matches_one_point_at_a_time():
                 with pytest.raises(ConfigError):
                     zero_report(e, pol)
                 continue
-            rep = zero_report(e, pol)
-            assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value,
-                    rep.samples) == want, (text, seed)
-            redraws += draws - rep.samples
-    assert redraws > 100 and 0 < limits < 6   # redraws and the limit both occur
+            rep = _report_matching_reference(e, pol, want, (text, seed))
+            if rep.is_zero and rep.exact:
+                uniform += 1        # no rational point drawn
+            else:
+                redraws += draws - rep.samples
+    # redraws, the limit and the uniform-point rule all occur
+    assert redraws > 100 and 0 < limits < 6 and uniform == 6
 
 
 def test_sampling_nowhere_finite_raises():
@@ -396,10 +435,13 @@ def test_exact_confirmation_once_per_point(monkeypatch):
     monkeypatch.setattr(numtape, "eval_tape_exact", counting)
     x, y = ex.var("x"), ex.var("y")
     square = ex.pw(ex.add(x, y), 2)
-    # residues mod the query's prime decide a zero verdict without poles
-    rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y),
-                                            ex.pw(y, 2))))
-    assert rep.is_zero and rep.exact and rep.samples == 20
+    # one residue at a uniform point of GF(p)^2 decides a zero verdict,
+    # with no float pass and no rational point
+    with _tape_calls() as tape_calls:
+        rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y),
+                                                ex.pw(y, 2))))
+    assert rep.is_zero and rep.exact and rep.samples == 1
+    assert tape_calls == [("mod", 1)]
     assert calls == []
     # a nonzero verdict evaluates its witness exactly, and nothing else
     rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.pw(y, 2))))
@@ -425,9 +467,7 @@ def test_modular_confirmation_matches_fraction_reference(text, seed):
         with pytest.raises(ConfigError):
             zero_report(e, pol)
         return
-    rep = zero_report(e, pol)
-    assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value,
-            rep.samples) == want, text
+    _report_matching_reference(e, pol, want, text)
 
 
 _MERSENNE_61 = 2 ** 61 - 1
@@ -474,25 +514,127 @@ def test_modular_evaluator_falls_back():
 def test_zero_report_falls_back_to_fractions(monkeypatch):
     # with the query's prime dividing a constant's denominator no residue
     # exists; the points are decided in Fraction arithmetic instead
+    # (the uniform point of GF(p) has none either, so the query takes the
+    # rational path of 20 points)
     p = _BIG_PRIMES[0]
-    monkeypatch.setattr(zt, "_query_prime", lambda key: p)
+    monkeypatch.setattr(zt, "_query_prime", lambda key: (p, random.Random(key)))
     x = ex.var("x")
     rep = zero_report(ex.add(ex.pw(x, 2), ex.rat(Fraction(1, p))))
-    assert not rep.is_zero and rep.exact
+    assert not rep.is_zero and rep.exact and rep.samples == 20
     assert rep.witness_value == rep.witness["x"] ** 2 + Fraction(1, p)
     e = ex.sub(ex.pw(ex.add(x, ex.rat(Fraction(1, p))), 2),
                ex.add(ex.pw(x, 2), ex.mul(ex.rat(Fraction(2, p)), x),
                       ex.rat(Fraction(1, p * p))))
     assert not isinstance(ex.simplify(e), ex.Rat)
-    assert zero_report(e).is_zero
+    with _tape_calls() as calls:
+        rep = zero_report(e)
+    assert rep.is_zero and rep.exact and rep.samples == 20
+    assert calls[:2] == [("mod", 1), ("float", 20)]
+
+
+def _uniform_point_residue(e, pol):
+    """The query's prime and its residue at the query's uniform point of
+    GF(p)^n, drawn as zero_report draws them and evaluated in Fractions."""
+    s = ex.simplify(e, pol.constraints)
+    key = zt._fingerprint(s, pol) ^ (pol.seed * 0x9E3779B97F4A7C15)
+    p, rng = zt._query_prime(key)
+    point = {n: Fraction(rng.randrange(p)) for n in sorted(s.free)}
+    v = numtape.eval_tape_exact(numtape.compile_tape(s), point)
+    return p, v.numerator * pow(v.denominator, -1, p) % p
+
+
+# every value _draw can produce on 0 < x < 1: k/d with 2 <= d <= 13
+_DRAWABLE_ON_UNIT_INTERVAL = sorted({Fraction(k, d) for d in range(2, 14)
+                                     for k in range(1, d)})
+
+
+@pytest.mark.parametrize("case", ["no-finite-sample", "every-sample-a-root"])
+def test_nonzero_proof_without_rational_witness(case):
+    # a nonzero residue at the uniform point proves the query nonzero even
+    # when no accepted rational point is a witness: none is accepted (every
+    # float value is infinite), or the polynomial vanishes on all of them
+    x = ex.var("x")
+    if case == "no-finite-sample":
+        e, pol, samples = parse("10^400*x - 1", names=["x"]), ZeroTestPolicy(), 0
+    else:
+        assert len(_DRAWABLE_ON_UNIT_INTERVAL) == 57
+        e = ex.mul(*[ex.sub(x, ex.rat(q)) for q in _DRAWABLE_ON_UNIT_INTERVAL])
+        pol = ZeroTestPolicy(constraints=(ex.Constraint("x", ">", 0),
+                                          ex.Constraint("x", "<", 1)))
+        samples = 20
+    t0 = time.perf_counter()
+    rep = zero_report(e, pol)
+    assert time.perf_counter() - t0 < 1
+    assert not rep.is_zero and rep.exact and rep.samples == samples
+    assert rep.witness is None and rep.witness_value is None
+    p, r = _uniform_point_residue(e, pol)
+    assert r != 0
+    assert rep.note == (f"nonzero residue {r} mod p = {p} at a uniform point; "
+                        "no rational sample is a witness")
+    assert rep.witness_fields() == {"note": rep.note}
+
+
+def _nested_squares(d):
+    """(1 + x*(1 + x*(... x)^2)^2)^2, d squares deep: a tape of a few
+    hundred nodes with numerator degree about 2^(d + 2)."""
+    x = g = ex.var("x")
+    for _ in range(d):
+        g = ex.pw(ex.add(ex.ONE, ex.mul(x, g)), 2)
+    return g
+
+
+def test_zero_verdict_past_one_uniform_point():
+    # (g + 1)^2 - g^2 - 2g - 1 = 0 is not a literal zero; with D ~ 2^22.6
+    # one point has error D/p > 2^-40, so two points decide it
+    g = _nested_squares(20)
+    e = ex.sub(ex.pw(ex.add(g, ex.ONE), 2),
+               ex.add(ex.pw(g, 2), ex.mul(ex.rat(2), g), ex.ONE))
+    s = ex.simplify(e)
+    assert numtape.degree_bound(numtape.compile_tape(s, ["x"])) == 6291452
+    with _tape_calls() as calls:
+        rep = zero_report(e)
+    assert rep.is_zero and rep.exact and rep.samples == 2
+    assert calls == [("mod", 2)]
+    # past p/2 no number of points reaches 2^-40
+    e = ex.sub(ex.pw(_nested_squares(60), 2), ex.pw(ex.var("x"), 2))
+    with pytest.raises(ConfigError, match="numerator degree bound 6917529027641081852 "
+                       "is too large"):
+        zero_report(e)
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("x", 1), ("x*y", 2), ("1/x", 0), ("x + 1/y", 2), ("1/x + 1/y", 1),
+    ("(x + y)^-2", 0), ("x^3 - y", 3), ("(x/y)^-2 + x", 3),
+    ("(x^2 - y^2)/(x - y) - x - y", 2)])
+def test_degree_bound_by_hand(text, degree):
+    s = ex.simplify(parse(text, names=["x", "y"]))
+    assert numtape.degree_bound(numtape.compile_tape(s, ["x", "y"])) == degree
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL)
+def test_degree_bound_covers_sympy_numerator(text):
+    # D bounds the numerator degree of the tape's unreduced fraction, so it
+    # is at least the total degree of sympy's reduced numerator
+    sympy = pytest.importorskip("sympy")
+    try:
+        s = ex.simplify(parse(text, names=["x", "y"]))
+    except ZeroDivisionError:
+        return
+    assume(not isinstance(s, ex.Rat))
+    X, Y = sympy.symbols("x y")
+    num, _ = sympy.fraction(sympy.cancel(sympy.sympify(text.replace("^", "**"))))
+    bound = numtape.degree_bound(numtape.compile_tape(s, ["x", "y"]))
+    assert bound >= sympy.Poly(num, X, Y).total_degree(), text
 
 
 def test_query_prime_is_prime():
     sympy = pytest.importorskip("sympy")
     for key in range(200):
-        n = zt._query_prime(key)
+        n, _ = zt._query_prime(key)
         assert 2 ** 61 <= n < 2 ** 62 and sympy.isprime(n)
-    assert len({zt._query_prime(key) for key in range(200)}) == 200
+    assert len({zt._query_prime(key)[0] for key in range(200)}) == 200
     rng = random.Random(3)
     numbers = list(range(3000)) + [rng.getrandbits(64) for _ in range(2000)]
     # strong pseudoprimes to several of the bases

@@ -146,6 +146,24 @@ def test_is_homogeneous_functions():
     assert SCN.is_homogeneous(ex.pw(ex.abs_(SCN.mu), Fraction(1, 2)), DEG_SQRT_ABS)
 
 
+def test_degree_error_names_a_certificate():
+    # every float sample of 10^400*x is infinite, so the nonzero residual
+    # has a certificate but no rational witness: the error shows its note
+    f = SCN.total.parse("mu*(1 + 10^400*x*mu)")
+    with pytest.raises(DegreeError, match=r"residual \{'note': 'nonzero residue \d+ "
+                       r"mod p = \d+ at a uniform point; no rational sample is "
+                       r"a witness'\}$"):
+        SCN.descend_function(f)
+
+
+def test_homogeneity_check_shows_a_certificate(certificate_verdicts):
+    from homogeo.scenarios import _homogeneity_check
+    check = _homogeneity_check(SCN, ex.mul(ex.var("x"), ex.pw(SCN.mu, 2)), DEG1,
+                               ZeroTestPolicy(), "x*mu^2 has degree 1")
+    assert check["verdict"] == "fail"
+    assert check["witness"] == {"note": certificate_verdicts}
+
+
 def test_is_homogeneous_darboux_form():
     mu, p = SCN.mu, ex.var("p")
     omega = d(one_form(SCN.total, [mu, ex.neg(ex.mul(mu, p)), ex.ZERO, ex.ZERO]))

@@ -270,6 +270,12 @@ def test_c_antisymmetric_and_zero_with_b():
     assert all(is_zero(v, pol) for e in t0["C"] for row in e for v in row)
 
 
+def test_flatness_witness_of_a_certificate_is_its_note(certificate_verdicts):
+    rep = flatness_report(euclid_triple())
+    assert not rep.D_zero and rep.equivalence_consistent
+    assert rep.witness == {"index": rep.witness["index"], "note": certificate_verdicts}
+
+
 def test_flatness_equivalence_suite():
     # spheres positive, euclid negative, random perturbations negative
     for n in (1, 2):

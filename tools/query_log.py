@@ -8,7 +8,9 @@ every loaded homogeo module (as `perfbench/tracing.py` does), so calls
 through `is_zero`, `all_zero` and names bound by `from .zerotest import
 zero_report` are all recorded.  Each line holds, tab-separated: the
 fingerprint of the simplified expression, the verdict (zero or nonzero),
-the exact flag, the witness point, the witness value and the sample count.
+the exact flag, the witness point, the witness value, the sample count and
+the verdict's note ("-" when empty; a nonzero verdict without a rational
+witness names its GF(p) certificate there).
 
 The package is imported from --src (default: the src/ next to this
 script), so the same tests or scenarios can be logged against two trees
@@ -55,7 +57,7 @@ def _install(out):
         value = "-" if rep.witness_value is None else repr(rep.witness_value)
         out.write(f"{fp:016x}\t{'zero' if rep.is_zero else 'nonzero'}\t"
                   f"{'exact' if rep.exact else 'float'}\t{witness_text(rep.witness)}\t"
-                  f"{value}\t{rep.samples}\n")
+                  f"{value}\t{rep.samples}\t{rep.note or '-'}\n")
         return rep
 
     for name, mod in list(sys.modules.items()):
