@@ -3,14 +3,15 @@ trivialized line bundle chart.
 
 The package couples a small exact-rational expression kernel (parser,
 differentiation, probabilistic zero test on compiled tapes evaluated in
-numpy floats, over GF(p) and in exact rationals) with coordinate tensor
+floats, over GF(p) and in exact rationals) with coordinate tensor
 calculus, and uses them to machine-check the dictionaries between
 scaling-homogeneous frame structures upstairs and geometric data on the
 base: contact pairs, cosymplectic pairs, fiberwise complex structures, and
 metric triples with their curvature tensors.
 
 Everything is immutable and every operation is pure; concurrent use needs
-no locking, and all random verdicts are deterministic per seed.
+no locking, and all random verdicts are deterministic per seed.  The
+package uses only the Python standard library.
 """
 
 from .expr import (Constraint, DomainError, Expr, diff, eval_exact, rat,

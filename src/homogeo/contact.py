@@ -86,7 +86,7 @@ def _theta_pivot(pair: ContactPair, policy: ZeroTestPolicy) -> int:
     pts = sample_points(names, pol, rng)
     n = scn.base.dim
     cols = [[0.0] * len(pts) if c.is_zero_literal()
-            else [float(v) for v in numtape.eval_points(c, pts)]
+            else numtape.eval_points(c, pts)
             for c in (pair.theta.coeff((i,)) for i in range(n))]
     scores = [min(abs(v) for v in col) for col in cols]
     for j, p in enumerate(pts):

@@ -107,7 +107,7 @@ def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy):
                     ok = probe.value != 0
                 else:
                     # may still involve r; check at a generic positive r
-                    val = float(numtape.eval_points(probe, [{"r": 1.7320508}])[0])
+                    val = numtape.eval_points(probe, [{"r": 1.7320508}])[0]
                     ok = math.isfinite(val) and abs(val) > 1e-12
             except (ZeroDivisionError, ValueError, OverflowError):
                 ok = False
@@ -138,7 +138,7 @@ def _fold_rational(e: ex.Expr, constraints,
         return e.value
     if e.free:
         raise NotHomogeneousError(f"expected a constant, got {ex.to_dsl(e)}")
-    val = float(numtape.eval_points(e, [{}])[0])
+    val = numtape.eval_points(e, [{}])[0]
     if not math.isfinite(val):
         raise NotHomogeneousError(
             f"constant {ex.to_dsl(e)} evaluates to {val} (expression leaves "

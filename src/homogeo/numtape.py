@@ -1,15 +1,19 @@
-"""Batched evaluation of expression DAGs on a flat tape.
+"""Evaluation of expression DAGs on a flat tape.
 
-An Expr is compiled once into a flat postfix tape (numpy arrays).  This is
-the only code that evaluates an expression; the tape has three evaluators:
+An Expr is compiled once into a flat postfix tape: one tuple of
+(op, a, b) codes.  This is the only code that evaluates an expression;
+every evaluator is a plain Python loop over the codes, one pass per point:
 
-* ``eval_tape`` evaluates it in floats with numpy, one tape node at a time
-  over a whole batch of sample points;
+* ``eval_tape`` evaluates it in floats with CPython's float arithmetic and
+  ``math``.  ``+`` and ``*`` follow IEEE-754; a ``math`` call that raises
+  (a pole such as ``0^-2``, a domain error such as ``log(0)``, ``log(-1)``,
+  a negative base to a fractional power or ``sin(inf)``, or an overflow such
+  as ``exp(1000)``) makes the value at that point nan;
 * ``eval_tape_mod`` evaluates a rational tape over GF(p) with Python ints,
-  one point at a time, from the exact Fraction constants the tape keeps
-  next to their floats.  The zero test decides a rational query by its
-  residues at uniform points, and uses residues in place of exact
-  Fraction values while it looks for a witness;
+  from the exact Fraction constants the tape keeps next to their floats.
+  The zero test decides a rational query by its residues at uniform
+  points, and uses residues in place of exact Fraction values while it
+  looks for a witness;
 * ``eval_tape_exact`` evaluates a rational tape at one point in Fraction
   arithmetic, from the same exact constants.  The zero test evaluates its
   witness on the tape it compiled for the query.
@@ -25,8 +29,6 @@ import math
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from . import expr as ex
 
 __all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod",
@@ -37,22 +39,21 @@ OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
 
 
 class Tape:
-    """`consts` holds each constant as a float for eval_tape;
-    `exact` holds the same constants as Fractions for eval_tape_mod and
-    eval_tape_exact."""
+    """`code` holds one (op, a, b) triple per node; a and b index earlier
+    nodes, a constant, a variable of `varnames` or nothing (-1), by op.
+    `consts` holds each constant as a float for eval_tape; `exact` holds
+    the same constants as Fractions for eval_tape_mod and eval_tape_exact."""
 
-    __slots__ = ("ops", "a", "b", "consts", "exact", "varnames")
+    __slots__ = ("code", "consts", "exact", "varnames")
 
-    def __init__(self, ops, a, b, consts, exact, varnames):
-        self.ops = ops
-        self.a = a
-        self.b = b
+    def __init__(self, code, consts, exact, varnames):
+        self.code = code
         self.consts = consts
         self.exact = exact
         self.varnames = varnames
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.code)
 
 
 def _to_float(q: Fraction) -> float:
@@ -70,14 +71,12 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
     if varnames is None:
         varnames = sorted(e.free)
     index = {name: i for i, name in enumerate(varnames)}
-    ops, aa, bb, consts = [], [], [], []
+    code, consts = [], []
     memo: dict = {}
 
     def emit(op, a=-1, b=-1) -> int:
-        ops.append(op)
-        aa.append(a)
-        bb.append(b)
-        return len(ops) - 1
+        code.append((op, a, b))
+        return len(code) - 1
 
     def cidx(v: Fraction) -> int:
         consts.append(v)
@@ -113,51 +112,46 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
         return out
 
     rec(e)
-    return Tape(np.array(ops, dtype=np.int64), np.array(aa, dtype=np.int64),
-                np.array(bb, dtype=np.int64),
-                np.array([_to_float(c) for c in consts], dtype=np.float64),
+    return Tape(tuple(code), tuple(_to_float(c) for c in consts),
                 tuple(consts), tuple(varnames))
 
 
-def _eval_numpy(ops, a, b, consts, values):
-    n = ops.shape[0]
-    ns = values.shape[1]
-    buf = np.empty((n, ns), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        for i in range(n):
-            op = ops[i]
-            if op == OP_CONST:
-                buf[i] = consts[a[i]]
-            elif op == OP_VAR:
-                buf[i] = values[a[i]]
-            elif op == OP_ADD:
-                buf[i] = buf[a[i]] + buf[b[i]]
-            elif op == OP_MUL:
-                buf[i] = buf[a[i]] * buf[b[i]]
-            elif op == OP_POW:
-                buf[i] = np.power(buf[a[i]], consts[b[i]])
-            elif op == OP_EXP:
-                buf[i] = np.exp(buf[a[i]])
-            elif op == OP_LOG:
-                buf[i] = np.log(buf[a[i]])
-            elif op == OP_ABS:
-                buf[i] = np.abs(buf[a[i]])
-            elif op == OP_SIGN:
-                buf[i] = np.sign(buf[a[i]])
-            elif op == OP_SIN:
-                buf[i] = np.sin(buf[a[i]])
-            else:
-                buf[i] = np.cos(buf[a[i]])
-    return buf[-1]
+def _sign(x: float) -> float:
+    return x if x != x else float((x > 0) - (x < 0))   # nan stays nan
 
 
-def eval_tape(tape: Tape, values: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of points.  `values` has shape (nvars, nsamples)
-    ordered like tape.varnames.  Returns the root row (nsamples,)."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != len(tape.varnames):
-        raise ValueError("values must have shape (nvars, nsamples)")
-    return _eval_numpy(tape.ops, tape.a, tape.b, tape.consts, values)
+_FLOAT_FUNCS = {OP_EXP: math.exp, OP_LOG: math.log, OP_ABS: abs,
+                OP_SIGN: _sign, OP_SIN: math.sin, OP_COS: math.cos}
+
+
+def eval_tape(tape: Tape, points: Sequence[Mapping[str, object]]) -> List[float]:
+    """Float value at each point, a mapping of tape.varnames to numbers:
+    IEEE-754 `+` and `*`, and nan at a point where a `math` call raises (a
+    pole, a domain error or an overflow)."""
+    consts = tape.consts
+    out: List[float] = []
+    for pt in points:
+        coords = [float(pt[name]) for name in tape.varnames]
+        buf: list = []
+        try:
+            for op, a, b in tape.code:
+                if op == OP_MUL:
+                    buf.append(buf[a] * buf[b])
+                elif op == OP_ADD:
+                    buf.append(buf[a] + buf[b])
+                elif op == OP_CONST:
+                    buf.append(consts[a])
+                elif op == OP_VAR:
+                    buf.append(coords[a])
+                elif op == OP_POW:
+                    buf.append(math.pow(buf[a], consts[b]))
+                else:
+                    buf.append(_FLOAT_FUNCS[op](buf[a]))
+        except (ValueError, OverflowError):
+            out.append(math.nan)
+        else:
+            out.append(buf[-1])
+    return out
 
 
 def _residue(q: Fraction, p: int) -> Optional[int]:
@@ -179,7 +173,6 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     if None in consts:
         return [None] * len(points)
     exps = [c.numerator if c.denominator == 1 else None for c in tape.exact]
-    code = list(zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()))
     out: List[Optional[int]] = []
     for pt in points:
         coords = [_residue(pt[name], p) for name in tape.varnames]
@@ -187,7 +180,7 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
             out.append(None)
             continue
         buf: list = []
-        for op, a, b in code:
+        for op, a, b in tape.code:
             if op == OP_MUL:
                 buf.append(buf[a] * buf[b] % p)
             elif op == OP_ADD:
@@ -217,7 +210,7 @@ def degree_bound(tape: Tape) -> int:
     exact = tape.exact
     num: list = []
     den: list = []
-    for op, a, b in zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()):
+    for op, a, b in tape.code:
         if op == OP_CONST:
             n, d = 0, 0
         elif op == OP_VAR:
@@ -242,7 +235,7 @@ def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:
     (functions or fractional powers)."""
     exact = tape.exact
     buf: list = []
-    for op, a, b in zip(tape.ops.tolist(), tape.a.tolist(), tape.b.tolist()):
+    for op, a, b in tape.code:
         if op == OP_CONST:
             buf.append(exact[a])
         elif op == OP_VAR:
@@ -258,10 +251,6 @@ def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:
     return buf[-1]
 
 
-def eval_points(e: ex.Expr, points: Sequence[Mapping[str, Fraction]]) -> np.ndarray:
+def eval_points(e: ex.Expr, points: Sequence[Mapping[str, object]]) -> List[float]:
     """Convenience wrapper: evaluate an expression at a list of points."""
-    names = sorted(e.free)
-    tape = compile_tape(e, names)
-    vals = np.array([[float(p[n]) for p in points] for n in names],
-                    dtype=np.float64).reshape(len(names), len(points))
-    return eval_tape(tape, vals)
+    return eval_tape(compile_tape(e), points)

@@ -16,11 +16,15 @@ without advancing its iterable further, so the checks hand it generators
 and build no residual past a failure.
 
 Candidate rational points are drawn from that RNG in order and evaluated
-in floating point one batch at a time, each batch being the points still
-missing.  A point with a non-finite value is redrawn, with at most
-_MAX_REDRAWS + 1 = 201 draws per query.  Batching accepts the same points
-as drawing one at a time, and the fingerprint text is unchanged, so
-seeds and witnesses are too.
+in floating point (numtape.eval_tape) one batch at a time, each batch
+being the points still missing.  A point with a non-finite value is
+redrawn, with at most _MAX_REDRAWS + 1 = 201 draws per query; a point
+where a `math` call raises (a pole, a domain error, an overflow) has the
+value nan.  Batching accepts the same points as drawing one at a time,
+and the fingerprint text is unchanged, so seeds and witnesses are too.
+When no 201 draws give enough points and no residue proves the query
+nonzero, ConfigError names the cause: a constant outside the float range,
+or else an expression that may be singular on the whole domain.
 
 A rational query draws a prime p uniformly from [2^61, 2^62) from a
 second RNG seeded from the same (seed, fingerprint) key, so the rational
@@ -71,7 +75,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
 import random
 
 from . import expr as ex
@@ -267,13 +270,13 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
         if k == 0:
             if residue is not None:
                 break       # proven nonzero; search the accepted points
-            raise ConfigError("could not find enough valid sample points "
-                              "(expression may be singular on the whole domain)")
+            cause = ("a constant is outside the float range"
+                     if not all(map(math.isfinite, tape.consts))
+                     else "expression may be singular on the whole domain")
+            raise ConfigError(f"could not find enough valid sample points ({cause})")
         draws += k
         batch = [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(k)]
-        vals = np.array([[float(pt[n]) for pt in batch] for n in names],
-                        dtype=np.float64).reshape(len(names), k)
-        for pt, v in zip(batch, numtape.eval_tape(tape, vals).tolist()):
+        for pt, v in zip(batch, numtape.eval_tape(tape, batch)):
             if math.isfinite(v):  # otherwise outside the expression's domain; redraw
                 points.append(pt)
                 floats.append(v)

@@ -94,7 +94,9 @@ def test_run_nesting_limit(tmp_path):
     ([["mu^1000003", "0"], ["0", "mu^1000033"]],
      "objects.frame[0][0]: exponent 1000003 exceeds 10000"),
     ([["(10^400)^(1/3)", "0"], ["0", "mu"]],
-     "could not find enough valid sample points"),
+     "could not find enough valid sample points (a constant is outside the float range)"),
+    ([["10^400*sin(x) - 1", "0"], ["0", "mu"]],
+     "could not find enough valid sample points (a constant is outside the float range)"),
     ([["(mu^10000)^10000", "0"], ["0", "mu"]],
      "objects.frame[0][0]: folded exponent 100000000 exceeds 10000"),
     ([["1", "0"], ["0", "mu^6000*mu^6000"]],
@@ -109,7 +111,8 @@ def test_run_nesting_limit(tmp_path):
      "objects.frame[0][0]: number has more than 4300 digits"),
     ([["1", "0"], ["0", "mu*10^2500*10^2500"]],
      "objects.frame[1][1]: folded constant has more than 4300 digits"),
-], ids=["huge-exponent", "constant-beyond-float-range", "nested-power", "product-power",
+], ids=["huge-exponent", "constant-beyond-float-range",
+        "function-of-constant-beyond-float-range", "nested-power", "product-power",
         "constant-power", "coefficient-power", "coefficient-digits", "literal-digits",
         "folded-coefficient-digits"])
 def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
@@ -126,6 +129,14 @@ def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_does_not_import_numpy():
+    # the package has no runtime dependency; numpy is for perfbench only
+    proc = subprocess.run([sys.executable, "-c",
+                           "import homogeo.cli, sys; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -377,10 +388,12 @@ def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of `homogeo suite scenarios --json --seed S` (stdout, with the final
-# newline), as recorded in BENCH_3.json: any change to a report byte fails
+# newline): any change to a report byte fails.  The complex_twisted torsion
+# residual is identically -1 in floats, so its seed-1 witness is the point
+# whose rounding error is largest, and that pin depends on the float kernels
 _SUITE_SHA256 = {
     0: "0e497a7a006c7bec1e84b220765152de52765a12df93014c1e0c8b0a70e3f312",
-    1: "15aaa217c26aabe17b3d2579bd1dc06212b952d9c001b1e4ad53a4d7ca9e2ba5",
+    1: "4ca2daec23ad1f4e4139a8b5e4b816b40a6d8fad953e98977b07d4c54d698e83",
     2: "4b67ade92c2925dde2ae38508370323bc9d4c61999c81458795599f66759f10e",
     3: "af1e2a0ed9695878115ffce157170739f5111e4b75fa161c635032429a0592c0",
     7: "855241b8cd04e09039d68735015d8718cefe354a4696410ab757e23bdc208c69",

@@ -6,7 +6,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -300,8 +299,7 @@ def _reference_report(e, policy):
             raise ConfigError("could not find enough valid sample points")
         draws += 1
         p = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
-        vals = np.array([[float(p[n])] for n in names], dtype=np.float64)
-        v = float(numtape.eval_tape(tape, vals.reshape(len(names), 1))[0])
+        v = numtape.eval_tape(tape, [p])[0]
         if math.isfinite(v):
             points.append(p)
             floats.append(v)
@@ -339,7 +337,7 @@ def _tape_calls():
     real_float, real_mod = numtape.eval_tape, numtape.eval_tape_mod
 
     def float_spy(tape, values):
-        calls.append(("float", values.shape[1]))
+        calls.append(("float", len(values)))
         return real_float(tape, values)
 
     def mod_spy(tape, points, p):
@@ -572,6 +570,16 @@ def test_nonzero_proof_without_rational_witness(case):
     assert rep.note == (f"nonzero residue {r} mod p = {p} at a uniform point; "
                         "no rational sample is a witness")
     assert rep.witness_fields() == {"note": rep.note}
+
+
+def test_constant_beyond_float_range_named_in_config_error():
+    # every float sample is non-finite because a constant is, not because
+    # of the domain, and a non-rational query has no exact fallback
+    with pytest.raises(ConfigError, match=r"^could not find enough valid sample "
+                       r"points \(a constant is outside the float range\)$"):
+        zero_report(parse("10^400*sin(x) - 1", names=["x"]))
+    with pytest.raises(ConfigError, match="singular on the whole domain"):
+        zero_report(parse("log(-x^2 - 1)", names=["x"]))
 
 
 def _nested_squares(d):

@@ -30,13 +30,29 @@ def test_tape_matches_sympy():
         text = ex.to_dsl(e)
         points = [rand_point(rng, ("x", "y")) for _ in range(8)]
         vals = numtape.eval_points(e, points)
-        for got, p in zip(vals.tolist(), points):
+        for got, p in zip(vals, points):
             want = _sympy_value(sympy, text, p).evalf(30)
             if not (math.isfinite(got) and want.is_real and want.is_finite):
                 continue    # a pole, or outside the domain
             assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9), (text, p)
             checked += 1
     assert checked > 200
+    # every op, with integer and fractional exponents, at points where
+    # every value is finite
+    ops = set()
+    for text in ("x + y", "x*y", "x^3", "x^(-2)", "y^(1/3)", "y^(-5/2)",
+                 "exp(x)", "log(y)", "abs(x)", "sign(x)", "sign(-x)", "sin(x)",
+                 "cos(x)", "sign(x)*abs(y)^(3/2) - exp(sin(x))*log(y + 1)"):
+        e = parse(text, names=["x", "y"])
+        tape = numtape.compile_tape(e, ["x", "y"])
+        ops.update(op for op, _, _ in tape.code)
+        points = [{"x": Fraction(n, 7), "y": Fraction(d, 3)}
+                  for n in (-9, -2, 5, 13) for d in (1, 4, 11)]
+        for got, p in zip(numtape.eval_tape(tape, points), points):
+            want = float(_sympy_value(sympy, text, p).evalf(30))
+            assert type(got) is float and math.isfinite(got), (text, p)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (text, p)
+    assert ops == set(range(11))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None,
@@ -86,6 +102,34 @@ def test_exact_evaluation_poles_and_non_rational_tapes():
     assert numtape.eval_points(big, [{"x": 3}])[0] == -math.inf
 
 
+@pytest.mark.parametrize("text, bad, good", [
+    ("x^(-2)", 0, 3),               # a pole: math.pow(0.0, -2.0)
+    ("exp(-x^(-2))", 0, 3),         # the pole under exp, which maps -inf to 0
+    ("log(x)", 0, 3),
+    ("log(x)", -1, 3),
+    ("x^(1/3)", -8, 8),             # a negative base to a fractional power
+    ("cos(x)*log(x) + 1", -1, 3),   # a domain error inside a sum
+    ("sin(10^400*x)", 1, None),     # sin(inf); no point is finite
+    ("exp(x)", 1000, 3),            # overflow
+    ("x^400", 10, 3),               # math.pow overflow
+    ("(x + 1)^(5/2)", 10 ** 200, 3),
+], ids=["pole", "pole-under-exp", "log-zero", "log-negative", "negative-base",
+        "log-in-sum", "sin-inf", "exp-overflow", "pow-overflow", "pow-overflow-fractional"])
+def test_raising_math_call_makes_the_point_non_finite(text, bad, good):
+    """The float rule: + and * follow IEEE-754, and a math call that raises
+    (a pole, a domain error or an overflow) makes the whole point
+    non-finite, so the zero test redraws it; another point of the same call
+    keeps its value."""
+    sympy = pytest.importorskip("sympy")
+    e = parse(text, names=["x"])
+    points = [{"x": Fraction(v)} for v in (bad, good) if v is not None]
+    vals = numtape.eval_points(e, points)
+    assert not math.isfinite(vals[0]), text
+    if good is not None:
+        want = float(_sympy_value(sympy, text, points[1]).evalf(30))
+        assert vals[1] == pytest.approx(want, rel=1e-12), text
+
+
 def test_tape_matches_exact_on_rational():
     rng = random.Random(22)
     x, y = ex.var("x"), ex.var("y")
@@ -115,6 +159,10 @@ def test_signs_and_abs_ops():
     vals = numtape.eval_points(e, [{"x": Fraction(-5, 2)}, {"x": Fraction(3)}])
     assert vals[0] == pytest.approx(-2.5)
     assert vals[1] == pytest.approx(3.0)
+    # inf - inf is nan under IEEE-754, and sign keeps it nan rather than 0,
+    # so the point stays non-finite
+    e = parse("sign(10^400*x - 10^400*x^2)", names=["x"])
+    assert math.isnan(numtape.eval_points(e, [{"x": 1}])[0])
 
 
 def _rand_rational(rng: random.Random, names, depth=4) -> ex.Expr:
