@@ -3,10 +3,11 @@
 A scenario is a JSON document with a kind (contact | cosymplectic |
 complex | riemannian | frame | group), chart declarations, objects given
 as DSL strings, optional expected outcomes, and zero-test policy
-overrides.  Verdicts are pass / fail / FALSIFICATION, where FALSIFICATION
-is reserved for violations of machine-checked equivalences that the
-theory asserts (never for invalid input).  Reports are deterministic for
-a fixed seed: no timing data unless explicitly requested.
+overrides; one table (`_COMMON`, `_KIND_FIELDS`) gives each field's shape.
+Verdicts are pass / fail / FALSIFICATION, where FALSIFICATION is reserved
+for violations of machine-checked equivalences that the theory asserts
+(never for invalid input).  Reports are deterministic for a fixed seed: no
+timing data unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Dict, List, Optional
 from . import expr as ex
 from .chart import ChartError
 from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
-from .parser import ParseError
 from .tensors import KForm, SymTensor2, VectorField
-from .zerotest import ConfigError, ZeroTestPolicy, all_zero
+from .zerotest import ZeroTestPolicy, all_zero
 
 __all__ = ["SchemaError", "load_scenario", "run_scenario", "Scenario",
            "render_text", "KINDS"]
@@ -42,103 +42,138 @@ class Scenario:
     data: dict
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required field {key!r}")
-    return obj[key]
+# ---------------------------------------------------------------------------
+# schema: one table of field shapes, one walker (`_walk`); the runners read
+# only walked data, and check what depends on the chart where they build it
+
+@dataclass(frozen=True)
+class _Int:
+    """An integral JSON number (2 or 2.0; not 2.5, "2" or true) in lo..hi."""
+    lo: Optional[int] = None
+    hi: Optional[int] = None
 
 
-def _object(value, where: str) -> dict:
-    """`value` if it is a JSON object, else a SchemaError naming the field."""
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: must be an object")
+_NOUNS = {str: "a string", bool: "true or false"}
+_POSITIVE = "a finite number > 0"    # not true, "1e-9", NaN or infinity
+_FORM = {str: str}                   # index text -> DSL string
+_MATRIX = [[str]]                    # rows of DSL strings
+_BASE = {"coords": [str], "constraints": [str]}
+_GROUP = {"family": ("sp", "glc", "o", "gl"), "param": _Int(1)}
+
+_HEAD = {"name": str, "kind": KINDS}
+_COMMON = {**_HEAD, "expect": {str: bool},
+           "policy": {"seed": _Int(), "samples": _Int(1), "tolerance": _POSITIVE}}
+_KIND_FIELDS = {
+    "contact": {"base": _BASE, "objects": {"theta": _FORM, "upsilon": _FORM}},
+    "cosymplectic": {"base": _BASE, "objects": {"Omega": _FORM, "eta": _FORM}},
+    "complex": {"base": _BASE, "objects": {"frame": _MATRIX}},
+    "riemannian": {"objects": {"g": _MATRIX, "eta": _FORM}, "base": _BASE},
+    # a riemannian scenario whose objects name a bundled sphere has no chart
+    "sphere": {"objects": {"sphere": _Int(1, 3)}},
+    "frame": {"base": _BASE, "objects": {"frame": _MATRIX, "group": _GROUP}},
+    "group": {"objects": {**_GROUP, "elements": _Int(1)}},
+}
+_DEFAULTS = {"expect": {}, "policy": {}, "seed": 0, "samples": 20,
+             "tolerance": 1e-9, "constraints": [], "upsilon": {}, "Omega": {},
+             "eta": {}, "elements": 50, "group": None}
+
+
+def _walk(value, shape, path: str):
+    """`value` checked against `shape`, or a SchemaError naming its JSON
+    `path`.  A shape is `str`, `bool`, `_Int`, `_POSITIVE`, a tuple of
+    allowed strings, `[shape]` (a list), `{str: shape}` (an object with any
+    keys) or a record `{"field": shape, ...}`.  A record field is required
+    unless `_DEFAULTS` names it: then the default stands in for it, or it
+    may be absent if that is None.  The result is normalised: integral
+    floats become int, defaults are filled in, unknown fields dropped."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{path or 'scenario'}: must be an object")
+        if str in shape:
+            return {k: _walk(v, shape[str], f"{path}.{k}") for k, v in value.items()}
+        out = {}
+        for key, field in shape.items():
+            if key in value or _DEFAULTS.get(key) is not None:
+                out[key] = _walk(value.get(key, _DEFAULTS.get(key)), field,
+                                 f"{path}.{key}" if path else key)
+            elif key not in _DEFAULTS:
+                raise SchemaError(f"{path or 'scenario'}: missing required "
+                                  f"field {key!r}")
+        return out
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: must be a list")
+        return [_walk(v, shape[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(shape, tuple):
+        if value not in shape:
+            raise SchemaError(f"{path}: must be one of {shape}, got {value!r}")
+    elif shape in _NOUNS:
+        if not isinstance(value, shape):    # "false" would read as true
+            raise SchemaError(f"{path}: {value!r} is not {_NOUNS[shape]}")
+    elif shape is _POSITIVE:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 < value <= sys.float_info.max:
+            raise SchemaError(f"{path}: {value!r} is not {_POSITIVE}")
+        return float(value)
+    else:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{path}: {value!r} is not an integer")
+        if shape.lo is not None and value < shape.lo:
+            raise SchemaError(f"{path}: {value} is less than {shape.lo}")
+        if shape.hi is not None and value > shape.hi:
+            raise SchemaError(f"{path}: {value} is greater than {shape.hi}")
     return value
 
 
-def _positive(value, where: str) -> float:
-    """A finite JSON number > 0 (not true, "1e-9", NaN or infinity), or a
-    SchemaError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value <= sys.float_info.max:
-        raise SchemaError(f"{where}: {value!r} is not a finite number > 0")
-    return float(value)
-
-
-def _integer(value, where: str, minimum: Optional[int] = None) -> int:
-    """An integral JSON number (2 or 2.0; not 2.5, "2" or true), at least
-    `minimum` if given, or a SchemaError naming the field."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: {value!r} is not an integer")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{where}: {value} is less than {minimum}")
-    return value
+def _checked(data: dict, overrides: dict) -> dict:
+    """`data` walked against its kind's table, once the command-line
+    `overrides` (seed, samples, tolerance) have replaced its policy's."""
+    policy = data.get("policy", {})
+    if overrides and isinstance(policy, dict):
+        data = {**data, "policy": {**policy, **overrides}}
+    kind = _walk(data, _HEAD, "")["kind"]
+    objects = data.get("objects")
+    if kind == "riemannian" and isinstance(objects, dict) and "sphere" in objects:
+        kind = "sphere"
+    return _walk(data, {**_COMMON, **_KIND_FIELDS[kind]}, "")
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:   # bad UTF-8 or JSON, too deep
         raise SchemaError(f"{path}: not valid JSON ({err})")
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    name = _need(data, "name", path)
-    kind = _need(data, "kind", path)
-    if kind not in KINDS:
-        raise SchemaError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    expect = _object(data.get("expect", {}), "expect")
-    for key, want in expect.items():
-        if not isinstance(want, bool):     # "false" would read as true
-            raise SchemaError(f"expect.{key}: {want!r} is not true or false")
-    return Scenario(name=name, kind=kind, data=data)
+    return Scenario(**_walk(data, _HEAD, ""), data=data)
 
 
-def _policy_from(data: dict, overrides: dict) -> ZeroTestPolicy:
-    pol = _object(data.get("policy", {}), "policy")
-    seed = overrides.get("seed", pol.get("seed", 0))
-    samples = overrides.get("samples", pol.get("samples", 20))
-    tol = overrides.get("tolerance", pol.get("tolerance", 1e-9))
+# ---------------------------------------------------------------------------
+# chart-dependent reading of the walked data
+
+def _scenario_chart(data: dict) -> LineBundleScenario:
+    base = data["base"]
+    cons = tuple(_read(ex.Constraint.parse, text, f"base.constraints[{i}]")
+                 for i, text in enumerate(base["constraints"]))
     try:
-        return ZeroTestPolicy(
-            sample_count=_integer(samples, "policy.samples"),
-            tolerance=_positive(tol, "policy.tolerance"),
-            seed=_integer(seed, "policy.seed"))
-    except ConfigError as err:
-        raise SchemaError(f"policy: {err}")
-
-
-def _build_scenario_charts(data: dict) -> LineBundleScenario:
-    base = _object(_need(data, "base", "scenario"), "base")
-    coords = _need(base, "coords", "base")
-    if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
-        raise SchemaError("base.coords: must be a list of strings")
-    cons = []
-    for i, text in enumerate(base.get("constraints", [])):
-        try:
-            cons.append(ex.Constraint.parse(text))
-        except (ValueError, ArithmeticError) as err:
-            raise SchemaError(f"base.constraints[{i}]: {err}")
-    try:
-        return LineBundleScenario(data.get("name", "scenario"), tuple(coords),
-                                  tuple(cons))
+        return LineBundleScenario(data["name"], tuple(base["coords"]), cons)
     except ChartError as err:
         raise SchemaError(f"base: {err}")
 
 
-def _parse_on(chart, text: str, where: str) -> ex.Expr:
-    if not isinstance(text, str):
-        raise SchemaError(f"{where}: expected a DSL string")
+def _read(parse, text: str, where: str):
+    """parse(text), or a SchemaError naming `where` if the text is invalid
+    (a parse error, an unknown name, a literal division by zero)."""
     try:
-        return chart.parse(text)
-    except ParseError as err:
+        return parse(text)
+    except (ValueError, ArithmeticError) as err:
         raise SchemaError(f"{where}: {err}")
 
 
 def _form_from_dict(chart, degree: int, coeffs: dict, where: str) -> KForm:
     out = {}
-    for key, text in _object(coeffs, where).items():
+    for key, text in coeffs.items():
         names = [k.strip() for k in key.split(",")] if key else []
         if len(names) != degree:
             raise SchemaError(f"{where}.{key}: index must have {degree} "
@@ -150,8 +185,25 @@ def _form_from_dict(chart, degree: int, coeffs: dict, where: str) -> KForm:
         if len(set(idx)) != degree or tuple(sorted(idx)) != idx:
             raise SchemaError(f"{where}.{key}: index must be strictly "
                               "increasing in chart order")
-        out[idx] = _parse_on(chart, text, f"{where}.{key}")
+        out[idx] = _read(chart.parse, text, f"{where}.{key}")
     return KForm(chart, degree, out)
+
+
+def _matrix(chart, rows: list, where: str) -> tuple:
+    """The n x n matrix of DSL strings `rows`, parsed on `chart` (n = dim)."""
+    n = chart.dim
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise SchemaError(f"{where}: need a {n} x {n} matrix")
+    return tuple(tuple(_read(chart.parse, text, f"{where}[{i}][{j}]")
+                       for j, text in enumerate(row)) for i, row in enumerate(rows))
+
+
+def _frame_from(data: dict):
+    """The frame of `objects.frame`, on the total chart of the scenario."""
+    from .frames import Frame
+    scn = _scenario_chart(data)
+    rows = _matrix(scn.total, data["objects"]["frame"], "objects.frame")
+    return Frame(scn, tuple(VectorField(scn.total, row) for row in rows))
 
 
 def _check(name: str, ok: bool, detail: str, witness=None,
@@ -186,21 +238,28 @@ def _homogeneity_check(scn: LineBundleScenario, form, degree,
                   witness=None if ok else bad[1].witness_fields())
 
 
-def _chart_suffix(irep) -> str:
-    """The `; chart [...]` and `(note)` tail of an integrability detail."""
-    return ((f"; chart {[ex.to_dsl(c) for c in irep.witness_chart]}"
-             if irep.witness_chart else "")
-            + (f" ({irep.note})" if irep.note else ""))
+def _integrability_check(irep, detail: str) -> dict:
+    """Whether the integrability routes of `irep` agree; `detail` is
+    followed by the constructed chart and the report's note."""
+    return _check("integrability agreement", irep.falsification is None,
+                  irep.falsification or detail
+                  + (f"; chart {[ex.to_dsl(c) for c in irep.witness_chart]}"
+                     if irep.witness_chart else "")
+                  + (f" ({irep.note})" if irep.note else ""),
+                  falsification=True)
 
 
-def _expectations(data: dict, computed: Dict[str, bool], checks: List[dict]):
-    for key, want in sorted(data.get("expect", {}).items()):
+def _with_expectations(data: dict, computed: Dict[str, bool],
+                       checks: List[dict]) -> List[dict]:
+    """`checks`, then one check per expected outcome of the scenario."""
+    for key, want in sorted(data["expect"].items()):
         if key not in computed:
             raise SchemaError(f"expect.{key}: unknown outcome name "
                               f"(known: {sorted(computed)})")
         got = computed[key]
         checks.append(_check(f"expect {key}", got == want,
                              f"expected {want}, computed {got}"))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +267,10 @@ def _expectations(data: dict, computed: Dict[str, bool], checks: List[dict]):
 
 def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import contact as ct
-    scn = _build_scenario_charts(data)
-    objects = _object(_need(data, "objects", "scenario"), "objects")
-    theta = _form_from_dict(scn.base, 1, _need(objects, "theta", "objects"),
-                            "objects.theta")
-    upsilon = _form_from_dict(scn.base, 2, objects.get("upsilon", {}),
-                              "objects.upsilon")
+    scn = _scenario_chart(data)
+    objects = data["objects"]
+    theta = _form_from_dict(scn.base, 1, objects["theta"], "objects.theta")
+    upsilon = _form_from_dict(scn.base, 2, objects["upsilon"], "objects.upsilon")
     pair = ct.ContactPair(scn, theta, upsilon)
     checks: List[dict] = []
 
@@ -251,33 +308,28 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         checks.append(_check("roundtrip", False, str(err)))
 
     irep = ct.integrability_report(pair, policy)
-    checks.append(_check(
-        "integrability agreement", irep.falsification is None,
-        irep.falsification or
-        f"integrable={irep.integrable}, contact={irep.contact}, "
-        f"homogeneous_integrable={irep.homogeneous_integrable}"
-        + _chart_suffix(irep),
-        falsification=True))
+    checks.append(_integrability_check(
+        irep, f"integrable={irep.integrable}, contact={irep.contact}, "
+        f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
-    _expectations(data, {
+    return _with_expectations(data, {
         "integrable": irep.integrable,
         "contact": irep.contact,
         "homogeneous_integrable": irep.homogeneous_integrable,
         "nondegenerate": rep.omega_nondegenerate,
         "chart_constructed": irep.chart_constructed,
     }, checks)
-    return checks
 
 
 def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import cosymplectic as cs
-    scn = _build_scenario_charts(data)
+    scn = _scenario_chart(data)
     if scn.base.dim % 2 != 1:
         raise SchemaError("base: cosymplectic scenarios need odd base dimension")
     k = (scn.base.dim + 1) // 2
-    objects = _object(_need(data, "objects", "scenario"), "objects")
-    Omega = _form_from_dict(scn.base, 2, objects.get("Omega", {}), "objects.Omega")
-    eta = _form_from_dict(scn.base, 1, objects.get("eta", {}), "objects.eta")
+    objects = data["objects"]
+    Omega = _form_from_dict(scn.base, 2, objects["Omega"], "objects.Omega")
+    eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
     pair = cs.CosymplecticPair(scn, Omega, eta)
     checks: List[dict] = []
 
@@ -297,15 +349,11 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                                      "omega is fiber-invariant (degree 0)"))
 
     irep = cs.integrability_report0(pair, k, policy)
-    checks.append(_check(
-        "integrability agreement", irep.falsification is None,
-        irep.falsification or
-        f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
-        f"homogeneous_integrable={irep.homogeneous_integrable}"
-        + _chart_suffix(irep),
-        falsification=True))
+    checks.append(_integrability_check(
+        irep, f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
+        f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
-    _expectations(data, {
+    return _with_expectations(data, {
         "volume": rep.volume,
         "cocycle": irep.cocycle,
         "integrable": irep.integrable,
@@ -313,29 +361,11 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         "nondegenerate": rep.omega_nondegenerate,
         "chart_constructed": irep.chart_constructed,
     }, checks)
-    return checks
-
-
-def _frame_from(data: dict, scn: LineBundleScenario, where: str):
-    from .frames import Frame
-    comps = _need(data, "frame", where)
-    if not isinstance(comps, list) or len(comps) != scn.total.dim:
-        raise SchemaError(f"{where}.frame: need {scn.total.dim} component lists")
-    fields = []
-    for i, comp in enumerate(comps):
-        if not isinstance(comp, list) or len(comp) != scn.total.dim:
-            raise SchemaError(f"{where}.frame[{i}]: need {scn.total.dim} entries")
-        fields.append(VectorField(scn.total, tuple(
-            _parse_on(scn.total, c, f"{where}.frame[{i}][{j}]")
-            for j, c in enumerate(comp))))
-    return Frame(scn, tuple(fields))
 
 
 def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import complexstruct as cx
-    scn = _build_scenario_charts(data)
-    objects = _object(_need(data, "objects", "scenario"), "objects")
-    frame = _frame_from(objects, scn, "objects")
+    frame = _frame_from(data)
     checks: List[dict] = []
     try:
         ac = cx.frame_to_j(frame, policy)
@@ -352,21 +382,18 @@ def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     checks.append(_check("dimension identity", rep.falsification is None,
                          rep.falsification or "no dimension-2 violation",
                          falsification=True))
-    _expectations(data, {
+    return _with_expectations(data, {
         "torsion_zero": rep.torsion_zero,
         "integrable": rep.integrable,
     }, checks)
-    return checks
 
 
 def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import riemannian as rm
     checks: List[dict] = []
-    objects = _object(data.get("objects", {}), "objects")
+    objects = data["objects"]
     if "sphere" in objects:
-        n = _integer(objects["sphere"], "objects.sphere")
-        if n not in (1, 2, 3):
-            raise SchemaError("objects.sphere: supported dimensions are 1, 2, 3")
+        n = objects["sphere"]
         triple = rm.sphere_triple(n)
         screen = rm.sphere_flat_chart(n, policy)
         checks.append(_check("sphere chart flat", screen.flat,
@@ -379,19 +406,9 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                              screen.failure or
                              "chi scales by sqrt(r), even under reflection"))
     else:
-        scn = _build_scenario_charts(data)
-        gspec = _need(objects, "g", "objects")
-        n = scn.base.dim
-        if not (isinstance(gspec, list) and len(gspec) == n):
-            raise SchemaError(f"objects.g: need an {n} x {n} matrix")
-        rows = []
-        for i, row in enumerate(gspec):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(f"objects.g[{i}]: need {n} entries")
-            rows.append(tuple(_parse_on(scn.base, v, f"objects.g[{i}][{j}]")
-                              for j, v in enumerate(row)))
-        g = SymTensor2(scn.base, tuple(rows))
-        eta = _form_from_dict(scn.base, 1, objects.get("eta", {}), "objects.eta")
+        scn = _scenario_chart(data)
+        g = SymTensor2(scn.base, _matrix(scn.base, objects["g"], "objects.g"))
+        eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
         triple = rm.MetricTriple(scn, g, eta)
 
     try:
@@ -424,7 +441,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         f"D=0:{frep.D_zero} RD=0:{frep.RD_zero}",
         witness=frep.witness, falsification=True))
 
-    _expectations(data, {
+    return _with_expectations(data, {
         "integrable": frep.RD_zero,
         "A_zero": frep.A_zero,
         "B_zero": frep.B_zero,
@@ -432,17 +449,15 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         "D_zero": frep.D_zero,
         "RD_zero": frep.RD_zero,
     }, checks)
-    return checks
 
 
 def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     from . import frames as fr
-    scn = _build_scenario_charts(data)
-    objects = _object(_need(data, "objects", "scenario"), "objects")
-    frame = _frame_from(objects, scn, "objects")
+    from .groups import GroupId
+    frame = _frame_from(data)
     checks: List[dict] = []
     tr = fr.transition(frame, policy)
-    want_hom = data.get("expect", {}).get("homogeneous", True)
+    want_hom = data["expect"].get("homogeneous", True)
     checks.append(_check("homogeneous", tr.homogeneous == want_hom,
                          tr.failure or "transition matrix is point-independent"))
     computed = {"homogeneous": tr.homogeneous}
@@ -455,9 +470,8 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
             "A(r) = [" + "; ".join(
                 ", ".join(ex.to_dsl(v) for v in row) for row in tr.matrix_sym)
             + "]"))
-        gspec = objects.get("group")
-        if gspec:
-            G = _group_from(gspec, "objects.group")
+        if "group" in data["objects"]:
+            G = GroupId(**data["objects"]["group"])
             rep = fr.degree_coset(frame, G, policy)
             checks.append(_check(
                 "degree coset", rep.in_normalizer,
@@ -465,77 +479,60 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                 f"quotient value {ex.to_dsl(rep.quotient_value)} for r > 0, "
                 f"{_jsonable(rep.quotient_value_neg1)} at r = -1"))
             computed["in_normalizer"] = rep.in_normalizer
-    _expectations(data, computed, checks)
-    return checks
+    return _with_expectations(data, computed, checks)
 
 
-def _group_from(gspec: dict, where: str):
-    from . import groups as gr
-    _object(gspec, where)
-    family = _need(gspec, "family", where)
-    param = _integer(_need(gspec, "param", where), f"{where}.param")
-    try:
-        return gr.GroupId(str(family), param)
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}")
+def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
+    """Check `name`: fails with the first truthy witness_at(i), i < n."""
+    witness = next(filter(None, map(witness_at, range(n))), None)
+    return _check(name, witness is None, detail, witness=witness)
 
 
 def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     import random
     from . import groups as gr
     from . import ratmat as rmat
-    objects = _object(_need(data, "objects", "scenario"), "objects")
-    G = _group_from(objects, "objects")
-    count = _integer(objects.get("elements", 50), "objects.elements",
-                     minimum=1)
+    objects = data["objects"]
+    G = gr.GroupId(objects["family"], objects["param"])
+    count = objects["elements"]
     rng = random.Random(policy.seed)
     checks: List[dict] = []
 
     neutral = Fraction(1) if G.family != "glc" else 0
-    ok = True
-    witness = None
-    for i in range(count):
+
+    def not_neutral(i):
         g = gr.rand_element(G, rng)
         if not gr.member(G, g):
-            ok, witness = False, {"index": i, "reason": "not a member"}
-            break
+            return {"index": i, "reason": "not a member"}
         if G.family != "gl" and gr.normalizer_p(G, g) != neutral:
-            ok, witness = False, {"index": i, "reason": "non-neutral quotient"}
-            break
-    checks.append(_check("members neutral", ok,
-                         f"{count} random elements are members with neutral "
-                         "quotient value", witness=witness))
+            return {"index": i, "reason": "non-neutral quotient"}
+
+    checks.append(_sweep("members neutral", f"{count} random elements are "
+                         "members with neutral quotient value", not_neutral, count))
 
     if G.family != "gl":
-        ok = True
-        witness = None
         values = {"sp": [Fraction(2), Fraction(-3), Fraction(1, 5)],
                   "glc": [0, 1],
                   "o": [Fraction(4), Fraction(9, 4), Fraction(1, 16)]}[G.family]
-        for i in range(count):
+
+        def not_split(i):
             g = gr.rand_element(G, rng)
             v = values[i % len(values)]
             got = gr.normalizer_p(G, rmat.rmul(g, gr.splitting(G, v)))
             if got != v:
-                ok, witness = False, {"index": i, "value": _jsonable(v),
-                                      "got": _jsonable(got)}
-                break
-        checks.append(_check("splitting section", ok,
-                             "p(g . splitting(v)) = v on random members",
-                             witness=witness))
+                return {"index": i, "value": _jsonable(v), "got": _jsonable(got)}
 
-        ok = True
-        witness = None
-        for i in range(20):
+        checks.append(_sweep("splitting section", "p(g . splitting(v)) = v on "
+                             "random members", not_split, count))
+
+        def not_conjugated(i):
             g = gr.rand_element(G, rng)
             B = gr.splitting(G, values[i % len(values)])
-            conj = rmat.rmul(rmat.rmul(B, g), rmat.rinv(B))
-            if not gr.member(G, conj):
-                ok, witness = False, {"index": i}
-                break
-        checks.append(_check("normalizer conjugation", ok,
-                             "splitting values conjugate the group into itself",
-                             witness=witness))
+            if not gr.member(G, rmat.rmul(rmat.rmul(B, g), rmat.rinv(B))):
+                return {"index": i}
+
+        checks.append(_sweep("normalizer conjugation", "splitting values "
+                             "conjugate the group into itself", not_conjugated, 20))
 
     if G.family == "glc":
         basis = gr.centralizer_basis(G.param)
@@ -558,10 +555,12 @@ _RUNNERS = {
 
 def run_scenario(scenario: Scenario, overrides: Optional[dict] = None,
                  with_timing: bool = False) -> dict:
-    overrides = overrides or {}
-    policy = _policy_from(scenario.data, overrides)
+    data = _checked(scenario.data, overrides or {})
+    pol = data["policy"]
+    policy = ZeroTestPolicy(sample_count=pol["samples"],
+                            tolerance=pol["tolerance"], seed=pol["seed"])
     t0 = time.perf_counter()
-    checks = _RUNNERS[scenario.kind](scenario.data, policy)
+    checks = _RUNNERS[data["kind"]](data, policy)
     elapsed = time.perf_counter() - t0
     summary = {
         "pass": sum(1 for c in checks if c["verdict"] == "pass"),
@@ -569,10 +568,9 @@ def run_scenario(scenario: Scenario, overrides: Optional[dict] = None,
         "falsification": sum(1 for c in checks if c["verdict"] == "FALSIFICATION"),
     }
     report = {
-        "scenario": scenario.name,
-        "kind": scenario.kind,
-        "policy": {"seed": policy.seed, "samples": policy.sample_count,
-                   "tolerance": policy.tolerance},
+        "scenario": data["name"],
+        "kind": data["kind"],
+        "policy": pol,
         "checks": checks,
         "summary": summary,
     }

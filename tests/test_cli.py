@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -5,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homogeo import zerotest
-from homogeo.cli import main
+from homogeo.cli import INPUT_ERRORS, main
 from homogeo.scenarios import SchemaError, load_scenario, run_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -355,6 +358,147 @@ def test_domain_error_is_input_error(tmp_path, capsys, bad):
     assert agg["errors"][0]["error"].startswith("cannot differentiate abs(")
     assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
     assert agg["summary"]["input_errors"] == 1
+
+
+def test_non_string_name_is_input_error(tmp_path, capsys):
+    # a number for `name` ran under `run`, then made the sort of the suite's
+    # reports raise TypeError (a traceback and exit 1); a list ended in an
+    # internal error from the chart name built from it
+    with open(os.path.join(SCENARIOS, "group_o3.json")) as fh:
+        data = json.load(fh)
+    data["name"] = 7
+    suite = _write_suite(tmp_path, data)
+    code, out, err = run_cli(["suite", str(suite), "--json"], capsys)
+    agg = json.loads(out)
+    assert code == 2 and "Traceback" not in err
+    assert agg["errors"] == [{"path": str(suite / "bad.json"),
+                              "error": "name: 7 is not a string"}]
+    assert [r["scenario"] for r in agg["scenarios"]] == ["group_sp2"]
+    with open(os.path.join(SCENARIOS, "darboux_k1.json")) as fh:
+        data = json.load(fh)
+    data["name"] = []
+    path = tmp_path / "list_name.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: name: [] is not a string\n"
+
+
+@pytest.mark.parametrize("constraints, message", [
+    (1.5, "base.constraints: must be a list"),
+    (True, "base.constraints: must be a list"),
+    (None, "base.constraints: must be a list"),
+    (-1, "base.constraints: must be a list"),
+    ("x", "base.constraints: must be a list"),
+    ({}, "base.constraints: must be a list"),
+    ({"a": "1"}, "base.constraints: must be a list"),
+    ([1], "base.constraints[0]: 1 is not a string"),
+    (["x"], "base.constraints[0]: cannot parse constraint 'x'"),
+], ids=["number", "true", "null", "negative", "text", "empty-object",
+        "object", "number-entry", "bad-entry"])
+def test_constraints_must_be_a_list_of_strings(tmp_path, capsys, constraints,
+                                                message):
+    # a number, true or null ended in an internal error (not iterable); a
+    # string was read one character at a time, and an object by its keys
+    with open(os.path.join(SCENARIOS, "darboux_k2.json")) as fh:
+        data = json.load(fh)
+    data["base"]["constraints"] = constraints
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_dsl_division_by_zero_is_input_error(tmp_path, capsys):
+    # the parser raises ZeroDivisionError for a literal 1/0, which ended in
+    # an internal error
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "name": "zero", "kind": "contact", "base": {"coords": ["u"]},
+        "objects": {"theta": {"u": "1/0"}}}))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: objects.theta.u: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_file_is_input_error(tmp_path, capsys, content, message):
+    # both ended in an internal error from the JSON decoder
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: not valid JSON (") and message in err
+
+
+def test_group_sweep_stops_at_first_witness(monkeypatch):
+    # a sweep draws one element per index and stops at the first failure, so
+    # the next sweep starts from the same point of the RNG stream
+    from homogeo import groups
+    draws, members = [], []
+    real_draw, real_member = groups.rand_element, groups.member
+    monkeypatch.setattr(groups, "rand_element",
+                        lambda G, rng: draws.append(1) or real_draw(G, rng))
+    monkeypatch.setattr(groups, "member", lambda G, g: members.append(1) or (
+        len(members) != 4 and real_member(G, g)))
+    rep = run_scenario(load_scenario(os.path.join(SCENARIOS, "group_sp2.json")))
+    assert rep["checks"][0]["verdict"] == "fail"
+    assert rep["checks"][0]["witness"] == {"index": 3, "reason": "not a member"}
+    assert [c["verdict"] for c in rep["checks"][1:]] == ["pass", "pass"]
+    assert len(draws) == 4 + 50 + 20
+
+
+# the type mutations of one JSON value that every scenario field must turn
+# into a report or an input error, never an internal one
+_MUTANTS = ["x", [], {}, True, 1.5, None, -1, {"a": "1"}, ["1"]]
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value inside `node`, nested ones included."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _bundled_scenarios():
+    out = {}
+    for name in sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json")):
+        with open(os.path.join(SCENARIOS, name)) as fh:
+            out[name] = json.load(fh)
+    return out
+
+
+_BUNDLED = _bundled_scenarios()
+_MUTATION_SITES = [(name, path) for name, data in _BUNDLED.items()
+                   for path in _json_paths(data)]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_MUTATION_SITES), st.sampled_from(_MUTANTS))
+def test_single_field_mutation_is_report_or_input_error(tmp_path_factory, site,
+                                                         value):
+    name, path = site
+    data = copy.deepcopy(_BUNDLED[name])
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path_factory.getbasetemp() / "mutant.json"
+    target.write_text(json.dumps(data))
+    try:
+        report = run_scenario(load_scenario(str(target)))
+    except INPUT_ERRORS:
+        return
+    assert isinstance(report["scenario"], str) and report["checks"]
 
 
 def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):
