@@ -91,7 +91,8 @@ def _theta_pivot(pair: ContactPair, policy: ZeroTestPolicy) -> int:
     scores = [min(abs(v) for v in col) for col in cols]
     for j, p in enumerate(pts):
         if max(abs(col[j]) for col in cols) <= policy.tolerance:
-            raise InvalidPairError(f"theta vanishes at sample point {p}")
+            raise InvalidPairError("theta vanishes at sample point "
+                                   + ", ".join(f"{k}={v}" for k, v in p.items()))
     best = max(range(n), key=lambda i: (scores[i], -i))
     if scores[best] == 0.0:
         # fall back: first coefficient that is not identically zero

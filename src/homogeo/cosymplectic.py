@@ -134,8 +134,8 @@ def integrability_report0(pair: CosymplecticPair, k: int,
                     "integrability scored through the integrability equivalence")
 
     fals = None
-    verdicts = {"cocycle_and_nondeg": integrable, "integrable": integrable,
-                "homogeneous_integrable": hom_int}
+    verdicts = {"cocycle_and_nondeg": rep.cocycle and rep.volume,
+                "integrable": integrable, "homogeneous_integrable": hom_int}
     if len(set(verdicts.values())) > 1:
         fals = ("theorem equivalence violated: " +
                 ", ".join(f"{key}={v}" for key, v in verdicts.items()))

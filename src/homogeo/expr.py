@@ -10,26 +10,32 @@ Heavy canonical simplification is intentionally absent; identity checking
 is the zero test's job (see zerotest.py).
 
 Because a node is immutable and stays interned for the life of the
-process, `simplify` and `diff` keep their results on the node itself (the
-`cache` slot), keyed by the constraints and, for `diff`, the variable.  A
-later call on a shared subtree is a lookup, not a walk.  An exception such
-as DomainError is never cached.  The printer keeps the text of every
-subexpression it prints in the same slot, so `to_dsl` prints each node
-once per process; only the root's text, the largest and rarely printed
-again, is not kept.
+process, `simplify`, `diff` and the sign walker `_sign_class` keep their
+results on the node itself (the `cache` slot), keyed by the constraints
+and, for `diff`, the variable.  A later call on a shared subtree is a
+lookup, not a walk.  An exception such as DomainError is never cached.
+The printer keeps the text of every subexpression it prints in the same
+slot, so `to_dsl` prints each node once per process; only the root's
+text, the largest and rarely printed again, is not kept.
 
 The intern keys hold a coefficient or exponent as its numerator and
 denominator ints, not as a Fraction, which keeps hashing them cheap.
 
-The walkers are `subs`, `diff`, `simplify`, the printer, `_sign_class`
-(the sign under domain constraints, for `sign_of`) and `_syntactic_sign`
-(positivity and nonnegativity read off the syntax alone, one walk for
-both, which `abs_`, `sign_` and `pw` consult).  They are recursive.
-Under Python's default recursion limit of 1000, `to_dsl` (and so every
-sampled zero test) handled 498 nested function heads or 284 nested
-alternating sums and products, and `simplify`, `diff` and `subs` about
-twice as deep (Python 3.11.7); deeper expressions built in code raise
-RecursionError.
+One walker reads signs: `_sign_class`, the sign class ("+", "-", "0",
+"0+", "0-" or unknown) under domain constraints.  `sign_of` asks it under
+the caller's constraints; the constructors ask it under none, and fold
+what it shows: `abs_` returns an argument that is "+", "0+" or "0",
+`sign_` gives 1 for a "+" argument, and `pw` folds (b^e)^q for a
+fractional q when b is "+".
+
+The walkers are `subs`, `diff`, `simplify`, the printer and
+`_sign_class`.  They are recursive (`_sign_class` one Python frame per
+nesting level).  Under Python's default recursion limit of 1000,
+`to_dsl` (and so every sampled zero test) handled 497 nested function
+heads or 284 nested alternating sums and products, `simplify`, `diff`
+and `subs` about 990 heads and 494 to 660 sums and products, and
+`_sign_class` 986 heads and 986 sums and products (Python 3.11.7);
+deeper expressions built in code raise RecursionError.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class Constraint:
 class Expr:
     """Base node.  Instances are interned: structural equality is identity."""
 
-    __slots__ = ("shash", "free", "rational", "size", "cache")
+    __slots__ = ("shash", "free", "rational", "cache")
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -198,12 +204,11 @@ class Fun(Expr):
 _INTERN: dict = {}
 
 
-def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool, size: int) -> Expr:
+def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool) -> Expr:
     node.shash = shash
     node.free = free
     node.rational = rational
-    node.size = size
-    node.cache = None   # results of simplify/diff, see _cache_put
+    node.cache = None   # results of the walkers, see _cache_put
     _INTERN[key] = node
     return node
 
@@ -218,7 +223,7 @@ def rat(q: Rational) -> Rat:
         return hit
     node = Rat.__new__(Rat)
     node.value = q
-    return _finish(node, key, _fnv((1, n, d)), frozenset(), True, 1)
+    return _finish(node, key, _fnv((1, n, d)), frozenset(), True)
 
 
 def var(name: str) -> Var:
@@ -228,7 +233,7 @@ def var(name: str) -> Var:
         return hit
     node = Var.__new__(Var)
     node.name = name
-    return _finish(node, key, _fnv((2, _strhash(name))), frozenset((name,)), True, 1)
+    return _finish(node, key, _fnv((2, _strhash(name))), frozenset((name,)), True)
 
 
 ZERO = rat(_F0)
@@ -297,8 +302,7 @@ def _make_sum(const: Fraction, terms: tuple) -> Expr:
     shash = _fnv((3, n, d, *(t.shash for t in terms)))
     free = frozenset().union(*(t.free for t in terms))
     rational = all(t.rational for t in terms)
-    size = 1 + sum(t.size for t in terms)
-    return _finish(node, key, shash, free, rational, size)
+    return _finish(node, key, shash, free, rational)
 
 
 def add(*xs) -> Expr:
@@ -350,61 +354,39 @@ def _make_prod(coeff: Fraction, factors: tuple) -> Expr:
     shash = _fnv((4, n, d, *(f.shash for f in factors)))
     free = frozenset().union(*(f.free for f in factors))
     rational = all(f.rational for f in factors)
-    size = 1 + sum(f.size for f in factors)
-    return _finish(node, key, shash, free, rational, size)
+    return _finish(node, key, shash, free, rational)
+
+
+def _collect(xs, coeff: Fraction, acc: dict) -> Fraction:
+    """Multiply the rational parts of `xs` into `coeff`, which is returned,
+    and add the exponent of each other base into `acc` (base -> exponent).
+    No base is a Rat with an integer exponent: `pw` folds those."""
+    for x in xs:
+        if isinstance(x, Rat):
+            coeff = _qmul(coeff, x.value)
+            continue
+        if isinstance(x, Prod):
+            coeff = _qmul(coeff, x.coeff)
+            fs = x.factors
+        else:
+            fs = (x,)
+        for f in fs:
+            b, q = _factor_base(f)
+            acc[b] = _qadd(acc.get(b, _F0), q)
+    return coeff
 
 
 def mul(*xs) -> Expr:
-    coeff = _F1
-    acc: dict = {}   # base -> exponent
-    stack = [_coerce(x) for x in xs]
-
-    def put(base, q):
-        nonlocal coeff
-        if isinstance(base, Rat):
-            if q.denominator == 1:
-                coeff_part = base.value ** q.numerator if base.value != 0 or q >= 0 else None
-                if coeff_part is None:
-                    raise ZeroDivisionError("0 raised to a negative power")
-                coeff = _qmul(coeff, coeff_part)  # exact
-                return
-        acc[base] = _qadd(acc.get(base, _F0), q)
-
-    for x in stack:
-        if isinstance(x, Rat):
-            coeff = _qmul(coeff, x.value)
-        elif isinstance(x, Prod):
-            coeff = _qmul(coeff, x.coeff)
-            for f in x.factors:
-                b, q = _factor_base(f)
-                put(b, q)
-        else:
-            b, q = _factor_base(x)
-            put(b, q)
+    acc: dict = {}
+    coeff = _collect(map(_coerce, xs), _F1, acc)
     if coeff == 0:
         return ZERO
-    factors = []
-    for base, q in acc.items():
-        if q == 0:
-            continue
-        factors.append(pw(base, q))
-    # pw may have folded to Rat or nested products; re-run once if so
+    factors = [pw(b, q) for b, q in acc.items() if q != 0]
+    # pw may have folded to Rat or nested products; re-collect once if so
     if any(isinstance(f, (Rat, Prod)) for f in factors):
-        flat = [rat(coeff)] + factors
-        coeff = _F1
-        redo: dict = {}
-        for f in flat:
-            if isinstance(f, Rat):
-                coeff = _qmul(coeff, f.value)
-            elif isinstance(f, Prod):
-                coeff = _qmul(coeff, f.coeff)
-                for g in f.factors:
-                    b, q = _factor_base(g)
-                    redo[b] = _qadd(redo.get(b, _F0), q)
-            else:
-                b, q = _factor_base(f)
-                redo[b] = _qadd(redo.get(b, _F0), q)
-        factors = [pw(b, q) for b, q in redo.items() if q != 0]
+        acc = {}
+        coeff = _collect(factors, coeff, acc)
+        factors = [pw(b, q) for b, q in acc.items() if q != 0]
         if coeff == 0:
             return ZERO
     if len(factors) == 1 and coeff != 1 and isinstance(factors[0], Sum):
@@ -460,7 +442,7 @@ def pw(base, q: Rational) -> Expr:
             if root is not None:
                 return rat(_qpow(root, q.numerator))
     if isinstance(base, Pow):
-        if q.denominator == 1 or _syntactic_sign(base.base)[0]:
+        if q.denominator == 1 or _sign_class(base.base, ()) == "+":
             return pw(base.base, base.exponent * q)
     if isinstance(base, Prod) and q.denominator == 1:
         return mul(rat(_qpow(base.coeff, q.numerator)), *[pw(f, q) for f in base.factors])
@@ -473,7 +455,7 @@ def pw(base, q: Rational) -> Expr:
     node.base = base
     node.exponent = q
     shash = _fnv((5, n, d, base.shash))
-    return _finish(node, key, shash, base.free, base.rational and d == 1, base.size + 1)
+    return _finish(node, key, shash, base.free, base.rational and d == 1)
 
 
 def _make_fun(name: str, arg: Expr) -> Expr:
@@ -485,7 +467,7 @@ def _make_fun(name: str, arg: Expr) -> Expr:
     node.name = name
     node.arg = arg
     shash = _fnv((6, _strhash(name), arg.shash))
-    return _finish(node, key, shash, arg.free, False, arg.size + 1)
+    return _finish(node, key, shash, arg.free, False)
 
 
 def _negated(x: Expr) -> Optional[Expr]:
@@ -523,7 +505,7 @@ def abs_(x) -> Expr:
     x = _coerce(x)
     if isinstance(x, Rat):
         return rat(abs(x.value))
-    if _syntactic_sign(x)[1]:
+    if _sign_class(x, ()) in ("+", "0+", "0"):
         return x
     n = _negated(x)
     if n is not None:
@@ -539,7 +521,7 @@ def sign_(x) -> Expr:
         if x.value == 0:
             raise DomainError("sign(0) is undefined")
         return rat(1 if x.value > 0 else -1)
-    if _syntactic_sign(x)[0]:
+    if _sign_class(x, ()) == "+":
         return ONE
     n = _negated(x)
     if n is not None:
@@ -571,121 +553,71 @@ _FUN_MAKERS = {"exp": exp_, "log": log_, "abs": abs_, "sign": sign_, "sin": sin_
 
 
 # ---------------------------------------------------------------------------
-# syntactic sign information (no constraints involved)
+# signs under domain constraints
 
-def _syntactic_sign(x: Expr) -> tuple:
-    """(positive, nonnegative) as far as the syntax alone shows: constants,
-    exp, abs, even integer powers, and sums and products of such terms.
-    Positive implies nonnegative, so a term that is not nonnegative ends
-    the scan of a sum or product."""
-    if isinstance(x, Rat):
-        return x.value > 0, x.value >= 0
-    if isinstance(x, Fun):
-        return x.name == "exp", x.name in ("exp", "abs")
-    if isinstance(x, Pow):
-        pos = _syntactic_sign(x.base)[0]
-        q = x.exponent
-        return pos, pos or (q.denominator == 1 and q.numerator % 2 == 0)
-    if isinstance(x, (Prod, Sum)):
-        c, parts = (x.coeff, x.factors) if isinstance(x, Prod) else (x.const, x.terms)
-        pos, nonneg = c > 0, c >= 0
-        for p in parts:
-            if not nonneg:
-                break
-            p_pos, p_nonneg = _syntactic_sign(p)
-            pos, nonneg = pos and p_pos, p_nonneg
-        return pos, nonneg
-    return False, False
-
-
-# sign lattice: "+" / "-" strictly signed, "0" zero, "0+" / "0-" weakly
-# signed, None unknown
-_NEG_CLASS = {"+": "-", "-": "+", "0": "0", "0+": "0-", "0-": "0+", None: None}
-
-
-def _sign_class(x: Expr, lo, hi) -> Optional[str]:
+def _sign_class(x: Expr, constraints: tuple) -> Optional[str]:
+    """The sign class of x under `constraints`: "+" / "-" strictly signed,
+    "0" zero, "0+" / "0-" weakly signed, None unknown.  A `>` bound >= 0
+    makes a variable "+", else a `<` bound <= 0 makes it "-".  Kept in the
+    node's cache slot under ("sign", constraints), so a shared subtree is
+    walked once; one Python frame per nesting level."""
     if isinstance(x, Rat):
         return "0" if x.value == 0 else ("+" if x.value > 0 else "-")
     if isinstance(x, Var):
-        if x.name in lo and lo[x.name] >= 0:
+        if any(c.name == x.name and c.op == ">" and c.bound >= 0 for c in constraints):
             return "+"
-        if x.name in hi and hi[x.name] <= 0:
+        if any(c.name == x.name and c.op == "<" and c.bound <= 0 for c in constraints):
             return "-"
         return None
+    key = ("sign", constraints)
+    if x.cache is not None and key in x.cache:
+        return x.cache[key]
+    out = None
     if isinstance(x, Prod):
-        s = "+" if x.coeff > 0 else "-"
+        # strict unless a factor is weak; "-" if an odd number are negative
+        weak, negative = False, x.coeff < 0
         for f in x.factors:
-            fs = _sign_class(f, lo, hi)
-            if fs is None:
-                return None
-            if fs == "0":
-                return "0"
-            if fs in ("0+", "0-"):
-                s = {"+": "0+", "-": "0-"}[s] if fs == "0+" else \
-                    {"+": "0-", "-": "0+"}[s]
-            elif fs == "-":
-                s = _NEG_CLASS[s]
-        return s
-    if isinstance(x, Pow):
-        bs = _sign_class(x.base, lo, hi)
+            out = _sign_class(f, constraints)
+            if out is None or out == "0":
+                break
+            weak = weak or out[0] == "0"
+            negative ^= out[-1] == "-"
+        else:
+            out = ("0" if weak else "") + ("-" if negative else "+")
+    elif isinstance(x, Sum):
+        # one-signed if no term has the other sign; strict if one term is
+        classes = {"0" if x.const == 0 else ("+" if x.const > 0 else "-")}
+        for t in x.terms:
+            classes.add(_sign_class(t, constraints))
+        for s in ("+", "-"):
+            if classes <= {s, "0" + s, "0"}:
+                out = s if s in classes else ("0" if classes == {"0"} else "0" + s)
+    elif isinstance(x, Pow):
+        bs = _sign_class(x.base, constraints)
         q = x.exponent
         if q.denominator == 1 and q.numerator % 2 == 0:
-            if bs in ("+", "-"):
-                return "+"
-            if bs == "0":
-                return "0"
-            return "0+"
-        if bs == "+":
-            return "+"
-        if bs == "0+" and q > 0:
-            return "0+"
-        if bs == "-" and q.denominator == 1:
-            return "-" if q.numerator % 2 else "+"
-        if bs == "0" and q > 0:
-            return "0"
-        return None
-    if isinstance(x, Sum):
-        classes = ["0" if x.const == 0 else ("+" if x.const > 0 else "-")]
-        classes += [_sign_class(t, lo, hi) for t in x.terms]
-        if None in classes:
-            return None
-        if all(c in ("+", "0+", "0") for c in classes):
-            if "+" in classes:
-                return "+"
-            return "0" if all(c == "0" for c in classes) else "0+"
-        if all(c in ("-", "0-", "0") for c in classes):
-            if "-" in classes:
-                return "-"
-            return "0" if all(c == "0" for c in classes) else "0-"
-        return None
-    if isinstance(x, Fun):
-        if x.name == "exp":
-            return "+"
-        if x.name == "abs":
-            s = _sign_class(x.arg, lo, hi)
-            if s in ("+", "-"):
-                return "+"
-            if s == "0":
-                return "0"
-            return "0+"
-        if x.name == "sign":
-            s = _sign_class(x.arg, lo, hi)
-            return s if s in ("+", "-", "0", None) else None
-        return None  # log/sin/cos need magnitudes, not just signs
-    return None
+            out = "+" if bs in ("+", "-") else ("0" if bs == "0" else "0+")
+        elif bs == "+":
+            out = "+"
+        elif bs == "-" and q.denominator == 1:
+            out = "-"
+        elif bs in ("0", "0+") and q > 0:
+            out = bs
+    elif x.name == "exp":
+        out = "+"
+    elif x.name == "abs":
+        s = _sign_class(x.arg, constraints)
+        out = "+" if s in ("+", "-") else ("0" if s == "0" else "0+")
+    elif x.name == "sign":
+        s = _sign_class(x.arg, constraints)
+        out = s if s in ("+", "-", "0") else None
+    # log/sin/cos need magnitudes, not just signs
+    return _cache_put(x, key, out)
 
 
 def sign_of(x: Expr, constraints: Iterable[Constraint] = ()) -> Optional[int]:
     """Strict sign (+1, -1, 0) of x when the constraints determine it."""
-    lo: dict = {}
-    hi: dict = {}
-    for c in constraints:
-        if c.op == ">":
-            lo[c.name] = max(lo.get(c.name, c.bound), c.bound)
-        elif c.op == "<":
-            hi[c.name] = min(hi.get(c.name, c.bound), c.bound)
-    cls = _sign_class(x, lo, hi)
-    return {"+": 1, "-": -1, "0": 0}.get(cls)
+    return {"+": 1, "-": -1, "0": 0}.get(_sign_class(x, tuple(constraints)))
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +653,9 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def _cache_put(x: Expr, key: tuple, out: Expr) -> Expr:
     """Keep `out` as x's result for `key`.  Keys are ("simplify",
-    constraints) or ("diff", variable, constraints), and the printer keeps
-    its text under ("dsl",) (see _printed): the lengths differ, so no two
-    kinds collide."""
+    constraints), ("sign", constraints) or ("diff", variable, constraints),
+    and the printer keeps its text under ("dsl",) (see _printed): the first
+    elements differ, so no two kinds collide."""
     if x.cache is None:
         x.cache = {key: out}
     else:

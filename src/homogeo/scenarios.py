@@ -3,7 +3,8 @@
 A scenario is a JSON document with a kind (contact | cosymplectic |
 complex | riemannian | frame | group), chart declarations, objects given
 as DSL strings, optional expected outcomes, and zero-test policy
-overrides; one table (`_COMMON`, `_KIND_FIELDS`) gives each field's shape.
+overrides; one table (`_COMMON`, `_KIND_FIELDS`) gives each field's shape,
+and `_OUTCOMES` the outcome names `expect` may hold for each kind.
 Verdicts are pass / fail / FALSIFICATION, where FALSIFICATION is reserved
 for violations of machine-checked equivalences that the theory asserts
 (never for invalid input).  Reports are deterministic for a fixed seed: no
@@ -23,7 +24,7 @@ from . import expr as ex
 from .chart import ChartError
 from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from .tensors import KForm, SymTensor2, VectorField
-from .zerotest import ZeroTestPolicy, all_zero
+from .zerotest import MAX_SAMPLES, ZeroTestPolicy, all_zero
 
 __all__ = ["SchemaError", "load_scenario", "run_scenario", "Scenario",
            "render_text", "KINDS"]
@@ -58,11 +59,11 @@ _POSITIVE = "a finite number > 0"    # not true, "1e-9", NaN or infinity
 _FORM = {str: str}                   # index text -> DSL string
 _MATRIX = [[str]]                    # rows of DSL strings
 _BASE = {"coords": [str], "constraints": [str]}
-_GROUP = {"family": ("sp", "glc", "o", "gl"), "param": _Int(1)}
+_GROUP = {"family": ("sp", "glc", "o", "gl"), "param": _Int(1, 4)}
 
 _HEAD = {"name": str, "kind": KINDS}
-_COMMON = {**_HEAD, "expect": {str: bool},
-           "policy": {"seed": _Int(), "samples": _Int(1), "tolerance": _POSITIVE}}
+_COMMON = {**_HEAD, "policy": {"seed": _Int(), "samples": _Int(1, MAX_SAMPLES),
+                               "tolerance": _POSITIVE}}
 _KIND_FIELDS = {
     "contact": {"base": _BASE, "objects": {"theta": _FORM, "upsilon": _FORM}},
     "cosymplectic": {"base": _BASE, "objects": {"Omega": _FORM, "eta": _FORM}},
@@ -71,7 +72,19 @@ _KIND_FIELDS = {
     # a riemannian scenario whose objects name a bundled sphere has no chart
     "sphere": {"objects": {"sphere": _Int(1, 3)}},
     "frame": {"base": _BASE, "objects": {"frame": _MATRIX, "group": _GROUP}},
-    "group": {"objects": {**_GROUP, "elements": _Int(1)}},
+    "group": {"objects": {**_GROUP, "elements": _Int(1, 1000)}},
+}
+_RIEMANNIAN = ("integrable", "A_zero", "B_zero", "C_zero", "D_zero", "RD_zero")
+_OUTCOMES = {
+    "contact": ("integrable", "contact", "homogeneous_integrable",
+                "nondegenerate", "chart_constructed"),
+    "cosymplectic": ("volume", "cocycle", "integrable", "homogeneous_integrable",
+                     "nondegenerate", "chart_constructed"),
+    "complex": ("torsion_zero", "integrable"),
+    "riemannian": _RIEMANNIAN,
+    "sphere": _RIEMANNIAN,
+    "frame": ("homogeneous", "in_normalizer"),
+    "group": (),
 }
 _DEFAULTS = {"expect": {}, "policy": {}, "seed": 0, "samples": 20,
              "tolerance": 1e-9, "constraints": [], "upsilon": {}, "Omega": {},
@@ -82,15 +95,21 @@ def _walk(value, shape, path: str):
     """`value` checked against `shape`, or a SchemaError naming its JSON
     `path`.  A shape is `str`, `bool`, `_Int`, `_POSITIVE`, a tuple of
     allowed strings, `[shape]` (a list), `{str: shape}` (an object with any
-    keys) or a record `{"field": shape, ...}`.  A record field is required
-    unless `_DEFAULTS` names it: then the default stands in for it, or it
-    may be absent if that is None.  The result is normalised: integral
+    keys), `{names: shape}` (an object whose keys are outcome names from
+    the tuple `names`) or a record `{"field": shape, ...}`.  A record field
+    is required unless `_DEFAULTS` names it: then the default stands in for
+    it, or it may be absent if that is None.  The result is normalised: integral
     floats become int, defaults are filled in, unknown fields dropped."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise SchemaError(f"{path or 'scenario'}: must be an object")
-        if str in shape:
-            return {k: _walk(v, shape[str], f"{path}.{k}") for k, v in value.items()}
+        keys = next(iter(shape))
+        if keys is str or isinstance(keys, tuple):
+            for k in value:
+                if keys is not str and k not in keys:
+                    raise SchemaError(f"{path}.{k}: unknown outcome name "
+                                      f"(known: {sorted(keys)})")
+            return {k: _walk(v, shape[keys], f"{path}.{k}") for k, v in value.items()}
         out = {}
         for key, field in shape.items():
             if key in value or _DEFAULTS.get(key) is not None:
@@ -137,7 +156,8 @@ def _checked(data: dict, overrides: dict) -> dict:
     objects = data.get("objects")
     if kind == "riemannian" and isinstance(objects, dict) and "sphere" in objects:
         kind = "sphere"
-    return _walk(data, {**_COMMON, **_KIND_FIELDS[kind]}, "")
+    return _walk(data, {**_COMMON, "expect": {_OUTCOMES[kind]: bool},
+                        **_KIND_FIELDS[kind]}, "")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -251,14 +271,12 @@ def _integrability_check(irep, detail: str) -> dict:
 
 def _with_expectations(data: dict, computed: Dict[str, bool],
                        checks: List[dict]) -> List[dict]:
-    """`checks`, then one check per expected outcome of the scenario."""
+    """`checks`, then one check per expected outcome of the scenario; an
+    outcome the run did not compute fails."""
     for key, want in sorted(data["expect"].items()):
-        if key not in computed:
-            raise SchemaError(f"expect.{key}: unknown outcome name "
-                              f"(known: {sorted(computed)})")
-        got = computed[key]
-        checks.append(_check(f"expect {key}", got == want,
-                             f"expected {want}, computed {got}"))
+        got = computed.get(key)
+        checks.append(_check(f"expect {key}", got == want, f"expected {want}, "
+                             + ("not computed" if got is None else f"computed {got}")))
     return checks
 
 
@@ -278,7 +296,7 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         rep = ct.check_pair(pair, policy)
     except ct.InvalidPairError as err:
         checks.append(_check("pair", False, str(err)))
-        return checks
+        return _with_expectations(data, {}, checks)
     checks.append(_check(
         "pair", rep.theta_nowhere_zero,
         f"theta nowhere zero (pivot {scn.base.coords[rep.pivot]}); kernel "
@@ -371,7 +389,7 @@ def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         ac = cx.frame_to_j(frame, policy)
     except (ValueError, ChartError) as err:
         checks.append(_check("structure", False, str(err)))
-        return checks
+        return _with_expectations(data, {}, checks)
     checks.append(_check("structure", True,
                          "J^2 = -I, fiber-invariant, trivial degree coset"))
     rep = cx.integrability_report_c(ac, policy)
@@ -417,7 +435,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                              "leading principal minors positive at samples"))
     except rm.DegeneracyError as err:
         checks.append(_check("definite", False, str(err)))
-        return checks
+        return _with_expectations(data, {}, checks)
 
     checks.append(_homogeneity_check(
         triple.scenario, rm.triple_to_gtilde(triple), DEG_ABS, policy,

@@ -81,10 +81,12 @@ from . import expr as ex
 from . import numtape
 
 __all__ = ["ZeroTestPolicy", "ZeroVerdict", "ConfigError", "is_zero",
-           "zero_report", "all_zero", "sample_points", "DEFAULT_POLICY"]
+           "zero_report", "all_zero", "sample_points", "DEFAULT_POLICY",
+           "MAX_SAMPLES"]
 
 _PREFILTER = 1e-6          # float magnitude above which we try an exact witness
 _MAX_REDRAWS = 200
+MAX_SAMPLES = _MAX_REDRAWS + 1   # draws per query: no larger sample_count is met
 
 
 class ConfigError(ValueError):
@@ -99,8 +101,8 @@ class ZeroTestPolicy:
     constraints: Tuple[ex.Constraint, ...] = ()
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
+        if not 1 <= self.sample_count <= MAX_SAMPLES:
+            raise ConfigError(f"sample_count must be from 1 to {MAX_SAMPLES}")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
 

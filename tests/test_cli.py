@@ -154,11 +154,18 @@ def test_cli_does_not_import_numpy():
     ("darboux_k1", lambda d: d["expect"].update(integrable=1),
      "expect.integrable: 1 is not true or false"),
     ("frame_euler", lambda d: d.update(expect=[]), "expect: must be an object"),
+    ("darboux_k1", lambda d: d.update(objects={"theta": {}}, expect={"x": True}),
+     "expect.x: unknown outcome name (known: ['chart_constructed', 'contact', "
+     "'homogeneous_integrable', 'integrable', 'nondegenerate'])"),
+    ("group_sp2", lambda d: d.update(expect={"nonsense": True}),
+     "expect.nonsense: unknown outcome name (known: [])"),
 ], ids=["sphere-bool", "sphere-text", "expect-text", "expect-homogeneous-text",
-        "expect-number", "expect-list"])
+        "expect-number", "expect-list", "expect-name-invalid-pair",
+        "expect-name-group"])
 def test_mistyped_sphere_or_expect_is_input_error(tmp_path, capsys, name, edit, message):
-    # each once ran as if valid (true as the circle, "false" as true), or
-    # ended in an internal error (a frame scenario's list of expectations)
+    # each once ran as if valid (true as the circle, "false" as true, an
+    # invalid pair's or a group's unknown outcome name), or ended in an
+    # internal error (a frame scenario's list of expectations)
     with open(os.path.join(SCENARIOS, name + ".json")) as fh:
         data = json.load(fh)
     edit(data)
@@ -207,6 +214,26 @@ def test_failing_expectation_sets_exit_code(tmp_path, capsys):
     code, out, _ = run_cli(["run", str(p)], capsys)
     assert code == 1
     assert "expected False, computed True" in out
+
+
+@pytest.mark.parametrize("name, edit, key", [
+    ("frame_inhomogeneous", lambda d: d["expect"].update(in_normalizer=True),
+     "in_normalizer"),
+    ("darboux_k1", lambda d: d.update(objects={"theta": {}}), "integrable"),
+], ids=["inhomogeneous-frame", "invalid-pair"])
+def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key):
+    # the frame was told `in_normalizer` is an unknown name; the invalid
+    # pair dropped its expectations
+    with open(os.path.join(SCENARIOS, name + ".json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(["run", str(path), "--json"], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks[f"expect {key}"]["verdict"] == "fail"
+    assert checks[f"expect {key}"]["detail"] == "expected True, not computed"
 
 
 def test_suite_filter(capsys):
@@ -297,11 +324,16 @@ _BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
     ("policy", "tolerance", 0),
     ("policy", "tolerance", float("nan")),
     ("policy", "tolerance", float("inf")),
+    ("policy", "samples", zerotest.MAX_SAMPLES + 1),
+    ("objects", "param", 5),
+    ("objects", "elements", 1001),
+    ("objects", "elements", 1e12),
 ], ids=["samples-text", "seed-null", "elements-text", "param-list",
         "param-null", "samples-fraction", "samples-digits", "seed-bool",
         "param-fraction", "elements-negative", "elements-zero",
         "tolerance-bool", "tolerance-text", "tolerance-zero", "tolerance-nan",
-        "tolerance-inf"])
+        "tolerance-inf", "samples-past-draws", "param-large", "elements-large",
+        "elements-huge"])
 def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value):
     data = json.loads(json.dumps(_BAD_NUMBERS))
     data[section][key] = value

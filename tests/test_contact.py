@@ -136,6 +136,15 @@ def test_check_pair_vanishing_theta():
         check_pair(pair)
 
 
+def test_vanishing_theta_names_the_point_in_dsl():
+    pair = ContactPair(SCN3, zero_form(SCN3.base, 1), zero_form(SCN3.base, 2))
+    with pytest.raises(InvalidPairError) as err:
+        check_pair(pair)
+    msg = str(err.value)
+    assert msg.startswith("theta vanishes at sample point u=")
+    assert "Fraction(" not in msg and "{" not in msg
+
+
 def test_check_pair_isolated_zero_is_sampled_valid():
     # theta = u du vanishes only on a measure-zero set, which random
     # rational samples do not hit; the pair is then simply degenerate

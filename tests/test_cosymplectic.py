@@ -111,6 +111,22 @@ def test_integrability_constant_sheared_pair():
     assert rep.chart_constructed and rep.falsification is None
 
 
+@pytest.mark.parametrize("field", ["volume", "cocycle"])
+def test_base_side_enters_equivalence(monkeypatch, field):
+    """The base-side criterion (d Omega = d eta = 0 with a volume form) is
+    compared with upstairs integrability: a report whose base side
+    disagrees is a falsification."""
+    import dataclasses
+    from homogeo import cosymplectic as cs
+    real = cs.check_cosymplectic
+    monkeypatch.setattr(cs, "check_cosymplectic", lambda *args: dataclasses.replace(
+        real(*args), **{field: False}))
+    rep = integrability_report0(standard_cosymplectic_pair(2), 2)
+    assert rep.integrable
+    assert rep.falsification == ("theorem equivalence violated: cocycle_and_nondeg="
+                                 "False, integrable=True, homogeneous_integrable=True")
+
+
 def test_integrability_noncocycle():
     pair = CosymplecticPair(SCN3,
                             KForm(SCN3.base, 2, {(1, 2): ex.var("x")}),

@@ -273,6 +273,15 @@ def test_policy_validation():
         ZeroTestPolicy(tolerance=0.0)
 
 
+def test_policy_sample_count_within_draw_budget():
+    # a query draws at most MAX_SAMPLES points, so a larger count was a
+    # ConfigError blaming the expression ("may be singular")
+    with pytest.raises(ConfigError, match="sample_count must be from 1 to 201"):
+        ZeroTestPolicy(sample_count=zt.MAX_SAMPLES + 1)
+    assert zero_report(ex.sin_(ex.var("x")),
+                       ZeroTestPolicy(sample_count=zt.MAX_SAMPLES)).samples == 201
+
+
 def test_exact_path_is_exact():
     # 1e-30 is way below tolerance but the rational path must flag it
     e = ex.rat(Fraction(1, 10 ** 30))
@@ -825,8 +834,8 @@ def test_root_text_not_kept():
 # -- simplification and signs --------------------------------------------------
 
 def _ref_syntactic_pos(x):
-    """Reference: positivity read off the syntax, the walker before
-    positivity and nonnegativity were read in one walk."""
+    """Reference: positivity read off the syntax alone (constants, exp,
+    and sums and products of positive terms with a positive constant)."""
     if isinstance(x, ex.Rat):
         return x.value > 0
     if isinstance(x, ex.Fun):
@@ -861,6 +870,10 @@ def _ref_syntactic_nonneg(x):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(RATIONAL_DSL, FUNCTION_DSL), st.sampled_from(["2", "3", "-2", "1/2"]))
 def test_syntactic_sign_matches_reference_walkers(text, power):
+    """The sign class under no constraints, which the constructors fold
+    on, is never weaker than the sign read off the syntax alone: where the
+    reference walkers say positive, the class is "+", and where they say
+    nonnegative, it is "+", "0+" or "0"."""
     try:
         e = parse(text, names=["x", "y"])
     except (ZeroDivisionError, ex.DomainError):
@@ -877,8 +890,72 @@ def test_syntactic_sign_matches_reference_walkers(text, power):
         if not x.is_zero_literal():
             ys.append(ex.pw(x, Fraction(power)))
         for y in ys:
-            assert ex._syntactic_sign(y) == (_ref_syntactic_pos(y),
-                                             _ref_syntactic_nonneg(y)), ex.to_dsl(y)
+            cls = ex._sign_class(y, ())
+            if _ref_syntactic_pos(y):
+                assert cls == "+", ex.to_dsl(y)
+            if _ref_syntactic_nonneg(y):
+                assert cls in ("+", "0+", "0"), ex.to_dsl(y)
+
+
+def test_sign_walk_visits_shared_subexpressions_once():
+    """e <- e*(e + 1) holds e twice per level, so depth 24 has 2^24 paths
+    from the root: a sign walk that does not keep its results took seconds
+    at depth 20.  Fresh variables keep earlier tests' results out."""
+    chains = []
+    for e in (ex.exp_(ex.var("chain_a")), ex.var("chain_b")):
+        for _ in range(24):
+            e = ex.mul(e, ex.add(e, 1))
+        chains.append(e)
+    t0 = time.perf_counter()
+    assert ex.abs_(chains[0]) is chains[0]
+    assert ex.sign_(chains[0]) is ex.ONE
+    assert ex.sign_of(chains[1]) is None
+    assert ex.sign_of(chains[1], [ex.Constraint("chain_b", ">", 0)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_sign_of_weak_factors():
+    """Two weakly signed factors make a weakly signed product (a product
+    of two "0+" factors once raised KeyError)."""
+    x, y = ex.var("x"), ex.var("y")
+    assert ex._sign_class(ex.mul(ex.abs_(x), ex.abs_(y)), ()) == "0+"
+    assert ex._sign_class(ex.mul(-1, ex.pw(x, 2), ex.pw(y, 2)), ()) == "0-"
+    assert ex._sign_class(ex.mul(ex.pw(x, 2), ex.add(1, ex.pw(y, 2))), ()) == "0+"
+    assert ex.abs_(ex.mul(ex.pw(x, 2), ex.pw(y, 2))) is ex.mul(ex.pw(x, 2), ex.pw(y, 2))
+    assert ex.sign_of(ex.mul(ex.abs_(x), ex.pw(y, 2), ex.var("z"))) is None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(RATIONAL_DSL, FUNCTION_DSL), st.booleans(),
+       st.lists(ORACLE_POINT, min_size=3, max_size=3))
+@example("((-1/3) - (x))^(3) + (1) / ((-2) - (y))", True,
+         [{"x": Fraction(1), "y": Fraction(1, 2)}])
+@example("(x)^(2) * ((1) + (y)^(2))", False, [{"x": Fraction(0), "y": Fraction(1)}])
+def test_sign_of_agrees_with_float_values(text, positive, points):
+    """Wherever `sign_of` gives 1, -1 or 0 for a subexpression, with or
+    without x, y > 0, no finite float value at the points contradicts it."""
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return
+    cons = ()
+    if positive:
+        cons = (ex.Constraint("x", ">", 0), ex.Constraint("y", ">", 0))
+        points = [{k: abs(v) for k, v in p.items()} for p in points if all(p.values())]
+    stack, seen = [e], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        stack += _children(x)
+        s = ex.sign_of(x, cons)
+        if s is None:
+            continue
+        for v in numtape.eval_points(x, points):
+            if math.isfinite(v):
+                assert (v > 0, v < 0) == (s == 1, s == -1), (ex.to_dsl(x), cons, v)
 
 
 def test_simplify_branch_resolution():
