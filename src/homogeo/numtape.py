@@ -12,15 +12,16 @@ every evaluator is a plain Python loop over the codes, one pass per point:
 * ``eval_tape_mod`` evaluates a rational tape over GF(p) with Python ints,
   from the exact Fraction constants the tape keeps next to their floats.
   The zero test decides a rational query by its residues at uniform
-  points, and uses residues in place of exact Fraction values while it
-  looks for a witness;
+  points;
 * ``eval_tape_exact`` evaluates a rational tape at one point in Fraction
   arithmetic, from the same exact constants.  The zero test evaluates its
   witness on the tape it compiled for the query.
 
 ``degree_bound`` is one more pass over a rational tape: a bound on the
 numerator degree of its value, from which the zero test sets how many
-uniform points decide a rational query.
+uniform points decide a rational query, or, at a point, a bound on the
+bit length of the value there, which keeps the witness search within
+``expr.MAX_CONSTANT_BITS``.
 """
 
 from __future__ import annotations
@@ -201,22 +202,33 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     return out
 
 
-def degree_bound(tape: Tape) -> int:
-    """A bound on the total degree of the numerator of a rational tape's
-    value, written as one fraction N/D, from one pass over the tape: a
-    variable is (1, 0), a constant (0, 0); n1/d1 + n2/d2 gives
-    (max(n1 + d2, n2 + d1), d1 + d2), a product adds both degrees, and a
-    power ^k scales them by |k|, swapping them for k < 0."""
+def degree_bound(tape: Tape, point: Optional[Mapping[str, Fraction]] = None) -> int:
+    """Size the value of a rational tape, written as one fraction N/D, by
+    (n, d) in one pass: n1/d1 + n2/d2 gives (max(n1 + d2, n2 + d1) + c,
+    d1 + d2), a product adds the sizes, and a power ^k scales them by |k|,
+    swapping them for k < 0.  With no point the sizes are degrees (a
+    variable is (1, 0), a constant (0, 0), c = 0), and the result bounds
+    the total degree of N.  At a point they are bit lengths (a constant or
+    coordinate gives those of its numerator and denominator, c = 1), and
+    the result, max(n, d), bounds every Fraction the tape computes there,
+    since no rule shrinks a size (no power is ^0)."""
     exact = tape.exact
+    if point is None:
+        consts, coords, carry = [(0, 0)] * len(exact), [(1, 0)] * len(tape.varnames), 0
+    else:
+        def bits(q):
+            return q.numerator.bit_length(), q.denominator.bit_length()
+        consts, carry = [bits(c) for c in exact], 1
+        coords = [bits(point[name]) for name in tape.varnames]
     num: list = []
     den: list = []
     for op, a, b in tape.code:
         if op == OP_CONST:
-            n, d = 0, 0
+            n, d = consts[a]
         elif op == OP_VAR:
-            n, d = 1, 0
+            n, d = coords[a]
         elif op == OP_ADD:
-            n, d = max(num[a] + den[b], num[b] + den[a]), den[a] + den[b]
+            n, d = max(num[a] + den[b], num[b] + den[a]) + carry, den[a] + den[b]
         elif op == OP_MUL:
             n, d = num[a] + num[b], den[a] + den[b]
         elif op == OP_POW and exact[b].denominator == 1:
@@ -226,7 +238,7 @@ def degree_bound(tape: Tape) -> int:
             raise ex.DomainError("tape is not rational-exact")
         num.append(n)
         den.append(d)
-    return num[-1]
+    return num[-1] if point is None else max(num[-1], den[-1])
 
 
 def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:

@@ -2,69 +2,60 @@
 
 Every identity check in the package reduces to this test.  The verdict
 policy is: a literal 0 after simplification is zero.  An expression that
-is rational in all variables is decided over GF(p) at uniform points;
-everything else is evaluated at `sample_count` random rational points of
-the constrained domain and compared against `tolerance` in floating
-point.  The per-query RNG is derived from (seed, expression fingerprint),
-so verdicts and witnesses are stable across runs and independent of
-evaluation order.  The fingerprint is the printed DSL text of the
-simplified expression plus the constraints.
+is rational in all variables is decided over GF(p) at uniform points and
+never evaluated in floats; everything else is evaluated at `sample_count`
+random rational points of the constrained domain and compared against
+`tolerance` in floating point.  The per-query RNG is derived from
+(seed, expression fingerprint), so verdicts and witnesses are stable
+across runs and independent of evaluation order.  The fingerprint is the
+printed DSL text of the simplified expression plus the constraints.
 
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one
 without advancing its iterable further, so the checks hand it generators
 and build no residual past a failure.
 
-Candidate rational points are drawn from that RNG in order and evaluated
-in floating point (numtape.eval_tape) one batch at a time, each batch
-being the points still missing.  A point with a non-finite value is
+Float queries: candidate points are drawn from that RNG in order and
+evaluated in floating point (numtape.eval_tape) one batch at a time, each
+batch being the points still missing.  A point with a non-finite value is
 redrawn, with at most _MAX_REDRAWS + 1 = 201 draws per query; a point
 where a `math` call raises (a pole, a domain error, an overflow) has the
-value nan.  Batching accepts the same points as drawing one at a time,
-and the fingerprint text is unchanged, so seeds and witnesses are too.
-When no 201 draws give enough points and no residue proves the query
-nonzero, ConfigError names the cause: a constant outside the float range,
-or else an expression that may be singular on the whole domain.
+value nan.  When no 201 draws give enough points, ConfigError names the
+cause: a constant outside the float range, or else an expression that
+may be singular on the whole domain.
 
-A rational query draws a prime p uniformly from [2^61, 2^62) from a
-second RNG seeded from the same (seed, fingerprint) key, so the rational
-point stream is untouched.  That RNG goes on to draw k points uniform in
-GF(p)^n, and the query's tape is evaluated there (numtape.eval_tape_mod).
-k is the fewest points with (D/p)^k <= 2^-40, where D is a bound on the
-numerator degree of the tape's value (numtape.degree_bound): one point
-while D <= 2^21, two up to about 2^41, and ConfigError when D > p/2.
-Zero residues at all k points are a zero verdict at once, with `samples`
-= k: no rational point is drawn and no float pass runs.  The domain
+Rational queries (Schwartz-Zippel identity testing): a second RNG, seeded
+from the same key, draws primes uniformly from [2^61, 2^62), and p is the
+first that divides no constant's denominator.  That RNG goes on to draw k
+points uniform in GF(p)^n, evaluated in one numtape.eval_tape_mod call; k
+is the fewest with (D/p)^k <= 2^-40 for the numerator-degree bound
+D = numtape.degree_bound(tape): one point while D <= 2^21, two up to about
+2^41, and ConfigError when D > p/2.  A point that is a pole mod p is
+drawn again, at most _MAX_REDRAWS times in all, and then ConfigError says
+the expression may be singular on the whole domain.  The domain
 constraints do not restrict these points: a rational function that
-vanishes on an open set vanishes identically.  A nonzero residue proves
-the query nonzero, and the rational points then only look for a witness
-(Schwartz-Zippel identity testing):
+vanishes on an open set vanishes identically.
 
-* the accepted points are evaluated over GF(p); the float values order
-  the search, and only a point with a nonzero residue, or one the prime
-  cannot reduce, is evaluated in Fraction arithmetic
-  (numtape.eval_tape_exact), at most once, so witness_value stays exact.
-  A point falls back to Fraction arithmetic when p divides the
-  denominator of a constant or coordinate, or the base of a negative
-  power is 0 mod p; an exact pole is such a case and is skipped;
-* when no accepted point has a nonzero value, or none is accepted at all
-  (every float value infinite), the verdict is nonzero and exact with
-  witness None: a certificate whose note names p and the residue.
-  `samples` is then the number of accepted rational points.
+* zero residues at all k points are the zero verdict, with `samples` = k,
+  and the only way a rational query is zero;
+* a nonzero residue is the nonzero verdict.  The rational points are then
+  drawn only to look for a witness: the first of `sample_count` draws
+  whose value is defined and nonzero, evaluated in Fraction arithmetic
+  (numtape.eval_tape_exact) so that witness_value is exact, and `samples`
+  is the number of draws made.  A draw whose bit-length bound
+  (numtape.degree_bound at the point) exceeds expr.MAX_CONSTANT_BITS is
+  not evaluated.  When no draw qualifies, witness is None, `samples` is
+  `sample_count`, and the note is the certificate: p and the residue.
 
-When a uniform point has no residue (p divides a constant's denominator,
-or the point is a pole mod p) and none is nonzero, the query is decided
-on the rational points as above, zero when every exact value is zero.
-One tape is compiled per sampled query, and the float, GF(p) and
-Fraction evaluations all run on it.
-
-A zero verdict from the uniform points is wrong with probability at most
-(D/p)^k <= 2^-40 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on
-top of the chance that p divides every coefficient of the numerator N:
-at most log2|N|/61 primes in [2^61, 2^62) divide a nonzero coefficient,
-out of about 5.3e16.  A zero residue at a rational point adds at most
-log2|N|/(61 * 5.3e16) per point on the fallback path.  A nonzero verdict
-has no added error.
+A zero verdict is wrong with probability at most (D/p)^k <= 2^-40
+(Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on top of the chance
+that p divides every coefficient of the numerator N: at most log2|N|/61
+primes in [2^61, 2^62) divide a nonzero coefficient, out of about 5.3e16.
+A redrawn pole point leaves each point uniform on the points that are not
+poles mod p, which divides the per-point bound D/p by 1 - q for the share
+q of pole points (q <= E/p when E bounds the degree of the product of the
+numerators of the negative-power bases).  A nonzero verdict has no added
+error.
 """
 
 from __future__ import annotations
@@ -84,7 +75,6 @@ __all__ = ["ZeroTestPolicy", "ZeroVerdict", "ConfigError", "is_zero",
            "zero_report", "all_zero", "sample_points", "DEFAULT_POLICY",
            "MAX_SAMPLES"]
 
-_PREFILTER = 1e-6          # float magnitude above which we try an exact witness
 _MAX_REDRAWS = 200
 MAX_SAMPLES = _MAX_REDRAWS + 1   # draws per query: no larger sample_count is met
 
@@ -214,32 +204,48 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _query_prime(key: int) -> Tuple[int, random.Random]:
-    """A prime drawn uniformly from [2^61, 2^62) by an RNG of its own,
-    seeded from the query key, so the point stream is left untouched; and
-    that RNG, which goes on to draw the uniform points of GF(p)^n."""
-    rng = random.Random(f"prime:{key}")
+def _next_prime(rng: random.Random) -> int:
+    """The next prime the RNG draws uniformly from [2^61, 2^62)."""
     while True:
         n = rng.getrandbits(61) | (1 << 61) | 1
         if _is_prime(n):
-            return n, rng
+            return n
+
+
+def _query_prime(key: int) -> Tuple[int, random.Random]:
+    """The first prime drawn by an RNG of its own, seeded from the query
+    key, so the point stream is left untouched; and that RNG, which goes on
+    to draw any further prime and the uniform points of GF(p)^n."""
+    rng = random.Random(f"prime:{key}")
+    return _next_prime(rng), rng
 
 
 def _uniform_residue(tape: numtape.Tape, p: int, rng: random.Random):
     """The tape's residue at uniform points of GF(p)^n, and how many points
-    were drawn: the fewest k with (D/p)^k <= 2^-40 for the numerator-degree
+    decide it: the fewest k with (D/p)^k <= 2^-40 for the numerator-degree
     bound D = numtape.degree_bound(tape), so one point while D <= 2^21.
-    The residue is the first nonzero one, else None when a point has none
-    (p divides a constant's denominator, or a pole mod p), else 0.  Raises
-    ConfigError when D > p/2, where 40 points do not reach 2^-40."""
+    The k points are evaluated in one call; while none is nonzero, a pole
+    mod p is replaced by the next draw, at most _MAX_REDRAWS times.  The
+    residue is the first nonzero one, else 0.  Raises ConfigError when
+    D > p/2, where 40 points do not reach 2^-40, or the redraws run out."""
     d = numtape.degree_bound(tape)
     k = next((k for k in range(1, 41) if d ** k << 40 <= p ** k), None)
     if k is None:
         raise ConfigError(f"numerator degree bound {d} is too large for a "
                           "zero test over GF(p)")
-    points = [{n: rng.randrange(p) for n in tape.varnames} for _ in range(k)]
-    residues = numtape.eval_tape_mod(tape, points, p)
-    return next((r for r in residues if r), None if None in residues else 0), k
+
+    def draw():
+        return {n: rng.randrange(p) for n in tape.varnames}
+
+    residues = numtape.eval_tape_mod(tape, [draw() for _ in range(k)], p)
+    redraws = 0
+    while None in residues and not any(residues):
+        if redraws == _MAX_REDRAWS:
+            raise ConfigError("could not find enough valid sample points "
+                              "(expression may be singular on the whole domain)")
+        redraws += 1
+        residues[residues.index(None)] = numtape.eval_tape_mod(tape, [draw()], p)[0]
+    return next((r for r in residues if r), 0), k
 
 
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
@@ -255,14 +261,29 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     rng = random.Random(key)
     lo, hi, excl = _bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
-    residue = None
     if e.rational:
         # uniform points of GF(p)^n decide the query; the rational points
-        # below only look for a witness of a nonzero residue
+        # only look for a witness of a nonzero residue
         p, prime_rng = _query_prime(key)
+        while any(c.denominator % p == 0 for c in tape.exact):
+            p = _next_prime(prime_rng)
         residue, count = _uniform_residue(tape, p, prime_rng)
         if residue == 0:
             return ZeroVerdict(True, True, samples=count)
+        for draws in range(1, policy.sample_count + 1):
+            pt = {n: _draw(rng, lo, hi, excl, n) for n in names}
+            if numtape.degree_bound(tape, pt) > ex.MAX_CONSTANT_BITS:
+                continue
+            try:
+                val = numtape.eval_tape_exact(tape, pt)
+            except ZeroDivisionError:
+                continue        # a pole
+            if val != 0:
+                return ZeroVerdict(False, True, witness=pt, witness_value=val,
+                                   samples=draws)
+        return ZeroVerdict(False, True, samples=policy.sample_count,
+                           note=f"nonzero residue {residue} mod p = {p} at a "
+                                "uniform point; no rational sample is a witness")
 
     points = []
     floats = []
@@ -270,8 +291,6 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     while len(points) < policy.sample_count:
         k = min(policy.sample_count - len(points), _MAX_REDRAWS + 1 - draws)
         if k == 0:
-            if residue is not None:
-                break       # proven nonzero; search the accepted points
             cause = ("a constant is outside the float range"
                      if not all(map(math.isfinite, tape.consts))
                      else "expression may be singular on the whole domain")
@@ -282,48 +301,6 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             if math.isfinite(v):  # otherwise outside the expression's domain; redraw
                 points.append(pt)
                 floats.append(v)
-
-    if e.rational:
-        # float prefilter: likely witnesses first, then confirmation of every
-        # point.  A residue mod a per-query prime stands in for each exact
-        # value; a zero residue counts as zero, and only a nonzero residue
-        # (the witness) or a point the prime cannot reduce is evaluated
-        # exactly, each at most once
-        residues = numtape.eval_tape_mod(tape, points, p)
-        exact = {}
-
-        def value(i):
-            if residues[i] == 0:
-                return 0
-            if i not in exact:
-                try:
-                    exact[i] = numtape.eval_tape_exact(tape, points[i])
-                except ZeroDivisionError:
-                    exact[i] = None     # a pole
-            return exact[i]
-
-        order = sorted(range(len(points)), key=lambda i: -abs(floats[i]))
-        for i in order:
-            val = value(i)
-            if val is None:
-                continue
-            if val != 0:
-                return ZeroVerdict(False, True, witness=points[i], witness_value=val,
-                                   samples=len(points))
-            if abs(floats[i]) <= _PREFILTER:
-                # remaining floats are all small; confirm every point
-                break
-        for i, pt in enumerate(points):
-            val = value(i)
-            if val is not None and val != 0:
-                return ZeroVerdict(False, True, witness=pt, witness_value=val,
-                                   samples=len(points))
-        if residue is not None:
-            # no accepted point is a witness: the residue is the certificate
-            return ZeroVerdict(False, True, samples=len(points),
-                               note=f"nonzero residue {residue} mod p = {p} at a "
-                                    "uniform point; no rational sample is a witness")
-        return ZeroVerdict(True, True, samples=len(points))
 
     worst = max(range(len(points)), key=lambda i: abs(floats[i]))
     if abs(floats[worst]) > policy.tolerance:

@@ -193,6 +193,20 @@ def test_non_object_objects_is_input_error(tmp_path, capsys, name, objects, mess
     assert err == f"error: {message}\n"
 
 
+def test_nowhere_defined_theta_is_input_error(tmp_path, capsys):
+    # 1/((u+1)^2 - u^2 - 2*u - 1) is a pole at every point; its zero tests
+    # once counted those poles as zeros and reported two FALSIFICATIONs
+    with open(os.path.join(SCENARIOS, "darboux_k1.json")) as fh:
+        data = json.load(fh)
+    data["objects"]["theta"] = {"u": "1 + 1/((u+1)^2 - u^2 - 2*u - 1)"}
+    path = tmp_path / "nowhere.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: could not find enough valid sample points "
+                   "(expression may be singular on the whole domain)\n")
+
+
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):
     p = tmp_path / "bad3.json"
     p.write_text(json.dumps({

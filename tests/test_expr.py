@@ -292,46 +292,66 @@ def test_exact_path_is_exact():
 
 
 def _reference_report(e, policy):
-    """The zero test drawing and evaluating one point at a time, exactly
-    evaluating a point again in the confirmation pass, all in Fraction
-    arithmetic: the loop that zero_report's batched sampling and modular
-    confirmation must reproduce.  Returns the verdict fields and the number
-    of draws."""
+    """The zero test one point at a time, with every exact value in Fraction
+    arithmetic: the rule zero_report's batched GF(p) and float evaluation
+    must reproduce.  A rational query reduces the Fraction value at each
+    uniform point mod p (a pole mod p is replaced by the next draw) and
+    looks for its witness among the rational draws in order; there is no
+    bit budget, so it suits small inputs only.  Returns the verdict fields
+    and the number of rational draws."""
     e = ex.simplify(e, policy.constraints)
     names = sorted(e.free)
-    rng = random.Random(zt._fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15))
+    key = zt._fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15)
+    rng = random.Random(key)
     lo, hi, excl = zt._bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
+
+    def exact(point):
+        try:
+            return ex.eval_exact(e, point)
+        except ZeroDivisionError:
+            return None
+
+    if e.rational:
+        prime_rng = random.Random(f"prime:{key}")
+        p = 0
+        while not zt._is_prime(p) or any(c.denominator % p == 0 for c in tape.exact):
+            p = prime_rng.getrandbits(61) | (1 << 61) | 1
+        degree = numtape.degree_bound(tape)
+        k = next(k for k in itertools.count(1) if degree ** k << 40 <= p ** k)
+
+        def residue():
+            v = exact({n: Fraction(prime_rng.randrange(p)) for n in names})
+            if v is None or v.denominator % p == 0:
+                return None
+            return v.numerator * pow(v.denominator, -1, p) % p
+
+        residues = [residue() for _ in range(k)]
+        redraws = 0
+        while None in residues and not any(residues):
+            if redraws == zt._MAX_REDRAWS:
+                raise ConfigError("could not find enough valid sample points")
+            redraws += 1
+            residues[residues.index(None)] = residue()
+        if not any(residues):
+            return (True, True, None, None, k), 0
+        for draws in range(1, policy.sample_count + 1):
+            point = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
+            val = exact(point)
+            if val:
+                return (False, True, point, val, draws), draws
+        return (False, True, None, None, policy.sample_count), policy.sample_count
     points, floats, draws = [], [], 0
     while len(points) < policy.sample_count:
         if draws > zt._MAX_REDRAWS:
             raise ConfigError("could not find enough valid sample points")
         draws += 1
-        p = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
-        v = numtape.eval_tape(tape, [p])[0]
+        point = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
+        v = numtape.eval_tape(tape, [point])[0]
         if math.isfinite(v):
-            points.append(p)
+            points.append(point)
             floats.append(v)
     n = len(points)
-    if e.rational:
-        def exact(p):
-            try:
-                return ex.eval_exact(e, p)
-            except ZeroDivisionError:
-                return None
-        for i in sorted(range(n), key=lambda i: -abs(floats[i])):
-            val = exact(points[i])
-            if val is None:
-                continue
-            if val != 0:
-                return (False, True, points[i], val, n), draws
-            if abs(floats[i]) <= zt._PREFILTER:
-                break
-        for p in points:
-            val = exact(p)
-            if val is not None and val != 0:
-                return (False, True, p, val, n), draws
-        return (True, True, None, None, n), draws
     worst = max(range(n), key=lambda i: abs(floats[i]))
     if abs(floats[worst]) > policy.tolerance:
         return (False, False, points[worst], floats[worst], n), draws
@@ -362,11 +382,13 @@ def _tape_calls():
 def _report_matching_reference(e, pol, want, label):
     """zero_report against the one-point-at-a-time reference: verdict, exact
     flag, witness and value agree, and so does `samples` on a nonzero
-    verdict.  A zero rational verdict is decided at one uniform point of
-    GF(p)^n: one eval_tape_mod call at one point, no float call."""
+    verdict.  A rational query makes no float call, and a zero one is
+    decided at one uniform point of GF(p)^n: one eval_tape_mod call."""
     with _tape_calls() as calls:
         rep = zero_report(e, pol)
     assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value) == want[:4], label
+    if rep.exact:
+        assert all(kind == "mod" for kind, _ in calls), label
     if rep.is_zero and rep.exact:
         assert rep.samples == 1 and calls == [("mod", 1)], label
     else:
@@ -477,6 +499,28 @@ def test_modular_confirmation_matches_fraction_reference(text, seed):
     _report_matching_reference(e, pol, want, text)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL, RATIONAL_DSL)
+def test_rational_verdicts_match_sympy(a, b):
+    # independent oracle: a - b is zero iff sympy cancels it to 0, and a
+    # witness value is sympy's exact value of the cancelled form there
+    sympy = pytest.importorskip("sympy")
+    try:
+        e = ex.sub(parse(a, names=["x", "y"]), parse(b, names=["x", "y"]))
+    except ZeroDivisionError:
+        return      # a literal division by zero never reaches the zero test
+    X, Y = sympy.symbols("x y")
+    want = sympy.cancel(sympy.sympify(f"({a}) - ({b})".replace("^", "**")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtape, "eval_tape", None)     # no float pass may run
+        rep = zero_report(e)
+    assert rep.exact and rep.is_zero == (want == 0), (a, b)
+    if rep.witness is not None:
+        point = {X: rep.witness.get("x", 0), Y: rep.witness.get("y", 0)}
+        assert sympy.Rational(rep.witness_value) == want.subs(point), (a, b)
+
+
 _MERSENNE_61 = 2 ** 61 - 1
 # primes in [2^61, 2^62), the range the per-query prime is drawn from
 _BIG_PRIMES = (2 ** 61 + 15, 2 ** 61 + 21, 2 ** 61 + 57)
@@ -519,15 +563,22 @@ def test_modular_evaluator_falls_back():
 
 
 def test_zero_report_falls_back_to_fractions(monkeypatch):
-    # with the query's prime dividing a constant's denominator no residue
-    # exists; the points are decided in Fraction arithmetic instead
-    # (the uniform point of GF(p) has none either, so the query takes the
-    # rational path of 20 points)
+    # when the query's first prime divides a constant's denominator, no
+    # residue exists mod that prime; the next prime the same RNG draws
+    # decides the query at its uniform point instead
     p = _BIG_PRIMES[0]
     monkeypatch.setattr(zt, "_query_prime", lambda key: (p, random.Random(key)))
+    primes = []
+    real_mod = numtape.eval_tape_mod
+
+    def mod_spy(tape, points, q):
+        primes.append(q)
+        return real_mod(tape, points, q)
+
+    monkeypatch.setattr(numtape, "eval_tape_mod", mod_spy)
     x = ex.var("x")
     rep = zero_report(ex.add(ex.pw(x, 2), ex.rat(Fraction(1, p))))
-    assert not rep.is_zero and rep.exact and rep.samples == 20
+    assert not rep.is_zero and rep.exact and rep.samples == 1
     assert rep.witness_value == rep.witness["x"] ** 2 + Fraction(1, p)
     e = ex.sub(ex.pw(ex.add(x, ex.rat(Fraction(1, p))), 2),
                ex.add(ex.pw(x, 2), ex.mul(ex.rat(Fraction(2, p)), x),
@@ -535,8 +586,12 @@ def test_zero_report_falls_back_to_fractions(monkeypatch):
     assert not isinstance(ex.simplify(e), ex.Rat)
     with _tape_calls() as calls:
         rep = zero_report(e)
-    assert rep.is_zero and rep.exact and rep.samples == 20
-    assert calls[:2] == [("mod", 1), ("float", 20)]
+    assert rep.is_zero and rep.exact and rep.samples == 1
+    assert calls == [("mod", 1)]
+    # each query's prime is the one its RNG draws after p, never p itself
+    key = zt._fingerprint(ex.simplify(e), zt.DEFAULT_POLICY)
+    assert primes[-1] == zt._next_prime(random.Random(key)) != p
+    assert len(set(primes)) == 2 and p not in primes
 
 
 def _uniform_point_residue(e, pol):
@@ -558,27 +613,80 @@ _DRAWABLE_ON_UNIT_INTERVAL = sorted({Fraction(k, d) for d in range(2, 14)
 @pytest.mark.parametrize("case", ["no-finite-sample", "every-sample-a-root"])
 def test_nonzero_proof_without_rational_witness(case):
     # a nonzero residue at the uniform point proves the query nonzero even
-    # when no accepted rational point is a witness: none is accepted (every
-    # float value is infinite), or the polynomial vanishes on all of them
+    # when no rational draw is a witness: here the polynomial vanishes on
+    # every point _draw can give.  No float is evaluated on the way, so a
+    # query whose every float value is infinite (10^400*x - 1) has an
+    # exact witness at its first draw, and no certificate
     x = ex.var("x")
-    if case == "no-finite-sample":
-        e, pol, samples = parse("10^400*x - 1", names=["x"]), ZeroTestPolicy(), 0
-    else:
-        assert len(_DRAWABLE_ON_UNIT_INTERVAL) == 57
-        e = ex.mul(*[ex.sub(x, ex.rat(q)) for q in _DRAWABLE_ON_UNIT_INTERVAL])
-        pol = ZeroTestPolicy(constraints=(ex.Constraint("x", ">", 0),
-                                          ex.Constraint("x", "<", 1)))
-        samples = 20
     t0 = time.perf_counter()
+    if case == "no-finite-sample":
+        with _tape_calls() as calls:
+            rep = zero_report(parse("10^400*x - 1", names=["x"]))
+        assert time.perf_counter() - t0 < 1
+        assert not rep.is_zero and rep.exact and rep.samples == 1
+        assert rep.witness_value == 10 ** 400 * rep.witness["x"] - 1
+        assert calls == [("mod", 1)]
+        return
+    assert len(_DRAWABLE_ON_UNIT_INTERVAL) == 57
+    e = ex.mul(*[ex.sub(x, ex.rat(q)) for q in _DRAWABLE_ON_UNIT_INTERVAL])
+    pol = ZeroTestPolicy(constraints=(ex.Constraint("x", ">", 0),
+                                      ex.Constraint("x", "<", 1)))
     rep = zero_report(e, pol)
     assert time.perf_counter() - t0 < 1
-    assert not rep.is_zero and rep.exact and rep.samples == samples
+    assert not rep.is_zero and rep.exact and rep.samples == 20
     assert rep.witness is None and rep.witness_value is None
     p, r = _uniform_point_residue(e, pol)
     assert r != 0
     assert rep.note == (f"nonzero residue {r} mod p = {p} at a uniform point; "
                         "no rational sample is a witness")
     assert rep.witness_fields() == {"note": rep.note}
+
+
+@pytest.mark.parametrize("d", [20, 24])
+def test_nested_squares_over_bit_budget_give_a_certificate(d):
+    # the bit bound of (1 + x*(... x)^2)^2, d squares deep, read from the
+    # tape is past MAX_CONSTANT_BITS at every rational draw (even at 0, where
+    # the value is 1), so no draw is evaluated and the residue is the
+    # certificate; an exact value at 13/8 would have millions of bits
+    e = parse("(1 + x*" * d + "x" + ")^2" * d, names=["x"])
+    t0 = time.perf_counter()
+    rep = zero_report(e)
+    assert time.perf_counter() - t0 < 1
+    assert not rep.is_zero and rep.exact and rep.witness is None
+    assert rep.samples == 20 and rep.note.startswith("nonzero residue ")
+    tape = numtape.compile_tape(ex.simplify(e), ["x"])
+    for k in (-3, 0, 1):
+        assert numtape.degree_bound(tape, {"x": Fraction(k)}) > MAX_CONSTANT_BITS
+
+
+def test_nowhere_defined_rational_query_is_a_config_error():
+    # (x+1)^2 - x^2 - 2*x - 1 is 0 at every point, so 1/(...) is a pole at
+    # every uniform point: redrawn until the redraws run out, never a
+    # verdict (the rational points once counted such poles as zeros)
+    with _tape_calls() as calls:
+        with pytest.raises(ConfigError, match=r"^could not find enough valid sample "
+                           r"points \(expression may be singular on the whole "
+                           r"domain\)$"):
+            zero_report(parse("1/((x+1)^2 - x^2 - 2*x - 1)", names=["x"]))
+    assert calls == [("mod", 1)] * (zt._MAX_REDRAWS + 1)
+
+
+@pytest.mark.parametrize("text", [
+    "1/((x+1)^2 - x^2 - 2*x - 1)", "10^400*x - 1", "(x + y)^2 - x^2 - 2*x*y - y^2",
+    "(x^2 - y^2)/(x - y) - x - y", "1/x - 1/(x + 10^-400)", "x*y - 1/3",
+    "(1 + x*(1 + x*(1 + x*x)^2)^2)^2 - 1"])
+def test_rational_query_never_evaluates_floats(text, monkeypatch):
+    def no_float(tape, points):
+        raise AssertionError("float evaluation of a rational query")
+
+    monkeypatch.setattr(numtape, "eval_tape", no_float)
+    e = parse(text, names=["x", "y"])
+    assert ex.simplify(e).rational
+    for seed in range(3):
+        try:
+            zero_report(e, ZeroTestPolicy(seed=seed))
+        except ConfigError as err:
+            assert "singular on the whole domain" in str(err)
 
 
 def test_constant_beyond_float_range_named_in_config_error():
@@ -644,6 +752,26 @@ def test_degree_bound_covers_sympy_numerator(text):
     num, _ = sympy.fraction(sympy.cancel(sympy.sympify(text.replace("^", "**"))))
     bound = numtape.degree_bound(numtape.compile_tape(s, ["x", "y"]))
     assert bound >= sympy.Poly(num, X, Y).total_degree(), text
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL, ORACLE_POINT)
+def test_bit_bound_covers_exact_value(text, point):
+    # at a point, degree_bound bounds the bit lengths of the numerator and
+    # denominator of the exact value, the sizes the witness budget reads
+    try:
+        s = ex.simplify(parse(text, names=["x", "y"]))
+    except ZeroDivisionError:
+        return
+    assume(not isinstance(s, ex.Rat))
+    tape = numtape.compile_tape(s, ["x", "y"])
+    try:
+        v = numtape.eval_tape_exact(tape, point)
+    except ZeroDivisionError:
+        return
+    bound = numtape.degree_bound(tape, point)
+    assert max(v.numerator.bit_length(), v.denominator.bit_length()) <= bound, text
 
 
 def test_query_prime_is_prime():

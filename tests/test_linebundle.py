@@ -147,9 +147,10 @@ def test_is_homogeneous_functions():
 
 
 def test_degree_error_names_a_certificate():
-    # every float sample of 10^400*x is infinite, so the nonzero residual
-    # has a certificate but no rational witness: the error shows its note
-    f = SCN.total.parse("mu*(1 + 10^400*x*mu)")
+    # the residual is nested squares 20 deep, whose value at every rational
+    # draw is over the bit budget, so it has a certificate but no rational
+    # witness: the error shows its note
+    f = SCN.total.parse("mu*(1 + " + "(1 + x*" * 20 + "x" + ")^2" * 20 + "*mu)")
     with pytest.raises(DegreeError, match=r"residual \{'note': 'nonzero residue \d+ "
                        r"mod p = \d+ at a uniform point; no rational sample is "
                        r"a witness'\}$"):
