@@ -14,8 +14,8 @@ no locking, and all random verdicts are deterministic per seed.  The
 package uses only the Python standard library.
 """
 
-from .expr import (Constraint, DomainError, Expr, diff, eval_exact, rat,
-                   sign_of, simplify, subs, to_dsl, var)
+from .expr import (Constraint, DomainError, Expr, InvalidObjectError, diff,
+                   eval_exact, rat, sign_of, simplify, subs, to_dsl, var)
 from .parser import ParseError, UnknownIdentifierError, parse
 from .zerotest import (ConfigError, DEFAULT_POLICY, ZeroTestPolicy,
                        ZeroVerdict, all_zero, is_zero, zero_report)

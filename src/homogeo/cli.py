@@ -1,10 +1,11 @@
 """Command line entry point: run one scenario file or a directory suite.
 
-Exit codes: 0 all checks pass, 1 at least one fail or FALSIFICATION,
-2 input error (bad schema, DSL parse error, unreadable file, an operation
-the domain constraints do not allow), 3 internal error (an unexpected
-exception in a scenario; its traceback goes to stderr and `suite` lists it
-under `errors`, never as a pass).
+Exit codes, one rule for every kind: 0 all checks pass; 1 at least one
+fail or FALSIFICATION, an invalid object (`InvalidObjectError`) among them
+as the failed check `object`; 2 input error, one of INPUT_ERRORS
+(SchemaError, ParseError, ConfigError, DomainError, OSError); 3 internal
+error, any other exception (its traceback goes to stderr and `suite` lists
+it under `errors`, never as a pass).
 """
 
 from __future__ import annotations

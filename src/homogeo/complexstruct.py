@@ -28,8 +28,12 @@ from .linebundle import DEG0, LineBundleScenario
 from .tensors import Endo11, VectorField, coordinate_field, lie_bracket
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero
 
-__all__ = ["AlmostComplex", "frame_to_j", "nijenhuis", "nijenhuis_fields",
-           "IntegrabilityCReport", "integrability_report_c"]
+__all__ = ["AlmostComplex", "NotComplexError", "frame_to_j", "nijenhuis",
+           "nijenhuis_fields", "IntegrabilityCReport", "integrability_report_c"]
+
+
+class NotComplexError(ex.InvalidObjectError):
+    """The endomorphism a frame induces is not a complex structure."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ def frame_to_j(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> AlmostC
     out = AlmostComplex(scn, Endo11(scn.total, tuple(tuple(r) for r in Jrows)))
     note = out.verify(policy)
     if note:
-        raise ValueError(f"induced endomorphism is invalid: {note}")
+        raise NotComplexError(f"induced endomorphism is invalid: {note}")
     return out
 
 

@@ -26,7 +26,7 @@ from . import symmat
 from .chart import ChartError
 from .frames import Frame, is_homogeneous_chart, require_coset
 from .groups import SP, std_J
-from .linebundle import DEG1, LineBundleScenario
+from .linebundle import DEG1, DegreeError, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import (KForm, VectorField, coordinate_field, d, interior,
                       lie_bracket, one_form, wedge, zero_form)
@@ -38,7 +38,7 @@ __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
            "darboux_homogeneous_chart", "DarbouxChart", "standard_darboux_pair"]
 
 
-class InvalidPairError(ValueError):
+class InvalidPairError(ex.InvalidObjectError):
     pass
 
 
@@ -67,7 +67,7 @@ def omega_to_pair(scn: LineBundleScenario, omega: KForm,
                   policy: ZeroTestPolicy = DEFAULT_POLICY) -> ContactPair:
     """theta = descend(i_E omega), upsilon = descend(i_E d omega)."""
     if not scn.is_homogeneous(omega, DEG1, policy):
-        raise ValueError("form is not homogeneous of degree 1")
+        raise DegreeError("form is not homogeneous of degree 1")
     E = scn.euler()
     theta = scn.descend_form(interior(E, omega), DEG1, policy)
     upsilon = scn.descend_form(interior(E, d(omega)), DEG1, policy)
@@ -123,7 +123,6 @@ def kernel_basis(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY
 
 @dataclass(frozen=True)
 class PairReport:
-    theta_nowhere_zero: bool
     pivot: int
     nondeg_on_H: bool
     omega_nondegenerate: bool
@@ -155,7 +154,6 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
                                policy.with_constraints(scn.total.constraints))
 
     return PairReport(
-        theta_nowhere_zero=True,
         pivot=piv,
         nondeg_on_H=nondeg_on_H,
         omega_nondegenerate=omega_nondeg,

@@ -48,8 +48,8 @@ from .ratmat import rroot
 
 __all__ = [
     "Expr", "Rat", "Var", "Sum", "Prod", "Pow", "Fun",
-    "Constraint", "DomainError", "ConstantTooLargeError", "MAX_CONSTANT_BITS",
-    "rat", "var", "add", "mul", "neg", "sub", "div", "pw",
+    "Constraint", "DomainError", "InvalidObjectError", "ConstantTooLargeError",
+    "MAX_CONSTANT_BITS", "rat", "var", "add", "mul", "neg", "sub", "div", "pw",
     "exp_", "log_", "sqrt_", "abs_", "sign_", "sin_", "cos_",
     "ZERO", "ONE",
     "subs", "diff", "simplify", "sign_of",
@@ -84,6 +84,11 @@ def _strhash(s: str) -> int:
 
 class DomainError(ValueError):
     """Operation needs sign information the domain constraints do not fix."""
+
+
+class InvalidObjectError(ValueError):
+    """An object violates a validity condition of its kind (a vanishing theta,
+    a degenerate metric or frame); a scenario reports it as a failed check."""
 
 
 class ConstantTooLargeError(OverflowError):

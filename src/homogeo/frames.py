@@ -34,13 +34,17 @@ from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, all_zero,
                        is_zero, sample_points)
 
 __all__ = ["Frame", "TransitionResult", "transition", "build_frame",
-           "degree_coset", "CosetReport", "require_coset", "frames_G_equivalent",
-           "is_homogeneous_chart", "ChartHomReport", "NotHomogeneousError",
-           "chart_frame"]
+           "degree_coset", "CosetReport", "CosetError", "require_coset",
+           "frames_G_equivalent", "is_homogeneous_chart", "ChartHomReport",
+           "NotHomogeneousError", "chart_frame"]
 
 
-class NotHomogeneousError(ValueError):
+class NotHomogeneousError(ex.InvalidObjectError):
     pass
+
+
+class CosetError(ex.InvalidObjectError):
+    """The frame's degree coset is not the one a structure needs."""
 
 
 @dataclass(frozen=True)
@@ -276,15 +280,15 @@ def degree_coset(frame: Frame, G: GroupId,
 
 def require_coset(frame: Frame, G: GroupId, group: str, value: ex.Expr, value_neg1,
                   name: str, policy: ZeroTestPolicy = DEFAULT_POLICY) -> None:
-    """Raise ValueError unless the frame's transition lies in N(G) with
+    """Raise CosetError unless the frame's transition lies in N(G) with
     quotient value `value` for r > 0 and `value_neg1` at r = -1."""
     rep = degree_coset(frame, G, policy)
     if not rep.in_normalizer:
-        raise ValueError(f"frame transition not in N({group}): {rep.failure}")
+        raise CosetError(f"frame transition not in N({group}): {rep.failure}")
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
     if not is_zero(ex.sub(rep.quotient_value, value), pol) or \
             rep.quotient_value_neg1 != value_neg1:
-        raise ValueError(f"frame degree coset is not {name}")
+        raise CosetError(f"frame degree coset is not {name}")
 
 
 def frames_G_equivalent(f1: Frame, f2: Frame, G: GroupId,

@@ -31,14 +31,18 @@ from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
            "defining_product_symbolic", "in_normalizer", "normalizer_p",
-           "NotInNormalizerError", "splitting", "DegreeHom", "hom_eval",
-           "hom_eval_symbolic", "hom_eval_symbolic_full", "coset_eq",
+           "NotInNormalizerError", "splitting", "DegreeHom", "DegreeHomError",
+           "hom_eval", "hom_eval_symbolic", "hom_eval_symbolic_full", "coset_eq",
            "member_symbolic", "scalar_mismatch", "rand_element", "rand_lie_element",
            "centralizer_basis", "contact_lift", "trivial_hom", "sqrt_abs_lift"]
 
 
 class NotInNormalizerError(ValueError):
     pass
+
+
+class DegreeHomError(ex.InvalidObjectError):
+    """A pair (B, C) that defines no degree homomorphism."""
 
 
 @dataclass(frozen=True)
@@ -220,11 +224,11 @@ class DegreeHom:
         object.__setattr__(self, "C", C)
         n = len(B)
         if len(C) != n:
-            raise ValueError("B and C must have the same size")
+            raise DegreeHomError("B and C must have the same size")
         if not rm.req(rm.rmul(C, C), rm.rident(n)):
-            raise ValueError("C^2 must be the identity")
+            raise DegreeHomError("C^2 must be the identity")
         if not rm.req(rm.rmul(C, B), rm.rmul(B, C)):
-            raise ValueError("C must commute with B (hence with exp(Bt))")
+            raise DegreeHomError("C must commute with B (hence with exp(Bt))")
 
     @property
     def size(self) -> int:

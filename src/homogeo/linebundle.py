@@ -33,7 +33,7 @@ FIBER = "mu"
 GeomObject = Union[ex.Expr, VectorField, KForm, SymTensor2, Endo11]
 
 
-class DegreeError(ValueError):
+class DegreeError(ex.InvalidObjectError):
     """A claimed homogeneity degree failed verification."""
 
 

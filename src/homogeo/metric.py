@@ -22,7 +22,7 @@ __all__ = ["DegeneracyError", "metric_inverse", "christoffel", "riemann",
            "covariant_derivative_twoform", "sectional_curvature"]
 
 
-class DegeneracyError(ValueError):
+class DegeneracyError(ex.InvalidObjectError):
     pass
 
 

@@ -7,7 +7,9 @@ overrides; one table (`_COMMON`, `_KIND_FIELDS`) gives each field's shape,
 and `_OUTCOMES` the outcome names `expect` may hold for each kind.
 Verdicts are pass / fail / FALSIFICATION, where FALSIFICATION is reserved
 for violations of machine-checked equivalences that the theory asserts
-(never for invalid input).  Reports are deterministic for a fixed seed: no
+(never for invalid input).  A pipeline that meets an invalid object
+(ex.InvalidObjectError) stops there, and the report ends in one failed
+check named `object`.  Reports are deterministic for a fixed seed: no
 timing data unless explicitly requested.
 """
 
@@ -177,18 +179,25 @@ def _scenario_chart(data: dict) -> LineBundleScenario:
     cons = tuple(_read(ex.Constraint.parse, text, f"base.constraints[{i}]")
                  for i, text in enumerate(base["constraints"]))
     try:
-        return LineBundleScenario(data["name"], tuple(base["coords"]), cons)
+        scn = LineBundleScenario(data["name"], tuple(base["coords"]), cons)
     except ChartError as err:
         raise SchemaError(f"base: {err}")
+    if data["kind"] in ("cosymplectic", "complex") and scn.base.dim % 2 != 1:
+        raise SchemaError(f"base: {data['kind']} scenarios need odd base dimension")
+    return scn
 
 
 def _read(parse, text: str, where: str):
     """parse(text), or a SchemaError naming `where` if the text is invalid
-    (a parse error, an unknown name, a literal division by zero)."""
+    (a parse error, an unknown name, a literal division by zero, or the
+    scaling parameter r, which no scenario object may use)."""
     try:
-        return parse(text)
+        out = parse(text)
     except (ValueError, ArithmeticError) as err:
         raise SchemaError(f"{where}: {err}")
+    if isinstance(out, ex.Expr) and "r" in out.free:
+        raise SchemaError(f"{where}: the scaling parameter r is not a coordinate")
+    return out
 
 
 def _form_from_dict(chart, degree: int, coeffs: dict, where: str) -> KForm:
@@ -270,35 +279,30 @@ def _integrability_check(irep, detail: str) -> dict:
 
 
 def _with_expectations(data: dict, computed: Dict[str, bool],
-                       checks: List[dict]) -> List[dict]:
-    """`checks`, then one check per expected outcome of the scenario; an
-    outcome the run did not compute fails."""
+                       checks: List[dict]):
+    """Append one check per expected outcome of the scenario to `checks`;
+    an outcome the run did not compute fails."""
     for key, want in sorted(data["expect"].items()):
         got = computed.get(key)
         checks.append(_check(f"expect {key}", got == want, f"expected {want}, "
                              + ("not computed" if got is None else f"computed {got}")))
-    return checks
 
 
 # ---------------------------------------------------------------------------
-# kind pipelines
+# kind pipelines: each appends its checks to `checks` and returns the
+# outcomes it computed; an invalid object raises ex.InvalidObjectError
 
-def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import contact as ct
     scn = _scenario_chart(data)
     objects = data["objects"]
     theta = _form_from_dict(scn.base, 1, objects["theta"], "objects.theta")
     upsilon = _form_from_dict(scn.base, 2, objects["upsilon"], "objects.upsilon")
     pair = ct.ContactPair(scn, theta, upsilon)
-    checks: List[dict] = []
 
-    try:
-        rep = ct.check_pair(pair, policy)
-    except ct.InvalidPairError as err:
-        checks.append(_check("pair", False, str(err)))
-        return _with_expectations(data, {}, checks)
+    rep = ct.check_pair(pair, policy)
     checks.append(_check(
-        "pair", rep.theta_nowhere_zero,
+        "pair", True,
         f"theta nowhere zero (pivot {scn.base.coords[rep.pivot]}); kernel "
         f"pairing {'non' if rep.nondeg_on_H else ''}degenerate"))
     checks.append(_check("curvature routes", rep.curvature_routes_agree,
@@ -314,42 +318,35 @@ def _run_contact(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         scn, omega, DEG1, policy,
         "omega is degree 1 for r > 0 and under the reflection"))
 
-    try:
-        back = ct.omega_to_pair(scn, omega, policy)
-        pol = policy.with_constraints(scn.base.constraints)
-        rt, _ = all_zero(((k, ex.sub(got.coeff(k), want.coeff(k)))
-                          for got, want in ((back.theta, theta), (back.upsilon, upsilon))
-                          for k in set(got.coeffs) | set(want.coeffs)), pol)
-        checks.append(_check("roundtrip", rt,
-                             "descend(promote) recovers (theta, upsilon)"))
-    except Exception as err:
-        checks.append(_check("roundtrip", False, str(err)))
+    back = ct.omega_to_pair(scn, omega, policy)
+    rt, _ = all_zero(((k, ex.sub(got.coeff(k), want.coeff(k)))
+                      for got, want in ((back.theta, theta), (back.upsilon, upsilon))
+                      for k in set(got.coeffs) | set(want.coeffs)),
+                     policy.with_constraints(scn.base.constraints))
+    checks.append(_check("roundtrip", rt, "descend(promote) recovers (theta, upsilon)"))
 
     irep = ct.integrability_report(pair, policy)
     checks.append(_integrability_check(
         irep, f"integrable={irep.integrable}, contact={irep.contact}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
-    return _with_expectations(data, {
+    return {
         "integrable": irep.integrable,
         "contact": irep.contact,
         "homogeneous_integrable": irep.homogeneous_integrable,
         "nondegenerate": rep.omega_nondegenerate,
         "chart_constructed": irep.chart_constructed,
-    }, checks)
+    }
 
 
-def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import cosymplectic as cs
     scn = _scenario_chart(data)
-    if scn.base.dim % 2 != 1:
-        raise SchemaError("base: cosymplectic scenarios need odd base dimension")
     k = (scn.base.dim + 1) // 2
     objects = data["objects"]
     Omega = _form_from_dict(scn.base, 2, objects["Omega"], "objects.Omega")
     eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
     pair = cs.CosymplecticPair(scn, Omega, eta)
-    checks: List[dict] = []
 
     rep = cs.check_cosymplectic(pair, k, policy)
     checks.append(_check(
@@ -371,25 +368,19 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         irep, f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
-    return _with_expectations(data, {
+    return {
         "volume": rep.volume,
         "cocycle": irep.cocycle,
         "integrable": irep.integrable,
         "homogeneous_integrable": irep.homogeneous_integrable,
         "nondegenerate": rep.omega_nondegenerate,
         "chart_constructed": irep.chart_constructed,
-    }, checks)
+    }
 
 
-def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_complex(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import complexstruct as cx
-    frame = _frame_from(data)
-    checks: List[dict] = []
-    try:
-        ac = cx.frame_to_j(frame, policy)
-    except (ValueError, ChartError) as err:
-        checks.append(_check("structure", False, str(err)))
-        return _with_expectations(data, {}, checks)
+    ac = cx.frame_to_j(_frame_from(data), policy)
     checks.append(_check("structure", True,
                          "J^2 = -I, fiber-invariant, trivial degree coset"))
     rep = cx.integrability_report_c(ac, policy)
@@ -400,15 +391,11 @@ def _run_complex(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     checks.append(_check("dimension identity", rep.falsification is None,
                          rep.falsification or "no dimension-2 violation",
                          falsification=True))
-    return _with_expectations(data, {
-        "torsion_zero": rep.torsion_zero,
-        "integrable": rep.integrable,
-    }, checks)
+    return {"torsion_zero": rep.torsion_zero, "integrable": rep.integrable}
 
 
-def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import riemannian as rm
-    checks: List[dict] = []
     objects = data["objects"]
     if "sphere" in objects:
         n = objects["sphere"]
@@ -429,13 +416,9 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
         triple = rm.MetricTriple(scn, g, eta)
 
-    try:
-        triple.check_definite(policy)
-        checks.append(_check("definite", True,
-                             "leading principal minors positive at samples"))
-    except rm.DegeneracyError as err:
-        checks.append(_check("definite", False, str(err)))
-        return _with_expectations(data, {}, checks)
+    triple.check_definite(policy)
+    checks.append(_check("definite", True,
+                         "leading principal minors positive at samples"))
 
     checks.append(_homogeneity_check(
         triple.scenario, rm.triple_to_gtilde(triple), DEG_ABS, policy,
@@ -459,21 +442,20 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy) -> List[dict]:
         f"D=0:{frep.D_zero} RD=0:{frep.RD_zero}",
         witness=frep.witness, falsification=True))
 
-    return _with_expectations(data, {
+    return {
         "integrable": frep.RD_zero,
         "A_zero": frep.A_zero,
         "B_zero": frep.B_zero,
         "C_zero": frep.C_zero,
         "D_zero": frep.D_zero,
         "RD_zero": frep.RD_zero,
-    }, checks)
+    }
 
 
-def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import frames as fr
     from .groups import GroupId
     frame = _frame_from(data)
-    checks: List[dict] = []
     tr = fr.transition(frame, policy)
     want_hom = data["expect"].get("homogeneous", True)
     checks.append(_check("homogeneous", tr.homogeneous == want_hom,
@@ -497,7 +479,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy) -> List[dict]:
                 f"quotient value {ex.to_dsl(rep.quotient_value)} for r > 0, "
                 f"{_jsonable(rep.quotient_value_neg1)} at r = -1"))
             computed["in_normalizer"] = rep.in_normalizer
-    return _with_expectations(data, computed, checks)
+    return computed
 
 
 def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
@@ -506,7 +488,7 @@ def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
     return _check(name, witness is None, detail, witness=witness)
 
 
-def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
+def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     import random
     from . import groups as gr
     from . import ratmat as rmat
@@ -514,7 +496,6 @@ def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
     G = gr.GroupId(objects["family"], objects["param"])
     count = objects["elements"]
     rng = random.Random(policy.seed)
-    checks: List[dict] = []
 
     neutral = Fraction(1) if G.family != "glc" else 0
 
@@ -558,7 +539,7 @@ def _run_group(data: dict, policy: ZeroTestPolicy) -> List[dict]:
             "centralizer", len(basis) == 2,
             f"commutant of the generators has dimension {len(basis)} "
             "(identity and the complex unit)"))
-    return checks
+    return {}
 
 
 _RUNNERS = {
@@ -577,21 +558,20 @@ def run_scenario(scenario: Scenario, overrides: Optional[dict] = None,
     pol = data["policy"]
     policy = ZeroTestPolicy(sample_count=pol["samples"],
                             tolerance=pol["tolerance"], seed=pol["seed"])
+    checks: List[dict] = []
     t0 = time.perf_counter()
-    checks = _RUNNERS[data["kind"]](data, policy)
+    try:
+        computed = _RUNNERS[data["kind"]](data, policy, checks)
+    except ex.InvalidObjectError as err:     # the run stops at an invalid object
+        checks.append(_check("object", False, str(err)))
+        computed = {}
+    _with_expectations(data, computed, checks)
     elapsed = time.perf_counter() - t0
-    summary = {
-        "pass": sum(1 for c in checks if c["verdict"] == "pass"),
-        "fail": sum(1 for c in checks if c["verdict"] == "fail"),
-        "falsification": sum(1 for c in checks if c["verdict"] == "FALSIFICATION"),
-    }
-    report = {
-        "scenario": data["name"],
-        "kind": data["kind"],
-        "policy": pol,
-        "checks": checks,
-        "summary": summary,
-    }
+    verdicts = [c["verdict"] for c in checks]
+    summary = {"pass": verdicts.count("pass"), "fail": verdicts.count("fail"),
+               "falsification": verdicts.count("FALSIFICATION")}
+    report = {"scenario": data["name"], "kind": data["kind"], "policy": pol,
+              "checks": checks, "summary": summary}
     if with_timing:
         report["timing_ms"] = round(elapsed * 1000.0, 3)
     return report

@@ -131,19 +131,25 @@ RATIONAL_DSL = st.one_of(
     RATIONAL_TERMS, _IDENTITIES,
     st.tuples(_IDENTITIES, RATIONAL_TERMS).map(lambda t: f"{t[0]} + ({t[1]})/10^40"))
 
-# every function head, with sqrt and fractional powers; arguments of
-# log/sqrt may be negative and arguments of abs/sign zero, so a caller
-# evaluating these at a point must allow for values off the real domain
-FUNCTION_DSL = st.recursive(
-    st.sampled_from(["x", "y", "x", "y", "1/2", "-1/3", "2", "7/5"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
-            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
-        st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "sign", "sin", "cos"]),
-                  inner).map(lambda t: f"{t[0]}({t[1]})"),
-        st.tuples(inner, st.sampled_from(["-1", "2", "3", "1/2", "-3/2"])).map(
-            lambda t: f"({t[0]})^({t[1]})")),
-    max_leaves=6)
+def function_dsl(leaves) -> st.SearchStrategy:
+    """DSL text over `leaves` with every function head, with sqrt and
+    fractional powers; arguments of log/sqrt may be negative and arguments
+    of abs/sign zero, so a caller evaluating these at a point must allow
+    for values off the real domain."""
+    return st.recursive(
+        st.sampled_from(list(leaves)),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "sign", "sin",
+                                       "cos"]),
+                      inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.sampled_from(["-1", "2", "3", "1/2", "-3/2"])).map(
+                lambda t: f"({t[0]})^({t[1]})")),
+        max_leaves=6)
+
+
+FUNCTION_DSL = function_dsl(["x", "y", "x", "y", "1/2", "-1/3", "2", "7/5"])
 
 
 ORACLE_POINT = st.fixed_dictionaries({

@@ -180,9 +180,10 @@ def test_criterion_5_rd_cross_check(monkeypatch):
     """Connection curvature equals the closed-form tensors on the flat
     plane, the radius-2 sphere, and 5 seeded random (g, eta) on the
     2-dimensional base.  Also pins how its sampled rational queries are
-    decided: most are zero at one uniform point of GF(p)^n, the rest go on
-    to the witness path (rational points, float prefilter, exact witness),
-    and none falls back to the rational path for want of a residue."""
+    decided: most are zero at one uniform point of GF(p)^n, and the rest
+    have a nonzero residue there and go on to the witness path, a search
+    for an exact nonzero value at rational draws; a residue is never
+    missing, so the "fallback" label stays at 0."""
     mix = collections.Counter()
     real = zerotest._uniform_residue
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from homogeo import zerotest
 from homogeo.cli import INPUT_ERRORS, main
 from homogeo.scenarios import SchemaError, load_scenario, run_scenario
+
+from conftest import function_dsl
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -195,16 +198,33 @@ def test_non_object_objects_is_input_error(tmp_path, capsys, name, objects, mess
 
 def test_nowhere_defined_theta_is_input_error(tmp_path, capsys):
     # 1/((u+1)^2 - u^2 - 2*u - 1) is a pole at every point; its zero tests
-    # once counted those poles as zeros and reported two FALSIFICATIONs
-    with open(os.path.join(SCENARIOS, "darboux_k1.json")) as fh:
-        data = json.load(fh)
-    data["objects"]["theta"] = {"u": "1 + 1/((u+1)^2 - u^2 - 2*u - 1)"}
-    path = tmp_path / "nowhere.json"
+    # once counted those poles as zeros and reported two FALSIFICATIONs, and
+    # the complex kind once reported the input error as a failed check
+    bad = "1 + 1/((u+1)^2 - u^2 - 2*u - 1)"
+    darboux = copy.deepcopy(_BUNDLED["darboux_k1.json"])
+    darboux["objects"]["theta"] = {"u": bad}
+    complex_ = copy.deepcopy(_BUNDLED["complex_constant.json"])
+    complex_["objects"]["frame"][0][0] = bad.replace("u", "x")
+    for data in (darboux, complex_):
+        path = tmp_path / "nowhere.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["run", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: could not find enough valid sample points "
+                       "(expression may be singular on the whole domain)\n")
+
+
+@pytest.mark.parametrize("name", ["complex_constant", "cosymplectic_k2"])
+def test_even_base_dimension_is_input_error(tmp_path, capsys, name):
+    # a complex frame on an even base once ended in a failed check
+    data = copy.deepcopy(_BUNDLED[name + ".json"])
+    data["base"]["coords"].append("w")
+    path = tmp_path / "even.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["run", str(path)], capsys)
     assert code == 2 and out == ""
-    assert err == ("error: could not find enough valid sample points "
-                   "(expression may be singular on the whole domain)\n")
+    kind = data["kind"]
+    assert err == f"error: base: {kind} scenarios need odd base dimension\n"
 
 
 def test_run_unknown_coordinate_in_index(tmp_path, capsys):
@@ -230,14 +250,31 @@ def test_failing_expectation_sets_exit_code(tmp_path, capsys):
     assert "expected False, computed True" in out
 
 
-@pytest.mark.parametrize("name, edit, key", [
+def _set_entry(matrix, i, j, text):
+    return lambda d: d["objects"][matrix][i].__setitem__(j, text)
+
+
+@pytest.mark.parametrize("name, edit, key, invalid", [
     ("frame_inhomogeneous", lambda d: d["expect"].update(in_normalizer=True),
-     "in_normalizer"),
-    ("darboux_k1", lambda d: d.update(objects={"theta": {}}), "integrable"),
-], ids=["inhomogeneous-frame", "invalid-pair"])
-def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key):
+     "in_normalizer", None),
+    ("darboux_k1", lambda d: d.update(objects={"theta": {}}), "integrable",
+     "theta vanishes at sample point u=-1/7"),
+    ("frame_darboux_k2", _set_entry("frame", 0, 0, "0"), "homogeneous",
+     "frame is degenerate at the sampled points"),
+    ("frame_darboux_k2", _set_entry("frame", 3, 1, "log(-1/3)"), "in_normalizer",
+     "constant -log(-1/3) evaluates to nan (expression leaves the chart "
+     "domain, e.g. under the reflection)"),
+    ("frame_darboux_k2", _set_entry("frame", 2, 1, "((cos(1/2))^(-3/2))^(2)"),
+     "homogeneous", "C must commute with B (hence with exp(Bt))"),
+    ("riemann_eta_dz", _set_entry("g", 0, 0, "0"), "A_zero",
+     "metric is not positive definite: leading 1-minor nonpositive at a "
+     "sample point"),
+], ids=["inhomogeneous-frame", "invalid-pair", "degenerate-frame",
+        "frame-constant-off-domain", "frame-not-degree-hom", "degenerate-metric"])
+def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key,
+                                             invalid):
     # the frame was told `in_normalizer` is an unknown name; the invalid
-    # pair dropped its expectations
+    # pair dropped its expectations; the three frames ended in exit 3
     with open(os.path.join(SCENARIOS, name + ".json")) as fh:
         data = json.load(fh)
     edit(data)
@@ -247,7 +284,11 @@ def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks[f"expect {key}"]["verdict"] == "fail"
-    assert checks[f"expect {key}"]["detail"] == "expected True, not computed"
+    assert checks[f"expect {key}"]["detail"] == \
+        f"expected {data['expect'][key]}, not computed"
+    if invalid is not None:
+        assert checks["object"] == {"name": "object", "verdict": "fail",
+                                    "detail": invalid}
 
 
 def test_suite_filter(capsys):
@@ -523,21 +564,22 @@ def _bundled_scenarios():
 
 
 _BUNDLED = _bundled_scenarios()
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
 _MUTATION_SITES = [(name, path) for name, data in _BUNDLED.items()
                    for path in _json_paths(data)]
 
 
-@settings(derandomize=True, max_examples=600, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(_MUTATION_SITES), st.sampled_from(_MUTANTS))
-def test_single_field_mutation_is_report_or_input_error(tmp_path_factory, site,
-                                                         value):
-    name, path = site
+def _assert_report_or_input_error(tmp_path_factory, name, path, value):
+    """Bundled scenario `name` with the value at `path` replaced by `value`
+    ends in a report or an input error, never an internal error."""
     data = copy.deepcopy(_BUNDLED[name])
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _node(data, path[:-1])[path[-1]] = value
     target = tmp_path_factory.getbasetemp() / "mutant.json"
     target.write_text(json.dumps(data))
     try:
@@ -545,6 +587,86 @@ def test_single_field_mutation_is_report_or_input_error(tmp_path_factory, site,
     except INPUT_ERRORS:
         return
     assert isinstance(report["scenario"], str) and report["checks"]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_MUTATION_SITES), st.sampled_from(_MUTANTS))
+def test_single_field_mutation_is_report_or_input_error(tmp_path_factory, site,
+                                                         value):
+    _assert_report_or_input_error(tmp_path_factory, *site, value)
+
+
+# every DSL string under `objects`, with the chart its names come from:
+# frame entries live on the total chart (base coordinates and mu), form
+# and metric coefficients on the base
+_DSL_SITES = [(name, path, tuple(data["base"]["coords"])
+               + (("mu",) if path[1] == "frame" else ()))
+              for name, data in _BUNDLED.items()
+              for path in _json_paths(data["objects"], ("objects",))
+              if path[1] != "group" and data["kind"] != "group"
+              and isinstance(_node(data, path), str)]
+
+
+@functools.lru_cache(maxsize=None)
+def _dsl_on(names):
+    return function_dsl(names + ("0", "10^30", "10^-30"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_DSL_SITES).flatmap(
+    lambda site: st.tuples(st.just(site), _dsl_on(site[2]))))
+def test_dsl_content_is_report_or_input_error(tmp_path_factory, case):
+    # well-typed DSL text whose content makes no valid object: a frame that
+    # is degenerate or has no degree homomorphism once ended in exit 3
+    (name, path, _), text = case
+    _assert_report_or_input_error(tmp_path_factory, name, path, text)
+
+
+@pytest.mark.parametrize("name, path, where", [
+    ("darboux_k2", ("theta", "u"), "objects.theta.u"),
+    ("riemann_eta_dz", ("g", 0, 0), "objects.g[0][0]"),
+    ("riemann_eta_dz", ("eta", "z"), "objects.eta.z"),
+    ("frame_euler", ("frame", 0, 0), "objects.frame[0][0]"),
+], ids=["contact-theta", "metric", "riemannian-eta", "frame"])
+def test_scaling_parameter_in_object_is_input_error(tmp_path, capsys, name, path,
+                                                     where):
+    # the parser reads r as the formal scaling parameter on any chart: in a
+    # theta or metric entry it ended in an internal KeyError, in a frame in
+    # an internal ChartError, and in eta it ran as if it were a coordinate
+    data = copy.deepcopy(_BUNDLED[name + ".json"])
+    _node(data["objects"], path[:-1])[path[-1]] = "1 + r"
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {where}: the scaling parameter r is not a coordinate\n"
+
+
+def test_scenario_runners_catch_nothing():
+    """An invalid object is mapped to a failed check in one place: no
+    `_run_*` pipeline has a `try`, and the module's only handlers are the
+    schema and JSON ones and the one in `run_scenario`."""
+    import ast
+    with open(os.path.join(REPO, "src", "homogeo", "scenarios.py")) as fh:
+        tree = ast.parse(fh.read())
+    handlers = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        if fn.name.startswith("_run_"):
+            assert not any(isinstance(n, ast.Try) for n in nodes), fn.name
+        handlers += [(fn.name, ast.unparse(n.type) if n.type else "")
+                     for n in nodes if isinstance(n, ast.ExceptHandler)]
+    assert sorted(handlers) == [
+        ("_form_from_dict", "ValueError"),
+        ("_read", "(ValueError, ArithmeticError)"),
+        ("_scenario_chart", "ChartError"),
+        ("load_scenario", "(ValueError, RecursionError)"),
+        ("run_scenario", "ex.InvalidObjectError"),
+    ]
 
 
 def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from homogeo.contact import (ContactPair, InvalidPairError, check_pair,
                              standard_darboux_pair)
 from homogeo.frames import chart_frame, frames_G_equivalent, transition
 from homogeo.groups import SP, rand_element
-from homogeo.linebundle import LineBundleScenario
+from homogeo.linebundle import DegreeError, LineBundleScenario
 from homogeo.tensors import KForm, VectorField, one_form, zero_form
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
@@ -94,7 +94,7 @@ def test_omega_to_pair_closed_gives_zero_upsilon():
 
 def test_omega_to_pair_requires_homogeneity():
     om = KForm(SCN3.total, 2, {(0, 1): ex.ONE})   # degree-0 form
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeError):
         omega_to_pair(SCN3, om)
 
 
@@ -103,7 +103,7 @@ def test_omega_to_pair_requires_homogeneity():
 def test_check_pair_darboux():
     pair = standard_darboux_pair(2)
     rep = check_pair(pair)
-    assert rep.theta_nowhere_zero and rep.nondeg_on_H
+    assert rep.nondeg_on_H
     assert rep.omega_nondegenerate and rep.equivalence_consistent
     assert rep.curvature_routes_agree
     # kernel curvature of the standard pair: R_H(E_a, E_b) = +-1
@@ -152,7 +152,6 @@ def test_check_pair_isolated_zero_is_sampled_valid():
     pair = ContactPair(scn, one_form(scn.base, [ex.var("u"), 0, 0]),
                        zero_form(scn.base, 2))
     rep = check_pair(pair)
-    assert rep.theta_nowhere_zero
     assert not rep.omega_nondegenerate and not rep.nondeg_on_H
     assert rep.equivalence_consistent
 
