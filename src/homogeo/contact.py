@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import expr as ex
-from . import numtape
 from . import symmat
 from .chart import ChartError
 from .frames import Frame, is_homogeneous_chart, require_coset
@@ -30,7 +29,7 @@ from .linebundle import DEG1, DegreeError, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import (KForm, VectorField, coordinate_field, d, interior,
                       lie_bracket, one_form, wedge, zero_form)
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_points
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_values
 
 __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
            "omega_to_pair", "check_pair", "sp_frame_from_omega",
@@ -75,26 +74,22 @@ def omega_to_pair(scn: LineBundleScenario, omega: KForm,
 
 
 def _theta_pivot(pair: ContactPair, policy: ZeroTestPolicy) -> int:
-    """Pivot coordinate for solving ker(theta): the coefficient with the
-    largest magnitude across the sample points; a point where all
-    coefficients vanish invalidates the pair."""
+    """Pivot coordinate for solving ker(theta): the coefficient whose least
+    |value| at the points of zerotest.sample_values (undefined: 0) is
+    largest; a point where every coefficient is 0 invalidates the pair."""
     scn = pair.scenario
-    import random
     pol = policy.with_constraints(scn.base.constraints)
-    rng = random.Random(pol.seed ^ 0x7E7A)
-    names = list(scn.base.coords)
-    pts = sample_points(names, pol, rng)
     n = scn.base.dim
-    cols = [[0.0] * len(pts) if c.is_zero_literal()
-            else numtape.eval_points(c, pts)
-            for c in (pair.theta.coeff((i,)) for i in range(n))]
-    scores = [min(abs(v) for v in col) for col in cols]
-    for j, p in enumerate(pts):
-        if max(abs(col[j]) for col in cols) <= policy.tolerance:
+    rows = []
+    for p, vals in sample_values([pair.theta.coeff((i,)) for i in range(n)],
+                                 list(scn.base.coords), pol, 0x7E7A):
+        if all(v == 0 for v in vals):
             raise InvalidPairError("theta vanishes at sample point "
                                    + ", ".join(f"{k}={v}" for k, v in p.items()))
+        rows.append([0 if v is None else abs(v) for v in vals])
+    scores = [min(col) for col in zip(*rows)]
     best = max(range(n), key=lambda i: (scores[i], -i))
-    if scores[best] == 0.0:
+    if scores[best] == 0:
         # fall back: first coefficient that is not identically zero
         zero, bad = all_zero(((i, pair.theta.coeff((i,))) for i in range(n)), pol)
         if zero:
@@ -383,7 +378,7 @@ def _verify_symplectic_chart(scn: LineBundleScenario, chi, omega: KForm, affine_
     is symplectic for omega; otherwise (False, the first failure note)."""
     try:
         rep = is_homogeneous_chart(scn, chi, policy)
-    except Exception as err:
+    except ex.InvalidObjectError as err:
         return False, f"chart verification failed: {err}"
     frame = rep.frame.components
     n1 = len(frame)

@@ -14,7 +14,6 @@ degree data is extracted as the pair (B, C) = (dA/dr at 1, A(-1)).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -31,7 +30,7 @@ from .linebundle import FIBER, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import VectorField
 from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, all_zero,
-                       is_zero, sample_points)
+                       is_zero, sample_values)
 
 __all__ = ["Frame", "TransitionResult", "transition", "build_frame",
            "degree_coset", "CosetReport", "CosetError", "require_coset",
@@ -98,27 +97,14 @@ def _scaling_jacobian(n: int, factor: ex.Expr) -> List[List[ex.Expr]]:
 
 
 def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy):
-    """A sample point of the total chart where every det in `dets` is nonzero."""
-    pol = policy.with_constraints(scn.total.constraints)
-    rng = random.Random(pol.seed ^ 0x5EED)
+    """The first of 40 points of the total chart, drawn with r > 0 as one
+    more coordinate, where every det in `dets` is nonzero and defined
+    (zerotest.sample_values); the point is returned without r."""
     names = list(scn.total.coords)
-    for point in sample_points(names, pol, rng, count=40):
-        ok = True
-        for d in dets:
-            try:
-                probe = ex.subs(d, {k: ex.rat(v) for k, v in point.items()})
-                if isinstance(probe, ex.Rat):
-                    ok = probe.value != 0
-                else:
-                    # may still involve r; check at a generic positive r
-                    val = numtape.eval_points(probe, [{"r": 1.7320508}])[0]
-                    ok = math.isfinite(val) and abs(val) > 1e-12
-            except (ZeroDivisionError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return point
+    for point, vals in sample_values(dets, names + ["r"], scn.policy_for(policy),
+                                     0x5EED, count=40):
+        if all(vals):       # a 0 or a None (undefined) value fails
+            return {k: point[k] for k in names}
     raise ConfigError("no valid sample point found for frame transition")
 
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
-from . import numtape
 from . import symmat
 from .chart import Chart, ChartError, SmoothMap
 from .frames import Frame, require_coset
@@ -29,7 +28,7 @@ from .linebundle import DEG_ABS, FIBER, LineBundleScenario
 from .metric import (DegeneracyError, christoffel, covariant_derivative_oneform,
                      covariant_derivative_twoform, metric_inverse, riemann)
 from .tensors import KForm, SymTensor2, VectorField, d, one_form, pullback_sym
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_points
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_values
 
 __all__ = ["MetricTriple", "AlgebroidMetric", "AlgebroidConnection",
            "triple_to_G", "koszul_connection", "curvature_RD",
@@ -37,23 +36,6 @@ __all__ = ["MetricTriple", "AlgebroidMetric", "AlgebroidConnection",
            "triple_to_gtilde", "gtilde_to_triple", "frame_to_gtilde",
            "gtilde_frame", "sphere_triple", "sphere_flat_chart",
            "SphereChartReport", "flatness_report", "FlatnessReport"]
-
-
-def _check_definite(g: SymTensor2, policy: ZeroTestPolicy):
-    """Positive definiteness at the sample points via leading principal
-    minors (float evaluation with the policy tolerance as margin)."""
-    import random
-    chart = g.chart
-    pol = policy.with_constraints(chart.constraints)
-    rng = random.Random(pol.seed ^ 0xDEF1)
-    pts = sample_points(list(chart.coords), pol, rng)
-    for lead in range(1, chart.dim + 1):
-        minor = symmat.det([row[:lead] for row in g.rows()[:lead]])
-        vals = numtape.eval_points(minor, pts)
-        if not all(v > policy.tolerance for v in vals):
-            raise DegeneracyError(
-                f"metric is not positive definite: leading {lead}-minor "
-                f"nonpositive at a sample point")
 
 
 @dataclass(frozen=True)
@@ -69,7 +51,18 @@ class MetricTriple:
             raise ChartError("eta must be a 1-form on the base chart")
 
     def check_definite(self, policy: ZeroTestPolicy = DEFAULT_POLICY):
-        _check_definite(self.g, policy)
+        """Positive definiteness: every leading principal minor is > 0 at
+        each point of zerotest.sample_values (an undefined value fails)."""
+        chart, rows = self.g.chart, self.g.rows()
+        minors = [symmat.det([row[:lead] for row in rows[:lead]])
+                  for lead in range(1, chart.dim + 1)]
+        pol = policy.with_constraints(chart.constraints)
+        bad = [lead for _, vals in sample_values(minors, list(chart.coords), pol, 0xDEF1)
+               for lead, v in enumerate(vals, 1) if v is None or v <= 0]
+        if bad:
+            raise DegeneracyError(
+                f"metric is not positive definite: leading {min(bad)}-minor "
+                f"nonpositive at a sample point")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ random rational points of the constrained domain and compared against
 across runs and independent of evaluation order.  The fingerprint is the
 printed DSL text of the simplified expression plus the constraints.
 
+`sample_values` reads validity conditions at sample points (a definite
+metric, a nowhere-zero theta, the point a frame transition is read at)
+under the same rule: rational expressions exactly, others in floats.
+
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one
 without advancing its iterable further, so the checks hand it generators
@@ -72,7 +76,7 @@ from . import expr as ex
 from . import numtape
 
 __all__ = ["ZeroTestPolicy", "ZeroVerdict", "ConfigError", "is_zero",
-           "zero_report", "all_zero", "sample_points", "DEFAULT_POLICY",
+           "zero_report", "all_zero", "sample_values", "DEFAULT_POLICY",
            "MAX_SAMPLES"]
 
 _MAX_REDRAWS = 200
@@ -162,12 +166,38 @@ def _draw(rng: random.Random, lo, hi, excl, name) -> Fraction:
     raise ConfigError(f"could not sample a value for {name}")
 
 
-def sample_points(names, policy: ZeroTestPolicy, rng: random.Random, count=None):
-    """Draw `count` points satisfying the policy constraints (no domain
-    validation against any particular expression)."""
+def _exact_at(tape: numtape.Tape, pt) -> Optional[Fraction]:
+    """A rational tape's exact value at a rational point, or None at a pole
+    or where its bit-length bound (numtape.degree_bound at the point)
+    exceeds expr.MAX_CONSTANT_BITS."""
+    if numtape.degree_bound(tape, pt) > ex.MAX_CONSTANT_BITS:
+        return None
+    try:
+        return numtape.eval_tape_exact(tape, pt)
+    except ZeroDivisionError:
+        return None
+
+
+def _float_at(tape: numtape.Tape, pt, tolerance: float) -> Optional[float]:
+    v = numtape.eval_tape(tape, [pt])[0]
+    return None if not math.isfinite(v) else 0.0 if abs(v) <= tolerance else v
+
+
+def sample_values(exprs, names, policy: ZeroTestPolicy, salt: int, count=None):
+    """Yield (point, values) at `count` points (policy.sample_count when
+    None), one at a time, drawing `names` in order under the policy's
+    constraints from Random(policy.seed ^ salt).  values[i] is exprs[i]
+    there: exact (a Fraction, or None at a pole or beyond the bit budget)
+    when it is rational, else a float, 0.0 when |v| <= policy.tolerance
+    and None when not finite."""
+    rng = random.Random(policy.seed ^ salt)
     lo, hi, excl = _bounds(policy.constraints, set(names))
-    count = policy.sample_count if count is None else count
-    return [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(count)]
+    tapes = [(e.rational, numtape.compile_tape(e, names)) for e in exprs]
+    for _ in range(policy.sample_count if count is None else count):
+        pt = {n: _draw(rng, lo, hi, excl, n) for n in names}
+        yield pt, [_exact_at(tape, pt) if rational
+                   else _float_at(tape, pt, policy.tolerance)
+                   for rational, tape in tapes]
 
 
 # Miller-Rabin bases that decide primality for every n < 2^64 (Sinclair)
@@ -272,13 +302,8 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             return ZeroVerdict(True, True, samples=count)
         for draws in range(1, policy.sample_count + 1):
             pt = {n: _draw(rng, lo, hi, excl, n) for n in names}
-            if numtape.degree_bound(tape, pt) > ex.MAX_CONSTANT_BITS:
-                continue
-            try:
-                val = numtape.eval_tape_exact(tape, pt)
-            except ZeroDivisionError:
-                continue        # a pole
-            if val != 0:
+            val = _exact_at(tape, pt)
+            if val:             # not None (a pole, over budget) and not 0
                 return ZeroVerdict(False, True, witness=pt, witness_value=val,
                                    samples=draws)
         return ZeroVerdict(False, True, samples=policy.sample_count,

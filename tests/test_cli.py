@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import hashlib
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homogeo import zerotest
+from homogeo import numtape, zerotest
 from homogeo.cli import INPUT_ERRORS, main
 from homogeo.scenarios import SchemaError, load_scenario, run_scenario
 
@@ -269,8 +270,12 @@ def _set_entry(matrix, i, j, text):
     ("riemann_eta_dz", _set_entry("g", 0, 0, "0"), "A_zero",
      "metric is not positive definite: leading 1-minor nonpositive at a "
      "sample point"),
+    ("riemann_eta_dz", _set_entry("g", 0, 0, "-10^-12"), "A_zero",
+     "metric is not positive definite: leading 1-minor nonpositive at a "
+     "sample point"),
 ], ids=["inhomogeneous-frame", "invalid-pair", "degenerate-frame",
-        "frame-constant-off-domain", "frame-not-degree-hom", "degenerate-metric"])
+        "frame-constant-off-domain", "frame-not-degree-hom", "degenerate-metric",
+        "tiny-negative-metric"])
 def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key,
                                              invalid):
     # the frame was told `in_normalizer` is an unknown name; the invalid
@@ -289,6 +294,53 @@ def test_expected_outcome_not_computed_fails(tmp_path, capsys, name, edit, key,
     if invalid is not None:
         assert checks["object"] == {"name": "object", "verdict": "fail",
                                     "detail": invalid}
+
+
+# identically 1, but 10^40 and 1 cancel only in exact arithmetic
+_ONE_BY_CANCELLATION = "(x + 10^20)^2 - x^2 - 2*10^20*x - 10^40 + 1"
+
+
+def _set_theta(coord, text):
+    return lambda d: d["objects"]["theta"].__setitem__(coord, text)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("riemann_eta_dz", _set_entry("g", 0, 0, "10^-12")),
+    ("riemann_eta_dz", _set_entry("g", 0, 0, _ONE_BY_CANCELLATION)),
+    ("darboux_k1", _set_theta("u", "10^-12")),
+    ("darboux_k1", _set_theta("u", _ONE_BY_CANCELLATION.replace("x", "u"))),
+    ("frame_euler", _set_entry("frame", 0, 0, "10^-13")),
+    ("complex_constant", _set_entry("frame", 0, 0, "10^-13")),
+], ids=["tiny-metric", "cancelling-metric", "tiny-theta", "cancelling-theta",
+        "tiny-frame", "tiny-complex-frame"])
+def test_valid_rational_objects_are_accepted(tmp_path, capsys, name, edit):
+    # a definite metric, a nowhere-zero theta and an invariant frame whose
+    # values at the sample points are below the float tolerance, or cancel
+    # in floats: each point check reads them exactly
+    with open(os.path.join(SCENARIOS, name + ".json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "valid.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path), "--json"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [c for c in report["checks"] if c["verdict"] != "pass"] == []
+
+
+@pytest.mark.parametrize("name", [
+    "complex_constant", "contact_foliation", "contact_upsilon_twist",
+    "darboux_k1", "darboux_k2", "darboux_k3", "euclidean_eta0",
+    "frame_darboux_k2", "frame_euler", "riemann_eta_dz"])
+def test_rational_scenarios_never_evaluate_floats(monkeypatch, name):
+    # every object is rational, so every value at a sample point, in the
+    # zero test and in the point checks alike, is exact
+    def no_float(tape, points):
+        raise AssertionError("float evaluation in a rational scenario")
+
+    monkeypatch.setattr(numtape, "eval_tape", no_float)
+    report = run_scenario(load_scenario(os.path.join(SCENARIOS, name + ".json")))
+    assert report["summary"]["fail"] == report["summary"]["falsification"] == 0
 
 
 def test_suite_filter(capsys):
@@ -648,7 +700,6 @@ def test_scenario_runners_catch_nothing():
     """An invalid object is mapped to a failed check in one place: no
     `_run_*` pipeline has a `try`, and the module's only handlers are the
     schema and JSON ones and the one in `run_scenario`."""
-    import ast
     with open(os.path.join(REPO, "src", "homogeo", "scenarios.py")) as fh:
         tree = ast.parse(fh.read())
     handlers = []
@@ -667,6 +718,53 @@ def test_scenario_runners_catch_nothing():
         ("load_scenario", "(ValueError, RecursionError)"),
         ("run_scenario", "ex.InvalidObjectError"),
     ]
+
+
+def _source_sites(match):
+    """(module, outermost function, node) for each node of src/homogeo/
+    that `match` accepts, the function None at module level."""
+    root = os.path.join(REPO, "src", "homogeo")
+    sites = []
+
+    def visit(module, node, where):
+        if where is None and isinstance(node, ast.FunctionDef):
+            where = node.name
+        if match(node):
+            sites.append((module, where, node))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, where)
+
+    for module in sorted(os.listdir(root)):
+        if module.endswith(".py"):
+            with open(os.path.join(root, module)) as fh:
+                visit(module, ast.parse(fh.read()), None)
+    return sites
+
+
+def _is_call(owner, attrs):
+    return lambda n: (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and isinstance(n.func.value, ast.Name)
+                      and n.func.value.id == owner and n.func.attr in attrs)
+
+
+def test_point_values_have_one_rule():
+    """Values at sample points come from zerotest: no other module draws
+    its own points or evaluates in floats, except frames._fold_rational on
+    a constant (at the empty point), and only the CLI catches every
+    exception, so a bug elsewhere never becomes a verdict."""
+    broad = _source_sites(lambda n: isinstance(n, ast.ExceptHandler) and (
+        n.type is None or "Exception" in {x.id for x in ast.walk(n.type)
+                                          if isinstance(x, ast.Name)}))
+    assert {m for m, _, _ in broad} == {"cli.py"}
+
+    floats = [(m, f, ast.unparse(n.args[1]))
+              for m, f, n in _source_sites(_is_call("numtape", {"eval_tape", "eval_points"}))
+              if m not in ("zerotest.py", "numtape.py")]
+    assert floats == [("frames.py", "_fold_rational", "[{}]")]
+
+    rngs = {(m, f) for m, f, _ in _source_sites(_is_call("random", {"Random"}))
+            if m != "zerotest.py"}
+    assert rngs == {("scenarios.py", "_run_group")}
 
 
 def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from homogeo.riemannian import (MetricTriple, curvature_RD,
                                 sphere_triple, tensors_ABCD, triple_to_G,
                                 triple_to_gtilde, verify_rd_formulas)
 from homogeo.tensors import KForm, SymTensor2, one_form
-from homogeo.zerotest import ZeroTestPolicy, is_zero
+from homogeo.zerotest import ZeroTestPolicy, is_zero, sample_values
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -383,21 +383,12 @@ def test_definiteness_propagation():
     for seed in range(3):
         triple = rand_triple(seed)
         G = triple_to_G(triple)
-        import random as _r
-        rng = _r.Random(seed)
-        from homogeo.zerotest import sample_points
+        minors = [symmat.det([list(row[:lead]) for row in G.gram[:lead]])
+                  for lead in range(1, G.dim + 1)]
         pol = ZeroTestPolicy().with_constraints(triple.scenario.base.constraints)
-        pts = sample_points(list(triple.scenario.base.coords), pol, rng, count=6)
-        from homogeo import numtape
-        for lead in range(1, G.dim + 1):
-            minor = symmat.det([list(row[:lead]) for row in G.gram[:lead]])
-            if not minor.free:
-                assert ex.eval_exact(minor, {}) > 0
-                continue
-            vals = numtape.eval_points(
-                minor, [{k: v for k, v in p.items() if k in minor.free}
-                        for p in pts])
-            assert all(v > 0 for v in vals)
+        for _, vals in sample_values(minors, list(triple.scenario.base.coords),
+                                     pol, seed, count=6):
+            assert all(v is not None and v > 0 for v in vals)
 
 
 def test_degenerate_metric_rejected():
