@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import numtape
-from . import ratmat as rm
 from . import symmat
 from .chart import ChartError
 from .groups import (DegreeHom, GroupId, NotInNormalizerError,
@@ -74,7 +73,8 @@ class Frame:
             raise DegeneracyError("frame is degenerate at the sampled points")
 
     def translate(self, g) -> "Frame":
-        """Right translation by a constant matrix: sigma . g."""
+        """Right translation by a constant matrix, sigma . g: the right
+        action of G on frames that G-equivalence is defined by."""
         S = self.matrix()
         grows = [[ex.rat(v) if not isinstance(v, ex.Expr) else v for v in row]
                  for row in g]
@@ -115,6 +115,7 @@ class TransitionResult:
     matrix_sym: Optional[List[List[ex.Expr]]] = None   # entries in r only
     hom: Optional[DegreeHom] = None
     failure: Optional[str] = None
+    point: Optional[dict] = None   # coordinate -> ex.rat where matrix_sym was read
 
 
 def _fold_rational(e: ex.Expr, constraints,
@@ -184,7 +185,7 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     C = [[_fold_rational(ex.subs(v, point_map), cons, policy) for v in row] for row in A_neg]
 
     hom = DegreeHom(tuple(tuple(row) for row in B), tuple(tuple(row) for row in C))
-    return TransitionResult(A_pt, True, matrix_sym=A_sym, hom=hom)
+    return TransitionResult(A_pt, True, matrix_sym=A_sym, hom=hom, point=point_map)
 
 
 def homomorphism_law_holds(tr: TransitionResult,
@@ -292,23 +293,21 @@ def frames_G_equivalent(f1: Frame, f2: Frame, G: GroupId,
 
 @dataclass(frozen=True)
 class ChartHomReport:
-    A_sym: List[List[ex.Expr]]   # entries in r (branch r > 0)
-    b_sym: List[ex.Expr]
-    frame: Frame
-    # reflection data; None when the chart domain is not invariant under
-    # the reflection (e.g. a log chart defined only on the positive branch)
-    A_neg1: Optional[rm.Mat] = None
-    b_neg1: Optional[Tuple[Fraction, ...]] = None
+    A_sym: List[List[ex.Expr]]   # the chart frame's transition matrix, in r (r > 0)
+    b_sym: List[ex.Expr]         # h_r^* chi - A(r) chi at the transition's point
+    frame: Frame                 # the chart's coordinate frame
 
 
 def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> ChartHomReport:
-    """Decide whether h_r^* chi = A(r) chi + b(r) and return the affine data.
+    """Decide whether h_r^* chi = A(r) chi + b(r) on r > 0 and return the
+    affine data.
 
-    Raises NotHomogeneousError when no affine relation with point-free
-    coefficients exists.  Also verifies the homomorphism law
-    (A, b)(rs) = (A, b)(r) . (A, b)(s) and that A agrees with the
-    transition matrix of the chart frame on r > 0."""
+    A(r) is the transition matrix of the chart's coordinate frame, and
+    b(r) = h_r^* chi - A(r) chi is read at the point where that transition
+    was read.  Raises NotHomogeneousError when A or b depends on the point
+    or the pair violates the homomorphism law
+    (A, b)(rs) = (A, b)(r) . (A, b)(s).  Nothing is checked at r = -1."""
     n = scn.total.dim
     chi = tuple(ex._coerce(c) for c in chi)
     if len(chi) != n:
@@ -319,80 +318,36 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     cons = pol.constraints
 
     jac = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in chi]
-    detj = symmat.det(jac)
-    if is_zero(detj, pol):
+    if is_zero(symmat.det(jac), pol):
         raise DegeneracyError("chart map has a degenerate Jacobian")
-    jinv = symmat.inverse(jac)
+
+    frame = chart_frame(scn, chi)
+    tr = transition(frame, policy)
+    if not tr.homogeneous:
+        raise NotHomogeneousError(f"no affine relation: A {tr.failure}")
+    if not homomorphism_law_holds(tr, policy):
+        raise NotHomogeneousError("affine data violates A(rs) = A(r)A(s)")
+    A = tr.matrix_sym
 
     r = ex.var("r")
-    hchi = [ex.subs(c, {FIBER: ex.mul(r, scn.mu)}) for c in chi]
-    dh = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in hchi]
-    A_pt = symmat.simplify_mat(symmat.mat_mul(dh, jinv), cons)
-
-    ok, bad = all_zero(_varies_along(A_pt, scn.total.coords, cons), pol)
-    if not ok:
-        (i, j, coord), _ = bad
-        raise NotHomogeneousError(
-            f"no affine relation: A entry ({i},{j}) varies along {coord}")
-
-    b_pt = [ex.simplify(ex.sub(hchi[i],
-                               ex.add(*[ex.mul(A_pt[i][j], chi[j]) for j in range(n)])),
+    b_pt = [ex.simplify(ex.sub(ex.subs(chi[i], {FIBER: ex.mul(r, scn.mu)}),
+                               ex.add(*[ex.mul(A[i][j], chi[j]) for j in range(n)])),
                         cons) for i in range(n)]
     ok, bad = all_zero(_varies_along([b_pt], scn.total.coords, cons), pol)
     if not ok:
         (_, i, coord), _ = bad
         raise NotHomogeneousError(
             f"no affine relation: b entry {i} varies along {coord}")
+    b = [ex.simplify(ex.subs(v, tr.point), cons) for v in b_pt]
 
-    point = _sample_valid_point(scn, [detj], policy)
-    point_map = {k: ex.rat(v) for k, v in point.items()}
-    A_sym = [[ex.simplify(ex.subs(v, point_map), cons) for v in row] for row in A_pt]
-    b_sym = [ex.simplify(ex.subs(v, point_map), cons) for v in b_pt]
-
-    # homomorphism law for the affine pair
     s = ex.var("s")
-    pol2 = pol.with_constraints((ex.Constraint("s", ">", 0),))
-    As = [[ex.subs(v, {"r": s}) for v in row] for row in A_sym]
-    bs = [ex.subs(v, {"r": s}) for v in b_sym]
-    Ars = [[ex.subs(v, {"r": ex.mul(r, s)}) for v in row] for row in A_sym]
-    brs = [ex.subs(v, {"r": ex.mul(r, s)}) for v in b_sym]
-    prod = symmat.mat_mul(A_sym, As)
-
-    def law_residuals():
-        for i in range(n):
-            for j in range(n):
-                yield "A(rs) = A(r)A(s)", ex.sub(Ars[i][j], prod[i][j])
-            rhs = ex.add(ex.add(*[ex.mul(A_sym[i][j], bs[j]) for j in range(n)]), b_sym[i])
-            yield "b(rs) = A(r)b(s) + b(r)", ex.sub(brs[i], rhs)
-
-    ok, bad = all_zero(law_residuals(), pol2)
-    if not ok:
-        raise NotHomogeneousError(f"affine data violates {bad[0]}")
-
-    # agreement with the chart frame's transition on r > 0
-    frame = frame_from_matrix(scn, symmat.simplify_mat(jinv, scn.total.constraints))
-    tr = transition(frame, policy)
-    if not tr.homogeneous:
-        raise NotHomogeneousError("chart frame transition is not point-independent")
-    if not all_zero((((i, j), ex.sub(tr.matrix_sym[i][j], A_sym[i][j]))
-                     for i in range(n) for j in range(n)), pol)[0]:
-        raise NotHomogeneousError("chart frame transition disagrees with the affine matrix")
-
-    # reflection data (absent when h_{-1} leaves the chart domain)
-    A_neg1 = b_neg1 = None
-    try:
-        chin = [ex.subs(c, {FIBER: ex.neg(scn.mu)}) for c in chi]
-        dhn = [[ex.diff(c, v, cons) for v in scn.total.coords] for c in chin]
-        A_negpt = symmat.mat_mul(dhn, jinv)
-        A_neg1 = tuple(tuple(_fold_rational(ex.subs(v, point_map), cons, policy) for v in row)
-                       for row in A_negpt)
-        b_negpt = [ex.sub(chin[i], ex.add(*[ex.mul(A_negpt[i][j], chi[j])
-                                            for j in range(n)])) for i in range(n)]
-        b_neg1 = tuple(_fold_rational(ex.subs(v, point_map), cons, policy) for v in b_negpt)
-    except (ex.DomainError, NotHomogeneousError, ZeroDivisionError):
-        A_neg1 = b_neg1 = None
-
-    return ChartHomReport(A_sym, b_sym, frame, A_neg1, b_neg1)
+    bs = [ex.subs(v, {"r": s}) for v in b]
+    law = ((i, ex.sub(ex.subs(b[i], {"r": ex.mul(r, s)}),
+                      ex.add(ex.add(*[ex.mul(A[i][j], bs[j]) for j in range(n)]), b[i])))
+           for i in range(n))
+    if not all_zero(law, pol.with_constraints((ex.Constraint("s", ">", 0),)))[0]:
+        raise NotHomogeneousError("affine data violates b(rs) = A(r)b(s) + b(r)")
+    return ChartHomReport(A, b, frame)
 
 
 def chart_frame(scn: LineBundleScenario, chi: Sequence[ex.Expr]) -> Frame:

@@ -127,9 +127,6 @@ class LineBundleScenario:
     def reflection(self) -> SmoothMap:
         return self.h_at(-1)
 
-    def bundle_projection(self) -> SmoothMap:
-        return SmoothMap(self.total, self.base, tuple(ex.var(c) for c in self.base.coords))
-
     def section(self, value: ex.Expr) -> SmoothMap:
         """Section U -> total chart, x -> (x, value(x)) with value nowhere zero."""
         self.base.check_owns(value)
@@ -177,7 +174,9 @@ class LineBundleScenario:
 
     def descend_derivation(self, V: VectorField,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
-        """Inverse of promote_derivation: (base field, zero-order part)."""
+        """Inverse of promote_derivation: (base field, zero-order part).
+        With promote_derivation it states the paper's correspondence between
+        derivations of the line bundle and degree-0 homogeneous fields."""
         cons = self.total.constraints
         comps = V.comps[:-1] + (ex.simplify(ex.div(V.comps[-1], self.mu), cons),)
         if not all_zero(((i, ex.diff(c, FIBER, cons)) for i, c in enumerate(comps)),
@@ -189,7 +188,9 @@ class LineBundleScenario:
     def promote_atiyah_form(self, beta: KForm, gamma: KForm,
                             degree: ScalarDegree = DEG1) -> "AtiyahObject":
         """Pair (k-form beta, (k-1)-form gamma) on the base -> homogeneous
-        k-form phi(mu) * beta + d(phi(mu)) ^ gamma upstairs."""
+        k-form phi(mu) * beta + d(phi(mu)) ^ gamma upstairs: the paper's
+        correspondence between forms of the derivation complex and
+        homogeneous forms on the total chart."""
         if beta.chart != self.base or gamma.chart != self.base:
             raise ChartError("forms must live on the base chart")
         if gamma.degree != beta.degree - 1:

@@ -24,7 +24,7 @@ from . import symmat
 from .chart import Chart, ChartError, SmoothMap
 from .frames import Frame, require_coset
 from .groups import O as O_GROUP
-from .linebundle import DEG_ABS, FIBER, LineBundleScenario
+from .linebundle import DEG_ABS, DEG_SQRT_ABS, FIBER, LineBundleScenario
 from .metric import (DegeneracyError, christoffel, covariant_derivative_oneform,
                      covariant_derivative_twoform, metric_inverse, riemann)
 from .tensors import KForm, SymTensor2, VectorField, d, one_form, pullback_sym
@@ -116,6 +116,10 @@ class AlgebroidConnection:
     gamma: Tuple   # gamma[d][a][b]: coefficient of E_d in nabla_{E_a} E_b
 
     def symmetry_residuals(self):
+        """((d, a, b), residual) of torsion-freeness,
+        gamma^d_ab - gamma^d_ba = c^d_ab: with metricity_residuals, the
+        conditions that define the Levi-Civita connection koszul_connection
+        solves."""
         n1 = self.metric.dim
         c = self.metric.bracket_coeffs()
         for a in range(n1):
@@ -126,6 +130,8 @@ class AlgebroidConnection:
                                   c[dd][a][b]))
 
     def metricity_residuals(self):
+        """((a, b, c), residual) of metricity,
+        a*G(b, c) = G(nabla_a b, c) + G(b, nabla_a c)."""
         G = self.metric.gram
         n1 = self.metric.dim
         for a in range(n1):
@@ -559,19 +565,16 @@ def sphere_flat_chart(n: int, policy: ZeroTestPolicy = DEFAULT_POLICY
                           for c in chi]), gt.mat[i][j]))
          for i in idx for j in range(i, n1)), pol)
 
-    def homogeneity_residuals():
-        r = ex.var("r")
-        for c in chi:
-            yield ("chi is not homogeneous of degree r^(1/2) on r > 0",
-                   ex.sub(ex.subs(c, {FIBER: ex.mul(r, scn.mu)}),
-                          ex.mul(ex.pw(r, Fraction(1, 2)), c)))
-            yield ("chi is not even under the reflection",
-                   ex.sub(ex.subs(c, {FIBER: ex.neg(scn.mu)}), c))
-
-    homogeneous, bad_hom = all_zero(homogeneity_residuals(), pol)
+    hom_failure = None
+    for i, c in enumerate(chi):
+        ok, bad = scn.homogeneity_report(c, DEG_SQRT_ABS, policy)
+        if not ok:
+            hom_failure = f"chi^{i} is not homogeneous of degree |r|^(1/2): {bad[0]}"
+            break
     # the last failing check names the failure
-    failure = next((bad[0] for bad in (bad_hom, bad_chart, bad_flat) if bad), None)
-    return SphereChartReport(scn, gt, chi, flat, reproduces, homogeneous, failure)
+    failure = hom_failure or next((bad[0] for bad in (bad_chart, bad_flat) if bad), None)
+    return SphereChartReport(scn, gt, chi, flat, reproduces, hom_failure is None,
+                             failure)
 
 
 @dataclass(frozen=True)

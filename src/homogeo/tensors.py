@@ -108,9 +108,6 @@ class KForm:
         return KForm(self.chart, self.degree,
                      {k: ex.mul(f, c) for k, c in self.coeffs.items()})
 
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
     def __call__(self, *fields: VectorField) -> ex.Expr:
         if len(fields) != self.degree:
             raise ChartError("wrong number of arguments")

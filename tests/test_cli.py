@@ -304,6 +304,9 @@ def _set_theta(coord, text):
     return lambda d: d["objects"]["theta"].__setitem__(coord, text)
 
 
+_HALF = "sqrt(((1/2) * (x1))^(-1))"   # defined only for x1 > 0
+
+
 @pytest.mark.parametrize("name, edit", [
     ("riemann_eta_dz", _set_entry("g", 0, 0, "10^-12")),
     ("riemann_eta_dz", _set_entry("g", 0, 0, _ONE_BY_CANCELLATION)),
@@ -311,12 +314,17 @@ def _set_theta(coord, text):
     ("darboux_k1", _set_theta("u", _ONE_BY_CANCELLATION.replace("x", "u"))),
     ("frame_euler", _set_entry("frame", 0, 0, "10^-13")),
     ("complex_constant", _set_entry("frame", 0, 0, "10^-13")),
+    ("darboux_k2", lambda d: d["objects"].update(
+        theta={"u": _HALF, "x1": f"-(p1)*({_HALF})"})),
 ], ids=["tiny-metric", "cancelling-metric", "tiny-theta", "cancelling-theta",
-        "tiny-frame", "tiny-complex-frame"])
+        "tiny-frame", "tiny-complex-frame", "half-domain-chart"])
 def test_valid_rational_objects_are_accepted(tmp_path, capsys, name, edit):
     # a definite metric, a nowhere-zero theta and an invariant frame whose
     # values at the sample points are below the float tolerance, or cancel
-    # in floats: each point check reads them exactly
+    # in floats: each point check reads them exactly.  The Darboux chart of
+    # the half-domain theta has its b(r) read at the point where its frame's
+    # transition was read, where the chart is defined (it was once read at
+    # x1 < 0 and the run ended in exit 2)
     with open(os.path.join(SCENARIOS, name + ".json")) as fh:
         data = json.load(fh)
     edit(data)
@@ -383,6 +391,26 @@ def test_console_entry_point():
                           os.path.join(SCENARIOS, "cosymplectic_k1.json")],
                          capture_output=True, text=True)
     assert out.returncode == 0
+
+
+def test_query_log_suite(tmp_path):
+    # tools/query_log.py rebinds zero_report in every homogeo module it
+    # loads, so it runs in a child process
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("darboux_k2.json", "frame_euler.json"):
+        (suite / name).write_text(json.dumps(_BUNDLED[name]))
+    log = tmp_path / "queries.tsv"
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "query_log.py"),
+                           "-o", str(log), "suite", str(suite)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = log.read_text().splitlines()
+    assert lines
+    for line in lines:
+        fields = line.split("\t")
+        assert len(fields) == 7
+        assert fields[1] in ("zero", "nonzero") and fields[2] in ("exact", "float")
 
 
 def test_reports_match_goldens():

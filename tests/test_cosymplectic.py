@@ -146,8 +146,7 @@ def test_invariant_frame_gives_closed_omega():
     assert scn.is_homogeneous(om, DEG0)
     dom = d(om)
     pol = ZeroTestPolicy(constraints=scn.total.constraints)
-    assert dom.is_structurally_zero() or \
-        all(is_zero(c, pol) for c in dom.coeffs.values())
+    assert all(is_zero(c, pol) for c in dom.coeffs.values())
 
 
 def test_pair_to_omega0_coefficient_structure():

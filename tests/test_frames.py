@@ -5,6 +5,9 @@ import pytest
 
 from homogeo import expr as ex
 from homogeo import ratmat as rm
+from homogeo import symmat
+from homogeo.contact import darboux_homogeneous_chart
+from homogeo.cosymplectic import integrability_report0, standard_cosymplectic_pair
 from homogeo.frames import (Frame, NotHomogeneousError, chart_frame,
                             build_frame, degree_coset, frame_from_matrix,
                             frames_G_equivalent, homomorphism_law_holds,
@@ -227,7 +230,6 @@ def test_chart_log_mu():
     assert mat_is(rep.A_sym, [[1, 0], [0, 1]])
     assert is_zero(rep.b_sym[0], pol)
     assert is_zero(ex.sub(rep.b_sym[1], ex.log_(ex.var("r"))), pol)
-    assert rep.A_neg1 is None   # domain is only the positive branch
 
 
 def test_chart_darboux():
@@ -238,10 +240,9 @@ def test_chart_darboux():
                               [0, 0, r, 0], [0, 0, 0, r]])
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert all(is_zero(b, pol) for b in rep.b_sym)
-    assert rep.A_neg1 is not None
+    # the reflection acts on the chart through its frame's degree data
     want = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    assert rm.req(rep.A_neg1, rm.rmat(want))
-    assert rep.b_neg1 == (0, 0, 0, 0)
+    assert rm.req(transition(rep.frame).hom.C, rm.rmat(want))
 
 
 def test_chart_mu_squared():
@@ -263,3 +264,43 @@ def test_chart_degenerate_jacobian():
     x = SCN1.total.var("x")
     with pytest.raises(DegeneracyError):
         is_homogeneous_chart(SCN1, (x, x))
+
+
+def _darboux_chart(k):
+    ch = darboux_homogeneous_chart(k)
+    return ch.scenario, ch.chi
+
+
+def _cosymplectic_chart(k):
+    pair = standard_cosymplectic_pair(k)
+    return pair.scenario, integrability_report0(pair, k).witness_chart
+
+
+# the charts above, then the ones the bundled darboux_k1..3 and
+# cosymplectic_k1/k2 scenarios construct (from their standard pairs)
+_CHARTS = {
+    "log-mu": lambda: (SCN1, (SCN1.total.var("x"), ex.log_(SCN1.mu))),
+    "darboux": lambda: (SCN3, tuple(SCN3.total.parse(t) for t in ("u", "x1", "-mu", "mu*p1"))),
+    "mu-squared": lambda: (SCN1, (SCN1.total.var("x"), ex.pw(SCN1.mu, 2))),
+    **{f"darboux_k{k}": (lambda k=k: _darboux_chart(k)) for k in (1, 2, 3)},
+    **{f"cosymplectic_k{k}": (lambda k=k: _cosymplectic_chart(k)) for k in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(_CHARTS))
+def test_chart_frame_transition_is_jacobian_route(name):
+    # A(r) of a homogeneous chart is its coordinate frame's transition
+    # matrix; the Jacobian route D(chi o h_r) . (D chi)^{-1} agrees entry
+    # by entry
+    scn, chi = _CHARTS[name]()
+    pol = scn.policy_for(ZeroTestPolicy())
+    cons = pol.constraints
+    coords = scn.total.coords
+    hchi = [ex.subs(c, {"mu": ex.mul(ex.var("r"), scn.mu)}) for c in chi]
+    jac = [[ex.diff(c, v, cons) for v in coords] for c in chi]
+    dh = [[ex.diff(c, v, cons) for v in coords] for c in hchi]
+    A_jac = symmat.mat_mul(dh, symmat.inverse(jac))
+    A = transition(chart_frame(scn, chi)).matrix_sym
+    n = scn.total.dim
+    assert all(is_zero(ex.sub(A[i][j], A_jac[i][j]), pol)
+               for i in range(n) for j in range(n))
