@@ -11,6 +11,9 @@ The three integrability notions (closedness upstairs, vanishing upsilon
 with nondegenerate kernel curvature, existence of a homogeneous Darboux
 chart) are computed independently; the asserted equivalence is checked,
 and a disagreement is a falsification event, never silently repaired.
+
+`symplectic_basis`, the package's one symplectic Gram-Schmidt, builds the
+Sp frame of omega here and the flat chart of a constant cosymplectic pair.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .tensors import (KForm, VectorField, coordinate_field, d, interior,
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_values
 
 __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
-           "omega_to_pair", "check_pair", "sp_frame_from_omega",
+           "omega_to_pair", "check_pair", "symplectic_basis", "sp_frame_from_omega",
            "frame_to_omega", "IntegrabilityReport", "integrability_report",
            "darboux_homogeneous_chart", "DarbouxChart", "standard_darboux_pair"]
 
@@ -158,40 +161,27 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
     )
 
 
-def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
-                        policy: ZeroTestPolicy = DEFAULT_POLICY) -> Frame:
-    """Symplectic Gram-Schmidt on the promoted derivation basis against the
-    fiberwise pairing of omega; returns a frame whose transition is
-    diag(I_k, r I_k) and which reconstructs omega."""
-    total = scn.total
-    n1 = total.dim
-    if n1 % 2:
-        raise ChartError("total dimension must be even")
-    k = n1 // 2
-    pol = policy.with_constraints(total.constraints)
-
-    # degree-0 derivation basis upstairs: coordinate lifts then the Euler field
-    ders = [coordinate_field(total, i) for i in range(scn.base.dim)] + [scn.euler()]
-    Wfun = [[ex.simplify(ex.div(omega(ders[a], ders[b]), scn.mu), total.constraints)
-             for b in range(n1)] for a in range(n1)]
-
-    # pairing must be fiber-constant for a degree-1 form: certified by caller
-    vecs = [tuple(ex.ONE if i == a else ex.ZERO for i in range(n1)) for a in range(n1)]
+def symplectic_basis(W, policy: ZeroTestPolicy) -> Tuple[List[tuple], List[tuple]]:
+    """Symplectic Gram-Schmidt on an antisymmetric matrix W of ex.Expr
+    entries: coefficient vectors x_1..x_k, y_1..y_k with
+    W(x_i, y_j) = delta_ij and W(x_i, x_j) = W(y_i, y_j) = 0.  Each x is
+    the first remaining vector and its partner y the first remaining one
+    it pairs with nonzero (all_zero under `policy`, whose constraints also
+    simplify the pairings); DegeneracyError when there is none."""
+    n = len(W)
+    cons = policy.constraints
 
     def pairing(u, v):
-        parts = []
-        for a in range(n1):
-            for b in range(n1):
-                if Wfun[a][b].is_zero_literal():
-                    continue
-                parts.append(ex.mul(u[a], v[b], Wfun[a][b]))
-        return ex.simplify(ex.add(*parts) if parts else ex.ZERO, total.constraints)
+        parts = [ex.mul(u[a], v[b], W[a][b]) for a in range(n) for b in range(n)
+                 if not W[a][b].is_zero_literal()]
+        return ex.simplify(ex.add(*parts) if parts else ex.ZERO, cons)
 
-    x_vecs, y_vecs = [], []
-    remaining = list(vecs)
+    xs, ys = [], []
+    remaining = [tuple(ex.ONE if i == a else ex.ZERO for i in range(n)) for a in range(n)]
     while remaining:
         u = remaining.pop(0)
-        degenerate, bad = all_zero(((idx, pairing(u, v)) for idx, v in enumerate(remaining)), pol)
+        degenerate, bad = all_zero(((idx, pairing(u, v)) for idx, v in enumerate(remaining)),
+                                   policy)
         if degenerate:
             raise DegeneracyError("pairing is degenerate: no symplectic partner")
         v = remaining.pop(bad[0])
@@ -199,25 +189,41 @@ def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
         v = tuple(ex.div(c, norm) for c in v)
         fixed = []
         for w in remaining:
-            a = pairing(w, v)
-            b = pairing(w, u)
-            w2 = tuple(ex.simplify(ex.add(w[i], ex.neg(ex.mul(a, u[i])),
-                                          ex.mul(b, v[i])), total.constraints)
-                       for i in range(n1))
-            fixed.append(w2)
+            a, b = pairing(w, v), pairing(w, u)
+            fixed.append(tuple(ex.simplify(ex.add(w[i], ex.neg(ex.mul(a, u[i])),
+                                                  ex.mul(b, v[i])), cons)
+                               for i in range(n)))
         remaining = fixed
-        x_vecs.append(u)
-        y_vecs.append(v)
+        xs.append(u)
+        ys.append(v)
+    return xs, ys
+
+
+def sp_frame_from_omega(scn: LineBundleScenario, omega: KForm,
+                        policy: ZeroTestPolicy = DEFAULT_POLICY) -> Frame:
+    """symplectic_basis of the fiberwise pairing of omega on the promoted
+    derivation basis; returns a frame whose transition is diag(I_k, r I_k)
+    and which reconstructs omega.  DegreeError unless omega is homogeneous
+    of degree 1, so that the pairing is fiber-constant."""
+    total = scn.total
+    n1 = total.dim
+    if n1 % 2:
+        raise ChartError("total dimension must be even")
+    if not scn.is_homogeneous(omega, DEG1, policy):
+        raise DegreeError("form is not homogeneous of degree 1")
+
+    # degree-0 derivation basis upstairs: coordinate lifts then the Euler field
+    ders = [coordinate_field(total, i) for i in range(scn.base.dim)] + [scn.euler()]
+    W = [[ex.simplify(ex.div(omega(ders[a], ders[b]), scn.mu), total.constraints)
+          for b in range(n1)] for a in range(n1)]
+    x_vecs, y_vecs = symplectic_basis(W, policy.with_constraints(total.constraints))
 
     def to_field(coeffs) -> VectorField:
-        comps = [ex.ZERO] * n1
-        out = None
-        for a, c in enumerate(coeffs):
-            if c.is_zero_literal():
-                continue
-            piece = ders[a].scale(c)
-            out = piece if out is None else out + piece
-        return out if out is not None else VectorField(total, tuple(comps))
+        out = VectorField(total, (ex.ZERO,) * n1)
+        for der, c in zip(ders, coeffs):
+            if not c.is_zero_literal():
+                out = out + der.scale(c)
+        return out
 
     comps = [to_field(u) for u in x_vecs]
     muinv = ex.pw(scn.mu, Fraction(-1))
@@ -260,12 +266,13 @@ class IntegrabilityReport:
     note: str = ""
 
 
-def integrability_report(pair: ContactPair,
+def integrability_report(pair: ContactPair, rep: PairReport,
                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> IntegrabilityReport:
+    """The three integrability verdicts of `pair`, whose check_pair report
+    is `rep`, and a falsification when they disagree."""
     scn = pair.scenario
     pol_base = policy.with_constraints(scn.base.constraints)
     pol_tot = policy.with_constraints(scn.total.constraints)
-    rep = check_pair(pair, policy)
 
     omega = pair_to_omega(pair)
     domega = d(omega)

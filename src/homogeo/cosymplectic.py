@@ -9,7 +9,8 @@ through
 pinned so that the fiber contraction i_E omega equals eta.  Nondegeneracy
 of omega is equivalent to eta ^ Omega^{k-1} being a volume form, and
 closedness to dOmega = deta = 0; both equivalences are computed on both
-sides and compared.
+sides and compared.  A constant-coefficient pair gets its flat chart from
+contact.symplectic_basis, the Gram-Schmidt of the identity coset too.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import expr as ex
-from . import ratmat as rm
 from . import symmat
 from .chart import ChartError
-from .contact import _verify_symplectic_chart
+from .contact import _verify_symplectic_chart, symplectic_basis
 from .linebundle import LineBundleScenario
 from .tensors import KForm, d, one_form, wedge
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
@@ -112,10 +112,11 @@ class Integrability0Report:
     note: str = ""
 
 
-def integrability_report0(pair: CosymplecticPair, k: int,
+def integrability_report0(pair: CosymplecticPair, rep: CosymplecticReport,
                           policy: ZeroTestPolicy = DEFAULT_POLICY) -> Integrability0Report:
+    """The integrability verdicts of `pair`, whose check_cosymplectic
+    report is `rep`, and a falsification when they disagree."""
     scn = pair.scenario
-    rep = check_cosymplectic(pair, k, policy)
     cocycle = rep.omega_closed
     integrable = rep.omega_nondegenerate and cocycle
 
@@ -143,61 +144,27 @@ def integrability_report0(pair: CosymplecticPair, k: int,
                                 constructed, note)
 
 
-def _constant_value(e: ex.Expr) -> Optional[Fraction]:
-    e = ex.simplify(e)
-    if isinstance(e, ex.Rat):
-        return e.value
-    return None
-
-
 def _flat_chart_for_constant_pair(pair: CosymplecticPair,
                                   policy: ZeroTestPolicy):
-    """For a constant-coefficient nondegenerate pair, run exact linear
-    symplectic reduction on the pairing of (Euler, coordinate lifts) and
-    emit the dual chart in (log mu, x) coordinates."""
+    """For a constant-coefficient pair with nondegenerate omega, take the
+    symplectic_basis of its pairing on (Euler, coordinate lifts) and emit
+    the dual chart in (log mu, x) coordinates; None for a non-constant
+    pair."""
     scn = pair.scenario
     n = scn.base.dim
-    W = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for j in range(n):
-        v = _constant_value(pair.eta.coeff((j,)))
-        if v is None:
+    W = [[ex.ZERO] * (n + 1) for _ in range(n + 1)]
+    entries = [((0, j + 1), pair.eta.coeff((j,))) for j in range(n)]
+    entries += [((i + 1, j + 1), c) for (i, j), c in pair.Omega.coeffs.items()]
+    for (a, b), c in entries:
+        c = ex.simplify(c)
+        if not isinstance(c, ex.Rat):
             return None
-        W[0][j + 1] = v
-        W[j + 1][0] = -v
-    for (i, j), c in pair.Omega.coeffs.items():
-        v = _constant_value(c)
-        if v is None:
-            return None
-        W[i + 1][j + 1] = v
-        W[j + 1][i + 1] = -v
+        W[a][b], W[b][a] = c, ex.neg(c)
 
-    m = n + 1
-    basis = [tuple(Fraction(int(i == a)) for i in range(m)) for a in range(m)]
-
-    def pairing(u, v):
-        return sum(u[a] * W[a][b] * v[b] for a in range(m) for b in range(m))
-
-    xs, ys = [], []
-    remaining = list(basis)
-    while remaining:
-        u = remaining.pop(0)
-        idx = next((i for i, v in enumerate(remaining) if pairing(u, v) != 0), None)
-        if idx is None:
-            return None  # degenerate
-        v = remaining.pop(idx)
-        nrm = pairing(u, v)
-        v = tuple(c / nrm for c in v)
-        remaining = [tuple(w[i] - pairing(w, v) * u[i] + pairing(w, u) * v[i]
-                           for i in range(m)) for w in remaining]
-        xs.append(u)
-        ys.append(v)
-
-    T = [[(xs + ys)[a][i] for a in range(m)] for i in range(m)]  # columns = basis
-    Tinv = rm.rinv(rm.rmat(T))
+    xs, ys = symplectic_basis(W, policy)
+    Tinv = symmat.inverse(symmat.transpose(xs + ys))   # columns = basis
     zeta = [ex.log_(scn.mu)] + [scn.base.var(c) for c in scn.base.coords]
-    chi = tuple(ex.add(*[ex.mul(ex.rat(Tinv[a][b]), zeta[b]) for b in range(m)])
-                for a in range(m))
-    return chi
+    return tuple(ex.add(*[ex.mul(t, z) for t, z in zip(row, zeta)]) for row in Tinv)
 
 
 def _verify_flat_chart(scn: LineBundleScenario, chi, pair: CosymplecticPair,

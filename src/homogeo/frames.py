@@ -237,11 +237,10 @@ class CosetReport:
     failure: Optional[str] = None
 
 
-def degree_coset(frame: Frame, G: GroupId,
+def degree_coset(tr: TransitionResult, G: GroupId,
                  policy: ZeroTestPolicy = DEFAULT_POLICY) -> CosetReport:
-    """Verify A_sigma(r) lies in N(G) for symbolic r > 0 and at r = -1,
-    and return the quotient value function."""
-    tr = transition(frame, policy)
+    """Verify that a frame's transition A_sigma(r) lies in N(G) for
+    symbolic r > 0 and at r = -1, and return the quotient value function."""
     if not tr.homogeneous:
         raise NotHomogeneousError(tr.failure or "frame is not homogeneous")
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
@@ -269,7 +268,7 @@ def require_coset(frame: Frame, G: GroupId, group: str, value: ex.Expr, value_ne
                   name: str, policy: ZeroTestPolicy = DEFAULT_POLICY) -> None:
     """Raise CosetError unless the frame's transition lies in N(G) with
     quotient value `value` for r > 0 and `value_neg1` at r = -1."""
-    rep = degree_coset(frame, G, policy)
+    rep = degree_coset(transition(frame, policy), G, policy)
     if not rep.in_normalizer:
         raise CosetError(f"frame transition not in N({group}): {rep.failure}")
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))

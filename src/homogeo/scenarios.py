@@ -325,7 +325,7 @@ def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
                      policy.with_constraints(scn.base.constraints))
     checks.append(_check("roundtrip", rt, "descend(promote) recovers (theta, upsilon)"))
 
-    irep = ct.integrability_report(pair, policy)
+    irep = ct.integrability_report(pair, rep, policy)
     checks.append(_integrability_check(
         irep, f"integrable={irep.integrable}, contact={irep.contact}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
@@ -342,13 +342,12 @@ def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
 def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import cosymplectic as cs
     scn = _scenario_chart(data)
-    k = (scn.base.dim + 1) // 2
     objects = data["objects"]
     Omega = _form_from_dict(scn.base, 2, objects["Omega"], "objects.Omega")
     eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
     pair = cs.CosymplecticPair(scn, Omega, eta)
 
-    rep = cs.check_cosymplectic(pair, k, policy)
+    rep = cs.check_cosymplectic(pair, (scn.base.dim + 1) // 2, policy)
     checks.append(_check(
         "dictionary", True,
         f"volume={rep.volume}, dOmega=0:{rep.dOmega_zero}, deta=0:{rep.deta_zero}"))
@@ -363,7 +362,7 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) ->
     checks.append(_homogeneity_check(scn, omega, DEG0, policy,
                                      "omega is fiber-invariant (degree 0)"))
 
-    irep = cs.integrability_report0(pair, k, policy)
+    irep = cs.integrability_report0(pair, rep, policy)
     checks.append(_integrability_check(
         irep, f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
@@ -472,7 +471,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
             + "]"))
         if "group" in data["objects"]:
             G = GroupId(**data["objects"]["group"])
-            rep = fr.degree_coset(frame, G, policy)
+            rep = fr.degree_coset(tr, G, policy)
             checks.append(_check(
                 "degree coset", rep.in_normalizer,
                 rep.failure or

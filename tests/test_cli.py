@@ -748,6 +748,36 @@ def test_scenario_runners_catch_nothing():
     ]
 
 
+# per scenario kind, the module and function of the report its pipeline
+# builds once and hands on: the pair report, or the frame's transition
+_BUILT_ONCE = {"contact": ("contact", "check_pair"),
+               "cosymplectic": ("cosymplectic", "check_cosymplectic"),
+               "frame": ("frames", "transition")}
+
+
+def test_scenario_builds_its_report_once(monkeypatch):
+    """Each bundled contact, cosymplectic and frame scenario builds its pair
+    report or its frame's transition once: the integrability report and
+    the degree coset take the one the runner built."""
+    import importlib
+    calls = []
+    for module, name in _BUILT_ONCE.values():
+        mod = importlib.import_module("homogeo." + module)
+
+        def counted(*args, real=getattr(mod, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    runs = 0
+    for scenario, data in sorted(_BUNDLED.items()):
+        if data["kind"] in _BUILT_ONCE:
+            calls.clear()
+            run_scenario(load_scenario(os.path.join(SCENARIOS, scenario)))
+            assert calls.count(_BUILT_ONCE[data["kind"]][1]) == 1, scenario
+            runs += 1
+    assert runs == 13
+
+
 def _source_sites(match):
     """(module, outermost function, node) for each node of src/homogeo/
     that `match` accepts, the function None at module level."""
@@ -853,9 +883,9 @@ def test_bundled_suite_queries_pinned(monkeypatch, capsys):
     monkeypatch.setattr(zerotest, "_fingerprint", record)
     code, _, _ = run_cli(["suite", SCENARIOS, "--seed", "0"], capsys)
     assert code == 0
-    assert len(seen) == 61
+    assert len(seen) == 53
     assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
-        "88abd8dcf20176422ff100067505d32c8475f467fe7e79bfe8a610b632966919"
+        "98832cf68c88fe5707a59f1e4ee6506fa1f865f67fe015b58d5b8d6a888c6de2"
 
 
 def test_suite_verdicts_independent_of_seed(capsys):

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogeo import expr as ex
+from homogeo import ratmat as rm
 from homogeo.contact import (ContactPair, InvalidPairError, check_pair,
                              darboux_homogeneous_chart, frame_to_omega,
                              integrability_report, kernel_basis, omega_to_pair,
                              pair_to_omega, sp_frame_from_omega,
-                             standard_darboux_pair)
+                             standard_darboux_pair, symplectic_basis)
 from homogeo.frames import chart_frame, frames_G_equivalent, transition
 from homogeo.groups import SP, rand_element
 from homogeo.linebundle import DegreeError, LineBundleScenario
+from homogeo.metric import DegeneracyError
 from homogeo.tensors import KForm, VectorField, one_form, zero_form
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
@@ -176,6 +180,56 @@ def test_equivalence_suite_positive_and_negative():
     assert positives >= 10 and negatives == 10
 
 
+# -- symplectic Gram-Schmidt -------------------------------------------------------
+
+_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def antisymmetric_pairings(draw):
+    """(W, degenerate): a random antisymmetric rational W of size 2, 4 or
+    6.  A degenerate one is a matrix with a zero last row and column moved
+    by the congruence P^T W P of a random unit upper-triangular P, so its
+    kernel is not a coordinate axis."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    degenerate = draw(st.integers(0, 3)) == 3
+    W = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (degenerate and j == n - 1):
+                W[i][j] = draw(_small)
+                W[j][i] = -W[i][j]
+    if degenerate:
+        P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                P[i][j] = draw(_small)
+        W = rm.rmul(rm.rmul(rm.rtranspose(P), W), P)
+    return W, degenerate
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(antisymmetric_pairings())
+def test_symplectic_basis_pairings(case):
+    W, degenerate = case
+    W_expr = [[ex.rat(v) for v in row] for row in W]
+    if degenerate or rm.rdet(W) == 0:
+        with pytest.raises(DegeneracyError):
+            symplectic_basis(W_expr, ZeroTestPolicy())
+        return
+    xs, ys = symplectic_basis(W_expr, ZeroTestPolicy())
+    assert len(xs) == len(ys) == len(W) // 2
+
+    def pairing(u, v):
+        u, v = [ex.simplify(c).value for c in u], [ex.simplify(c).value for c in v]
+        return sum(u[a] * W[a][b] * v[b] for a in range(len(W)) for b in range(len(W)))
+
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        for j, (xj, yj) in enumerate(zip(xs, ys)):
+            assert pairing(xi, yj) == (i == j)
+            assert pairing(xi, xj) == 0 and pairing(yi, yj) == 0
+
+
 # -- frames ------------------------------------------------------------------------
 
 def test_sp_frame_from_omega_darboux():
@@ -207,6 +261,15 @@ def test_sp_frame_k1():
     om2 = frame_to_omega(frame)
     polt = ZeroTestPolicy(constraints=pair.scenario.total.constraints)
     assert forms_equal(om, om2, polt)
+
+
+def test_sp_frame_rejects_wrong_degree():
+    # mu * omega has degree 2, so its pairing on the derivation basis is
+    # not fiber-constant and no frame of it has transition diag(I_k, r I_k)
+    pair = standard_darboux_pair(1)
+    omega = pair_to_omega(pair).scale(pair.scenario.mu)
+    with pytest.raises(DegreeError):
+        sp_frame_from_omega(pair.scenario, omega)
 
 
 def test_sp_frame_random_reconstruction():
@@ -243,7 +306,8 @@ def test_frame_to_omega_rejects_wrong_degree():
 # -- integrability ------------------------------------------------------------------
 
 def test_integrability_darboux_all_true():
-    rep = integrability_report(standard_darboux_pair(2))
+    pair = standard_darboux_pair(2)
+    rep = integrability_report(pair, check_pair(pair))
     assert rep.integrable and rep.contact and rep.homogeneous_integrable
     assert rep.falsification is None
     assert rep.chart_constructed
@@ -254,7 +318,7 @@ def test_integrability_darboux_all_true():
 def test_integrability_foliation_all_false():
     pair = ContactPair(SCN3, one_form(SCN3.base, [1, 0, 0]),
                        zero_form(SCN3.base, 2))
-    rep = integrability_report(pair)
+    rep = integrability_report(pair, check_pair(pair))
     assert not rep.integrable and not rep.contact
     assert not rep.homogeneous_integrable
     assert rep.falsification is None
@@ -265,7 +329,7 @@ def test_integrability_twisted_not_integrable():
                        KForm(SCN3.base, 1, {(0,): ex.ONE,
                                             (1,): ex.neg(ex.var("p1"))}),
                        KForm(SCN3.base, 2, {(1, 2): ex.ONE}))
-    rep = integrability_report(pair)
+    rep = integrability_report(pair, check_pair(pair))
     assert not rep.integrable and not rep.contact
     assert not rep.homogeneous_integrable
     assert rep.falsification is None
@@ -284,7 +348,7 @@ def test_darboux_chart_with_nonunit_trivialization():
     f = ex.add(ex.rat(2), ex.pw(ex.var("x1"), 2))
     theta = KForm(scn.base, 1, {(0,): f, (1,): ex.neg(ex.mul(f, ex.var("p1")))})
     pair = ContactPair(scn, theta, zero_form(scn.base, 2))
-    rep = integrability_report(pair)
+    rep = integrability_report(pair, check_pair(pair))
     assert rep.integrable and rep.contact and rep.homogeneous_integrable
     assert rep.chart_constructed
 

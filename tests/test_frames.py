@@ -7,7 +7,8 @@ from homogeo import expr as ex
 from homogeo import ratmat as rm
 from homogeo import symmat
 from homogeo.contact import darboux_homogeneous_chart
-from homogeo.cosymplectic import integrability_report0, standard_cosymplectic_pair
+from homogeo.cosymplectic import (check_cosymplectic, integrability_report0,
+                                  standard_cosymplectic_pair)
 from homogeo.frames import (Frame, NotHomogeneousError, chart_frame,
                             build_frame, degree_coset, frame_from_matrix,
                             frames_G_equivalent, homomorphism_law_holds,
@@ -146,7 +147,7 @@ def test_build_frame_round_trip_up_to_gl():
 def test_degree_coset_darboux_identity():
     mu, p1, u, x1 = (SCN3.total.var(c) for c in ("mu", "p1", "u", "x1"))
     f = chart_frame(SCN3, (u, x1, ex.neg(mu), ex.mul(mu, p1)))
-    rep = degree_coset(f, SP(2))
+    rep = degree_coset(transition(f), SP(2))
     assert rep.in_normalizer
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert is_zero(ex.sub(rep.quotient_value, ex.var("r")), pol)
@@ -158,7 +159,7 @@ def test_degree_coset_trivial_cosymplectic_frame():
     comps = [VectorField(scn.total, tuple(ex.rat(int(i == j)) for i in range(4)))
              for j in range(3)]
     comps.append(scn.euler())
-    rep = degree_coset(Frame(scn, tuple(comps)), SP(2))
+    rep = degree_coset(transition(Frame(scn, tuple(comps))), SP(2))
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert rep.in_normalizer
     assert is_zero(ex.sub(rep.quotient_value, ex.ONE), pol)
@@ -168,7 +169,7 @@ def test_degree_coset_trivial_cosymplectic_frame():
 def test_degree_coset_sqrt_abs():
     h = "sqrt(abs(mu))"
     f = Frame(SCN1, (vf(SCN1, [f"1/{h}", "0"]), vf(SCN1, ["0", h])))
-    rep = degree_coset(f, O(2))
+    rep = degree_coset(transition(f), O(2))
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert rep.in_normalizer
     assert is_zero(ex.sub(rep.quotient_value, ex.var("r")), pol)
@@ -178,7 +179,7 @@ def test_degree_coset_sqrt_abs():
 def test_degree_coset_invariance_failure():
     # diag(1, r) does not normalize O(2)
     f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "1"])))
-    rep = degree_coset(f, O(2))
+    rep = degree_coset(transition(f), O(2))
     assert not rep.in_normalizer
     assert rep.failure
 
@@ -189,7 +190,7 @@ def test_right_translation_preserves_coset():
     f = chart_frame(SCN3, (u, x1, ex.neg(mu), ex.mul(mu, p1)))
     g = rand_element(SP(2), rng)
     f2 = f.translate(g)
-    rep = degree_coset(f2, SP(2))
+    rep = degree_coset(transition(f2), SP(2))
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert rep.in_normalizer
     assert is_zero(ex.sub(rep.quotient_value, ex.var("r")), pol)
@@ -273,7 +274,8 @@ def _darboux_chart(k):
 
 def _cosymplectic_chart(k):
     pair = standard_cosymplectic_pair(k)
-    return pair.scenario, integrability_report0(pair, k).witness_chart
+    return pair.scenario, integrability_report0(
+        pair, check_cosymplectic(pair, k)).witness_chart
 
 
 # the charts above, then the ones the bundled darboux_k1..3 and

@@ -7,7 +7,7 @@ import pytest
 
 from homogeo import expr as ex
 from homogeo import symmat
-from homogeo.frames import degree_coset
+from homogeo.frames import degree_coset, transition
 from homogeo.groups import O, rand_element
 from homogeo.linebundle import DEG_ABS, LineBundleScenario
 from homogeo.metric import DegeneracyError
@@ -343,7 +343,7 @@ def test_frame_to_gtilde_sphere():
     scn = triple.scenario
     gt = triple_to_gtilde(triple)
     frame = gtilde_frame(gt, scn)
-    rep = degree_coset(frame, O(2))
+    rep = degree_coset(transition(frame), O(2))
     pol = ZeroTestPolicy(constraints=(ex.Constraint("r", ">", 0),))
     assert rep.in_normalizer
     assert is_zero(ex.sub(rep.quotient_value, ex.var("r")), pol)
