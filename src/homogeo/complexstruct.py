@@ -11,7 +11,9 @@ indices.  Integrability is governed by the Nijenhuis torsion
     N(X, Y) = [jX, jY] - j[jX, Y] - j[X, jY] + j^2 [X, Y],
 
 with the fourth term kept explicitly so the same formula is tensorial for
-arbitrary endomorphisms (which the tests exploit).
+arbitrary endomorphisms (which the tests exploit).  Integrability is the
+torsion verdict alone: no homogeneous chart is constructed, so this kind
+has no chart attempt and does not use the Sp kinds' IntegrabilityReport.
 """
 
 from __future__ import annotations
@@ -108,20 +110,17 @@ def nijenhuis(J: Endo11) -> List[List[List[ex.Expr]]]:
 
 @dataclass(frozen=True)
 class IntegrabilityCReport:
-    torsion_zero: bool
-    integrable: bool
-    homogeneous_integrable: bool
+    torsion_zero: bool               # the integrability verdict
     falsification: Optional[str]
     witness: Optional[dict]
-    note: str = ""
 
 
 def integrability_report_c(ac: AlmostComplex,
                            policy: ZeroTestPolicy = DEFAULT_POLICY) -> IntegrabilityCReport:
     """Torsion verdict, with the dimension-2 identity as an internal
-    consistency check; the chart construction is deliberately not
-    attempted, so homogeneous integrability is scored by the torsion
-    criterion with a note."""
+    consistency check.  The homogeneous chart construction is deliberately
+    not attempted, so integrability and homogeneous integrability are both
+    scored by the torsion criterion."""
     scn = ac.scenario
     pol = policy.with_constraints(scn.total.constraints)
     N = nijenhuis(ac.J)
@@ -137,11 +136,4 @@ def integrability_report_c(ac: AlmostComplex,
     if n == 2 and not torsion_zero:
         fals = ("dimension-2 identity violated: nonzero torsion on a "
                 f"2-dimensional chart, witness {witness}")
-    return IntegrabilityCReport(
-        torsion_zero=torsion_zero,
-        integrable=torsion_zero,
-        homogeneous_integrable=torsion_zero,
-        falsification=fals,
-        witness=witness,
-        note=("integrability equated to torsion vanishing; the homogeneous "
-              "chart construction is deferred"))
+    return IntegrabilityCReport(torsion_zero, fals, witness)

@@ -12,8 +12,11 @@ with nondegenerate kernel curvature, existence of a homogeneous Darboux
 chart) are computed independently; the asserted equivalence is checked,
 and a disagreement is a falsification event, never silently repaired.
 
-`symplectic_basis`, the package's one symplectic Gram-Schmidt, builds the
-Sp frame of omega here and the flat chart of a constant cosymplectic pair.
+Both Sp degree cosets share two pieces kept here: `symplectic_basis`, the
+package's one symplectic Gram-Schmidt (the Sp frame of omega here, the flat
+chart of a constant cosymplectic pair), and `settle_integrability`, the one
+rule that turns a kind's verdicts and chart attempt into its
+`IntegrabilityReport`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import expr as ex
 from . import symmat
@@ -36,8 +39,9 @@ from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_
 
 __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
            "omega_to_pair", "check_pair", "symplectic_basis", "sp_frame_from_omega",
-           "frame_to_omega", "IntegrabilityReport", "integrability_report",
-           "darboux_homogeneous_chart", "DarbouxChart", "standard_darboux_pair"]
+           "frame_to_omega", "IntegrabilityReport", "settle_integrability",
+           "integrability_report", "darboux_homogeneous_chart", "DarbouxChart",
+           "standard_darboux_pair"]
 
 
 class InvalidPairError(ex.InvalidObjectError):
@@ -127,6 +131,7 @@ class PairReport:
     equivalence_consistent: bool      # theorem (i) <-> (ii)
     curvature_routes_agree: bool      # bracket-mod-H vs -d(theta)|_H
     gram: List[List[ex.Expr]]
+    omega: KForm                      # pair_to_omega(pair), built once
 
 
 def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> PairReport:
@@ -148,7 +153,8 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
 
     nondeg_on_H = not is_zero(symmat.det(gram), pol) if m else True
 
-    omega_nondeg = not is_zero(symmat.det(pair_to_omega(pair).rows()),
+    omega = pair_to_omega(pair)
+    omega_nondeg = not is_zero(symmat.det(omega.rows()),
                                policy.with_constraints(scn.total.constraints))
 
     return PairReport(
@@ -158,6 +164,7 @@ def check_pair(pair: ContactPair, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Pa
         equivalence_consistent=(nondeg_on_H == omega_nondeg),
         curvature_routes_agree=routes_agree,
         gram=gram,
+        omega=omega,
     )
 
 
@@ -257,62 +264,70 @@ def frame_to_omega(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY,
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
+    """The integrability verdicts of a contact or cosymplectic pair."""
     integrable: bool                 # omega nondegenerate and d(omega) = 0
-    contact: bool                    # upsilon = 0 and kernel curvature nondeg
+    base: bool                       # the kind's base-side criterion
     homogeneous_integrable: bool
-    falsification: Optional[str]     # set when the three verdicts disagree
+    falsification: Optional[str]     # set when the verdicts disagree
     witness_chart: Optional[Tuple[ex.Expr, ...]]
     chart_constructed: bool
     note: str = ""
 
 
-def integrability_report(pair: ContactPair, rep: PairReport,
-                         policy: ZeroTestPolicy = DEFAULT_POLICY) -> IntegrabilityReport:
-    """The three integrability verdicts of `pair`, whose check_pair report
-    is `rep`, and a falsification when they disagree."""
-    scn = pair.scenario
-    pol_base = policy.with_constraints(scn.base.constraints)
-    pol_tot = policy.with_constraints(scn.total.constraints)
-
-    omega = pair_to_omega(pair)
-    domega = d(omega)
-    closed, _ = all_zero(domega.coeffs.items(), pol_tot)
-    integrable = rep.omega_nondegenerate and closed
-
-    ups_zero, _ = all_zero(pair.upsilon.coeffs.items(), pol_base)
-    contact = ups_zero and rep.nondeg_on_H
-
-    witness = None
-    constructed = False
-    note = ""
-    hom_int = False
-    if rep.omega_nondegenerate and ups_zero:
-        built = _try_darboux_chart(pair, policy)
-        if built is not None:
-            witness, ok, why = built
-            constructed = ok
-            hom_int = ok
-            note = why
+def settle_integrability(verdicts: Dict[str, bool], base: str,
+                         attempt: Optional[Callable[[], Optional[tuple]]],
+                         fallback: Tuple[bool, str]) -> IntegrabilityReport:
+    """The report of a pair whose kind computed `verdicts` (named, in the
+    order of its equivalence: `integrable` and the base-side criterion
+    named `base`).  homogeneous_integrable is False when `attempt` is None
+    (the kind's gate is shut); else attempt() builds and verifies a chart,
+    (chi, ok, why), or is None outside the constructive case, where the
+    verdict of `fallback` (verdict, reason) is scored instead.  Disagreeing
+    verdicts, homogeneous_integrable last, are a falsification."""
+    witness, constructed, note, hom_int = None, False, "", False
+    if attempt is not None:
+        built = attempt()
+        if built is None:
+            hom_int, why = fallback
+            note = (f"{why}; homogeneous integrability scored through the "
+                    "integrability equivalence")
         else:
-            hom_int = contact
-            note = ("base coordinates are not Darboux for theta; homogeneous "
-                    "integrability scored through the integrability equivalence")
-
+            witness, constructed, note = built
+            hom_int = constructed
+    verdicts = {**verdicts, "homogeneous_integrable": hom_int}
     fals = None
-    verdicts = {"integrable": integrable, "contact": contact,
-                "homogeneous_integrable": hom_int}
     if len(set(verdicts.values())) > 1:
         fals = ("theorem equivalence violated: " +
                 ", ".join(f"{k}={v}" for k, v in verdicts.items()))
-    return IntegrabilityReport(integrable, contact, hom_int, fals, witness,
-                               constructed, note)
+    return IntegrabilityReport(verdicts["integrable"], verdicts[base], hom_int, fals,
+                               witness, constructed, note)
 
 
-def _try_darboux_chart(pair: ContactPair, policy: ZeroTestPolicy):
+def integrability_report(pair: ContactPair, rep: PairReport,
+                         policy: ZeroTestPolicy = DEFAULT_POLICY) -> IntegrabilityReport:
+    """The three integrability verdicts of `pair`, whose check_pair report
+    is `rep`; its base-side criterion is `contact`, and the Darboux chart is
+    attempted when omega is nondegenerate and upsilon = 0."""
+    scn = pair.scenario
+    closed, _ = all_zero(d(rep.omega).coeffs.items(),
+                         policy.with_constraints(scn.total.constraints))
+    ups_zero, _ = all_zero(pair.upsilon.coeffs.items(),
+                           policy.with_constraints(scn.base.constraints))
+    contact = ups_zero and rep.nondeg_on_H
+    return settle_integrability(
+        {"integrable": rep.omega_nondegenerate and closed, "contact": contact},
+        "contact",
+        (lambda: _try_darboux_chart(pair, rep.omega, policy))
+        if rep.omega_nondegenerate and ups_zero else None,
+        (contact, "base coordinates are not Darboux for theta"))
+
+
+def _try_darboux_chart(pair: ContactPair, omega: KForm, policy: ZeroTestPolicy):
     """When the base coordinates are Darboux for theta
     (theta = f (du - sum p_i dx^i) in some coordinate assignment), build the
-    homogeneous chart (u, x^i, -mu f, mu f p_i) and verify it.  Every
-    coordinate is tried as the u-candidate."""
+    homogeneous chart (u, x^i, -mu f, mu f p_i) and verify it against
+    omega = pair_to_omega(pair).  Every coordinate is tried as the
+    u-candidate."""
     scn = pair.scenario
     pol = policy.with_constraints(scn.base.constraints)
     n = scn.base.dim
@@ -355,7 +370,7 @@ def _try_darboux_chart(pair: ContactPair, policy: ZeroTestPolicy):
         chi += [ex.mul(lam, scn.base.var(scn.base.coords[pairing[i]]))
                 for i in sorted(pairing)]
         chi = tuple(chi)
-        ok, why = _verify_darboux_chart(scn, chi, pair_to_omega(pair), policy)
+        ok, why = _verify_darboux_chart(scn, chi, omega, policy)
         return chi, ok, why
     return None
 
@@ -427,9 +442,9 @@ def darboux_homogeneous_chart(k: int, policy: ZeroTestPolicy = DEFAULT_POLICY
     """The model chart (u, x^i, -mu, mu p_i) for the standard pair, with
     full verification of the affine data and the symplectic frame property."""
     pair = standard_darboux_pair(k)
-    scn = pair.scenario
-    built = _try_darboux_chart(pair, policy)
+    omega = pair_to_omega(pair)
+    built = _try_darboux_chart(pair, omega, policy)
     if built is None:
         raise RuntimeError("standard pair unexpectedly not recognized")
     chi, ok, why = built
-    return DarbouxChart(scn, pair, pair_to_omega(pair), chi, ok, why)
+    return DarbouxChart(pair.scenario, pair, omega, chi, ok, why)

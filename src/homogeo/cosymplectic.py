@@ -10,26 +10,29 @@ pinned so that the fiber contraction i_E omega equals eta.  Nondegeneracy
 of omega is equivalent to eta ^ Omega^{k-1} being a volume form, and
 closedness to dOmega = deta = 0; both equivalences are computed on both
 sides and compared.  A constant-coefficient pair gets its flat chart from
-contact.symplectic_basis, the Gram-Schmidt of the identity coset too.
+contact.symplectic_basis, the Gram-Schmidt of the identity coset too, and
+its verdicts are settled by contact.settle_integrability into the
+IntegrabilityReport both Sp cosets share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import expr as ex
 from . import symmat
 from .chart import ChartError
-from .contact import _verify_symplectic_chart, symplectic_basis
+from .contact import (IntegrabilityReport, _verify_symplectic_chart,
+                      settle_integrability, symplectic_basis)
 from .linebundle import LineBundleScenario
 from .tensors import KForm, d, one_form, wedge
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 
 __all__ = ["CosymplecticPair", "pair_to_omega0", "check_cosymplectic",
            "CosymplecticReport", "integrability_report0",
-           "Integrability0Report", "standard_cosymplectic_pair"]
+           "standard_cosymplectic_pair"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class CosymplecticPair:
             raise ChartError("Omega must be a 2-form on the base chart")
         if self.eta.chart != self.scenario.base or self.eta.degree != 1:
             raise ChartError("eta must be a 1-form on the base chart")
+        if self.scenario.base.dim % 2 != 1:
+            raise ChartError(f"base dimension {self.scenario.base.dim} is not odd")
 
 
 def pair_to_omega0(pair: CosymplecticPair) -> KForm:
@@ -63,13 +68,13 @@ class CosymplecticReport:
     omega_closed: bool
     nondegeneracy_consistent: bool   # volume <-> omega nondegenerate
     closure_consistent: bool         # cocycle <-> omega closed
+    omega: KForm                     # pair_to_omega0(pair), built once
 
 
-def check_cosymplectic(pair: CosymplecticPair, k: int,
+def check_cosymplectic(pair: CosymplecticPair,
                        policy: ZeroTestPolicy = DEFAULT_POLICY) -> CosymplecticReport:
     scn = pair.scenario
-    if scn.base.dim != 2 * k - 1:
-        raise ChartError(f"base dimension {scn.base.dim} does not match k={k}")
+    k = (scn.base.dim + 1) // 2
     pol_b = policy.with_constraints(scn.base.constraints)
     pol_t = policy.with_constraints(scn.total.constraints)
 
@@ -98,57 +103,30 @@ def check_cosymplectic(pair: CosymplecticPair, k: int,
         omega_closed=omega_closed,
         nondegeneracy_consistent=(volume == omega_nondeg),
         closure_consistent=((dOmega_zero and deta_zero) == omega_closed),
+        omega=omega,
     )
 
 
-@dataclass(frozen=True)
-class Integrability0Report:
-    cocycle: bool
-    integrable: bool
-    homogeneous_integrable: bool
-    falsification: Optional[str]
-    witness_chart: Optional[Tuple[ex.Expr, ...]]
-    chart_constructed: bool
-    note: str = ""
-
-
 def integrability_report0(pair: CosymplecticPair, rep: CosymplecticReport,
-                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> Integrability0Report:
+                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> IntegrabilityReport:
     """The integrability verdicts of `pair`, whose check_cosymplectic
-    report is `rep`, and a falsification when they disagree."""
-    scn = pair.scenario
-    cocycle = rep.omega_closed
-    integrable = rep.omega_nondegenerate and cocycle
-
-    witness = None
-    constructed = False
-    note = ""
-    hom_int = False
-    if rep.omega_nondegenerate and cocycle:
-        chi = _flat_chart_for_constant_pair(pair, policy)
-        if chi is not None:
-            ok, why = _verify_flat_chart(scn, chi, pair, policy)
-            witness, constructed, hom_int, note = chi, ok, ok, why
-        else:
-            hom_int = integrable
-            note = ("pair has non-constant coefficients; homogeneous "
-                    "integrability scored through the integrability equivalence")
-
-    fals = None
-    verdicts = {"cocycle_and_nondeg": rep.cocycle and rep.volume,
-                "integrable": integrable, "homogeneous_integrable": hom_int}
-    if len(set(verdicts.values())) > 1:
-        fals = ("theorem equivalence violated: " +
-                ", ".join(f"{key}={v}" for key, v in verdicts.items()))
-    return Integrability0Report(cocycle, integrable, hom_int, fals, witness,
-                                constructed, note)
+    report is `rep`; its base-side criterion is `cocycle_and_nondeg`, and
+    the flat chart is attempted when omega is integrable."""
+    integrable = rep.omega_nondegenerate and rep.omega_closed
+    return settle_integrability(
+        {"cocycle_and_nondeg": rep.cocycle and rep.volume, "integrable": integrable},
+        "cocycle_and_nondeg",
+        (lambda: _flat_chart_for_constant_pair(pair, rep.omega, policy))
+        if integrable else None,
+        (integrable, "pair has non-constant coefficients"))
 
 
-def _flat_chart_for_constant_pair(pair: CosymplecticPair,
+def _flat_chart_for_constant_pair(pair: CosymplecticPair, omega: KForm,
                                   policy: ZeroTestPolicy):
-    """For a constant-coefficient pair with nondegenerate omega, take the
-    symplectic_basis of its pairing on (Euler, coordinate lifts) and emit
-    the dual chart in (log mu, x) coordinates; None for a non-constant
+    """For a constant-coefficient pair with nondegenerate omega =
+    pair_to_omega0(pair), take the symplectic_basis of its pairing on
+    (Euler, coordinate lifts), emit the dual chart in (log mu, x)
+    coordinates and verify it: (chi, ok, why); None for a non-constant
     pair."""
     scn = pair.scenario
     n = scn.base.dim
@@ -164,10 +142,11 @@ def _flat_chart_for_constant_pair(pair: CosymplecticPair,
     xs, ys = symplectic_basis(W, policy)
     Tinv = symmat.inverse(symmat.transpose(xs + ys))   # columns = basis
     zeta = [ex.log_(scn.mu)] + [scn.base.var(c) for c in scn.base.coords]
-    return tuple(ex.add(*[ex.mul(t, z) for t, z in zip(row, zeta)]) for row in Tinv)
+    chi = tuple(ex.add(*[ex.mul(t, z) for t, z in zip(row, zeta)]) for row in Tinv)
+    return (chi, *_verify_flat_chart(scn, chi, omega, policy))
 
 
-def _verify_flat_chart(scn: LineBundleScenario, chi, pair: CosymplecticPair,
+def _verify_flat_chart(scn: LineBundleScenario, chi, omega: KForm,
                        policy: ZeroTestPolicy) -> Tuple[bool, str]:
     """Chart must be homogeneous with A = I and constant b(r) proportional
     to log r, and its frame must be a symplectic frame of omega."""
@@ -183,7 +162,7 @@ def _verify_flat_chart(scn: LineBundleScenario, chi, pair: CosymplecticPair,
                    ex.ZERO if b.is_zero_literal() else
                    ex.diff(ex.div(b, ex.log_(ex.var("r"))), "r", (ex.Constraint("r", ">", 0),)))
 
-    return _verify_symplectic_chart(scn, chi, pair_to_omega0(pair), affine_residuals, policy,
+    return _verify_symplectic_chart(scn, chi, omega, affine_residuals, policy,
                                     "homogeneous flat chart constructed and verified")
 
 

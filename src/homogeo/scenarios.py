@@ -313,12 +313,11 @@ def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
                          f"nondegeneracy {rep.omega_nondegenerate}",
                          falsification=True))
 
-    omega = ct.pair_to_omega(pair)
     checks.append(_homogeneity_check(
-        scn, omega, DEG1, policy,
+        scn, rep.omega, DEG1, policy,
         "omega is degree 1 for r > 0 and under the reflection"))
 
-    back = ct.omega_to_pair(scn, omega, policy)
+    back = ct.omega_to_pair(scn, rep.omega, policy)
     rt, _ = all_zero(((k, ex.sub(got.coeff(k), want.coeff(k)))
                       for got, want in ((back.theta, theta), (back.upsilon, upsilon))
                       for k in set(got.coeffs) | set(want.coeffs)),
@@ -327,12 +326,12 @@ def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
 
     irep = ct.integrability_report(pair, rep, policy)
     checks.append(_integrability_check(
-        irep, f"integrable={irep.integrable}, contact={irep.contact}, "
+        irep, f"integrable={irep.integrable}, contact={irep.base}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
     return {
         "integrable": irep.integrable,
-        "contact": irep.contact,
+        "contact": irep.base,
         "homogeneous_integrable": irep.homogeneous_integrable,
         "nondegenerate": rep.omega_nondegenerate,
         "chart_constructed": irep.chart_constructed,
@@ -347,7 +346,7 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) ->
     eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
     pair = cs.CosymplecticPair(scn, Omega, eta)
 
-    rep = cs.check_cosymplectic(pair, (scn.base.dim + 1) // 2, policy)
+    rep = cs.check_cosymplectic(pair, policy)
     checks.append(_check(
         "dictionary", True,
         f"volume={rep.volume}, dOmega=0:{rep.dOmega_zero}, deta=0:{rep.deta_zero}"))
@@ -358,18 +357,17 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) ->
                          f"pair closed {rep.cocycle} vs upstairs closed "
                          f"{rep.omega_closed}", falsification=True))
 
-    omega = cs.pair_to_omega0(pair)
-    checks.append(_homogeneity_check(scn, omega, DEG0, policy,
+    checks.append(_homogeneity_check(scn, rep.omega, DEG0, policy,
                                      "omega is fiber-invariant (degree 0)"))
 
     irep = cs.integrability_report0(pair, rep, policy)
     checks.append(_integrability_check(
-        irep, f"cocycle={irep.cocycle}, integrable={irep.integrable}, "
+        irep, f"cocycle={rep.omega_closed}, integrable={irep.integrable}, "
         f"homogeneous_integrable={irep.homogeneous_integrable}"))
 
     return {
         "volume": rep.volume,
-        "cocycle": irep.cocycle,
+        "cocycle": rep.omega_closed,
         "integrable": irep.integrable,
         "homogeneous_integrable": irep.homogeneous_integrable,
         "nondegenerate": rep.omega_nondegenerate,
@@ -390,7 +388,7 @@ def _run_complex(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
     checks.append(_check("dimension identity", rep.falsification is None,
                          rep.falsification or "no dimension-2 violation",
                          falsification=True))
-    return {"torsion_zero": rep.torsion_zero, "integrable": rep.integrable}
+    return {"torsion_zero": rep.torsion_zero, "integrable": rep.torsion_zero}
 
 
 def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:

@@ -300,7 +300,7 @@ def test_criterion_8_cosymplectic_dictionary():
         rng = random.Random(POLICY.seed)
         scn1 = LineBundleScenario("s1", ("u",))
         scn3 = LineBundleScenario("s3", ("x", "y", "z"))
-        for scn, k in ((scn1, 1), (scn3, 2)):
+        for scn in (scn1, scn3):
             n = scn.base.dim
             for i in range(10):
                 closed = i % 2 == 0
@@ -311,8 +311,7 @@ def test_criterion_8_cosymplectic_dictionary():
                                if rng.random() < 0.8})
                 eta = KForm(scn.base, 1, {(j,): mk() for j in range(n)
                                           if rng.random() < 0.8})
-                rep = check_cosymplectic(CosymplecticPair(scn, Omega, eta), k,
-                                         POLICY)
+                rep = check_cosymplectic(CosymplecticPair(scn, Omega, eta), POLICY)
                 assert rep.nondegeneracy_consistent
                 assert rep.closure_consistent
 

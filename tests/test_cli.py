@@ -748,20 +748,23 @@ def test_scenario_runners_catch_nothing():
     ]
 
 
-# per scenario kind, the module and function of the report its pipeline
-# builds once and hands on: the pair report, or the frame's transition
-_BUILT_ONCE = {"contact": ("contact", "check_pair"),
-               "cosymplectic": ("cosymplectic", "check_cosymplectic"),
-               "frame": ("frames", "transition")}
+# per scenario kind, the (module, function) pairs its pipeline calls once
+# and hands the result on: the pair report and the upstairs form omega, or
+# the frame's transition
+_BUILT_ONCE = {"contact": (("contact", "check_pair"), ("contact", "pair_to_omega")),
+               "cosymplectic": (("cosymplectic", "check_cosymplectic"),
+                                ("cosymplectic", "pair_to_omega0")),
+               "frame": (("frames", "transition"),)}
 
 
 def test_scenario_builds_its_report_once(monkeypatch):
     """Each bundled contact, cosymplectic and frame scenario builds its pair
-    report or its frame's transition once: the integrability report and
-    the degree coset take the one the runner built."""
+    report and omega, or its frame's transition, once: the homogeneity,
+    roundtrip and integrability checks and the degree coset take the ones
+    the runner built."""
     import importlib
     calls = []
-    for module, name in _BUILT_ONCE.values():
+    for module, name in {site for sites in _BUILT_ONCE.values() for site in sites}:
         mod = importlib.import_module("homogeo." + module)
 
         def counted(*args, real=getattr(mod, name), name=name, **kwargs):
@@ -773,7 +776,8 @@ def test_scenario_builds_its_report_once(monkeypatch):
         if data["kind"] in _BUILT_ONCE:
             calls.clear()
             run_scenario(load_scenario(os.path.join(SCENARIOS, scenario)))
-            assert calls.count(_BUILT_ONCE[data["kind"]][1]) == 1, scenario
+            for _, name in _BUILT_ONCE[data["kind"]]:
+                assert calls.count(name) == 1, (scenario, name)
             runs += 1
     assert runs == 13
 

@@ -308,7 +308,7 @@ def test_frame_to_omega_rejects_wrong_degree():
 def test_integrability_darboux_all_true():
     pair = standard_darboux_pair(2)
     rep = integrability_report(pair, check_pair(pair))
-    assert rep.integrable and rep.contact and rep.homogeneous_integrable
+    assert rep.integrable and rep.base and rep.homogeneous_integrable
     assert rep.falsification is None
     assert rep.chart_constructed
     chi = [ex.to_dsl(c) for c in rep.witness_chart]
@@ -319,7 +319,7 @@ def test_integrability_foliation_all_false():
     pair = ContactPair(SCN3, one_form(SCN3.base, [1, 0, 0]),
                        zero_form(SCN3.base, 2))
     rep = integrability_report(pair, check_pair(pair))
-    assert not rep.integrable and not rep.contact
+    assert not rep.integrable and not rep.base
     assert not rep.homogeneous_integrable
     assert rep.falsification is None
 
@@ -330,9 +330,22 @@ def test_integrability_twisted_not_integrable():
                                             (1,): ex.neg(ex.var("p1"))}),
                        KForm(SCN3.base, 2, {(1, 2): ex.ONE}))
     rep = integrability_report(pair, check_pair(pair))
-    assert not rep.integrable and not rep.contact
+    assert not rep.integrable and not rep.base
     assert not rep.homogeneous_integrable
     assert rep.falsification is None
+
+
+def test_base_side_enters_equivalence():
+    """The base-side criterion (upsilon = 0 with nondegenerate kernel
+    curvature) is compared with upstairs integrability: a report whose
+    kernel pairing is degenerate is a falsification."""
+    import dataclasses
+    pair = standard_darboux_pair(2)
+    rep = integrability_report(pair, dataclasses.replace(check_pair(pair),
+                                                         nondeg_on_H=False))
+    assert rep.integrable and not rep.base and rep.homogeneous_integrable
+    assert rep.falsification == ("theorem equivalence violated: integrable=True, "
+                                 "contact=False, homogeneous_integrable=True")
 
 
 def test_darboux_chart_k123():
@@ -349,7 +362,7 @@ def test_darboux_chart_with_nonunit_trivialization():
     theta = KForm(scn.base, 1, {(0,): f, (1,): ex.neg(ex.mul(f, ex.var("p1")))})
     pair = ContactPair(scn, theta, zero_form(scn.base, 2))
     rep = integrability_report(pair, check_pair(pair))
-    assert rep.integrable and rep.contact and rep.homogeneous_integrable
+    assert rep.integrable and rep.base and rep.homogeneous_integrable
     assert rep.chart_constructed
 
 

@@ -46,7 +46,7 @@ def test_pair_to_omega0_standard():
 
 
 def test_check_standard_k2():
-    rep = check_cosymplectic(standard_cosymplectic_pair(2), 2)
+    rep = check_cosymplectic(standard_cosymplectic_pair(2))
     assert rep.volume and rep.cocycle and rep.omega_nondegenerate
     assert rep.nondegeneracy_consistent and rep.closure_consistent
 
@@ -54,7 +54,7 @@ def test_check_standard_k2():
 def test_check_k1():
     scn = LineBundleScenario("c1", ("u",))
     pair = CosymplecticPair(scn, KForm(scn.base, 2, {}), one_form(scn.base, [1]))
-    rep = check_cosymplectic(pair, 1)
+    rep = check_cosymplectic(pair)
     assert rep.volume and rep.omega_nondegenerate and rep.cocycle
 
 
@@ -63,7 +63,7 @@ def test_check_noncocycle():
                             KForm(SCN3.base, 2, {(0, 1): ex.ONE,
                                                  (1, 2): ex.var("x")}),
                             one_form(SCN3.base, [0, 0, 1]))
-    rep = check_cosymplectic(pair, 2)
+    rep = check_cosymplectic(pair)
     assert rep.volume and not rep.dOmega_zero and not rep.cocycle
     assert rep.closure_consistent
 
@@ -71,31 +71,36 @@ def test_check_noncocycle():
 def test_check_degenerate():
     pair = CosymplecticPair(SCN3, KForm(SCN3.base, 2, {(0, 1): ex.ONE}),
                             one_form(SCN3.base, [1, 0, 0]))
-    rep = check_cosymplectic(pair, 2)
+    rep = check_cosymplectic(pair)
     assert not rep.volume and not rep.omega_nondegenerate
     assert rep.nondegeneracy_consistent
 
 
 def test_dimension_mismatch():
+    """A cosymplectic pair needs an odd base dimension."""
+    scn = LineBundleScenario("c2", ("x", "y"))
     with pytest.raises(ChartError):
-        check_cosymplectic(standard_cosymplectic_pair(2), 1)
+        CosymplecticPair(scn, KForm(scn.base, 2, {(0, 1): ex.ONE}),
+                         one_form(scn.base, [1, 0]))
 
 
 def test_equivalences_random_suite():
     rng = random.Random(71)
     scn1 = LineBundleScenario("c1", ("u",))
-    for scn, k in ((scn1, 1), (SCN3, 2)):
+    for scn in (scn1, SCN3):
         for i in range(10):
             pair = rand_cosym_pair(rng, scn, closed=(i % 2 == 0))
-            rep = check_cosymplectic(pair, k)
+            rep = check_cosymplectic(pair)
             assert rep.nondegeneracy_consistent
             assert rep.closure_consistent
 
 
 def test_integrability_standard():
     pair = standard_cosymplectic_pair(2)
-    rep = integrability_report0(pair, check_cosymplectic(pair, 2))
-    assert rep.cocycle and rep.integrable and rep.homogeneous_integrable
+    rep = check_cosymplectic(pair)
+    assert rep.omega_closed
+    rep = integrability_report0(pair, rep)
+    assert rep.integrable and rep.homogeneous_integrable
     assert rep.falsification is None and rep.chart_constructed
     chi = [ex.to_dsl(c) for c in rep.witness_chart]
     assert chi[0] == "log(mu)"
@@ -107,7 +112,7 @@ def test_integrability_constant_sheared_pair():
                             KForm(SCN3.base, 2, {(0, 1): ex.rat(2),
                                                  (1, 2): ex.ONE}),
                             one_form(SCN3.base, [1, 0, ex.rat(3)]))
-    rep = integrability_report0(pair, check_cosymplectic(pair, 2))
+    rep = integrability_report0(pair, check_cosymplectic(pair))
     assert rep.integrable and rep.homogeneous_integrable
     assert rep.chart_constructed and rep.falsification is None
 
@@ -120,7 +125,7 @@ def test_base_side_enters_equivalence(field):
     import dataclasses
     pair = standard_cosymplectic_pair(2)
     rep = integrability_report0(pair, dataclasses.replace(
-        check_cosymplectic(pair, 2), **{field: False}))
+        check_cosymplectic(pair), **{field: False}))
     assert rep.integrable
     assert rep.falsification == ("theorem equivalence violated: cocycle_and_nondeg="
                                  "False, integrable=True, homogeneous_integrable=True")
@@ -130,8 +135,10 @@ def test_integrability_noncocycle():
     pair = CosymplecticPair(SCN3,
                             KForm(SCN3.base, 2, {(1, 2): ex.var("x")}),
                             one_form(SCN3.base, [0, 0, 1]))
-    rep = integrability_report0(pair, check_cosymplectic(pair, 2))
-    assert not rep.cocycle and not rep.integrable
+    rep = check_cosymplectic(pair)
+    assert not rep.omega_closed
+    rep = integrability_report0(pair, rep)
+    assert not rep.integrable
     assert not rep.homogeneous_integrable
     assert rep.falsification is None
 

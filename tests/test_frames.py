@@ -275,7 +275,7 @@ def _darboux_chart(k):
 def _cosymplectic_chart(k):
     pair = standard_cosymplectic_pair(k)
     return pair.scenario, integrability_report0(
-        pair, check_cosymplectic(pair, k)).witness_chart
+        pair, check_cosymplectic(pair)).witness_chart
 
 
 # the charts above, then the ones the bundled darboux_k1..3 and
