@@ -13,6 +13,11 @@ is tested through the defining products
 Degree homomorphisms r -> A(r) are stored as the pair (B, C) with
 A(r) = exp(B log r) for r > 0 and A(r) = C exp(B log|r|) for r < 0,
 subject to C^2 = I and CB = BC.
+
+The exact arithmetic runs on `ratmat.QMat`.  `rand_element` and
+`splitting` return one, and the membership tests take one as it is or
+rows of rationals.  Fraction matrices are the public form of `std_J`,
+`hom_eval`, `DegreeHom.B`/`C` and `centralizer_basis`.
 """
 
 from __future__ import annotations
@@ -83,32 +88,26 @@ def GL(m: int) -> GroupId:
 
 def std_J(k: int) -> rm.Mat:
     """Block matrix ((0, I_k), (-I_k, 0)); J^2 = -I, J^t = -J."""
-    n = 2 * k
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        if i < k:
-            row[k + i] = Fraction(1)
-        else:
-            row[i - k] = Fraction(-1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _check_size(G: GroupId, M: rm.Mat):
-    if len(M) != G.size or any(len(row) != G.size for row in M):
-        raise ValueError(f"matrix size {len(M)} does not match {G} (size {G.size})")
-
-
-def _qchecked(G: GroupId, M) -> rm.QMat:
-    M = rm.rmat(M)
-    _check_size(G, M)
-    return rm.qmat(M)
+    return rm.to_mat(_qJ(k))
 
 
 @lru_cache(maxsize=None)
 def _qJ(k: int) -> rm.QMat:
-    return rm.qmat(std_J(k))
+    n = 2 * k
+    return rm.QMat([[(j == i + k) - (i == j + k) for j in range(n)]
+                    for i in range(n)], 1)
+
+
+def _qchecked(G: GroupId, M) -> rm.QMat:
+    """M as a QMat (a QMat as it is, other rows through rmat), after
+    checking that it is G.size x G.size."""
+    if not isinstance(M, rm.QMat):
+        M = rm.qmat(rm.rmat(M))
+    lengths = [len(row) for row in M.rows]
+    if lengths != [G.size] * G.size:
+        raise ValueError(f"matrix with row lengths {lengths} does not match "
+                         f"{G} (size {G.size})")
+    return M
 
 
 def member(G: GroupId, M) -> bool:
@@ -143,7 +142,7 @@ def _qnormalizer_product(G: GroupId, B: rm.QMat) -> rm.QMat:
 
 def in_normalizer(G: GroupId, B) -> bool:
     if G.family == "gl":
-        return rm.rdet(rm.rmat(B)) != 0
+        return rm.qdet(_qchecked(G, B)) != 0
     try:
         normalizer_p(G, B)
     except (NotInNormalizerError, ZeroDivisionError):
@@ -173,30 +172,22 @@ def normalizer_p(G: GroupId, B) -> Union[Fraction, int]:
     return c
 
 
-def splitting(G: GroupId, value) -> rm.Mat:
+def splitting(G: GroupId, value) -> rm.QMat:
     """Section of the normalizer quotient: Sp: diag(I, r I); GLC: I or the
     block swap V; O: r^(1/2) I (r must have an exact rational square root)."""
     n = G.size
+    if G.family == "glc":
+        if value not in (0, 1):
+            raise ValueError("quotient value must be the parity 0 or 1")
+        # row i has its 1 in column i + k value (mod n)
+        return rm.QMat([[int(j == (i + G.param * value) % n) for j in range(n)]
+                        for i in range(n)], 1)
     if G.family == "sp":
         value = Fraction(value)
         if value == 0:
             raise ValueError("quotient value must be nonzero")
-        k = G.param
-        return tuple(tuple(Fraction(int(i == j)) * (1 if i < k else value)
-                           for j in range(n)) for i in range(n))
-    if G.family == "glc":
-        if value not in (0, 1):
-            raise ValueError("quotient value must be the parity 0 or 1")
-        if value == 0:
-            return rm.rident(n)
-        k = G.param
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            row[(i + k) % n] = Fraction(1)
-            rows.append(tuple(row))
-        return tuple(rows)
-    if G.family == "o":
+        diag = [Fraction(1)] * G.param + [value] * G.param
+    elif G.family == "o":
         value = Fraction(value)
         if value <= 0:
             raise ValueError("quotient value must be positive")
@@ -204,8 +195,11 @@ def splitting(G: GroupId, value) -> rm.Mat:
         if root is None:
             raise ValueError(f"{value} has no exact rational square root; "
                              "pick a square value for exact arithmetic")
-        return rm.rscale(rm.rident(n), root)
-    raise ValueError("GL has a trivial quotient")
+        diag = [root] * n
+    else:
+        raise ValueError("GL has a trivial quotient")
+    return rm.qmat([[v if i == j else 0 for j in range(n)]
+                    for i, v in enumerate(diag)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +214,17 @@ class DegreeHom:
 
     def __post_init__(self):
         B, C = rm.rmat(self.B), rm.rmat(self.C)
+        for name, M in (("B", B), ("C", C)):
+            if not M or any(len(row) != len(M) for row in M):
+                raise DegreeHomError(f"{name} must be a nonempty square matrix")
+        if len(C) != len(B):
+            raise DegreeHomError("B and C must have the same size")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
-        n = len(B)
-        if len(C) != n:
-            raise DegreeHomError("B and C must have the same size")
-        if not rm.req(rm.rmul(C, C), rm.rident(n)):
+        qB, qC = rm.qmat(B), rm.qmat(C)
+        if rm.qscalar(rm.qmul(qC, qC)) != 1:
             raise DegreeHomError("C^2 must be the identity")
-        if not rm.req(rm.rmul(C, B), rm.rmul(B, C)):
+        if not rm.qeq(rm.qmul(qC, qB), rm.qmul(qB, qC)):
             raise DegreeHomError("C must commute with B (hence with exp(Bt))")
 
     @property
@@ -236,7 +233,7 @@ class DegreeHom:
 
 
 def trivial_hom(n: int) -> DegreeHom:
-    return DegreeHom(rm.rzeros(n), rm.rident(n))
+    return DegreeHom([[0] * n] * n, rm.rident(n))
 
 
 def contact_lift(k: int) -> DegreeHom:
@@ -251,35 +248,40 @@ def contact_lift(k: int) -> DegreeHom:
 
 def sqrt_abs_lift(n: int) -> DegreeHom:
     """|r|^(1/2) I: B = I/2, C = I."""
-    return DegreeHom(rm.rscale(rm.rident(n), Fraction(1, 2)), rm.rident(n))
+    return DegreeHom([[Fraction(int(i == j), 2) for j in range(n)] for i in range(n)],
+                     rm.rident(n))
 
 
 def hom_eval(A: DegreeHom, q) -> rm.Mat:
     """Exact evaluation at a nonzero rational.  Supported when B is
     semisimple with rational eigenvalues lam and |q|^lam is rational
     (always true at q = +-1)."""
+    return rm.to_mat(_qhom_eval(A, q))
+
+
+def _qhom_eval(A: DegreeHom, q) -> rm.QMat:
     q = Fraction(q)
     if q == 0:
         raise ValueError("degree homomorphisms are defined on r != 0")
     aq = abs(q)
-    n = A.size
     if aq == 1:
-        out = rm.rident(n)
+        out = rm.qmat(rm.rident(A.size))
     else:
-        eigs, projectors, nil = rm.spectral_projectors(A.B)
-        if any(v != 0 for row in nil for v in row):
+        eigs, projectors, nil = rm.spectral_projectors(rm.qmat(A.B))
+        if any(map(any, nil.rows)):
             raise rm.UnsupportedMatrixError(
                 "exact evaluation needs a semisimple B (log terms otherwise)")
-        out = rm.rzeros(n)
+        terms = []
         for (lam, _), P in zip(eigs, projectors):
             # aq ** lam must be rational
             root_num = _exact_pow(aq, lam)
             if root_num is None:
                 raise rm.UnsupportedMatrixError(
                     f"{aq}^{lam} is irrational; pick a compatible rational")
-            out = rm.radd(out, rm.rscale(P, root_num))
+            terms.append((root_num, P))
+        out = rm.qsum(terms)
     if q < 0:
-        out = rm.rmul(A.C, out)
+        out = rm.qmul(rm.qmat(A.C), out)
     return out
 
 
@@ -295,11 +297,11 @@ def _exact_pow(q: Fraction, lam: Fraction) -> Optional[Fraction]:
     return root ** lam.numerator
 
 
-def _exp_symbolic(B: rm.Mat, base: ex.Expr) -> List[List[ex.Expr]]:
+def _exp_symbolic(B: rm.QMat, base: ex.Expr) -> List[List[ex.Expr]]:
     """exp(B log base) as a matrix of expressions:
     sum_i base^lam_i (log base)^j / j! P_i N^j.  Needs rational eigenvalues."""
     eigs, projectors, nil = rm.spectral_projectors(B)
-    n = len(B)
+    n = len(B.rows)
     out = [[ex.ZERO] * n for _ in range(n)]
     for (lam, mult), P in zip(eigs, projectors):
         coeff_mat = P
@@ -308,14 +310,13 @@ def _exp_symbolic(B: rm.Mat, base: ex.Expr) -> List[List[ex.Expr]]:
             scalar = ex.mul(ex.pw(base, lam),
                             ex.pw(ex.log_(base), j) if j else ex.ONE,
                             ex.rat(Fraction(1, factorial(j))))
-            for i in range(n):
-                for jj in range(n):
-                    if coeff_mat[i][jj] != 0:
-                        out[i][jj] = ex.add(out[i][jj],
-                                            ex.mul(scalar, ex.rat(coeff_mat[i][jj])))
+            for i, row in enumerate(rm.to_mat(coeff_mat)):
+                for jj, v in enumerate(row):
+                    if v != 0:
+                        out[i][jj] = ex.add(out[i][jj], ex.mul(scalar, ex.rat(v)))
             j += 1
-            coeff_mat = rm.rmul(coeff_mat, nil)
-            if all(v == 0 for row in coeff_mat for v in row) or j > n:
+            coeff_mat = rm.qmul(coeff_mat, nil)
+            if not any(map(any, coeff_mat.rows)) or j > n:
                 break
     return out
 
@@ -323,7 +324,7 @@ def _exp_symbolic(B: rm.Mat, base: ex.Expr) -> List[List[ex.Expr]]:
 def hom_eval_symbolic(A: DegreeHom) -> List[List[ex.Expr]]:
     """A(r) on the branch r > 0 as a matrix of expressions.  Needs rational
     eigenvalues."""
-    return _exp_symbolic(A.B, ex.var("r"))
+    return _exp_symbolic(rm.qmat(A.B), ex.var("r"))
 
 
 def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
@@ -337,7 +338,7 @@ def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
     commute (C commutes with B, hence with every polynomial in B), and the
     last factor is its own inverse (C^2 = I)."""
     n = A.size
-    exp_part = _exp_symbolic(rm.rscale(A.B, -1), abs_value)
+    exp_part = _exp_symbolic(rm.qmat([[-v for v in row] for row in A.B]), abs_value)
     half = Fraction(1, 2)
     csplit = [[ex.add(ex.rat(half * (int(i == j) + A.C[i][j])),
                       ex.mul(sign_value,
@@ -407,7 +408,7 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
     for A in (A1, A2):
         for q in (Fraction(2), Fraction(-1), Fraction(1, 3)):
             try:
-                M = hom_eval(A, q)
+                M = _qhom_eval(A, q)
             except rm.UnsupportedMatrixError:
                 continue
             if not in_normalizer(G, M):
@@ -429,9 +430,9 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
              for row in hom_eval_symbolic(A2)]
     if not member_symbolic(G, symmat.mat_mul(M1, M2inv), pol):
         return False
-    # reflection: exact rational check at r = -1
-    C = rm.rmul(hom_eval(A1, -1), rm.rinv(hom_eval(A2, -1)))
-    return member(G, C)
+    # reflection: exact rational check at r = -1, where each hom is its C
+    # and C^-1 = C
+    return member(G, rm.qmul(rm.qmat(A1.C), rm.qmat(A2.C)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +479,10 @@ def rand_lie_element(G: GroupId, rng: random.Random) -> rm.Mat:
     return tuple(tuple(_rand_frac(rng) for _ in range(n)) for _ in range(n))
 
 
-def rand_element(G: GroupId, rng: random.Random) -> rm.Mat:
-    """Random exact group element: Cayley transform (I-X)^{-1}(I+X) of a
-    random Lie algebra element (O elements land in SO; a reflection is
-    mixed in half the time for full O)."""
+def rand_element(G: GroupId, rng: random.Random) -> rm.QMat:
+    """Random exact group element, as a QMat: Cayley transform
+    (I-X)^{-1}(I+X) of a random Lie algebra element (O elements land in SO;
+    a reflection is mixed in half the time for full O)."""
     for _ in range(50):
         rows, d = rm.qmat(rand_lie_element(G, rng))
         # (I - X) M = I + X, with both sides over the denominator d of X
@@ -497,7 +498,7 @@ def rand_element(G: GroupId, rng: random.Random) -> rm.Mat:
             # M diag(-1, 1, ..., 1)
             M = rm.QMat([[-row[0]] + row[1:] for row in M.rows], M.den)
         if _qmember(G, M):
-            return rm.to_mat(M)
+            return M
     raise RuntimeError(f"could not sample an element of {G}")
 
 

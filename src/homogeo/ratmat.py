@@ -1,22 +1,19 @@
-"""Exact rational matrix and polynomial utilities.
+"""Exact rational matrices and polynomials.
 
-Matrices are tuples of tuples of Fraction.  Polynomials are coefficient
-tuples in increasing degree, also over Fraction.  Everything here is
+Every matrix computation here runs on one form, `QMat`: integer rows over
+one positive common denominator, so the inner loops multiply and add Python
+integers only.  gcds are taken where a matrix enters the form (`qmat`, one
+lcm of the denominators) and where a Fraction leaves it (`to_mat`, `qdet`,
+`qscalar`), never per multiply-add.  A Fraction matrix (`Mat`, a tuple of
+tuples of Fraction) is only an input or an output.  Polynomials are
+coefficient tuples in increasing degree over Fraction.  Everything here is
 exactly decidable; no tolerances are involved.
-
-The matrix kernels (products, elimination, comparisons) run on a second
-form, `QMat`: integer rows over one positive common denominator.  Their
-inner loops multiply and add Python integers only.  gcds are taken where a
-matrix enters that form (`qmat`, one lcm of the denominators) and where a
-Fraction leaves it (`to_mat`, `qdet`, `qscalar`), never per multiply-add.
-`rmul`, `rinv`, `rdet`, `req` and `is_scalar` keep the Fraction interface
-and convert at both ends; callers with a chain of products (`groups`) stay
-in the integer form until the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt, lcm
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -24,12 +21,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 Mat = Tuple[Tuple[Fraction, ...], ...]
 Poly = Tuple[Fraction, ...]
 
-__all__ = ["rmat", "rident", "rzeros", "rmul", "radd", "rsub", "rscale",
-           "rtranspose", "req", "rinv", "rdet", "is_scalar",
-           "char_poly", "rational_eigenvalues", "spectral_projectors",
-           "UnsupportedMatrixError", "nullspace", "iroot", "rroot",
-           "QMat", "qmat", "to_mat", "qmul", "qtranspose", "qeq",
-           "qscalar", "qsolve", "qdet"]
+__all__ = ["rmat", "rident", "char_poly", "rational_eigenvalues",
+           "spectral_projectors", "UnsupportedMatrixError", "nullspace",
+           "iroot", "rroot", "QMat", "qmat", "to_mat", "qmul", "qsum",
+           "qtranspose", "qeq", "qscalar", "qsolve", "qdet"]
 
 
 class UnsupportedMatrixError(ValueError):
@@ -43,30 +38,6 @@ def rmat(rows) -> Mat:
 def rident(n: int) -> Mat:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
-
-def rzeros(n: int) -> Mat:
-    return tuple((Fraction(0),) * n for _ in range(n))
-
-
-def radd(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def rsub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def rscale(a: Mat, s) -> Mat:
-    s = Fraction(s)
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def rtranspose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-# ---------------------------------------------------------------------------
-# integer kernels
 
 class QMat(NamedTuple):
     """The matrix with entries rows[i][j] / den, den > 0.  den need not be
@@ -100,6 +71,16 @@ def qmul(a: QMat, *rest: QMat) -> QMat:
         rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
         den *= b.den
     return QMat(rows, den)
+
+
+def qsum(terms) -> QMat:
+    """The sum of c M over the (c, M) pairs, c rational, over the lcm of
+    the denominators of the terms."""
+    terms = [(Fraction(c), m) for c, m in terms]
+    den = lcm(*(c.denominator * m.den for c, m in terms))
+    scaled = [[[c.numerator * (den // (c.denominator * m.den)) * v for v in row]
+               for row in m.rows] for c, m in terms]
+    return QMat([[sum(col) for col in zip(*rows)] for rows in zip(*scaled)], den)
 
 
 def qtranspose(a: QMat) -> QMat:
@@ -182,29 +163,6 @@ def qdet(a: QMat) -> Fraction:
     return Fraction(sign * p, a.den ** n)
 
 
-def rmul(a: Mat, b: Mat) -> Mat:
-    return to_mat(qmul(qmat(a), qmat(b)))
-
-
-def req(a: Mat, b: Mat) -> bool:
-    return qeq(qmat(a), qmat(b))
-
-
-def rinv(a: Mat) -> Mat:
-    """Exact inverse; raises ZeroDivisionError on singular input."""
-    return to_mat(qsolve(qmat(a), qmat(rident(len(a)))))
-
-
-def rdet(a: Mat) -> Fraction:
-    """Exact determinant by fraction-free elimination."""
-    return qdet(qmat(a))
-
-
-def is_scalar(a: Mat) -> Optional[Fraction]:
-    """Return c when a == c * I, else None."""
-    return qscalar(qmat(a))
-
-
 def nullspace(a: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]]:
     """Basis of the right nullspace of a (rows x cols), exact: one basis
     vector per non-pivot column of the reduced row echelon form."""
@@ -280,20 +238,19 @@ def pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     return _ptrim(q), _ptrim(a or [Fraction(0)])
 
 
-def char_poly(a: Mat) -> Poly:
-    """Characteristic polynomial det(xI - A) via Faddeev-LeVerrier, exact."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = rzeros(n)
-    c = Fraction(1)
+def char_poly(a: QMat) -> Poly:
+    """Characteristic polynomial det(xI - A), exact: the power sums
+    p_k = tr A^k, then Newton's identities k e_k = sum_{i=1..k}
+    (-1)^(i-1) e_(k-i) p_i for the elementary symmetric functions e_k of
+    the eigenvalues; the coefficient of x^(n-k) is (-1)^k e_k."""
+    n = len(a.rows)
+    p = [Fraction(sum(row[i] for i, row in enumerate(power.rows)), power.den)
+         for power in accumulate(repeat(a, n), qmul)]
+    e = [Fraction(1)]
     for k in range(1, n + 1):
-        m = rmul(a, m)
-        m = radd(m, rscale(rident(n), c))
-        am = rmul(a, m)
-        c = -Fraction(sum(am[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-    return tuple(coeffs)
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return tuple((-1) ** (n - d) * e[n - d] for d in range(n + 1))
 
 
 def rational_roots(p: Poly) -> List[Tuple[Fraction, int]]:
@@ -344,52 +301,44 @@ def rational_roots(p: Poly) -> List[Tuple[Fraction, int]]:
     return roots
 
 
-def rational_eigenvalues(a: Mat) -> List[Tuple[Fraction, int]]:
+def rational_eigenvalues(a: QMat) -> List[Tuple[Fraction, int]]:
     """Eigenvalues with multiplicities; raises when the characteristic
     polynomial does not split over Q."""
-    p = char_poly(a)
-    roots = rational_roots(p)
-    if sum(m for _, m in roots) != len(a):
+    roots = rational_roots(char_poly(a))
+    if sum(m for _, m in roots) != len(a.rows):
         raise UnsupportedMatrixError(
             "characteristic polynomial does not split over the rationals")
     return sorted(roots)
 
 
-def spectral_projectors(a: Mat):
+def spectral_projectors(a: QMat):
     """For a matrix whose char poly splits over Q: eigenvalues lam_i with
     multiplicities m_i, projectors P_i onto generalized eigenspaces, and the
-    nilpotent part N = A - sum lam_i P_i.  Exact Jordan-Chevalley data.
+    nilpotent part N = A - sum lam_i P_i, all as QMats.  Exact
+    Jordan-Chevalley data.
 
     With bases of the generalized eigenspaces ker (A - lam_i I)^m_i as the
     columns of V, P_i is V times the rows of V^-1 that belong to block i."""
     eigs = rational_eigenvalues(a)
-    n = len(a)
+    n = len(a.rows)
     bases = []
     for lam, m in eigs:
-        shifted = rsub(a, rscale(rident(n), lam))
-        power = shifted
-        for _ in range(m - 1):
-            power = rmul(power, shifted)
-        bases.append(nullspace(power))
-    V = rtranspose([v for basis in bases for v in basis])
-    Vinv = rinv(V)
+        # A - lam I times lam.denominator * a.den: the scale keeps the kernel
+        shifted = QMat([[lam.denominator * v - lam.numerator * a.den * (i == j)
+                         for j, v in enumerate(row)]
+                        for i, row in enumerate(a.rows)], 1)
+        bases.append(nullspace(qmul(shifted, *[shifted] * (m - 1)).rows))
+    V = qtranspose(qmat([v for basis in bases for v in basis]))
+    Vinv = qsolve(V, qmat(rident(n)))
     projectors = []
     start = 0
     for basis in bases:
         stop = start + len(basis)
-        projectors.append(rmul(tuple(row[start:stop] for row in V), Vinv[start:stop]))
+        projectors.append(qmul(QMat([row[start:stop] for row in V.rows], V.den),
+                               QMat(Vinv.rows[start:stop], Vinv.den)))
         start = stop
-    s = rzeros(n)
-    for (lam, _), proj in zip(eigs, projectors):
-        s = radd(s, rscale(proj, lam))
-    nil = rsub(a, s)
-    # sanity: nil must be nilpotent
-    power = nil
-    for _ in range(n):
-        if all(v == 0 for row in power for v in row):
-            break
-        power = rmul(power, nil)
-    else:
-        if not all(v == 0 for row in power for v in row):
-            raise UnsupportedMatrixError("nilpotent part check failed")
+    nil = qsum([(1, a)] + [(-lam, P) for (lam, _), P in zip(eigs, projectors)])
+    # sanity: nil must be nilpotent, N^n = 0
+    if any(map(any, qmul(nil, *[nil] * (n - 1)).rows)):
+        raise UnsupportedMatrixError("nilpotent part check failed")
     return eigs, projectors, nil

@@ -488,7 +488,7 @@ def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
 def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     import random
     from . import groups as gr
-    from . import ratmat as rmat
+    from . import ratmat as rm
     objects = data["objects"]
     G = gr.GroupId(objects["family"], objects["param"])
     count = objects["elements"]
@@ -514,17 +514,18 @@ def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
         def not_split(i):
             g = gr.rand_element(G, rng)
             v = values[i % len(values)]
-            got = gr.normalizer_p(G, rmat.rmul(g, gr.splitting(G, v)))
+            got = gr.normalizer_p(G, rm.qmul(g, gr.splitting(G, v)))
             if got != v:
                 return {"index": i, "value": _jsonable(v), "got": _jsonable(got)}
 
         checks.append(_sweep("splitting section", "p(g . splitting(v)) = v on "
                              "random members", not_split, count))
+        identity = rm.qmat(rm.rident(G.size))
 
         def not_conjugated(i):
             g = gr.rand_element(G, rng)
             B = gr.splitting(G, values[i % len(values)])
-            if not gr.member(G, rmat.rmul(rmat.rmul(B, g), rmat.rinv(B))):
+            if not gr.member(G, rm.qmul(B, g, rm.qsolve(B, identity))):
                 return {"index": i}
 
         checks.append(_sweep("normalizer conjugation", "splitting values "

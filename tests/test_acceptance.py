@@ -173,7 +173,7 @@ def test_criterion_4_normalizer_lemmas():
                 assert member(G, g)
                 assert normalizer_p(G, g) == neutral
                 v = values[G.family][i % len(values[G.family])]
-                assert normalizer_p(G, rm.rmul(g, splitting(G, v))) == v
+                assert normalizer_p(G, rm.qmul(g, splitting(G, v))) == v
 
 
 def test_criterion_5_rd_cross_check(monkeypatch):

@@ -2,6 +2,7 @@ import random
 import pytest
 
 from homogeo import expr as ex
+from homogeo import ratmat as rm
 from homogeo.complexstruct import (frame_to_j, integrability_report_c,
                                    nijenhuis, nijenhuis_fields)
 from homogeo.frames import Frame
@@ -50,7 +51,7 @@ def test_frame_to_j_glc_translate_invariant():
     rng = random.Random(81)
     f = euler_frame(SCN3)
     ac = frame_to_j(f)
-    g = rand_element(GLC(2), rng)
+    g = rm.to_mat(rand_element(GLC(2), rng))
     ac2 = frame_to_j(f.translate(g))
     pol = ZeroTestPolicy(constraints=SCN3.total.constraints)
     assert all(is_zero(ex.sub(a, b), pol)

@@ -1,15 +1,17 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from homogeo import expr as ex
 from homogeo import ratmat as rm
-from homogeo.groups import (DegreeHom, GL, GLC, NotInNormalizerError, O, SP,
-                            centralizer_basis, contact_lift, coset_eq,
-                            hom_eval, hom_eval_symbolic, in_normalizer,
-                            member, normalizer_p, rand_element, splitting,
+from homogeo.groups import (DegreeHom, DegreeHomError, GL, GLC,
+                            NotInNormalizerError, O, SP, centralizer_basis,
+                            contact_lift, coset_eq, hom_eval,
+                            hom_eval_symbolic, in_normalizer, member,
+                            normalizer_p, rand_element, splitting,
                             sqrt_abs_lift, std_J, trivial_hom)
 
 from conftest import float_value
@@ -18,8 +20,8 @@ from conftest import float_value
 def test_std_J_identities():
     for k in (1, 2, 3):
         J = std_J(k)
-        assert rm.req(rm.rmul(J, J), rm.rscale(rm.rident(2 * k), -1))
-        assert rm.req(rm.rtranspose(J), rm.rscale(J, -1))
+        assert rm.qscalar(rm.qmul(rm.qmat(J), rm.qmat(J))) == -1
+        assert tuple(zip(*J)) == tuple(tuple(-v for v in row) for row in J)
 
 
 def test_membership_examples():
@@ -37,13 +39,25 @@ def test_size_mismatch():
         member(SP(2), rm.rident(3))
 
 
+@pytest.mark.parametrize("check, G, M, lengths", [
+    (in_normalizer, GL(2), rm.rident(3), [3, 3, 3]),
+    (in_normalizer, GL(2), [[1, 2, 3], [4, 5, 6]], [3, 3]),
+    (member, O(2), [[1, 0], [0]], [2, 1]),
+], ids=["GL square", "GL non-square", "ragged"])
+def test_size_check_names_the_row_lengths(check, G, M, lengths):
+    # GL's normalizer test goes through the same size check as the others
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrix with row lengths {lengths} does not match {G} (size 2)")):
+        check(G, M)
+
+
 def test_normalizer_projection_examples():
     assert normalizer_p(SP(2), splitting(SP(2), 5)) == 5
     assert normalizer_p(SP(2), splitting(SP(2), -3)) == -3
     assert normalizer_p(GLC(2), splitting(GLC(2), 1)) == 1
     assert normalizer_p(GLC(2), splitting(GLC(2), 0)) == 0
     assert normalizer_p(O(3), splitting(O(3), 4)) == 4
-    assert rm.req(splitting(O(3), 4), rm.rscale(rm.rident(3), 2))
+    assert rm.qscalar(splitting(O(3), 4)) == 2
 
 
 def test_normalizer_rejects_outsiders():
@@ -78,7 +92,7 @@ def test_exact_sequence_identities():
             assert member(G, g)
             assert normalizer_p(G, g) == neutral
             v = values[G.family][i % len(values[G.family])]
-            assert normalizer_p(G, rm.rmul(g, splitting(G, v))) == v
+            assert normalizer_p(G, rm.qmul(g, splitting(G, v))) == v
 
 
 def test_conjugation_property():
@@ -86,9 +100,10 @@ def test_conjugation_property():
     for G in (SP(2), GLC(2), O(3)):
         vals = {"sp": Fraction(7), "glc": 1, "o": Fraction(9)}[G.family]
         B = splitting(G, vals)
+        Binv = rm.qsolve(B, rm.qmat(rm.rident(G.size)))
         for _ in range(20):
             g = rand_element(G, rng)
-            assert member(G, rm.rmul(rm.rmul(B, g), rm.rinv(B)))
+            assert member(G, rm.qmul(B, g, Binv))
 
 
 # sha256 of the first 60 rand_element outputs, one "a,b;c,d" line per
@@ -111,7 +126,7 @@ def test_rand_element_pins(G, seed):
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(60):
-        M = rand_element(G, rng)
+        M = rm.to_mat(rand_element(G, rng))
         h.update((";".join(",".join(str(v) for v in row) for row in M)
                   + "\n").encode())
     assert h.hexdigest() == _RAND_ELEMENT_PINS[G, seed]
@@ -164,21 +179,32 @@ def _solvable(A, b):
 
 def test_degree_hom_validation():
     with pytest.raises(ValueError):
-        DegreeHom(rm.rzeros(2), rm.rscale(rm.rident(2), 2))   # C^2 != I
+        DegreeHom([[0, 0], [0, 0]], [[2, 0], [0, 2]])   # C^2 != I
     B = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
     C = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
     with pytest.raises(ValueError):
         DegreeHom(B, C)   # C does not commute with B
 
 
+@pytest.mark.parametrize("B, C, name", [
+    ([[1, 0, 0], [0, 1, 0]], rm.rident(2), "B"),
+    (rm.rident(2), [[1, 0], [0]], "C"),
+    ([], [], "B"),
+])
+def test_degree_hom_rejects_non_square(B, C, name):
+    with pytest.raises(DegreeHomError,
+                       match=f"^{name} must be a nonempty square matrix$"):
+        DegreeHom(B, C)
+
+
 def test_hom_eval_examples():
     A = contact_lift(2)
     got = hom_eval(A, 5)
     want = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]]
-    assert rm.req(got, rm.rmat(want))
-    assert rm.req(hom_eval(trivial_hom(3), Fraction(-7, 2)), rm.rident(3))
-    assert rm.req(hom_eval(sqrt_abs_lift(2), -1), rm.rident(2))
-    assert rm.req(hom_eval(sqrt_abs_lift(2), 4), rm.rscale(rm.rident(2), 2))
+    assert got == rm.rmat(want)
+    assert hom_eval(trivial_hom(3), Fraction(-7, 2)) == rm.rident(3)
+    assert hom_eval(sqrt_abs_lift(2), -1) == rm.rident(2)
+    assert hom_eval(sqrt_abs_lift(2), 4) == rm.rmat([[2, 0], [0, 2]])
     with pytest.raises(ValueError):
         hom_eval(A, 0)
     with pytest.raises(rm.UnsupportedMatrixError):
@@ -189,8 +215,8 @@ def test_hom_eval_homomorphism_law():
     A = contact_lift(2)
     for r, s in [(2, 3), (Fraction(1, 2), -4), (-2, -3)]:
         lhs = hom_eval(A, Fraction(r) * Fraction(s))
-        rhs = rm.rmul(hom_eval(A, r), hom_eval(A, s))
-        assert rm.req(lhs, rhs)
+        rhs = rm.qmul(rm.qmat(hom_eval(A, r)), rm.qmat(hom_eval(A, s)))
+        assert lhs == rm.to_mat(rhs)
 
 
 def test_hom_eval_symbolic_matches_rational_points():
@@ -224,16 +250,17 @@ def test_coset_eq_examples():
     g = rand_element(SP(2), rng)
     # A'(r) = A(r) g is not a homomorphism in general; instead compare A with
     # the conjugated lift g^{-1} A g, which projects to the same quotient value
-    Bc = rm.rmul(rm.rmul(rm.rinv(g), A.B), g)
-    Cc = rm.rmul(rm.rmul(rm.rinv(g), A.C), g)
-    assert coset_eq(SP(2), A, DegreeHom(Bc, Cc))
+    Bc = rm.qsolve(g, rm.qmul(rm.qmat(A.B), g))
+    Cc = rm.qsolve(g, rm.qmul(rm.qmat(A.C), g))
+    assert coset_eq(SP(2), A, DegreeHom(rm.to_mat(Bc), rm.to_mat(Cc)))
     # contact lift vs trivial: different quotient
     assert not coset_eq(SP(2), A, trivial_hom(4))
     # O-case: sqrt lift vs sqrt lift composed with a rotation
     S = sqrt_abs_lift(2)
-    rot = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    rot = rm.qmat(((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0))))
     # rotation commutes with scalar B, and (rot . exp(Bt) . rot^{-1}) = exp(Bt)
-    S2 = DegreeHom(S.B, rm.rmul(rm.rmul(rot, S.C), rm.rinv(rot)))
+    rot_inv = rm.qsolve(rot, rm.qmat(rm.rident(2)))
+    S2 = DegreeHom(S.B, rm.to_mat(rm.qmul(rot, rm.qmat(S.C), rot_inv)))
     assert coset_eq(O(2), S, S2)
     # same quotient but with a reflection at r < 0: still the same coset
     refl = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
@@ -242,7 +269,9 @@ def test_coset_eq_examples():
     # contact lift against the same-degree hom with C = I (|r| variant)
     A = contact_lift(2)
     B_abs = DegreeHom(A.B, rm.rident(4))
-    assert coset_eq(SP(2), A, B_abs) == member(SP(2), rm.rmul(hom_eval(A, -1), rm.rinv(hom_eval(B_abs, -1))))
+    reflection = rm.qmul(rm.qmat(hom_eval(A, -1)),
+                         rm.qsolve(rm.qmat(hom_eval(B_abs, -1)), rm.qmat(rm.rident(4))))
+    assert coset_eq(SP(2), A, B_abs) == member(SP(2), reflection)
 
 
 def test_coset_eq_rejects_non_normalizer():
@@ -257,17 +286,16 @@ def test_spectral_projectors_reconstruct():
     # diagonalizable over Q: conjugated diagonal matrix
     D = ((Fraction(2), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(-1, 2)))
     P = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    M = rm.rmul(rm.rmul(rm.rmat(P), D), rm.rinv(rm.rmat(P)))
+    qP = rm.qmat(rm.rmat(P))
+    M = rm.qmul(qP, rm.qmat(rm.rmat(D)), rm.qsolve(qP, rm.qmat(rm.rident(3))))
     eigs, projs, nil = rm.spectral_projectors(M)
     assert [e for e, _ in eigs] == [Fraction(-1, 2), Fraction(2)]
-    assert all(v == 0 for row in nil for v in row)
-    back = rm.rzeros(3)
-    for (lam, _), proj in zip(eigs, projs):
-        back = rm.radd(back, rm.rscale(proj, lam))
-    assert rm.req(back, M)
+    assert not any(map(any, nil.rows))
+    back = rm.qsum((lam, proj) for (lam, _), proj in zip(eigs, projs))
+    assert rm.qeq(back, M)
 
 
 def test_char_poly_does_not_split():
     rot = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
     with pytest.raises(rm.UnsupportedMatrixError):
-        rm.rational_eigenvalues(rot)
+        rm.rational_eigenvalues(rm.qmat(rot))
