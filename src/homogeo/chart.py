@@ -29,6 +29,10 @@ class Chart:
         bad = set(self.coords) & _RESERVED
         if bad:
             raise ChartError(f"coordinate names {sorted(bad)} are reserved")
+        for c in self.constraints:
+            if c.name not in self.coords:
+                raise ChartError(f"constraint {c} names {c.name!r}, which is "
+                                 f"not a coordinate of chart {self.name!r}")
 
     @property
     def dim(self) -> int:

@@ -129,7 +129,7 @@ def _fold_rational(e: ex.Expr, constraints,
         return e.value
     if e.free:
         raise NotHomogeneousError(f"expected a constant, got {ex.to_dsl(e)}")
-    val = numtape.eval_points(e, [{}])[0]
+    val = numtape.eval_tape(numtape.compile_tape(e), [{}])[0]
     if not math.isfinite(val):
         raise NotHomogeneousError(
             f"constant {ex.to_dsl(e)} evaluates to {val} (expression leaves "

@@ -33,7 +33,7 @@ from typing import List, Mapping, Optional, Sequence
 from . import expr as ex
 
 __all__ = ["Tape", "compile_tape", "eval_tape", "eval_tape_mod",
-           "degree_bound", "eval_tape_exact", "eval_points"]
+           "degree_bound", "eval_tape_exact"]
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
     OP_SIN, OP_COS = range(11)
@@ -261,8 +261,3 @@ def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:
         else:
             raise ex.DomainError("tape is not rational-exact")
     return buf[-1]
-
-
-def eval_points(e: ex.Expr, points: Sequence[Mapping[str, object]]) -> List[float]:
-    """Convenience wrapper: evaluate an expression at a list of points."""
-    return eval_tape(compile_tape(e), points)

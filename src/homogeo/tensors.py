@@ -238,13 +238,13 @@ def sym_product(a: KForm, b: KForm) -> SymTensor2:
 # ---------------------------------------------------------------------------
 # exterior calculus
 
-def _merge_sign(i: int, idx: Index) -> Tuple[int, Index]:
-    """Insert i into the increasing tuple idx; return (sign, merged) or (0, ())
-    when i already occurs."""
-    if i in idx:
+def _sort_sign(seq: Index) -> Tuple[int, Index]:
+    """(sign, sorted seq) for the permutation that sorts seq, or (0, ())
+    when an index repeats."""
+    if len(set(seq)) != len(seq):
         return 0, ()
-    pos = sum(1 for j in idx if j < i)
-    return (-1) ** pos, tuple(sorted(idx + (i,)))
+    inv = sum(a > b for x, a in enumerate(seq) for b in seq[x + 1:])
+    return (-1) ** inv, tuple(sorted(seq))
 
 
 def d(w: KForm) -> KForm:
@@ -258,7 +258,7 @@ def d(w: KForm) -> KForm:
             dc = ex.diff(c, v, cons)
             if dc.is_zero_literal():
                 continue
-            sign, merged = _merge_sign(i, idx)
+            sign, merged = _sort_sign((i,) + idx)
             if sign == 0:
                 continue
             term = dc if sign == 1 else ex.neg(dc)
@@ -274,15 +274,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
     out: Dict[Index, ex.Expr] = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
-            if set(ia) & set(ib):
+            sign, merged = _sort_sign(ia + ib)
+            if sign == 0:
                 continue
-            merged = tuple(sorted(ia + ib))
-            # sign of the permutation sorting ia+ib
-            seq = ia + ib
-            inv = sum(1 for x in range(len(seq)) for y in range(x + 1, len(seq))
-                      if seq[x] > seq[y])
             term = ex.mul(ca, cb)
-            if inv % 2:
+            if sign == -1:
                 term = ex.neg(term)
             out[merged] = ex.add(out.get(merged, ex.ZERO), term)
     return KForm(a.chart, deg, out)
@@ -325,19 +321,6 @@ def lie_derivative(X: VectorField, w: KForm) -> KForm:
     chart = w.chart
     cons = chart.constraints
 
-    def coeff_signed(seq) -> ex.Expr:
-        seq = list(seq)
-        sign = 1
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                if seq[i] == seq[j]:
-                    return ex.ZERO
-                if seq[i] > seq[j]:
-                    seq[i], seq[j] = seq[j], seq[i]
-                    sign = -sign
-        c = w.coeff(tuple(seq))
-        return c if sign == 1 else ex.neg(c)
-
     out: Dict[Index, ex.Expr] = {}
     for idx in combinations(range(chart.dim), w.degree):
         parts = []
@@ -349,10 +332,11 @@ def lie_derivative(X: VectorField, w: KForm) -> KForm:
                 dXj = ex.diff(X.comps[j], chart.coords[ia], cons)
                 if dXj.is_zero_literal():
                     continue
-                cj = coeff_signed(idx[:a] + (j,) + idx[a + 1:])
+                sign, jdx = _sort_sign(idx[:a] + (j,) + idx[a + 1:])
+                cj = w.coeff(jdx) if sign else ex.ZERO
                 if cj.is_zero_literal():
                     continue
-                parts.append(ex.mul(cj, dXj))
+                parts.append(ex.mul(cj if sign == 1 else ex.neg(cj), dXj))
         if parts:
             out[idx] = ex.add(*parts)
     return KForm(chart, w.degree, out)

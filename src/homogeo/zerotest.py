@@ -12,33 +12,33 @@ printed DSL text of the simplified expression plus the constraints.
 
 `sample_values` reads validity conditions at sample points (a definite
 metric, a nowhere-zero theta, the point a frame transition is read at)
-under the same rule: rational expressions exactly, others in floats.
+from the same point stream and by the same rule: rational expressions
+exactly, others in floats.
 
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one
 without advancing its iterable further, so the checks hand it generators
 and build no residual past a failure.
 
-Float queries: candidate points are drawn from that RNG in order and
-evaluated in floating point (numtape.eval_tape) one batch at a time, each
-batch being the points still missing.  A point with a non-finite value is
-redrawn, with at most _MAX_REDRAWS + 1 = 201 draws per query; a point
-where a `math` call raises (a pole, a domain error, an overflow) has the
-value nan.  When no 201 draws give enough points, ConfigError names the
-cause: a constant outside the float range, or else an expression that
-may be singular on the whole domain.
+Float queries: points are drawn from that RNG in order and evaluated in
+floating point (numtape.eval_tape) one at a time.  A point whose value is
+not finite (nan where a `math` call raises: a pole, a domain error, an
+overflow) is skipped, until `sample_count` values are found within
+MAX_SAMPLES = 201 draws; else ConfigError names the cause: a constant
+outside the float range, or an expression that may be singular on the
+whole domain.  The witness is the first point of largest |value|.
 
 Rational queries (Schwartz-Zippel identity testing): a second RNG, seeded
 from the same key, draws primes uniformly from [2^61, 2^62), and p is the
-first that divides no constant's denominator.  That RNG goes on to draw k
-points uniform in GF(p)^n, evaluated in one numtape.eval_tape_mod call; k
+first that divides no constant's denominator.  That RNG goes on to draw
+points uniform in GF(p)^n one at a time (numtape.eval_tape_mod), skipping
+poles mod p, until one has a nonzero residue or k have zero residues; k
 is the fewest with (D/p)^k <= 2^-40 for the numerator-degree bound
 D = numtape.degree_bound(tape): one point while D <= 2^21, two up to about
-2^41, and ConfigError when D > p/2.  A point that is a pole mod p is
-drawn again, at most _MAX_REDRAWS times in all, and then ConfigError says
-the expression may be singular on the whole domain.  The domain
-constraints do not restrict these points: a rational function that
-vanishes on an open set vanishes identically.
+2^41, and ConfigError when D > p/2, or when k + _MAX_REDRAWS draws leave
+fewer than k defined residues (the expression may be singular on the
+whole domain).  The domain constraints do not restrict these points: a
+rational function that vanishes on an open set vanishes identically.
 
 * zero residues at all k points are the zero verdict, with `samples` = k,
   and the only way a rational query is zero;
@@ -55,7 +55,7 @@ A zero verdict is wrong with probability at most (D/p)^k <= 2^-40
 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on top of the chance
 that p divides every coefficient of the numerator N: at most log2|N|/61
 primes in [2^61, 2^62) divide a nonzero coefficient, out of about 5.3e16.
-A redrawn pole point leaves each point uniform on the points that are not
+A skipped pole point leaves each point uniform on the points that are not
 poles mod p, which divides the per-point bound D/p by 1 - q for the share
 q of pole points (q <= E/p when E bounds the degree of the product of the
 numerators of the negative-power bases).  A nonzero verdict has no added
@@ -65,6 +65,7 @@ error.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -166,6 +167,15 @@ def _draw(rng: random.Random, lo, hi, excl, name) -> Fraction:
     raise ConfigError(f"could not sample a value for {name}")
 
 
+def _points(names, constraints, seed: int):
+    """The endless stream of rational points of `names`, each drawn in
+    order under `constraints` from Random(seed).  The bounds are read now,
+    so unsatisfiable constraints raise ConfigError before any draw."""
+    rng = random.Random(seed)
+    lo, hi, excl = _bounds(constraints, set(names))
+    return iter(lambda: {n: _draw(rng, lo, hi, excl, n) for n in names}, None)
+
+
 def _exact_at(tape: numtape.Tape, pt) -> Optional[Fraction]:
     """A rational tape's exact value at a rational point, or None at a pole
     or where its bit-length bound (numtape.degree_bound at the point)
@@ -185,16 +195,13 @@ def _float_at(tape: numtape.Tape, pt, tolerance: float) -> Optional[float]:
 
 def sample_values(exprs, names, policy: ZeroTestPolicy, salt: int, count=None):
     """Yield (point, values) at `count` points (policy.sample_count when
-    None), one at a time, drawing `names` in order under the policy's
-    constraints from Random(policy.seed ^ salt).  values[i] is exprs[i]
-    there: exact (a Fraction, or None at a pole or beyond the bit budget)
-    when it is rational, else a float, 0.0 when |v| <= policy.tolerance
-    and None when not finite."""
-    rng = random.Random(policy.seed ^ salt)
-    lo, hi, excl = _bounds(policy.constraints, set(names))
+    None) of _points(names, policy.constraints, policy.seed ^ salt), one at
+    a time.  values[i] is exprs[i] there: exact (a Fraction, or None at a
+    pole or beyond the bit budget) when it is rational, else a float, 0.0
+    when |v| <= policy.tolerance and None when not finite."""
+    points = _points(names, policy.constraints, policy.seed ^ salt)
     tapes = [(e.rational, numtape.compile_tape(e, names)) for e in exprs]
-    for _ in range(policy.sample_count if count is None else count):
-        pt = {n: _draw(rng, lo, hi, excl, n) for n in names}
+    for pt in itertools.islice(points, policy.sample_count if count is None else count):
         yield pt, [_exact_at(tape, pt) if rational
                    else _float_at(tape, pt, policy.tolerance)
                    for rational, tape in tapes]
@@ -250,32 +257,36 @@ def _query_prime(key: int) -> Tuple[int, random.Random]:
     return _next_prime(rng), rng
 
 
+def _tape_prime(tape: numtape.Tape, key: int) -> Tuple[int, random.Random]:
+    """The query's prime and its RNG: the first prime that RNG draws that
+    divides no denominator of the tape's constants."""
+    p, rng = _query_prime(key)
+    while any(c.denominator % p == 0 for c in tape.exact):
+        p = _next_prime(rng)
+    return p, rng
+
+
 def _uniform_residue(tape: numtape.Tape, p: int, rng: random.Random):
-    """The tape's residue at uniform points of GF(p)^n, and how many points
-    decide it: the fewest k with (D/p)^k <= 2^-40 for the numerator-degree
-    bound D = numtape.degree_bound(tape), so one point while D <= 2^21.
-    The k points are evaluated in one call; while none is nonzero, a pole
-    mod p is replaced by the next draw, at most _MAX_REDRAWS times.  The
-    residue is the first nonzero one, else 0.  Raises ConfigError when
-    D > p/2, where 40 points do not reach 2^-40, or the redraws run out."""
+    """The tape's residue at uniform points of GF(p)^n, drawn one at a time
+    with poles mod p skipped: the first nonzero one, else 0 once k points
+    have residue 0 (the module docstring gives k and the ConfigErrors);
+    and k."""
     d = numtape.degree_bound(tape)
     k = next((k for k in range(1, 41) if d ** k << 40 <= p ** k), None)
     if k is None:
         raise ConfigError(f"numerator degree bound {d} is too large for a "
                           "zero test over GF(p)")
-
-    def draw():
-        return {n: rng.randrange(p) for n in tape.varnames}
-
-    residues = numtape.eval_tape_mod(tape, [draw() for _ in range(k)], p)
-    redraws = 0
-    while None in residues and not any(residues):
-        if redraws == _MAX_REDRAWS:
-            raise ConfigError("could not find enough valid sample points "
-                              "(expression may be singular on the whole domain)")
-        redraws += 1
-        residues[residues.index(None)] = numtape.eval_tape_mod(tape, [draw()], p)[0]
-    return next((r for r in residues if r), 0), k
+    zeros = 0
+    for _ in range(k + _MAX_REDRAWS):
+        residue, = numtape.eval_tape_mod(
+            tape, [{n: rng.randrange(p) for n in tape.varnames}], p)
+        if residue:
+            return residue, k
+        zeros += residue is not None
+        if zeros == k:
+            return 0, k
+    raise ConfigError("could not find enough valid sample points "
+                      "(expression may be singular on the whole domain)")
 
 
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
@@ -288,20 +299,16 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
 
     names = sorted(e.free)
     key = _fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15)
-    rng = random.Random(key)
-    lo, hi, excl = _bounds(policy.constraints, set(names))
+    points = _points(names, policy.constraints, key)
     tape = numtape.compile_tape(e, names)
     if e.rational:
         # uniform points of GF(p)^n decide the query; the rational points
         # only look for a witness of a nonzero residue
-        p, prime_rng = _query_prime(key)
-        while any(c.denominator % p == 0 for c in tape.exact):
-            p = _next_prime(prime_rng)
+        p, prime_rng = _tape_prime(tape, key)
         residue, count = _uniform_residue(tape, p, prime_rng)
         if residue == 0:
             return ZeroVerdict(True, True, samples=count)
-        for draws in range(1, policy.sample_count + 1):
-            pt = {n: _draw(rng, lo, hi, excl, n) for n in names}
+        for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
             val = _exact_at(tape, pt)
             if val:             # not None (a pole, over budget) and not 0
                 return ZeroVerdict(False, True, witness=pt, witness_value=val,
@@ -310,28 +317,20 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
                            note=f"nonzero residue {residue} mod p = {p} at a "
                                 "uniform point; no rational sample is a witness")
 
-    points = []
-    floats = []
-    draws = 0
-    while len(points) < policy.sample_count:
-        k = min(policy.sample_count - len(points), _MAX_REDRAWS + 1 - draws)
-        if k == 0:
-            cause = ("a constant is outside the float range"
-                     if not all(map(math.isfinite, tape.consts))
-                     else "expression may be singular on the whole domain")
-            raise ConfigError(f"could not find enough valid sample points ({cause})")
-        draws += k
-        batch = [{n: _draw(rng, lo, hi, excl, n) for n in names} for _ in range(k)]
-        for pt, v in zip(batch, numtape.eval_tape(tape, batch)):
-            if math.isfinite(v):  # otherwise outside the expression's domain; redraw
-                points.append(pt)
-                floats.append(v)
-
-    worst = max(range(len(points)), key=lambda i: abs(floats[i]))
-    if abs(floats[worst]) > policy.tolerance:
-        return ZeroVerdict(False, False, witness=points[worst],
-                           witness_value=floats[worst], samples=len(points))
-    return ZeroVerdict(True, False, samples=len(points))
+    values = ((pt, _float_at(tape, pt, policy.tolerance))
+              for pt in itertools.islice(points, MAX_SAMPLES))
+    found = list(itertools.islice(((pt, v) for pt, v in values if v is not None),
+                                  policy.sample_count))
+    if len(found) < policy.sample_count:
+        cause = ("a constant is outside the float range"
+                 if not all(map(math.isfinite, tape.consts))
+                 else "expression may be singular on the whole domain")
+        raise ConfigError(f"could not find enough valid sample points ({cause})")
+    witness, value = max(found, key=lambda f: abs(f[1]))
+    if value:                   # |value| > tolerance; _float_at zeroes the rest
+        return ZeroVerdict(False, False, witness=witness, witness_value=value,
+                           samples=len(found))
+    return ZeroVerdict(True, False, samples=len(found))
 
 
 def is_zero(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> bool:

@@ -83,7 +83,7 @@ def rand_point(rng: random.Random, names, lo=-2, hi=2):
 def float_value(e: ex.Expr, point) -> float:
     """Float value of `e` at one point (a mapping of names to numbers);
     nan or an infinity outside the expression's domain."""
-    return numtape.eval_points(e, [point])[0]
+    return numtape.eval_tape(numtape.compile_tape(e), [point])[0]
 
 
 def finite_difference(e: ex.Expr, v: str, point, h=1e-6) -> float:
@@ -93,7 +93,7 @@ def finite_difference(e: ex.Expr, v: str, point, h=1e-6) -> float:
     dn = dict(up)
     up[v] += h
     dn[v] -= h
-    lo, hi = numtape.eval_points(e, [dn, up])
+    lo, hi = numtape.eval_tape(numtape.compile_tape(e), [dn, up])
     return (hi - lo) / (2 * h)
 
 

@@ -577,6 +577,28 @@ def test_constraints_must_be_a_list_of_strings(tmp_path, capsys, constraints,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("constraint", ["mu < 0", "r < 0", "q > 0"],
+                         ids=["fiber", "scaling", "ghost"])
+@pytest.mark.parametrize("scenario", [
+    "contact_foliation", "darboux_k1", "cosymplectic_k1", "complex_constant",
+    "riemann_eta_dz", "frame_euler"])
+def test_base_constraint_names_a_base_coordinate(tmp_path, capsys, scenario,
+                                                 constraint):
+    # a constraint on the fiber coordinate, the scaling parameter or no
+    # coordinate at all was ignored by some kinds and contradicted the
+    # fiber branch mu > 0 in others
+    with open(os.path.join(SCENARIOS, scenario + ".json")) as fh:
+        data = json.load(fh)
+    data["base"]["constraints"] = [constraint]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    name = constraint.split()[0]
+    assert code == 2 and out == ""
+    assert err == (f"error: base: constraint {constraint} names {name!r}, which "
+                   f"is not a coordinate of chart {scenario!r}\n")
+
+
 def test_dsl_division_by_zero_is_input_error(tmp_path, capsys):
     # the parser raises ZeroDivisionError for a literal 1/0, which ended in
     # an internal error
@@ -606,15 +628,15 @@ def test_group_sweep_stops_at_first_witness(monkeypatch):
     # a sweep draws one element per index and stops at the first failure, so
     # the next sweep starts from the same point of the RNG stream
     from homogeo import groups
-    draws, members = [], []
-    real_draw, real_member = groups.rand_element, groups.member
+    draws, quotients = [], []
+    real_draw, real_p = groups.rand_element, groups.normalizer_p
     monkeypatch.setattr(groups, "rand_element",
                         lambda G, rng: draws.append(1) or real_draw(G, rng))
-    monkeypatch.setattr(groups, "member", lambda G, g: members.append(1) or (
-        len(members) != 4 and real_member(G, g)))
+    monkeypatch.setattr(groups, "normalizer_p", lambda G, g: quotients.append(1) or (
+        real_p(G, g) * (2 if len(quotients) == 4 else 1)))
     rep = run_scenario(load_scenario(os.path.join(SCENARIOS, "group_sp2.json")))
     assert rep["checks"][0]["verdict"] == "fail"
-    assert rep["checks"][0]["witness"] == {"index": 3, "reason": "not a member"}
+    assert rep["checks"][0]["witness"] == {"index": 3, "reason": "non-neutral quotient"}
     assert [c["verdict"] for c in rep["checks"][1:]] == ["pass", "pass"]
     assert len(draws) == 4 + 50 + 20
 
@@ -820,13 +842,22 @@ def test_point_values_have_one_rule():
     assert {m for m, _, _ in broad} == {"cli.py"}
 
     floats = [(m, f, ast.unparse(n.args[1]))
-              for m, f, n in _source_sites(_is_call("numtape", {"eval_tape", "eval_points"}))
+              for m, f, n in _source_sites(_is_call("numtape", {"eval_tape"}))
               if m not in ("zerotest.py", "numtape.py")]
     assert floats == [("frames.py", "_fold_rational", "[{}]")]
 
-    rngs = {(m, f) for m, f, _ in _source_sites(_is_call("random", {"Random"}))
-            if m != "zerotest.py"}
-    assert rngs == {("scenarios.py", "_run_group")}
+    rngs = {(m, f) for m, f, _ in _source_sites(_is_call("random", {"Random"}))}
+    assert rngs == {("scenarios.py", "_run_group"), ("zerotest.py", "_points"),
+                    ("zerotest.py", "_query_prime")}
+    # one stream of rational points: only _points draws them, and the zero
+    # test reads it without a redraw loop of its own
+    draws = {(m, f) for m, f, n in _source_sites(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "_draw")}
+    assert draws == {("zerotest.py", "_points")}
+    loops = {f for m, f, _ in _source_sites(lambda n: isinstance(n, ast.While))
+             if m == "zerotest.py"}
+    assert not loops & {"zero_report", "_uniform_residue", "sample_values"}
 
 
 def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ def test_tape_matches_sympy():
         e = rand_expr(rng, ("x", "y"), depth=5)
         text = ex.to_dsl(e)
         points = [rand_point(rng, ("x", "y")) for _ in range(8)]
-        vals = numtape.eval_points(e, points)
+        vals = numtape.eval_tape(numtape.compile_tape(e), points)
         for got, p in zip(vals, points):
             want = _sympy_value(sympy, text, p).evalf(30)
             if not (math.isfinite(got) and want.is_real and want.is_finite):
@@ -99,7 +99,7 @@ def test_exact_evaluation_poles_and_non_rational_tapes():
     # in its float column
     big = ex.sub(ex.mul(ex.rat(-10 ** 400), x), ex.rat(Fraction(1, 10 ** 400)))
     assert ex.eval_exact(big, {"x": 3}) == -3 * 10 ** 400 - Fraction(1, 10 ** 400)
-    assert numtape.eval_points(big, [{"x": 3}])[0] == -math.inf
+    assert numtape.eval_tape(numtape.compile_tape(big), [{"x": 3}])[0] == -math.inf
 
 
 @pytest.mark.parametrize("text, bad, good", [
@@ -123,7 +123,7 @@ def test_raising_math_call_makes_the_point_non_finite(text, bad, good):
     sympy = pytest.importorskip("sympy")
     e = parse(text, names=["x"])
     points = [{"x": Fraction(v)} for v in (bad, good) if v is not None]
-    vals = numtape.eval_points(e, points)
+    vals = numtape.eval_tape(numtape.compile_tape(e), points)
     assert not math.isfinite(vals[0]), text
     if good is not None:
         want = float(_sympy_value(sympy, text, points[1]).evalf(30))
@@ -140,7 +140,7 @@ def test_tape_matches_exact_on_rational():
         if p["y"] == -2:
             continue
         want = float(ex.eval_exact(e, p))
-        got = float(numtape.eval_points(e, [p])[0])
+        got = float(numtape.eval_tape(numtape.compile_tape(e), [p])[0])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -156,13 +156,13 @@ def test_shared_subexpressions_evaluate_once():
 def test_signs_and_abs_ops():
     x = ex.var("x")
     e = ex.mul(ex.sign_(x), ex.abs_(x))
-    vals = numtape.eval_points(e, [{"x": Fraction(-5, 2)}, {"x": Fraction(3)}])
+    vals = numtape.eval_tape(numtape.compile_tape(e), [{"x": Fraction(-5, 2)}, {"x": Fraction(3)}])
     assert vals[0] == pytest.approx(-2.5)
     assert vals[1] == pytest.approx(3.0)
     # inf - inf is nan under IEEE-754, and sign keeps it nan rather than 0,
     # so the point stays non-finite
     e = parse("sign(10^400*x - 10^400*x^2)", names=["x"])
-    assert math.isnan(numtape.eval_points(e, [{"x": 1}])[0])
+    assert math.isnan(numtape.eval_tape(numtape.compile_tape(e), [{"x": 1}])[0])
 
 
 def _rand_rational(rng: random.Random, names, depth=4) -> ex.Expr:
