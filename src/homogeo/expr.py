@@ -132,35 +132,6 @@ class Expr:
 
     __slots__ = ("shash", "free", "rational", "cache")
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, q):
-        return pw(self, q)
-
     # == is identity (interning makes it structural); the structural hash
     # keeps the order of sets of nodes the same in every run
     def __hash__(self):
@@ -336,8 +307,6 @@ def add(*xs) -> Expr:
 def _scale(core: Expr, c: Fraction) -> Expr:
     if isinstance(core, Prod):
         return _make_prod(_qmul(c, core.coeff), core.factors)
-    if isinstance(core, Sum):
-        return mul(rat(c), core)
     return _make_prod(c, (core,))
 
 
@@ -515,8 +484,6 @@ def abs_(x) -> Expr:
     n = _negated(x)
     if n is not None:
         return abs_(n)
-    if isinstance(x, Fun) and x.name == "abs":
-        return x
     return _make_fun("abs", x)
 
 

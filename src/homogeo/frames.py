@@ -22,9 +22,8 @@ from . import expr as ex
 from . import numtape
 from . import symmat
 from .chart import ChartError
-from .groups import (DegreeHom, GroupId, NotInNormalizerError,
-                     defining_product_symbolic, hom_eval_symbolic_full,
-                     member_symbolic, normalizer_p, scalar_mismatch)
+from .groups import (DegreeHom, GroupId, NotInNormalizerError, hom_matrix,
+                     member_symbolic, normalizer_p, quotient_symbolic)
 from .linebundle import FIBER, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import VectorField
@@ -211,17 +210,17 @@ def build_frame(scn: LineBundleScenario, sigma0: Frame, section_value: ex.Expr,
     The section is x -> (x, s(x)) with s positive; writing
     r(eps) = mu / s(x), the new frame at eps is
     Dh_{r(eps)} . sigma0(section(x)) . hom(r(eps))^{-1}.  The hom inverse
-    is substituted in its full-domain form (|r| and sign(r) expressed
-    through the fiber coordinate), so the result is reflection-safe."""
+    is hom_matrix at 1/|r| = s(x)/|mu| with the sign of mu, since
+    exp(B log(1/|r|)) = exp(B log|r|)^{-1} and the reflection factor
+    commutes with it and is its own inverse; so the result is
+    reflection-safe."""
     scn.base.check_owns(section_value)
     if ex.sign_of(section_value, scn.base.constraints) != 1:
         raise ChartError("section value must be positive on the base domain")
     n = scn.total.dim
     r_of_eps = ex.div(scn.mu, section_value)
     S0 = [[ex.subs(v, {FIBER: section_value}) for v in row] for row in sigma0.matrix()]
-    abs_r = ex.div(ex.abs_(scn.mu), section_value)
-    sign_r = ex.sign_(scn.mu)
-    Ainv_eps = hom_eval_symbolic_full(hom, abs_r, sign_r)
+    Ainv_eps = hom_matrix(hom, ex.div(section_value, ex.abs_(scn.mu)), ex.sign_(scn.mu))
     S = symmat.mat_mul(symmat.mat_mul(_scaling_jacobian(n, r_of_eps), S0), Ainv_eps)
     S = symmat.simplify_mat(S, scn.base.constraints)
     return frame_from_matrix(scn, S)
@@ -240,28 +239,27 @@ class CosetReport:
 def degree_coset(tr: TransitionResult, G: GroupId,
                  policy: ZeroTestPolicy = DEFAULT_POLICY) -> CosetReport:
     """Verify that a frame's transition A_sigma(r) lies in N(G) for
-    symbolic r > 0 and at r = -1, and return the quotient value function."""
+    symbolic r > 0 and at r = -1, and return the quotient value function.
+    Raises ValueError when G has another size than the transition."""
     if not tr.homogeneous:
         raise NotHomogeneousError(tr.failure or "frame is not homogeneous")
-    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    if G.family == "gl":
-        return CosetReport(G, True, ex.ONE, Fraction(1), tr.hom)
-    P = defining_product_symbolic(G, tr.matrix_sym)
-
-    diag = ex.simplify(P[0][0], pol.constraints)
-    bad = scalar_mismatch(P, diag, pol)
+    if len(tr.matrix_sym) != G.size:
+        raise ValueError(f"a transition of size {len(tr.matrix_sym)} does not "
+                         f"match {G} (size {G.size})")
+    value, bad = quotient_symbolic(G, tr.matrix_sym, policy)
     if bad is not None:
         i, j = bad
         return CosetReport(
             G, False, None, None, tr.hom,
             failure=f"defining product entry ({i},{j}) is not "
                     f"{'diagonal-constant' if i == j else 'zero'}")
-
+    if G.family == "gl":
+        return CosetReport(G, True, value, Fraction(1), tr.hom)
     try:
         neg1 = normalizer_p(G, tr.hom.C)
     except NotInNormalizerError as err:
         return CosetReport(G, False, None, None, tr.hom, failure=str(err))
-    return CosetReport(G, True, diag, neg1, tr.hom)
+    return CosetReport(G, True, value, neg1, tr.hom)
 
 
 def require_coset(frame: Frame, G: GroupId, group: str, value: ex.Expr, value_neg1,

@@ -12,7 +12,12 @@ is tested through the defining products
 
 Degree homomorphisms r -> A(r) are stored as the pair (B, C) with
 A(r) = exp(B log r) for r > 0 and A(r) = C exp(B log|r|) for r < 0,
-subject to C^2 = I and CB = BC.
+subject to C^2 = I and CB = BC.  One evaluator, `hom_matrix`, gives A(r)
+as a matrix of expressions from the eigenvalues of B (Putzer's method):
+`hom_eval` folds it to rationals at a rational r, `hom_eval_symbolic` is
+its branch r > 0, and `frames.build_frame` takes A(r)^{-1} as its value
+at 1/|r|.  One symbolic test, `quotient_symbolic`, decides that A(r)
+lies in N(G) for `frames.degree_coset` and `coset_eq`.
 
 The exact arithmetic runs on `ratmat.QMat`.  `rand_element` and
 `splitting` return one, and the membership tests take one as it is or
@@ -26,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import List, Optional, Tuple, Union
 
@@ -35,10 +41,10 @@ from . import symmat
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
-           "defining_product_symbolic", "in_normalizer", "normalizer_p",
+           "quotient_symbolic", "in_normalizer", "normalizer_p",
            "NotInNormalizerError", "splitting", "DegreeHom", "DegreeHomError",
-           "hom_eval", "hom_eval_symbolic", "hom_eval_symbolic_full", "coset_eq",
-           "member_symbolic", "scalar_mismatch", "rand_element", "rand_lie_element",
+           "hom_matrix", "hom_eval", "hom_eval_symbolic", "coset_eq",
+           "member_symbolic", "rand_element", "rand_lie_element",
            "centralizer_basis", "contact_lift", "trivial_hom", "sqrt_abs_lift"]
 
 
@@ -252,99 +258,74 @@ def sqrt_abs_lift(n: int) -> DegreeHom:
                      rm.rident(n))
 
 
+def hom_matrix(A: DegreeHom, base: ex.Expr, sign: ex.Expr) -> List[List[ex.Expr]]:
+    """A at the r with |r| = base and sign(r) = sign, as a matrix of
+    expressions:
+
+        A(r) = exp(B log|r|) ((I + C)/2 + sign(r) (I - C)/2),
+
+    since C^2 = I makes the last factor I for r > 0 and C for r < 0.  The
+    exponential is Putzer's sum (Amer. Math. Monthly 73(1), 1966) over the
+    eigenvalues lam_1 <= ... <= lam_n of B, with multiplicity:
+
+        exp(B log base) = sum_k f[lam_1..lam_(k+1)] P_k,
+        P_0 = I,  P_(k+1) = P_k (B - lam_(k+1) I),
+
+    f[...] the divided differences of lam -> base^lam; a run of j + 1 equal
+    lam gives base^lam (log base)^j / j!.  C commutes with B, so the last
+    factor is folded into the rational P_k.  Needs rational eigenvalues
+    (UnsupportedMatrixError otherwise)."""
+    B, C = rm.qmat(A.B), rm.qmat(A.C)
+    n = A.size
+    lams = [lam for lam, m in rm.rational_eigenvalues(B) for _ in range(m)]
+    # column m of the divided-difference table: f[lam_i..lam_(i+m)] at i
+    column = [ex.pw(base, lam) for lam in lams]
+    coeffs = [column[0]]
+    for m in range(1, n):
+        column = [ex.mul(ex.pw(base, lams[i]), ex.pw(ex.log_(base), m),
+                         ex.rat(Fraction(1, factorial(m))))
+                  if lams[i] == lams[i + m] else
+                  ex.mul(ex.sub(column[i + 1], column[i]),
+                         ex.rat(1 / (lams[i + m] - lams[i])))
+                  for i in range(n - m)]
+        coeffs.append(column[0])
+    eye = rm.qmat(rm.rident(n))
+    putzer = accumulate((rm.qsum([(1, B), (-lam, eye)]) for lam in lams[:-1]),
+                        rm.qmul, initial=eye)
+    half = Fraction(1, 2)
+    even, odd = zip(*[(rm.qmul(P, rm.qsum([(half, eye), (half, C)])),
+                       rm.qmul(P, rm.qsum([(half, eye), (-half, C)])))
+                      for P in putzer])
+
+    def entry(mats, i, j):
+        return ex.add(*[ex.mul(f, ex.rat(Fraction(M.rows[i][j], M.den)))
+                        for f, M in zip(coeffs, mats) if M.rows[i][j]])
+
+    return [[ex.add(entry(even, i, j), ex.mul(sign, entry(odd, i, j)))
+             for j in range(n)] for i in range(n)]
+
+
 def hom_eval(A: DegreeHom, q) -> rm.Mat:
-    """Exact evaluation at a nonzero rational.  Supported when B is
-    semisimple with rational eigenvalues lam and |q|^lam is rational
-    (always true at q = +-1)."""
-    return rm.to_mat(_qhom_eval(A, q))
-
-
-def _qhom_eval(A: DegreeHom, q) -> rm.QMat:
+    """Exact evaluation at a nonzero rational q: hom_matrix folded to
+    rationals.  Raises UnsupportedMatrixError when an entry is irrational
+    (a power |q|^lam, or a log |q| from a nilpotent part of B).  At
+    q = +-1 the value is I or C, with no eigenvalues needed."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("degree homomorphisms are defined on r != 0")
-    aq = abs(q)
-    if aq == 1:
-        out = rm.qmat(rm.rident(A.size))
-    else:
-        eigs, projectors, nil = rm.spectral_projectors(rm.qmat(A.B))
-        if any(map(any, nil.rows)):
-            raise rm.UnsupportedMatrixError(
-                "exact evaluation needs a semisimple B (log terms otherwise)")
-        terms = []
-        for (lam, _), P in zip(eigs, projectors):
-            # aq ** lam must be rational
-            root_num = _exact_pow(aq, lam)
-            if root_num is None:
-                raise rm.UnsupportedMatrixError(
-                    f"{aq}^{lam} is irrational; pick a compatible rational")
-            terms.append((root_num, P))
-        out = rm.qsum(terms)
-    if q < 0:
-        out = rm.qmul(rm.qmat(A.C), out)
-    return out
-
-
-def _exact_pow(q: Fraction, lam: Fraction) -> Optional[Fraction]:
-    """q ** lam as an exact rational, or None."""
-    if lam == 0:
-        return Fraction(1)
-    if lam.denominator == 1:
-        return q ** lam.numerator
-    root = rm.rroot(q, lam.denominator)
-    if root is None:
-        return None
-    return root ** lam.numerator
-
-
-def _exp_symbolic(B: rm.QMat, base: ex.Expr) -> List[List[ex.Expr]]:
-    """exp(B log base) as a matrix of expressions:
-    sum_i base^lam_i (log base)^j / j! P_i N^j.  Needs rational eigenvalues."""
-    eigs, projectors, nil = rm.spectral_projectors(B)
-    n = len(B.rows)
-    out = [[ex.ZERO] * n for _ in range(n)]
-    for (lam, mult), P in zip(eigs, projectors):
-        coeff_mat = P
-        j = 0
-        while True:
-            scalar = ex.mul(ex.pw(base, lam),
-                            ex.pw(ex.log_(base), j) if j else ex.ONE,
-                            ex.rat(Fraction(1, factorial(j))))
-            for i, row in enumerate(rm.to_mat(coeff_mat)):
-                for jj, v in enumerate(row):
-                    if v != 0:
-                        out[i][jj] = ex.add(out[i][jj], ex.mul(scalar, ex.rat(v)))
-            j += 1
-            coeff_mat = rm.qmul(coeff_mat, nil)
-            if not any(map(any, coeff_mat.rows)) or j > n:
-                break
-    return out
+    if abs(q) == 1:
+        return rm.rident(A.size) if q > 0 else A.C
+    M = hom_matrix(A, ex.rat(abs(q)), ex.rat(1 if q > 0 else -1))
+    if not all(isinstance(v, ex.Rat) for row in M for v in row):
+        raise rm.UnsupportedMatrixError(
+            f"A({q}) is not rational; pick a compatible rational")
+    return tuple(tuple(v.value for v in row) for row in M)
 
 
 def hom_eval_symbolic(A: DegreeHom) -> List[List[ex.Expr]]:
     """A(r) on the branch r > 0 as a matrix of expressions.  Needs rational
     eigenvalues."""
-    return _exp_symbolic(rm.qmat(A.B), ex.var("r"))
-
-
-def hom_eval_symbolic_full(A: DegreeHom, abs_value: ex.Expr,
-                           sign_value: ex.Expr) -> List[List[ex.Expr]]:
-    """The inverse A(r)^{-1} over both branches as a matrix of expressions,
-    with |r| and sign(r) supplied as expressions:
-
-        A(r)^{-1} = exp(-B log|r|) ((I + C)/2 + sign(r) (I - C)/2),
-
-    since A(r) = exp(B log|r|) ((I + C)/2 + sign(r) (I - C)/2), all factors
-    commute (C commutes with B, hence with every polynomial in B), and the
-    last factor is its own inverse (C^2 = I)."""
-    n = A.size
-    exp_part = _exp_symbolic(rm.qmat([[-v for v in row] for row in A.B]), abs_value)
-    half = Fraction(1, 2)
-    csplit = [[ex.add(ex.rat(half * (int(i == j) + A.C[i][j])),
-                      ex.mul(sign_value,
-                             ex.rat(half * (int(i == j) - A.C[i][j]))))
-               for j in range(n)] for i in range(n)]
-    return symmat.mat_mul(exp_part, csplit)
+    return hom_matrix(A, ex.var("r"), ex.ONE)
 
 
 def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
@@ -366,33 +347,35 @@ def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
     return G.family in ("sp", "o") or not is_zero(symmat.det(M), policy)
 
 
-def defining_product_symbolic(G: GroupId, M: List[List[ex.Expr]]
-                              ) -> List[List[ex.Expr]]:
-    """The defining product of N(G) (see the module docstring) for a
-    homomorphism M(r) given as expressions in r > 0; M(r)^{-1} is taken as
-    M(1/r).  GL has none."""
+def _at_inverse(M: List[List[ex.Expr]]) -> List[List[ex.Expr]]:
+    """M(r)^{-1} = M(1/r) for a homomorphism M given in r > 0."""
+    return [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
+            for row in M]
+
+
+def quotient_symbolic(G: GroupId, M: List[List[ex.Expr]], policy: ZeroTestPolicy
+                      ) -> Tuple[Optional[ex.Expr], Optional[Tuple[int, int]]]:
+    """Test that a homomorphism M(r), given as expressions in r > 0, takes
+    values in N(G): its defining product (see the module docstring) must
+    be c(r) I.  Returns (c, None), c = the product's simplified (0, 0)
+    entry, or (None, (i, j)) for the first entry that differs from c I.
+    GL is its own normalizer, with c = 1."""
+    if G.family == "gl":
+        return ex.ONE, None
+    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
     if G.family == "o":
-        return symmat.mat_mul(symmat.transpose(M), M)
-    J = symmat.mat(std_J(G.param))
-    if G.family == "sp":
-        return symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(symmat.transpose(J),
-                                                            symmat.transpose(M)), J), M)
-    if G.family == "glc":
-        Minv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
-                for row in M]
-        # J^{-1} = -J
-        return symmat.mat_mul(symmat.mat_mul(symmat.mat_scale(J, ex.rat(-1)), Minv),
-                              symmat.mat_mul(J, M))
-    raise ValueError("GL is its own normalizer; no defining product")
-
-
-def scalar_mismatch(P: List[List[ex.Expr]], c: ex.Expr,
-                    policy: ZeroTestPolicy) -> Optional[Tuple[int, int]]:
-    """The first entry (i, j) at which P differs from c I, or None."""
+        P = symmat.mat_mul(symmat.transpose(M), M)
+    else:
+        J = symmat.mat(std_J(G.param))
+        Jt = symmat.transpose(J)      # = J^{-1}
+        P = (symmat.mat_mul(symmat.mat_mul(symmat.mat_mul(Jt, symmat.transpose(M)), J), M)
+             if G.family == "sp" else
+             symmat.mat_mul(symmat.mat_mul(Jt, _at_inverse(M)), symmat.mat_mul(J, M)))
+    c = ex.simplify(P[0][0], pol.constraints)
     n = len(P)
     ok, bad = all_zero((((i, j), ex.sub(P[i][j], c if i == j else ex.ZERO))
-                        for i in range(n) for j in range(n)), policy)
-    return None if ok else bad[0]
+                        for i in range(n) for j in range(n)), pol)
+    return (c, None) if ok else (None, bad[0])
 
 
 def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
@@ -400,35 +383,25 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
     """A1 = A2 mod G: A1(r) A2(r)^{-1} in G for symbolic r > 0 and at r = -1.
 
     Preconditions: both homs take values in N(G), checked exactly at
-    r in {2, -1, 1/3} where the spectral form evaluates exactly, and
-    symbolically through the defining product."""
+    r in {2, -1, 1/3} where they evaluate to rationals, and symbolically
+    through quotient_symbolic."""
     if A1.size != A2.size or A1.size != G.size:
         raise ValueError("size mismatch")
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    for A in (A1, A2):
+    M1, M2 = map(hom_eval_symbolic, (A1, A2))
+    for A, M in ((A1, M1), (A2, M2)):
         for q in (Fraction(2), Fraction(-1), Fraction(1, 3)):
             try:
-                M = _qhom_eval(A, q)
+                value = hom_eval(A, q)
             except rm.UnsupportedMatrixError:
                 continue
-            if not in_normalizer(G, M):
+            if not in_normalizer(G, value):
                 raise NotInNormalizerError(
                     f"hom value at r={q} is not in N({G})")
-        # the defining product of A(r) must be a scalar matrix
-        M = hom_eval_symbolic(A)
-        if G.family == "gl":
-            normal = not is_zero(symmat.det(M), pol)
-        else:
-            P = defining_product_symbolic(G, M)
-            normal = scalar_mismatch(P, P[0][0], pol) is None
-        if not normal:
+        if quotient_symbolic(G, M, pol)[1] is not None:
             raise NotInNormalizerError(
                 f"hom does not take values in N({G}) for symbolic r > 0")
-    # A2(r)^{-1} = A2(1/r) since A2 is a homomorphism
-    M1 = hom_eval_symbolic(A1)
-    M2inv = [[ex.subs(v, {"r": ex.pw(ex.var("r"), Fraction(-1))}) for v in row]
-             for row in hom_eval_symbolic(A2)]
-    if not member_symbolic(G, symmat.mat_mul(M1, M2inv), pol):
+    if not member_symbolic(G, symmat.mat_mul(M1, _at_inverse(M2)), pol):
         return False
     # reflection: exact rational check at r = -1, where each hom is its C
     # and C^-1 = C

@@ -127,12 +127,6 @@ class LineBundleScenario:
     def reflection(self) -> SmoothMap:
         return self.h_at(-1)
 
-    def section(self, value: ex.Expr) -> SmoothMap:
-        """Section U -> total chart, x -> (x, value(x)) with value nowhere zero."""
-        self.base.check_owns(value)
-        comps = tuple(ex.var(c) for c in self.base.coords) + (value,)
-        return SmoothMap(self.base, self.total, comps)
-
     def policy_for(self, policy: ZeroTestPolicy, with_params=("r",)) -> ZeroTestPolicy:
         extra = list(self.total.constraints)
         for p in with_params:

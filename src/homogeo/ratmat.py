@@ -6,8 +6,10 @@ integers only.  gcds are taken where a matrix enters the form (`qmat`, one
 lcm of the denominators) and where a Fraction leaves it (`to_mat`, `qdet`,
 `qscalar`), never per multiply-add.  A Fraction matrix (`Mat`, a tuple of
 tuples of Fraction) is only an input or an output.  Polynomials are
-coefficient tuples in increasing degree over Fraction.  Everything here is
-exactly decidable; no tolerances are involved.
+coefficient tuples in increasing degree over Fraction; `char_poly` and
+`rational_eigenvalues` give the eigenvalues that `groups.hom_matrix`
+evaluates degree homomorphisms from.  Everything here is exactly
+decidable; no tolerances are involved.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ Mat = Tuple[Tuple[Fraction, ...], ...]
 Poly = Tuple[Fraction, ...]
 
 __all__ = ["rmat", "rident", "char_poly", "rational_eigenvalues",
-           "spectral_projectors", "UnsupportedMatrixError", "nullspace",
+           "UnsupportedMatrixError", "nullspace",
            "iroot", "rroot", "QMat", "qmat", "to_mat", "qmul", "qsum",
            "qtranspose", "qeq", "qscalar", "qsolve", "qdet"]
 
@@ -213,7 +215,7 @@ def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (for the one-parameter subgroup evaluation)
+# polynomials over Q (for the eigenvalues of a degree homomorphism)
 
 def _ptrim(p: Sequence[Fraction]) -> Poly:
     p = list(p)
@@ -310,35 +312,3 @@ def rational_eigenvalues(a: QMat) -> List[Tuple[Fraction, int]]:
             "characteristic polynomial does not split over the rationals")
     return sorted(roots)
 
-
-def spectral_projectors(a: QMat):
-    """For a matrix whose char poly splits over Q: eigenvalues lam_i with
-    multiplicities m_i, projectors P_i onto generalized eigenspaces, and the
-    nilpotent part N = A - sum lam_i P_i, all as QMats.  Exact
-    Jordan-Chevalley data.
-
-    With bases of the generalized eigenspaces ker (A - lam_i I)^m_i as the
-    columns of V, P_i is V times the rows of V^-1 that belong to block i."""
-    eigs = rational_eigenvalues(a)
-    n = len(a.rows)
-    bases = []
-    for lam, m in eigs:
-        # A - lam I times lam.denominator * a.den: the scale keeps the kernel
-        shifted = QMat([[lam.denominator * v - lam.numerator * a.den * (i == j)
-                         for j, v in enumerate(row)]
-                        for i, row in enumerate(a.rows)], 1)
-        bases.append(nullspace(qmul(shifted, *[shifted] * (m - 1)).rows))
-    V = qtranspose(qmat([v for basis in bases for v in basis]))
-    Vinv = qsolve(V, qmat(rident(n)))
-    projectors = []
-    start = 0
-    for basis in bases:
-        stop = start + len(basis)
-        projectors.append(qmul(QMat([row[start:stop] for row in V.rows], V.den),
-                               QMat(Vinv.rows[start:stop], Vinv.den)))
-        start = stop
-    nil = qsum([(1, a)] + [(-lam, P) for (lam, _), P in zip(eigs, projectors)])
-    # sanity: nil must be nilpotent, N^n = 0
-    if any(map(any, qmul(nil, *[nil] * (n - 1)).rows)):
-        raise UnsupportedMatrixError("nilpotent part check failed")
-    return eigs, projectors, nil

@@ -453,6 +453,10 @@ def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     from . import frames as fr
     from .groups import GroupId
     frame = _frame_from(data)
+    G = GroupId(**data["objects"]["group"]) if "group" in data["objects"] else None
+    if G is not None and G.size != len(frame.components):
+        raise SchemaError(f"objects.group: {G} has size {G.size}, but the frame "
+                          f"has {len(frame.components)} fields")
     tr = fr.transition(frame, policy)
     want_hom = data["expect"].get("homogeneous", True)
     checks.append(_check("homogeneous", tr.homogeneous == want_hom,
@@ -467,8 +471,7 @@ def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
             "A(r) = [" + "; ".join(
                 ", ".join(ex.to_dsl(v) for v in row) for row in tr.matrix_sym)
             + "]"))
-        if "group" in data["objects"]:
-            G = GroupId(**data["objects"]["group"])
+        if G is not None:
             rep = fr.degree_coset(tr, G, policy)
             checks.append(_check(
                 "degree coset", rep.in_normalizer,

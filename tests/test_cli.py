@@ -373,6 +373,48 @@ def test_suite_deterministic_reports(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_suite_with_a_failing_scenario_exits_1(tmp_path, capsys):
+    with open(os.path.join(SCENARIOS, "frame_euler.json")) as fh:
+        data = json.load(fh)
+    data["expect"]["homogeneous"] = False
+    (tmp_path / "frame_euler.json").write_text(json.dumps(data))
+    code, out, err = run_cli(["suite", str(tmp_path)], capsys)
+    assert code == 1 and err == ""
+    assert "expected False, computed True" in out
+    assert out.endswith("suite: 1 scenarios, 4 pass, 2 fail, 0 FALSIFICATION, "
+                        "0 input errors\n")
+
+
+def test_suite_on_a_missing_directory_is_input_error(tmp_path, capsys):
+    code, out, err = run_cli(["suite", str(tmp_path / "missing")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_samples_option_reaches_the_report(capsys):
+    code, out, _ = run_cli(["run", os.path.join(SCENARIOS, "frame_euler.json"),
+                            "--samples", "5", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["policy"]["samples"] == 5
+
+
+@pytest.mark.parametrize("family, param, size", [
+    ("sp", 2, 4), ("glc", 2, 4), ("o", 3, 3), ("gl", 3, 3), ("o", 1, 1)])
+def test_frame_group_of_another_size_is_input_error(tmp_path, capsys, family,
+                                                    param, size):
+    # a group of another size than the frame once ended in an internal
+    # error (AssertionError, or a row-length ValueError) or, for GL, passed
+    with open(os.path.join(SCENARIOS, "frame_euler.json")) as fh:
+        data = json.load(fh)
+    data["objects"]["group"] = {"family": family, "param": param}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: objects.group: ")
+    assert f"has size {size}, but the frame has 2 fields" in err
+
+
 def test_load_scenario_rejects_bad_kind(tmp_path):
     p = tmp_path / "k.json"
     p.write_text('{"name": "x", "kind": "nope"}')

@@ -259,6 +259,45 @@ def test_constraints_respected_in_sampling():
     assert rep.is_zero  # |mu| = mu on the positive branch
 
 
+_SAMPLED_DOMAINS = {
+    "x < -1": ((ex.Constraint("x", "<", -1),), lambda x: x < -1, None),
+    "x != 0": ((ex.Constraint("x", "!=", 0),), lambda x: x != 0, Fraction(0)),
+    "0 < x < 1, x != 1/2": ((ex.Constraint("x", ">", 0), ex.Constraint("x", "<", 1),
+                             ex.Constraint("x", "!=", Fraction(1, 2))),
+                            lambda x: 0 < x < 1 and x != Fraction(1, 2), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("domain", list(_SAMPLED_DOMAINS))
+def test_sampled_points_satisfy_constraints(domain):
+    # an upper bound alone, and a value excluded by != that the draws hit
+    # and draw again
+    constraints, holds, excluded = _SAMPLED_DOMAINS[domain]
+
+    def stream(seed, cons=constraints):
+        return list(itertools.islice(zt._points(["x"], cons, seed), 200))
+
+    points = stream(7)
+    assert all(holds(pt["x"]) for pt in points)
+    assert points == stream(7) and points != stream(8)
+    if excluded is not None:
+        bounds = tuple(c for c in constraints if c.op != "!=")
+        assert {"x": excluded} in stream(7, bounds)
+    pol = ZeroTestPolicy(sample_count=50, seed=7, constraints=constraints)
+    values = list(zt.sample_values([ex.var("x")], ["x"], pol, 0))
+    assert values == [(pt, [pt["x"]]) for pt in points[:50]]
+
+
+def test_float_witness_lies_in_an_upper_bounded_domain():
+    x = ex.var("x")
+    pol = ZeroTestPolicy(constraints=(ex.Constraint("x", "<", -1),))
+    rep = zero_report(ex.sub(ex.exp_(x), ex.ONE), pol)
+    assert not rep.is_zero and not rep.exact
+    assert rep.witness["x"] < -1
+    assert rep.witness_value == pytest.approx(math.exp(rep.witness["x"]) - 1, rel=1e-12)
+    assert rep == zero_report(ex.sub(ex.exp_(x), ex.ONE), pol)
+
+
 def test_unsatisfiable_constraints():
     pol = ZeroTestPolicy(constraints=(ex.Constraint("x", ">", 1),
                                       ex.Constraint("x", "<", 0)))
@@ -1107,6 +1146,27 @@ def test_simplify_branch_resolution():
     both = cons + (ex.Constraint("r", ">", 0),)
     assert ex.simplify(ex.sqrt_(ex.mul(r, mu)), both) is \
         ex.mul(ex.sqrt_(r), ex.sqrt_(mu))
+
+
+@pytest.mark.parametrize("build, text, sympy_text, point", [
+    (lambda x: ex.exp_(ex.log_(x)), "x", "exp(log(x))", Fraction(5, 2)),
+    (lambda x: ex.log_(ex.exp_(x)), "x", "log(exp(x))", Fraction(-3, 2)),
+    (lambda x: ex.cos_(ex.ZERO), "1", "cos(0)", Fraction(-3, 2)),
+    (lambda x: ex.diff(ex.sign_(x), "x", (ex.Constraint("x", ">", 0),)), "0",
+     "diff(sign(x), x)", Fraction(5, 2)),
+    (lambda x: ex.simplify(ex.abs_(x), (ex.Constraint("x", "<", 0),)), "-x",
+     "Abs(x)", Fraction(-3, 2)),
+    (lambda x: ex.simplify(ex.log_(ex.pw(x, 3)), (ex.Constraint("x", ">", 0),)),
+     "3*log(x)", "log(x**3)", Fraction(5, 2)),
+], ids=["exp-log", "log-exp", "cos-0", "diff-sign", "simplify-abs", "log-power"])
+def test_kernel_rules_fold_to_sympy_values(build, text, sympy_text, point):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x", real=True)
+    got = build(ex.var("x"))
+    assert ex.to_dsl(got) == text
+    want = sympy.sympify(sympy_text, locals={"x": X}).subs(
+        X, sympy.Rational(point.numerator, point.denominator))
+    assert float_value(got, {"x": point}) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_sign_of_sum_of_squares():

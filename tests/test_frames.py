@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from homogeo.frames import (Frame, NotHomogeneousError, chart_frame,
                             build_frame, degree_coset, frame_from_matrix,
                             frames_G_equivalent, homomorphism_law_holds,
                             is_homogeneous_chart, transition)
-from homogeo.groups import (GL, O, SP, contact_lift, rand_element,
+from homogeo.groups import (GL, GLC, O, SP, contact_lift, rand_element,
                             sqrt_abs_lift, trivial_hom)
 from homogeo.linebundle import LineBundleScenario
 from homogeo.metric import DegeneracyError
@@ -197,6 +198,13 @@ def test_right_translation_preserves_coset():
     assert frames_G_equivalent(f, f2, SP(2))
 
 
+def test_degree_coset_rejects_a_group_of_another_size():
+    tr = transition(Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "mu"]))))
+    for G in (SP(2), GL(3), O(1)):
+        with pytest.raises(ValueError, match=re.escape(f"does not match {G} ")):
+            degree_coset(tr, G)
+
+
 # -- G-equivalence ---------------------------------------------------------------
 
 def test_frames_equivalent_constant_translation():
@@ -209,6 +217,16 @@ def test_frames_not_equivalent_outside_group():
     f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "mu"])))
     stretch = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
     assert not frames_G_equivalent(f, f.translate(stretch), O(2))
+
+
+def test_frames_equivalent_in_glc():
+    # GL_1(C) is the commutant of J = ((0, 1), (-1, 0)): rows (a, b), (-b, a)
+    f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "mu"])))
+    x = SCN1.total.var("x")
+    rotation = ((ex.ONE, ex.neg(x)), (x, ex.ONE))
+    assert frames_G_equivalent(f, f.translate(rotation), GLC(1))
+    shear = ((ex.ONE, x), (x, ex.ONE))
+    assert not frames_G_equivalent(f, f.translate(shear), GLC(1))
 
 
 def test_two_darboux_charts_sp_equivalent():

@@ -281,20 +281,6 @@ def test_coset_eq_rejects_non_normalizer():
         coset_eq(O(2), bad, sqrt_abs_lift(2))
 
 
-def test_spectral_projectors_reconstruct():
-    rng = random.Random(44)
-    # diagonalizable over Q: conjugated diagonal matrix
-    D = ((Fraction(2), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(-1, 2)))
-    P = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    qP = rm.qmat(rm.rmat(P))
-    M = rm.qmul(qP, rm.qmat(rm.rmat(D)), rm.qsolve(qP, rm.qmat(rm.rident(3))))
-    eigs, projs, nil = rm.spectral_projectors(M)
-    assert [e for e, _ in eigs] == [Fraction(-1, 2), Fraction(2)]
-    assert not any(map(any, nil.rows))
-    back = rm.qsum((lam, proj) for (lam, _), proj in zip(eigs, projs))
-    assert rm.qeq(back, M)
-
-
 def test_char_poly_does_not_split():
     rot = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
     with pytest.raises(rm.UnsupportedMatrixError):

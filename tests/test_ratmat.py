@@ -15,6 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homogeo import ratmat as rm
+from homogeo.groups import DegreeHom, hom_eval, hom_eval_symbolic
+
+from conftest import float_value
 
 
 def _oracle_mul(a, b):
@@ -330,17 +333,37 @@ def test_spectral_path_matches_sympy(kind, n, seed):
     eigs = rm.rational_eigenvalues(A)
     assert eigs == sorted((Fraction(int(v.p), int(v.q)), m)
                           for v, m in eigenvals.items())
-    got, projectors, nil = rm.spectral_projectors(A)
-    assert got == eigs
-    P = [sympy.Matrix(rm.to_mat(proj)) for proj in projectors]
-    N = sympy.Matrix(rm.to_mat(nil))
-    assert sum((lam * Pi for (lam, _), Pi in zip(eigs, P)), N) == S
-    for i, Pi in enumerate(P):
-        assert Pi.trace() == eigs[i][1]
-        for j, Pj in enumerate(P):
-            assert Pi * Pj == (Pi if i == j else sympy.zeros(n, n))
-    assert N ** n == sympy.zeros(n, n)
-    assert (N == sympy.zeros(n, n)) == (kind == "semisimple")
+
+
+@pytest.mark.parametrize("kind, n", [("semisimple", n) for n in range(1, 6)]
+                         + [("jordan", n) for n in range(2, 6)])
+@pytest.mark.parametrize("seed", range(4))
+def test_hom_evaluation_matches_oracles(kind, n, seed):
+    """The degree homomorphism with B = the case's matrix and C = -I:
+    hom_eval_symbolic against mpmath's expm(B log r) at r in {5/2, 1/3},
+    and exact hom_eval against sympy's P diag(|q|^lam) P^-1 times sign(q)
+    at q in {64, -1/64}.  A Jordan block puts log|q| into A(q), so
+    hom_eval refuses it."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    S = _spectral_case(kind, n, seed)
+    A = DegreeHom(_fractions(S), tuple(tuple(-v for v in row) for row in rm.rident(n)))
+    M = hom_eval_symbolic(A)
+    for r in (Fraction(5, 2), Fraction(1, 3)):
+        want = mpmath.expm(mpmath.matrix(S.evalf().tolist())
+                           * mpmath.log(mpmath.mpf(r.numerator) / r.denominator))
+        err = max(abs(float_value(M[i][j], {"r": r}) - want[i, j])
+                  for i in range(n) for j in range(n))
+        assert err <= 1e-12 * max(abs(v) for v in want)
+    for q in (Fraction(64), Fraction(-1, 64)):
+        if kind == "jordan":
+            with pytest.raises(rm.UnsupportedMatrixError):
+                hom_eval(A, q)
+            continue
+        P, D = S.diagonalize()
+        scale = sympy.Rational(abs(q.numerator), q.denominator)
+        want = P * sympy.diag(*[scale ** D[i, i] for i in range(n)]) * P.inv()
+        assert hom_eval(A, q) == _fractions(want * (1 if q > 0 else -1))
 
 
 def test_every_public_name_has_a_caller_in_the_package():
