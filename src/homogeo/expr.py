@@ -9,6 +9,14 @@ resulting node, so structurally equal expressions are the *same* object.
 Heavy canonical simplification is intentionally absent; identity checking
 is the zero test's job (see zerotest.py).
 
+Constants fold without Fraction arithmetic.  A Rat, Sum or Prod keeps its
+rational part (`value`, `const`, `coeff`) twice: as a Fraction, one
+object per value, made when the node is interned, for every reader; and
+as the reduced numerator/denominator ints `n`/`d` (d > 0), which `add`,
+`mul` and `neg` fold.  A ZERO argument ends `mul` before any collecting;
+`neg` negates the constant, the coefficient or each term's coefficient
+directly.  The intern keys and the structural hash hold the same ints.
+
 Because a node is immutable and stays interned for the life of the
 process, `simplify`, `diff` and the sign walker `_sign_class` keep their
 results on the node itself (the `cache` slot), keyed by the constraints
@@ -17,9 +25,6 @@ lookup, not a walk.  An exception such as DomainError is never cached.
 The printer keeps the text of every subexpression it prints in the same
 slot, so `to_dsl` prints each node once per process; only the root's
 text, the largest and rarely printed again, is not kept.
-
-The intern keys hold a coefficient or exponent as its numerator and
-denominator ints, not as a Fraction, which keeps hashing them cheap.
 
 One walker reads signs: `_sign_class`, the sign class ("+", "-", "0",
 "0+", "0-" or unknown) under domain constraints.  `sign_of` asks it under
@@ -31,9 +36,9 @@ fractional q when b is "+".
 The walkers are `subs`, `diff`, `simplify`, the printer and
 `_sign_class`.  They are recursive (`_sign_class` one Python frame per
 nesting level).  Under Python's default recursion limit of 1000,
-`to_dsl` (and so every sampled zero test) handled 497 nested function
+`to_dsl` (and so every sampled zero test) handles 497 nested function
 heads or 284 nested alternating sums and products, `simplify`, `diff`
-and `subs` about 990 heads and 494 to 660 sums and products, and
+and `subs` 992 heads and 496 to 662 sums and products, and
 `_sign_class` 986 heads and 986 sums and products (Python 3.11.7);
 deeper expressions built in code raise RecursionError.
 """
@@ -58,15 +63,12 @@ __all__ = [
 
 Rational = Union[int, Fraction]
 
-_FUN_NAMES = ("exp", "log", "abs", "sign", "sin", "cos")
-
 _MASK = (1 << 64) - 1
 
 # `pw` refuses to raise a constant to a power with more bits than this
 MAX_CONSTANT_BITS = 1 << 20
 
-# shared coefficients for the constructors' accumulators
-_F0 = Fraction(0)
+# the exponent of a factor that is not a power
 _F1 = Fraction(1)
 
 
@@ -141,11 +143,11 @@ class Expr:
         return to_dsl(self)
 
     def is_zero_literal(self) -> bool:
-        return isinstance(self, Rat) and self.value == 0
+        return self is ZERO
 
 
 class Rat(Expr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "n", "d")
 
 
 class Var(Expr):
@@ -155,13 +157,13 @@ class Var(Expr):
 class Sum(Expr):
     """const + term1 + term2 + ...; terms are not Rat/Sum and have distinct cores."""
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("const", "terms", "n", "d")
 
 
 class Prod(Expr):
     """coeff * factor1 * ...; factors are not Rat/Prod, bases pairwise distinct."""
 
-    __slots__ = ("coeff", "factors")
+    __slots__ = ("coeff", "factors", "n", "d")
 
 
 class Pow(Expr):
@@ -192,13 +194,18 @@ def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool) -> Exp
 def rat(q: Rational) -> Rat:
     if type(q) is not Fraction:
         q = Fraction(q)
-    n, d = q.numerator, q.denominator
+    return _rat(q.numerator, q.denominator)
+
+
+def _rat(n: int, d: int) -> Rat:
+    """The constant n/d, for a reduced pair with d > 0."""
     key = ("R", n, d)
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Rat.__new__(Rat)
-    node.value = q
+    node.value = Fraction(n, d)
+    node.n, node.d = n, d
     return _finish(node, key, _fnv((1, n, d)), frozenset(), True)
 
 
@@ -212,26 +219,23 @@ def var(name: str) -> Var:
     return _finish(node, key, _fnv((2, _strhash(name))), frozenset((name,)), True)
 
 
-ZERO = rat(_F0)
-ONE = rat(_F1)
+ZERO = _rat(0, 1)
+ONE = _rat(1, 1)
 
 
-def _qadd(a: Fraction, b: Fraction) -> Fraction:
-    """a + b, with no new Fraction when either term is the shared 0."""
-    if a is _F0:
-        return b
-    if b is _F0:
-        return a
-    return a + b
+def _reduced(n: int, d: int) -> tuple:
+    """n/d in lowest terms, for d > 0."""
+    if d == 1:
+        return n, 1
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def _qmul(a: Fraction, b: Fraction) -> Fraction:
-    """a * b, with no new Fraction when either factor is the shared 1."""
-    if a is _F1:
-        return b
-    if b is _F1:
-        return a
-    return a * b
+def _qadd(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """an/ad + bn/bd as a reduced pair."""
+    if ad == bd == 1:
+        return an + bn, 1
+    return _reduced(an * bd + bn * ad, ad * bd)
 
 
 def _coerce(x) -> Expr:
@@ -242,38 +246,22 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
-def _term_core(t: Expr):
-    """Split a summand into (rational coefficient, coefficient-free core)."""
-    if isinstance(t, Prod):
-        if t.coeff == 1:
-            return _F1, t
-        return t.coeff, _make_prod(_F1, t.factors)
-    return _F1, t
-
-
-def _factor_base(f: Expr):
-    """Split a product factor into (base, rational exponent)."""
-    if isinstance(f, Pow):
-        return f.base, f.exponent
-    return f, _F1
-
-
 def _sorted_nodes(nodes):
     return tuple(sorted(nodes, key=lambda n: n.shash))
 
 
-def _make_sum(const: Fraction, terms: tuple) -> Expr:
+def _make_sum(n: int, d: int, terms: tuple) -> Expr:
     if not terms:
-        return rat(const)
-    if const == 0 and len(terms) == 1:
+        return _rat(n, d)
+    if n == 0 and len(terms) == 1:
         return terms[0]
-    n, d = const.numerator, const.denominator
-    key = ("S", n, d, *[id(t) for t in terms])
+    key = ("S", n, d, *map(id, terms))
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Sum.__new__(Sum)
-    node.const = const
+    node.const = _rat(n, d).value   # one Fraction per value
+    node.n, node.d = n, d
     node.terms = terms
     shash = _fnv((3, n, d, *(t.shash for t in terms)))
     free = frozenset().union(*(t.free for t in terms))
@@ -282,48 +270,53 @@ def _make_sum(const: Fraction, terms: tuple) -> Expr:
 
 
 def add(*xs) -> Expr:
-    const = _F0
-    acc: dict = {}   # core -> coeff (insertion ordered)
+    n, d = 0, 1
+    acc: dict = {}   # coefficient-free core -> coefficient pair, in order
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Rat):
-            const = _qadd(const, x.value)
-        elif isinstance(x, Sum):
-            const = _qadd(const, x.const)
-            for t in x.terms:
-                c, core = _term_core(t)
-                acc[core] = _qadd(acc.get(core, _F0), c)
-        else:
-            c, core = _term_core(x)
-            acc[core] = _qadd(acc.get(core, _F0), c)
-    terms = []
-    for core, c in acc.items():
-        if c == 0:
+            if x.n:
+                n, d = _qadd(n, d, x.n, x.d)
             continue
-        terms.append(core if c == 1 else _scale(core, c))
-    return _make_sum(const, _sorted_nodes(terms))
+        if isinstance(x, Sum):
+            n, d = _qadd(n, d, x.n, x.d)
+            ts = x.terms
+        else:
+            ts = (x,)
+        for t in ts:
+            c = (1, 1)
+            if isinstance(t, Prod) and t.n != t.d:
+                c, t = (t.n, t.d), _make_prod(1, 1, t.factors)
+            old = acc.get(t)
+            acc[t] = c if old is None else _qadd(*old, *c)
+    terms = [core if cn == cd else
+             _make_prod(cn, cd, core.factors if isinstance(core, Prod) else (core,))
+             for core, (cn, cd) in acc.items() if cn]
+    return _make_sum(n, d, _sorted_nodes(terms))
 
 
-def _scale(core: Expr, c: Fraction) -> Expr:
-    if isinstance(core, Prod):
-        return _make_prod(_qmul(c, core.coeff), core.factors)
-    return _make_prod(c, (core,))
+def _scale_sum(s: Sum, n: int, d: int) -> Expr:
+    """n/d times the sum s, distributed over its constant and terms, so that
+    negated or scaled sums cancel structurally."""
+    terms = [_make_prod(*_reduced(t.n * n, t.d * d), t.factors) if isinstance(t, Prod)
+             else _make_prod(n, d, (t,)) for t in s.terms]
+    return _make_sum(*_reduced(s.n * n, s.d * d), _sorted_nodes(terms))
 
 
-def _make_prod(coeff: Fraction, factors: tuple) -> Expr:
-    if coeff == 0:
+def _make_prod(n: int, d: int, factors: tuple) -> Expr:
+    if n == 0:
         return ZERO
     if not factors:
-        return rat(coeff)
-    if len(factors) == 1 and coeff == 1:
+        return _rat(n, d)
+    if len(factors) == 1 and n == d:
         return factors[0]
-    n, d = coeff.numerator, coeff.denominator
-    key = ("P", n, d, *[id(f) for f in factors])
+    key = ("P", n, d, *map(id, factors))
     hit = _INTERN.get(key)
     if hit is not None:
         return hit
     node = Prod.__new__(Prod)
-    node.coeff = coeff
+    node.coeff = _rat(n, d).value
+    node.n, node.d = n, d
     node.factors = factors
     shash = _fnv((4, n, d, *(f.shash for f in factors)))
     free = frozenset().union(*(f.free for f in factors))
@@ -331,52 +324,56 @@ def _make_prod(coeff: Fraction, factors: tuple) -> Expr:
     return _finish(node, key, shash, free, rational)
 
 
-def _collect(xs, coeff: Fraction, acc: dict) -> Fraction:
-    """Multiply the rational parts of `xs` into `coeff`, which is returned,
-    and add the exponent of each other base into `acc` (base -> exponent).
-    No base is a Rat with an integer exponent: `pw` folds those."""
+def _collect(xs, n: int, d: int, acc: dict) -> tuple:
+    """Multiply the rational parts of `xs` into n/d, returned unreduced, and
+    add the exponent of each other base into `acc` (base -> exponent).  No
+    base is a Rat with an integer exponent: `pw` folds those."""
     for x in xs:
         if isinstance(x, Rat):
-            coeff = _qmul(coeff, x.value)
+            n, d = n * x.n, d * x.d
             continue
         if isinstance(x, Prod):
-            coeff = _qmul(coeff, x.coeff)
+            n, d = n * x.n, d * x.d
             fs = x.factors
         else:
             fs = (x,)
         for f in fs:
-            b, q = _factor_base(f)
-            acc[b] = _qadd(acc.get(b, _F0), q)
-    return coeff
+            b, q = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
+            e = acc.get(b)
+            acc[b] = q if e is None else e + q
+    return n, d
 
 
 def mul(*xs) -> Expr:
-    acc: dict = {}
-    coeff = _collect(map(_coerce, xs), _F1, acc)
-    if coeff == 0:
+    if ZERO in xs:
         return ZERO
-    factors = [pw(b, q) for b, q in acc.items() if q != 0]
+    acc: dict = {}
+    n, d = _collect(map(_coerce, xs), 1, 1, acc)
+    if n == 0:
+        return ZERO
+    factors = [pw(b, q) for b, q in acc.items() if q]
     # pw may have folded to Rat or nested products; re-collect once if so
     if any(isinstance(f, (Rat, Prod)) for f in factors):
         acc = {}
-        coeff = _collect(factors, coeff, acc)
-        factors = [pw(b, q) for b, q in acc.items() if q != 0]
-        if coeff == 0:
+        n, d = _collect(factors, n, d, acc)
+        factors = [pw(b, q) for b, q in acc.items() if q]
+        if n == 0:
             return ZERO
-    if len(factors) == 1 and coeff != 1 and isinstance(factors[0], Sum):
-        # distribute rational coefficients over sums so that negated or
-        # scaled sums cancel structurally
-        s = factors[0]
-        parts = [rat(coeff * s.const)]
-        for t in s.terms:
-            c0, core = _term_core(t)
-            parts.append(_scale(core, coeff * c0))
-        return add(*parts)
-    return _make_prod(coeff, _sorted_nodes(factors))
+    n, d = _reduced(n, d)
+    if len(factors) == 1 and n != d and isinstance(factors[0], Sum):
+        return _scale_sum(factors[0], n, d)
+    return _make_prod(n, d, _sorted_nodes(factors))
 
 
 def neg(x) -> Expr:
-    return mul(rat(-1), _coerce(x))
+    x = _coerce(x)
+    if isinstance(x, Rat):
+        return _rat(-x.n, x.d)
+    if isinstance(x, Prod):
+        return _make_prod(-x.n, x.d, x.factors)
+    if isinstance(x, Sum):
+        return _scale_sum(x, -1, 1)
+    return _make_prod(-1, 1, (x,))
 
 
 def sub(a, b) -> Expr:
@@ -399,28 +396,28 @@ def pw(base, q: Rational) -> Expr:
     base = _coerce(base)
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q == 0:
+    n, d = q.numerator, q.denominator
+    if n == 0:
         return ONE
-    if q == 1:
+    if n == d:
         return base
     if isinstance(base, Rat):
         v = base.value
-        if q.denominator == 1:
-            if v == 0 and q < 0:
+        if d == 1:
+            if v == 0 and n < 0:
                 raise ZeroDivisionError("0 raised to a negative power")
-            return rat(_qpow(v, q.numerator))
+            return rat(_qpow(v, n))
         if v == 0:
             return ZERO  # q > 0 here since q != 0 and 0**neg raised above
         if v > 0:
-            root = rroot(v, q.denominator)
+            root = rroot(v, d)
             if root is not None:
-                return rat(_qpow(root, q.numerator))
+                return rat(_qpow(root, n))
     if isinstance(base, Pow):
-        if q.denominator == 1 or _sign_class(base.base, ()) == "+":
+        if d == 1 or _sign_class(base.base, ()) == "+":
             return pw(base.base, base.exponent * q)
-    if isinstance(base, Prod) and q.denominator == 1:
-        return mul(rat(_qpow(base.coeff, q.numerator)), *[pw(f, q) for f in base.factors])
-    n, d = q.numerator, q.denominator
+    if isinstance(base, Prod) and d == 1:
+        return mul(rat(_qpow(base.coeff, n)), *[pw(f, q) for f in base.factors])
     key = ("W", id(base), n, d)
     hit = _INTERN.get(key)
     if hit is not None:
@@ -446,10 +443,10 @@ def _make_fun(name: str, arg: Expr) -> Expr:
 
 def _negated(x: Expr) -> Optional[Expr]:
     """If x is syntactically -(y) with a negative rational coefficient, return y."""
-    if isinstance(x, Rat) and x.value < 0:
-        return rat(-x.value)
-    if isinstance(x, Prod) and x.coeff < 0:
-        return _make_prod(-x.coeff, x.factors)
+    if isinstance(x, Rat) and x.n < 0:
+        return _rat(-x.n, x.d)
+    if isinstance(x, Prod) and x.n < 0:
+        return _make_prod(-x.n, x.d, x.factors)
     return None
 
 
@@ -610,9 +607,9 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         if isinstance(x, Var):
             out = mapping.get(x.name, x)
         elif isinstance(x, Sum):
-            out = add(rat(x.const), *[rec(t) for t in x.terms])
+            out = add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
         elif isinstance(x, Prod):
-            out = mul(rat(x.coeff), *[rec(f) for f in x.factors])
+            out = mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
         elif isinstance(x, Pow):
             out = pw(rec(x.base), x.exponent)
         else:
@@ -664,7 +661,7 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
                 dfi = rec(f)
                 if dfi.is_zero_literal():
                     continue
-                parts.append(mul(rat(x.coeff), dfi, *[g for j, g in enumerate(facs) if j != i]))
+                parts.append(mul(_rat(x.n, x.d), dfi, *[g for j, g in enumerate(facs) if j != i]))
             out = add(*parts) if parts else ZERO
         elif isinstance(x, Pow):
             out = mul(rat(x.exponent), pw(x.base, x.exponent - 1), rec(x.base))
@@ -715,9 +712,9 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
             if hit is not None:
                 return hit
         if isinstance(x, Sum):
-            out = add(rat(x.const), *[rec(t) for t in x.terms])
+            out = add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
         elif isinstance(x, Prod):
-            out = mul(rat(x.coeff), *[rec(f) for f in x.factors])
+            out = mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
         elif isinstance(x, Pow):
             base = rec(x.base)
             if x.exponent.denominator != 1 and isinstance(base, Prod):
@@ -813,7 +810,7 @@ def _print(e: Expr) -> tuple:
     if isinstance(e, Prod):
         num, den = [], []
         for f in e.factors:
-            b, q = _factor_base(f)
+            b, q = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
             (den if q < 0 else num).append(pw(b, abs(q)))
         c = e.coeff
         lead = ""

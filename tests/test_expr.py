@@ -1208,6 +1208,95 @@ def test_intern_keys_by_value():
     assert s is not p
 
 
+# -- constant folding in the constructors --------------------------------------
+
+def _subexpressions(e):
+    """Every node reachable from e, each once."""
+    stack, seen = [e], {}
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            stack += _children(x)
+    return list(seen.values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(RATIONAL_DSL, FUNCTION_DSL))
+def test_constructor_identities(text):
+    """`neg` gives the node `mul` by -1 gives, a zero factor gives ZERO, and
+    every rational part is a Fraction equal to the int pair the
+    constructors fold, on every subexpression."""
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return      # a literal division by zero, or sign(0)
+    for x in _subexpressions(e):
+        minus = ex.neg(x)
+        assert minus is ex.mul(ex.rat(-1), x)
+        assert ex.neg(minus) is x
+        assert ex.sub(x, x) is ex.ZERO
+        assert ex.mul(ex.ZERO, x) is ex.ZERO and ex.mul(x, ex.ZERO) is ex.ZERO
+        assert ex.add(x, ex.ZERO) is x
+    for x in _subexpressions(e) + _subexpressions(ex.neg(e)):
+        part = {ex.Rat: "value", ex.Sum: "const", ex.Prod: "coeff"}.get(type(x))
+        if part is not None:
+            q = getattr(x, part)
+            assert type(q) is Fraction and (q.numerator, q.denominator) == (x.n, x.d)
+
+
+def test_neg_never_calls_mul(monkeypatch):
+    x, y = ex.var("neg_x"), ex.var("neg_y")
+    cases = [ex.rat(Fraction(-3, 7)), x, ex.mul(Fraction(2, 3), x, y),
+             ex.add(1, x, ex.mul(Fraction(-1, 2), y)), ex.sin_(x), ex.sqrt_(y)]
+    want = [ex.mul(ex.rat(-1), c) for c in cases]
+
+    def refuse(*args):
+        raise AssertionError("neg entered the collector")
+
+    monkeypatch.setattr(ex, "mul", refuse)
+    monkeypatch.setattr(ex, "_collect", refuse)
+    assert all(ex.neg(c) is w for c, w in zip(cases, want))
+    assert [type(c) for c in cases] == [ex.Rat, ex.Var, ex.Prod, ex.Sum, ex.Fun, ex.Pow]
+
+
+# zeros, small and 30-digit integers, and fractions with 30-digit parts
+_CONSTANT = st.one_of(
+    st.just(0), st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 10, 7 ** 20])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_CONSTANT, st.booleans()), max_size=8))
+def test_constant_folding_matches_fraction_reference(items):
+    """`mul` and `add` of constants, given as numbers or as Rat nodes, are
+    the interned constant of the Fraction product and sum."""
+    values = [Fraction(v) for v, _ in items]
+    args = [ex.rat(v) if as_node else v for v, as_node in items]
+    product, total = math.prod(values, start=Fraction(1)), sum(values, Fraction(0))
+    assert ex.mul(*args) is ex.rat(product)
+    assert ex.add(*args) is ex.rat(total)
+    assert ex.neg(ex.add(*args)) is ex.rat(-total)
+    assert ex.rat(product).value == product and ex.rat(total).value == total
+
+
+def test_constant_powers_refused_past_the_bit_budget():
+    x = ex.var("x")
+    bits = ex.MAX_CONSTANT_BITS
+    for base, q in ((2, bits + 1), (Fraction(1, 2), -(bits + 1)), (10 ** 400, 10 ** 4),
+                    (2 ** 300, Fraction(bits // 100 + 1, 3))):
+        with pytest.raises(ex.ConstantTooLargeError):
+            ex.pw(ex.rat(base), q)
+    with pytest.raises(ex.ConstantTooLargeError):
+        ex.pw(ex.mul(2, x), bits + 1)
+    # at the budget the power is computed
+    assert ex.pw(ex.rat(2), bits) is ex.rat(2 ** bits)
+    assert ex.pw(ex.rat(2 ** 300), Fraction(bits // 100, 3)) is ex.rat(2 ** (bits // 100 * 100))
+    assert ex.pw(ex.mul(3, x), 2) is ex.mul(9, ex.pw(x, 2))
+
+
 # -- results cached on the interned node ---------------------------------------
 
 def _count_constructors(monkeypatch):

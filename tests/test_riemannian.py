@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from homogeo import expr as ex
+from homogeo import zerotest
 from homogeo import ratmat as rm
 from homogeo import symmat
+from homogeo.cli import main
 from homogeo.frames import degree_coset, transition
 from homogeo.groups import O, rand_element
 from homogeo.linebundle import DEG_ABS, LineBundleScenario
@@ -255,6 +258,45 @@ def test_verify_rd_formulas_seeded_random():
         triple = rand_triple(seed)
         triple.check_definite()
         assert verify_rd_formulas(triple).agree
+
+
+# a fixed rational triple on (x, y): g = I + P^t P with P affine, every
+# coefficient nonzero (as in the benchmark's curvature workload)
+_PINNED_P = [["1/10 - 1/5*x + 1/10*y", "1/5 + 1/10*x - 1/10*y"],
+             ["-1/10 + 1/5*x + 1/5*y", "1/10 - 1/10*x + 1/5*y"]]
+_PINNED_ETA = {"x": "1/5 - 1/10*x + 1/10*y", "y": "-1/5 + 1/10*x - 1/5*y"}
+
+
+def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
+    """The sampled zero-test queries of a riemannian scenario on one fixed
+    rational triple, in order, pinned by the count and sha256 of their
+    fingerprints: a constructor change that moves a node on the curvature
+    path (christoffels, curvature_RD, tensors_ABCD, the flatness test)
+    moves a fingerprint, as test_bundled_suite_queries_pinned does for the
+    bundled scenarios."""
+    g = [["1 + " + " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})"
+                              for k in range(2)) if i == j else
+          " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})" for k in range(2))
+          for j in range(2)] for i in range(2)]
+    path = tmp_path / "pinned_triple.json"
+    path.write_text(json.dumps({
+        "name": "pinned_triple", "kind": "riemannian",
+        "policy": {"seed": 0, "samples": 20, "tolerance": 1e-9},
+        "base": {"coords": ["x", "y"], "constraints": []},
+        "objects": {"g": g, "eta": _PINNED_ETA}}))
+    seen = []
+    fingerprint = zerotest._fingerprint
+
+    def record(e, policy):
+        seen.append(fingerprint(e, policy))
+        return seen[-1]
+
+    monkeypatch.setattr(zerotest, "_fingerprint", record)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert len(seen) == 61
+    assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
+        "91915075c62d8552a6a2be8c593c58fec67993f96b1fd333dbce3850b42fcc09"
 
 
 def test_c_antisymmetric_and_zero_with_b():
