@@ -18,7 +18,12 @@ exactly, others in floats.
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one
 without advancing its iterable further, so the checks hand it generators
-and build no residual past a failure.
+and build no residual past a failure.  It keeps, for the length of the
+call, each simplified residual it decided zero over GF(p) and its
+negation, and makes no query for a later residual that simplifies to one
+of them: the curvature sweep's (b, a) components are the negations of
+its (a, b) components.  Literal and float zeros are never kept, and a
+sweep that has kept none simplifies nothing ahead of its queries.
 
 Float queries: points are drawn from that RNG in order and evaluated in
 floating point (numtape.eval_tape) one at a time.  A point whose value is
@@ -342,9 +347,17 @@ def all_zero(pairs: Iterable[Tuple[object, ex.Expr]],
     """Zero-test each (key, expression) pair in order and stop at the first
     nonzero one: (True, None), or (False, (key, report)) for that pair.
     `pairs` is never advanced past it, so a generator builds no residual
-    after a failure."""
+    after a failure.  A residual that simplifies to one this sweep decided
+    zero over GF(p), or to its negation, is not tested again: r = 0 iff
+    -r = 0, so that test decides it with the same error bound."""
+    decided = set()
     for key, e in pairs:
+        if decided and ex.simplify(e, policy.constraints) in decided:
+            continue
         rep = zero_report(e, policy)
         if not rep.is_zero:
             return False, (key, rep)
+        if rep.exact and rep.samples:       # decided over GF(p), not a literal
+            s = ex.simplify(e, policy.constraints)   # cached by zero_report
+            decided.update((s, ex.neg(s)))
     return True, None

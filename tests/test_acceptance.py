@@ -16,6 +16,7 @@ from itertools import combinations
 
 from homogeo import expr as ex
 from homogeo import ratmat as rm
+from homogeo import riemannian
 from homogeo import zerotest
 from homogeo.contact import (ContactPair, check_pair, darboux_homogeneous_chart,
                              omega_to_pair, pair_to_omega, standard_darboux_pair)
@@ -183,7 +184,9 @@ def test_criterion_5_rd_cross_check(monkeypatch):
     decided: most are zero at one uniform point of GF(p)^n, and the rest
     have a nonzero residue there and go on to the witness path, a search
     for an exact nonzero value at rational draws; a residue is never
-    missing, so the "fallback" label stays at 0."""
+    missing, so the "fallback" label stays at 0.  And pins how many
+    residuals the sweep skips: each (b, a) residual that is the negation of
+    an (a, b) residual already decided zero over GF(p) makes no query."""
     mix = collections.Counter()
     real = zerotest._uniform_residue
 
@@ -193,7 +196,28 @@ def test_criterion_5_rd_cross_check(monkeypatch):
             "uniform point" if residue == 0 else "witness path"] += 1
         return residue, count
 
+    swept = collections.Counter()
+    real_report, real_sweep = zerotest.zero_report, riemannian.all_zero
+
+    def report(e, policy):
+        swept["queried"] += 1
+        return real_report(e, policy)
+
+    def sweep(pairs, policy):
+        taken, asked = [], swept["queried"]
+
+        def counted():
+            for pair in pairs:
+                taken.append(pair)
+                yield pair
+
+        result = real_sweep(counted(), policy)
+        swept["skipped"] += len(taken) - (swept["queried"] - asked)
+        return result
+
     monkeypatch.setattr(zerotest, "_uniform_residue", record)
+    monkeypatch.setattr(zerotest, "zero_report", report)
+    monkeypatch.setattr(riemannian, "all_zero", sweep)
     with _Budget("5 curvature formula cross-check", 300):
         from homogeo import symmat
         flat2 = LineBundleScenario("e2", ("x", "y"))
@@ -224,7 +248,8 @@ def test_criterion_5_rd_cross_check(monkeypatch):
                                             rand_affine(rng, ("x", "y"))]))
             triple.check_definite(POLICY)
             assert verify_rd_formulas(triple, POLICY).agree
-    assert mix == {"uniform point": 270, "witness path": 10}
+    assert mix == {"uniform point": 155, "witness path": 10}
+    assert swept["skipped"] == 115
 
 
 def test_criterion_6_flatness_equivalence():

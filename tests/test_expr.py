@@ -504,6 +504,70 @@ def test_all_zero_stops_at_first_nonzero_pair(monkeypatch):
     assert zt.all_zero(iter(())) == (True, None)
 
 
+def test_all_zero_tests_each_residual_once_up_to_sign(monkeypatch):
+    # a residual decided zero over GF(p) decides its negation too; float
+    # zeros and literals are tested every time, and nothing outlives a sweep
+    tested = []
+    real = zt.zero_report
+
+    def spy(e, policy=zt.DEFAULT_POLICY):
+        tested.append(e)
+        return real(e, policy)
+
+    monkeypatch.setattr(zt, "zero_report", spy)
+    r = parse("(x + y)*(x - y) - x*(x - y) - y*(x - y)", names=["x", "y"])
+    assert not isinstance(ex.simplify(r), ex.Rat) and r.rational
+    pairs = [("a", r), ("b", ex.neg(r)), ("c", r), ("d", ex.ZERO), ("e", ex.ZERO)]
+    assert zt.all_zero(pairs) == (True, None)
+    assert tested == [r, ex.ZERO, ex.ZERO]
+    tested.clear()
+    assert zt.all_zero(pairs) == (True, None)
+    assert tested == [r, ex.ZERO, ex.ZERO]
+
+    tested.clear()
+    f = parse("sin(x)^2 + cos(x)^2 - 1", names=["x"])
+    assert zt.all_zero([("f", f), ("-f", ex.neg(f))]) == (True, None)
+    assert tested == [f, ex.neg(f)] and not zero_report(f).exact
+
+    tested.clear()
+    x = ex.var("x")
+    ok, (key, rep) = zt.all_zero(iter([("a", r), ("b", ex.neg(r)), ("c", ex.sub(x, 1)),
+                                       ("d", ex.sub(1, x))]))
+    assert not ok and key == "c" and not rep.is_zero
+    assert tested == [r, ex.sub(x, 1)]
+
+
+def _reference_sweep(pairs, policy):
+    """all_zero's (ok, key) by a plain loop that tests every pair."""
+    for key, e in pairs:
+        if not zero_report(e, policy).is_zero:
+            return False, key
+    return True, None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL, RATIONAL_DSL, st.permutations(range(3, 8)))
+def test_all_zero_matches_reference_loop(a, b, tail):
+    # a zero residual z that simplify leaves to the sampler, -z and z, then
+    # r, -r, q, -q and -z in any order
+    try:
+        r, q = parse(a, names=["x", "y"]), parse(b, names=["x", "y"])
+        z = parse(f"(({a}) + ({b}))*({b}) - ({a})*({b}) - ({b})*({b})", names=["x", "y"])
+    except ZeroDivisionError:
+        return      # a literal division by zero never reaches the zero test
+    exprs = [z, ex.neg(z), z, r, ex.neg(r), q, ex.neg(q), ex.neg(z)]
+    pairs = [(i, exprs[i]) for i in (0, 1, 2, *tail)]
+    try:
+        want = _reference_sweep(pairs, zt.DEFAULT_POLICY)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            zt.all_zero(pairs)
+        return
+    ok, bad = zt.all_zero(pairs)
+    assert (ok, bad and bad[0]) == want, (a, b, tail)
+
+
 def test_exact_confirmation_once_per_point(monkeypatch):
     calls = []
     real = numtape.eval_tape_exact

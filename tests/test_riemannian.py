@@ -294,9 +294,9 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(zerotest, "_fingerprint", record)
     assert main(["run", str(path)]) == 0
     capsys.readouterr()
-    assert len(seen) == 61
+    assert len(seen) == 38
     assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
-        "91915075c62d8552a6a2be8c593c58fec67993f96b1fd333dbce3850b42fcc09"
+        "64850698f0d17540f14bbab0320c0c5aaf3515479e92935255b134bf3f0ccae5"
 
 
 def test_c_antisymmetric_and_zero_with_b():

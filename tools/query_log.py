@@ -6,7 +6,9 @@
 `zerotest.zero_report` is replaced by a wrapper, and the name is rebound in
 every loaded homogeo module (as `perfbench/tracing.py` does), so calls
 through `is_zero`, `all_zero` and names bound by `from .zerotest import
-zero_report` are all recorded.  Each line holds, tab-separated: the
+zero_report` are all recorded.  A residual that `all_zero` skips (the
+negation or a repeat of one it decided zero over GF(p)) makes no query
+and writes no line.  Each line holds, tab-separated: the
 fingerprint of the simplified expression, the verdict (zero or nonzero),
 the exact flag, the witness point, the witness value, the sample count and
 the verdict's note ("-" when empty; a nonzero verdict without a rational
