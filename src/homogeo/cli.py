@@ -3,7 +3,8 @@
 Exit codes, one rule for every kind: 0 all checks pass; 1 at least one
 fail or FALSIFICATION, an invalid object (`InvalidObjectError`) among them
 as the failed check `object`; 2 input error, one of INPUT_ERRORS
-(SchemaError, ParseError, ConfigError, DomainError, OSError); 3 internal
+(SchemaError, ParseError, ConfigError, DomainError, ConstantTooLargeError,
+OSError); 3 internal
 error, any other exception (its traceback goes to stderr and `suite` lists
 it under `errors`, never as a pass).
 """
@@ -18,14 +19,15 @@ import sys
 import traceback
 from typing import List, Optional
 
-from .expr import DomainError
+from .expr import ConstantTooLargeError, DomainError
 from .parser import ParseError
 from .scenarios import SchemaError, load_scenario, render_text, run_scenario
 from .zerotest import ConfigError
 
 EXIT_OK, EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR = 0, 1, 2, 3
 
-INPUT_ERRORS = (SchemaError, ParseError, ConfigError, DomainError, OSError)
+INPUT_ERRORS = (SchemaError, ParseError, ConfigError, DomainError, ConstantTooLargeError,
+                OSError)
 
 
 def _add_common(p: argparse.ArgumentParser):

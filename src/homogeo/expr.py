@@ -24,7 +24,9 @@ and, for `diff`, the variable.  A later call on a shared subtree is a
 lookup, not a walk.  An exception such as DomainError is never cached.
 The printer keeps the text of every subexpression it prints in the same
 slot, so `to_dsl` prints each node once per process; only the root's
-text, the largest and rarely printed again, is not kept.
+text, the largest and rarely printed again, is not kept.  Its one
+int-to-text step raises ConstantTooLargeError for what `unprintable` says
+Python cannot print.
 
 One walker reads signs: `_sign_class`, the sign class ("+", "-", "0",
 "0+", "0-" or unknown) under domain constraints.  `sign_of` asks it under
@@ -46,6 +48,7 @@ deeper expressions built in code raise RecursionError.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -58,7 +61,7 @@ __all__ = [
     "exp_", "log_", "sqrt_", "abs_", "sign_", "sin_", "cos_",
     "ZERO", "ONE",
     "subs", "diff", "simplify", "sign_of",
-    "eval_exact", "to_dsl",
+    "eval_exact", "to_dsl", "unprintable",
 ]
 
 Rational = Union[int, Fraction]
@@ -94,7 +97,9 @@ class InvalidObjectError(ValueError):
 
 
 class ConstantTooLargeError(OverflowError):
-    """A constant power would have more than MAX_CONSTANT_BITS bits."""
+    """A constant too large to compute or print: a power of more than
+    MAX_CONSTANT_BITS bits, refused by `pw` before it is computed, or a
+    rational that `unprintable` says Python cannot print."""
 
 
 class Constraint:
@@ -357,8 +362,6 @@ def mul(*xs) -> Expr:
         acc = {}
         n, d = _collect(factors, n, d, acc)
         factors = [pw(b, q) for b, q in acc.items() if q]
-        if n == 0:
-            return ZERO
     n, d = _reduced(n, d)
     if len(factors) == 1 and n != d and isinstance(factors[0], Sum):
         return _scale_sum(factors[0], n, d)
@@ -676,20 +679,13 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
                 out = mul(cos_(a), da)
             elif x.name == "cos":
                 out = neg(mul(sin_(a), da))
-            elif x.name == "abs":
+            else:  # abs or sign
                 s = sign_of(a, constraints)
                 if s is None or s == 0:
                     raise DomainError(
-                        f"cannot differentiate abs({to_dsl(a)}): argument sign is not "
-                        f"fixed by the domain constraints")
-                out = mul(rat(s), da)
-            else:  # sign
-                s = sign_of(a, constraints)
-                if s is None or s == 0:
-                    raise DomainError(
-                        f"cannot differentiate sign({to_dsl(a)}): argument sign is not "
-                        f"fixed by the domain constraints")
-                out = ZERO
+                        f"cannot differentiate {x.name}({to_dsl(a)}): argument sign is "
+                        f"not fixed by the domain constraints")
+                out = mul(rat(s), da) if x.name == "abs" else ZERO
         return _cache_put(x, key, out)
 
     return rec(e)
@@ -780,16 +776,39 @@ _PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 _DSL_KEY = ("dsl",)     # cache key of a node's printed (text, precedence)
 
 
+_POW10: dict = {}       # digit limit -> 10 ** limit, the least int it refuses
+
+
+def unprintable(q: Rational) -> int:
+    """0 when the rational q prints, else the digit limit its numerator or
+    denominator exceeds: sys.get_int_max_str_digits() (4300 by default, 0
+    for none), past which Python prints no int."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return 0
+    bound = _POW10.get(limit) or _POW10.setdefault(limit, 10 ** limit)
+    return 0 if abs(q.numerator) < bound and q.denominator < bound else limit
+
+
+def _int_str(n: int) -> str:
+    """The printer's one int-to-text step."""
+    limit = unprintable(n)
+    if limit:
+        raise ConstantTooLargeError(f"constant has more than {limit} digits, too "
+                                    "many to print")
+    return str(n)
+
+
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    text = _int_str(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_int_str(q.denominator)}"
 
 
 def _print(e: Expr) -> tuple:
     """Return (text, precedence)."""
     if isinstance(e, Rat):
-        if e.value.denominator == 1:
-            text = str(e.value.numerator)
-            return text, (_PREC_ATOM if e.value >= 0 else _PREC_SUM)
+        if e.d == 1:
+            return _int_str(e.n), (_PREC_ATOM if e.n >= 0 else _PREC_SUM)
         return _frac_str(e.value), _PREC_PROD
     if isinstance(e, Var):
         return e.name, _PREC_ATOM
@@ -819,12 +838,11 @@ def _print(e: Expr) -> tuple:
             c = -c
         num_parts = []
         if c.numerator != 1 or not num:
-            num_parts.append(str(c.numerator))
+            num_parts.append(_int_str(c.numerator))
         num_parts += [_wrap(f, _PREC_POW) for f in num]
         text = lead + "*".join(num_parts)
         if c.denominator != 1:
-            den_first = str(c.denominator)
-            text += "/" + den_first
+            text += "/" + _int_str(c.denominator)
         for f in den:
             text += "/" + _wrap(f, _PREC_ATOM)
         return text, (_PREC_SUM if lead else _PREC_PROD)
@@ -833,7 +851,7 @@ def _print(e: Expr) -> tuple:
             return f"sqrt({_printed(e.base)[0]})", _PREC_ATOM
         btxt = _wrap(e.base, _PREC_ATOM)
         q = e.exponent
-        qtxt = str(q.numerator) if q.denominator == 1 else f"({_frac_str(q)})"
+        qtxt = _frac_str(q) if q.denominator == 1 else f"({_frac_str(q)})"
         return f"{btxt}^{qtxt}", _PREC_POW
     return f"{e.name}({_printed(e.arg)[0]})", _PREC_ATOM
 

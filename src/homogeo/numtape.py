@@ -57,6 +57,10 @@ class Tape:
         return len(self.code)
 
 
+_FUN_OPS = {"exp": OP_EXP, "log": OP_LOG, "abs": OP_ABS,
+            "sign": OP_SIGN, "sin": OP_SIN, "cos": OP_COS}
+
+
 def _to_float(q: Fraction) -> float:
     """q as a float; beyond the float range, the infinity of q's sign, so
     the tape still compiles and the float evaluator finds no finite point."""
@@ -106,9 +110,7 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
         elif isinstance(x, ex.Pow):
             out = emit(OP_POW, rec(x.base), cidx(x.exponent))
         else:
-            opmap = {"exp": OP_EXP, "log": OP_LOG, "abs": OP_ABS,
-                     "sign": OP_SIGN, "sin": OP_SIN, "cos": OP_COS}
-            out = emit(opmap[x.name], rec(x.arg))
+            out = emit(_FUN_OPS[x.name], rec(x.arg))
         memo[id(x)] = out
         return out
 

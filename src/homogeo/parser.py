@@ -24,11 +24,12 @@ Grammar (EBNF, also documented in the README):
     x^6000*x^6000 is x^12000, and both are ParseErrors.  So is a constant
     power, written or folded, of more than MAX_CONSTANT_BITS = 2^20 bits:
     (10^10000)^10000 and ((3*x)^10000)^10000, refused before computing it.
-    A constant must also have at most sys.get_int_max_str_digits() digits
-    (4300 by default) in its numerator and denominator, since the zero
-    test prints it: a longer number token is a ParseError, and so is a
-    constant the constructors fold, such as 10^5000, x*10^2500*10^2500 or
-    x/10^5000.
+    Every constant, parsed or folded, must print (expr.unprintable): at
+    most sys.get_int_max_str_digits() digits (4300 by default) in its
+    numerator and denominator.  A longer number token is a ParseError, and
+    so is a folded one such as 10^5000, x*10^2500*10^2500 or x/10^5000,
+    which `parse` finds by printing its result once; it reads the folded
+    exponents off the result's tape (numtape.compile_tape).
 
 Identifiers must be coordinates of the supplied chart or the formal
 action parameter ``r``; the function heads are exp, log, sqrt, abs,
@@ -43,6 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import expr as ex
+from . import numtape
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS",
            "MAX_DEPTH", "MAX_EXPONENT", "MAX_CONSTANT_BITS"]
@@ -247,40 +249,13 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
     kind, val, pos = lx.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
-    _check_folded(out, digits)
+    try:
+        ex.to_dsl(out)
+    except ex.ConstantTooLargeError:
+        raise ParseError(f"folded constant has more than {digits} digits", 0) from None
+    tape = numtape.compile_tape(out)
+    for op, _, b in tape.code:
+        if op == numtape.OP_POW and abs(tape.exact[b]) > MAX_EXPONENT:
+            raise ParseError(f"folded exponent {tape.exact[b]} exceeds {MAX_EXPONENT} "
+                             f"in absolute value", 0)
     return out
-
-
-def _check_folded(e: ex.Expr, digits: int) -> None:
-    """Raise ParseError for a power whose exponent, as nested powers and
-    products folded it, exceeds MAX_EXPONENT in absolute value, or for a
-    constant, coefficient or sum constant with more than `digits` digits
-    in its numerator or denominator (no limit when `digits` is 0).  Each
-    shared node is visited once."""
-    bound = 10 ** digits if digits else None
-    seen = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        const = None
-        if isinstance(x, ex.Rat):
-            const = x.value
-        elif isinstance(x, ex.Pow):
-            if abs(x.exponent) > MAX_EXPONENT:
-                raise ParseError(f"folded exponent {x.exponent} exceeds {MAX_EXPONENT} "
-                                 f"in absolute value", 0)
-            stack.append(x.base)
-        elif isinstance(x, ex.Sum):
-            const = x.const
-            stack.extend(x.terms)
-        elif isinstance(x, ex.Prod):
-            const = x.coeff
-            stack.extend(x.factors)
-        elif isinstance(x, ex.Fun):
-            stack.append(x.arg)
-        if bound is not None and const is not None and \
-                max(abs(const.numerator), const.denominator) >= bound:
-            raise ParseError(f"folded constant has more than {digits} digits", 0)

@@ -13,7 +13,7 @@ from typing import List, Sequence
 from . import expr as ex
 
 __all__ = ["mat", "identity", "mat_mul", "mat_vec", "transpose", "mat_sub",
-           "mat_scale", "det", "inverse", "simplify_mat"]
+           "det", "inverse", "simplify_mat"]
 
 Matrix = List[List[ex.Expr]]
 
@@ -44,10 +44,6 @@ def mat_vec(a: Matrix, v: Sequence[ex.Expr]):
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[ex.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    return [[ex.mul(s, x) for x in row] for row in a]
 
 
 def _minor_table(a: Matrix):

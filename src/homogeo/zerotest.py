@@ -8,7 +8,10 @@ random rational points of the constrained domain and compared against
 `tolerance` in floating point.  The per-query RNG is derived from
 (seed, expression fingerprint), so verdicts and witnesses are stable
 across runs and independent of evaluation order.  The fingerprint is the
-printed DSL text of the simplified expression plus the constraints.
+printed DSL text of the simplified expression plus the constraints; an
+expression with a constant the printer refuses (expr.unprintable) raises
+ConstantTooLargeError there.  A literal nonzero constant is its own
+witness, at the empty point, when it prints; else its note shows it.
 
 `sample_values` reads validity conditions at sample points (a definite
 metric, a nowhere-zero theta, the point a frame transition is read at)
@@ -49,9 +52,9 @@ rational function that vanishes on an open set vanishes identically.
   and the only way a rational query is zero;
 * a nonzero residue is the nonzero verdict.  The rational points are then
   drawn only to look for a witness: the first of `sample_count` draws
-  whose value is defined and nonzero, evaluated in Fraction arithmetic
-  (numtape.eval_tape_exact) so that witness_value is exact, and `samples`
-  is the number of draws made.  A draw whose bit-length bound
+  whose value is defined, nonzero and printable, evaluated in Fraction
+  arithmetic (numtape.eval_tape_exact) so that witness_value is exact, and
+  `samples` is the number of draws made.  A draw whose bit-length bound
   (numtape.degree_bound at the point) exceeds expr.MAX_CONSTANT_BITS is
   not evaluated.  When no draw qualifies, witness is None, `samples` is
   `sample_count`, and the note is the certificate: p and the residue.
@@ -299,6 +302,8 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     if isinstance(e, ex.Rat):
         if e.value == 0:
             return ZeroVerdict(True, True, note="literal zero")
+        if ex.unprintable(e.value):
+            return ZeroVerdict(False, True, note="literal nonzero constant")
         return ZeroVerdict(False, True, witness={}, witness_value=e.value,
                            note="literal nonzero constant")
 
@@ -315,7 +320,8 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
             return ZeroVerdict(True, True, samples=count)
         for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
             val = _exact_at(tape, pt)
-            if val:             # not None (a pole, over budget) and not 0
+            # not None (a pole, over budget), not 0, and printable
+            if val and not ex.unprintable(val):
                 return ZeroVerdict(False, True, witness=pt, witness_value=val,
                                    samples=draws)
         return ZeroVerdict(False, True, samples=policy.sample_count,

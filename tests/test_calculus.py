@@ -93,6 +93,14 @@ def test_wedge_top_form():
     assert dict(top.coeffs) == {(0, 1, 2): ex.ONE}
 
 
+def test_form_index_must_strictly_increase():
+    assert KForm(B3, 3, {(0, 1, 2): 1}).coeffs == {(0, 1, 2): ex.ONE}
+    for idx in ((1, 0), (1, 1), (0, 2, 1), (0, 0, 2)):
+        with pytest.raises(ChartError) as err:
+            KForm(B3, len(idx), {idx: 1})
+        assert str(err.value) == f"index {idx} is not strictly increasing"
+
+
 def test_wedge_chart_mismatch():
     with pytest.raises(ChartError):
         wedge(one_form(B2, [1, 0]), one_form(B3, [1, 0, 0]))

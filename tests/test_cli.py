@@ -138,6 +138,31 @@ def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, form, field, text, codes", [
+    ("riemann_eta_dz", "eta", "x", "10^2200*x", (2,)),
+    ("riemann_eta_dz", "eta", "z", "x^5000*y", (0, 1)),
+    ("riemann_eta_dz", "eta", "z", "10^2200*x", (2,)),
+    ("darboux_k2", "theta", "x1", "-10^2200*p1", (2,)),
+], ids=["eta-fingerprint", "eta-witness-draw", "eta-literal-witness", "theta-fingerprint"])
+def test_run_with_unprintable_derived_constant(tmp_path, capsys, name, form, field,
+                                               text, codes):
+    # each input parses, but a derived constant had more digits than Python
+    # prints: in a query's fingerprint, in a witness draw's exact value, or
+    # as a literal witness; each ended in an internal error
+    with open(os.path.join(SCENARIOS, name + ".json")) as fh:
+        data = json.load(fh)
+    data["objects"][form][field] = text
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code in codes, err
+    if code == 2:
+        assert err == (f"error: constant has more than {sys.get_int_max_str_digits()} "
+                       "digits, too many to print\n") and out == ""
+    else:
+        assert err == "" and "summary:" in out
+
+
 def test_cli_does_not_import_numpy():
     # the package has no runtime dependency; numpy is for perfbench only
     proc = subprocess.run([sys.executable, "-c",
@@ -900,6 +925,24 @@ def test_point_values_have_one_rule():
     loops = {f for m, f, _ in _source_sites(lambda n: isinstance(n, ast.While))
              if m == "zerotest.py"}
     assert not loops & {"zero_report", "_uniform_residue", "sample_values"}
+
+
+def test_printable_constants_have_one_rule():
+    """Only expr's printer helper and parser.parse read the digit limit of
+    Python's int printing, and the parser walks no expression of its own:
+    it prints its result and reads the exponents off its tape."""
+    reads = {(m, f) for m, f, _ in _source_sites(_is_call("sys", {"get_int_max_str_digits"}))}
+    assert reads == {("expr.py", "unprintable"), ("parser.py", "parse")}
+
+    def names(node):
+        return {x.attr if isinstance(x, ast.Attribute) else x.id
+                for x in ast.walk(node) if isinstance(x, (ast.Attribute, ast.Name))}
+
+    node_tests = [ast.unparse(n) for m, _, n in _source_sites(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance" and len(n.args) == 2)
+        if m == "parser.py" and names(n.args[1]) & {"Sum", "Prod", "Pow", "Fun"}]
+    assert node_tests == []
 
 
 def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):

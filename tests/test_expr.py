@@ -152,6 +152,176 @@ def test_parse_folded_exponent_limit():
     assert parse("9" * digits, names=[]) is ex.rat(10 ** digits - 1)
 
 
+def _check_folded(e: ex.Expr, digits: int) -> None:
+    """The reference for `parse`'s checks of its result: the DAG walk the
+    parser once made of its own.  Raise ParseError for a power whose
+    exponent, as nested powers and products folded it, exceeds MAX_EXPONENT
+    in absolute value, or for a constant, coefficient or sum constant with
+    more than `digits` digits in its numerator or denominator (no limit
+    when `digits` is 0).  Each shared node is visited once."""
+    bound = 10 ** digits if digits else None
+    seen = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        const = None
+        if isinstance(x, ex.Rat):
+            const = x.value
+        elif isinstance(x, ex.Pow):
+            if abs(x.exponent) > MAX_EXPONENT:
+                raise ParseError(f"folded exponent {x.exponent} exceeds {MAX_EXPONENT} "
+                                 f"in absolute value", 0)
+            stack.append(x.base)
+        elif isinstance(x, ex.Sum):
+            const = x.const
+            stack.extend(x.terms)
+        elif isinstance(x, ex.Prod):
+            const = x.coeff
+            stack.extend(x.factors)
+        elif isinstance(x, ex.Fun):
+            stack.append(x.arg)
+        if bound is not None and const is not None and \
+                max(abs(const.numerator), const.denominator) >= bound:
+            raise ParseError(f"folded constant has more than {digits} digits", 0)
+
+
+def _pw(b, q):
+    return ex.pw(b, Fraction(q))
+
+
+_X, _Y = ex.var("x"), ex.var("y")
+_DIGITS = sys.get_int_max_str_digits()
+# (template, wrap): DSL around an expression's text, and the constructor
+# calls `parse` makes on it, applied to that expression's node
+_WRAPS = [("({}) + x", lambda e: ex.add(e, _X)),
+          ("x - ({})", lambda e: ex.add(_X, ex.neg(e))),
+          ("({})*y", lambda e: ex.mul(e, _Y)),
+          ("7*({})", lambda e: ex.mul(ex.rat(7), e)),
+          ("x/({})", lambda e: ex.div(_X, e)),
+          ("({}) + 1/3", lambda e: ex.add(e, ex.div(ex.ONE, ex.rat(3)))),
+          ("sin({})", ex.sin_), ("exp({})", ex.exp_),
+          ("({})^2", lambda e: _pw(e, 2)), ("({})^-1", lambda e: _pw(e, -1)),
+          ("({})^(1/2)", lambda e: _pw(e, Fraction(1, 2)))]
+_BASES = [("x", _X), ("x + y", ex.add(_X, _Y)), ("sin(y)", ex.sin_(_Y))]
+_EXPONENT = st.one_of(st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+                      st.sampled_from([100, 101, 5000, 5001, -5001, 9999, 10000, -10000]))
+
+
+@st.composite
+def _folding_dsl(draw):
+    """(text, build): one site near a limit inside up to five wrappers;
+    `build` makes the node with the constructor calls `parse` makes on the
+    text.  The site is a power with a folded exponent, or a constant near
+    the digit limit; only small exponents and constants surround it.  So
+    an input has no fault, folded constants only, or one folded power,
+    and the reference and `parse` have one message to agree on."""
+    if draw(st.booleans()):
+        btxt, b = draw(st.sampled_from(_BASES))
+        a, c = draw(_EXPONENT), draw(_EXPONENT)
+        text, build = draw(st.sampled_from([
+            (f"({btxt})^{a}", lambda: _pw(b, a)),
+            (f"(({btxt})^{a})^{c}", lambda: _pw(_pw(b, a), c)),
+            (f"({btxt})^{a}*({btxt})^{c}", lambda: ex.mul(_pw(b, a), _pw(b, c))),
+            (f"({btxt})^{a}/({btxt})^{c}", lambda: ex.div(_pw(b, a), _pw(b, c)))]))
+    else:
+        k, m = draw(st.integers(_DIGITS - 3, _DIGITS + 2)), draw(st.integers(2, 12))
+        half = st.integers(_DIGITS // 2 - 2, _DIGITS // 2 + 2)
+        h, j = draw(half), draw(half)
+        a, c = draw(st.integers(1, 3000)), draw(st.integers(1, 400))
+        ten, nines = ex.rat(10), "9" * _DIGITS
+        text, build = draw(st.sampled_from([
+            (f"10^{k}", lambda: _pw(ten, k)),
+            (f"{m}*10^{k}*x", lambda: ex.mul(ex.mul(ex.rat(m), _pw(ten, k)), _X)),
+            (f"x/10^{k}", lambda: ex.div(_X, _pw(ten, k))),
+            (f"10^{h}*10^{j}*x", lambda: ex.mul(ex.mul(_pw(ten, h), _pw(ten, j)), _X)),
+            (f"x + 10^{k}", lambda: ex.add(_X, _pw(ten, k))),
+            (f"(2^{a})^{c}", lambda: _pw(_pw(ex.rat(2), a), c)),
+            (f"{nines}*x", lambda: ex.mul(ex.rat(int(nines)), _X))]))
+    for template, wrap in draw(st.lists(st.sampled_from(_WRAPS), max_size=5)):
+        text, build = template.format(text), (lambda inner, w: lambda: w(inner()))(build, wrap)
+    return text, build
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_folding_dsl())
+def test_parse_refuses_what_the_reference_walk_refuses(case):
+    """`parse` checks its result by printing it once and reading the
+    exponents off its tape; it raises the reference's ParseError, or
+    returns the node when the reference raises none."""
+    text, build = case
+    try:
+        e = build()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            parse(text, names=["x", "y"])
+        return
+    except ex.ConstantTooLargeError as err:     # refused while folding
+        with pytest.raises(ParseError) as got:
+            parse(text, names=["x", "y"])
+        assert str(got.value) == f"{err} (at position 0)"
+        return
+    try:
+        _check_folded(e, _DIGITS)
+    except ParseError as want:
+        with pytest.raises(ParseError) as got:
+            parse(text, names=["x", "y"])
+        assert str(got.value) == str(want), text[:80]
+    else:
+        assert parse(text, names=["x", "y"]) is e, text[:80]
+
+
+def test_printable_constants_follow_the_digit_limit():
+    """One rule decides whether a rational prints, read when it is asked:
+    the printer, `parse` and the zero test's literal witness follow it."""
+    x = ex.var("x")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            big = 10 ** digits
+            assert [ex.unprintable(q) for q in (big - 1, 1 - big, Fraction(1, big - 1),
+                                                big, -big, Fraction(1, big))] == \
+                [0, 0, 0, digits, digits, digits]
+            with pytest.raises(ex.ConstantTooLargeError) as err:
+                ex.to_dsl(ex.mul(ex.rat(big), x))
+            assert str(err.value) == f"constant has more than {digits} digits, too many to print"
+            with pytest.raises(ParseError) as err:
+                parse(f"x/10^{digits}", names=["x"])
+            assert str(err.value) == (f"folded constant has more than {digits} digits "
+                                      "(at position 0)")
+            # a literal constant is its own witness only when it prints
+            assert zero_report(ex.rat(big)).witness_fields() == \
+                {"note": "literal nonzero constant"}
+            assert zero_report(ex.rat(big - 1)).witness_fields() == \
+                {"point": {}, "value": big - 1}
+        sys.set_int_max_str_digits(0)
+        assert ex.unprintable(ex.rat(10 ** 5000).value) == 0
+        assert parse("x*10^5000", names=["x"]) is ex.mul(ex.rat(10 ** 5000), x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_unprintable_draw_is_no_witness(monkeypatch):
+    # x^5000*y at the first rational draw has more digits than Python
+    # prints; it was taken as the witness and the report could not print it
+    real, answers = ex.unprintable, []
+
+    def spy(q):
+        answers.append(real(q))
+        return answers[-1]
+
+    monkeypatch.setattr(ex, "unprintable", spy)
+    rep = zero_report(ex.mul(ex.pw(ex.var("x"), 5000), ex.var("y")))
+    assert not rep.is_zero and rep.exact and rep.samples > 1
+    # the query prints, so the value refused was a draw's
+    assert any(answers) and real(rep.witness_value) == 0
+    str(rep.witness_fields(str))
+
+
 def test_rational_roots_exact_at_any_size():
     # the cube root of 2^300 used to be estimated in floats, which left
     # (2^300)^(1/3) unevaluated and this identity a float-decided nonzero
