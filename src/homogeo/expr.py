@@ -356,12 +356,13 @@ def mul(*xs) -> Expr:
     n, d = _collect(map(_coerce, xs), 1, 1, acc)
     if n == 0:
         return ZERO
-    factors = [pw(b, q) for b, q in acc.items() if q]
+    # pw(b, 1) is b itself, so those bases skip the call
+    factors = [b if q == 1 else pw(b, q) for b, q in acc.items() if q]
     # pw may have folded to Rat or nested products; re-collect once if so
     if any(isinstance(f, (Rat, Prod)) for f in factors):
         acc = {}
         n, d = _collect(factors, n, d, acc)
-        factors = [pw(b, q) for b, q in acc.items() if q]
+        factors = [b if q == 1 else pw(b, q) for b, q in acc.items() if q]
     n, d = _reduced(n, d)
     if len(factors) == 1 and n != d and isinstance(factors[0], Sum):
         return _scale_sum(factors[0], n, d)
@@ -607,20 +608,24 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         hit = memo.get(id(x))
         if hit is not None:
             return hit
-        if isinstance(x, Var):
-            out = mapping.get(x.name, x)
-        elif isinstance(x, Sum):
-            out = add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
-        elif isinstance(x, Prod):
-            out = mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
-        elif isinstance(x, Pow):
-            out = pw(rec(x.base), x.exponent)
-        else:
-            out = _FUN_MAKERS[x.name](rec(x.arg))
+        out = mapping.get(x.name, x) if isinstance(x, Var) else _rebuild(x, rec)
         memo[id(x)] = out
         return out
 
     return rec(e)
+
+
+def _rebuild(x: Expr, rec) -> Expr:
+    """The Sum, Prod, Pow or Fun node x remade by its canonicalizing
+    constructor from rec of each child: the step `subs` and `simplify`
+    share, each with its own recursion and cache."""
+    if isinstance(x, Sum):
+        return add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
+    if isinstance(x, Prod):
+        return mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
+    if isinstance(x, Pow):
+        return pw(rec(x.base), x.exponent)
+    return _FUN_MAKERS[x.name](rec(x.arg))
 
 
 def _cache_put(x: Expr, key: tuple, out: Expr) -> Expr:
@@ -707,11 +712,7 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
             hit = x.cache.get(key)
             if hit is not None:
                 return hit
-        if isinstance(x, Sum):
-            out = add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
-        elif isinstance(x, Prod):
-            out = mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
-        elif isinstance(x, Pow):
+        if isinstance(x, Pow):
             base = rec(x.base)
             if x.exponent.denominator != 1 and isinstance(base, Prod):
                 # distribute fractional powers over positive factors
@@ -724,7 +725,7 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
                 out = pw(base.base, base.exponent * x.exponent)
             else:
                 out = pw(base, x.exponent)
-        else:
+        elif isinstance(x, Fun) and x.name in ("abs", "sign", "log"):
             a = rec(x.arg)
             if x.name == "abs":
                 s = sign_of(a, constraints)
@@ -737,10 +738,10 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
             elif x.name == "sign":
                 s = sign_of(a, constraints)
                 out = rat(s) if s in (1, -1) else sign_(a)
-            elif x.name == "log":
-                out = _log_expand(a, constraints)
             else:
-                out = _FUN_MAKERS[x.name](a)
+                out = _log_expand(a, constraints)
+        else:
+            out = _rebuild(x, rec)
         return _cache_put(x, key, out)
 
     return rec(e)

@@ -5,7 +5,10 @@ coordinates (x^1..x^n) and total chart U x R^x with the extra fiber
 coordinate mu (constraint mu != 0, working branch mu > 0).  The scaling
 maps h_r act by (x, mu) -> (x, r mu).  Base-level data (sections,
 derivations, forms) is promoted to homogeneous objects upstairs; descent
-inverts the promotion.  Homogeneity of degree phi means
+inverts the promotion, and `LineBundleScenario.descend_function` is its
+one implementation: divide by the degree phi(mu), check that the quotient
+does not depend on mu, and set mu = 1.  Fields and forms descend by
+calling it on each component.  Homogeneity of degree phi means
 h_r^* obj = phi(r) obj for symbolic r > 0 together with the reflection
 r = -1, which is checked by explicit substitution mu -> -mu with
 abs/sign resolved on the branch.
@@ -148,7 +151,10 @@ class LineBundleScenario:
 
     def descend_function(self, f: ex.Expr, degree: ScalarDegree = DEG1,
                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> ex.Expr:
-        """Inverse of promote_section: recover the base coefficient."""
+        """Inverse of promote_section: recover the base coefficient
+        f / phi(mu) at mu = 1, after checking that it does not depend on mu
+        (DegreeError naming the residual otherwise).  Every descent to the
+        base goes through here."""
         s = ex.simplify(ex.div(f, degree.fiber_factor()), self.total.constraints)
         pol = self.policy_for(policy)
         rep = zero_report(ex.diff(s, FIBER, self.total.constraints), pol)
@@ -170,13 +176,11 @@ class LineBundleScenario:
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
         """Inverse of promote_derivation: (base field, zero-order part).
         With promote_derivation it states the paper's correspondence between
-        derivations of the line bundle and degree-0 homogeneous fields."""
-        cons = self.total.constraints
-        comps = V.comps[:-1] + (ex.simplify(ex.div(V.comps[-1], self.mu), cons),)
-        if not all_zero(((i, ex.diff(c, FIBER, cons)) for i, c in enumerate(comps)),
-                        self.policy_for(policy))[0]:
-            raise DegreeError("field is not a promoted derivation")
-        *base_comps, f = (ex.subs(c, {FIBER: ex.ONE}) for c in comps)
+        derivations of the line bundle and degree-0 homogeneous fields:
+        each base component descends with degree 0, the fiber component
+        with degree 1."""
+        *base_comps, f = (self.descend_function(c, DEG0 if i < self.n else DEG1, policy)
+                          for i, c in enumerate(V.comps))
         return VectorField(self.base, tuple(base_comps)), f
 
     def promote_atiyah_form(self, beta: KForm, gamma: KForm,

@@ -217,27 +217,11 @@ def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 # polynomials over Q (for the eigenvalues of a degree homomorphism)
 
-def _ptrim(p: Sequence[Fraction]) -> Poly:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(v != 0 for v in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] += f
-        for i, x in enumerate(b):
-            a[shift + i] -= f * x
-        a.pop()
-    return _ptrim(q), _ptrim(a or [Fraction(0)])
+def _deflate(p: Poly, c: Fraction) -> Optional[Poly]:
+    """p / (x - c) by synthetic division (Horner's scheme from the leading
+    coefficient down), or None when the remainder p(c) is not zero."""
+    out = list(accumulate(reversed(p), lambda acc, a: a + c * acc))
+    return None if out.pop() else tuple(reversed(out))
 
 
 def char_poly(a: QMat) -> Poly:
@@ -256,48 +240,32 @@ def char_poly(a: QMat) -> Poly:
 
 
 def rational_roots(p: Poly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities (rational root theorem
-    on the denominator-cleared polynomial, then repeated deflation)."""
+    """All rational roots of p with multiplicities, in increasing order.
+    The candidates are 0 and +-a/b with a dividing the lowest nonzero and b
+    the leading coefficient of the denominator-cleared polynomial (rational
+    root theorem); each is divided out by synthetic division while it is a
+    root."""
     den = lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
-    work = _ptrim([Fraction(v) for v in ints])
-    roots = []
-    zmult = 0
-    while work[0] == 0 and len(work) > 1:
-        zmult += 1
-        work = work[1:]
-    if zmult:
-        roots.append((Fraction(0), zmult))
-    if len(work) == 1:
-        return roots
 
     def divisors(m: int):
         m = abs(m)
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.add(d)
-                out.add(m // d)
-            d += 1
-        return sorted(out)
+        return {d for k in range(1, isqrt(m) + 1) if m % k == 0 for d in (k, m // k)}
 
-    a0, an = int(work[0]), int(work[-1])
-    candidates = set()
-    for pnum in divisors(a0 or 1):
-        for qden in divisors(an or 1):
-            candidates.add(Fraction(pnum, qden))
-            candidates.add(Fraction(-pnum, qden))
+    candidates = {Fraction(0)} | {Fraction(s * a, b) for s in (1, -1)
+                                  for a in divisors(next((v for v in ints if v), 1))
+                                  for b in divisors(ints[-1] or 1)}
+    work = tuple(map(Fraction, ints))
+    roots = []
     for cand in sorted(candidates):
         mult = 0
         while len(work) > 1:
-            q, r = pdivmod(work, (-cand, Fraction(1)))
-            if any(v != 0 for v in r):
+            q = _deflate(work, cand)
+            if q is None:
                 break
-            work = q
-            mult += 1
+            work, mult = q, mult + 1
         if mult:
             roots.append((cand, mult))
     return roots

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
@@ -24,7 +25,7 @@ from . import symmat
 from .chart import Chart, ChartError, SmoothMap
 from .frames import Frame, require_coset
 from .groups import O as O_GROUP
-from .linebundle import DEG_ABS, DEG_SQRT_ABS, FIBER, LineBundleScenario
+from .linebundle import DEG0, DEG_ABS, DEG_SQRT_ABS, LineBundleScenario
 from .metric import (DegeneracyError, christoffel, covariant_derivative_oneform,
                      covariant_derivative_twoform, metric_inverse, riemann)
 from .tensors import KForm, SymTensor2, VectorField, d, one_form, pullback_sym
@@ -408,7 +409,7 @@ def gtilde_to_triple(gt: SymTensor2, scn: LineBundleScenario,
     eta_coeffs = []
     for i in range(n):
         val = ex.neg(T.mat[i][n])
-        eta_coeffs.append(_fiber_free(scn, val, policy))
+        eta_coeffs.append(scn.descend_function(val, DEG0, policy))
     eta = one_form(scn.base, eta_coeffs)
     g_rows = []
     for i in range(n):
@@ -416,21 +417,12 @@ def gtilde_to_triple(gt: SymTensor2, scn: LineBundleScenario,
         for j in range(n):
             val = ex.sub(ex.div(T.mat[i][j], mu),
                          ex.mul(eta_coeffs[i], eta_coeffs[j]))
-            row.append(_fiber_free(scn, val, policy))
+            row.append(scn.descend_function(val, DEG0, policy))
         g_rows.append(tuple(row))
     g = SymTensor2(scn.base, tuple(g_rows))
     triple = MetricTriple(scn, g, eta)
     triple.check_definite(policy)
     return triple, u
-
-
-def _fiber_free(scn: LineBundleScenario, val: ex.Expr,
-                policy: ZeroTestPolicy) -> ex.Expr:
-    pol = scn.policy_for(policy)
-    val = ex.simplify(val, scn.total.constraints)
-    if not is_zero(ex.diff(val, FIBER, scn.total.constraints), pol):
-        raise DegeneracyError("entry is not fiber-independent after rescaling")
-    return ex.simplify(ex.subs(val, {FIBER: ex.ONE}), scn.base.constraints)
 
 
 def frame_to_gtilde(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> SymTensor2:
@@ -483,37 +475,30 @@ def _sphere_chart_constraints(coords):
     return tuple(cons)
 
 
+def _sphere_angles(n: int, chart: Chart):
+    """The chart's coordinates t_1..t_n (t_n the azimuth) and the sine
+    products P_k = sin t_1 ... sin t_(k-1), k = 1..n (P_1 = 1)."""
+    if chart.dim != n:
+        raise ChartError(f"an {n}-sphere chart has {n} coordinates")
+    ts = [chart.var(c) for c in chart.coords]
+    return ts, list(accumulate((ex.sin_(t) for t in ts[:-1]), ex.mul, initial=ex.ONE))
+
+
 def sphere_metric(n: int, chart: Chart) -> SymTensor2:
-    """Round metric of the unit n-sphere in spherical coordinates."""
-    if n == 1:
-        return SymTensor2(chart, ((ex.ONE,),))
-    if n == 2:
-        th = chart.var("th")
-        return SymTensor2(chart, ((ex.ONE, ex.ZERO),
-                                  (ex.ZERO, ex.pw(ex.sin_(th), 2))))
-    ps, th = chart.var("ps"), chart.var("th")
-    s2 = ex.pw(ex.sin_(ps), 2)
-    return SymTensor2(chart, (
-        (ex.ONE, ex.ZERO, ex.ZERO),
-        (ex.ZERO, s2, ex.ZERO),
-        (ex.ZERO, ex.ZERO, ex.mul(s2, ex.pw(ex.sin_(th), 2)))))
+    """Round metric of the unit n-sphere in spherical coordinates:
+    sum_k P_k^2 dt_k^2."""
+    _, sines = _sphere_angles(n, chart)
+    return SymTensor2(chart, tuple(tuple(ex.pw(p, 2) if i == k else ex.ZERO
+                                         for i in range(n))
+                                   for k, p in enumerate(sines)))
 
 
 def sphere_embedding(n: int, chart: Chart) -> Tuple[ex.Expr, ...]:
-    """Unit vectors Y^i of the spherical coordinate patch."""
-    if n == 1:
-        z = chart.var("z")
-        return (ex.cos_(z), ex.sin_(z))
-    if n == 2:
-        th, phv = chart.var("th"), chart.var("ph")
-        return (ex.mul(ex.sin_(th), ex.cos_(phv)),
-                ex.mul(ex.sin_(th), ex.sin_(phv)),
-                ex.cos_(th))
-    ps, th, phv = chart.var("ps"), chart.var("th"), chart.var("ph")
-    return (ex.mul(ex.sin_(ps), ex.sin_(th), ex.cos_(phv)),
-            ex.mul(ex.sin_(ps), ex.sin_(th), ex.sin_(phv)),
-            ex.mul(ex.sin_(ps), ex.cos_(th)),
-            ex.cos_(ps))
+    """Unit vectors Y^i of the spherical coordinate patch:
+    (P_n cos t_n, P_n sin t_n, P_(n-1) cos t_(n-1), ..., P_1 cos t_1)."""
+    ts, sines = _sphere_angles(n, chart)
+    cosines = [ex.mul(p, ex.cos_(t)) for t, p in zip(ts, sines)]
+    return (cosines[-1], ex.mul(sines[-1], ex.sin_(ts[-1])), *cosines[-2::-1])
 
 
 def sphere_triple(n: int) -> MetricTriple:

@@ -335,6 +335,31 @@ def test_spectral_path_matches_sympy(kind, n, seed):
                           for v, m in eigenvals.items())
 
 
+_IRREDUCIBLE_QUADRATICS = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (7, -3, 4), (-5, 0, 3))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)),
+                max_size=3),
+       st.sampled_from(_IRREDUCIBLE_QUADRATICS),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool))
+def test_rational_roots_match_sympy(linear, quadratic, scale):
+    # scale * (c x^2 + b x + a) * prod (q x - p)^m: the rational roots are the
+    # p/q with multiplicities summed over equal values, the quadratic adds none
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b, c = quadratic
+    poly = sympy.Rational(scale.numerator, scale.denominator) * (c * x ** 2 + b * x + a)
+    for p, q, m in linear:
+        poly *= (q * x - p) ** m
+    poly = sympy.Poly(poly, x)
+    got = rm.rational_roots(tuple(Fraction(int(v.p), int(v.q))
+                                  for v in reversed(poly.all_coeffs())))
+    want = sorted((Fraction(int(r.p), int(r.q)), m)
+                  for r, m in sympy.roots(poly, filter="Q").items())
+    assert got == want
+
+
 @pytest.mark.parametrize("kind, n", [("semisimple", n) for n in range(1, 6)]
                          + [("jordan", n) for n in range(2, 6)])
 @pytest.mark.parametrize("seed", range(4))

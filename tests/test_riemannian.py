@@ -13,12 +13,13 @@ from homogeo import symmat
 from homogeo.cli import main
 from homogeo.frames import degree_coset, transition
 from homogeo.groups import O, rand_element
-from homogeo.linebundle import DEG_ABS, LineBundleScenario
+from homogeo.linebundle import DEG_ABS, DegreeError, LineBundleScenario
 from homogeo.metric import DegeneracyError
 from homogeo.riemannian import (MetricTriple, curvature_RD,
                                 flatness_report, frame_to_gtilde,
                                 gtilde_frame, gtilde_to_triple,
-                                koszul_connection, sphere_flat_chart,
+                                koszul_connection, sphere_embedding,
+                                sphere_flat_chart, sphere_metric,
                                 sphere_triple, tensors_ABCD, triple_to_G,
                                 triple_to_gtilde, verify_rd_formulas)
 from homogeo.tensors import KForm, SymTensor2, one_form
@@ -379,6 +380,18 @@ def test_gtilde_orthogonal_case_recovers_zero_eta():
     assert u_rec is ex.ONE
 
 
+def test_gtilde_to_triple_rejects_a_fiber_dependent_block():
+    # g(E, E) = mu descends (u = 1), but the rescaled x-block
+    # (mu^2 x^2 + mu)/mu = mu x^2 + 1 still depends on mu
+    scn = LineBundleScenario("dep", ("x",))
+    x, mu = ex.var("x"), scn.mu
+    gt = SymTensor2(scn.total, ((ex.add(ex.mul(ex.pw(mu, 2), ex.pw(x, 2)), mu), ex.ZERO),
+                                (ex.ZERO, ex.pw(mu, -1))))
+    with pytest.raises(DegreeError, match=r"not homogeneous of the claimed degree: "
+                       r"residual \{'point': \{'mu': .*, 'x': .*\}, 'value': "):
+        gtilde_to_triple(gt, scn)
+
+
 def test_frame_to_gtilde_sphere():
     triple = sphere_triple(1)
     scn = triple.scenario
@@ -448,6 +461,21 @@ def test_sphere_flat_chart(n):
     assert rep.chart_reproduces_metric, rep.failure
     assert rep.homogeneous, rep.failure
     assert len(rep.chi) == n + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_embedding_is_unit_and_induces_the_round_metric(n):
+    chart = sphere_triple(n).scenario.base
+    Y = sphere_embedding(n, chart)
+    g = sphere_metric(n, chart)
+    pol = ZeroTestPolicy(constraints=chart.constraints)
+    assert len(Y) == n + 1
+    assert is_zero(ex.sub(ex.add(*[ex.pw(y, 2) for y in Y]), ex.ONE), pol)
+    dY = [[ex.diff(y, c) for c in chart.coords] for y in Y]
+    for i in range(n):
+        for j in range(n):
+            pulled = ex.add(*[ex.mul(row[i], row[j]) for row in dY])
+            assert is_zero(ex.sub(pulled, g.mat[i][j]), pol), (i, j)
 
 
 def test_sphere_rd_formulas():
