@@ -416,7 +416,6 @@ def _verify_symplectic_chart(scn: LineBundleScenario, chi, omega: KForm, affine_
 @dataclass(frozen=True)
 class DarbouxChart:
     scenario: LineBundleScenario
-    pair: ContactPair
     omega: KForm
     chi: Tuple[ex.Expr, ...]
     verified: bool
@@ -447,4 +446,4 @@ def darboux_homogeneous_chart(k: int, policy: ZeroTestPolicy = DEFAULT_POLICY
     if built is None:
         raise RuntimeError("standard pair unexpectedly not recognized")
     chi, ok, why = built
-    return DarbouxChart(pair.scenario, pair, omega, chi, ok, why)
+    return DarbouxChart(pair.scenario, omega, chi, ok, why)

@@ -276,7 +276,7 @@ def _make_sum(n: int, d: int, terms: tuple) -> Expr:
 
 def add(*xs) -> Expr:
     n, d = 0, 1
-    acc: dict = {}   # coefficient-free core -> coefficient pair, in order
+    acc: dict = {}   # factor tuple of a term -> coefficient pair, in order
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Rat):
@@ -289,14 +289,10 @@ def add(*xs) -> Expr:
         else:
             ts = (x,)
         for t in ts:
-            c = (1, 1)
-            if isinstance(t, Prod) and t.n != t.d:
-                c, t = (t.n, t.d), _make_prod(1, 1, t.factors)
-            old = acc.get(t)
-            acc[t] = c if old is None else _qadd(*old, *c)
-    terms = [core if cn == cd else
-             _make_prod(cn, cd, core.factors if isinstance(core, Prod) else (core,))
-             for core, (cn, cd) in acc.items() if cn]
+            fs, c = (t.factors, (t.n, t.d)) if isinstance(t, Prod) else ((t,), (1, 1))
+            old = acc.get(fs)
+            acc[fs] = c if old is None else _qadd(*old, *c)
+    terms = [_make_prod(cn, cd, fs) for fs, (cn, cd) in acc.items() if cn]
     return _make_sum(n, d, _sorted_nodes(terms))
 
 
@@ -309,8 +305,6 @@ def _scale_sum(s: Sum, n: int, d: int) -> Expr:
 
 
 def _make_prod(n: int, d: int, factors: tuple) -> Expr:
-    if n == 0:
-        return ZERO
     if not factors:
         return _rat(n, d)
     if len(factors) == 1 and n == d:

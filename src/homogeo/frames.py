@@ -109,7 +109,6 @@ def _sample_valid_point(scn: LineBundleScenario, dets, policy: ZeroTestPolicy):
 
 @dataclass(frozen=True)
 class TransitionResult:
-    matrix_pointwise: List[List[ex.Expr]]   # entries in (r, coordinates)
     homogeneous: bool
     matrix_sym: Optional[List[List[ex.Expr]]] = None   # entries in r only
     hom: Optional[DegreeHom] = None
@@ -165,7 +164,7 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     if not ok:
         (i, j, coord), _ = bad
         return TransitionResult(
-            A_pt, False,
+            False,
             failure=f"entry ({i},{j}) varies along {coord}: "
                     f"d/d{coord} = {ex.to_dsl(ex.diff(A_pt[i][j], coord, cons))}")
 
@@ -184,7 +183,7 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     C = [[_fold_rational(ex.subs(v, point_map), cons, policy) for v in row] for row in A_neg]
 
     hom = DegreeHom(tuple(tuple(row) for row in B), tuple(tuple(row) for row in C))
-    return TransitionResult(A_pt, True, matrix_sym=A_sym, hom=hom, point=point_map)
+    return TransitionResult(True, matrix_sym=A_sym, hom=hom, point=point_map)
 
 
 def homomorphism_law_holds(tr: TransitionResult,

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 from . import expr as ex
 from .chart import Chart, ChartError, SmoothMap
 from .tensors import (Endo11, KForm, SymTensor2, VectorField, d, interior,
-                      pullback, pullback_endo, pullback_sym, pushforward)
+                      pullback, pullback_endo, pullback_sym, pushforward, wedge)
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, zero_report
 
 __all__ = ["ScalarDegree", "DEG0", "DEG1", "DEG_ABS", "DEG_SQRT_ABS",
@@ -196,7 +196,6 @@ class LineBundleScenario:
         fac = degree.fiber_factor()
         first = self.include_form(beta).scale(fac)
         dfac = d(KForm(self.total, 0, {(): fac}))
-        from .tensors import wedge
         second = wedge(dfac, self.include_form(gamma))
         return AtiyahObject(self, first + second, degree, verified=True)
 

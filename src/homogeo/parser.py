@@ -31,9 +31,9 @@ Grammar (EBNF, also documented in the README):
     which `parse` finds by printing its result once; it reads the folded
     exponents off the result's tape (numtape.compile_tape).
 
-Identifiers must be coordinates of the supplied chart or the formal
-action parameter ``r``; the function heads are exp, log, sqrt, abs,
-sign, sin, cos.  ``sqrt(x)`` is sugar for ``x^(1/2)``.
+Identifiers must be coordinates of the supplied chart or, without a
+chart, among the supplied names; the function heads are exp, log, sqrt,
+abs, sign, sin, cos.  ``sqrt(x)`` is sugar for ``x^(1/2)``.
 """
 
 from __future__ import annotations
@@ -112,14 +112,14 @@ class _Lexer:
 def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Expr:
     """Parse a DSL string into an Expr.
 
-    Identifiers are validated against the chart's coordinates (plus the
-    action parameter 'r') or, when no chart is given, against `names`.
+    Identifiers are validated against the chart's coordinates or, when
+    no chart is given, against `names`.
     """
     if chart is not None:
-        allowed = set(chart.coords) | {"r", "s"}
+        allowed = set(chart.coords)
         where = f"chart {chart.name!r} declares ({', '.join(chart.coords)})"
     elif names is not None:
-        allowed = set(names) | {"r", "s"}
+        allowed = set(names)
         where = f"known names: ({', '.join(sorted(allowed))})"
     else:
         allowed = None

@@ -296,7 +296,6 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
 class RdFormulaReport:
     agree: bool
     mismatch: Optional[tuple] = None
-    residual: Optional[ex.Expr] = None
 
 
 def verify_rd_formulas(triple: MetricTriple,
@@ -344,10 +343,7 @@ def verify_rd_formulas(triple: MetricTriple,
     ok, bad = all_zero((((e, cc, a, b), ex.sub(RD[e][cc][a][b], expected(e, cc, a, b)))
                         for a in range(n1) for b in range(n1)
                         for cc in range(n1) for e in range(n1)), pol)
-    if ok:
-        return RdFormulaReport(True)
-    e, cc, a, b = bad[0]
-    return RdFormulaReport(False, bad[0], ex.sub(RD[e][cc][a][b], expected(e, cc, a, b)))
+    return RdFormulaReport(True) if ok else RdFormulaReport(False, bad[0])
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +511,6 @@ def sphere_triple(n: int) -> MetricTriple:
 @dataclass(frozen=True)
 class SphereChartReport:
     scenario: LineBundleScenario
-    gtilde: SymTensor2
     chi: Tuple[ex.Expr, ...]
     flat: bool
     chart_reproduces_metric: bool
@@ -558,7 +553,7 @@ def sphere_flat_chart(n: int, policy: ZeroTestPolicy = DEFAULT_POLICY
             break
     # the last failing check names the failure
     failure = hom_failure or next((bad[0] for bad in (bad_chart, bad_flat) if bad), None)
-    return SphereChartReport(scn, gt, chi, flat, reproduces, hom_failure is None,
+    return SphereChartReport(scn, chi, flat, reproduces, hom_failure is None,
                              failure)
 
 

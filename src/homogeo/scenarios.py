@@ -16,13 +16,21 @@ timing data unless explicitly requested.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from . import complexstruct as cx
+from . import contact as ct
+from . import cosymplectic as cs
 from . import expr as ex
+from . import frames as fr
+from . import groups as gr
+from . import ratmat as rm
+from . import riemannian as riem
 from .chart import ChartError
 from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from .tensors import KForm, SymTensor2, VectorField
@@ -189,15 +197,12 @@ def _scenario_chart(data: dict) -> LineBundleScenario:
 
 def _read(parse, text: str, where: str):
     """parse(text), or a SchemaError naming `where` if the text is invalid
-    (a parse error, an unknown name, a literal division by zero, or the
-    scaling parameter r, which no scenario object may use)."""
+    (a parse error, a name the chart does not declare, such as the
+    scaling parameters r and s, or a literal division by zero)."""
     try:
-        out = parse(text)
+        return parse(text)
     except (ValueError, ArithmeticError) as err:
         raise SchemaError(f"{where}: {err}")
-    if isinstance(out, ex.Expr) and "r" in out.free:
-        raise SchemaError(f"{where}: the scaling parameter r is not a coordinate")
-    return out
 
 
 def _form_from_dict(chart, degree: int, coeffs: dict, where: str) -> KForm:
@@ -229,10 +234,9 @@ def _matrix(chart, rows: list, where: str) -> tuple:
 
 def _frame_from(data: dict):
     """The frame of `objects.frame`, on the total chart of the scenario."""
-    from .frames import Frame
     scn = _scenario_chart(data)
     rows = _matrix(scn.total, data["objects"]["frame"], "objects.frame")
-    return Frame(scn, tuple(VectorField(scn.total, row) for row in rows))
+    return fr.Frame(scn, tuple(VectorField(scn.total, row) for row in rows))
 
 
 def _check(name: str, ok: bool, detail: str, witness=None,
@@ -293,7 +297,6 @@ def _with_expectations(data: dict, computed: Dict[str, bool],
 # outcomes it computed; an invalid object raises ex.InvalidObjectError
 
 def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    from . import contact as ct
     scn = _scenario_chart(data)
     objects = data["objects"]
     theta = _form_from_dict(scn.base, 1, objects["theta"], "objects.theta")
@@ -339,7 +342,6 @@ def _run_contact(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
 
 
 def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    from . import cosymplectic as cs
     scn = _scenario_chart(data)
     objects = data["objects"]
     Omega = _form_from_dict(scn.base, 2, objects["Omega"], "objects.Omega")
@@ -376,7 +378,6 @@ def _run_cosymplectic(data: dict, policy: ZeroTestPolicy, checks: List[dict]) ->
 
 
 def _run_complex(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    from . import complexstruct as cx
     ac = cx.frame_to_j(_frame_from(data), policy)
     checks.append(_check("structure", True,
                          "J^2 = -I, fiber-invariant, trivial degree coset"))
@@ -392,12 +393,11 @@ def _run_complex(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict
 
 
 def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    from . import riemannian as rm
     objects = data["objects"]
     if "sphere" in objects:
         n = objects["sphere"]
-        triple = rm.sphere_triple(n)
-        screen = rm.sphere_flat_chart(n, policy)
+        triple = riem.sphere_triple(n)
+        screen = riem.sphere_flat_chart(n, policy)
         checks.append(_check("sphere chart flat", screen.flat,
                              screen.failure or "upstairs curvature vanishes"))
         checks.append(_check("sphere chart reproduces metric",
@@ -411,20 +411,20 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
         scn = _scenario_chart(data)
         g = SymTensor2(scn.base, _matrix(scn.base, objects["g"], "objects.g"))
         eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
-        triple = rm.MetricTriple(scn, g, eta)
+        triple = riem.MetricTriple(scn, g, eta)
 
     triple.check_definite(policy)
     checks.append(_check("definite", True,
                          "leading principal minors positive at samples"))
 
     checks.append(_homogeneity_check(
-        triple.scenario, rm.triple_to_gtilde(triple), DEG_ABS, policy,
+        triple.scenario, riem.triple_to_gtilde(triple), DEG_ABS, policy,
         "upstairs metric has degree |r| for r > 0 and under the reflection"))
 
     # both checks below share one build of the curvature tensors
-    RD = rm.curvature_RD(rm.koszul_connection(rm.triple_to_G(triple), policy))
-    tensors = rm.tensors_ABCD(triple, policy)
-    rrep = rm.verify_rd_formulas(triple, policy, tensors=tensors, RD=RD)
+    RD = riem.curvature_RD(riem.koszul_connection(riem.triple_to_G(triple), policy))
+    tensors = riem.tensors_ABCD(triple, policy)
+    rrep = riem.verify_rd_formulas(triple, policy, tensors=tensors, RD=RD)
     checks.append(_check(
         "curvature formulas", rrep.agree,
         "connection curvature matches the closed-form tensors" if rrep.agree
@@ -432,7 +432,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
         witness=None if rrep.agree else {"component": rrep.mismatch},
         falsification=True))
 
-    frep = rm.flatness_report(triple, policy, tensors=tensors, RD=RD)
+    frep = riem.flatness_report(triple, policy, tensors=tensors, RD=RD)
     checks.append(_check(
         "flatness equivalence", frep.equivalence_consistent,
         f"A=0:{frep.A_zero} B=0:{frep.B_zero} C=0:{frep.C_zero} "
@@ -450,10 +450,8 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
 
 
 def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    from . import frames as fr
-    from .groups import GroupId
     frame = _frame_from(data)
-    G = GroupId(**data["objects"]["group"]) if "group" in data["objects"] else None
+    G = gr.GroupId(**data["objects"]["group"]) if "group" in data["objects"] else None
     if G is not None and G.size != len(frame.components):
         raise SchemaError(f"objects.group: {G} has size {G.size}, but the frame "
                           f"has {len(frame.components)} fields")
@@ -489,9 +487,6 @@ def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
 
 
 def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
-    import random
-    from . import groups as gr
-    from . import ratmat as rm
     objects = data["objects"]
     G = gr.GroupId(objects["family"], objects["param"])
     count = objects["elements"]

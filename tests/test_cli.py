@@ -171,6 +171,41 @@ def test_cli_does_not_import_numpy():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
+def test_cli_import_loads_pinned_modules():
+    # every homogeo module loads before `main` runs (perfbench's setup_s)
+    # and none inside it (wall_s): a lazy import would move that time
+    # between the two, so it has to change this list
+    proc = subprocess.run([sys.executable, "-c",
+                           "import homogeo.cli, sys; print(*sorted(m for m in "
+                           "sys.modules if m.split('.')[0] == 'homogeo'))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "homogeo", "homogeo.chart", "homogeo.cli", "homogeo.complexstruct",
+        "homogeo.contact", "homogeo.cosymplectic", "homogeo.expr",
+        "homogeo.frames", "homogeo.groups", "homogeo.linebundle",
+        "homogeo.metric", "homogeo.numtape", "homogeo.parser", "homogeo.ratmat",
+        "homogeo.riemannian", "homogeo.scenarios", "homogeo.symmat",
+        "homogeo.tensors", "homogeo.zerotest"]
+
+
+def test_package_reexports_nothing_and_scenarios_imports_at_top():
+    # callers import modules by name; a function-local import in scenarios
+    # would be a lazy import the pinned module list above does not allow
+    src = os.path.join(REPO, "src", "homogeo")
+    with open(os.path.join(src, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    _doc, *rest = init.body
+    assert [ast.unparse(t) for n in rest for t in getattr(n, "targets", [n])] \
+        == ["__version__"]
+    with open(os.path.join(src, "scenarios.py")) as fh:
+        tree = ast.parse(fh.read())
+    local = [ast.unparse(n) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert local == []
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("sphere_n1", lambda d: d["objects"].update(sphere=True),
      "objects.sphere: True is not an integer"),
@@ -793,24 +828,39 @@ def test_dsl_content_is_report_or_input_error(tmp_path_factory, case):
     _assert_report_or_input_error(tmp_path_factory, name, path, text)
 
 
-@pytest.mark.parametrize("name, path, where", [
-    ("darboux_k2", ("theta", "u"), "objects.theta.u"),
-    ("riemann_eta_dz", ("g", 0, 0), "objects.g[0][0]"),
-    ("riemann_eta_dz", ("eta", "z"), "objects.eta.z"),
-    ("frame_euler", ("frame", 0, 0), "objects.frame[0][0]"),
-], ids=["contact-theta", "metric", "riemannian-eta", "frame"])
+@pytest.mark.parametrize("name, path, text, message", [
+    ("darboux_k2", ("theta", "u"), "1 + r", "objects.theta.u: unknown identifier "
+     "'r'; chart 'darboux_k2' declares (u, x1, p1) (at position 4)"),
+    ("riemann_eta_dz", ("g", 0, 0), "1 + r", "objects.g[0][0]: unknown identifier "
+     "'r'; chart 'riemann_eta_dz' declares (x, y, z) (at position 4)"),
+    ("riemann_eta_dz", ("eta", "z"), "1 + r", "objects.eta.z: unknown identifier "
+     "'r'; chart 'riemann_eta_dz' declares (x, y, z) (at position 4)"),
+    ("frame_euler", ("frame", 0, 0), "1 + r", "objects.frame[0][0]: unknown "
+     "identifier 'r'; chart 'frame_euler~' declares (x, mu) (at position 4)"),
+    ("darboux_k2", ("theta", "u"), "s", "objects.theta.u: unknown identifier "
+     "'s'; chart 'darboux_k2' declares (u, x1, p1) (at position 0)"),
+    ("euclidean_eta0", ("g", 0, 0), "1 + s", "objects.g[0][0]: unknown identifier "
+     "'s'; chart 'euclidean_eta0' declares (x, y) (at position 4)"),
+    ("complex_constant", ("frame", 0, 0), "1 + s", "objects.frame[0][0]: unknown "
+     "identifier 's'; chart 'complex_constant~' declares (x, y, z, mu) (at "
+     "position 4)"),
+    ("frame_euler", ("frame", 0, 0), "1 + s", "objects.frame[0][0]: unknown "
+     "identifier 's'; chart 'frame_euler~' declares (x, mu) (at position 4)"),
+], ids=["contact-theta", "metric", "riemannian-eta", "frame", "contact-theta-s",
+        "metric-s", "complex-frame-s", "frame-s"])
 def test_scaling_parameter_in_object_is_input_error(tmp_path, capsys, name, path,
-                                                     where):
-    # the parser reads r as the formal scaling parameter on any chart: in a
-    # theta or metric entry it ended in an internal KeyError, in a frame in
-    # an internal ChartError, and in eta it ran as if it were a coordinate
+                                                     text, message):
+    # the parser once read r and s as the formal scaling parameters on any
+    # chart: in a theta or metric entry they ended in an internal KeyError,
+    # in a frame in an internal ChartError, and r in eta ran as if it were
+    # a coordinate; a scenario object may name only its chart's coordinates
     data = copy.deepcopy(_BUNDLED[name + ".json"])
-    _node(data["objects"], path[:-1])[path[-1]] = "1 + r"
+    _node(data["objects"], path[:-1])[path[-1]] = text
     target = tmp_path / "r.json"
     target.write_text(json.dumps(data))
     code, out, err = run_cli(["run", str(target)], capsys)
     assert code == 2 and out == ""
-    assert err == f"error: {where}: the scaling parameter r is not a coordinate\n"
+    assert err == f"error: {message}\n"
 
 
 def test_scenario_runners_catch_nothing():
