@@ -75,8 +75,8 @@ def _internal_error(err: Exception) -> str:
 
 def cmd_run(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
-        report = run_scenario(scenario, _overrides(args), with_timing=args.timing)
+        report = run_scenario(load_scenario(args.scenario, _overrides(args)),
+                              with_timing=args.timing)
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -106,8 +106,7 @@ def cmd_suite(args) -> int:
     internal = 0
     for path in paths:
         try:
-            scenario = load_scenario(path)
-            reports.append(run_scenario(scenario, _overrides(args),
+            reports.append(run_scenario(load_scenario(path, _overrides(args)),
                                         with_timing=args.timing))
         except INPUT_ERRORS as err:
             errors.append({"path": path, "error": str(err)})

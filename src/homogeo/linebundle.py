@@ -4,14 +4,17 @@ Everything lives on a single trivialized patch: base chart U with
 coordinates (x^1..x^n) and total chart U x R^x with the extra fiber
 coordinate mu (constraint mu != 0, working branch mu > 0).  The scaling
 maps h_r act by (x, mu) -> (x, r mu).  Base-level data (sections,
-derivations, forms) is promoted to homogeneous objects upstairs; descent
-inverts the promotion, and `LineBundleScenario.descend_function` is its
-one implementation: divide by the degree phi(mu), check that the quotient
-does not depend on mu, and set mu = 1.  Fields and forms descend by
-calling it on each component.  Homogeneity of degree phi means
-h_r^* obj = phi(r) obj for symbolic r > 0 together with the reflection
-r = -1, which is checked by explicit substitution mu -> -mu with
-abs/sign resolved on the branch.
+derivations, forms) is promoted to homogeneous objects upstairs: each
+promotion returns the upstairs function, field or form itself, and the
+derivation-complex operators of the paper are the upstairs ones, d_D = d
+and i_I = interior(euler(), .); `homogeneity_report` checks a degree
+claim.  Descent inverts the promotion, and
+`LineBundleScenario.descend_function` is its one implementation: divide
+by the degree phi(mu), check that the quotient does not depend on mu,
+and set mu = 1.  Fields and forms descend by calling it on each
+component.  Homogeneity of degree phi means h_r^* obj = phi(r) obj for
+symbolic r > 0 together with the reflection r = -1, which is checked by
+explicit substitution mu -> -mu with abs/sign resolved on the branch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .tensors import (Endo11, KForm, SymTensor2, VectorField, d, interior,
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, zero_report
 
 __all__ = ["ScalarDegree", "DEG0", "DEG1", "DEG_ABS", "DEG_SQRT_ABS",
-           "LineBundleScenario", "AtiyahObject", "DegreeError", "NotBasicError",
+           "LineBundleScenario", "DegreeError", "NotBasicError",
            "FIBER"]
 
 FIBER = "mu"
@@ -116,25 +119,18 @@ class LineBundleScenario:
         inv = tuple(ex.var(c) for c in self.base.coords) + (ex.div(self.mu, factor),)
         return SmoothMap(self.total, self.total, comps, inv)
 
-    def h_sym(self, param: str = "r") -> SmoothMap:
-        """The scaling map with a formal positive parameter."""
-        return self.h_scaling(ex.var(param))
-
-    def h_at(self, q) -> SmoothMap:
-        q = Fraction(q)
-        if q == 0:
-            raise ValueError("scaling factor must be nonzero")
-        return self.h_scaling(ex.rat(q))
+    def h_sym(self) -> SmoothMap:
+        """The scaling map with the formal positive parameter r."""
+        return self.h_scaling(ex.var("r"))
 
     @property
     def reflection(self) -> SmoothMap:
-        return self.h_at(-1)
+        return self.h_scaling(ex.rat(-1))
 
-    def policy_for(self, policy: ZeroTestPolicy, with_params=("r",)) -> ZeroTestPolicy:
-        extra = list(self.total.constraints)
-        for p in with_params:
-            extra.append(ex.Constraint(p, ">", 0))
-        return policy.with_constraints(extra)
+    def policy_for(self, policy: ZeroTestPolicy) -> ZeroTestPolicy:
+        """`policy` under the total chart's constraints and r > 0."""
+        return policy.with_constraints(self.total.constraints
+                                       + (ex.Constraint("r", ">", 0),))
 
     # -- promotion / descent --------------------------------------------
     def include_form(self, w: KForm) -> KForm:
@@ -143,11 +139,11 @@ class LineBundleScenario:
             raise ChartError("form must live on the base chart")
         return KForm(self.total, w.degree, dict(w.coeffs))
 
-    def promote_section(self, s: ex.Expr, degree: ScalarDegree = DEG1) -> "AtiyahObject":
-        """Section s * lambda_0 of the degree bundle -> homogeneous function."""
+    def promote_section(self, s: ex.Expr, degree: ScalarDegree = DEG1) -> ex.Expr:
+        """Section s * lambda_0 of the degree bundle -> the homogeneous
+        function phi(mu) s upstairs."""
         self.base.check_owns(s)
-        return AtiyahObject(self, ex.mul(degree.fiber_factor(), s), degree,
-                            verified=True)
+        return ex.mul(degree.fiber_factor(), s)
 
     def descend_function(self, f: ex.Expr, degree: ScalarDegree = DEG1,
                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> ex.Expr:
@@ -163,14 +159,13 @@ class LineBundleScenario:
                               f"residual {rep.witness_fields(str)}")
         return ex.simplify(ex.subs(s, {FIBER: ex.ONE}), self.base.constraints)
 
-    def promote_derivation(self, X: VectorField, f: ex.Expr) -> "AtiyahObject":
-        """Derivation with symbol X and zero-order part f -> degree-0 field
-        X + f * Euler."""
+    def promote_derivation(self, X: VectorField, f: ex.Expr) -> VectorField:
+        """Derivation with symbol X and zero-order part f -> the degree-0
+        field X + f * Euler upstairs."""
         if X.chart != self.base:
             raise ChartError("symbol must live on the base chart")
         self.base.check_owns(f)
-        comps = tuple(X.comps) + (ex.mul(f, self.mu),)
-        return AtiyahObject(self, VectorField(self.total, comps), DEG0, verified=True)
+        return VectorField(self.total, tuple(X.comps) + (ex.mul(f, self.mu),))
 
     def descend_derivation(self, V: VectorField,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
@@ -184,11 +179,12 @@ class LineBundleScenario:
         return VectorField(self.base, tuple(base_comps)), f
 
     def promote_atiyah_form(self, beta: KForm, gamma: KForm,
-                            degree: ScalarDegree = DEG1) -> "AtiyahObject":
+                            degree: ScalarDegree = DEG1) -> KForm:
         """Pair (k-form beta, (k-1)-form gamma) on the base -> homogeneous
         k-form phi(mu) * beta + d(phi(mu)) ^ gamma upstairs: the paper's
         correspondence between forms of the derivation complex and
-        homogeneous forms on the total chart."""
+        homogeneous forms on the total chart, under which d_D is d and i_I
+        is interior(euler(), .)."""
         if beta.chart != self.base or gamma.chart != self.base:
             raise ChartError("forms must live on the base chart")
         if gamma.degree != beta.degree - 1:
@@ -196,8 +192,7 @@ class LineBundleScenario:
         fac = degree.fiber_factor()
         first = self.include_form(beta).scale(fac)
         dfac = d(KForm(self.total, 0, {(): fac}))
-        second = wedge(dfac, self.include_form(gamma))
-        return AtiyahObject(self, first + second, degree, verified=True)
+        return first + wedge(dfac, self.include_form(gamma))
 
     def descend_form(self, w: KForm, degree: ScalarDegree = DEG1,
                      policy: ZeroTestPolicy = DEFAULT_POLICY) -> KForm:
@@ -264,37 +259,3 @@ class LineBundleScenario:
         ok, _ = self.homogeneity_report(obj, degree, policy)
         return ok
 
-
-@dataclass(frozen=True)
-class AtiyahObject:
-    """A geometric object on the total chart with a verified homogeneity claim."""
-
-    scenario: LineBundleScenario
-    obj: GeomObject
-    degree: ScalarDegree
-    verified: bool = False
-
-    def __post_init__(self):
-        if not self.verified:
-            ok, bad = self.scenario.homogeneity_report(self.obj, self.degree)
-            if not ok:
-                where, rep = bad
-                raise DegreeError(f"homogeneity claim fails: {where}, "
-                                  f"residual {rep.witness_fields(str)}")
-            object.__setattr__(self, "verified", True)
-
-
-def d_D(a: AtiyahObject) -> AtiyahObject:
-    """The differential of the derivation complex, computed upstairs as d."""
-    if not isinstance(a.obj, KForm):
-        raise TypeError("d_D acts on forms")
-    return AtiyahObject(a.scenario, d(a.obj), a.degree, verified=True)
-
-
-def i_I(a: AtiyahObject) -> AtiyahObject:
-    """Insertion of the identity derivation, computed upstairs as the
-    contraction with the Euler field."""
-    if not isinstance(a.obj, KForm):
-        raise TypeError("i_I acts on forms")
-    return AtiyahObject(a.scenario, interior(a.scenario.euler(), a.obj),
-                        a.degree, verified=True)

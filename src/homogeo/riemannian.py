@@ -298,20 +298,15 @@ class RdFormulaReport:
     mismatch: Optional[tuple] = None
 
 
-def verify_rd_formulas(triple: MetricTriple,
-                       policy: ZeroTestPolicy = DEFAULT_POLICY,
-                       tensors: Optional[dict] = None,
-                       RD: Optional[List] = None) -> RdFormulaReport:
-    """Curvature of the Koszul connection against the closed-form tensors.
-    A false result is a first-class finding, not an error.  `tensors` and
-    `RD`, when given, are the precomputed `tensors_ABCD` and `curvature_RD`
-    of this triple."""
+def verify_rd_formulas(triple: MetricTriple, t: dict, RD: List,
+                       policy: ZeroTestPolicy = DEFAULT_POLICY) -> RdFormulaReport:
+    """Curvature of the Koszul connection against the closed-form tensors:
+    `t` is `tensors_ABCD` of this triple and `RD` the `curvature_RD` of its
+    `koszul_connection`.  A false result is a first-class finding, not an
+    error."""
     scn = triple.scenario
     n = scn.base.dim
     pol = policy.with_constraints(scn.base.constraints)
-    if RD is None:
-        RD = curvature_RD(koszul_connection(triple_to_G(triple), policy))
-    t = tensors_ABCD(triple, policy) if tensors is None else tensors
     quarter = ex.rat(Fraction(1, 4))
 
     def expected(e, cc, a, b):
@@ -579,17 +574,11 @@ def _entries_last_first(arr, idx=()):
             yield from _entries_last_first(arr[i], idx + (i,))
 
 
-def flatness_report(triple: MetricTriple,
-                    policy: ZeroTestPolicy = DEFAULT_POLICY,
-                    tensors: Optional[dict] = None,
-                    RD: Optional[List] = None) -> FlatnessReport:
-    """Which of A, B, C, D and the connection curvature vanish.  `tensors`
-    and `RD`, when given, are the precomputed `tensors_ABCD` and
-    `curvature_RD` of this triple."""
-    scn = triple.scenario
-    pol = policy.with_constraints(scn.base.constraints)
-    t = tensors_ABCD(triple, policy) if tensors is None else tensors
-    n = scn.base.dim
+def flatness_report(triple: MetricTriple, t: dict, RD: List,
+                    policy: ZeroTestPolicy = DEFAULT_POLICY) -> FlatnessReport:
+    """Which of A, B, C, D (`t`, the `tensors_ABCD` of this triple) and
+    the connection curvature `RD` vanish."""
+    pol = policy.with_constraints(triple.scenario.base.constraints)
 
     def vanishes(arr) -> Tuple[bool, Optional[dict]]:
         ok, bad = all_zero(_entries_last_first(arr), pol)
@@ -599,8 +588,6 @@ def flatness_report(triple: MetricTriple,
     b0, wb = vanishes(t["B"])
     c0, wc = vanishes(t["C"])
     d0, wd = vanishes(t["D"])
-    if RD is None:
-        RD = curvature_RD(koszul_connection(triple_to_G(triple), policy))
     rd0, wr = vanishes(RD)
     witness = wa or wb or wc or wd or wr
     return FlatnessReport(a0, b0, c0, d0, rd0,

@@ -36,21 +36,13 @@ from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from .tensors import KForm, SymTensor2, VectorField
 from .zerotest import MAX_SAMPLES, ZeroTestPolicy, all_zero
 
-__all__ = ["SchemaError", "load_scenario", "run_scenario", "Scenario",
-           "render_text", "KINDS"]
+__all__ = ["SchemaError", "load_scenario", "run_scenario", "render_text", "KINDS"]
 
 KINDS = ("contact", "cosymplectic", "complex", "riemannian", "frame", "group")
 
 
 class SchemaError(ValueError):
     """Scenario file violates the schema; message carries a pointer."""
-
-
-@dataclass
-class Scenario:
-    name: str
-    kind: str
-    data: dict
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +148,25 @@ def _walk(value, shape, path: str):
     return value
 
 
-def _checked(data: dict, overrides: dict) -> dict:
-    """`data` walked against its kind's table, once the command-line
-    `overrides` (seed, samples, tolerance) have replaced its policy's."""
-    policy = data.get("policy", {})
-    if overrides and isinstance(policy, dict):
-        data = {**data, "policy": {**policy, **overrides}}
-    kind = _walk(data, _HEAD, "")["kind"]
-    objects = data.get("objects")
-    if kind == "riemannian" and isinstance(objects, dict) and "sphere" in objects:
-        kind = "sphere"
-    return _walk(data, {**_COMMON, "expect": {_OUTCOMES[kind]: bool},
-                        **_KIND_FIELDS[kind]}, "")
-
-
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, overrides: Optional[dict] = None) -> dict:
+    """The scenario file at `path`, walked against its kind's table once
+    the command-line `overrides` (seed, samples, tolerance) have replaced
+    its policy's.  The head (name, kind) is walked first, so a document
+    that is not an object is a SchemaError before anything reads it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (ValueError, RecursionError) as err:   # bad UTF-8 or JSON, too deep
         raise SchemaError(f"{path}: not valid JSON ({err})")
-    return Scenario(**_walk(data, _HEAD, ""), data=data)
+    kind = _walk(data, _HEAD, "")["kind"]
+    policy = data.get("policy", {})
+    if overrides and isinstance(policy, dict):
+        data = {**data, "policy": {**policy, **overrides}}
+    objects = data.get("objects")
+    if kind == "riemannian" and isinstance(objects, dict) and "sphere" in objects:
+        kind = "sphere"
+    return _walk(data, {**_COMMON, "expect": {_OUTCOMES[kind]: bool},
+                        **_KIND_FIELDS[kind]}, "")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +414,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
     # both checks below share one build of the curvature tensors
     RD = riem.curvature_RD(riem.koszul_connection(riem.triple_to_G(triple), policy))
     tensors = riem.tensors_ABCD(triple, policy)
-    rrep = riem.verify_rd_formulas(triple, policy, tensors=tensors, RD=RD)
+    rrep = riem.verify_rd_formulas(triple, tensors, RD, policy)
     checks.append(_check(
         "curvature formulas", rrep.agree,
         "connection curvature matches the closed-form tensors" if rrep.agree
@@ -432,7 +422,7 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
         witness=None if rrep.agree else {"component": rrep.mismatch},
         falsification=True))
 
-    frep = riem.flatness_report(triple, policy, tensors=tensors, RD=RD)
+    frep = riem.flatness_report(triple, tensors, RD, policy)
     checks.append(_check(
         "flatness equivalence", frep.equivalence_consistent,
         f"A=0:{frep.A_zero} B=0:{frep.B_zero} C=0:{frep.C_zero} "
@@ -547,9 +537,10 @@ _RUNNERS = {
 }
 
 
-def run_scenario(scenario: Scenario, overrides: Optional[dict] = None,
-                 with_timing: bool = False) -> dict:
-    data = _checked(scenario.data, overrides or {})
+def run_scenario(data: dict, with_timing: bool = False) -> dict:
+    """The report of the walked scenario `data` (from `load_scenario`).  A
+    constant too large to print that escapes a pipeline is re-raised with
+    the last check that finished, as an input error."""
     pol = data["policy"]
     policy = ZeroTestPolicy(sample_count=pol["samples"],
                             tolerance=pol["tolerance"], seed=pol["seed"])
@@ -560,6 +551,10 @@ def run_scenario(scenario: Scenario, overrides: Optional[dict] = None,
     except ex.InvalidObjectError as err:     # the run stops at an invalid object
         checks.append(_check("object", False, str(err)))
         computed = {}
+    except ex.ConstantTooLargeError as err:
+        where = (f"after check {checks[-1]['name']!r}" if checks
+                 else "before the first check")
+        raise ex.ConstantTooLargeError(f"{where}: {err}") from None
     _with_expectations(data, computed, checks)
     elapsed = time.perf_counter() - t0
     verdicts = [c["verdict"] for c in checks]

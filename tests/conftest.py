@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from homogeo import expr as ex
 from homogeo import numtape
+from homogeo import riemannian
 from homogeo import zerotest
 from homogeo.tensors import VectorField
 from homogeo.zerotest import ZeroTestPolicy
@@ -74,6 +75,15 @@ def _positivize(a: ex.Expr) -> ex.Expr:
 def _shrink(a: ex.Expr) -> ex.Expr:
     # keep transcendental arguments moderate to avoid float overflow
     return ex.mul(ex.rat(Fraction(1, 4)), a)
+
+
+def curvature(triple, policy=zerotest.DEFAULT_POLICY):
+    """(tensors_ABCD, curvature_RD) of a metric triple, built once in the
+    order a riemannian scenario builds them, for verify_rd_formulas and
+    flatness_report."""
+    RD = riemannian.curvature_RD(riemannian.koszul_connection(
+        riemannian.triple_to_G(triple), policy))
+    return riemannian.tensors_ABCD(triple, policy), RD
 
 
 def rand_point(rng: random.Random, names, lo=-2, hi=2):

@@ -25,16 +25,15 @@ from homogeo.complexstruct import frame_to_j, integrability_report_c, nijenhuis,
 from homogeo.frames import Frame
 from homogeo.groups import (GLC, O, SP, member, normalizer_p, rand_element,
                             splitting)
-from homogeo.linebundle import (DEG0, DEG1, DEG_ABS, LineBundleScenario,
-                                d_D, i_I)
+from homogeo.linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
 from homogeo.riemannian import (MetricTriple, flatness_report, sphere_flat_chart,
                                 sphere_triple, triple_to_gtilde,
                                 verify_rd_formulas)
 from homogeo.tensors import (Endo11, KForm, SymTensor2, VectorField,
-                             coordinate_field, one_form)
+                             coordinate_field, d, interior, one_form)
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
-from conftest import rand_poly
+from conftest import curvature, rand_poly
 
 POLICY = ZeroTestPolicy(sample_count=20, tolerance=1e-9, seed=0)
 
@@ -72,7 +71,7 @@ def test_criterion_1_homotopy_identity():
         for n, coords in ((2, ("a", "b")), (3, ("a", "b", "c")),
                           (4, ("a", "b", "c", "e"))):
             scn = LineBundleScenario(f"h{n}", coords)
-            pol = scn.policy_for(POLICY, with_params=())
+            pol = POLICY.with_constraints(scn.total.constraints)
             for degree in (1, 2, 3):
                 if degree > n + 1:
                     continue
@@ -86,8 +85,10 @@ def test_criterion_1_homotopy_identity():
                                   {idx: rand_poly(rng, coords)
                                    for idx in combinations(range(n), degree - 1)})
                     w = scn.promote_atiyah_form(beta, gamma)
-                    h = d_D(i_I(w)).obj + i_I(d_D(w)).obj
-                    assert _forms_equal(h, w.obj, pol)
+                    # d_D and i_I are d and i_E upstairs
+                    E = scn.euler()
+                    h = d(interior(E, w)) + interior(E, d(w))
+                    assert _forms_equal(h, w, pol)
                     cases += 1
         assert cases == 20
 
@@ -222,9 +223,9 @@ def test_criterion_5_rd_cross_check(monkeypatch):
         from homogeo import symmat
         flat2 = LineBundleScenario("e2", ("x", "y"))
         g2 = SymTensor2(flat2.base, ((ex.ONE, ex.ZERO), (ex.ZERO, ex.ONE)))
-        assert verify_rd_formulas(MetricTriple(flat2, g2, KForm(flat2.base, 1, {})),
-                                  POLICY).agree
-        assert verify_rd_formulas(sphere_triple(2), POLICY).agree
+        for triple in (MetricTriple(flat2, g2, KForm(flat2.base, 1, {})),
+                       sphere_triple(2)):
+            assert verify_rd_formulas(triple, *curvature(triple, POLICY), POLICY).agree
 
         def rand_affine(rng, coords):
             parts = [ex.rat(Fraction(rng.randint(-2, 2), 10))]
@@ -247,7 +248,7 @@ def test_criterion_5_rd_cross_check(monkeypatch):
                                            [rand_affine(rng, ("x", "y")),
                                             rand_affine(rng, ("x", "y"))]))
             triple.check_definite(POLICY)
-            assert verify_rd_formulas(triple, POLICY).agree
+            assert verify_rd_formulas(triple, *curvature(triple, POLICY), POLICY).agree
     assert mix == {"uniform point": 155, "witness path": 10}
     assert swept["skipped"] == 115
 
@@ -258,7 +259,8 @@ def test_criterion_6_flatness_equivalence():
     plane is the negative control with an explicit witness."""
     with _Budget("6 flatness equivalence", 120):
         for n in (1, 2):
-            rep = flatness_report(sphere_triple(n), POLICY)
+            triple = sphere_triple(n)
+            rep = flatness_report(triple, *curvature(triple, POLICY), POLICY)
             assert rep.A_zero and rep.B_zero and rep.D_zero and rep.RD_zero
             assert rep.equivalence_consistent
             chart = sphere_flat_chart(n, POLICY)
@@ -266,8 +268,8 @@ def test_criterion_6_flatness_equivalence():
             assert chart.homogeneous, chart.failure
         flat2 = LineBundleScenario("e2", ("x", "y"))
         g2 = SymTensor2(flat2.base, ((ex.ONE, ex.ZERO), (ex.ZERO, ex.ONE)))
-        control = flatness_report(MetricTriple(flat2, g2, KForm(flat2.base, 1, {})),
-                                  POLICY)
+        triple = MetricTriple(flat2, g2, KForm(flat2.base, 1, {}))
+        control = flatness_report(triple, *curvature(triple, POLICY), POLICY)
         assert not control.D_zero and not control.RD_zero
         assert control.equivalence_consistent
         assert control.witness is not None

@@ -138,17 +138,18 @@ def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name, form, field, text, codes", [
-    ("riemann_eta_dz", "eta", "x", "10^2200*x", (2,)),
-    ("riemann_eta_dz", "eta", "z", "x^5000*y", (0, 1)),
-    ("riemann_eta_dz", "eta", "z", "10^2200*x", (2,)),
-    ("darboux_k2", "theta", "x1", "-10^2200*p1", (2,)),
+@pytest.mark.parametrize("name, form, field, text, codes, where", [
+    ("riemann_eta_dz", "eta", "x", "10^2200*x", (2,), "after check 'curvature formulas'"),
+    ("riemann_eta_dz", "eta", "z", "x^5000*y", (0, 1), None),
+    ("riemann_eta_dz", "eta", "z", "10^2200*x", (2,), "after check 'curvature formulas'"),
+    ("darboux_k2", "theta", "x1", "-10^2200*p1", (2,), "before the first check"),
 ], ids=["eta-fingerprint", "eta-witness-draw", "eta-literal-witness", "theta-fingerprint"])
 def test_run_with_unprintable_derived_constant(tmp_path, capsys, name, form, field,
-                                               text, codes):
+                                               text, codes, where):
     # each input parses, but a derived constant had more digits than Python
     # prints: in a query's fingerprint, in a witness draw's exact value, or
-    # as a literal witness; each ended in an internal error
+    # as a literal witness; each ended in an internal error.  The input
+    # error names the last check that finished before the constant
     with open(os.path.join(SCENARIOS, name + ".json")) as fh:
         data = json.load(fh)
     data["objects"][form][field] = text
@@ -157,8 +158,9 @@ def test_run_with_unprintable_derived_constant(tmp_path, capsys, name, form, fie
     code, out, err = run_cli(["run", str(path)], capsys)
     assert code in codes, err
     if code == 2:
-        assert err == (f"error: constant has more than {sys.get_int_max_str_digits()} "
-                       "digits, too many to print\n") and out == ""
+        assert err == (f"error: {where}: constant has more than "
+                       f"{sys.get_int_max_str_digits()} digits, too many to print\n")
+        assert out == ""
     else:
         assert err == "" and "summary:" in out
 
@@ -482,9 +484,19 @@ def test_load_scenario_rejects_bad_kind(tmp_path):
         load_scenario(str(p))
 
 
+@pytest.mark.parametrize("document", ["[]", '"x"', "1", "null"])
+def test_document_not_an_object_is_input_error(tmp_path, capsys, document):
+    # the head is walked before the policy overrides read the document
+    p = tmp_path / "doc.json"
+    p.write_text(document)
+    code, out, err = run_cli(["run", str(p), "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: scenario: must be an object\n")
+
+
 def test_policy_overrides_applied():
-    scenario = load_scenario(os.path.join(SCENARIOS, "frame_euler.json"))
-    rep = run_scenario(scenario, {"seed": 5, "samples": 7, "tolerance": 1e-7})
+    scenario = load_scenario(os.path.join(SCENARIOS, "frame_euler.json"),
+                             {"seed": 5, "samples": 7, "tolerance": 1e-7})
+    rep = run_scenario(scenario)
     assert rep["policy"] == {"seed": 5, "samples": 7, "tolerance": 1e-7}
 
 
@@ -596,11 +608,13 @@ def test_bad_tol_option_is_input_error(capsys, tol):
     assert err.startswith("error: policy.tolerance: ")
 
 
-def test_integral_float_field_accepted():
-    scenario = load_scenario(os.path.join(SCENARIOS, "group_sp2.json"))
-    scenario.data["policy"] = {"seed": 3.0, "samples": 20.0}
-    scenario.data["objects"]["elements"] = 2.0
-    rep = run_scenario(scenario)
+def test_integral_float_field_accepted(tmp_path):
+    data = copy.deepcopy(_BUNDLED["group_sp2.json"])
+    data["policy"] = {"seed": 3.0, "samples": 20.0}
+    data["objects"]["elements"] = 2.0
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(data))
+    rep = run_scenario(load_scenario(str(path)))
     assert rep["policy"]["seed"] == 3 and type(rep["policy"]["seed"]) is int
     assert rep["checks"][0]["detail"].startswith("2 random elements")
 
@@ -883,24 +897,27 @@ def test_scenario_runners_catch_nothing():
         ("_read", "(ValueError, ArithmeticError)"),
         ("_scenario_chart", "ChartError"),
         ("load_scenario", "(ValueError, RecursionError)"),
+        ("run_scenario", "ex.ConstantTooLargeError"),
         ("run_scenario", "ex.InvalidObjectError"),
     ]
 
 
 # per scenario kind, the (module, function) pairs its pipeline calls once
-# and hands the result on: the pair report and the upstairs form omega, or
-# the frame's transition
+# and hands the result on: the pair report and the upstairs form omega, the
+# frame's transition, or the two curvature builds
 _BUILT_ONCE = {"contact": (("contact", "check_pair"), ("contact", "pair_to_omega")),
                "cosymplectic": (("cosymplectic", "check_cosymplectic"),
                                 ("cosymplectic", "pair_to_omega0")),
-               "frame": (("frames", "transition"),)}
+               "frame": (("frames", "transition"),),
+               "riemannian": (("riemannian", "tensors_ABCD"),
+                              ("riemannian", "curvature_RD"))}
 
 
 def test_scenario_builds_its_report_once(monkeypatch):
-    """Each bundled contact, cosymplectic and frame scenario builds its pair
-    report and omega, or its frame's transition, once: the homogeneity,
-    roundtrip and integrability checks and the degree coset take the ones
-    the runner built."""
+    """Each bundled contact, cosymplectic, frame and riemannian scenario
+    builds its pair report and omega, its frame's transition, or its
+    curvature tensors, once: the homogeneity, roundtrip, integrability and
+    curvature checks and the degree coset take the ones the runner built."""
     import importlib
     calls = []
     for module, name in {site for sites in _BUILT_ONCE.values() for site in sites}:
@@ -918,7 +935,7 @@ def test_scenario_builds_its_report_once(monkeypatch):
             for _, name in _BUILT_ONCE[data["kind"]]:
                 assert calls.count(name) == 1, (scenario, name)
             runs += 1
-    assert runs == 13
+    assert runs == 17
 
 
 def _source_sites(match):
@@ -999,13 +1016,13 @@ def test_internal_error_does_not_abort_suite(tmp_path, capsys, monkeypatch):
     import homogeo.cli as cli
     real = cli.run_scenario
 
-    def flaky(scenario, *args, **kwargs):
-        if scenario.name == "boom":
+    def flaky(data, *args, **kwargs):
+        if data["name"] == "boom":
             raise RuntimeError("kernel bug")
-        return real(scenario, *args, **kwargs)
+        return real(data, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_scenario", flaky)
-    suite = _write_suite(tmp_path, {"name": "boom", "kind": "contact"})
+    suite = _write_suite(tmp_path, {**_BUNDLED["darboux_k2.json"], "name": "boom"})
     code, out, err = run_cli(["suite", str(suite), "--json"], capsys)
     agg = json.loads(out)
     assert code == 3

@@ -190,11 +190,11 @@ def test_torsion_degree_preserved():
         X = scn.promote_derivation(
             VectorField(scn.base, tuple(rand_poly(rng, scn.base.coords, degree=1)
                                         for _ in range(3))),
-            rand_poly(rng, scn.base.coords, degree=1)).obj
+            rand_poly(rng, scn.base.coords, degree=1))
         Y = scn.promote_derivation(
             VectorField(scn.base, tuple(rand_poly(rng, scn.base.coords, degree=1)
                                         for _ in range(3))),
-            rand_poly(rng, scn.base.coords, degree=1)).obj
+            rand_poly(rng, scn.base.coords, degree=1))
         out = nijenhuis_fields(ac.J, X, Y)
         assert scn.is_homogeneous(out, DEG0)
 

@@ -383,8 +383,8 @@ def test_omega_pairing_structure_equation():
         Y = VectorField(scn.base, tuple(rand_poly(rng, scn.base.coords)
                                         for _ in range(3)))
         fx, fy = rand_poly(rng, scn.base.coords), rand_poly(rng, scn.base.coords)
-        DX = scn.promote_derivation(X, fx).obj
-        DY = scn.promote_derivation(Y, fy).obj
+        DX = scn.promote_derivation(X, fx)
+        DY = scn.promote_derivation(Y, fy)
         lhs = ex.div(om(DX, DY), scn.mu)
         tx, ty = pair.theta(X), pair.theta(Y)
         # derivation action on a section coefficient: X(t) + f t

@@ -25,6 +25,8 @@ from homogeo.riemannian import (MetricTriple, curvature_RD,
 from homogeo.tensors import KForm, SymTensor2, one_form
 from homogeo.zerotest import ZeroTestPolicy, is_zero, sample_values
 
+from conftest import curvature
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -243,7 +245,8 @@ def test_abcd_golden_file():
 
 
 def test_verify_rd_formulas_euclid_and_golden_case():
-    assert verify_rd_formulas(euclid_triple()).agree
+    triple = euclid_triple()
+    assert verify_rd_formulas(triple, *curvature(triple)).agree
     with open(os.path.join(GOLDEN, "abcd_flat3_eta_z.json")) as fh:
         golden = json.load(fh)
     scn = LineBundleScenario("e3", tuple(golden["coords"]))
@@ -251,14 +254,15 @@ def test_verify_rd_formulas_euclid_and_golden_case():
                                    for row in golden["g"]))
     eta = one_form(scn.base, [scn.base.parse(golden["eta"].get(c, "0"))
                               for c in golden["coords"]])
-    assert verify_rd_formulas(MetricTriple(scn, g, eta)).agree
+    triple = MetricTriple(scn, g, eta)
+    assert verify_rd_formulas(triple, *curvature(triple)).agree
 
 
 def test_verify_rd_formulas_seeded_random():
     for seed in range(3):
         triple = rand_triple(seed)
         triple.check_definite()
-        assert verify_rd_formulas(triple).agree
+        assert verify_rd_formulas(triple, *curvature(triple)).agree
 
 
 # a fixed rational triple on (x, y): g = I + P^t P with P affine, every
@@ -313,7 +317,8 @@ def test_c_antisymmetric_and_zero_with_b():
 
 
 def test_flatness_witness_of_a_certificate_is_its_note(certificate_verdicts):
-    rep = flatness_report(euclid_triple())
+    triple = euclid_triple()
+    rep = flatness_report(triple, *curvature(triple))
     assert not rep.D_zero and rep.equivalence_consistent
     assert rep.witness == {"index": rep.witness["index"], "note": certificate_verdicts}
 
@@ -321,20 +326,17 @@ def test_flatness_witness_of_a_certificate_is_its_note(certificate_verdicts):
 def test_flatness_equivalence_suite():
     # spheres positive, euclid negative, random perturbations negative
     for n in (1, 2):
-        rep = flatness_report(sphere_triple(n))
+        triple = sphere_triple(n)
+        rep = flatness_report(triple, *curvature(triple))
         assert rep.A_zero and rep.B_zero and rep.C_zero and rep.D_zero
         assert rep.RD_zero and rep.equivalence_consistent
     triple = euclid_triple()
-    rep = flatness_report(triple)
+    rep = flatness_report(triple, *curvature(triple))
     assert rep.A_zero and rep.B_zero and not rep.D_zero and not rep.RD_zero
     assert rep.equivalence_consistent and rep.witness is not None
-    # precomputed tensors, as a scenario run shares them, change nothing
-    RD = curvature_RD(koszul_connection(triple_to_G(triple)))
-    t = tensors_ABCD(triple)
-    assert flatness_report(triple, tensors=t, RD=RD) == rep
-    assert verify_rd_formulas(triple, tensors=t, RD=RD).agree
     for seed in (0, 1):
-        rep = flatness_report(rand_triple(seed))
+        triple = rand_triple(seed)
+        rep = flatness_report(triple, *curvature(triple))
         assert rep.equivalence_consistent
         assert not rep.RD_zero
 
@@ -479,7 +481,8 @@ def test_sphere_embedding_is_unit_and_induces_the_round_metric(n):
 
 
 def test_sphere_rd_formulas():
-    assert verify_rd_formulas(sphere_triple(2)).agree
+    triple = sphere_triple(2)
+    assert verify_rd_formulas(triple, *curvature(triple)).agree
 
 
 def test_sphere_unsupported_dimension():
