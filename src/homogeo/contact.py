@@ -40,8 +40,7 @@ from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero, sample_
 __all__ = ["ContactPair", "InvalidPairError", "PairReport", "pair_to_omega",
            "omega_to_pair", "check_pair", "symplectic_basis", "sp_frame_from_omega",
            "frame_to_omega", "IntegrabilityReport", "settle_integrability",
-           "integrability_report", "darboux_homogeneous_chart", "DarbouxChart",
-           "standard_darboux_pair"]
+           "integrability_report", "standard_darboux_pair"]
 
 
 class InvalidPairError(ex.InvalidObjectError):
@@ -413,15 +412,6 @@ def _verify_symplectic_chart(scn: LineBundleScenario, chi, omega: KForm, affine_
     return (True, verified) if ok else (False, bad[0])
 
 
-@dataclass(frozen=True)
-class DarbouxChart:
-    scenario: LineBundleScenario
-    omega: KForm
-    chi: Tuple[ex.Expr, ...]
-    verified: bool
-    detail: str
-
-
 def standard_darboux_pair(k: int) -> ContactPair:
     """theta = du - sum p_i dx^i, upsilon = 0 on base coordinates
     (u, x1..x_{k-1}, p1..p_{k-1})."""
@@ -434,16 +424,3 @@ def standard_darboux_pair(k: int) -> ContactPair:
         coeffs[(i,)] = ex.neg(scn.base.var(f"p{i}"))
     theta = KForm(scn.base, 1, coeffs)
     return ContactPair(scn, theta, zero_form(scn.base, 2))
-
-
-def darboux_homogeneous_chart(k: int, policy: ZeroTestPolicy = DEFAULT_POLICY
-                              ) -> DarbouxChart:
-    """The model chart (u, x^i, -mu, mu p_i) for the standard pair, with
-    full verification of the affine data and the symplectic frame property."""
-    pair = standard_darboux_pair(k)
-    omega = pair_to_omega(pair)
-    built = _try_darboux_chart(pair, omega, policy)
-    if built is None:
-        raise RuntimeError("standard pair unexpectedly not recognized")
-    chi, ok, why = built
-    return DarbouxChart(pair.scenario, omega, chi, ok, why)

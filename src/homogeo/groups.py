@@ -14,10 +14,11 @@ Degree homomorphisms r -> A(r) are stored as the pair (B, C) with
 A(r) = exp(B log r) for r > 0 and A(r) = C exp(B log|r|) for r < 0,
 subject to C^2 = I and CB = BC.  One evaluator, `hom_matrix`, gives A(r)
 as a matrix of expressions from the eigenvalues of B (Putzer's method):
-`hom_eval` folds it to rationals at a rational r, `hom_eval_symbolic` is
-its branch r > 0, and `frames.build_frame` takes A(r)^{-1} as its value
-at 1/|r|.  One symbolic test, `quotient_symbolic`, decides that A(r)
-lies in N(G) for `frames.degree_coset` and `coset_eq`.
+`hom_eval` folds it to rationals at a rational r, `hom_matrix(A, r, 1)`
+is its branch r > 0, and `frames.build_frame` takes A(r)^{-1} as its
+value at 1/|r|.  `frames.degree_coset` and `coset_eq` decide that A(r)
+lies in N(G) once per branch: for r > 0 by one symbolic test,
+`quotient_symbolic`, and at r = -1, where A(r) is C, exactly.
 
 The exact arithmetic runs on `ratmat.QMat`.  `rand_element` and
 `splitting` return one, and the membership tests take one as it is or
@@ -43,7 +44,7 @@ from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
            "quotient_symbolic", "in_normalizer", "normalizer_p",
            "NotInNormalizerError", "splitting", "DegreeHom", "DegreeHomError",
-           "hom_matrix", "hom_eval", "hom_eval_symbolic", "coset_eq",
+           "hom_matrix", "hom_eval", "coset_eq",
            "member_symbolic", "rand_element", "rand_lie_element",
            "centralizer_basis", "contact_lift", "trivial_hom", "sqrt_abs_lift"]
 
@@ -322,12 +323,6 @@ def hom_eval(A: DegreeHom, q) -> rm.Mat:
     return tuple(tuple(v.value for v in row) for row in M)
 
 
-def hom_eval_symbolic(A: DegreeHom) -> List[List[ex.Expr]]:
-    """A(r) on the branch r > 0 as a matrix of expressions.  Needs rational
-    eigenvalues."""
-    return hom_matrix(A, ex.var("r"), ex.ONE)
-
-
 def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
                     policy: ZeroTestPolicy) -> bool:
     """M, a matrix of expressions, lies in G at the zero test's sample
@@ -382,29 +377,22 @@ def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
              policy: ZeroTestPolicy = DEFAULT_POLICY) -> bool:
     """A1 = A2 mod G: A1(r) A2(r)^{-1} in G for symbolic r > 0 and at r = -1.
 
-    Preconditions: both homs take values in N(G), checked exactly at
-    r in {2, -1, 1/3} where they evaluate to rationals, and symbolically
-    through quotient_symbolic."""
+    Preconditions, checked: both homs take values in N(G), through
+    quotient_symbolic for r > 0 and exactly at r = -1, where each hom is
+    its C."""
     if A1.size != A2.size or A1.size != G.size:
         raise ValueError("size mismatch")
     pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    M1, M2 = map(hom_eval_symbolic, (A1, A2))
+    M1, M2 = (hom_matrix(A, ex.var("r"), ex.ONE) for A in (A1, A2))
     for A, M in ((A1, M1), (A2, M2)):
-        for q in (Fraction(2), Fraction(-1), Fraction(1, 3)):
-            try:
-                value = hom_eval(A, q)
-            except rm.UnsupportedMatrixError:
-                continue
-            if not in_normalizer(G, value):
-                raise NotInNormalizerError(
-                    f"hom value at r={q} is not in N({G})")
+        if not in_normalizer(G, A.C):
+            raise NotInNormalizerError(f"hom value at r=-1 is not in N({G})")
         if quotient_symbolic(G, M, pol)[1] is not None:
             raise NotInNormalizerError(
                 f"hom does not take values in N({G}) for symbolic r > 0")
     if not member_symbolic(G, symmat.mat_mul(M1, _at_inverse(M2)), pol):
         return False
-    # reflection: exact rational check at r = -1, where each hom is its C
-    # and C^-1 = C
+    # at r = -1 each hom is its C, and C^-1 = C
     return member(G, rm.qmul(rm.qmat(A1.C), rm.qmat(A2.C)))
 
 

@@ -28,7 +28,7 @@ from . import expr as ex
 from .chart import Chart, ChartError, SmoothMap
 from .tensors import (Endo11, KForm, SymTensor2, VectorField, d, interior,
                       pullback, pullback_endo, pullback_sym, pushforward, wedge)
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, zero_report
+from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero
 
 __all__ = ["ScalarDegree", "DEG0", "DEG1", "DEG_ABS", "DEG_SQRT_ABS",
            "LineBundleScenario", "DegreeError", "NotBasicError",
@@ -153,10 +153,10 @@ class LineBundleScenario:
         base goes through here."""
         s = ex.simplify(ex.div(f, degree.fiber_factor()), self.total.constraints)
         pol = self.policy_for(policy)
-        rep = zero_report(ex.diff(s, FIBER, self.total.constraints), pol)
-        if not rep.is_zero:
+        ok, bad = all_zero([(FIBER, ex.diff(s, FIBER, self.total.constraints))], pol)
+        if not ok:
             raise DegreeError(f"function is not homogeneous of the claimed degree: "
-                              f"residual {rep.witness_fields(str)}")
+                              f"residual {bad[1].witness_fields(str)}")
         return ex.simplify(ex.subs(s, {FIBER: ex.ONE}), self.base.constraints)
 
     def promote_derivation(self, X: VectorField, f: ex.Expr) -> VectorField:

@@ -33,6 +33,7 @@ from . import ratmat as rm
 from . import riemannian as riem
 from .chart import ChartError
 from .linebundle import DEG0, DEG1, DEG_ABS, LineBundleScenario
+from .metric import DegeneracyError
 from .tensors import KForm, SymTensor2, VectorField
 from .zerotest import MAX_SAMPLES, ZeroTestPolicy, all_zero
 
@@ -399,7 +400,16 @@ def _run_riemannian(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> d
                              "chi scales by sqrt(r), even under reflection"))
     else:
         scn = _scenario_chart(data)
-        g = SymTensor2(scn.base, _matrix(scn.base, objects["g"], "objects.g"))
+        rows = _matrix(scn.base, objects["g"], "objects.g")
+        # SymTensor2 would average an asymmetric pair into another metric
+        ok, bad = all_zero((((i, j), ex.sub(v, rows[j][i])) for i, row in enumerate(rows)
+                            for j, v in enumerate(row) if j > i and v is not rows[j][i]),
+                           policy.with_constraints(scn.base.constraints))
+        if not ok:
+            (i, j), _ = bad
+            raise DegeneracyError(f"metric is not symmetric: entries ({i}, {j}) "
+                                  f"and ({j}, {i}) differ")
+        g = SymTensor2(scn.base, rows)
         eta = _form_from_dict(scn.base, 1, objects["eta"], "objects.eta")
         triple = riem.MetricTriple(scn, g, eta)
 
@@ -470,12 +480,6 @@ def _run_frame(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     return computed
 
 
-def _sweep(name: str, detail: str, witness_at, n: int) -> dict:
-    """Check `name`: fails with the first truthy witness_at(i), i < n."""
-    witness = next(filter(None, map(witness_at, range(n))), None)
-    return _check(name, witness is None, detail, witness=witness)
-
-
 def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     objects = data["objects"]
     G = gr.GroupId(objects["family"], objects["param"])
@@ -483,40 +487,37 @@ def _run_group(data: dict, policy: ZeroTestPolicy, checks: List[dict]) -> dict:
     rng = random.Random(policy.seed)
 
     neutral = Fraction(1) if G.family != "glc" else 0
-
-    def not_neutral(i):
-        # rand_element returns members only
+    values = {"sp": [Fraction(2), Fraction(-3), Fraction(1, 5)],
+              "glc": [0, 1],
+              "o": [Fraction(4), Fraction(9, 4), Fraction(1, 16)]}.get(G.family)
+    identity = rm.qmat(rm.rident(G.size))
+    # index i draws one member (rand_element returns members only) for each
+    # check due at i: the first two for i < count, conjugation for i < 20
+    witness = {}    # check name -> the witness of its first failing index
+    for i in range(max(count, 20) if values else count):
         g = gr.rand_element(G, rng)
-        if G.family != "gl" and gr.normalizer_p(G, g) != neutral:
-            return {"index": i, "reason": "non-neutral quotient"}
-
-    checks.append(_sweep("members neutral", f"{count} random elements are "
-                         "members with neutral quotient value", not_neutral, count))
-
-    if G.family != "gl":
-        values = {"sp": [Fraction(2), Fraction(-3), Fraction(1, 5)],
-                  "glc": [0, 1],
-                  "o": [Fraction(4), Fraction(9, 4), Fraction(1, 16)]}[G.family]
-
-        def not_split(i):
-            g = gr.rand_element(G, rng)
-            v = values[i % len(values)]
-            got = gr.normalizer_p(G, rm.qmul(g, gr.splitting(G, v)))
+        if not values:
+            continue
+        v = values[i % len(values)]
+        B = gr.splitting(G, v)
+        if i < count:
+            if gr.normalizer_p(G, g) != neutral:
+                witness.setdefault("members neutral",
+                                   {"index": i, "reason": "non-neutral quotient"})
+            got = gr.normalizer_p(G, rm.qmul(g, B))
             if got != v:
-                return {"index": i, "value": _jsonable(v), "got": _jsonable(got)}
+                witness.setdefault("splitting section", {
+                    "index": i, "value": _jsonable(v), "got": _jsonable(got)})
+        if i < 20 and not gr.member(G, rm.qmul(B, g, rm.qsolve(B, identity))):
+            witness.setdefault("normalizer conjugation", {"index": i})
 
-        checks.append(_sweep("splitting section", "p(g . splitting(v)) = v on "
-                             "random members", not_split, count))
-        identity = rm.qmat(rm.rident(G.size))
-
-        def not_conjugated(i):
-            g = gr.rand_element(G, rng)
-            B = gr.splitting(G, values[i % len(values)])
-            if not gr.member(G, rm.qmul(B, g, rm.qsolve(B, identity))):
-                return {"index": i}
-
-        checks.append(_sweep("normalizer conjugation", "splitting values "
-                             "conjugate the group into itself", not_conjugated, 20))
+    checks += [_check(name, name not in witness, detail, witness=witness.get(name))
+               for name, detail in (
+                   ("members neutral", f"{count} random elements are members with "
+                                       "neutral quotient value"),
+                   ("splitting section", "p(g . splitting(v)) = v on random members"),
+                   ("normalizer conjugation", "splitting values conjugate the group "
+                                              "into itself"))[:3 if values else 1]]
 
     if G.family == "glc":
         basis = gr.centralizer_basis(G.param)

@@ -144,7 +144,8 @@ def _square_matrix(chart: Chart, mat) -> Tuple[Tuple[ex.Expr, ...], ...]:
 @dataclass(frozen=True)
 class SymTensor2:
     """Symmetric 2-tensor stored as the full coefficient matrix
-    T[i][j] = T(d_i, d_j)."""
+    T[i][j] = T(d_i, d_j).  Distinct (i, j) and (j, i) nodes are averaged
+    for library builders; `scenarios` refuses a metric whose entries differ."""
 
     chart: Chart
     mat: Tuple[Tuple[ex.Expr, ...], ...]

@@ -18,7 +18,7 @@ from homogeo import expr as ex
 from homogeo import ratmat as rm
 from homogeo import riemannian
 from homogeo import zerotest
-from homogeo.contact import (ContactPair, check_pair, darboux_homogeneous_chart,
+from homogeo.contact import (ContactPair, check_pair, integrability_report,
                              omega_to_pair, pair_to_omega, standard_darboux_pair)
 from homogeo.cosymplectic import CosymplecticPair, check_cosymplectic
 from homogeo.complexstruct import frame_to_j, integrability_report_c, nijenhuis, nijenhuis_fields
@@ -152,9 +152,10 @@ def test_criterion_3_darboux_homogeneous_charts():
     diag(I_k, r I_k) with b = 0, chart frame symplectic; exact."""
     with _Budget("3 Darboux homogeneous charts", 10):
         for k in (1, 2, 3):
-            dc = darboux_homogeneous_chart(k, POLICY)
-            assert dc.verified, dc.detail
-            names = [ex.to_dsl(c) for c in dc.chi]
+            pair = standard_darboux_pair(k)
+            rep = integrability_report(pair, check_pair(pair, POLICY), POLICY)
+            assert rep.chart_constructed, rep.note
+            names = [ex.to_dsl(c) for c in rep.witness_chart]
             assert names[0] == "u" and names[k] == "-mu"
 
 

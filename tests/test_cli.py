@@ -2,8 +2,10 @@ import ast
 import copy
 import functools
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -508,8 +510,8 @@ def test_console_entry_point():
 
 
 def test_query_log_suite(tmp_path):
-    # tools/query_log.py rebinds zero_report in every homogeo module it
-    # loads, so it runs in a child process
+    # tools/query_log.py replaces zerotest.zero_report, so it runs in a
+    # child process
     suite = tmp_path / "suite"
     suite.mkdir()
     for name in ("darboux_k2.json", "frame_euler.json"):
@@ -740,21 +742,70 @@ def test_undecodable_file_is_input_error(tmp_path, capsys, content, message):
     assert err.startswith(f"error: {path}: not valid JSON (") and message in err
 
 
-def test_group_sweep_stops_at_first_witness(monkeypatch):
-    # a sweep draws one element per index and stops at the first failure, so
-    # the next sweep starts from the same point of the RNG stream
+def test_only_zerotest_binds_zero_report():
+    # tools/query_log.py replaces zerotest.zero_report alone; a module that
+    # bound the function by value would make queries it does not log
+    import homogeo
+    bound = [m.name for m in pkgutil.iter_modules(homogeo.__path__)
+             if m.name != "zerotest" and zerotest.zero_report in
+             vars(importlib.import_module("homogeo." + m.name)).values()]
+    assert bound == []
+
+
+@pytest.mark.parametrize("check, witness", [
+    ("members neutral", {"index": 7, "reason": "non-neutral quotient"}),
+    ("splitting section", {"index": 7, "value": "-3", "got": "-6"}),
+    ("normalizer conjugation", {"index": 7}),
+], ids=["neutral", "splitting", "conjugation"])
+def test_group_checks_share_one_draw_per_element(monkeypatch, check, witness):
+    # each index draws one element, which every check due there tests: a
+    # failure planted at element 7 fails its own check there and no other,
+    # and group_sp2 draws max(elements, 20) = 50 elements
     from homogeo import groups
-    draws, quotients = [], []
-    real_draw, real_p = groups.rand_element, groups.normalizer_p
+    draws = []
+    real_draw, real_p, real_member = groups.rand_element, groups.normalizer_p, groups.member
     monkeypatch.setattr(groups, "rand_element",
-                        lambda G, rng: draws.append(1) or real_draw(G, rng))
-    monkeypatch.setattr(groups, "normalizer_p", lambda G, g: quotients.append(1) or (
-        real_p(G, g) * (2 if len(quotients) == 4 else 1)))
+                        lambda G, rng: draws.append(real_draw(G, rng)) or draws[-1])
+    if check == "normalizer conjugation":
+        monkeypatch.setattr(groups, "member",
+                            lambda G, M: len(draws) != 8 and real_member(G, M))
+    else:
+        # the quotient of element 7 itself, or of element 7 . splitting(v)
+        monkeypatch.setattr(groups, "normalizer_p", lambda G, g: real_p(G, g) * (
+            2 if len(draws) == 8 and (g is draws[-1]) == (check == "members neutral")
+            else 1))
     rep = run_scenario(load_scenario(os.path.join(SCENARIOS, "group_sp2.json")))
-    assert rep["checks"][0]["verdict"] == "fail"
-    assert rep["checks"][0]["witness"] == {"index": 3, "reason": "non-neutral quotient"}
-    assert [c["verdict"] for c in rep["checks"][1:]] == ["pass", "pass"]
-    assert len(draws) == 4 + 50 + 20
+    assert [c["name"] for c in rep["checks"]] == [
+        "members neutral", "splitting section", "normalizer conjugation"]
+    assert [(c["name"], c["witness"]) for c in rep["checks"]
+            if c["verdict"] != "pass"] == [(check, witness)]
+    assert len(draws) == 50
+
+
+@pytest.mark.parametrize("g, summary", [
+    ([["1", "1"], ["-1", "1"]], None),
+    ([["1", "x"], ["0", "1"]], None),
+    ([["x^2+2", "(x+1)*(x-1)"], ["x^2-1", "x^2+2"]],
+     {"pass": 4, "fail": 0, "falsification": 0}),
+], ids=["antisymmetric-part", "one-sided", "equal-written-two-ways"])
+def test_asymmetric_metric_is_refused(tmp_path, capsys, g, summary):
+    # SymTensor2 averages g[i][j] and g[j][i]: an asymmetric g ran as
+    # another metric, or failed as "not positive definite"
+    data = copy.deepcopy(_BUNDLED["euclidean_eta0.json"])
+    del data["expect"]
+    data["objects"]["g"] = g
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", str(path), "--json"], capsys)
+    assert err == ""
+    rep = json.loads(out)
+    if summary is None:
+        assert code == 1
+        assert rep["checks"] == [{
+            "name": "object", "verdict": "fail",
+            "detail": "metric is not symmetric: entries (0, 1) and (1, 0) differ"}]
+    else:
+        assert code == 0 and rep["summary"] == summary
 
 
 # the type mutations of one JSON value that every scenario field must turn

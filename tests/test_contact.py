@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from homogeo import expr as ex
 from homogeo import ratmat as rm
 from homogeo.contact import (ContactPair, InvalidPairError, check_pair,
-                             darboux_homogeneous_chart, frame_to_omega,
-                             integrability_report, kernel_basis, omega_to_pair,
-                             pair_to_omega, sp_frame_from_omega,
+                             frame_to_omega, integrability_report, kernel_basis,
+                             omega_to_pair, pair_to_omega, sp_frame_from_omega,
                              standard_darboux_pair, symplectic_basis)
 from homogeo.frames import chart_frame, frames_G_equivalent, transition
 from homogeo.groups import SP, rand_element
@@ -351,9 +350,10 @@ def test_base_side_enters_equivalence():
 
 def test_darboux_chart_k123():
     for k in (1, 2, 3):
-        dc = darboux_homogeneous_chart(k)
-        assert dc.verified, dc.detail
-        assert len(dc.chi) == 2 * k
+        pair = standard_darboux_pair(k)
+        rep = integrability_report(pair, check_pair(pair))
+        assert rep.chart_constructed, rep.note
+        assert len(rep.witness_chart) == 2 * k
 
 
 def test_darboux_chart_with_nonunit_trivialization():

@@ -7,14 +7,14 @@ import pytest
 from homogeo import expr as ex
 from homogeo import ratmat as rm
 from homogeo import symmat
-from homogeo.contact import darboux_homogeneous_chart
+from homogeo.contact import check_pair, integrability_report, standard_darboux_pair
 from homogeo.cosymplectic import (check_cosymplectic, integrability_report0,
                                   standard_cosymplectic_pair)
 from homogeo.frames import (Frame, NotHomogeneousError, chart_frame,
                             build_frame, degree_coset, frame_from_matrix,
                             frames_G_equivalent, homomorphism_law_holds,
                             is_homogeneous_chart, transition)
-from homogeo.groups import (GL, GLC, O, SP, contact_lift, rand_element,
+from homogeo.groups import (GL, GLC, O, SP, DegreeHom, contact_lift, rand_element,
                             sqrt_abs_lift, trivial_hom)
 from homogeo.linebundle import LineBundleScenario
 from homogeo.metric import DegeneracyError
@@ -185,6 +185,21 @@ def test_degree_coset_invariance_failure():
     assert rep.failure
 
 
+def test_degree_coset_reflection_outside_normalizer():
+    # A(r) = r^(1/2) I lies in N(O(2)) for r > 0, but A(-1) = C does not;
+    # GL(2) is its own normalizer, with trivial quotient values
+    hom = DegreeHom(sqrt_abs_lift(2).B, ((1, 1), (0, -1)))
+    sigma0 = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "1"])))
+    tr = transition(build_frame(SCN1, sigma0, ex.ONE, hom))
+    assert tr.hom == hom
+    rep = degree_coset(tr, O(2))
+    assert not rep.in_normalizer
+    assert rep.failure == "matrix is not in N(O(2)): defining product is not scalar"
+    rep = degree_coset(tr, GL(2))
+    assert rep.in_normalizer
+    assert rep.quotient_value is ex.ONE and rep.quotient_value_neg1 == 1
+
+
 def test_right_translation_preserves_coset():
     rng = random.Random(51)
     mu, p1, u, x1 = (SCN3.total.var(c) for c in ("mu", "p1", "u", "x1"))
@@ -274,9 +289,13 @@ def test_chart_mu_squared():
 
 
 def test_chart_not_homogeneous():
-    x = SCN1.total.var("x")
-    with pytest.raises(NotHomogeneousError):
-        is_homogeneous_chart(SCN1, (x, ex.add(SCN1.mu, ex.pw(SCN1.mu, 2))))
+    # the transition matrix varies along the fiber, or along the base
+    x, mu = SCN1.total.var("x"), SCN1.mu
+    for chi, where in (((x, ex.add(mu, ex.pw(mu, 2))), "(1,1) varies along mu"),
+                       ((x, ex.add(ex.mul(x, ex.log_(mu)), mu)), "(1,0) varies along x")):
+        with pytest.raises(NotHomogeneousError,
+                           match=re.escape(f"no affine relation: A entry {where}")):
+            is_homogeneous_chart(SCN1, chi)
 
 
 def test_chart_degenerate_jacobian():
@@ -286,8 +305,8 @@ def test_chart_degenerate_jacobian():
 
 
 def _darboux_chart(k):
-    ch = darboux_homogeneous_chart(k)
-    return ch.scenario, ch.chi
+    pair = standard_darboux_pair(k)
+    return pair.scenario, integrability_report(pair, check_pair(pair)).witness_chart
 
 
 def _cosymplectic_chart(k):

@@ -9,8 +9,8 @@ from homogeo import expr as ex
 from homogeo import ratmat as rm
 from homogeo.groups import (DegreeHom, DegreeHomError, GL, GLC,
                             NotInNormalizerError, O, SP, centralizer_basis,
-                            contact_lift, coset_eq, hom_eval,
-                            hom_eval_symbolic, in_normalizer, member,
+                            contact_lift, coset_eq, hom_eval, hom_matrix,
+                            in_normalizer, member,
                             normalizer_p, rand_element, splitting,
                             sqrt_abs_lift, std_J, trivial_hom)
 
@@ -221,7 +221,7 @@ def test_hom_eval_homomorphism_law():
 
 def test_hom_eval_symbolic_matches_rational_points():
     for A in (contact_lift(2), sqrt_abs_lift(3), trivial_hom(2)):
-        M = hom_eval_symbolic(A)
+        M = hom_matrix(A, ex.var("r"), ex.ONE)
         for q in (Fraction(4), Fraction(1), Fraction(9, 4)):
             try:
                 want = hom_eval(A, q)
@@ -237,7 +237,7 @@ def test_hom_eval_symbolic_nilpotent_block():
     # B = ((0,1),(0,0)) gives A(r) = ((1, log r), (0, 1))
     B = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
     A = DegreeHom(B, rm.rident(2))
-    M = hom_eval_symbolic(A)
+    M = hom_matrix(A, ex.var("r"), ex.ONE)
     assert M[0][1] is ex.log_(ex.var("r"))
     assert M[0][0] is ex.ONE and M[1][1] is ex.ONE and M[1][0] is ex.ZERO
 
@@ -277,7 +277,12 @@ def test_coset_eq_examples():
 def test_coset_eq_rejects_non_normalizer():
     shear_B = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
     bad = DegreeHom(shear_B, rm.rident(2))   # exp(Bt) is a shear, not in N(O)
-    with pytest.raises(NotInNormalizerError):
+    with pytest.raises(NotInNormalizerError, match="for symbolic r > 0"):
+        coset_eq(O(2), bad, sqrt_abs_lift(2))
+    # A(r) = r^(1/2) I for r > 0, but A(-1) = C is not in N(O)
+    bad = DegreeHom(sqrt_abs_lift(2).B, ((1, 1), (0, -1)))
+    with pytest.raises(NotInNormalizerError,
+                       match=re.escape("hom value at r=-1 is not in N(O(2))")):
         coset_eq(O(2), bad, sqrt_abs_lift(2))
 
 

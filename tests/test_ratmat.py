@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homogeo import expr as ex
 from homogeo import ratmat as rm
-from homogeo.groups import DegreeHom, hom_eval, hom_eval_symbolic
+from homogeo.groups import DegreeHom, hom_eval, hom_matrix
 
 from conftest import float_value
 
@@ -365,7 +366,7 @@ def test_rational_roots_match_sympy(linear, quadratic, scale):
 @pytest.mark.parametrize("seed", range(4))
 def test_hom_evaluation_matches_oracles(kind, n, seed):
     """The degree homomorphism with B = the case's matrix and C = -I:
-    hom_eval_symbolic against mpmath's expm(B log r) at r in {5/2, 1/3},
+    hom_matrix on r > 0 against mpmath's expm(B log r) at r in {5/2, 1/3},
     and exact hom_eval against sympy's P diag(|q|^lam) P^-1 times sign(q)
     at q in {64, -1/64}.  A Jordan block puts log|q| into A(q), so
     hom_eval refuses it."""
@@ -373,7 +374,7 @@ def test_hom_evaluation_matches_oracles(kind, n, seed):
     mpmath = pytest.importorskip("mpmath")
     S = _spectral_case(kind, n, seed)
     A = DegreeHom(_fractions(S), tuple(tuple(-v for v in row) for row in rm.rident(n)))
-    M = hom_eval_symbolic(A)
+    M = hom_matrix(A, ex.var("r"), ex.ONE)
     for r in (Fraction(5, 2), Fraction(1, 3)):
         want = mpmath.expm(mpmath.matrix(S.evalf().tolist())
                            * mpmath.log(mpmath.mpf(r.numerator) / r.denominator))

@@ -3,10 +3,9 @@
     python tools/query_log.py [--src DIR] -o FILE pytest TESTS_DIR [PYTEST_ARG ...]
     python tools/query_log.py [--src DIR] -o FILE suite SCENARIO_DIR [--seed N]
 
-`zerotest.zero_report` is replaced by a wrapper, and the name is rebound in
-every loaded homogeo module (as `perfbench/tracing.py` does), so calls
-through `is_zero`, `all_zero` and names bound by `from .zerotest import
-zero_report` are all recorded.  A residual that `all_zero` skips (the
+`zerotest.zero_report` is replaced by a wrapper.  Every other module
+queries through `is_zero` and `all_zero`, which look the name up in
+`zerotest`, so every query is recorded.  A residual that `all_zero` skips (the
 negation or a repeat of one it decided zero over GF(p)) makes no query
 and writes no line.  Each line holds, tab-separated: the
 fingerprint of the simplified expression, the verdict (zero or nonzero),
@@ -24,23 +23,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
-import inspect
 import os
-import pkgutil
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _install(out):
-    """Wrap zero_report and rebind it in every homogeo module."""
-    import homogeo
+    """Wrap zerotest.zero_report."""
     from homogeo import expr as ex
     from homogeo import zerotest
 
-    for mod in pkgutil.iter_modules(homogeo.__path__):
-        importlib.import_module("homogeo." + mod.name)
     original = zerotest.zero_report
     # bound now: a test that patches zerotest._fingerprint sees only its
     # own calls
@@ -62,12 +55,7 @@ def _install(out):
                   f"{value}\t{rep.samples}\t{rep.note or '-'}\n")
         return rep
 
-    for name, mod in list(sys.modules.items()):
-        if mod is None or not (name == "homogeo" or name.startswith("homogeo.")):
-            continue
-        for attr, val in list(vars(mod).items()):
-            if inspect.isfunction(val) and val is original:
-                setattr(mod, attr, zero_report)
+    zerotest.zero_report = zero_report
 
 
 def main(argv=None) -> int:
