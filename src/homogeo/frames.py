@@ -22,18 +22,18 @@ from . import expr as ex
 from . import numtape
 from . import symmat
 from .chart import ChartError
-from .groups import (DegreeHom, GroupId, NotInNormalizerError, hom_matrix,
-                     member_symbolic, normalizer_p, quotient_symbolic)
+from .groups import (DegreeHom, GroupId, NotInNormalizerError, member_symbolic,
+                     normalizer_p, quotient_symbolic)
 from .linebundle import FIBER, LineBundleScenario
 from .metric import DegeneracyError
 from .tensors import VectorField
 from .zerotest import (ZeroTestPolicy, DEFAULT_POLICY, ConfigError, all_zero,
                        is_zero, sample_values)
 
-__all__ = ["Frame", "TransitionResult", "transition", "build_frame",
-           "degree_coset", "CosetReport", "CosetError", "require_coset",
-           "frames_G_equivalent", "is_homogeneous_chart", "ChartHomReport",
-           "NotHomogeneousError", "chart_frame"]
+__all__ = ["Frame", "TransitionResult", "transition", "degree_coset",
+           "CosetReport", "CosetError", "require_coset", "frames_G_equivalent",
+           "is_homogeneous_chart", "ChartHomReport", "NotHomogeneousError",
+           "chart_frame"]
 
 
 class NotHomogeneousError(ex.InvalidObjectError):
@@ -200,29 +200,6 @@ def homomorphism_law_holds(tr: TransitionResult,
                                    ex.Constraint("s", ">", 0)))
     return all_zero((((i, j), ex.sub(Ars[i][j], prod[i][j]))
                      for i in range(len(A)) for j in range(len(A))), pol)[0]
-
-
-def build_frame(scn: LineBundleScenario, sigma0: Frame, section_value: ex.Expr,
-                hom: DegreeHom) -> Frame:
-    """Homogeneous frame generated from a reference frame along a section.
-
-    The section is x -> (x, s(x)) with s positive; writing
-    r(eps) = mu / s(x), the new frame at eps is
-    Dh_{r(eps)} . sigma0(section(x)) . hom(r(eps))^{-1}.  The hom inverse
-    is hom_matrix at 1/|r| = s(x)/|mu| with the sign of mu, since
-    exp(B log(1/|r|)) = exp(B log|r|)^{-1} and the reflection factor
-    commutes with it and is its own inverse; so the result is
-    reflection-safe."""
-    scn.base.check_owns(section_value)
-    if ex.sign_of(section_value, scn.base.constraints) != 1:
-        raise ChartError("section value must be positive on the base domain")
-    n = scn.total.dim
-    r_of_eps = ex.div(scn.mu, section_value)
-    S0 = [[ex.subs(v, {FIBER: section_value}) for v in row] for row in sigma0.matrix()]
-    Ainv_eps = hom_matrix(hom, ex.div(section_value, ex.abs_(scn.mu)), ex.sign_(scn.mu))
-    S = symmat.mat_mul(symmat.mat_mul(_scaling_jacobian(n, r_of_eps), S0), Ainv_eps)
-    S = symmat.simplify_mat(S, scn.base.constraints)
-    return frame_from_matrix(scn, S)
 
 
 @dataclass(frozen=True)

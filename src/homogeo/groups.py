@@ -12,18 +12,15 @@ is tested through the defining products
 
 Degree homomorphisms r -> A(r) are stored as the pair (B, C) with
 A(r) = exp(B log r) for r > 0 and A(r) = C exp(B log|r|) for r < 0,
-subject to C^2 = I and CB = BC.  One evaluator, `hom_matrix`, gives A(r)
-as a matrix of expressions from the eigenvalues of B (Putzer's method):
-`hom_eval` folds it to rationals at a rational r, `hom_matrix(A, r, 1)`
-is its branch r > 0, and `frames.build_frame` takes A(r)^{-1} as its
-value at 1/|r|.  `frames.degree_coset` and `coset_eq` decide that A(r)
-lies in N(G) once per branch: for r > 0 by one symbolic test,
-`quotient_symbolic`, and at r = -1, where A(r) is C, exactly.
+subject to C^2 = I and CB = BC; `frames.transition` reads the pair off a
+frame.  `frames.degree_coset` decides that A(r) lies in N(G) once per
+branch: for r > 0 by one symbolic test, `quotient_symbolic`, and at
+r = -1, where A(r) is C, exactly.
 
 The exact arithmetic runs on `ratmat.QMat`.  `rand_element` and
 `splitting` return one, and the membership tests take one as it is or
 rows of rationals.  Fraction matrices are the public form of `std_J`,
-`hom_eval`, `DegreeHom.B`/`C` and `centralizer_basis`.
+`DegreeHom.B`/`C` and `centralizer_basis`.
 """
 
 from __future__ import annotations
@@ -32,21 +29,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import factorial
 from typing import List, Optional, Tuple, Union
 
 from . import expr as ex
 from . import ratmat as rm
 from . import symmat
-from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero, is_zero
+from .zerotest import ZeroTestPolicy, all_zero, is_zero
 
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
-           "quotient_symbolic", "in_normalizer", "normalizer_p",
-           "NotInNormalizerError", "splitting", "DegreeHom", "DegreeHomError",
-           "hom_matrix", "hom_eval", "coset_eq",
-           "member_symbolic", "rand_element", "rand_lie_element",
-           "centralizer_basis", "contact_lift", "trivial_hom", "sqrt_abs_lift"]
+           "quotient_symbolic", "normalizer_p", "NotInNormalizerError",
+           "splitting", "DegreeHom", "DegreeHomError", "member_symbolic",
+           "rand_element", "rand_lie_element", "centralizer_basis"]
 
 
 class NotInNormalizerError(ValueError):
@@ -147,16 +140,6 @@ def _qnormalizer_product(G: GroupId, B: rm.QMat) -> rm.QMat:
     raise ValueError("GL is its own normalizer; no defining product")
 
 
-def in_normalizer(G: GroupId, B) -> bool:
-    if G.family == "gl":
-        return rm.qdet(_qchecked(G, B)) != 0
-    try:
-        normalizer_p(G, B)
-    except (NotInNormalizerError, ZeroDivisionError):
-        return False
-    return True
-
-
 def normalizer_p(G: GroupId, B) -> Union[Fraction, int]:
     """Quotient value of B in N(G): a nonzero rational for Sp, a parity
     (0 or 1) for GLC, a positive rational for O."""
@@ -239,90 +222,6 @@ class DegreeHom:
         return len(self.B)
 
 
-def trivial_hom(n: int) -> DegreeHom:
-    return DegreeHom([[0] * n] * n, rm.rident(n))
-
-
-def contact_lift(k: int) -> DegreeHom:
-    """diag(I_k, r I_k): B = diag(0, I), C = identity... A(-1) = diag(I, -I)."""
-    n = 2 * k
-    B = tuple(tuple(Fraction(int(i == j and i >= k)) for j in range(n))
-              for i in range(n))
-    C = tuple(tuple(Fraction(int(i == j)) * (1 if i < k else -1)
-                    for j in range(n)) for i in range(n))
-    return DegreeHom(B, C)
-
-
-def sqrt_abs_lift(n: int) -> DegreeHom:
-    """|r|^(1/2) I: B = I/2, C = I."""
-    return DegreeHom([[Fraction(int(i == j), 2) for j in range(n)] for i in range(n)],
-                     rm.rident(n))
-
-
-def hom_matrix(A: DegreeHom, base: ex.Expr, sign: ex.Expr) -> List[List[ex.Expr]]:
-    """A at the r with |r| = base and sign(r) = sign, as a matrix of
-    expressions:
-
-        A(r) = exp(B log|r|) ((I + C)/2 + sign(r) (I - C)/2),
-
-    since C^2 = I makes the last factor I for r > 0 and C for r < 0.  The
-    exponential is Putzer's sum (Amer. Math. Monthly 73(1), 1966) over the
-    eigenvalues lam_1 <= ... <= lam_n of B, with multiplicity:
-
-        exp(B log base) = sum_k f[lam_1..lam_(k+1)] P_k,
-        P_0 = I,  P_(k+1) = P_k (B - lam_(k+1) I),
-
-    f[...] the divided differences of lam -> base^lam; a run of j + 1 equal
-    lam gives base^lam (log base)^j / j!.  C commutes with B, so the last
-    factor is folded into the rational P_k.  Needs rational eigenvalues
-    (UnsupportedMatrixError otherwise)."""
-    B, C = rm.qmat(A.B), rm.qmat(A.C)
-    n = A.size
-    lams = [lam for lam, m in rm.rational_eigenvalues(B) for _ in range(m)]
-    # column m of the divided-difference table: f[lam_i..lam_(i+m)] at i
-    column = [ex.pw(base, lam) for lam in lams]
-    coeffs = [column[0]]
-    for m in range(1, n):
-        column = [ex.mul(ex.pw(base, lams[i]), ex.pw(ex.log_(base), m),
-                         ex.rat(Fraction(1, factorial(m))))
-                  if lams[i] == lams[i + m] else
-                  ex.mul(ex.sub(column[i + 1], column[i]),
-                         ex.rat(1 / (lams[i + m] - lams[i])))
-                  for i in range(n - m)]
-        coeffs.append(column[0])
-    eye = rm.qmat(rm.rident(n))
-    putzer = accumulate((rm.qsum([(1, B), (-lam, eye)]) for lam in lams[:-1]),
-                        rm.qmul, initial=eye)
-    half = Fraction(1, 2)
-    even, odd = zip(*[(rm.qmul(P, rm.qsum([(half, eye), (half, C)])),
-                       rm.qmul(P, rm.qsum([(half, eye), (-half, C)])))
-                      for P in putzer])
-
-    def entry(mats, i, j):
-        return ex.add(*[ex.mul(f, ex.rat(Fraction(M.rows[i][j], M.den)))
-                        for f, M in zip(coeffs, mats) if M.rows[i][j]])
-
-    return [[ex.add(entry(even, i, j), ex.mul(sign, entry(odd, i, j)))
-             for j in range(n)] for i in range(n)]
-
-
-def hom_eval(A: DegreeHom, q) -> rm.Mat:
-    """Exact evaluation at a nonzero rational q: hom_matrix folded to
-    rationals.  Raises UnsupportedMatrixError when an entry is irrational
-    (a power |q|^lam, or a log |q| from a nilpotent part of B).  At
-    q = +-1 the value is I or C, with no eigenvalues needed."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("degree homomorphisms are defined on r != 0")
-    if abs(q) == 1:
-        return rm.rident(A.size) if q > 0 else A.C
-    M = hom_matrix(A, ex.rat(abs(q)), ex.rat(1 if q > 0 else -1))
-    if not all(isinstance(v, ex.Rat) for row in M for v in row):
-        raise rm.UnsupportedMatrixError(
-            f"A({q}) is not rational; pick a compatible rational")
-    return tuple(tuple(v.value for v in row) for row in M)
-
-
 def member_symbolic(G: GroupId, M: List[List[ex.Expr]],
                     policy: ZeroTestPolicy) -> bool:
     """M, a matrix of expressions, lies in G at the zero test's sample
@@ -371,29 +270,6 @@ def quotient_symbolic(G: GroupId, M: List[List[ex.Expr]], policy: ZeroTestPolicy
     ok, bad = all_zero((((i, j), ex.sub(P[i][j], c if i == j else ex.ZERO))
                         for i in range(n) for j in range(n)), pol)
     return (c, None) if ok else (None, bad[0])
-
-
-def coset_eq(G: GroupId, A1: DegreeHom, A2: DegreeHom,
-             policy: ZeroTestPolicy = DEFAULT_POLICY) -> bool:
-    """A1 = A2 mod G: A1(r) A2(r)^{-1} in G for symbolic r > 0 and at r = -1.
-
-    Preconditions, checked: both homs take values in N(G), through
-    quotient_symbolic for r > 0 and exactly at r = -1, where each hom is
-    its C."""
-    if A1.size != A2.size or A1.size != G.size:
-        raise ValueError("size mismatch")
-    pol = policy.with_constraints((ex.Constraint("r", ">", 0),))
-    M1, M2 = (hom_matrix(A, ex.var("r"), ex.ONE) for A in (A1, A2))
-    for A, M in ((A1, M1), (A2, M2)):
-        if not in_normalizer(G, A.C):
-            raise NotInNormalizerError(f"hom value at r=-1 is not in N({G})")
-        if quotient_symbolic(G, M, pol)[1] is not None:
-            raise NotInNormalizerError(
-                f"hom does not take values in N({G}) for symbolic r > 0")
-    if not member_symbolic(G, symmat.mat_mul(M1, _at_inverse(M2)), pol):
-        return False
-    # at r = -1 each hom is its C, and C^-1 = C
-    return member(G, rm.qmul(rm.qmat(A1.C), rm.qmat(A2.C)))
 
 
 # ---------------------------------------------------------------------------

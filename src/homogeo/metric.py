@@ -1,4 +1,5 @@
-"""Metric machinery: Christoffel symbols, Riemann curvature, musicals.
+"""Metric machinery: Christoffel symbols, Riemann curvature, covariant
+derivatives of forms.
 
 Curvature convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z.  Components are stored as R[l][k][i][j] with
@@ -13,13 +14,11 @@ from typing import List
 
 from . import expr as ex
 from . import symmat
-from .chart import ChartError
-from .tensors import KForm, SymTensor2, VectorField, one_form
+from .tensors import KForm, SymTensor2
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, is_zero
 
 __all__ = ["DegeneracyError", "metric_inverse", "christoffel", "riemann",
-           "sharp", "flat", "covariant_derivative_oneform",
-           "covariant_derivative_twoform", "sectional_curvature"]
+           "covariant_derivative_oneform", "covariant_derivative_twoform"]
 
 
 class DegeneracyError(ex.InvalidObjectError):
@@ -83,23 +82,6 @@ def riemann(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY,
     return out
 
 
-def sharp(g: SymTensor2, alpha: KForm,
-          policy: ZeroTestPolicy = DEFAULT_POLICY) -> VectorField:
-    if alpha.degree != 1:
-        raise ChartError("sharp acts on 1-forms")
-    ginv = metric_inverse(g, policy)
-    n = g.chart.dim
-    comps = [ex.add(*[ex.mul(ginv[i][j], alpha.coeff((j,))) for j in range(n)])
-             for i in range(n)]
-    return VectorField(g.chart, tuple(comps))
-
-
-def flat(g: SymTensor2, X: VectorField) -> KForm:
-    n = g.chart.dim
-    return one_form(g.chart, [ex.add(*[ex.mul(g.mat[i][j], X.comps[j])
-                                       for j in range(n)]) for i in range(n)])
-
-
 def covariant_derivative_oneform(gamma, eta: KForm) -> List:
     """(nabla_a eta)_b = d_a eta_b - Gamma^c_{ab} eta_c, returned as [a][b]."""
     chart = eta.chart
@@ -139,21 +121,3 @@ def covariant_derivative_twoform(gamma, w: KForm) -> List:
         out.append(plane)
     return out
 
-
-def sectional_curvature(g: SymTensor2, X: VectorField, Y: VectorField,
-                        policy: ZeroTestPolicy = DEFAULT_POLICY) -> ex.Expr:
-    """g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) as a symbolic quotient."""
-    R = riemann(g, policy)
-    n = g.chart.dim
-    rxyy = []
-    for l in range(n):
-        parts = []
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    parts.append(ex.mul(R[l][k][i][j], Y.comps[k], X.comps[i], Y.comps[j]))
-        rxyy.append(ex.add(*parts))
-    num = ex.add(*[ex.mul(g.mat[l][m], rxyy[l], X.comps[m])
-                   for l in range(n) for m in range(n)])
-    den = ex.sub(ex.mul(g(X, X), g(Y, Y)), ex.pw(g(X, Y), 2))
-    return ex.div(num, den)

@@ -22,7 +22,7 @@ Grammar (EBNF, also documented in the README):
     minutes of exact arithmetic.  The cap holds for the literal and for the
     exponent the constructors fold: (x^10000)^10000 is x^100000000 and
     x^6000*x^6000 is x^12000, and both are ParseErrors.  So is a constant
-    power, written or folded, of more than MAX_CONSTANT_BITS = 2^20 bits:
+    power, written or folded, of more than expr.MAX_CONSTANT_BITS = 2^20 bits:
     (10^10000)^10000 and ((3*x)^10000)^10000, refused before computing it.
     Every constant, parsed or folded, must print (expr.unprintable): at
     most sys.get_int_max_str_digits() digits (4300 by default) in its
@@ -47,14 +47,13 @@ from . import expr as ex
 from . import numtape
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError", "FUNCTIONS",
-           "MAX_DEPTH", "MAX_EXPONENT", "MAX_CONSTANT_BITS"]
+           "MAX_DEPTH", "MAX_EXPONENT"]
 
 FUNCTIONS = {"exp": ex.exp_, "log": ex.log_, "sqrt": ex.sqrt_,
              "abs": ex.abs_, "sign": ex.sign_, "sin": ex.sin_, "cos": ex.cos_}
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 10 ** 4
-MAX_CONSTANT_BITS = ex.MAX_CONSTANT_BITS   # enforced by ex.pw
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 

@@ -7,9 +7,9 @@ lcm of the denominators) and where a Fraction leaves it (`to_mat`, `qdet`,
 `qscalar`), never per multiply-add.  A Fraction matrix (`Mat`, a tuple of
 tuples of Fraction) is only an input or an output.  Polynomials are
 coefficient tuples in increasing degree over Fraction; `char_poly` and
-`rational_eigenvalues` give the eigenvalues that `groups.hom_matrix`
-evaluates degree homomorphisms from.  Everything here is exactly
-decidable; no tolerances are involved.
+`rational_eigenvalues` give the exact spectrum of a rational matrix, such
+as the generator B of a degree homomorphism |r|^B sign(r)^C.  Everything
+here is exactly decidable; no tolerances are involved.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ Mat = Tuple[Tuple[Fraction, ...], ...]
 Poly = Tuple[Fraction, ...]
 
 __all__ = ["rmat", "rident", "char_poly", "rational_eigenvalues",
-           "UnsupportedMatrixError", "nullspace",
-           "iroot", "rroot", "QMat", "qmat", "to_mat", "qmul", "qsum",
-           "qtranspose", "qeq", "qscalar", "qsolve", "qdet"]
+           "UnsupportedMatrixError", "nullspace", "iroot", "rroot", "QMat",
+           "qmat", "to_mat", "qmul", "qtranspose", "qeq", "qscalar", "qsolve",
+           "qdet"]
 
 
 class UnsupportedMatrixError(ValueError):
@@ -73,16 +73,6 @@ def qmul(a: QMat, *rest: QMat) -> QMat:
         rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
         den *= b.den
     return QMat(rows, den)
-
-
-def qsum(terms) -> QMat:
-    """The sum of c M over the (c, M) pairs, c rational, over the lcm of
-    the denominators of the terms."""
-    terms = [(Fraction(c), m) for c, m in terms]
-    den = lcm(*(c.denominator * m.den for c, m in terms))
-    scaled = [[[c.numerator * (den // (c.denominator * m.den)) * v for v in row]
-               for row in m.rows] for c, m in terms]
-    return QMat([[sum(col) for col in zip(*rows)] for rows in zip(*scaled)], den)
 
 
 def qtranspose(a: QMat) -> QMat:
@@ -215,7 +205,7 @@ def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (for the eigenvalues of a degree homomorphism)
+# polynomials over Q (for the spectrum of a rational matrix)
 
 def _deflate(p: Poly, c: Fraction) -> Optional[Poly]:
     """p / (x - c) by synthetic division (Horner's scheme from the leading

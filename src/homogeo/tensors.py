@@ -6,9 +6,7 @@ Conventions (pinned once, used everywhere):
   (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X);
 * interior product inserts in the first slot;
 * d on 1-forms satisfies d(eta)(X, Y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]),
-  i.e. (d eta)_{ij} = d_i eta_j - d_j eta_i with no 1/2;
-* the symmetric product of 1-forms is a . b = (a x b + b x a)/2, so that
-  sum_i dx^i . dx^i is the Euclidean metric.
+  i.e. (d eta)_{ij} = d_i eta_j - d_j eta_i with no 1/2.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .chart import Chart, ChartError, SmoothMap
 __all__ = ["VectorField", "KForm", "SymTensor2", "Endo11",
            "d", "wedge", "interior", "lie_bracket", "lie_derivative",
            "pullback", "pushforward", "pullback_sym", "pullback_endo",
-           "sym_product", "one_form", "zero_form"]
+           "one_form", "zero_form"]
 
 Index = Tuple[int, ...]
 
@@ -170,11 +168,6 @@ class SymTensor2:
                     parts.append(ex.mul(v, X.comps[i], Y.comps[j]))
         return ex.add(*parts) if parts else ex.ZERO
 
-    def __add__(self, other: "SymTensor2") -> "SymTensor2":
-        _same_chart(self, other)
-        return SymTensor2(self.chart, tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
-                                            for ra, rb in zip(self.mat, other.mat)))
-
     def scale(self, f) -> "SymTensor2":
         return SymTensor2(self.chart, tuple(tuple(ex.mul(f, v) for v in row)
                                             for row in self.mat))
@@ -219,19 +212,6 @@ def one_form(chart: Chart, comps: Sequence) -> KForm:
 def coordinate_field(chart: Chart, i: int) -> VectorField:
     return VectorField(chart, tuple(ex.ONE if j == i else ex.ZERO
                                     for j in range(chart.dim)))
-
-
-def sym_product(a: KForm, b: KForm) -> SymTensor2:
-    """Symmetric product of 1-forms: (a . b)(X, Y) = (a(X)b(Y) + a(Y)b(X))/2."""
-    _same_chart(a, b)
-    if a.degree != 1 or b.degree != 1:
-        raise ChartError("symmetric product is defined for 1-forms")
-    n = a.chart.dim
-    half = ex.rat(Fraction(1, 2))
-    m = [[ex.mul(half, ex.add(ex.mul(a.coeff((i,)), b.coeff((j,))),
-                              ex.mul(a.coeff((j,)), b.coeff((i,)))))
-          for j in range(n)] for i in range(n)]
-    return SymTensor2(a.chart, tuple(tuple(row) for row in m))
 
 
 # ---------------------------------------------------------------------------

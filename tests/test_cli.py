@@ -579,12 +579,13 @@ _BAD_NUMBERS = {"name": "bad_numbers", "kind": "group",
     ("objects", "param", 5),
     ("objects", "elements", 1001),
     ("objects", "elements", 1e12),
+    ("objects", "family", "gl"),
 ], ids=["samples-text", "seed-null", "elements-text", "param-list",
         "param-null", "samples-fraction", "samples-digits", "seed-bool",
         "param-fraction", "elements-negative", "elements-zero",
         "tolerance-bool", "tolerance-text", "tolerance-zero", "tolerance-nan",
         "tolerance-inf", "samples-past-draws", "param-large", "elements-large",
-        "elements-huge"])
+        "elements-huge", "family-gl"])
 def test_non_integer_field_is_input_error(tmp_path, capsys, section, key, value):
     data = json.loads(json.dumps(_BAD_NUMBERS))
     data[section][key] = value

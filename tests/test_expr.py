@@ -14,8 +14,9 @@ from homogeo import expr as ex
 from homogeo import numtape
 from homogeo import zerotest as zt
 from homogeo.chart import Chart
-from homogeo.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT, ParseError,
-                            UnknownIdentifierError, parse)
+from homogeo.expr import MAX_CONSTANT_BITS
+from homogeo.parser import (MAX_DEPTH, MAX_EXPONENT, ParseError, UnknownIdentifierError,
+                            parse)
 from homogeo.zerotest import ConfigError, ZeroTestPolicy, is_zero, zero_report
 
 from conftest import (FUNCTION_DSL, ORACLE_POINT, RATIONAL_DSL, RATIONAL_TERMS,

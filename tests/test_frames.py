@@ -10,12 +10,10 @@ from homogeo import symmat
 from homogeo.contact import check_pair, integrability_report, standard_darboux_pair
 from homogeo.cosymplectic import (check_cosymplectic, integrability_report0,
                                   standard_cosymplectic_pair)
-from homogeo.frames import (Frame, NotHomogeneousError, chart_frame,
-                            build_frame, degree_coset, frame_from_matrix,
+from homogeo.frames import (Frame, NotHomogeneousError, chart_frame, degree_coset,
                             frames_G_equivalent, homomorphism_law_holds,
                             is_homogeneous_chart, transition)
-from homogeo.groups import (GL, GLC, O, SP, DegreeHom, contact_lift, rand_element,
-                            sqrt_abs_lift, trivial_hom)
+from homogeo.groups import GL, GLC, O, SP, DegreeHom, rand_element
 from homogeo.linebundle import LineBundleScenario
 from homogeo.metric import DegeneracyError
 from homogeo.tensors import VectorField
@@ -95,54 +93,6 @@ def test_transition_reflection_parity():
     assert rm.qscalar(rm.qmul(rm.qmat(tr.hom.C), rm.qmat(tr.hom.C))) == 1
 
 
-# -- build_frame --------------------------------------------------------------------
-
-def test_build_frame_trivial_degree():
-    sigma0 = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "1"])))
-    built = build_frame(SCN1, sigma0, ex.ONE, trivial_hom(2))
-    assert built.components[0].comps == (ex.ONE, ex.ZERO)
-    assert built.components[1].comps == (ex.ZERO, SCN1.mu)
-
-
-def test_build_frame_contact_lift():
-    cf = Frame(SCN3, tuple(VectorField(SCN3.total,
-                                       tuple(ex.rat(int(i == j)) for i in range(4)))
-                           for j in range(4)))
-    built = build_frame(SCN3, cf, ex.ONE, contact_lift(2))
-    tr = transition(built)
-    assert tr.homogeneous
-    r = ex.var("r")
-    assert mat_is(tr.matrix_sym, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                  [0, 0, r, 0], [0, 0, 0, r]])
-
-
-def test_build_frame_reproduces_prescribed_degree():
-    # any supported hom: the built frame's transition equals it
-    sigma0 = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "1"])))
-    for hom in (trivial_hom(2), sqrt_abs_lift(2)):
-        built = build_frame(SCN1, sigma0, ex.ONE, hom)
-        tr = transition(built)
-        assert tr.homogeneous
-        assert tr.hom.B == hom.B
-    # on the section (mu = 1 slice) the frame restricts to sigma0
-    built = build_frame(SCN1, sigma0, ex.ONE, trivial_hom(2))
-    S = built.matrix()
-    at_section = [[ex.subs(v, {"mu": ex.ONE}) for v in row] for row in S]
-    assert at_section == [[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]]
-
-
-def test_build_frame_round_trip_up_to_gl():
-    # rebuild a homogeneous frame from its own section restriction
-    mu = SCN1.mu
-    f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["x", "mu"])))
-    tr = transition(f)
-    assert tr.homogeneous
-    section_matrix = [[ex.subs(v, {"mu": ex.ONE}) for v in row] for row in f.matrix()]
-    sigma0 = frame_from_matrix(SCN1, section_matrix)
-    rebuilt = build_frame(SCN1, sigma0, ex.ONE, tr.hom)
-    assert frames_G_equivalent(f, rebuilt, GL(2))
-
-
 # -- degree cosets ---------------------------------------------------------------
 
 def test_degree_coset_darboux_identity():
@@ -188,10 +138,12 @@ def test_degree_coset_invariance_failure():
 def test_degree_coset_reflection_outside_normalizer():
     # A(r) = r^(1/2) I lies in N(O(2)) for r > 0, but A(-1) = C does not;
     # GL(2) is its own normalizer, with trivial quotient values
-    hom = DegreeHom(sqrt_abs_lift(2).B, ((1, 1), (0, -1)))
-    sigma0 = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["0", "1"])))
-    tr = transition(build_frame(SCN1, sigma0, ex.ONE, hom))
-    assert tr.hom == hom
+    h = "sqrt(abs(mu)^-1)"
+    f = Frame(SCN1, (vf(SCN1, [h, "0"]),
+                     vf(SCN1, [f"-{h}*sign(mu)/2 + {h}/2", f"mu*{h}*sign(mu)"])))
+    tr = transition(f)
+    assert tr.hom == DegreeHom(((Fraction(1, 2), 0), (0, Fraction(1, 2))),
+                               ((1, 1), (0, -1)))
     rep = degree_coset(tr, O(2))
     assert not rep.in_normalizer
     assert rep.failure == "matrix is not in N(O(2)): defining product is not scalar"

@@ -5,8 +5,6 @@ verbatim as the reference: every entry operation is a Fraction operation
 with its own gcd, so they share no arithmetic with the kernels under test.
 """
 
-import ast
-import pathlib
 import random
 from fractions import Fraction
 
@@ -14,11 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homogeo import expr as ex
 from homogeo import ratmat as rm
-from homogeo.groups import DegreeHom, hom_eval, hom_matrix
-
-from conftest import float_value
 
 
 def _oracle_mul(a, b):
@@ -159,18 +153,6 @@ def _product_pair(draw):
 def test_qmul_matches_oracle(pair):
     a, b = pair
     assert rm.to_mat(rm.qmul(rm.qmat(a), rm.qmat(b))) == _oracle_mul(a, b)
-
-
-@_SETTINGS
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_qsum_matches_oracle(n, m, data):
-    mats = data.draw(st.lists(_mat(n, m), min_size=1, max_size=4))
-    coeffs = data.draw(st.lists(_ENTRY, min_size=len(mats), max_size=len(mats)))
-    want = tuple(tuple(sum(c * a[i][j] for c, a in zip(coeffs, mats))
-                       for j in range(m)) for i in range(n))
-    got = rm.qsum(zip(coeffs, map(rm.qmat, mats)))
-    assert got.den > 0
-    assert rm.to_mat(got) == want
 
 
 @_SETTINGS
@@ -359,47 +341,3 @@ def test_rational_roots_match_sympy(linear, quadratic, scale):
     want = sorted((Fraction(int(r.p), int(r.q)), m)
                   for r, m in sympy.roots(poly, filter="Q").items())
     assert got == want
-
-
-@pytest.mark.parametrize("kind, n", [("semisimple", n) for n in range(1, 6)]
-                         + [("jordan", n) for n in range(2, 6)])
-@pytest.mark.parametrize("seed", range(4))
-def test_hom_evaluation_matches_oracles(kind, n, seed):
-    """The degree homomorphism with B = the case's matrix and C = -I:
-    hom_matrix on r > 0 against mpmath's expm(B log r) at r in {5/2, 1/3},
-    and exact hom_eval against sympy's P diag(|q|^lam) P^-1 times sign(q)
-    at q in {64, -1/64}.  A Jordan block puts log|q| into A(q), so
-    hom_eval refuses it."""
-    sympy = pytest.importorskip("sympy")
-    mpmath = pytest.importorskip("mpmath")
-    S = _spectral_case(kind, n, seed)
-    A = DegreeHom(_fractions(S), tuple(tuple(-v for v in row) for row in rm.rident(n)))
-    M = hom_matrix(A, ex.var("r"), ex.ONE)
-    for r in (Fraction(5, 2), Fraction(1, 3)):
-        want = mpmath.expm(mpmath.matrix(S.evalf().tolist())
-                           * mpmath.log(mpmath.mpf(r.numerator) / r.denominator))
-        err = max(abs(float_value(M[i][j], {"r": r}) - want[i, j])
-                  for i in range(n) for j in range(n))
-        assert err <= 1e-12 * max(abs(v) for v in want)
-    for q in (Fraction(64), Fraction(-1, 64)):
-        if kind == "jordan":
-            with pytest.raises(rm.UnsupportedMatrixError):
-                hom_eval(A, q)
-            continue
-        P, D = S.diagonalize()
-        scale = sympy.Rational(abs(q.numerator), q.denominator)
-        want = P * sympy.diag(*[scale ** D[i, i] for i in range(n)]) * P.inv()
-        assert hom_eval(A, q) == _fractions(want * (1 if q > 0 else -1))
-
-
-def test_every_public_name_has_a_caller_in_the_package():
-    """Each name in ratmat.__all__ is used inside some function under
-    src/homogeo, so a wrapper that only tests call does not stay public."""
-    used = set()
-    for path in pathlib.Path(rm.__file__).parent.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                used.update(node.id if isinstance(node, ast.Name) else node.attr
-                            for node in ast.walk(fn)
-                            if isinstance(node, (ast.Name, ast.Attribute)))
-    assert [name for name in rm.__all__ if name not in used] == []
