@@ -4,7 +4,7 @@ Exit codes, one rule for every kind: 0 all checks pass; 1 at least one
 fail or FALSIFICATION, an invalid object (`InvalidObjectError`) among them
 as the failed check `object`; 2 input error, one of INPUT_ERRORS
 (SchemaError, ParseError, ConfigError, DomainError, ConstantTooLargeError,
-OSError); 3 internal
+OSError, writing the report to -o or to a closed stdout included); 3 internal
 error, any other exception (its traceback goes to stderr and `suite` lists
 it under `errors`, never as a pass).
 """
@@ -89,12 +89,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    try:
-        names = sorted(os.listdir(args.directory))
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    paths = [os.path.join(args.directory, n) for n in names
+    paths = [os.path.join(args.directory, n) for n in sorted(os.listdir(args.directory))
              if n.endswith(".json") and fnmatch.fnmatch(n, args.filter)]
     if not paths:
         print(f"error: no scenario files match {args.filter!r} in "
@@ -166,7 +161,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_suite.set_defaults(func=cmd_suite)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:    # listing a suite, or writing the report to -o or stdout
+        if isinstance(err, BrokenPipeError):
+            # the reader closed stdout: send what is still buffered to
+            # devnull, so the flush at exit raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .zerotest import ZeroTestPolicy, all_zero, is_zero
 __all__ = ["GroupId", "SP", "GLC", "O", "GL", "std_J", "member",
            "quotient_symbolic", "normalizer_p", "NotInNormalizerError",
            "splitting", "DegreeHom", "DegreeHomError", "member_symbolic",
-           "rand_element", "rand_lie_element", "centralizer_basis"]
+           "rand_element", "centralizer_basis"]
 
 
 class NotInNormalizerError(ValueError):
@@ -279,7 +279,7 @@ def _rand_frac(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
 
-def rand_lie_element(G: GroupId, rng: random.Random) -> rm.Mat:
+def _rand_lie_element(G: GroupId, rng: random.Random) -> rm.Mat:
     n = G.size
     if G.family == "sp":
         k = G.param
@@ -321,7 +321,7 @@ def rand_element(G: GroupId, rng: random.Random) -> rm.QMat:
     (I-X)^{-1}(I+X) of a random Lie algebra element (O elements land in SO;
     a reflection is mixed in half the time for full O)."""
     for _ in range(50):
-        rows, d = rm.qmat(rand_lie_element(G, rng))
+        rows, d = rm.qmat(_rand_lie_element(G, rng))
         # (I - X) M = I + X, with both sides over the denominator d of X
         minus = [[d * (i == j) - v for j, v in enumerate(row)]
                  for i, row in enumerate(rows)]

@@ -1,36 +1,25 @@
-"""Exact rational matrices and polynomials.
+"""Exact rational matrices.
 
 Every matrix computation here runs on one form, `QMat`: integer rows over
 one positive common denominator, so the inner loops multiply and add Python
 integers only.  gcds are taken where a matrix enters the form (`qmat`, one
 lcm of the denominators) and where a Fraction leaves it (`to_mat`, `qdet`,
 `qscalar`), never per multiply-add.  A Fraction matrix (`Mat`, a tuple of
-tuples of Fraction) is only an input or an output.  Polynomials are
-coefficient tuples in increasing degree over Fraction; `char_poly` and
-`rational_eigenvalues` give the exact spectrum of a rational matrix, such
-as the generator B of a degree homomorphism |r|^B sign(r)^C.  Everything
-here is exactly decidable; no tolerances are involved.
+tuples of Fraction) is only an input or an output.  Everything here is
+exactly decidable; no tolerances are involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import isqrt, lcm
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Mat = Tuple[Tuple[Fraction, ...], ...]
-Poly = Tuple[Fraction, ...]
 
-__all__ = ["rmat", "rident", "char_poly", "rational_eigenvalues",
-           "UnsupportedMatrixError", "nullspace", "iroot", "rroot", "QMat",
-           "qmat", "to_mat", "qmul", "qtranspose", "qeq", "qscalar", "qsolve",
-           "qdet"]
-
-
-class UnsupportedMatrixError(ValueError):
-    """Matrix falls outside the exactly-decidable class handled here."""
+__all__ = ["rmat", "rident", "nullspace", "iroot", "rroot", "QMat", "qmat",
+           "to_mat", "qmul", "qtranspose", "qeq", "qscalar", "qsolve", "qdet"]
 
 
 def rmat(rows) -> Mat:
@@ -202,71 +191,3 @@ def rroot(q: Fraction, n: int = 2) -> Optional[Fraction]:
     if a ** n != q.numerator or b ** n != q.denominator:
         return None
     return Fraction(a, b)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q (for the spectrum of a rational matrix)
-
-def _deflate(p: Poly, c: Fraction) -> Optional[Poly]:
-    """p / (x - c) by synthetic division (Horner's scheme from the leading
-    coefficient down), or None when the remainder p(c) is not zero."""
-    out = list(accumulate(reversed(p), lambda acc, a: a + c * acc))
-    return None if out.pop() else tuple(reversed(out))
-
-
-def char_poly(a: QMat) -> Poly:
-    """Characteristic polynomial det(xI - A), exact: the power sums
-    p_k = tr A^k, then Newton's identities k e_k = sum_{i=1..k}
-    (-1)^(i-1) e_(k-i) p_i for the elementary symmetric functions e_k of
-    the eigenvalues; the coefficient of x^(n-k) is (-1)^k e_k."""
-    n = len(a.rows)
-    p = [Fraction(sum(row[i] for i, row in enumerate(power.rows)), power.den)
-         for power in accumulate(repeat(a, n), qmul)]
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
-                     for i in range(1, k + 1)) / k)
-    return tuple((-1) ** (n - d) * e[n - d] for d in range(n + 1))
-
-
-def rational_roots(p: Poly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, in increasing order.
-    The candidates are 0 and +-a/b with a dividing the lowest nonzero and b
-    the leading coefficient of the denominator-cleared polynomial (rational
-    root theorem); each is divided out by synthetic division while it is a
-    root."""
-    den = lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-
-    def divisors(m: int):
-        m = abs(m)
-        return {d for k in range(1, isqrt(m) + 1) if m % k == 0 for d in (k, m // k)}
-
-    candidates = {Fraction(0)} | {Fraction(s * a, b) for s in (1, -1)
-                                  for a in divisors(next((v for v in ints if v), 1))
-                                  for b in divisors(ints[-1] or 1)}
-    work = tuple(map(Fraction, ints))
-    roots = []
-    for cand in sorted(candidates):
-        mult = 0
-        while len(work) > 1:
-            q = _deflate(work, cand)
-            if q is None:
-                break
-            work, mult = q, mult + 1
-        if mult:
-            roots.append((cand, mult))
-    return roots
-
-
-def rational_eigenvalues(a: QMat) -> List[Tuple[Fraction, int]]:
-    """Eigenvalues with multiplicities; raises when the characteristic
-    polynomial does not split over Q."""
-    roots = rational_roots(char_poly(a))
-    if sum(m for _, m in roots) != len(a.rows):
-        raise UnsupportedMatrixError(
-            "characteristic polynomial does not split over the rationals")
-    return sorted(roots)
-

@@ -455,6 +455,36 @@ def test_suite_on_a_missing_directory_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "missing" in err
 
 
+@pytest.mark.parametrize("command, target", [
+    ("run", os.path.join(SCENARIOS, "darboux_k1.json")),
+    ("suite", SCENARIOS),
+], ids=["run", "suite"])
+def test_output_into_a_missing_directory_is_input_error(tmp_path, capsys, command,
+                                                         target):
+    missing = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli([command, target, "-o", missing], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and missing in err and "Traceback" not in err
+
+
+def test_closed_stdout_is_input_error(tmp_path):
+    # more output than a pipe buffers, so the write fails once the reader
+    # has gone whatever the scheduling
+    with open(os.path.join(SCENARIOS, "complex_constant.json")) as fh:
+        text = fh.read()
+    for i in range(200):
+        (tmp_path / f"copy{i:03}.json").write_text(text)
+    proc = subprocess.Popen([sys.executable, "-m", "homogeo.cli", "suite",
+                             str(tmp_path), "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_samples_option_reaches_the_report(capsys):
     code, out, _ = run_cli(["run", os.path.join(SCENARIOS, "frame_euler.json"),
                             "--samples", "5", "--json"], capsys)

@@ -323,7 +323,7 @@ def test_unprintable_draw_is_no_witness(monkeypatch):
     str(rep.witness_fields(str))
 
 
-def test_rational_roots_exact_at_any_size():
+def test_rational_powers_fold_exactly_at_any_size():
     # the cube root of 2^300 used to be estimated in floats, which left
     # (2^300)^(1/3) unevaluated and this identity a float-decided nonzero
     rep = zero_report(parse("(2^300)^(1/3) - 2^100", names=[]))

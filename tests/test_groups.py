@@ -189,10 +189,3 @@ def test_degree_hom_rejects_non_square(B, C, name):
     with pytest.raises(DegreeHomError,
                        match=f"^{name} must be a nonempty square matrix$"):
         DegreeHom(B, C)
-
-
-
-def test_char_poly_does_not_split():
-    rot = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    with pytest.raises(rm.UnsupportedMatrixError):
-        rm.rational_eigenvalues(rm.qmat(rot))

@@ -265,79 +265,3 @@ def test_rroot_is_exact_beyond_float_range():
     assert rm.rroot(Fraction(10 ** 400 + 1), 2) is None
     assert rm.rroot(Fraction(-8), 3) is None
     assert rm.iroot(7, 10 ** 100) == 1
-
-
-def _spectral_case(kind, n, seed):
-    """A rational n x n matrix P K P^-1 as a sympy Matrix, K block diagonal:
-    a diagonal with repeated eigenvalues ("semisimple"), with one Jordan
-    block ("jordan"), or with a block x^2 - c, c not a rational square
-    ("no split")."""
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(seed)
-
-    def frac(lo=-3, hi=3, den=3):
-        return sympy.Rational(rng.randint(lo, hi), rng.randint(1, den))
-
-    lams = [frac() for _ in range(max(1, n // 2))]
-    K = sympy.diag(*[rng.choice(lams) for _ in range(n)])
-    if kind == "jordan":
-        K[0, 1], K[1, 1] = 1, K[0, 0]
-    elif kind == "no split":
-        c = rng.choice([-1, 2, 3, sympy.Rational(-5, 4)])
-        K[0, 0], K[0, 1], K[1, 0], K[1, 1] = 0, c, 1, 0
-    while True:
-        P = sympy.Matrix(n, n, lambda i, j: frac())
-        if P.det() != 0:
-            return P * K * P.inv()
-
-
-def _fractions(S):
-    return tuple(tuple(Fraction(int(v.p), int(v.q)) for v in row)
-                 for row in S.tolist())
-
-
-@pytest.mark.parametrize("kind, n", [("semisimple", n) for n in range(1, 6)]
-                         + [("jordan", n) for n in range(2, 6)]
-                         + [("no split", n) for n in range(2, 6)])
-@pytest.mark.parametrize("seed", range(4))
-def test_spectral_path_matches_sympy(kind, n, seed):
-    sympy = pytest.importorskip("sympy")
-    S = _spectral_case(kind, n, seed)
-    A = rm.qmat(_fractions(S))
-    x = sympy.Symbol("x")
-    want = [Fraction(int(c.p), int(c.q)) for c in S.charpoly(x).all_coeffs()]
-    assert rm.char_poly(A) == tuple(reversed(want))
-    eigenvals = S.eigenvals()
-    if kind == "no split":
-        assert not all(v.is_rational for v in eigenvals)
-        with pytest.raises(rm.UnsupportedMatrixError):
-            rm.rational_eigenvalues(A)
-        return
-    eigs = rm.rational_eigenvalues(A)
-    assert eigs == sorted((Fraction(int(v.p), int(v.q)), m)
-                          for v, m in eigenvals.items())
-
-
-_IRREDUCIBLE_QUADRATICS = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (7, -3, 4), (-5, 0, 3))
-
-
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)),
-                max_size=3),
-       st.sampled_from(_IRREDUCIBLE_QUADRATICS),
-       st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool))
-def test_rational_roots_match_sympy(linear, quadratic, scale):
-    # scale * (c x^2 + b x + a) * prod (q x - p)^m: the rational roots are the
-    # p/q with multiplicities summed over equal values, the quadratic adds none
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    a, b, c = quadratic
-    poly = sympy.Rational(scale.numerator, scale.denominator) * (c * x ** 2 + b * x + a)
-    for p, q, m in linear:
-        poly *= (q * x - p) ** m
-    poly = sympy.Poly(poly, x)
-    got = rm.rational_roots(tuple(Fraction(int(v.p), int(v.q))
-                                  for v in reversed(poly.all_coeffs())))
-    want = sorted((Fraction(int(r.p), int(r.q)), m)
-                  for r, m in sympy.roots(poly, filter="Q").items())
-    assert got == want

@@ -123,8 +123,9 @@ def unused_public_names(sources):
 
 
 def _library_api_rows():
-    """{(module, name): [test ids]} from the README "Library API" table:
-    the first column lists `module.name` entries, the last the tests."""
+    """{(module, name): (statement, [test ids])} from the README "Library
+    API" table: the first column lists `module.name` entries, the middle
+    one the paper statement or criterion, the last the tests."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     rows = {}
@@ -134,7 +135,7 @@ def _library_api_rows():
             continue
         tests = re.findall(r"`(tests/\w+\.py::\w+)`", cells[-1])
         for name in re.findall(r"`(\w+)\.(\w+)`", cells[0]):
-            rows[name] = tests
+            rows[name] = (cells[1], tests)
     return rows
 
 
@@ -151,8 +152,10 @@ def test_every_public_name_has_a_reader():
 def test_library_api_rows_name_public_names_and_existing_tests():
     rows = _library_api_rows()
     assert rows
-    for (module, name), tests in rows.items():
+    for (module, name), (statement, tests) in rows.items():
         assert name in importlib.import_module(f"homogeo.{module}").__all__, (module, name)
+        # a name that reproduces nothing of the paper has no row to keep it
+        assert statement and not re.match(r"none\b", statement, re.I), (module, name)
         assert tests, (module, name)
         for test in tests:
             path, func = test.split("::")
