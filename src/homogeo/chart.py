@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import expr as ex
 from . import parser
@@ -61,32 +61,20 @@ class SmoothMap:
     """Map source -> target given by one expression per target coordinate.
 
     The component expressions may additionally contain the formal action
-    parameters r, s (used by the scaling maps).  For pushforwards an
-    explicit inverse is required: `inverse_comps` are expressions in the
-    target coordinates describing the map target -> source.
+    parameters r, s (used by the scaling maps).  Functions, forms and
+    tensors are pulled back along the map; nothing is pushed forward, so
+    no inverse is stored.
     """
 
     source: Chart
     target: Chart
     comps: Tuple[ex.Expr, ...]
-    inverse_comps: Optional[Tuple[ex.Expr, ...]] = None
 
     def __post_init__(self):
         if len(self.comps) != self.target.dim:
             raise ChartError("component count must match target dimension")
         for c in self.comps:
             self.source.check_owns(c)
-        if self.inverse_comps is not None:
-            if len(self.inverse_comps) != self.source.dim:
-                raise ChartError("inverse component count must match source dimension")
-            for c in self.inverse_comps:
-                self.target.check_owns(c)
-
-    @property
-    def inverse(self) -> "SmoothMap":
-        if self.inverse_comps is None:
-            raise ChartError("map has no declared inverse")
-        return SmoothMap(self.target, self.source, self.inverse_comps, self.comps)
 
     def pull_function(self, f: ex.Expr) -> ex.Expr:
         """f on the target composed with the map: an expression on the source."""
@@ -98,14 +86,3 @@ class SmoothMap:
         cons = self.source.constraints
         return tuple(tuple(ex.diff(c, v, cons) for v in self.source.coords)
                      for c in self.comps)
-
-    def then(self, other: "SmoothMap") -> "SmoothMap":
-        if other.source is not self.target and other.source != self.target:
-            raise ChartError("maps do not compose")
-        comps = tuple(ex.subs(c, dict(zip(self.target.coords, self.comps)))
-                      for c in other.comps)
-        inv = None
-        if self.inverse_comps is not None and other.inverse_comps is not None:
-            inv = tuple(ex.subs(c, dict(zip(other.source.coords, other.inverse_comps)))
-                        for c in self.inverse_comps)
-        return SmoothMap(self.source, other.target, comps, inv)

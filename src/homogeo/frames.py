@@ -7,8 +7,9 @@ components, the scaling action moves the frame by
 
     A(r, eps) = S(h_r eps)^{-1} Dh_r S(eps),
 
-and the frame is homogeneous when A does not depend on the point.  The
-degree data is extracted as the pair (B, C) = (dA/dr at 1, A(-1)).
+and the frame is homogeneous when A does not depend on the point, for
+r > 0 and at r = -1.  The degree data is extracted as the pair
+(B, C) = (dA/dr at 1, A(-1)).
 """
 
 from __future__ import annotations
@@ -153,33 +154,32 @@ def transition(frame: Frame, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Transit
     n = scn.total.dim
     r = ex.var("r")
     S = frame.matrix()
-    Sr = [[ex.subs(v, {FIBER: ex.mul(r, scn.mu)}) for v in row] for row in S]
-    A_pt = symmat.mat_mul(symmat.mat_mul(symmat.inverse(Sr),
-                                         _scaling_jacobian(n, r)), S)
     pol = scn.policy_for(policy)
     cons = pol.constraints
-    A_pt = symmat.simplify_mat(A_pt, cons)
-
-    ok, bad = all_zero(_varies_along(A_pt, scn.total.coords, cons), pol)
-    if not ok:
-        (i, j, coord), _ = bad
-        return TransitionResult(
-            False,
-            failure=f"entry ({i},{j}) varies along {coord}: "
-                    f"d/d{coord} = {ex.to_dsl(ex.diff(A_pt[i][j], coord, cons))}")
+    # A(r, eps) for r > 0, then A(-1, eps), the explicit reflection resolved
+    # on the branch: neither may depend on the point
+    mats = []
+    for factor, where in ((r, ""), (ex.rat(-1), "reflection ")):
+        Sf = [[ex.subs(v, {FIBER: ex.mul(factor, scn.mu)}) for v in row] for row in S]
+        A = symmat.simplify_mat(symmat.mat_mul(
+            symmat.mat_mul(symmat.inverse(Sf), _scaling_jacobian(n, factor)), S), cons)
+        ok, bad = all_zero(_varies_along(A, scn.total.coords, cons), pol)
+        if not ok:
+            (i, j, coord), _ = bad
+            return TransitionResult(
+                False,
+                failure=f"{where}entry ({i},{j}) varies along {coord}: "
+                        f"d/d{coord} = {ex.to_dsl(ex.diff(A[i][j], coord, cons))}")
+        mats.append((Sf, A))
+    (Sr, A_pt), (_, A_neg) = mats
 
     point = _sample_valid_point(scn, [symmat.det(S), symmat.det(Sr)], policy)
     point_map = {k: ex.rat(v) for k, v in point.items()}
     A_sym = [[ex.simplify(ex.subs(v, point_map), cons) for v in row] for row in A_pt]
 
-    # B = dA/dr at r = 1
+    # B = dA/dr at r = 1, C = A(-1)
     B = [[_fold_rational(ex.subs(ex.diff(v, "r", cons), {"r": ex.ONE}), cons, policy)
           for v in row] for row in A_sym]
-
-    # C = A(-1, eps): explicit reflection, resolved on the branch
-    Sneg = [[ex.subs(v, {FIBER: ex.neg(scn.mu)}) for v in row] for row in S]
-    A_neg = symmat.mat_mul(symmat.mat_mul(symmat.inverse(Sneg),
-                                          _scaling_jacobian(n, ex.rat(-1))), S)
     C = [[_fold_rational(ex.subs(v, point_map), cons, policy) for v in row] for row in A_neg]
 
     hom = DegreeHom(tuple(tuple(row) for row in B), tuple(tuple(row) for row in C))
@@ -204,11 +204,9 @@ def homomorphism_law_holds(tr: TransitionResult,
 
 @dataclass(frozen=True)
 class CosetReport:
-    group: GroupId
     in_normalizer: bool
     quotient_value: Optional[ex.Expr]       # Expr in r (branch r > 0)
     quotient_value_neg1: Optional[object]   # Fraction or parity at r = -1
-    hom: Optional[DegreeHom]
     failure: Optional[str] = None
 
 
@@ -226,16 +224,16 @@ def degree_coset(tr: TransitionResult, G: GroupId,
     if bad is not None:
         i, j = bad
         return CosetReport(
-            G, False, None, None, tr.hom,
+            False, None, None,
             failure=f"defining product entry ({i},{j}) is not "
                     f"{'diagonal-constant' if i == j else 'zero'}")
     if G.family == "gl":
-        return CosetReport(G, True, value, Fraction(1), tr.hom)
+        return CosetReport(True, value, Fraction(1))
     try:
         neg1 = normalizer_p(G, tr.hom.C)
     except NotInNormalizerError as err:
-        return CosetReport(G, False, None, None, tr.hom, failure=str(err))
-    return CosetReport(G, True, value, neg1, tr.hom)
+        return CosetReport(False, None, None, failure=str(err))
+    return CosetReport(True, value, neg1)
 
 
 def require_coset(frame: Frame, G: GroupId, group: str, value: ex.Expr, value_neg1,
@@ -280,7 +278,9 @@ def is_homogeneous_chart(scn: LineBundleScenario, chi: Sequence[ex.Expr],
     b(r) = h_r^* chi - A(r) chi is read at the point where that transition
     was read.  Raises NotHomogeneousError when A or b depends on the point
     or the pair violates the homomorphism law
-    (A, b)(rs) = (A, b)(r) . (A, b)(s).  Nothing is checked at r = -1."""
+    (A, b)(rs) = (A, b)(r) . (A, b)(s).  At r = -1 only the frame's
+    transition A(-1) is checked not to depend on the point; b(-1) is not
+    read."""
     n = scn.total.dim
     chi = tuple(ex._coerce(c) for c in chi)
     if len(chi) != n:

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 from . import expr as ex
 from .chart import Chart, ChartError, SmoothMap
 from .tensors import (Endo11, KForm, SymTensor2, VectorField, d, interior,
-                      pullback, pullback_endo, pullback_sym, pushforward, wedge)
+                      pullback, pullback_endo, pullback_sym, wedge)
 from .zerotest import ZeroTestPolicy, DEFAULT_POLICY, all_zero
 
 __all__ = ["ScalarDegree", "DEG0", "DEG1", "DEG_ABS", "DEG_SQRT_ABS",
@@ -116,8 +116,7 @@ class LineBundleScenario:
 
     def h_scaling(self, factor: ex.Expr) -> SmoothMap:
         comps = tuple(ex.var(c) for c in self.base.coords) + (ex.mul(factor, self.mu),)
-        inv = tuple(ex.var(c) for c in self.base.coords) + (ex.div(self.mu, factor),)
-        return SmoothMap(self.total, self.total, comps, inv)
+        return SmoothMap(self.total, self.total, comps)
 
     def h_sym(self) -> SmoothMap:
         """The scaling map with the formal positive parameter r."""
@@ -139,17 +138,12 @@ class LineBundleScenario:
             raise ChartError("form must live on the base chart")
         return KForm(self.total, w.degree, dict(w.coeffs))
 
-    def promote_section(self, s: ex.Expr, degree: ScalarDegree = DEG1) -> ex.Expr:
-        """Section s * lambda_0 of the degree bundle -> the homogeneous
-        function phi(mu) s upstairs."""
-        self.base.check_owns(s)
-        return ex.mul(degree.fiber_factor(), s)
-
     def descend_function(self, f: ex.Expr, degree: ScalarDegree = DEG1,
                          policy: ZeroTestPolicy = DEFAULT_POLICY) -> ex.Expr:
-        """Inverse of promote_section: recover the base coefficient
-        f / phi(mu) at mu = 1, after checking that it does not depend on mu
-        (DegreeError naming the residual otherwise).  Every descent to the
+        """Inverse of the promotion of a section s * lambda_0 of the degree
+        bundle to the homogeneous function phi(mu) s upstairs: recover the
+        base coefficient f / phi(mu) at mu = 1, after checking that it does
+        not depend on mu (DegreeError naming the residual otherwise).  Every descent to the
         base goes through here."""
         s = ex.simplify(ex.div(f, degree.fiber_factor()), self.total.constraints)
         pol = self.policy_for(policy)
@@ -219,7 +213,10 @@ class LineBundleScenario:
     def homogeneity_report(self, obj: GeomObject, degree: ScalarDegree,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
         """Check h_r^* obj = phi(r) obj for symbolic r > 0 and at r = -1.
-        Vector fields use the pushforward convention (h_r)_* X = phi(r) X."""
+        A vector field X is homogeneous when (h_r)_* X = phi(r) X.  The
+        Jacobian of h_r is diag(1, ..., 1, r), so that reads, component by
+        component, phi(r) X^i o h_r = (dh_r)_ii X^i: each base component is
+        homogeneous of degree 1/phi(r), the fiber one of degree r/phi(r)."""
         pol = self.policy_for(policy)
         hr = self.h_sym()
         href = self.reflection
@@ -229,9 +226,12 @@ class LineBundleScenario:
                 lhs = mp.pull_function(obj)
                 yield ("function", ex.sub(lhs, ex.mul(factor, obj)))
             elif isinstance(obj, VectorField):
-                lhs = pushforward(mp, obj)
-                for i, (a, b) in enumerate(zip(lhs.comps, obj.comps)):
-                    yield (f"component {i}", ex.sub(a, ex.mul(factor, b)))
+                if obj.chart != self.total:
+                    raise ChartError("field does not live on the total chart")
+                jac = mp.jacobian()
+                for i, c in enumerate(obj.comps):
+                    yield (f"component {i}", ex.sub(ex.mul(factor, mp.pull_function(c)),
+                                                    ex.mul(jac[i][i], c)))
             elif isinstance(obj, KForm):
                 lhs = pullback(mp, obj)
                 keys = set(lhs.coeffs) | set(obj.coeffs)

@@ -505,8 +505,6 @@ def sphere_triple(n: int) -> MetricTriple:
 
 @dataclass(frozen=True)
 class SphereChartReport:
-    scenario: LineBundleScenario
-    chi: Tuple[ex.Expr, ...]
     flat: bool
     chart_reproduces_metric: bool
     homogeneous: bool
@@ -548,8 +546,7 @@ def sphere_flat_chart(n: int, policy: ZeroTestPolicy = DEFAULT_POLICY
             break
     # the last failing check names the failure
     failure = hom_failure or next((bad[0] for bad in (bad_chart, bad_flat) if bad), None)
-    return SphereChartReport(scn, chi, flat, reproduces, hom_failure is None,
-                             failure)
+    return SphereChartReport(flat, reproduces, hom_failure is None, failure)
 
 
 @dataclass(frozen=True)

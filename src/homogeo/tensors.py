@@ -22,7 +22,7 @@ from .chart import Chart, ChartError, SmoothMap
 
 __all__ = ["VectorField", "KForm", "SymTensor2", "Endo11",
            "d", "wedge", "interior", "lie_bracket", "lie_derivative",
-           "pullback", "pushforward", "pullback_sym", "pullback_endo",
+           "pullback", "pullback_sym", "pullback_endo",
            "one_form", "zero_form"]
 
 Index = Tuple[int, ...]
@@ -361,19 +361,6 @@ def pullback_sym(f: SmoothMap, g: SymTensor2) -> SymTensor2:
             row.append(ex.add(*parts) if parts else ex.ZERO)
         rows.append(tuple(row))
     return SymTensor2(f.source, tuple(rows))
-
-
-def pushforward(f: SmoothMap, X: VectorField) -> VectorField:
-    """(f_* X)^i = (sum_j dF^i/dx^j X^j) o f^{-1}; requires an explicit inverse."""
-    if X.chart is not f.source and X.chart != f.source:
-        raise ChartError("field does not live on the map's source chart")
-    finv = f.inverse  # raises ChartError when missing
-    jac = f.jacobian()
-    comps = []
-    for i in range(f.target.dim):
-        v = ex.add(*[ex.mul(jac[i][j], X.comps[j]) for j in range(f.source.dim)])
-        comps.append(finv.pull_function(v) if v.free else v)
-    return VectorField(f.target, tuple(comps))
 
 
 def pullback_endo(f: SmoothMap, J: Endo11) -> Endo11:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from homogeo import expr as ex
 from homogeo import symmat
 from homogeo.chart import Chart, ChartError, SmoothMap
+from homogeo.linebundle import DEG0, DEG1, LineBundleScenario
 from homogeo.metric import DegeneracyError, christoffel, riemann
 from homogeo.tensors import (KForm, SymTensor2, VectorField, coordinate_field,
                              d, interior, lie_bracket, lie_derivative, one_form,
-                             pullback, pushforward, wedge)
+                             pullback, wedge)
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
 from homogeo.parser import parse
@@ -164,32 +165,31 @@ def test_interior_first_slot():
 def test_pullback_scaling_map():
     T = Chart("t", ("x", "mu"), (ex.Constraint("mu", ">", 0),))
     r = ex.var("r")
-    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))),
-                  (ex.var("x"), ex.div(ex.var("mu"), r)))
+    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))))
     dmu = one_form(T, [0, 1])
     assert dict(pullback(h, dmu).coeffs) == {(1,): r}
 
 
-def test_pushforward_euler_invariant():
-    T = Chart("t", ("x", "mu"), (ex.Constraint("mu", ">", 0),))
-    r = ex.var("r")
-    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))),
-                  (ex.var("x"), ex.div(ex.var("mu"), r)))
-    E = VectorField(T, (ex.ZERO, ex.var("mu")))
-    assert pushforward(h, E).comps == (ex.ZERO, ex.var("mu"))
-
-
-def test_pushforward_requires_inverse():
-    f = SmoothMap(B2, B2, (ex.var("x"), ex.var("y")))
+def test_vector_field_homogeneity():
+    # (h_r)_* X = phi(r) X, decided component by component
+    scn = LineBundleScenario("t", ("x",))
+    d_mu = VectorField(scn.total, (ex.ZERO, ex.ONE))
+    assert scn.is_homogeneous(scn.euler(), DEG0)
+    assert not scn.is_homogeneous(scn.euler(), DEG1)
+    assert scn.is_homogeneous(d_mu, DEG1)
+    assert not scn.is_homogeneous(d_mu, DEG0)
+    # sign(mu) d_x is invariant for r > 0 but flips under the reflection
+    odd = VectorField(scn.total, (ex.sign_(scn.mu), ex.ZERO))
+    ok, (where, _) = scn.homogeneity_report(odd, DEG0)
+    assert not ok and where == "r=-1 reflection, component 0"
     with pytest.raises(ChartError):
-        pushforward(f, coordinate_field(B2, 0))
+        scn.is_homogeneous(VectorField(scn.base, (ex.ONE,)), DEG0)
 
 
 def test_pullback_commutes_with_d():
     T = Chart("t", ("x", "mu"), (ex.Constraint("mu", ">", 0),))
     r = ex.var("r")
-    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))),
-                  (ex.var("x"), ex.div(ex.var("mu"), r)))
+    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))))
     rng = random.Random(9)
     pol = ZeroTestPolicy(constraints=T.constraints + (ex.Constraint("r", ">", 0),))
     for _ in range(5):
@@ -206,19 +206,6 @@ def test_cartan_magic_formula():
             lhs = lie_derivative(X, w)
             rhs = interior(X, d(w)) + d(interior(X, w))
             assert forms_equal(lhs, rhs)
-
-
-def test_pushforward_preserves_bracket():
-    T = Chart("t", ("x", "mu"), (ex.Constraint("mu", ">", 0),))
-    r = ex.var("r")
-    h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))),
-                  (ex.var("x"), ex.div(ex.var("mu"), r)))
-    rng = random.Random(12)
-    pol = ZeroTestPolicy(constraints=T.constraints + (ex.Constraint("r", ">", 0),))
-    X, Y = rand_field(rng, T), rand_field(rng, T)
-    lhs = pushforward(h, lie_bracket(X, Y))
-    rhs = lie_bracket(pushforward(h, X), pushforward(h, Y))
-    assert all(is_zero(ex.sub(a, b), pol) for a, b in zip(lhs.comps, rhs.comps))
 
 
 # -- metric machinery -------------------------------------------------------------

@@ -315,6 +315,22 @@ def test_failing_expectation_sets_exit_code(tmp_path, capsys):
     assert "expected False, computed True" in out
 
 
+@pytest.mark.parametrize("family, param", [("sp", 1), ("gl", 2), ("o", 2)])
+def test_frame_varying_under_reflection_fails(tmp_path, capsys, family, param):
+    # the frame's transition is the identity for r > 0, but A(-1) varies
+    # along x, so the frame is not homogeneous whatever its group
+    p = tmp_path / "reflection.json"
+    p.write_text(json.dumps({
+        "name": "reflection", "kind": "frame",
+        "base": {"coords": ["x"]},
+        "objects": {"group": {"family": family, "param": param},
+                    "frame": [["1", "0"], ["x*(1-sign(mu))", "mu*sign(mu)"]]},
+        "expect": {"homogeneous": True}}))
+    code, out, _ = run_cli(["run", str(p)], capsys)
+    assert code == 1
+    assert "[FAIL] homogeneous: reflection entry (0,1) varies along x" in out
+
+
 def _set_entry(matrix, i, j, text):
     return lambda d: d["objects"][matrix][i].__setitem__(j, text)
 
@@ -557,6 +573,18 @@ def test_query_log_suite(tmp_path):
         fields = line.split("\t")
         assert len(fields) == 7
         assert fields[1] in ("zero", "nonzero") and fields[2] in ("exact", "float")
+
+
+def test_query_log_unprintable_literal(tmp_path):
+    # a literal too large to print has no fingerprint: its line carries a
+    # fixed marker and the logged test still passes
+    log = tmp_path / "queries.tsv"
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "tools", "query_log.py"),
+                           "-o", str(log), "pytest", os.path.join(REPO, "tests"),
+                           "-k", "test_printable_constants_follow_the_digit_limit"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "unprintable" in [line.split("\t")[0] for line in log.read_text().splitlines()]
 
 
 def test_reports_match_goldens():
@@ -1152,9 +1180,9 @@ def test_bundled_suite_queries_pinned(monkeypatch, capsys):
     monkeypatch.setattr(zerotest, "_fingerprint", record)
     code, _, _ = run_cli(["suite", SCENARIOS, "--seed", "0"], capsys)
     assert code == 0
-    assert len(seen) == 53
+    assert len(seen) == 55
     assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
-        "98832cf68c88fe5707a59f1e4ee6506fa1f865f67fe015b58d5b8d6a888c6de2"
+        "34ae21a1d785164d83f8796a363c69693d602b2ad92f4047754a4853a2d9c48e"
 
 
 def test_suite_verdicts_independent_of_seed(capsys):

@@ -77,6 +77,14 @@ def test_transition_inhomogeneous_frame():
     assert tr.failure and "mu" in tr.failure
 
 
+def test_transition_reflection_must_not_vary():
+    # A(r) = I for r > 0, but A(-1) = [[1, 2x], [0, -1]] varies along x
+    f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["x*(1-sign(mu))", "mu*sign(mu)"])))
+    tr = transition(f)
+    assert not tr.homogeneous
+    assert tr.failure == "reflection entry (0,1) varies along x: d/dx = 2"
+
+
 def test_transition_degenerate_frame():
     f = Frame(SCN1, (vf(SCN1, ["1", "0"]), vf(SCN1, ["1", "0"])))
     with pytest.raises(DegeneracyError):

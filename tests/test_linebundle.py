@@ -40,18 +40,20 @@ def forms_equal(a, b, pol):
 def test_action_composes():
     h_r = SCN.h_sym()
     h_s = SCN.h_scaling(ex.var("s"))
-    comp = h_s.then(h_r)
+    # h_r after h_s: each component of h_r pulled back along h_s
+    comp = tuple(h_s.pull_function(c) for c in h_r.comps)
     pol = SCN.policy_for(ZeroTestPolicy()).with_constraints([ex.Constraint("s", ">", 0)])
     rs = ex.mul(ex.var("r"), ex.var("s"))
     want = tuple(ex.var(c) for c in SCN.base.coords) + (ex.mul(rs, SCN.mu),)
-    assert all(is_zero(ex.sub(a, b), pol) for a, b in zip(comp.comps, want))
+    assert all(is_zero(ex.sub(a, b), pol) for a, b in zip(comp, want))
 
 
 # -- promotion dictionary ----------------------------------------------------------
 
-def test_promote_section_examples():
-    assert SCN.promote_section(ex.ONE) is SCN.mu
-    assert SCN.promote_section(ex.var("x")) is ex.mul(ex.var("x"), SCN.mu)
+def test_section_promotion_examples():
+    # a section s promotes to phi(mu) s, which for DEG1 is mu s
+    assert ex.mul(DEG1.fiber_factor(), ex.ONE) is SCN.mu
+    assert ex.mul(DEG1.fiber_factor(), ex.var("x")) is ex.mul(ex.var("x"), SCN.mu)
 
 
 def test_promote_descend_round_trip():
@@ -59,7 +61,7 @@ def test_promote_descend_round_trip():
     pol = ZeroTestPolicy()
     for _ in range(20):
         s = rand_poly(rng, SCN.base.coords)
-        back = SCN.descend_function(SCN.promote_section(s))
+        back = SCN.descend_function(ex.mul(DEG1.fiber_factor(), s))
         assert is_zero(ex.sub(back, s), pol)
 
 

@@ -10,6 +10,10 @@ A name in a module's `__all__` stays public only while something reads
 it: code in the package, a perfbench/ or tools/ script, or a row of the
 README "Library API" table, which names the paper statement or
 acceptance criterion the name reproduces and the test that checks it.
+The same holds for each method, property and dataclass field of a public
+class (`module.Class.member`): something must read an attribute of that
+name, or a row must name it.  Dunders are left out, since an operator
+cannot be matched to a name.
 """
 
 import ast
@@ -110,22 +114,92 @@ def _references(module, tree):
     return refs
 
 
+def _all(tree):
+    """The names in a module's `__all__`."""
+    return {name for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for name in ast.literal_eval(stmt.value)}
+
+
 def unused_public_names(sources):
     """(module, name) for each name in a module's `__all__` that no module
     reads, given {module name: source text} of one package."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set().union(*(_references(m, tree) for m, tree in trees.items()))
-    public = [(module, name) for module, tree in trees.items() for stmt in tree.body
-              if isinstance(stmt, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-              for name in ast.literal_eval(stmt.value)]
-    return sorted(set(public) - read)
+    public = {(module, name) for module, tree in trees.items() for name in _all(tree)}
+    return sorted(public - read)
+
+
+def _module_aliases(tree):
+    """The names that `tree` binds to a module: every `import` and each
+    `from ... import name` that names a submodule (`from . import expr as
+    ex` in the package, `from homogeo import expr` in a script)."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in node.names
+                           if node.module is None
+                           or (not node.level and _submodule(node.module, a.name)))
+    return aliases
+
+
+def _attribute_reads(tree):
+    """(attribute, owner) for each `value.attribute` read in `tree`, but
+    not one through a module alias; owner is (class, method) when the read
+    is inside the body of a method, else None."""
+    aliases, reads = _module_aliases(tree), []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and not (isinstance(child.value, ast.Name) and child.value.id in aliases)):
+                reads.append((child.attr, owner))
+            inner = owner
+            if isinstance(node, ast.ClassDef) and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (node.name, child.name)
+            visit(child, inner)
+
+    visit(tree, None)
+    return reads
+
+
+def unread_members(sources, scripts=()):
+    """(module, "Class.member") for each method, property or dataclass
+    field, not beginning with `_`, of a class in a module's `__all__` whose
+    name no module of the package ({module name: source text}) and no
+    script (source texts) reads as an attribute.  A read inside the
+    member's own body does not count."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = {(attr, (module, *owner) if owner else None)
+             for module, tree in trees.items() for attr, owner in _attribute_reads(tree)}
+    reads |= {(attr, None) for text in scripts for attr, _ in _attribute_reads(ast.parse(text))}
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in _all(tree)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                own = (module, cls.name, name)
+                if not name.startswith("_") and not any(
+                        attr == name and owner != own for attr, owner in reads):
+                    unread.append((module, f"{cls.name}.{name}"))
+    return sorted(unread)
 
 
 def _library_api_rows():
     """{(module, name): (statement, [test ids])} from the README "Library
-    API" table: the first column lists `module.name` entries, the middle
-    one the paper statement or criterion, the last the tests."""
+    API" table: the first column lists `module.name` and
+    `module.Class.member` entries, the middle one the paper statement or
+    criterion, the last the tests."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     rows = {}
@@ -134,7 +208,7 @@ def _library_api_rows():
         if not line.startswith("|") or len(cells) < 3 or cells[0].startswith(("Name", "-")):
             continue
         tests = re.findall(r"`(tests/\w+\.py::\w+)`", cells[-1])
-        for name in re.findall(r"`(\w+)\.(\w+)`", cells[0]):
+        for name in re.findall(r"`(\w+)\.(\w+(?:\.\w+)?)`", cells[0]):
             rows[name] = (cells[1], tests)
     return rows
 
@@ -146,6 +220,9 @@ def test_every_public_name_has_a_reader():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     unread = [f"{module}.{name}" for module, name in unused_public_names(sources)
               if (module, name) not in scripts and (module, name) not in documented]
+    unread += [f"{module}.{name}" for module, name in unread_members(
+        sources, [path.read_text(encoding="utf-8") for path in SCRIPTS])
+        if (module, name) not in documented]
     assert unread == []
 
 
@@ -153,7 +230,10 @@ def test_library_api_rows_name_public_names_and_existing_tests():
     rows = _library_api_rows()
     assert rows
     for (module, name), (statement, tests) in rows.items():
-        assert name in importlib.import_module(f"homogeo.{module}").__all__, (module, name)
+        public, _, member = name.partition(".")
+        mod = importlib.import_module(f"homogeo.{module}")
+        assert public in mod.__all__, (module, name)
+        assert not member or hasattr(getattr(mod, public), member), (module, name)
         # a name that reproduces nothing of the paper has no row to keep it
         assert statement and not re.match(r"none\b", statement, re.I), (module, name)
         assert tests, (module, name)
@@ -166,14 +246,31 @@ def test_library_api_rows_name_public_names_and_existing_tests():
 
 def test_the_guard_flags_a_name_nothing_reads():
     sources = {
-        "a": "__all__ = ['used', 'table_entry', 'unused', 'recursive']\n"
+        "a": "from dataclasses import dataclass\n"
+             "__all__ = ['used', 'table_entry', 'unused', 'recursive', 'Box']\n"
              "def used(): pass\n"
              "def table_entry(): pass\n"
              "def unused(): pass\n"
-             "def recursive(n): return recursive(n - 1)\n",
-        "b": "from .a import used\n"
+             "def recursive(n): return recursive(n - 1)\n"
+             "@dataclass\n"
+             "class Box:\n"
+             "    size: int\n"
+             "    tag: str\n"
+             "    def grow(self): return self.size + 1\n"
+             "    def unread(self): pass\n"
+             "    def __add__(self, other): pass\n"
+             "    def spin(self, n): return self.spin(n - 1)\n"
+             "    def table_entry(self): pass\n",
+        "b": "from .a import used, Box\n"
              "from . import a as aa\n"
              "TABLE = {'entry': aa.table_entry}\n"
-             "def caller(obj): return used(), obj.unused, 'unused'\n",
+             "def caller(obj): return used(), obj.unused, 'unused', Box(1, 'x').grow()\n",
     }
     assert unused_public_names(sources) == [("a", "recursive"), ("a", "unused")]
+    # grow is read through an instance and size inside grow; __add__ is a
+    # dunder; spin is read only in its own body, table_entry only through
+    # the module alias aa
+    assert unread_members(sources) == [("a", "Box.spin"), ("a", "Box.table_entry"),
+                                       ("a", "Box.tag"), ("a", "Box.unread")]
+    assert unread_members(sources, ["def script(box): return box.spin, box.tag"]) == [
+        ("a", "Box.table_entry"), ("a", "Box.unread")]

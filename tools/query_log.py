@@ -8,7 +8,8 @@ queries through `is_zero` and `all_zero`, which look the name up in
 `zerotest`, so every query is recorded.  A residual that `all_zero` skips (the
 negation or a repeat of one it decided zero over GF(p)) makes no query
 and writes no line.  Each line holds, tab-separated: the
-fingerprint of the simplified expression, the verdict (zero or nonzero),
+fingerprint of the simplified expression (`unprintable` for a literal
+too large to print, which has none), the verdict (zero or nonzero),
 the exact flag, the witness point, the witness value, the sample count and
 the verdict's note ("-" when empty; a nonzero verdict without a rational
 witness names its GF(p) certificate there).
@@ -48,9 +49,12 @@ def _install(out):
         rep = original(e, policy)
         # simplify is cached on the node, so this is a lookup of the
         # expression zero_report just fingerprinted
-        fp = fingerprint(ex.simplify(e, policy.constraints), policy)
+        try:
+            fp = f"{fingerprint(ex.simplify(e, policy.constraints), policy):016x}"
+        except ex.ConstantTooLargeError:
+            fp = "unprintable"
         value = "-" if rep.witness_value is None else repr(rep.witness_value)
-        out.write(f"{fp:016x}\t{'zero' if rep.is_zero else 'nonzero'}\t"
+        out.write(f"{fp}\t{'zero' if rep.is_zero else 'nonzero'}\t"
                   f"{'exact' if rep.exact else 'float'}\t{witness_text(rep.witness)}\t"
                   f"{value}\t{rep.samples}\t{rep.note or '-'}\n")
         return rep
