@@ -11,11 +11,12 @@ is the zero test's job (see zerotest.py).
 
 Constants fold without Fraction arithmetic.  A Rat, Sum or Prod keeps its
 rational part (`value`, `const`, `coeff`) twice: as a Fraction, one
-object per value, made when the node is interned, for every reader; and
-as the reduced numerator/denominator ints `n`/`d` (d > 0), which `add`,
-`mul` and `neg` fold.  A ZERO argument ends `mul` before any collecting;
-`neg` negates the constant, the coefficient or each term's coefficient
-directly.  The intern keys and the structural hash hold the same ints.
+object per value made when the node is interned (a Pow's `exponent` is
+that object too), for every reader; and as the reduced numerator and
+denominator ints `n`/`d` (d > 0), which `add`, `mul` and `neg` fold.  A
+ZERO argument ends `mul` before any collecting; `neg` negates the
+constant, the coefficient or each term's coefficient directly.  The
+intern keys and the structural hash hold the same ints.
 
 Because a node is immutable and stays interned for the life of the
 process, `simplify`, `diff` and the sign walker `_sign_class` keep their
@@ -37,16 +38,19 @@ fractional q when b is "+".
 
 The walkers are `subs`, `diff`, `simplify`, the printer and
 `_sign_class`.  They are recursive (`_sign_class` one Python frame per
-nesting level).  Under Python's default recursion limit of 1000,
-`to_dsl` (and so every sampled zero test) handles 497 nested function
-heads or 284 nested alternating sums and products, `simplify`, `diff`
-and `subs` 992 heads and 496 to 662 sums and products, and
-`_sign_class` 986 heads and 986 sums and products (Python 3.11.7);
-deeper expressions built in code raise RecursionError.
+nesting level).  Under Python's default recursion limit of 1000
+(Python 3.11.7), `to_dsl` handles 498 nested `sin` heads or 284 nested
+alternating sums and products (a sampled zero test, which prints its
+query, 496 heads), `simplify` and `subs` 497 `sin` heads and 330 sums
+and products, `diff` 993 heads and 662, and `_sign_class` 983 `sign`
+heads and 988; deeper expressions built in code raise RecursionError.
+numtape compiles without recursion, by `serial`: the count of nodes
+interned before a node, so its children's are lower.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -137,7 +141,7 @@ class Constraint:
 class Expr:
     """Base node.  Instances are interned: structural equality is identity."""
 
-    __slots__ = ("shash", "free", "rational", "cache")
+    __slots__ = ("shash", "free", "rational", "cache", "serial")
 
     # == is identity (interning makes it structural); the structural hash
     # keeps the order of sets of nodes the same in every run
@@ -185,6 +189,7 @@ class Fun(Expr):
 # interning
 
 _INTERN: dict = {}
+_SERIAL = itertools.count()
 
 
 def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool) -> Expr:
@@ -192,6 +197,7 @@ def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool) -> Exp
     node.free = free
     node.rational = rational
     node.cache = None   # results of the walkers, see _cache_put
+    node.serial = next(_SERIAL)     # above its children's, finished before it
     _INTERN[key] = node
     return node
 
@@ -422,7 +428,7 @@ def pw(base, q: Rational) -> Expr:
         return hit
     node = Pow.__new__(Pow)
     node.base = base
-    node.exponent = q
+    node.exponent = _rat(n, d).value    # one Fraction per value
     shash = _fnv((5, n, d, base.shash))
     return _finish(node, key, shash, base.free, base.rational and d == 1)
 

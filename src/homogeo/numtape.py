@@ -1,8 +1,11 @@
 """Evaluation of expression DAGs on a flat tape.
 
 An Expr is compiled once into a flat postfix tape: one tuple of
-(op, a, b) codes.  This is the only code that evaluates an expression;
-every evaluator is a plain Python loop over the codes, one pass per point:
+(op, a, b) codes, without recursion: each reachable node once, in the
+order of its expr `serial`, which puts every child before its parent,
+and each distinct constant once.  This is the only code that evaluates
+an expression; every evaluator is a plain Python loop over the codes, one
+pass per point:
 
 * ``eval_tape`` evaluates it in floats with CPython's float arithmetic and
   ``math``.  ``+`` and ``*`` follow IEEE-754; a ``math`` call that raises
@@ -40,10 +43,13 @@ OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW, OP_EXP, OP_LOG, OP_ABS, OP_SIGN, \
 
 
 class Tape:
-    """`code` holds one (op, a, b) triple per node; a and b index earlier
-    nodes, a constant, a variable of `varnames` or nothing (-1), by op.
-    `consts` holds each constant as a float for eval_tape; `exact` holds
-    the same constants as Fractions for eval_tape_mod and eval_tape_exact."""
+    """`code` holds (op, a, b) triples in serial order: one per variable,
+    power or function node, one ADD or MUL per further term, factor or
+    constant of a sum or product, and one OP_CONST per distinct constant
+    loaded; a and b index earlier codes, a constant, a variable of
+    `varnames` or nothing (-1), by op.  `consts` holds each distinct
+    constant once as a float for eval_tape; `exact` holds the same
+    constants as Fractions for eval_tape_mod and eval_tape_exact."""
 
     __slots__ = ("code", "consts", "exact", "varnames")
 
@@ -71,52 +77,68 @@ def _to_float(q: Fraction) -> float:
 
 
 def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
-    """Flatten an expression DAG into a tape.  Shared subexpressions are
-    evaluated once (node identity is structural thanks to interning)."""
+    """Flatten an expression DAG into a tape in two loops: collect the
+    reachable nodes, then emit them by serial.  A sum or product is a chain
+    of ADD or MUL codes over its terms or factors in their order, then its
+    constant, so every value is the one a tree walk computes.  Constants
+    are pooled by identity: expr keeps one Fraction per value."""
     if varnames is None:
         varnames = sorted(e.free)
     index = {name: i for i, name in enumerate(varnames)}
-    code, consts = [], []
-    memo: dict = {}
+    Sum, Prod, Pow, Fun, Rat, Var = ex.Sum, ex.Prod, ex.Pow, ex.Fun, ex.Rat, ex.Var
+    nodes = {e.serial: e}       # the reachable nodes, by serial
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        for k in (x.terms if cls is Sum else x.factors if cls is Prod else
+                  (x.base,) if cls is Pow else (x.arg,) if cls is Fun else ()):
+            if k.serial not in nodes:
+                nodes[k.serial] = k
+                stack.append(k)
+    code: list = []
+    slot: dict = {}     # id of a constant -> (its index in `exact`, it)
+    load: dict = {}     # id of a constant -> its OP_CONST code
 
-    def emit(op, a=-1, b=-1) -> int:
-        code.append((op, a, b))
-        return len(code) - 1
+    def const(q: Fraction) -> int:
+        return slot.setdefault(id(q), (len(slot), q))[0]
 
-    def cidx(v: Fraction) -> int:
-        consts.append(v)
-        return len(consts) - 1
+    def load_const(q: Fraction) -> int:
+        c = load.get(id(q))
+        if c is None:
+            c = load[id(q)] = len(code)
+            code.append((OP_CONST, const(q), -1))
+        return c
 
-    def rec(x: ex.Expr) -> int:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
-        if isinstance(x, ex.Rat):
-            out = emit(OP_CONST, cidx(x.value))
-        elif isinstance(x, ex.Var):
-            out = emit(OP_VAR, index[x.name])
-        elif isinstance(x, ex.Sum):
-            out = rec(x.terms[0])
-            for t in x.terms[1:]:
-                out = emit(OP_ADD, out, rec(t))
-            if x.const != 0:
-                out = emit(OP_ADD, out, emit(OP_CONST, cidx(x.const)))
-        elif isinstance(x, ex.Prod):
-            out = rec(x.factors[0])
-            for f in x.factors[1:]:
-                out = emit(OP_MUL, out, rec(f))
-            if x.coeff != 1:
-                out = emit(OP_MUL, out, emit(OP_CONST, cidx(x.coeff)))
-        elif isinstance(x, ex.Pow):
-            out = emit(OP_POW, rec(x.base), cidx(x.exponent))
+    at: dict = {}       # serial -> the code holding that node's value
+    for s in sorted(nodes):
+        x = nodes[s]
+        cls = type(x)
+        if cls is Sum or cls is Prod:
+            if cls is Sum:
+                op, parts, c = OP_ADD, x.terms, x.const if x.n else None
+            else:
+                op, parts, c = OP_MUL, x.factors, x.coeff if x.n != x.d else None
+            out = at[parts[0].serial]
+            for t in parts[1:]:
+                code.append((op, out, at[t.serial]))
+                out = len(code) - 1
+            if c is not None:
+                code.append((op, out, load_const(c)))
+                out = len(code) - 1
+        elif cls is Rat:
+            out = load_const(x.value)
         else:
-            out = emit(_FUN_OPS[x.name], rec(x.arg))
-        memo[id(x)] = out
-        return out
-
-    rec(e)
-    return Tape(tuple(code), tuple(_to_float(c) for c in consts),
-                tuple(consts), tuple(varnames))
+            if cls is Var:
+                code.append((OP_VAR, index[x.name], -1))
+            elif cls is Pow:
+                code.append((OP_POW, at[x.base.serial], const(x.exponent)))
+            else:
+                code.append((_FUN_OPS[x.name], at[x.arg.serial], -1))
+            out = len(code) - 1
+        at[s] = out
+    exact = tuple(q for _, q in slot.values())
+    return Tape(tuple(code), tuple(map(_to_float, exact)), exact, tuple(varnames))
 
 
 def _sign(x: float) -> float:
@@ -159,6 +181,8 @@ def eval_tape(tape: Tape, points: Sequence[Mapping[str, object]]) -> List[float]
 
 def _residue(q: Fraction, p: int) -> Optional[int]:
     """q mod p, or None when p divides the denominator."""
+    if q.denominator == 1:
+        return q.numerator % p
     d = q.denominator % p
     return None if d == 0 else q.numerator * pow(d, -1, p) % p
 

@@ -21,6 +21,21 @@ def _sympy_value(sympy, text, point):
                      for k, v in point.items()})
 
 
+def _assert_serial_tape(tape):
+    """Every operand index is below its code's position (children first),
+    and each distinct constant has one slot and at most one OP_CONST code."""
+    loaded = []
+    for pos, (op, a, b) in enumerate(tape.code):
+        if op == numtape.OP_CONST:
+            loaded.append(a)
+        elif op in (numtape.OP_ADD, numtape.OP_MUL):
+            assert a < pos and b < pos
+        elif op != numtape.OP_VAR:
+            assert a < pos
+    assert len(set(tape.exact)) == len(tape.exact)
+    assert len(set(loaded)) == len(loaded)
+
+
 def test_tape_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(21)
@@ -61,13 +76,15 @@ def test_tape_matches_sympy():
 @example("(x - y)^(3) - (x)^(-2)", [{"x": Fraction(-2, 3), "y": Fraction(1, 2)}])
 def test_exact_evaluation_matches_sympy_and_residues(text, points):
     """eval_tape_exact equals sympy's exact value, and reduces to the
-    residue eval_tape_mod returns, over a small and a large prime."""
+    residue eval_tape_mod returns, over a small and a large prime; the
+    tape is in serial order with pooled constants."""
     sympy = pytest.importorskip("sympy")
     try:
         e = parse(text, names=["x", "y"])
     except ZeroDivisionError:
         return      # a literal division by zero
     tape = numtape.compile_tape(e, ["x", "y"])
+    _assert_serial_tape(tape)
     for point in points:
         try:
             got = numtape.eval_tape_exact(tape, point)
@@ -145,12 +162,23 @@ def test_tape_matches_exact_on_rational():
 
 
 def test_shared_subexpressions_evaluate_once():
-    x = ex.var("x")
+    x, y = ex.var("x"), ex.var("y")
     shared = ex.add(x, ex.ONE)
     e = ex.mul(shared, shared, ex.add(shared, x))
     tape = numtape.compile_tape(e)
     # the tape is a DAG flattening: far fewer nodes than a tree expansion
     assert len(tape) <= 9
+    s = ex.add(x, y)
+    tape = numtape.compile_tape(ex.add(ex.sin_(s), ex.cos_(s)), ["x", "y"])
+    # x, y, x + y, sin, cos and their sum
+    assert len(tape) == 6
+    vx, vy = tape.code.index((numtape.OP_VAR, 0, -1)), tape.code.index((numtape.OP_VAR, 1, -1))
+    assert tape.code.count((numtape.OP_ADD, vx, vy)) == 1
+    # 2 as a constant, a coefficient and an exponent is one slot and one code
+    e = ex.add(ex.mul(ex.rat(2), x), ex.pw(y, 2), ex.sin_(ex.rat(2)))
+    tape = numtape.compile_tape(e, ["x", "y"])
+    assert tape.exact == (2,)
+    assert [op for op, _, _ in tape.code].count(numtape.OP_CONST) == 1
 
 
 def test_signs_and_abs_ops():
@@ -215,3 +243,60 @@ def test_modular_evaluation_rejects_non_rational_tapes():
     for e in (ex.sin_(x), ex.sqrt_(ex.add(ex.mul(x, x), ex.ONE))):
         with pytest.raises(ex.DomainError):
             numtape.eval_tape_mod(numtape.compile_tape(e), [{"x": Fraction(1, 2)}], 101)
+
+
+def _fold(x: ex.Expr, point) -> float:
+    """Float value of x by a tree walk: a sum or product folds its terms or
+    factors left to right, then its constant, as the tape does."""
+    if isinstance(x, ex.Rat):
+        return float(x.value)
+    if isinstance(x, ex.Var):
+        return float(point[x.name])
+    if isinstance(x, ex.Sum):
+        v = _fold(x.terms[0], point)
+        for t in x.terms[1:]:
+            v = v + _fold(t, point)
+        return v + float(x.const) if x.const else v
+    if isinstance(x, ex.Prod):
+        v = _fold(x.factors[0], point)
+        for f in x.factors[1:]:
+            v = v * _fold(f, point)
+        return v * float(x.coeff) if x.coeff != 1 else v
+    if isinstance(x, ex.Pow):
+        return math.pow(_fold(x.base, point), float(x.exponent))
+    funs = {"exp": math.exp, "log": math.log, "abs": abs, "sign": numtape._sign,
+            "sin": math.sin, "cos": math.cos}
+    return funs[x.name](_fold(x.arg, point))
+
+
+def test_tape_is_serial_and_folds_as_the_tree():
+    """Over random expressions: the tape is in serial order with pooled
+    constants, and its float value is bit-identical to a tree walk that
+    keeps each chain's operand order."""
+    rng = random.Random(25)
+    x, y = ex.var("x"), ex.var("y")
+    # long chains, whose float value depends on the operand order
+    chains = [ex.add(*[ex.mul(ex.rat(Fraction(1, k + 2)), ex.pw(x, k), ex.pw(y, 12 - k))
+                       for k in range(12)], ex.rat(Fraction(1, 3))),
+              ex.mul(*[ex.add(x, ex.rat(Fraction(k, 7))) for k in range(1, 12)], ex.rat(3))]
+    for e in chains + [rand_expr(rng, ("x", "y"), depth=6) for _ in range(60)]:
+        tape = numtape.compile_tape(e, ["x", "y"])
+        _assert_serial_tape(tape)
+        for p in [rand_point(rng, ("x", "y")) for _ in range(4)]:
+            try:
+                want = _fold(e, p)
+            except (ValueError, OverflowError):
+                want = math.nan
+            got = numtape.eval_tape(tape, [p])[0]
+            assert got == want or (math.isnan(got) and math.isnan(want)), ex.to_dsl(e)
+
+
+def test_deep_nesting_compiles_without_recursion():
+    e = ex.var("x")
+    want = 0.5
+    for _ in range(5000):
+        e = ex.sin_(e)
+        want = math.sin(want)
+    tape = numtape.compile_tape(e)
+    assert len(tape) == 5001
+    assert numtape.eval_tape(tape, [{"x": Fraction(1, 2)}]) == [want]
