@@ -34,7 +34,8 @@ def metric_inverse(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY):
 def christoffel(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY,
                 ginv=None) -> List:
     """Gamma[k][i][j] of the Levi-Civita connection,
-    Gamma^k_{ij} = g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2."""
+    Gamma^k_{ij} = g^{kl}(d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2.
+    Built for j >= i; Gamma[k][j][i] is the node Gamma[k][i][j]."""
     chart = g.chart
     n = chart.dim
     cons = chart.constraints
@@ -43,42 +44,40 @@ def christoffel(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY,
     dg = [[[ex.diff(g.mat[i][j], chart.coords[k], cons) for j in range(n)]
            for i in range(n)] for k in range(n)]
     half = ex.rat(Fraction(1, 2))
-    out = []
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
-        out_k = []
         for i in range(n):
-            row = []
-            for j in range(n):
-                parts = []
-                for l in range(n):
-                    s = ex.add(dg[i][j][l], dg[j][i][l], ex.neg(dg[l][i][j]))
-                    parts.append(ex.mul(ginv[k][l], s))
-                row.append(ex.mul(half, ex.add(*parts)))
-            out_k.append(row)
-        out.append(out_k)
+            for j in range(i, n):
+                parts = [ex.mul(ginv[k][l], ex.add(dg[i][j][l], dg[j][i][l],
+                                                   ex.neg(dg[l][i][j])))
+                         for l in range(n)]
+                out[k][i][j] = out[k][j][i] = ex.mul(half, ex.add(*parts))
     return out
 
 
 def riemann(g: SymTensor2, policy: ZeroTestPolicy = DEFAULT_POLICY,
             gamma=None) -> List:
     """R[l][k][i][j] with R(d_i, d_j) d_k = R^l_{kij} d_l:
-    R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}."""
+    R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}.
+    Built for i < j; R[l][k][j][i] is neg(R[l][k][i][j]) and R[l][k][i][i]
+    is ZERO, the nodes the formula gives there."""
     chart = g.chart
     n = chart.dim
     cons = chart.constraints
     if gamma is None:
         gamma = christoffel(g, policy)
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    out = [[[[ex.ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
         for k in range(n):
             for i in range(n):
-                for j in range(n):
+                for j in range(i + 1, n):
                     parts = [ex.diff(gamma[l][j][k], chart.coords[i], cons),
                              ex.neg(ex.diff(gamma[l][i][k], chart.coords[j], cons))]
                     for m in range(n):
                         parts.append(ex.mul(gamma[l][i][m], gamma[m][j][k]))
                         parts.append(ex.neg(ex.mul(gamma[l][j][m], gamma[m][i][k])))
                     out[l][k][i][j] = ex.add(*parts)
+                    out[l][k][j][i] = ex.neg(out[l][k][i][j])
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
@@ -186,7 +186,10 @@ def koszul_connection(G: AlgebroidMetric,
 
 def curvature_RD(conn: AlgebroidConnection) -> List:
     """R[e][c][a][b]: coefficient of E_e in R(E_a, E_b) E_c, using the
-    anchor Leibniz rule (the fiber basis element has zero anchor)."""
+    anchor Leibniz rule (the fiber basis element has zero anchor).  Built
+    for a < b, as R(X, Y) = -R(Y, X): R[e][c][b][a] is neg(R[e][c][a][b])
+    and R[e][c][a][a] is ZERO, the nodes a loop over every (a, b) builds
+    unless a bracket coefficient c[d][a][b] is a sum."""
     G = conn.metric
     n1 = G.dim
     gamma = conn.gamma
@@ -194,7 +197,7 @@ def curvature_RD(conn: AlgebroidConnection) -> List:
     out = [[[[ex.ZERO] * n1 for _ in range(n1)] for _ in range(n1)]
            for _ in range(n1)]
     for a in range(n1):
-        for b in range(n1):
+        for b in range(a + 1, n1):
             for cc in range(n1):
                 for e in range(n1):
                     parts = [G.anchor_apply(a, gamma[e][b][cc]),
@@ -205,6 +208,7 @@ def curvature_RD(conn: AlgebroidConnection) -> List:
                         parts.append(ex.neg(ex.mul(c[dd][a][b], gamma[e][dd][cc])))
                     out[e][cc][a][b] = ex.simplify(ex.add(*parts),
                                                    G.scenario.base.constraints)
+                    out[e][cc][b][a] = ex.neg(out[e][cc][a][b])
     return out
 
 
@@ -257,10 +261,16 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
               for j in range(n)] for i in range(n)] for e in range(n)]
     # B_up[e][i][j] = B(d_i, d_j)^e
 
-    C_low = [[[ex.sub(B_low[i][j][c], B_low[j][i][c]) for c in range(n)]
-              for j in range(n)] for i in range(n)]
-    C_up = [[[ex.sub(B_up[e][i][j], B_up[e][j][i]) for j in range(n)]
-             for i in range(n)] for e in range(n)]
+    # C_low, C_up and D_low are antisymmetric in (i, j): built for i < j,
+    # with the negated node at [j][i] and ZERO where i = j
+    C_low = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
+    C_up = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        for c in range(n):
+            C_low[i][j][c] = ex.sub(B_low[i][j][c], B_low[j][i][c])
+            C_low[j][i][c] = ex.neg(C_low[i][j][c])
+            C_up[c][i][j] = ex.sub(B_up[c][i][j], B_up[c][j][i])
+            C_up[c][j][i] = ex.neg(C_up[c][i][j])
 
     def R_low(i, j, k, l):
         return ex.add(*[ex.mul(g.mat[l][m], Rm[m][k][i][j]) for m in range(n)])
@@ -279,10 +289,15 @@ def tensors_ABCD(triple: MetricTriple, policy: ZeroTestPolicy = DEFAULT_POLICY
             ex.mul(W[i][j], W[k][l]),
             ex.mul(W[i][k], W[j][l]))
 
-    D_low = [[[[ex.simplify(ex.sub(Eterm(i, j, k, l), Eterm(j, i, k, l)),
-                            chart.constraints)
-                for l in range(n)] for k in range(n)] for j in range(n)]
-             for i in range(n)]
+    D_low = [[[[ex.ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            for l in range(n):
+                D_low[i][j][k][l] = ex.simplify(
+                    ex.sub(Eterm(i, j, k, l), Eterm(j, i, k, l)), chart.constraints)
+                D_low[j][i][k][l] = ex.neg(D_low[i][j][k][l])
+    # D_up in full: g^el times the negated sum D_low[j][i][k][l] is a
+    # product node other than the negated product
     D_up = [[[[ex.add(*[ex.mul(ginv[e][l], D_low[i][j][k][l]) for l in range(n)])
                for k in range(n)] for j in range(n)] for i in range(n)]
             for e in range(n)]

@@ -343,24 +343,24 @@ def pullback(f: SmoothMap, w: KForm) -> KForm:
 
 
 def pullback_sym(f: SmoothMap, g: SymTensor2) -> SymTensor2:
+    """(f^* g)_ab = sum_ij (g_ij o f) Jac_ia Jac_jb.  Each nonzero g_ij is
+    pulled back once; a term with a zero factor is skipped, and the
+    [b][a] entry is the node built for [a][b], b >= a."""
     if g.chart is not f.target and g.chart != f.target:
         raise ChartError("tensor does not live on the map's target chart")
     jac = f.jacobian()
     n, m = f.target.dim, f.source.dim
-    rows = []
+    pulled = [[v if v.is_zero_literal() else f.pull_function(v) for v in row]
+              for row in g.mat]
+    rows = [[None] * m for _ in range(m)]
     for a in range(m):
-        row = []
-        for b in range(m):
-            parts = []
-            for i in range(n):
-                for j in range(n):
-                    gij = g.mat[i][j]
-                    if gij.is_zero_literal():
-                        continue
-                    parts.append(ex.mul(f.pull_function(gij), jac[i][a], jac[j][b]))
-            row.append(ex.add(*parts) if parts else ex.ZERO)
-        rows.append(tuple(row))
-    return SymTensor2(f.source, tuple(rows))
+        for b in range(a, m):
+            rows[a][b] = rows[b][a] = ex.add(*[
+                ex.mul(pulled[i][j], jac[i][a], jac[j][b])
+                for i in range(n) if not jac[i][a].is_zero_literal()
+                for j in range(n) if not (jac[j][b].is_zero_literal()
+                                          or pulled[i][j].is_zero_literal())])
+    return SymTensor2(f.source, tuple(map(tuple, rows)))
 
 
 def pullback_endo(f: SmoothMap, J: Endo11) -> Endo11:

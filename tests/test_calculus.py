@@ -12,7 +12,7 @@ from homogeo.linebundle import DEG0, DEG1, LineBundleScenario
 from homogeo.metric import DegeneracyError, christoffel, riemann
 from homogeo.tensors import (KForm, SymTensor2, VectorField, coordinate_field,
                              d, interior, lie_bracket, lie_derivative, one_form,
-                             pullback, wedge)
+                             pullback, pullback_sym, wedge)
 from homogeo.zerotest import ZeroTestPolicy, is_zero
 
 from homogeo.parser import parse
@@ -168,6 +168,47 @@ def test_pullback_scaling_map():
     h = SmoothMap(T, T, (ex.var("x"), ex.mul(r, ex.var("mu"))))
     dmu = one_form(T, [0, 1])
     assert dict(pullback(h, dmu).coeffs) == {(1,): r}
+
+
+def full_pullback_sym(f, g):
+    """The (a, b) entries of pullback_sym from the full loop: every entry
+    built, each g_ij pulled back once per term."""
+    jac = f.jacobian()
+    n, m = f.target.dim, f.source.dim
+    return tuple(tuple(ex.add(*[ex.mul(f.pull_function(g.mat[i][j]), jac[i][a], jac[j][b])
+                                for i in range(n) for j in range(n)
+                                if not g.mat[i][j].is_zero_literal()])
+                       for b in range(m)) for a in range(m))
+
+
+def test_pullback_sym_pulls_each_entry_once(monkeypatch):
+    """One pull_function call per nonzero entry, and the nodes of the full
+    loop, on the scaling map, the reflection and a shear whose Jacobian has
+    zero and nonconstant entries."""
+    scn = LineBundleScenario("ps", ("x", "y"))
+    x, y, mu = (ex.var(c) for c in scn.total.coords)
+    shear = SmoothMap(scn.total, scn.total,
+                      (ex.add(x, ex.mul(2, y)), ex.add(y, ex.mul(x, mu)), mu))
+    rng = random.Random(4)
+    dense = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            dense[i][j] = dense[j][i] = rand_poly(rng, scn.total.coords)
+    sparse = [[v if i == j or {i, j} == {0, 1} else ex.ZERO for j, v in enumerate(row)]
+              for i, row in enumerate(dense)]
+    calls = []
+    pull = SmoothMap.pull_function
+    for mat in (dense, sparse):
+        g = SymTensor2(scn.total, mat)
+        for f in (scn.h_sym(), scn.reflection, shear):
+            calls.clear()
+            monkeypatch.setattr(SmoothMap, "pull_function",
+                                lambda self, e: calls.append(e) or pull(self, e))
+            got = pullback_sym(f, g).mat
+            assert len(calls) == sum(not v.is_zero_literal() for row in mat for v in row)
+            monkeypatch.setattr(SmoothMap, "pull_function", pull)
+            want = full_pullback_sym(f, g)
+            assert all(got[a][b] is want[a][b] for a in range(3) for b in range(3))
 
 
 def test_vector_field_homogeneity():

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,7 +16,8 @@ from homogeo.cli import main
 from homogeo.frames import degree_coset, transition
 from homogeo.groups import O, rand_element
 from homogeo.linebundle import DEG_ABS, DegreeError, LineBundleScenario
-from homogeo.metric import DegeneracyError
+from homogeo.metric import (DegeneracyError, christoffel, covariant_derivative_oneform,
+                            metric_inverse, riemann)
 from homogeo.riemannian import (MetricTriple, curvature_RD,
                                 flatness_report, frame_to_gtilde,
                                 gtilde_frame, gtilde_to_triple,
@@ -22,7 +25,8 @@ from homogeo.riemannian import (MetricTriple, curvature_RD,
                                 sphere_flat_chart, sphere_metric,
                                 sphere_triple, tensors_ABCD, triple_to_G,
                                 triple_to_gtilde, verify_rd_formulas)
-from homogeo.tensors import KForm, SymTensor2, one_form
+from homogeo.scenarios import load_scenario, run_scenario
+from homogeo.tensors import KForm, SymTensor2, d, one_form
 from homogeo.zerotest import ZeroTestPolicy, is_zero, sample_values
 
 from conftest import curvature
@@ -95,16 +99,130 @@ def test_koszul_residuals_random():
         assert all(is_zero(r, pol) for _, r in conn.metricity_residuals())
 
 
+# -- reference builders: the full loops over every index pair ----------------------
+# The library builds an antisymmetric (symmetric) array on one half of each
+# index pair and fills the other half with the negated (the same) node.
+# These loops build both halves; the tests below check node identity.
+
+def full_christoffel(g, ginv):
+    chart, n = g.chart, g.chart.dim
+    dg = [[[ex.diff(g.mat[i][j], chart.coords[k], chart.constraints)
+            for j in range(n)] for i in range(n)] for k in range(n)]
+    half = ex.rat(Fraction(1, 2))
+    return [[[ex.mul(half, ex.add(*[
+        ex.mul(ginv[k][l], ex.add(dg[i][j][l], dg[j][i][l], ex.neg(dg[l][i][j])))
+        for l in range(n)])) for j in range(n)] for i in range(n)] for k in range(n)]
+
+
+def full_riemann(g, gamma):
+    chart, n = g.chart, g.chart.dim
+    cons = chart.constraints
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for l, k, i, j in itertools.product(range(n), repeat=4):
+        parts = [ex.diff(gamma[l][j][k], chart.coords[i], cons),
+                 ex.neg(ex.diff(gamma[l][i][k], chart.coords[j], cons))]
+        for m in range(n):
+            parts.append(ex.mul(gamma[l][i][m], gamma[m][j][k]))
+            parts.append(ex.neg(ex.mul(gamma[l][j][m], gamma[m][i][k])))
+        out[l][k][i][j] = ex.add(*parts)
+    return out
+
+
+def full_curvature_RD(conn):
+    G, gamma = conn.metric, conn.gamma
+    n1 = G.dim
+    c = G.bracket_coeffs()
+    out = [[[[None] * n1 for _ in range(n1)] for _ in range(n1)] for _ in range(n1)]
+    for a, b, cc, e in itertools.product(range(n1), repeat=4):
+        parts = [G.anchor_apply(a, gamma[e][b][cc]),
+                 ex.neg(G.anchor_apply(b, gamma[e][a][cc]))]
+        for dd in range(n1):
+            parts.append(ex.mul(gamma[dd][b][cc], gamma[e][a][dd]))
+            parts.append(ex.neg(ex.mul(gamma[dd][a][cc], gamma[e][b][dd])))
+            parts.append(ex.neg(ex.mul(c[dd][a][b], gamma[e][dd][cc])))
+        out[e][cc][a][b] = ex.simplify(ex.add(*parts), G.scenario.base.constraints)
+    return out
+
+
+def full_D_low(triple):
+    """D_low of tensors_ABCD from the full loop, on full_christoffel and
+    full_riemann."""
+    g, eta = triple.g, triple.eta
+    chart, n = g.chart, g.chart.dim
+    ginv = metric_inverse(g)
+    gamma = full_christoffel(g, ginv)
+    Rm = full_riemann(g, gamma)
+    W = d(eta).rows()
+    nabla_eta = covariant_derivative_oneform(gamma, eta)
+    eta_up = [ex.add(*[ex.mul(ginv[a][b], eta.coeff((b,))) for b in range(n)])
+              for a in range(n)]
+    eta_norm2 = ex.add(*[ex.mul(eta_up[a], eta.coeff((a,))) for a in range(n)])
+
+    def S(i, j):
+        return ex.add(nabla_eta[i][j], nabla_eta[j][i],
+                      ex.neg(ex.mul(eta.coeff((i,)), eta.coeff((j,)))),
+                      ex.mul(eta_norm2, g.mat[i][j]))
+
+    def Eterm(i, j, k, l):
+        R_low = ex.add(*[ex.mul(g.mat[l][m], Rm[m][k][i][j]) for m in range(n)])
+        return ex.add(
+            ex.mul(ex.rat(2), R_low),
+            ex.mul(g.mat[i][k], g.mat[j][l]),
+            ex.mul(S(i, k), g.mat[j][l]),
+            ex.neg(ex.mul(ex.add(nabla_eta[i][l], nabla_eta[l][i],
+                                 ex.neg(ex.mul(eta.coeff((i,)), eta.coeff((l,))))),
+                          g.mat[j][k])),
+            ex.mul(W[i][j], W[k][l]),
+            ex.mul(W[i][k], W[j][l]))
+
+    return [[[[ex.simplify(ex.sub(Eterm(i, j, k, l), Eterm(j, i, k, l)),
+                           chart.constraints)
+               for l in range(n)] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+def _node_mismatches(got, want, idx=()):
+    """Indices where two nested arrays of expressions hold different nodes."""
+    if isinstance(want, ex.Expr):
+        return [] if got is want else [idx]
+    assert len(got) == len(want)
+    return [bad for i, (a, b) in enumerate(zip(got, want))
+            for bad in _node_mismatches(a, b, idx + (i,))]
+
+
+def criterion_5_triples():
+    """The triples of test_criterion_5_rd_cross_check: the flat plane, the
+    radius-2 sphere and rand_triple(0..4), which its seeded triples equal."""
+    return [euclid_triple(), sphere_triple(2), *map(rand_triple, range(5))]
+
+
 def test_curvature_antisymmetry():
-    conn = koszul_connection(triple_to_G(rand_triple(2)))
-    RD = curvature_RD(conn)
-    n1 = 3
-    pol = ZeroTestPolicy()
-    for e in range(n1):
-        for c in range(n1):
-            for a in range(n1):
-                for b in range(n1):
-                    assert is_zero(ex.add(RD[e][c][a][b], RD[e][c][b][a]), pol)
+    """Every entry of curvature_RD, christoffel, riemann and tensors_ABCD's
+    antisymmetric arrays is the node the full loop builds, so R(a, b) =
+    -R(b, a) holds node by node: the half they skip is not assumed."""
+    for triple in criterion_5_triples():
+        conn = koszul_connection(triple_to_G(triple))
+        RD = curvature_RD(conn)
+        assert _node_mismatches(RD, full_curvature_RD(conn)) == []
+        n1 = conn.metric.dim
+        for e, c, a, b in itertools.product(range(n1), repeat=4):
+            assert RD[e][c][b][a] is ex.neg(RD[e][c][a][b])
+            assert a != b or RD[e][c][a][b] is ex.ZERO
+
+        g = triple.g
+        ginv = metric_inverse(g)
+        gamma = christoffel(g, ginv=ginv)
+        assert _node_mismatches(gamma, full_christoffel(g, ginv)) == []
+        assert _node_mismatches(riemann(g, gamma=gamma), full_riemann(g, gamma)) == []
+        t = tensors_ABCD(triple)
+        assert _node_mismatches(t["D_low"], full_D_low(triple)) == []
+        n = g.chart.dim
+        assert _node_mismatches(t["C_low"], [[[ex.sub(t["B_low"][i][j][c], t["B_low"][j][i][c])
+                                               for c in range(n)] for j in range(n)]
+                                             for i in range(n)]) == []
+        assert _node_mismatches(t["C"], [[[ex.sub(t["B"][e][i][j], t["B"][e][j][i])
+                                           for j in range(n)] for i in range(n)]
+                                         for e in range(n)]) == []
 
 
 def test_curvature_metric_antisymmetry_in_last_slots():
@@ -302,6 +420,33 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     assert len(seen) == 38
     assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
         "64850698f0d17540f14bbab0320c0c5aaf3515479e92935255b134bf3f0ccae5"
+
+
+def test_curvature_pass_call_counts_pinned(tmp_path, monkeypatch):
+    """One run_scenario on the triple of test_curvature_queries_pinned makes
+    a pinned number of ex.simplify and ex.diff calls.  A builder that goes
+    back to building both halves of an antisymmetric or symmetric array
+    (curvature_RD, riemann, christoffel, tensors_ABCD) raises them: the
+    full loops made 319 and 244."""
+    g = [[" + ".join([*(["1"] if i == j else []),
+                      *(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})" for k in range(2))])
+          for j in range(2)] for i in range(2)]
+    path = tmp_path / "pinned_triple.json"
+    path.write_text(json.dumps({
+        "name": "pinned_triple", "kind": "riemannian",
+        "policy": {"seed": 0, "samples": 20, "tolerance": 1e-9},
+        "base": {"coords": ["x", "y"], "constraints": []},
+        "objects": {"g": g, "eta": _PINNED_ETA}}))
+    data = load_scenario(str(path))
+    calls = collections.Counter()
+    for name in ("simplify", "diff"):
+        def counted(*args, _real=getattr(ex, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ex, name, counted)
+    report = run_scenario(data)
+    assert report["summary"] == {"pass": 4, "fail": 0, "falsification": 0}
+    assert dict(calls) == {"simplify": 253, "diff": 148}
 
 
 def test_c_antisymmetric_and_zero_with_b():
