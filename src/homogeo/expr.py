@@ -40,12 +40,13 @@ The walkers are `subs`, `diff`, `simplify`, the printer and
 `_sign_class`.  They are recursive (`_sign_class` one Python frame per
 nesting level).  Under Python's default recursion limit of 1000
 (Python 3.11.7), `to_dsl` handles 498 nested `sin` heads or 284 nested
-alternating sums and products (a sampled zero test, which prints its
-query, 496 heads), `simplify` and `subs` 497 `sin` heads and 330 sums
-and products, `diff` 993 heads and 662, and `_sign_class` 983 `sign`
-heads and 988; deeper expressions built in code raise RecursionError.
-numtape compiles without recursion, by `serial`: the count of nodes
-interned before a node, so its children's are lower.
+alternating sums and products (a zero test that prints its query, 496
+heads), `simplify` and `subs` 497 `sin` heads and 330 sums and products,
+`diff` 993 heads and 662, and `_sign_class` 983 `sign` heads and 988;
+deeper expressions built in code raise RecursionError.  `_reachable`
+collects a DAG without recursion, by `serial`: the count of nodes
+interned before a node, so its children's are lower; numtape compiles
+and the zero test fills its digests (the `digest` slot) from it.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class Constraint:
 class Expr:
     """Base node.  Instances are interned: structural equality is identity."""
 
-    __slots__ = ("shash", "free", "rational", "cache", "serial")
+    __slots__ = ("shash", "free", "rational", "cache", "serial", "digest")
 
     # == is identity (interning makes it structural); the structural hash
     # keeps the order of sets of nodes the same in every run
@@ -198,6 +199,7 @@ def _finish(node: Expr, key, shash: int, free: frozenset, rational: bool) -> Exp
     node.rational = rational
     node.cache = None   # results of the walkers, see _cache_put
     node.serial = next(_SERIAL)     # above its children's, finished before it
+    node.digest = None  # the zero test's Merkle digest, see zerotest._digest
     _INTERN[key] = node
     return node
 
@@ -596,6 +598,24 @@ def sign_of(x: Expr, constraints: Iterable[Constraint] = ()) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # structural walks
 
+def _reachable(e: Expr, done=None) -> list:
+    """The nodes reachable from e, collected with a stack, not recursion,
+    and sorted by serial, so each comes after its children.  A node below
+    e for which `done` returns a true value is left out and not entered:
+    the zero test's digests (zerotest._digest) skip the nodes that have one."""
+    nodes = {e.serial: e}
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        for k in (x.terms if cls is Sum else x.factors if cls is Prod else
+                  (x.base,) if cls is Pow else (x.arg,) if cls is Fun else ()):
+            if k.serial not in nodes and not (done and done(k)):
+                nodes[k.serial] = k
+                stack.append(k)
+    return [nodes[s] for s in sorted(nodes)]
+
+
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
     if not (e.free & mapping.keys()):
@@ -829,21 +849,17 @@ def _print(e: Expr) -> tuple:
         return " ".join(parts), _PREC_SUM
     if isinstance(e, Prod):
         num, den = [], []
-        for f in e.factors:
-            b, q = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
-            (den if q < 0 else num).append(pw(b, abs(q)))
-        c = e.coeff
-        lead = ""
-        if c < 0:
-            lead = "-"
-            c = -c
+        for f in e.factors:     # den holds base^|q| of each factor with q < 0
+            neg = isinstance(f, Pow) and f.exponent < 0
+            (den if neg else num).append(pw(f.base, -f.exponent) if neg else f)
+        lead = "-" if e.n < 0 else ""
         num_parts = []
-        if c.numerator != 1 or not num:
-            num_parts.append(_int_str(c.numerator))
+        if abs(e.n) != 1 or not num:
+            num_parts.append(_int_str(abs(e.n)))
         num_parts += [_wrap(f, _PREC_POW) for f in num]
         text = lead + "*".join(num_parts)
-        if c.denominator != 1:
-            text += "/" + _int_str(c.denominator)
+        if e.d != 1:
+            text += "/" + _int_str(e.d)
         for f in den:
             text += "/" + _wrap(f, _PREC_ATOM)
         return text, (_PREC_SUM if lead else _PREC_PROD)

@@ -77,25 +77,16 @@ def _to_float(q: Fraction) -> float:
 
 
 def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
-    """Flatten an expression DAG into a tape in two loops: collect the
-    reachable nodes, then emit them by serial.  A sum or product is a chain
-    of ADD or MUL codes over its terms or factors in their order, then its
-    constant, so every value is the one a tree walk computes.  Constants
-    are pooled by identity: expr keeps one Fraction per value."""
+    """Flatten an expression DAG into a tape in two steps: collect the
+    reachable nodes (expr._reachable), then emit them by serial.  A sum or
+    product is a chain of ADD or MUL codes over its terms or factors in
+    their order, then its constant, so every value is the one a tree walk
+    computes.  Constants are pooled by identity: expr keeps one Fraction
+    per value."""
     if varnames is None:
         varnames = sorted(e.free)
     index = {name: i for i, name in enumerate(varnames)}
     Sum, Prod, Pow, Fun, Rat, Var = ex.Sum, ex.Prod, ex.Pow, ex.Fun, ex.Rat, ex.Var
-    nodes = {e.serial: e}       # the reachable nodes, by serial
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        cls = type(x)
-        for k in (x.terms if cls is Sum else x.factors if cls is Prod else
-                  (x.base,) if cls is Pow else (x.arg,) if cls is Fun else ()):
-            if k.serial not in nodes:
-                nodes[k.serial] = k
-                stack.append(k)
     code: list = []
     slot: dict = {}     # id of a constant -> (its index in `exact`, it)
     load: dict = {}     # id of a constant -> its OP_CONST code
@@ -111,8 +102,7 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
         return c
 
     at: dict = {}       # serial -> the code holding that node's value
-    for s in sorted(nodes):
-        x = nodes[s]
+    for x in ex._reachable(e):
         cls = type(x)
         if cls is Sum or cls is Prod:
             if cls is Sum:
@@ -136,7 +126,7 @@ def compile_tape(e: ex.Expr, varnames: Sequence[str] | None = None) -> Tape:
             else:
                 code.append((_FUN_OPS[x.name], at[x.arg.serial], -1))
             out = len(code) - 1
-        at[s] = out
+        at[x.serial] = out
     exact = tuple(q for _, q in slot.values())
     return Tape(tuple(code), tuple(map(_to_float, exact)), exact, tuple(varnames))
 

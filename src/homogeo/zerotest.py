@@ -5,12 +5,15 @@ policy is: a literal 0 after simplification is zero.  An expression that
 is rational in all variables is decided over GF(p) at uniform points and
 never evaluated in floats; everything else is evaluated at `sample_count`
 random rational points of the constrained domain and compared against
-`tolerance` in floating point.  The per-query RNG is derived from
-(seed, expression fingerprint), so verdicts and witnesses are stable
-across runs and independent of evaluation order.  The fingerprint is the
-printed DSL text of the simplified expression plus the constraints; an
-expression with a constant the printer refuses (expr.unprintable) raises
-ConstantTooLargeError there.  A literal nonzero constant is its own
+`tolerance` in floating point.  Each per-query RNG is derived from the
+seed and a key of the simplified expression plus the constraints, so
+verdicts and witnesses are stable across runs and independent of
+evaluation order.  The GF(p) stream is keyed by the expression's Merkle
+digest (`_digest`), which commits to every bit of it and never prints;
+the stream of rational and float points by its printed DSL text
+(`_fingerprint`), so a float query, or a rational one with a nonzero
+residue, raises ConstantTooLargeError there if the printer refuses a
+constant (expr.unprintable).  A literal nonzero constant is its own
 witness, at the empty point, when it prints; else its note shows it.
 
 `sample_values` reads validity conditions at sample points (a definite
@@ -36,8 +39,8 @@ MAX_SAMPLES = 201 draws; else ConfigError names the cause: a constant
 outside the float range, or an expression that may be singular on the
 whole domain.  The witness is the first point of largest |value|.
 
-Rational queries (Schwartz-Zippel identity testing): a second RNG, seeded
-from the same key, draws primes uniformly from [2^61, 2^62), and p is the
+Rational queries (Schwartz-Zippel identity testing): an RNG seeded from
+the digest key draws primes uniformly from [2^61, 2^62), and p is the
 first that divides no constant's denominator.  That RNG goes on to draw
 points uniform in GF(p)^n one at a time (numtape.eval_tape_mod), skipping
 poles mod p, until one has a nonzero residue or k have zero residues; k
@@ -50,11 +53,11 @@ rational function that vanishes on an open set vanishes identically.
 
 * zero residues at all k points are the zero verdict, with `samples` = k,
   and the only way a rational query is zero;
-* a nonzero residue is the nonzero verdict.  The rational points are then
-  drawn only to look for a witness: the first of `sample_count` draws
-  whose value is defined, nonzero and printable, evaluated in Fraction
-  arithmetic (numtape.eval_tape_exact) so that witness_value is exact, and
-  `samples` is the number of draws made.  A draw whose bit-length bound
+* a nonzero residue is the nonzero verdict.  Only then is the query
+  printed and the rational points drawn, to look for a witness: the first
+  of `sample_count` draws whose value is defined, nonzero and printable,
+  evaluated in Fraction arithmetic (numtape.eval_tape_exact) so that
+  witness_value is exact, and `samples` is the number of draws made.  A draw whose bit-length bound
   (numtape.degree_bound at the point) exceeds expr.MAX_CONSTANT_BITS is
   not evaluated.  When no draw qualifies, witness is None, `samples` is
   `sample_count`, and the note is the certificate: p and the residue.
@@ -72,9 +75,11 @@ error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
@@ -139,6 +144,47 @@ def _fingerprint(e: ex.Expr, policy: ZeroTestPolicy) -> int:
     blob = ex.to_dsl(e) + "|" + ";".join(repr(c) for c in policy.constraints)
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _field(v) -> bytes:
+    """An int as signed big-endian bytes, or a name as UTF-8, after their
+    count: one field of a node's digest."""
+    b = v.encode("utf-8") if type(v) is str else v.to_bytes(
+        v.bit_length() // 8 + 1, "big", signed=True)
+    return len(b).to_bytes(8, "big") + b
+
+
+_DIGEST = operator.attrgetter("digest")
+
+
+def _digest(e: ex.Expr, policy: ZeroTestPolicy) -> int:
+    """The GF(p) stream's key: sha256 of e's Merkle digest and the printed
+    constraints.  A node's digest is the 16-byte blake2b of its kind, its
+    exact n and d (a constant, a sum's constant, a product's coefficient, a
+    power's exponent) or its name, each a _field, and its children's
+    digests in stored order.  Each node gets one once, children first
+    (expr._reachable), and keeps it."""
+    if e.digest is None:
+        Sum, Prod, Pow, Fun = ex.Sum, ex.Prod, ex.Pow, ex.Fun
+        for x in ex._reachable(e, _DIGEST):
+            cls = type(x)
+            if cls is Prod:
+                parts = [b"P", _field(x.n), _field(x.d), *map(_DIGEST, x.factors)]
+            elif cls is Sum:
+                parts = [b"S", _field(x.n), _field(x.d), *map(_DIGEST, x.terms)]
+            elif cls is Pow:
+                q = x.exponent
+                parts = [b"W", _field(q.numerator), _field(q.denominator), x.base.digest]
+            elif cls is Fun:
+                parts = [b"F", _field(x.name), x.arg.digest]
+            elif cls is ex.Var:
+                parts = [b"V", _field(x.name)]
+            else:
+                parts = [b"R", _field(x.n), _field(x.d)]
+            x.digest = hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+    blob = e.digest + ";".join(repr(c) for c in policy.constraints).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
 def _bounds(constraints, names):
@@ -308,16 +354,18 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
                            note="literal nonzero constant")
 
     names = sorted(e.free)
-    key = _fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15)
-    points = _points(names, policy.constraints, key)
+    seed = policy.seed * 0x9E3779B97F4A7C15
     tape = numtape.compile_tape(e, names)
     if e.rational:
         # uniform points of GF(p)^n decide the query; the rational points
         # only look for a witness of a nonzero residue
-        p, prime_rng = _tape_prime(tape, key)
+        _bounds(policy.constraints, names)     # ConfigError before any draw
+        p, prime_rng = _tape_prime(tape, _digest(e, policy) ^ seed)
         residue, count = _uniform_residue(tape, p, prime_rng)
         if residue == 0:
             return ZeroVerdict(True, True, samples=count)
+    points = _points(names, policy.constraints, _fingerprint(e, policy) ^ seed)
+    if e.rational:
         for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
             val = _exact_at(tape, pt)
             # not None (a pole, over budget), not 0, and printable

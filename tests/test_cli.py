@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,68 @@ def test_run_dsl_error_forwarded(tmp_path, capsys):
     code, _, err = run_cli(["run", str(p)], capsys)
     assert code == 2
     assert "position" in err and "objects.theta.u" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x $ y", "unexpected character '$' (at position 2)"),
+    ("(x + y", "expected ')' but input ended (at position 6)"),
+    ("sin + x", "function 'sin' needs an argument list (at position 0)"),
+    ("x^1.5", "expected an integer exponent, found '1.5' (at position 2)"),
+    ("x^(1/y)", "expected an integer denominator, found 'y' (at position 5)"),
+], ids=["character", "unclosed", "bare-function", "float-exponent",
+        "symbolic-denominator"])
+def test_run_parse_error_is_one_error_line(tmp_path, capsys, text, message):
+    p = tmp_path / "parse_error.json"
+    p.write_text(json.dumps({
+        "name": "parse_error", "kind": "contact",
+        "base": {"coords": ["x", "y", "z"]},
+        "objects": {"theta": {"x": text}, "upsilon": {}}}))
+    code, out, err = run_cli(["run", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: objects.theta.x: {message}"]
+
+
+def test_run_text_timing_line_on_a_failing_run(tmp_path, capsys):
+    # a rational triple of the curvature-rational benchmark set (seed
+    # 2501), with an expectation it does not meet: the text report still
+    # ends in its timing line
+    a, b = "1/5 - 1/5*x - 1/10*y", "1/10 + 1/10*x + 1/10*y"
+    c, d = "1/5 + 1/10*x + 1/10*y", "-1/5 - 1/10*x - 1/10*y"
+    off = f"({a})*({b}) + ({c})*({d})"
+    p = tmp_path / "rd_00.json"
+    p.write_text(json.dumps({
+        "name": "rd_00", "kind": "riemannian",
+        "base": {"coords": ["x", "y"]},
+        "objects": {"g": [[f"1 + ({a})^2 + ({c})^2", off],
+                          [off, f"1 + ({b})^2 + ({d})^2"]],
+                    "eta": {"x": "-1/10 + 1/5*x - 1/5*y", "y": "1/10 + 1/10*x + 1/5*y"}},
+        "expect": {"A_zero": True}}))
+    code, out, _ = run_cli(["run", str(p), "--timing"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "  [FAIL] expect A_zero: expected True, computed False" in lines
+    assert lines[-2] == "  summary: 4 pass, 1 fail, 0 FALSIFICATION"
+    assert re.fullmatch(r"  timing: \d+(\.\d+)? ms", lines[-1])
+
+
+def test_run_text_prints_the_witness_of_a_failed_check(capsys, monkeypatch):
+    # no bundled scenario fails a check that has a witness, so a fault is
+    # planted: element 7 of group_sp2 gets a non-neutral quotient.  The
+    # text report prints the failed check's witness, as JSON, below it
+    from homogeo import groups
+    draws = []
+    real_draw, real_p = groups.rand_element, groups.normalizer_p
+    monkeypatch.setattr(groups, "rand_element",
+                        lambda G, rng: draws.append(real_draw(G, rng)) or draws[-1])
+    monkeypatch.setattr(groups, "normalizer_p", lambda G, g: real_p(G, g) * (
+        2 if len(draws) == 8 and g is draws[-1] else 1))
+    code, out, _ = run_cli(["run", os.path.join(SCENARIOS, "group_sp2.json")], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index(next(x for x in lines if x.startswith("  [FAIL] members neutral")))
+    assert lines[at + 1] == \
+        '        witness: {"index": 7, "reason": "non-neutral quotient"}'
+    assert sum("witness:" in x for x in lines) == 1
 
 
 def _nested_contact(path, depth):
@@ -1079,7 +1142,11 @@ def test_point_values_have_one_rule():
     """Values at sample points come from zerotest: no other module draws
     its own points or evaluates in floats, except frames._fold_rational on
     a constant (at the empty point), and only the CLI catches every
-    exception, so a bug elsewhere never becomes a verdict."""
+    exception, so a bug elsewhere never becomes a verdict.  Each stream has
+    one key rule: the GF(p) stream is keyed by the node's digest
+    (`_digest`), the rational and float points by the printed text
+    (`_fingerprint`), and nothing else in the package hashes, nor prints a
+    query in zerotest."""
     broad = _source_sites(lambda n: isinstance(n, ast.ExceptHandler) and (
         n.type is None or "Exception" in {x.id for x in ast.walk(n.type)
                                           if isinstance(x, ast.Name)}))
@@ -1099,6 +1166,17 @@ def test_point_values_have_one_rule():
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id == "_draw")}
     assert draws == {("zerotest.py", "_points")}
+    hashes = {(m, f) for m, f, _ in _source_sites(
+        lambda n: isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id == "hashlib")}
+    assert hashes == {("zerotest.py", "_fingerprint"), ("zerotest.py", "_digest")}
+    assert not _source_sites(lambda n: isinstance(n, ast.ImportFrom)
+                             and n.module == "hashlib")
+    prints = {f for m, f, _ in _source_sites(
+        lambda n: isinstance(n, ast.Call) and "to_dsl" in (
+            getattr(n.func, "attr", None), getattr(n.func, "id", None)))
+        if m == "zerotest.py"}
+    assert prints == {"_fingerprint"}
     loops = {f for m, f, _ in _source_sites(lambda n: isinstance(n, ast.While))
              if m == "zerotest.py"}
     assert not loops & {"zero_report", "_uniform_residue", "sample_values"}

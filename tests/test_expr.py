@@ -1,7 +1,9 @@
 import contextlib
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -517,14 +519,15 @@ def _reference_report(e, policy):
     """The zero test one point at a time, with every exact value in Fraction
     arithmetic: the rule zero_report's GF(p) and float evaluation must
     reproduce.  A rational query reduces the Fraction value at each
-    uniform point mod p (a pole mod p is replaced by the next draw) and
-    looks for its witness among the rational draws in order; there is no
-    bit budget, so it suits small inputs only.  Returns the verdict fields
-    and the number of rational draws."""
+    uniform point mod p (a pole mod p is replaced by the next draw), keyed
+    by the node's digest, and looks for its witness among the rational
+    draws in order, keyed by its printed text; there is no bit budget, so
+    it suits small inputs only.  Returns the verdict fields and the number
+    of rational draws."""
     e = ex.simplify(e, policy.constraints)
     names = sorted(e.free)
-    key = zt._fingerprint(e, policy) ^ (policy.seed * 0x9E3779B97F4A7C15)
-    rng = random.Random(key)
+    seed = policy.seed * 0x9E3779B97F4A7C15
+    rng = random.Random(zt._fingerprint(e, policy) ^ seed)
     lo, hi, excl = zt._bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
 
@@ -535,7 +538,7 @@ def _reference_report(e, policy):
             return None
 
     if e.rational:
-        prime_rng = random.Random(f"prime:{key}")
+        prime_rng = random.Random(f"prime:{zt._digest(e, policy) ^ seed}")
         p = 0
         while not zt._is_prime(p) or any(c.denominator % p == 0 for c in tape.exact):
             p = prime_rng.getrandbits(61) | (1 << 61) | 1
@@ -874,17 +877,19 @@ def test_zero_report_falls_back_to_fractions(monkeypatch):
         rep = zero_report(e)
     assert rep.is_zero and rep.exact and rep.samples == 1
     assert calls == [("mod", 1)]
-    # each query's prime is the one its RNG draws after p, never p itself
-    key = zt._fingerprint(ex.simplify(e), zt.DEFAULT_POLICY)
+    # each query's prime is the one its RNG, keyed by the node's digest,
+    # draws after p, never p itself
+    key = zt._digest(ex.simplify(e), zt.DEFAULT_POLICY)
     assert primes[-1] == zt._next_prime(random.Random(key)) != p
     assert len(set(primes)) == 2 and p not in primes
 
 
 def _uniform_point_residue(e, pol):
     """The query's prime and its residue at the query's uniform point of
-    GF(p)^n, drawn as zero_report draws them and evaluated in Fractions."""
+    GF(p)^n, drawn as zero_report draws them (keyed by the node's digest)
+    and evaluated in Fractions."""
     s = ex.simplify(e, pol.constraints)
-    key = zt._fingerprint(s, pol) ^ (pol.seed * 0x9E3779B97F4A7C15)
+    key = zt._digest(s, pol) ^ (pol.seed * 0x9E3779B97F4A7C15)
     p, rng = zt._query_prime(key)
     point = {n: Fraction(rng.randrange(p)) for n in sorted(s.free)}
     v = numtape.eval_tape_exact(numtape.compile_tape(s), point)
@@ -1096,6 +1101,116 @@ def test_fingerprint_pinned():
         assert zt._fingerprint(parse(text, names=["x", "y"]), pol) == want, text
     assert zt._fingerprint(_squares_dag(14), ZeroTestPolicy()) == 7523176240437427788
     assert zt._fingerprint(_squares_dag(16), ZeroTestPolicy()) == 16131354673289354566
+
+
+# the GF(p) stream's keys (zerotest._digest) of the cases of
+# test_fingerprint_pinned and of _squares_dag(16), and that node's digest,
+# printed by a child process so that the test sets its hash seed
+_DIGEST_SCRIPT = """
+from homogeo import expr as ex, zerotest as zt
+from homogeo.parser import parse
+pos = zt.ZeroTestPolicy(constraints=(ex.Constraint("y", ">", 0),))
+for text, pol in [("x^2 + 3*x*y - 1/2", zt.DEFAULT_POLICY),
+                  ("sin(x)/sqrt(y) - exp(-x)*abs(x - y)", pos),
+                  ("(x - y)^(-2)*log(y) + cos(x)^3/7", pos)]:
+    print(zt._digest(parse(text, names=["x", "y"]), pol))
+e = ex.add(ex.var("x"), ex.ONE)
+for _ in range(16):
+    e = ex.add(ex.pw(e, 2), e)
+print(zt._digest(e, zt.DEFAULT_POLICY), e.digest.hex())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_digest_pinned_under_every_hash_seed(hash_seed):
+    # a node's digest reads only its kind, its exact ints and names, and
+    # its children's digests in stored order, none of which depends on
+    # Python's string hashing
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT],
+                          env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "14996032350127409221", "13115696536523659961", "11356384208492260396",
+        "11524139407917220543", "081bf047107e0e44a8f79c48ecaea8e4"]
+
+
+def test_digest_commits_to_every_bit_of_a_constant(monkeypatch):
+    # shash masks each constant to its low 64 bits, so x - r and
+    # x - (r + 2^64) share it; their digests, and so their keys, differ
+    x = ex.var("x")
+    near, far = ex.sub(x, ex.rat(5)), ex.sub(x, ex.rat(5 + 2 ** 64))
+    assert near.shash == far.shash
+    assert zt._digest(near, zt.DEFAULT_POLICY) != zt._digest(far, zt.DEFAULT_POLICY)
+    assert near.digest != far.digest and len(near.digest) == 16
+    # a draw keyed by shash gives x - a, for the a with a = 5 mod 2^64 and
+    # a = x0 mod p (Chinese remainder theorem), the prime p and first
+    # uniform point x0 of x - 5: its residue there is 0, a false zero
+    p, rng = zt._tape_prime(numtape.compile_tape(near), near.shash)
+    x0 = rng.randrange(p)
+    a = 5 + 2 ** 64 * ((x0 - 5) * pow(2 ** 64, -1, p) % p)
+    crt = ex.sub(x, ex.rat(a))
+    assert crt.shash == near.shash and a % p == x0 and a.bit_length() > 64
+    with monkeypatch.context() as mp:
+        mp.setattr(zt, "_digest", lambda e, policy: e.shash)
+        assert zero_report(crt).is_zero
+    rep = zero_report(crt)
+    assert not rep.is_zero and rep.exact
+    assert rep.witness_value == rep.witness["x"] - a
+
+
+def test_gf_zero_verdict_prints_nothing(monkeypatch):
+    # a GF(p) zero is keyed by the node's digest and never printed; a
+    # nonzero verdict prints its query once, to key the witness stream,
+    # and the witnesses that stream gives are pinned
+    zero = parse("(x^2 - y^2)/(x - y) - x - y", names=["x", "y"])
+    nonzero = parse("(x + y)^2 - x^2 - y^2", names=["x", "y"])
+    pole = parse("1/(x - y) + x - y^2/3", names=["x", "y"])
+    printed = []
+    real = ex.to_dsl
+    monkeypatch.setattr(ex, "to_dsl", lambda e: printed.append(e) or real(e))
+    for seed in range(4):
+        rep = zero_report(zero, ZeroTestPolicy(seed=seed))
+        assert rep.is_zero and rep.exact and rep.samples == 1
+    assert printed == []
+    rep = zero_report(nonzero)
+    assert rep.witness == {"x": -2, "y": Fraction(13, 5)}
+    assert rep.witness_value == Fraction(-52, 5) and rep.samples == 1
+    rep = zero_report(pole, ZeroTestPolicy(seed=3, constraints=(
+        ex.Constraint("y", ">", 0),)))
+    assert rep.witness == {"x": Fraction(-8, 5), "y": Fraction(26, 11)}
+    assert rep.witness_value == Fraction(-1469737, 395670)
+    assert len(printed) == 2
+
+
+def test_digest_of_a_deep_chain():
+    # digests are filled children first from one sorted list of nodes, so a
+    # chain 6000 levels deep needs no recursion
+    x = ex.var("x")
+    heads, levels = x, x
+    for _ in range(6000):
+        heads = ex.sin_(heads)
+    for _ in range(3000):
+        levels = ex.add(ex.ONE, ex.mul(x, levels))
+    for e in (heads, levels):
+        assert zt._digest(e, zt.DEFAULT_POLICY) == zt._digest(e, zt.DEFAULT_POLICY)
+        assert len(e.digest) == 16
+
+
+def test_gf_zero_with_an_unprintable_constant():
+    # the GF(p) stream never prints, so a rational zero is decided whatever
+    # its constants; a nonzero one still prints its query for the witness
+    # stream, and a constant past the digit limit ends it there
+    x = ex.var("x")
+    big = ex.rat(10 ** 5000)
+    assert ex.unprintable(big.value)
+    zero = ex.mul(big, ex.sub(ex.div(ex.sub(ex.pw(x, 2), ex.ONE), ex.sub(x, ex.ONE)),
+                              ex.add(x, ex.ONE)))
+    assert not isinstance(ex.simplify(zero), ex.Rat)
+    rep = zero_report(zero)
+    assert rep.is_zero and rep.exact and rep.samples == 1
+    with pytest.raises(ex.ConstantTooLargeError, match="too many to print"):
+        zero_report(ex.add(ex.mul(big, x), ex.ONE))
 
 
 def test_to_dsl_prints_shared_nodes_once():

@@ -392,11 +392,14 @@ _PINNED_ETA = {"x": "1/5 - 1/10*x + 1/10*y", "y": "-1/5 + 1/10*x - 1/5*y"}
 
 def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     """The sampled zero-test queries of a riemannian scenario on one fixed
-    rational triple, in order, pinned by the count and sha256 of their
-    fingerprints: a constructor change that moves a node on the curvature
-    path (christoffels, curvature_RD, tensors_ABCD, the flatness test)
-    moves a fingerprint, as test_bundled_suite_queries_pinned does for the
-    bundled scenarios."""
+    rational triple, in order, pinned by the count and sha256 of their keys:
+    every query is rational, so each has a GF(p) key (zerotest._digest),
+    and the few with a nonzero residue also a printed fingerprint.  A
+    constructor change that moves a node on the curvature path
+    (christoffels, curvature_RD, tensors_ABCD, the flatness test), or a
+    query added, dropped or reordered, moves the keys, as
+    test_bundled_suite_queries_pinned does for the bundled scenarios.  The
+    printed fingerprints of all 38 queries are pinned too."""
     g = [["1 + " + " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})"
                               for k in range(2)) if i == j else
           " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})" for k in range(2))
@@ -407,18 +410,32 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
         "policy": {"seed": 0, "samples": 20, "tolerance": 1e-9},
         "base": {"coords": ["x", "y"], "constraints": []},
         "objects": {"g": g, "eta": _PINNED_ETA}}))
-    seen = []
-    fingerprint = zerotest._fingerprint
+    keys, printed, every_print = [], [], []
+    digest, fingerprint = zerotest._digest, zerotest._fingerprint
 
-    def record(e, policy):
-        seen.append(fingerprint(e, policy))
-        return seen[-1]
+    def record_key(e, policy):
+        keys.append(digest(e, policy))
+        every_print.append(fingerprint(e, policy))
+        return keys[-1]
 
-    monkeypatch.setattr(zerotest, "_fingerprint", record)
+    def record_print(e, policy):
+        printed.append(fingerprint(e, policy))
+        return printed[-1]
+
+    monkeypatch.setattr(zerotest, "_digest", record_key)
+    monkeypatch.setattr(zerotest, "_fingerprint", record_print)
     assert main(["run", str(path)]) == 0
     capsys.readouterr()
-    assert len(seen) == 38
-    assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
+
+    def sha(values):
+        return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
+
+    assert (len(keys), len(printed)) == (38, 7)
+    assert sha(keys) == \
+        "cacc2d25ba86ecdba82160798abb136faf106c9d2031b93ec0997ce0c3ac07ca"
+    assert sha(printed) == \
+        "4907b2b88e134c83586300372043a6d904136c7ccad2dd0e020973f959d32fb3"
+    assert sha(every_print) == \
         "64850698f0d17540f14bbab0320c0c5aaf3515479e92935255b134bf3f0ccae5"
 
 
