@@ -23,11 +23,14 @@ process, `simplify`, `diff` and the sign walker `_sign_class` keep their
 results on the node itself (the `cache` slot), keyed by the constraints
 and, for `diff`, the variable.  A later call on a shared subtree is a
 lookup, not a walk.  An exception such as DomainError is never cached.
-The printer keeps the text of every subexpression it prints in the same
-slot, so `to_dsl` prints each node once per process; only the root's
-text, the largest and rarely printed again, is not kept.  Its one
-int-to-text step raises ConstantTooLargeError for what `unprintable` says
-Python cannot print.
+A rational node is canonical as built (see Sum, Prod and Pow): its
+constructor remade from its children returns it, and every rule of
+`simplify` needs a function head or a fractional power, so `simplify`
+returns it at once and keeps nothing.  The printer keeps the text of
+every subexpression it prints in the same slot, so `to_dsl` prints each
+node once per process; only the root's text, the largest and rarely
+printed again, is not kept.  Its one int-to-text step raises
+ConstantTooLargeError for what `unprintable` says Python cannot print.
 
 One walker reads signs: `_sign_class`, the sign class ("+", "-", "0",
 "0+", "0-" or unknown) under domain constraints.  `sign_of` asks it under
@@ -38,15 +41,16 @@ fractional q when b is "+".
 
 The walkers are `subs`, `diff`, `simplify`, the printer and
 `_sign_class`.  They are recursive (`_sign_class` one Python frame per
-nesting level).  Under Python's default recursion limit of 1000
-(Python 3.11.7), `to_dsl` handles 498 nested `sin` heads or 284 nested
+nesting level).  Under Python's default recursion limit of 1000 (Python
+3.11.7), `to_dsl` handles 498 nested `sin` heads or 284 nested
 alternating sums and products (a zero test that prints its query, 496
-heads), `simplify` and `subs` 497 `sin` heads and 330 sums and products,
+heads), `simplify` and `subs` 497 `sin` heads and 330 sums and products
+(`simplify` counts only non-rational nodes: it walks no rational one),
 `diff` 993 heads and 662, and `_sign_class` 983 `sign` heads and 988;
 deeper expressions built in code raise RecursionError.  `_reachable`
 collects a DAG without recursion, by `serial`: the count of nodes
-interned before a node, so its children's are lower; numtape compiles
-and the zero test fills its digests (the `digest` slot) from it.
+interned before a node, so its children's are lower; numtape compiles and
+the zero test fills its digests (the `digest` slot) from it.
 """
 
 from __future__ import annotations
@@ -165,19 +169,19 @@ class Var(Expr):
 
 
 class Sum(Expr):
-    """const + term1 + term2 + ...; terms are not Rat/Sum and have distinct cores."""
+    """const + term1 + ...; terms not Rat/Sum, distinct cores, by shash."""
 
     __slots__ = ("const", "terms", "n", "d")
 
 
 class Prod(Expr):
-    """coeff * factor1 * ...; factors are not Rat/Prod, bases pairwise distinct."""
+    """coeff * factor1 * ...; factors not Rat/Prod nor a lone Sum, bases distinct, by shash."""
 
     __slots__ = ("coeff", "factors", "n", "d")
 
 
 class Pow(Expr):
-    """base ** exponent with a rational exponent other than 0 and 1."""
+    """base ** q for a rational q other than 0 and 1; an integer q has no Rat/Prod/Pow base."""
 
     __slots__ = ("base", "exponent")
 
@@ -717,16 +721,17 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
 
 
 def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
-    """Rebuild through the canonicalizing constructors and resolve
-    abs/sign/fractional powers on sign-definite subexpressions.
-
-    Results are cached on each interned node for the life of the process,
-    keyed by the constraints; an exception is not cached."""
+    """Resolve abs/sign/log and fractional powers on sign-definite parts,
+    remaking each node above them by its constructor.  A rational node is
+    returned as it is (see the module docstring); other results are cached
+    on the node, keyed by the constraints; an exception is not cached."""
+    if e.rational:
+        return e
     constraints = tuple(constraints)
     key = ("simplify", constraints)
 
     def rec(x: Expr) -> Expr:
-        if isinstance(x, (Rat, Var)):
+        if x.rational:
             return x
         if x.cache is not None:
             hit = x.cache.get(key)

@@ -412,6 +412,6 @@ def all_zero(pairs: Iterable[Tuple[object, ex.Expr]],
         if not rep.is_zero:
             return False, (key, rep)
         if rep.exact and rep.samples:       # decided over GF(p), not a literal
-            s = ex.simplify(e, policy.constraints)   # cached by zero_report
+            s = ex.simplify(e, policy.constraints)   # e if rational, else cached by zero_report
             decided.update((s, ex.neg(s)))
     return True, None

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import os
 import random
@@ -1664,31 +1665,138 @@ def _count_constructors(monkeypatch):
     return calls
 
 
-def _shared_dag(a: str, b: str, k: int) -> ex.Expr:
-    """Nested sums and quotients over fresh variables a, b, so that no
-    earlier test has simplified or differentiated any of its nodes."""
-    e = ex.add(ex.var(a), ex.mul(ex.rat(2), ex.var(b)))
+def _shared_dag(a: ex.Expr, b: ex.Expr, k: int) -> ex.Expr:
+    """Nested sums and quotients over the leaves a, b; leaves over fresh
+    variables keep every node new, so no earlier test has simplified or
+    differentiated any of them."""
+    e = ex.add(a, ex.mul(ex.rat(2), b))
     for j in range(k):
         e = ex.add(ex.mul(e, ex.pw(ex.add(e, ex.rat(j + 1)), -1)),
-                   ex.pw(e, 2), ex.mul(ex.var(b), e))
+                   ex.pw(e, 2), ex.mul(b, e))
     return e
 
 
 def test_simplify_and_diff_cached_across_calls(monkeypatch):
-    e = _shared_dag("cache_a", "cache_b", 6)
+    e = _shared_dag(ex.var("cache_a"), ex.var("cache_b"), 6)
+    # the same DAG over abs leaves, which the constraints resolve
+    fa, fb = ex.var("cache_fa"), ex.var("cache_fb")
+    pos = (ex.Constraint(fa.name, ">", 0), ex.Constraint(fb.name, ">", 0))
+    f = _shared_dag(ex.abs_(fa), ex.abs_(fb), 6)
+    want = _shared_dag(fa, fb, 6)
     calls = _count_constructors(monkeypatch)
-    s1 = ex.simplify(e)
-    d1 = ex.diff(e, "cache_a")
-    assert calls        # the first calls walk and rebuild
+    # a rational node is canonical as built: simplify returns it, builds
+    # nothing and keeps nothing on any node
+    assert ex.simplify(e) is e and ex.simplify(e, pos) is e
+    assert calls == []
+    assert not [key for x in ex._reachable(e) for key in x.cache or () if key[0] == "simplify"]
+    s1 = ex.simplify(f, pos)
+    assert s1 is want
+    assert "add" in calls and "mul" in calls    # the first calls walk and rebuild
     calls.clear()
-    assert ex.simplify(e) is s1
+    d1 = ex.diff(e, "cache_a")
+    assert calls
+    calls.clear()
+    assert ex.simplify(f, pos) is s1
     assert ex.diff(e, "cache_a") is d1
     assert calls == []  # the second calls are lookups on the root node
     # a cached subtree is not walked again under a new parent: only the
     # chain rule's product at the new root is built
-    ex.simplify(ex.sin_(e))
+    ex.simplify(ex.sin_(f), pos)
     ex.diff(ex.sin_(e), "cache_a")
     assert calls == ["mul"]
+
+
+# -- a rational node is its own rebuild -----------------------------------------
+
+def _canonical_faults(x: ex.Expr) -> list:
+    """The faults of the rational Sum, Prod or Pow node x against the
+    invariants that make it its own rebuild through the constructors, which
+    `simplify` relies on when it returns a rational node unchanged: sum
+    terms are distinct cores and product bases distinct, each sorted by
+    shash; no integer power of a constant, product or power; no product of
+    a lone sum.  [] when x keeps them all."""
+    faults = [] if ex._rebuild(x, lambda c: c) is x else ["not its own rebuild"]
+    if isinstance(x, ex.Pow):
+        if isinstance(x.base, (ex.Rat, ex.Prod, ex.Pow)):
+            faults.append("integer power of a constant, product or power")
+        return faults
+    if isinstance(x, ex.Sum):
+        kids = x.terms
+        keys = [t.factors if isinstance(t, ex.Prod) else (t,) for t in kids]
+    else:
+        kids = x.factors
+        keys = [f.base if isinstance(f, ex.Pow) else f for f in kids]
+        if len(kids) == 1 and isinstance(kids[0], ex.Sum):
+            faults.append("product of a lone sum")
+    if len(set(keys)) < len(keys):
+        faults.append("repeated core or base")
+    if [k.shash for k in kids] != sorted(k.shash for k in kids):
+        faults.append("not sorted by shash")
+    return faults
+
+
+def _rational_compounds(nodes) -> list:
+    return [x for x in nodes if x.rational and isinstance(x, (ex.Sum, ex.Prod, ex.Pow))]
+
+
+def test_interned_rational_nodes_are_their_own_rebuild(tmp_path, capsys):
+    # every rational node the program has built so far, among them those of
+    # two bundled suite passes and one curvature triple
+    from homogeo import cli
+    scenarios = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scenarios")
+    for seed in ("0", "7"):
+        assert cli.main(["suite", scenarios, "--json", "--seed", seed]) == 0
+    p = ["1/10 - 1/5*x + 1/10*y", "1/5 + 1/10*x - 1/10*y", "-1/5 + 1/10*y", "1/10*x"]
+    g = [[f"{int(i == j)} + ({p[i]})*({p[j]}) + ({p[i + 2]})*({p[j + 2]})"
+          for j in range(2)] for i in range(2)]
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "name": "triple", "kind": "riemannian",
+        "base": {"coords": ["x", "y"], "constraints": []},
+        "objects": {"g": g, "eta": {"x": "1/5 - 1/10*x", "y": "1/10*x + 1/5*y"}}}))
+    assert cli.main(["run", str(path), "--json"]) == 0
+    capsys.readouterr()
+    nodes = _rational_compounds(list(ex._INTERN.values()))
+    assert len(nodes) > 1500
+    assert [(type(x).__name__, x.serial, f) for x in nodes if (f := _canonical_faults(x))] == []
+
+
+_SIMPLIFY_CONSTRAINTS = [(), (ex.Constraint("x", ">", 0),), (ex.Constraint("y", "<", 0),),
+                         (ex.Constraint("x", "!=", 1),)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(RATIONAL_DSL, st.integers(0, 2 ** 32))
+def test_reachable_rational_nodes_are_their_own_rebuild(text, seed):
+    try:
+        e = parse(text, names=["x", "y"])
+    except ZeroDivisionError:
+        e = ex.ONE
+    mixed = rand_expr(random.Random(seed), ("x", "y"))
+    for root in (e, mixed):
+        for x in _rational_compounds(ex._reachable(root)):
+            assert _canonical_faults(x) == [], text
+        if root.rational:
+            for cons in _SIMPLIFY_CONSTRAINTS:
+                assert ex.simplify(root, cons) is root, text
+
+
+def test_deep_rational_zero_query():
+    # simplify returns a rational query as it is, and the zero test's digest,
+    # tape and GF(p) points need no recursion, so a rational query 6000
+    # levels deep is decided; under a function head only the head is walked
+    x = ex.var("x")
+    c = ex.ONE
+    for _ in range(6000):
+        c = ex.add(ex.ONE, ex.mul(x, c))
+    square = ex.add(ex.pw(x, 2), ex.mul(2, x), ex.ONE)
+    r = ex.sub(ex.mul(c, ex.pw(ex.add(x, ex.ONE), 2)), ex.mul(c, square))
+    assert r is not ex.ZERO
+    rep = zero_report(r)
+    assert rep.is_zero and rep.exact and rep.samples == 1
+    assert zt.all_zero([("r", r), ("-r", ex.neg(r))]) == (True, None)
+    assert ex.simplify(ex.sin_(c)) is ex.sin_(c)
 
 
 def test_cache_key_holds_constraints():

@@ -274,3 +274,66 @@ def test_the_guard_flags_a_name_nothing_reads():
                                        ("a", "Box.tag"), ("a", "Box.unread")]
     assert unread_members(sources, ["def script(box): return box.spin, box.tag"]) == [
         ("a", "Box.table_entry"), ("a", "Box.unread")]
+
+
+# -- every node comes from the canonicalizing constructors ---------------------
+
+# the node factories of homogeo.expr below its constructors, and its intern
+# table: a node made through them need not be canonical, and `simplify`
+# returns a rational node unchanged on the grounds that it is
+NODE_INTERNALS = {"_make_sum", "_make_prod", "_finish", "_INTERN"}
+
+
+def node_internals(tree, classes):
+    """(line, text) for each `__new__` called on a class named in `classes`
+    (`Rat.__new__`, `ex.Rat.__new__`, `object.__new__(ex.Rat)`) and each
+    name of NODE_INTERNALS read or imported in `tree`."""
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            if name(node.value) in classes:
+                found.append((node.lineno, f"{name(node.value)}.__new__"))
+        elif isinstance(node, ast.Call) and name(node.func) == "__new__":
+            if node.args and name(node.args[0]) in classes:
+                found.append((node.lineno, f"{name(node.args[0])}.__new__"))
+        for text in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None) if isinstance(node, ast.alias) else None):
+            if text in NODE_INTERNALS:
+                found.append((node.lineno, text))
+    return sorted(set(found))
+
+
+def _expr_classes():
+    from homogeo import expr as ex
+    return {name for name, obj in vars(ex).items()
+            if isinstance(obj, type) and issubclass(obj, ex.Expr)}
+
+
+def test_nodes_are_made_only_by_the_constructors():
+    # no module but expr.py makes a node itself or touches the intern table;
+    # a test may read the table (the oracle that every interned rational
+    # node is its own rebuild does)
+    classes = _expr_classes()
+    assert {"Expr", "Rat", "Var", "Sum", "Prod", "Pow", "Fun"} <= classes
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "expr.py"] + SCRIPTS
+    found = {str(p.relative_to(ROOT)): node_internals(ast.parse(p.read_text(encoding="utf-8")),
+                                                      classes) for p in paths}
+    for p in (ROOT / "tests").glob("*.py"):
+        hits = node_internals(ast.parse(p.read_text(encoding="utf-8")), classes)
+        found[str(p.relative_to(ROOT))] = [h for h in hits if h[1] != "_INTERN"]
+    assert {path: hits for path, hits in found.items() if hits} == {}
+
+
+def test_the_guard_flags_a_node_made_by_hand():
+    source = ("from .expr import _make_prod, Rat\n"
+              "from . import expr as ex\n"
+              "a = Rat.__new__(Rat)\n"
+              "b = object.__new__(ex.Sum)\n"
+              "ex._finish(a, ('R', 1, 1), 0, frozenset(), True)\n"
+              "c = ex.Box.__new__(ex.Box)\n")
+    assert node_internals(ast.parse(source), _expr_classes()) == [
+        (1, "_make_prod"), (3, "Rat.__new__"), (4, "Sum.__new__"), (5, "_finish")]
