@@ -47,7 +47,10 @@ alternating sums and products (a zero test that prints its query, 496
 heads), `simplify` and `subs` 497 `sin` heads and 330 sums and products
 (`simplify` counts only non-rational nodes: it walks no rational one),
 `diff` 993 heads and 662, and `_sign_class` 983 `sign` heads and 988;
-deeper expressions built in code raise RecursionError.  `_reachable`
+deeper expressions built in code raise RecursionError.  `subs`, `diff`
+and `simplify` recurse through an inner closure that holds itself in a
+cell; each deletes it when its walk ends, so the closure is freed by
+reference count, not left to the cyclic GC.  `_reachable`
 collects a DAG without recursion, by `serial`: the count of nodes
 interned before a node, so its children's are lower; numtape compiles and
 the zero test fills its digests (the `digest` slot) from it.
@@ -602,13 +605,14 @@ def sign_of(x: Expr, constraints: Iterable[Constraint] = ()) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # structural walks
 
-def _reachable(e: Expr, done=None) -> list:
-    """The nodes reachable from e, collected with a stack, not recursion,
-    and sorted by serial, so each comes after its children.  A node below
-    e for which `done` returns a true value is left out and not entered:
-    the zero test's digests (zerotest._digest) skip the nodes that have one."""
-    nodes = {e.serial: e}
-    stack = [e]
+def _reachable(e, done=None) -> list:
+    """The nodes reachable from e, or from any of a tuple of roots e,
+    collected with a stack, not recursion, and sorted by serial, so each
+    comes after its children.  A node below the roots for which `done`
+    returns a true value is left out and not entered: the zero test's
+    digests (zerotest._digest) skip the nodes that have one."""
+    stack = [e] if isinstance(e, Expr) else list(e)
+    nodes = {x.serial: x for x in stack}
     while stack:
         x = stack.pop()
         cls = type(x)
@@ -636,7 +640,10 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         memo[id(x)] = out
         return out
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec     # rec's cell holds rec: break the cycle, free it by refcount
 
 
 def _rebuild(x: Expr, rec) -> Expr:
@@ -717,7 +724,10 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
                 out = mul(rat(s), da) if x.name == "abs" else ZERO
         return _cache_put(x, key, out)
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec     # rec's cell holds rec: break the cycle, free it by refcount
 
 
 def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
@@ -769,7 +779,10 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
             out = _rebuild(x, rec)
         return _cache_put(x, key, out)
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec     # rec's cell holds rec: break the cycle, free it by refcount
 
 
 def _log_expand(a: Expr, constraints) -> Expr:

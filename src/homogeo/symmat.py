@@ -7,6 +7,7 @@ decisions that would need zero tests.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -51,32 +52,32 @@ def _minor_table(a: Matrix):
     index tuples (1 for the empty one), by cofactor expansion along its
     first row, skipping literal-zero entries.  Minors are memoised, so the
     determinant and every cofactor taken from one table share their
-    subminors."""
-    memo: dict = {}
+    subminors.  The table is a partial of the module-level _minor, not a
+    closure that calls itself, so it is freed by reference count."""
+    return functools.partial(_minor, a, {})
 
-    def minor(rows: tuple, cols: tuple) -> ex.Expr:
-        if not rows:
-            return ex.ONE
-        if len(rows) == 1:
-            return a[rows[0]][cols[0]]
-        key = (rows, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r = rows[0]
-        parts = []
-        for k, c in enumerate(cols):
-            entry = a[r][c]
-            if entry.is_zero_literal():
-                continue
-            sub = minor(rows[1:], cols[:k] + cols[k + 1:])
-            term = ex.mul(entry, sub)
-            parts.append(term if k % 2 == 0 else ex.neg(term))
-        out = ex.add(*parts) if parts else ex.ZERO
-        memo[key] = out
-        return out
 
-    return minor
+def _minor(a: Matrix, memo: dict, rows: tuple, cols: tuple) -> ex.Expr:
+    if not rows:
+        return ex.ONE
+    if len(rows) == 1:
+        return a[rows[0]][cols[0]]
+    key = (rows, cols)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    r = rows[0]
+    parts = []
+    for k, c in enumerate(cols):
+        entry = a[r][c]
+        if entry.is_zero_literal():
+            continue
+        sub = _minor(a, memo, rows[1:], cols[:k] + cols[k + 1:])
+        term = ex.mul(entry, sub)
+        parts.append(term if k % 2 == 0 else ex.neg(term))
+    out = ex.add(*parts) if parts else ex.ZERO
+    memo[key] = out
+    return out
 
 
 def det(a: Matrix) -> ex.Expr:

@@ -22,14 +22,27 @@ from the same point stream and by the same rule: rational expressions
 exactly, others in floats.
 
 `all_zero` is the one sweep for a family of residuals: it tests
-(key, expression) pairs in order and stops at the first nonzero one
-without advancing its iterable further, so the checks hand it generators
-and build no residual past a failure.  It keeps, for the length of the
-call, each simplified residual it decided zero over GF(p) and its
-negation, and makes no query for a later residual that simplifies to one
-of them: the curvature sweep's (b, a) components are the negations of
-its (a, b) components.  Literal and float zeros are never kept, and a
-sweep that has kept none simplifies nothing ahead of its queries.
+(key, expression) pairs in order and stops at the first nonzero one.  It
+keeps, for the length of the call, each simplified residual it decided
+zero over GF(p) and its negation, and makes no query for a later residual
+that simplifies to one of them: the curvature sweep's (b, a) components
+are the negations of its (a, b) components.  Literal and float zeros are
+never kept, and a sweep that has kept none simplifies nothing ahead of its
+queries.  Until its first GF(p) zero it reads its iterable one pair at a
+time and never past a failure, so a generator builds no residual after
+one.  Then it builds the rest of the pairs and decides their rational
+residuals that are not constants, nor repeats or negations of one kept,
+at one shared point sequence: one tape with a root per residual, keyed by
+the _digest of the roots in order, under the rules below applied to the
+whole tape (k from the largest root degree bound, p redrawn while it
+divides any constant's denominator, a point skipped when it is a pole
+anywhere on the tape).  It then walks the pairs in order as before: a
+residual with zero residues at every shared point is zero with no query,
+and every other one goes to zero_report, so a failing residual gets the
+report it gets alone.  If the shared point raises ConfigError, each
+residual is queried alone, so the one that raises alone raises.  An
+ArithmeticError or ValueError raised while building a pair is raised once
+the pairs built before it are decided, if none failed.
 
 Float queries: points are drawn from that RNG in order and evaluated in
 floating point (numtape.eval_tape) one at a time.  A point whose value is
@@ -66,6 +79,10 @@ A zero verdict is wrong with probability at most (D/p)^k <= 2^-40
 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on top of the chance
 that p divides every coefficient of the numerator N: at most log2|N|/61
 primes in [2^61, 2^62) divide a nonzero coefficient, out of about 5.3e16.
+A residual decided at a sweep's shared point has the same bound: a
+nonzero one vanishes at a uniform point with probability at most D/p
+whatever else is evaluated there, so a sweep of m residuals errs with
+probability at most m * 2^-40, as when each is decided alone.
 A skipped pole point leaves each point uniform on the points that are not
 poles mod p, which divides the per-point bound D/p by 1 - q for the share
 q of pole points (q <= E/p when E bounds the degree of the product of the
@@ -94,6 +111,7 @@ __all__ = ["ZeroTestPolicy", "ZeroVerdict", "ConfigError", "is_zero",
            "MAX_SAMPLES"]
 
 _MAX_REDRAWS = 200
+_SEED_SCALE = 0x9E3779B97F4A7C15   # the seed's term in every per-query key
 MAX_SAMPLES = _MAX_REDRAWS + 1   # draws per query: no larger sample_count is met
 
 
@@ -158,16 +176,19 @@ def _field(v) -> bytes:
 _DIGEST = operator.attrgetter("digest")
 
 
-def _digest(e: ex.Expr, policy: ZeroTestPolicy) -> int:
-    """The GF(p) stream's key: sha256 of e's Merkle digest and the printed
-    constraints.  A node's digest is the 16-byte blake2b of its kind, its
-    exact n and d (a constant, a sum's constant, a product's coefficient, a
-    power's exponent) or its name, each a _field, and its children's
-    digests in stored order.  Each node gets one once, children first
-    (expr._reachable), and keeps it."""
-    if e.digest is None:
+def _digest(e, policy: ZeroTestPolicy) -> int:
+    """The GF(p) stream's key of an expression, or of a tuple of roots in
+    order: sha256 of their Merkle digests, concatenated, and the printed
+    constraints, so one root's key is its expression's.  A node's digest is
+    the 16-byte blake2b of its kind, its exact n and d (a constant, a sum's
+    constant, a product's coefficient, a power's exponent) or its name,
+    each a _field, and its children's digests in stored order.  Each node
+    gets one once, children first (expr._reachable), and keeps it."""
+    roots = (e,) if isinstance(e, ex.Expr) else e
+    pending = [r for r in roots if r.digest is None]
+    if pending:
         Sum, Prod, Pow, Fun = ex.Sum, ex.Prod, ex.Pow, ex.Fun
-        for x in ex._reachable(e, _DIGEST):
+        for x in ex._reachable(pending, _DIGEST):
             cls = type(x)
             if cls is Prod:
                 parts = [b"P", _field(x.n), _field(x.d), *map(_DIGEST, x.factors)]
@@ -183,7 +204,8 @@ def _digest(e: ex.Expr, policy: ZeroTestPolicy) -> int:
             else:
                 parts = [b"R", _field(x.n), _field(x.d)]
             x.digest = hashlib.blake2b(b"".join(parts), digest_size=16).digest()
-    blob = e.digest + ";".join(repr(c) for c in policy.constraints).encode("utf-8")
+    blob = b"".join(map(_DIGEST, roots)) + \
+        ";".join(repr(c) for c in policy.constraints).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
@@ -320,25 +342,33 @@ def _tape_prime(tape: numtape.Tape, key: int) -> Tuple[int, random.Random]:
     return p, rng
 
 
-def _uniform_residue(tape: numtape.Tape, p: int, rng: random.Random):
-    """The tape's residue at uniform points of GF(p)^n, drawn one at a time
-    with poles mod p skipped: the first nonzero one, else 0 once k points
-    have residue 0 (the module docstring gives k and the ConfigErrors);
-    and k."""
+def _uniform_residue(e, tape: numtape.Tape, policy: ZeroTestPolicy):
+    """The one GF(p) decision, of a rational expression or of a tuple of
+    them, the roots of `tape`: p and its RNG from the key _digest(e) (see
+    _tape_prime), then uniform points of GF(p)^n drawn one at a time from
+    that RNG, with a point that is a pole mod p anywhere on the tape
+    skipped, until k points are defined or every root has a nonzero
+    residue.  Returns each root's first nonzero residue, else 0; p; and k,
+    set by the largest root degree bound (the module docstring gives k and
+    the ConfigErrors)."""
+    _bounds(policy.constraints, tape.varnames)     # ConfigError before any draw
+    p, rng = _tape_prime(tape, _digest(e, policy) ^ policy.seed * _SEED_SCALE)
     d = numtape.degree_bound(tape)
     k = next((k for k in range(1, 41) if d ** k << 40 <= p ** k), None)
     if k is None:
         raise ConfigError(f"numerator degree bound {d} is too large for a "
                           "zero test over GF(p)")
-    zeros = 0
+    first = [0] * len(tape.roots)
+    defined = 0
     for _ in range(k + _MAX_REDRAWS):
-        residue, = numtape.eval_tape_mod(
+        residues = numtape.eval_tape_mod(
             tape, [{n: rng.randrange(p) for n in tape.varnames}], p)
-        if residue:
-            return residue, k
-        zeros += residue is not None
-        if zeros == k:
-            return 0, k
+        if residues[0] is None:
+            continue
+        first = [f or r for f, r in zip(first, residues)]
+        defined += 1
+        if defined == k or all(first):
+            return first, p, k
     raise ConfigError("could not find enough valid sample points "
                       "(expression may be singular on the whole domain)")
 
@@ -354,17 +384,15 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
                            note="literal nonzero constant")
 
     names = sorted(e.free)
-    seed = policy.seed * 0x9E3779B97F4A7C15
     tape = numtape.compile_tape(e, names)
     if e.rational:
         # uniform points of GF(p)^n decide the query; the rational points
         # only look for a witness of a nonzero residue
-        _bounds(policy.constraints, names)     # ConfigError before any draw
-        p, prime_rng = _tape_prime(tape, _digest(e, policy) ^ seed)
-        residue, count = _uniform_residue(tape, p, prime_rng)
+        (residue,), p, count = _uniform_residue(e, tape, policy)
         if residue == 0:
             return ZeroVerdict(True, True, samples=count)
-    points = _points(names, policy.constraints, _fingerprint(e, policy) ^ seed)
+    points = _points(names, policy.constraints,
+                     _fingerprint(e, policy) ^ policy.seed * _SEED_SCALE)
     if e.rational:
         for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
             val = _exact_at(tape, pt)
@@ -400,18 +428,71 @@ def all_zero(pairs: Iterable[Tuple[object, ex.Expr]],
              policy: ZeroTestPolicy = DEFAULT_POLICY):
     """Zero-test each (key, expression) pair in order and stop at the first
     nonzero one: (True, None), or (False, (key, report)) for that pair.
-    `pairs` is never advanced past it, so a generator builds no residual
-    after a failure.  A residual that simplifies to one this sweep decided
-    zero over GF(p), or to its negation, is not tested again: r = 0 iff
-    -r = 0, so that test decides it with the same error bound."""
-    decided = set()
+    A residual that simplifies to one this sweep decided zero over GF(p),
+    or to its negation, is not tested again: r = 0 iff -r = 0, so that test
+    decides it with the same error bound.  Until the first GF(p) zero,
+    `pairs` is read one pair at a time and never past a failure; then the
+    rest is built and decided at a shared point (_shared_zeros), by the
+    rules of the module docstring."""
+    pairs, decided = iter(pairs), set()
     for key, e in pairs:
-        if decided and ex.simplify(e, policy.constraints) in decided:
-            continue
+        bad = _sweep_step(key, e, decided, (), policy)
+        if bad:
+            return False, bad
+        if decided:     # the first GF(p) zero
+            break
+    else:
+        return True, None
+    rest, held = [], None
+    try:
+        for pair in pairs:
+            rest.append(pair)
+    except (ArithmeticError, ValueError) as err:
+        held = err
+    zeros = _shared_zeros([e for _, e in rest], decided, policy)
+    for key, e in rest:
+        bad = _sweep_step(key, e, decided, zeros, policy)
+        if bad:
+            return False, bad
+    if held is not None:
+        raise held
+    return True, None
+
+
+def _sweep_step(key, e, decided: set, zeros, policy: ZeroTestPolicy):
+    """One pair of all_zero: None when e is zero, else (key, report).  A
+    residual decided zero over GF(p), by zero_report or as one of `zeros`,
+    is kept in `decided` with its negation."""
+    if decided and ex.simplify(e, policy.constraints) in decided:
+        return None
+    if e not in zeros:
         rep = zero_report(e, policy)
         if not rep.is_zero:
-            return False, (key, rep)
-        if rep.exact and rep.samples:       # decided over GF(p), not a literal
-            s = ex.simplify(e, policy.constraints)   # e if rational, else cached by zero_report
-            decided.update((s, ex.neg(s)))
-    return True, None
+            return key, rep
+        if not (rep.exact and rep.samples):     # a literal or float zero
+            return None
+    s = ex.simplify(e, policy.constraints)   # e if rational, else cached by zero_report
+    decided.update((s, ex.neg(s)))
+    return None
+
+
+def _shared_zeros(exprs, kept: set, policy: ZeroTestPolicy) -> set:
+    """The residuals among `exprs` that have zero residues at one GF(p)
+    point sequence shared by all of them: the rational ones that are not
+    constants and not in `kept` nor a repeat or negation of one before
+    them, the roots of one tape, keyed by _digest of the roots in order.
+    Empty when there are none or when that raises ConfigError, so that
+    each residual's own query raises it, as alone."""
+    kept, roots = set(kept), []
+    for e in exprs:
+        if e.rational and type(e) is not ex.Rat and e not in kept:
+            roots.append(e)
+            kept.update((e, ex.neg(e)))
+    if not roots:
+        return set()
+    roots = tuple(roots)
+    try:
+        residues, _, _ = _uniform_residue(roots, numtape.compile_tape(roots), policy)
+    except ConfigError:
+        return set()
+    return {e for e, r in zip(roots, residues) if r == 0}

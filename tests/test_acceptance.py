@@ -183,20 +183,26 @@ def test_criterion_5_rd_cross_check(monkeypatch):
     """Connection curvature equals the closed-form tensors on the flat
     plane, the radius-2 sphere, and 5 seeded random (g, eta) on the
     2-dimensional base.  Also pins how its sampled rational queries are
-    decided: most are zero at one uniform point of GF(p)^n, and the rest
-    have a nonzero residue there and go on to the witness path, a search
-    for an exact nonzero value at rational draws; a residue is never
-    missing, so the "fallback" label stays at 0.  And pins how many
-    residuals the sweep skips: each (b, a) residual that is the negation of
-    an (a, b) residual already decided zero over GF(p) makes no query."""
+    decided: a query alone is zero at one uniform point of GF(p)^n, or has
+    a nonzero residue there and goes on to the witness path, a search for
+    an exact nonzero value at rational draws; after a sweep's first GF(p)
+    zero, the rest of its rational residuals are decided together at one
+    shared point ("shared point" counts those calls, "shared roots" the
+    residuals they decide).  And pins how many residuals the sweep skips:
+    each (b, a) residual that is the negation of an (a, b) residual already
+    decided zero over GF(p) makes no query, nor does a residual whose
+    residue at a shared point is zero."""
     mix = collections.Counter()
     real = zerotest._uniform_residue
 
-    def record(tape, p, rng):
-        residue, count = real(tape, p, rng)
-        mix["fallback" if residue is None else
-            "uniform point" if residue == 0 else "witness path"] += 1
-        return residue, count
+    def record(e, tape, policy):
+        residues, p, count = real(e, tape, policy)
+        if len(residues) > 1:
+            mix["shared point"] += 1
+            mix["shared roots"] += len(residues)
+        else:
+            mix["uniform point" if residues == [0] else "witness path"] += 1
+        return residues, p, count
 
     swept = collections.Counter()
     real_report, real_sweep = zerotest.zero_report, riemannian.all_zero
@@ -250,8 +256,9 @@ def test_criterion_5_rd_cross_check(monkeypatch):
                                             rand_affine(rng, ("x", "y"))]))
             triple.check_definite(POLICY)
             assert verify_rd_formulas(triple, *curvature(triple, POLICY), POLICY).agree
-    assert mix == {"uniform point": 155, "witness path": 10}
-    assert swept["skipped"] == 115
+    assert mix == {"uniform point": 5, "witness path": 10, "shared point": 5,
+                   "shared roots": 150}
+    assert swept["skipped"] == 265
 
 
 def test_criterion_6_flatness_equivalence():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -710,6 +711,68 @@ def test_all_zero_tests_each_residual_once_up_to_sign(monkeypatch):
                                        ("d", ex.sub(1, x))]))
     assert not ok and key == "c" and not rep.is_zero
     assert tested == [r, ex.sub(x, 1)]
+    # after the first GF(p) zero the rest is decided at one shared point: a
+    # zero there makes no query, and the first nonzero residual gets the
+    # query and report it gets alone, after the queries before it
+    tested.clear()
+    q = parse("(x + 1)^2 - x^2 - 2*x - 1", names=["x"])
+    ok, (key, rep) = zt.all_zero([("a", r), ("q", q), ("0", ex.ZERO), ("-q", ex.neg(q)),
+                                  ("c", ex.sub(x, 1)), ("r", r), ("d", ex.sub(1, x))])
+    assert not ok and key == "c"
+    assert tested == [r, ex.ZERO, ex.sub(x, 1)]
+    assert rep == zero_report(ex.sub(x, 1))
+
+    # a pair whose construction raises is built before the shared point;
+    # the error waits for the pairs before it, and a failure among them wins
+    def raising(*pairs):
+        yield from pairs
+        raise ZeroDivisionError("built after the rest")
+
+    ok, (key, _) = zt.all_zero(raising(("a", r), ("q", q), ("c", ex.sub(x, 1))))
+    assert not ok and key == "c"
+    with pytest.raises(ZeroDivisionError, match="built after the rest"):
+        zt.all_zero(raising(("a", r), ("q", q), ("-r", ex.neg(r))))
+
+
+def test_all_zero_singular_residual_at_a_shared_point(monkeypatch):
+    # a residual defined nowhere makes the shared point raise ConfigError,
+    # so each residual is queried alone and that one raises, as alone
+    tested = []
+    real = zt.zero_report
+
+    def spy(e, policy=zt.DEFAULT_POLICY):
+        tested.append(e)
+        return real(e, policy)
+
+    monkeypatch.setattr(zt, "zero_report", spy)
+    r = parse("(x + y)*(x - y) - x*(x - y) - y*(x - y)", names=["x", "y"])
+    q = parse("(x + 1)^2 - x^2 - 2*x - 1", names=["x"])
+    nowhere = parse("1/((x+1)^2 - x^2 - 2*x - 1)", names=["x"])
+    with pytest.raises(ConfigError) as alone:
+        real(nowhere)
+    with pytest.raises(ConfigError) as swept:
+        zt.all_zero([("a", r), ("q", q), ("n", nowhere), ("y", ex.var("y"))])
+    assert str(swept.value) == str(alone.value)
+    assert "singular on the whole domain" in str(alone.value)
+    assert tested == [r, q, nowhere]
+
+
+def test_shared_point_key_of_one_root_is_its_own():
+    # the shared point's key is _digest of the roots in order; one root's
+    # is the expression's own, so it draws the prime and points a query
+    # of that expression alone draws
+    pol = ZeroTestPolicy(seed=3, constraints=(ex.Constraint("x", ">", 0),))
+    e = parse("(x + y)^2 - x^2 - 2*x*y - y^2 + x/7", names=["x", "y"])
+    f = parse("x*y - 1", names=["x", "y"])
+    assert zt._digest((e,), pol) == zt._digest(e, pol)
+    assert len({zt._digest(e, pol), zt._digest((e, f), pol),
+                zt._digest((f, e), pol)}) == 3
+    tape = numtape.compile_tape(e)
+    assert zt._uniform_residue((e,), tape, pol) == zt._uniform_residue(e, tape, pol)
+    # two roots: each gets the residue it has at the shared points
+    both = numtape.compile_tape((e, f))
+    (re_, rf), p, k = zt._uniform_residue((e, f), both, pol)
+    assert re_ and rf and k == 1 and both.varnames == ("x", "y")
 
 
 def _reference_sweep(pairs, policy):
@@ -720,27 +783,43 @@ def _reference_sweep(pairs, policy):
     return True, None
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(RATIONAL_DSL, RATIONAL_DSL, st.permutations(range(3, 8)))
-def test_all_zero_matches_reference_loop(a, b, tail):
+def test_all_zero_matches_reference_loop(monkeypatch):
     # a zero residual z that simplify leaves to the sampler, -z and z, then
-    # r, -r, q, -q and -z in any order
-    try:
-        r, q = parse(a, names=["x", "y"]), parse(b, names=["x", "y"])
-        z = parse(f"(({a}) + ({b}))*({b}) - ({a})*({b}) - ({b})*({b})", names=["x", "y"])
-    except ZeroDivisionError:
-        return      # a literal division by zero never reaches the zero test
-    exprs = [z, ex.neg(z), z, r, ex.neg(r), q, ex.neg(q), ex.neg(z)]
-    pairs = [(i, exprs[i]) for i in (0, 1, 2, *tail)]
-    try:
-        want = _reference_sweep(pairs, zt.DEFAULT_POLICY)
-    except ConfigError:
-        with pytest.raises(ConfigError):
-            zt.all_zero(pairs)
-        return
-    ok, bad = zt.all_zero(pairs)
-    assert (ok, bad and bad[0]) == want, (a, b, tail)
+    # r, -r, q, -q and -z in any order; the rest after z is decided at a
+    # shared point, which meets a nonzero residual first and second
+    nonzero_at = set()
+    real = zt._uniform_residue
+
+    def spy(e, tape, policy):
+        residues, p, k = real(e, tape, policy)
+        if isinstance(e, tuple):
+            nonzero_at.update(i for i, v in enumerate(residues) if v)
+        return residues, p, k
+
+    monkeypatch.setattr(zt, "_uniform_residue", spy)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(RATIONAL_DSL, RATIONAL_DSL, st.permutations(range(3, 8)))
+    def check(a, b, tail):
+        try:
+            r, q = parse(a, names=["x", "y"]), parse(b, names=["x", "y"])
+            z = parse(f"(({a}) + ({b}))*({b}) - ({a})*({b}) - ({b})*({b})", names=["x", "y"])
+        except ZeroDivisionError:
+            return      # a literal division by zero never reaches the zero test
+        exprs = [z, ex.neg(z), z, r, ex.neg(r), q, ex.neg(q), ex.neg(z)]
+        pairs = [(i, exprs[i]) for i in (0, 1, 2, *tail)]
+        try:
+            want = _reference_sweep(pairs, zt.DEFAULT_POLICY)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                zt.all_zero(pairs)
+            return
+        ok, bad = zt.all_zero(pairs)
+        assert (ok, bad and bad[0]) == want, (a, b, tail)
+
+    check()
+    assert nonzero_at == {0, 1}
 
 
 def test_exact_confirmation_once_per_point(monkeypatch):
@@ -1674,6 +1753,26 @@ def _shared_dag(a: ex.Expr, b: ex.Expr, k: int) -> ex.Expr:
         e = ex.add(ex.mul(e, ex.pw(ex.add(e, ex.rat(j + 1)), -1)),
                    ex.pw(e, 2), ex.mul(b, e))
     return e
+
+
+def test_walkers_leave_no_cyclic_garbage():
+    # subs, diff, simplify and a determinant's minor table each recurse
+    # through a function of their own; with the cyclic GC off, a fresh
+    # call leaves nothing for it to collect
+    from homogeo import symmat
+    e = parse("abs(x)*sin(x*y) + x^3/(1 + y^2) + 7/13", names=["x", "y"])
+    m = symmat.mat([[ex.var("x"), e, 1], [2, ex.var("y"), e], [e, 3, ex.var("x")]])
+    pos = (ex.Constraint("x", ">", 0),)
+    calls = [lambda: ex.diff(e, "x", pos), lambda: ex.subs(e, {"y": ex.add(ex.var("x"), 1)}),
+             lambda: ex.simplify(e, pos), lambda: symmat.det(m), lambda: symmat.inverse(m)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_simplify_and_diff_cached_across_calls(monkeypatch):

@@ -391,15 +391,18 @@ _PINNED_ETA = {"x": "1/5 - 1/10*x + 1/10*y", "y": "-1/5 + 1/10*x - 1/5*y"}
 
 
 def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
-    """The sampled zero-test queries of a riemannian scenario on one fixed
-    rational triple, in order, pinned by the count and sha256 of their keys:
-    every query is rational, so each has a GF(p) key (zerotest._digest),
-    and the few with a nonzero residue also a printed fingerprint.  A
-    constructor change that moves a node on the curvature path
-    (christoffels, curvature_RD, tensors_ABCD, the flatness test), or a
-    query added, dropped or reordered, moves the keys, as
-    test_bundled_suite_queries_pinned does for the bundled scenarios.  The
-    printed fingerprints of all 38 queries are pinned too."""
+    """The sampled zero-test decisions of a riemannian scenario on one
+    fixed rational triple, in order, pinned by the count and sha256 of
+    their keys: every residual is rational, so each query has a GF(p) key
+    (zerotest._digest), as has each shared point that decides the rest of
+    a sweep (one key for all its roots), and the few with a nonzero residue
+    also a printed fingerprint.  A constructor change that moves a node on
+    the curvature path (christoffels, curvature_RD, tensors_ABCD, the
+    flatness test), or a residual added, dropped or reordered, moves the
+    keys, as test_bundled_suite_queries_pinned does for the bundled
+    scenarios.  The printed fingerprints of all 38 residuals decided over
+    GF(p), alone or at a shared point, are pinned too: they are those of
+    the 38 queries that deciding each residual alone makes."""
     g = [["1 + " + " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})"
                               for k in range(2)) if i == j else
           " + ".join(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})" for k in range(2))
@@ -415,7 +418,8 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
 
     def record_key(e, policy):
         keys.append(digest(e, policy))
-        every_print.append(fingerprint(e, policy))
+        every_print.extend(fingerprint(r, policy)
+                           for r in ((e,) if isinstance(e, ex.Expr) else e))
         return keys[-1]
 
     def record_print(e, policy):
@@ -430,9 +434,9 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     def sha(values):
         return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
 
-    assert (len(keys), len(printed)) == (38, 7)
+    assert (len(keys), len(printed), len(every_print)) == (9, 7, 38)
     assert sha(keys) == \
-        "cacc2d25ba86ecdba82160798abb136faf106c9d2031b93ec0997ce0c3ac07ca"
+        "2b59b71498d2c33144518a0e608d9d76daa27bb1756d3713d79c42fb8c8d1448"
     assert sha(printed) == \
         "4907b2b88e134c83586300372043a6d904136c7ccad2dd0e020973f959d32fb3"
     assert sha(every_print) == \
@@ -444,7 +448,9 @@ def test_curvature_pass_call_counts_pinned(tmp_path, monkeypatch):
     a pinned number of ex.simplify and ex.diff calls.  A builder that goes
     back to building both halves of an antisymmetric or symmetric array
     (curvature_RD, riemann, christoffel, tensors_ABCD) raises them: the
-    full loops made 319 and 244."""
+    full loops made 319 and 244, when each residual was also queried
+    alone.  The 30 residuals decided at a sweep's shared GF(p) point make
+    no query, and so none of the query's own simplify calls."""
     g = [[" + ".join([*(["1"] if i == j else []),
                       *(f"({_PINNED_P[k][i]})*({_PINNED_P[k][j]})" for k in range(2))])
           for j in range(2)] for i in range(2)]
@@ -463,7 +469,7 @@ def test_curvature_pass_call_counts_pinned(tmp_path, monkeypatch):
         monkeypatch.setattr(ex, name, counted)
     report = run_scenario(data)
     assert report["summary"] == {"pass": 4, "fail": 0, "falsification": 0}
-    assert dict(calls) == {"simplify": 253, "diff": 148}
+    assert dict(calls) == {"simplify": 223, "diff": 148}
 
 
 def test_c_antisymmetric_and_zero_with_b():

@@ -7,7 +7,8 @@
 queries through `is_zero` and `all_zero`, which look the name up in
 `zerotest`, so every query is recorded.  A residual that `all_zero` skips (the
 negation or a repeat of one it decided zero over GF(p)) makes no query
-and writes no line.  Each line holds, tab-separated: the
+and writes no line, and neither does one it decides zero at a sweep's
+shared GF(p) point.  Each line holds, tab-separated: the
 fingerprint of the simplified expression (`unprintable` for a literal
 too large to print, which has none), the verdict (zero or nonzero),
 the exact flag, the witness point, the witness value, the sample count and
