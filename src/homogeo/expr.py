@@ -40,20 +40,12 @@ what it shows: `abs_` returns an argument that is "+", "0+" or "0",
 fractional q when b is "+".
 
 The walkers are `subs`, `diff`, `simplify`, the printer and
-`_sign_class`.  They are recursive (`_sign_class` one Python frame per
-nesting level).  Under Python's default recursion limit of 1000 (Python
-3.11.7), `to_dsl` handles 498 nested `sin` heads or 284 nested
-alternating sums and products (a zero test that prints its query, 496
-heads), `simplify` and `subs` 497 `sin` heads and 330 sums and products
-(`simplify` counts only non-rational nodes: it walks no rational one),
-`diff` 993 heads and 662, and `_sign_class` 983 `sign` heads and 988;
-deeper expressions built in code raise RecursionError.  `subs`, `diff`
-and `simplify` recurse through an inner closure that holds itself in a
-cell; each deletes it when its walk ends, so the closure is freed by
-reference count, not left to the cyclic GC.  `_reachable`
-collects a DAG without recursion, by `serial`: the count of nodes
-interned before a node, so its children's are lower; numtape compiles and
-the zero test fills its digests (the `digest` slot) from it.
+`_sign_class`.  Each collects the nodes it has no result for with
+`_reachable`, by `serial` (the count of nodes interned before a node, so
+its children's are lower), and computes them in that order, each from
+its children's results, as numtape's tapes and the zero test's digests
+are built.  No walker has a depth limit.  Of two faults in one walk, the
+one at the node of lower serial is raised.
 """
 
 from __future__ import annotations
@@ -537,64 +529,73 @@ _FUN_MAKERS = {"exp": exp_, "log": log_, "abs": abs_, "sign": sign_, "sin": sin_
 # ---------------------------------------------------------------------------
 # signs under domain constraints
 
+# exp is "+"; log, sin and cos need magnitudes, so their argument is not read
+_HEAD_SIGN = {"exp": "+", "log": None, "sin": None, "cos": None}
+
+
 def _sign_class(x: Expr, constraints: tuple) -> Optional[str]:
     """The sign class of x under `constraints`: "+" / "-" strictly signed,
     "0" zero, "0+" / "0-" weakly signed, None unknown.  A `>` bound >= 0
-    makes a variable "+", else a `<` bound <= 0 makes it "-".  Kept in the
-    node's cache slot under ("sign", constraints), so a shared subtree is
-    walked once; one Python frame per nesting level."""
-    if isinstance(x, Rat):
-        return "0" if x.value == 0 else ("+" if x.value > 0 else "-")
-    if isinstance(x, Var):
-        if any(c.name == x.name and c.op == ">" and c.bound >= 0 for c in constraints):
-            return "+"
-        if any(c.name == x.name and c.op == "<" and c.bound <= 0 for c in constraints):
-            return "-"
-        return None
+    makes a variable "+", else a `<` bound <= 0 makes it "-".  An exp, log,
+    sin or cos head is read at once; every other node is classed from its
+    children's classes, in serial order, and keeps its class in its cache
+    slot under ("sign", constraints), so a shared subtree is walked once."""
     key = ("sign", constraints)
-    if x.cache is not None and key in x.cache:
-        return x.cache[key]
-    out = None
-    if isinstance(x, Prod):
-        # strict unless a factor is weak; "-" if an odd number are negative
-        weak, negative = False, x.coeff < 0
-        for f in x.factors:
-            out = _sign_class(f, constraints)
-            if out is None or out == "0":
-                break
-            weak = weak or out[0] == "0"
-            negative ^= out[-1] == "-"
+
+    def known(k: Expr) -> bool:
+        return (type(k) is Fun and k.name in _HEAD_SIGN) or (
+            k.cache is not None and key in k.cache)
+
+    def sign(k: Expr) -> Optional[str]:
+        return _HEAD_SIGN[k.name] if type(k) is Fun and k.name in _HEAD_SIGN else k.cache[key]
+
+    if known(x):
+        return sign(x)
+    for y in _reachable(x, known):
+        out = None
+        if isinstance(y, Rat):
+            out = "0" if y.n == 0 else ("+" if y.n > 0 else "-")
+        elif isinstance(y, Var):
+            if any(c.name == y.name and c.op == ">" and c.bound >= 0 for c in constraints):
+                out = "+"
+            elif any(c.name == y.name and c.op == "<" and c.bound <= 0 for c in constraints):
+                out = "-"
+        elif isinstance(y, Prod):
+            # strict unless a factor is weak; "-" if an odd number are negative
+            weak, negative = False, y.n < 0
+            for f in y.factors:
+                out = sign(f)
+                if out is None or out == "0":
+                    break
+                weak = weak or out[0] == "0"
+                negative ^= out[-1] == "-"
+            else:
+                out = ("0" if weak else "") + ("-" if negative else "+")
+        elif isinstance(y, Sum):
+            # one-signed if no term has the other sign; strict if one term is
+            classes = {"0" if y.n == 0 else ("+" if y.n > 0 else "-"), *map(sign, y.terms)}
+            for s in ("+", "-"):
+                if classes <= {s, "0" + s, "0"}:
+                    out = s if s in classes else ("0" if classes == {"0"} else "0" + s)
+        elif isinstance(y, Pow):
+            bs = sign(y.base)
+            q = y.exponent
+            if q.denominator == 1 and q.numerator % 2 == 0:
+                out = "+" if bs in ("+", "-") else ("0" if bs == "0" else "0+")
+            elif bs == "+":
+                out = "+"
+            elif bs == "-" and q.denominator == 1:
+                out = "-"
+            elif bs in ("0", "0+") and q > 0:
+                out = bs
         else:
-            out = ("0" if weak else "") + ("-" if negative else "+")
-    elif isinstance(x, Sum):
-        # one-signed if no term has the other sign; strict if one term is
-        classes = {"0" if x.const == 0 else ("+" if x.const > 0 else "-")}
-        for t in x.terms:
-            classes.add(_sign_class(t, constraints))
-        for s in ("+", "-"):
-            if classes <= {s, "0" + s, "0"}:
-                out = s if s in classes else ("0" if classes == {"0"} else "0" + s)
-    elif isinstance(x, Pow):
-        bs = _sign_class(x.base, constraints)
-        q = x.exponent
-        if q.denominator == 1 and q.numerator % 2 == 0:
-            out = "+" if bs in ("+", "-") else ("0" if bs == "0" else "0+")
-        elif bs == "+":
-            out = "+"
-        elif bs == "-" and q.denominator == 1:
-            out = "-"
-        elif bs in ("0", "0+") and q > 0:
-            out = bs
-    elif x.name == "exp":
-        out = "+"
-    elif x.name == "abs":
-        s = _sign_class(x.arg, constraints)
-        out = "+" if s in ("+", "-") else ("0" if s == "0" else "0+")
-    elif x.name == "sign":
-        s = _sign_class(x.arg, constraints)
-        out = s if s in ("+", "-", "0") else None
-    # log/sin/cos need magnitudes, not just signs
-    return _cache_put(x, key, out)
+            s = sign(y.arg)
+            if y.name == "abs":
+                out = "+" if s in ("+", "-") else ("0" if s == "0" else "0+")
+            else:   # sign
+                out = s if s in ("+", "-", "0") else None
+        _cache_put(y, key, out)
+    return out
 
 
 def sign_of(x: Expr, constraints: Iterable[Constraint] = ()) -> Optional[int]:
@@ -609,8 +610,9 @@ def _reachable(e, done=None) -> list:
     """The nodes reachable from e, or from any of a tuple of roots e,
     collected with a stack, not recursion, and sorted by serial, so each
     comes after its children.  A node below the roots for which `done`
-    returns a true value is left out and not entered: the zero test's
-    digests (zerotest._digest) skip the nodes that have one."""
+    returns a true value is left out and not entered: a walker passes the
+    test that a node has its result, and computes the rest in the order
+    returned, each from its children's results."""
     stack = [e] if isinstance(e, Expr) else list(e)
     nodes = {x.serial: x for x in stack}
     while stack:
@@ -626,37 +628,30 @@ def _reachable(e, done=None) -> list:
 
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions."""
-    if not (e.free & mapping.keys()):
+    names = mapping.keys()
+    if not (e.free & names):
         return e
-    memo: dict = {}
+    out: dict = {}  # serial -> the result of a node that holds a mapped name
 
-    def rec(x: Expr) -> Expr:
-        if not (x.free & mapping.keys()):
-            return x
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit
-        out = mapping.get(x.name, x) if isinstance(x, Var) else _rebuild(x, rec)
-        memo[id(x)] = out
-        return out
+    def get(k: Expr) -> Expr:
+        return out.get(k.serial, k)
 
-    try:
-        return rec(e)
-    finally:
-        del rec     # rec's cell holds rec: break the cycle, free it by refcount
+    for x in _reachable(e, lambda k: not (k.free & names)):
+        out[x.serial] = mapping.get(x.name, x) if isinstance(x, Var) else _rebuild(x, get)
+    return get(e)
 
 
-def _rebuild(x: Expr, rec) -> Expr:
+def _rebuild(x: Expr, get) -> Expr:
     """The Sum, Prod, Pow or Fun node x remade by its canonicalizing
-    constructor from rec of each child: the step `subs` and `simplify`
-    share, each with its own recursion and cache."""
+    constructor from the result `get` returns for each child: the step
+    `subs` and `simplify` share, each keeping its results its own way."""
     if isinstance(x, Sum):
-        return add(_rat(x.n, x.d), *[rec(t) for t in x.terms])
+        return add(_rat(x.n, x.d), *map(get, x.terms))
     if isinstance(x, Prod):
-        return mul(_rat(x.n, x.d), *[rec(f) for f in x.factors])
+        return mul(_rat(x.n, x.d), *map(get, x.factors))
     if isinstance(x, Pow):
-        return pw(rec(x.base), x.exponent)
-    return _FUN_MAKERS[x.name](rec(x.arg))
+        return pw(get(x.base), x.exponent)
+    return _FUN_MAKERS[x.name](get(x.arg))
 
 
 def _cache_put(x: Expr, key: tuple, out: Expr) -> Expr:
@@ -675,38 +670,38 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
     """Exact partial derivative with respect to the variable named v.
 
     abs/sign arguments must be sign-definite under the constraints,
-    otherwise a DomainError is raised.  Results are cached on each interned
-    node for the life of the process, keyed by (v, constraints); an
-    exception is not cached.
+    otherwise a DomainError is raised, at the one of lowest serial when
+    several are not.  Results are cached on each interned node for the
+    life of the process, keyed by (v, constraints); an exception is not
+    cached.
     """
+    if v not in e.free:
+        return ZERO
     constraints = tuple(constraints)
     key = ("diff", v, constraints)
+    if e.cache is not None and key in e.cache:
+        return e.cache[key]
 
-    def rec(x: Expr) -> Expr:
-        if v not in x.free:
-            return ZERO
-        if x.cache is not None:
-            hit = x.cache.get(key)
-            if hit is not None:
-                return hit
+    def done(k: Expr) -> bool:
+        return v not in k.free or (k.cache is not None and key in k.cache)
+
+    def get(k: Expr) -> Expr:
+        return k.cache[key] if v in k.free else ZERO
+
+    for x in _reachable(e, done):
         if isinstance(x, Var):
             out = ONE
         elif isinstance(x, Sum):
-            out = add(*[rec(t) for t in x.terms])
+            out = add(*map(get, x.terms))
         elif isinstance(x, Prod):
-            parts = []
-            facs = list(x.factors)
-            for i, f in enumerate(facs):
-                dfi = rec(f)
-                if dfi.is_zero_literal():
-                    continue
-                parts.append(mul(_rat(x.n, x.d), dfi, *[g for j, g in enumerate(facs) if j != i]))
-            out = add(*parts) if parts else ZERO
+            fs = x.factors
+            out = add(*[mul(_rat(x.n, x.d), df, *fs[:i], *fs[i + 1:])
+                        for i, df in enumerate(map(get, fs)) if df is not ZERO])
         elif isinstance(x, Pow):
-            out = mul(rat(x.exponent), pw(x.base, x.exponent - 1), rec(x.base))
+            out = mul(rat(x.exponent), pw(x.base, x.exponent - 1), get(x.base))
         else:
             a = x.arg
-            da = rec(a)
+            da = get(a)
             if x.name == "exp":
                 out = mul(x, da)
             elif x.name == "log":
@@ -722,12 +717,8 @@ def diff(e: Expr, v: str, constraints: Iterable[Constraint] = ()) -> Expr:
                         f"cannot differentiate {x.name}({to_dsl(a)}): argument sign is "
                         f"not fixed by the domain constraints")
                 out = mul(rat(s), da) if x.name == "abs" else ZERO
-        return _cache_put(x, key, out)
-
-    try:
-        return rec(e)
-    finally:
-        del rec     # rec's cell holds rec: break the cycle, free it by refcount
+        _cache_put(x, key, out)
+    return out
 
 
 def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
@@ -739,61 +730,67 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
         return e
     constraints = tuple(constraints)
     key = ("simplify", constraints)
+    if e.cache is not None and key in e.cache:
+        return e.cache[key]
 
-    def rec(x: Expr) -> Expr:
-        if x.rational:
-            return x
-        if x.cache is not None:
-            hit = x.cache.get(key)
-            if hit is not None:
-                return hit
+    def done(k: Expr) -> bool:
+        return k.rational or (k.cache is not None and key in k.cache)
+
+    def get(k: Expr) -> Expr:
+        return k if k.rational else k.cache[key]
+
+    for x in _reachable(e, done):
         if isinstance(x, Pow):
-            base = rec(x.base)
-            if x.exponent.denominator != 1 and isinstance(base, Prod):
+            base, q = get(x.base), x.exponent
+            if q.denominator != 1 and isinstance(base, Prod) and base.n > 0 and all(
+                    sign_of(f, constraints) == 1 for f in base.factors):
                 # distribute fractional powers over positive factors
-                pieces = [rat(base.coeff)] + list(base.factors)
-                if all(sign_of(p, constraints) == 1 for p in pieces):
-                    out = mul(*[pw(p, x.exponent) for p in pieces])
-                else:
-                    out = pw(base, x.exponent)
+                out = mul(pw(rat(base.coeff), q), *[pw(f, q) for f in base.factors])
             elif isinstance(base, Pow) and sign_of(base.base, constraints) == 1:
-                out = pw(base.base, base.exponent * x.exponent)
+                out = pw(base.base, base.exponent * q)
             else:
-                out = pw(base, x.exponent)
+                out = pw(base, q)
         elif isinstance(x, Fun) and x.name in ("abs", "sign", "log"):
-            a = rec(x.arg)
-            if x.name == "abs":
-                s = sign_of(a, constraints)
-                if s == 1:
-                    out = a
-                elif s == -1:
-                    out = neg(a)
-                else:
-                    out = abs_(a)
-            elif x.name == "sign":
-                s = sign_of(a, constraints)
-                out = rat(s) if s in (1, -1) else sign_(a)
-            else:
+            a = get(x.arg)
+            if x.name == "log":
                 out = _log_expand(a, constraints)
+            elif (s := sign_of(a, constraints)) not in (1, -1):
+                out = _FUN_MAKERS[x.name](a)    # abs_ or sign_
+            else:
+                out = (a if s == 1 else neg(a)) if x.name == "abs" else rat(s)
         else:
-            out = _rebuild(x, rec)
-        return _cache_put(x, key, out)
-
-    try:
-        return rec(e)
-    finally:
-        del rec     # rec's cell holds rec: break the cycle, free it by refcount
+            out = _rebuild(x, get)
+        _cache_put(x, key, out)
+    return out
 
 
 def _log_expand(a: Expr, constraints) -> Expr:
-    """log over positive factors and powers (valid on the principal branch)."""
-    if isinstance(a, Prod):
-        pieces = [rat(a.coeff)] + list(a.factors)
-        if all(sign_of(p, constraints) == 1 for p in pieces):
-            return add(*[_log_expand(p, constraints) for p in pieces])
-    if isinstance(a, Pow) and sign_of(a.base, constraints) == 1:
-        return mul(rat(a.exponent), _log_expand(a.base, constraints))
-    return log_(a)
+    """log over positive factors and powers (valid on the principal branch).
+    The products and powers it splits are collected with a stack and
+    expanded in serial order, each once."""
+    split: dict = {}    # serial -> (node, the nodes its log splits over)
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Prod) and x.n > 0 and all(
+                sign_of(f, constraints) == 1 for f in x.factors):
+            parts = x.factors
+        elif isinstance(x, Pow) and sign_of(x.base, constraints) == 1:
+            parts = (x.base,)
+        else:
+            parts = ()
+        split[x.serial] = (x, parts)
+        stack.extend(p for p in parts if p.serial not in split)
+    logs: dict = {}     # serial -> the expanded log of the node
+    for s in sorted(split):
+        x, parts = split[s]
+        if not parts:
+            logs[s] = log_(x)
+        elif isinstance(x, Pow):
+            logs[s] = mul(rat(x.exponent), logs[x.base.serial])
+        else:
+            logs[s] = add(log_(rat(x.coeff)), *[logs[f.serial] for f in parts])
+    return logs[a.serial]
 
 
 # ---------------------------------------------------------------------------
@@ -895,16 +892,10 @@ def _printed(e: Expr) -> tuple:
     """The (text, precedence) of a subexpression `e`, printed once for the
     life of the process and kept in its `cache` slot: a node shared by many
     parents, or met again in a later `to_dsl` call, is looked up, not
-    printed again.  `to_dsl` prints its root with `_print` and does not
-    keep that text: a query root is rarely printed twice, and its text is
-    the largest of all, so keeping it would cost memory for no speed."""
-    cache = e.cache
-    if cache is None:
-        cache = e.cache = {}
-    hit = cache.get(_DSL_KEY)
-    if hit is None:
-        hit = cache[_DSL_KEY] = _print(e)
-    return hit
+    printed again."""
+    if e.cache is not None and _DSL_KEY in e.cache:
+        return e.cache[_DSL_KEY]
+    return _cache_put(e, _DSL_KEY, _print(e))
 
 
 def _wrap(e: Expr, min_prec: int) -> str:
@@ -913,4 +904,12 @@ def _wrap(e: Expr, min_prec: int) -> str:
 
 
 def to_dsl(e: Expr) -> str:
+    """The text of e in the grammar parser.parse reads.  The nodes below e
+    with no text yet are printed first, in serial order.  A product with a
+    negative coefficient waits until it is read (a sum prints it without its
+    sign); its children, like those of the nodes `_print` builds, are printed
+    by then, so the printer never recurses.  The root's text is not kept."""
+    for x in _reachable(e, lambda k: k.cache is not None and _DSL_KEY in k.cache):
+        if x is not e and not (type(x) is Prod and x.n < 0):
+            _printed(x)
     return _print(e)[0]

@@ -15,8 +15,9 @@ Grammar (EBNF, also documented in the README):
     parenthesized (x^(1/2)), since x^2/4 reads as (x^2)/4.
 
     Parentheses (grouping or a function's argument list) nest at most
-    MAX_DEPTH deep; deeper input is a ParseError, since the recursive
-    walkers of the expression kernel would overflow the stack on it.
+    MAX_DEPTH deep; deeper input is a ParseError, since this descent
+    parser recurses, about six frames per parenthesis level (the walkers
+    of the expression kernel do not recurse).
     An exponent is at most MAX_EXPONENT in absolute value; a larger one is
     a ParseError, since substituting a rational point into x^1000003 takes
     minutes of exact arithmetic.  The cap holds for the literal and for the
@@ -27,9 +28,10 @@ Grammar (EBNF, also documented in the README):
     Every constant, parsed or folded, must print (expr.unprintable): at
     most sys.get_int_max_str_digits() digits (4300 by default) in its
     numerator and denominator.  A longer number token is a ParseError, and
-    so is a folded one such as 10^5000, x*10^2500*10^2500 or x/10^5000,
-    which `parse` finds by printing its result once; it reads the folded
-    exponents off the result's tape (numtape.compile_tape).
+    so is a folded one such as 10^5000, x*10^2500*10^2500 or x/10^5000.
+    `parse` finds both kinds of folded fault on the result's tape
+    (numtape.compile_tape), which holds every constant the printer
+    prints: an unprintable constant, then an exponent over the cap.
 
 Identifiers must be coordinates of the supplied chart or, without a
 chart, among the supplied names; the function heads are exp, log, sqrt,
@@ -68,28 +70,30 @@ class UnknownIdentifierError(ParseError):
     pass
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Parser:
+    """One text's tokens and the descent over them, a method per grammar
+    rule; unlike closures, bound methods leave no cycle for the GC."""
+
+    def __init__(self, text: str, allowed, where: str, digits: int):
+        self.allowed = allowed
+        self.where = where
+        self.digits = digits
+        self.depth = 0
         self.tokens = []
-        while self.pos < len(text):
-            m = _TOKEN.match(text, self.pos)
-            if not m or m.end() == self.pos:
-                stray = text[self.pos:].lstrip()
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                stray = text[pos:].lstrip()
                 if not stray:
                     break
                 raise ParseError(f"unexpected character {stray[0]!r}",
                                  len(text) - len(stray))
             num, ident, op = m.groups()
-            start = m.end() - len(num or ident or op)
-            if num:
-                self.tokens.append(("num", num, start))
-            elif ident:
-                self.tokens.append(("ident", ident, start))
-            else:
-                self.tokens.append(("op", op, start))
-            self.pos = m.end()
+            val = num or ident or op
+            kind = "num" if num else "ident" if ident else "op"
+            self.tokens.append((kind, val, m.end() - len(val)))
+            pos = m.end()
         self.tokens.append(("end", "", len(text)))
         self.i = 0
 
@@ -107,6 +111,119 @@ class _Lexer:
             raise ParseError(f"expected {op!r} but found {val!r}" if val
                              else f"expected {op!r} but input ended", pos)
 
+    def number(self, val: str, pos: int) -> Fraction:
+        # int() refuses a longer string, and the printer a longer constant
+        if self.digits and len(val) - ("." in val) > self.digits:
+            raise ParseError(f"number has more than {self.digits} digits", pos)
+        return Fraction(val)
+
+    def nested(self, pos: int) -> ex.Expr:
+        """The expression inside a parenthesis opened at `pos`."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested more than {MAX_DEPTH} deep", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.expect_op(")")
+        return inner
+
+    def expr(self) -> ex.Expr:
+        parts = [self.term()]
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                t = self.term()
+                parts.append(t if val == "+" else ex.neg(t))
+            else:
+                return ex.add(*parts)
+
+    def term(self) -> ex.Expr:
+        out = self.unary()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                rhs = self.unary()
+                out = ex.mul(out, rhs) if val == "*" else ex.div(out, rhs)
+            else:
+                return out
+
+    def unary(self) -> ex.Expr:
+        negate = False
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                if val == "-":
+                    negate = not negate
+            else:
+                break
+        out = self.power()
+        return ex.neg(out) if negate else out
+
+    def power(self) -> ex.Expr:
+        base = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            return ex.pw(base, self.exponent())
+        return base
+
+    def exponent(self) -> Fraction:
+        # bare exponents are integers; fractional exponents need parens,
+        # otherwise x^2/4 would be ambiguous with (x^2)/4
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "(":
+            self.next()
+            q = self.signed_rational(allow_fraction=True)
+            self.expect_op(")")
+            return q
+        return self.signed_rational(allow_fraction=False)
+
+    def signed_rational(self, allow_fraction: bool) -> Fraction:
+        sign = 1
+        kind, val, start = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            sign = -1
+        kind, val, pos = self.next()
+        if kind != "num" or "." in val:
+            raise ParseError(f"expected an integer exponent, found {val!r}", pos)
+        q = sign * self.number(val, pos)
+        kind, val, _ = self.peek()
+        if allow_fraction and kind == "op" and val == "/":
+            self.next()
+            kind, val, pos = self.next()
+            if kind != "num" or "." in val:
+                raise ParseError(f"expected an integer denominator, found {val!r}", pos)
+            q /= self.number(val, pos)
+        if abs(q) > MAX_EXPONENT:
+            raise ParseError(f"exponent {q} exceeds {MAX_EXPONENT} in absolute value",
+                             start)
+        return q
+
+    def atom(self) -> ex.Expr:
+        kind, val, pos = self.next()
+        if kind == "num":
+            return ex.rat(self.number(val, pos))
+        if kind == "ident":
+            k2, v2, _ = self.peek()
+            if k2 == "op" and v2 == "(":
+                if val not in FUNCTIONS:
+                    raise UnknownIdentifierError(f"unknown function {val!r}", pos)
+                _, _, paren = self.next()
+                return FUNCTIONS[val](self.nested(paren))
+            if val in FUNCTIONS:
+                raise ParseError(f"function {val!r} needs an argument list", pos)
+            if self.allowed is not None and val not in self.allowed:
+                raise UnknownIdentifierError(
+                    f"unknown identifier {val!r}; {self.where}", pos)
+            return ex.var(val)
+        if kind == "op" and val == "(":
+            return self.nested(pos)
+        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+
 
 def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Expr:
     """Parse a DSL string into an Expr.
@@ -114,145 +231,25 @@ def parse(text: str, chart=None, names: Optional[Sequence[str]] = None) -> ex.Ex
     Identifiers are validated against the chart's coordinates or, when
     no chart is given, against `names`.
     """
+    allowed, where = None, ""
     if chart is not None:
         allowed = set(chart.coords)
         where = f"chart {chart.name!r} declares ({', '.join(chart.coords)})"
     elif names is not None:
         allowed = set(names)
         where = f"known names: ({', '.join(sorted(allowed))})"
-    else:
-        allowed = None
-        where = ""
-    lx = _Lexer(text)
-    depth = 0
     digits = sys.get_int_max_str_digits()
-
-    def p_number(val: str, pos: int) -> Fraction:
-        # int() refuses a longer string, and the printer a longer constant
-        if digits and len(val) - ("." in val) > digits:
-            raise ParseError(f"number has more than {digits} digits", pos)
-        return Fraction(val)
-
-    def p_nested(pos: int) -> ex.Expr:
-        """The expression inside a parenthesis opened at `pos`."""
-        nonlocal depth
-        if depth == MAX_DEPTH:
-            raise ParseError(f"parentheses nested more than {MAX_DEPTH} deep", pos)
-        depth += 1
-        inner = p_expr()
-        depth -= 1
-        lx.expect_op(")")
-        return inner
-
-    def p_expr() -> ex.Expr:
-        parts = [p_term()]
-        while True:
-            kind, val, _ = lx.peek()
-            if kind == "op" and val in "+-":
-                lx.next()
-                t = p_term()
-                parts.append(t if val == "+" else ex.neg(t))
-            else:
-                return ex.add(*parts)
-
-    def p_term() -> ex.Expr:
-        out = p_unary()
-        while True:
-            kind, val, _ = lx.peek()
-            if kind == "op" and val in "*/":
-                lx.next()
-                rhs = p_unary()
-                out = ex.mul(out, rhs) if val == "*" else ex.div(out, rhs)
-            else:
-                return out
-
-    def p_unary() -> ex.Expr:
-        negate = False
-        while True:
-            kind, val, _ = lx.peek()
-            if kind == "op" and val in "+-":
-                lx.next()
-                if val == "-":
-                    negate = not negate
-            else:
-                break
-        out = p_power()
-        return ex.neg(out) if negate else out
-
-    def p_power() -> ex.Expr:
-        base = p_atom()
-        kind, val, _ = lx.peek()
-        if kind == "op" and val == "^":
-            lx.next()
-            return ex.pw(base, p_exponent())
-        return base
-
-    def p_exponent() -> Fraction:
-        # bare exponents are integers; fractional exponents need parens,
-        # otherwise x^2/4 would be ambiguous with (x^2)/4
-        kind, val, pos = lx.peek()
-        if kind == "op" and val == "(":
-            lx.next()
-            q = p_signed_rational(allow_fraction=True)
-            lx.expect_op(")")
-            return q
-        return p_signed_rational(allow_fraction=False)
-
-    def p_signed_rational(allow_fraction: bool) -> Fraction:
-        sign = 1
-        kind, val, start = lx.peek()
-        if kind == "op" and val == "-":
-            lx.next()
-            sign = -1
-        kind, val, pos = lx.next()
-        if kind != "num" or "." in val:
-            raise ParseError(f"expected an integer exponent, found {val!r}", pos)
-        q = sign * p_number(val, pos)
-        kind, val, _ = lx.peek()
-        if allow_fraction and kind == "op" and val == "/":
-            lx.next()
-            kind, val, pos = lx.next()
-            if kind != "num" or "." in val:
-                raise ParseError(f"expected an integer denominator, found {val!r}", pos)
-            q /= p_number(val, pos)
-        if abs(q) > MAX_EXPONENT:
-            raise ParseError(f"exponent {q} exceeds {MAX_EXPONENT} in absolute value",
-                             start)
-        return q
-
-    def p_atom() -> ex.Expr:
-        kind, val, pos = lx.next()
-        if kind == "num":
-            return ex.rat(p_number(val, pos))
-        if kind == "ident":
-            k2, v2, _ = lx.peek()
-            if k2 == "op" and v2 == "(":
-                if val not in FUNCTIONS:
-                    raise UnknownIdentifierError(f"unknown function {val!r}", pos)
-                _, _, paren = lx.next()
-                return FUNCTIONS[val](p_nested(paren))
-            if val in FUNCTIONS:
-                raise ParseError(f"function {val!r} needs an argument list", pos)
-            if allowed is not None and val not in allowed:
-                raise UnknownIdentifierError(
-                    f"unknown identifier {val!r}; {where}", pos)
-            return ex.var(val)
-        if kind == "op" and val == "(":
-            return p_nested(pos)
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
-
+    p = _Parser(text, allowed, where, digits)
     try:
-        out = p_expr()
+        out = p.expr()
     except ex.ConstantTooLargeError as err:
         raise ParseError(str(err), 0) from None
-    kind, val, pos = lx.peek()
+    kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
-    try:
-        ex.to_dsl(out)
-    except ex.ConstantTooLargeError:
-        raise ParseError(f"folded constant has more than {digits} digits", 0) from None
     tape = numtape.compile_tape(out)
+    if any(map(ex.unprintable, tape.exact)):
+        raise ParseError(f"folded constant has more than {digits} digits", 0)
     for op, _, b in tape.code:
         if op == numtape.OP_POW and abs(tape.exact[b]) > MAX_EXPONENT:
             raise ParseError(f"folded exponent {tape.exact[b]} exceeds {MAX_EXPONENT} "

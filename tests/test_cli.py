@@ -1185,7 +1185,7 @@ def test_point_values_have_one_rule():
 def test_printable_constants_have_one_rule():
     """Only expr's printer helper and parser.parse read the digit limit of
     Python's int printing, and the parser walks no expression of its own:
-    it prints its result and reads the exponents off its tape."""
+    it reads the constants and exponents off its result's tape."""
     reads = {(m, f) for m, f, _ in _source_sites(_is_call("sys", {"get_int_max_str_digits"}))}
     assert reads == {("expr.py", "unprintable"), ("parser.py", "parse")}
 

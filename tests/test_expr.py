@@ -1756,15 +1756,17 @@ def _shared_dag(a: ex.Expr, b: ex.Expr, k: int) -> ex.Expr:
 
 
 def test_walkers_leave_no_cyclic_garbage():
-    # subs, diff, simplify and a determinant's minor table each recurse
-    # through a function of their own; with the cyclic GC off, a fresh
-    # call leaves nothing for it to collect
+    # the walkers, the parser and a determinant's minor table each call
+    # helpers of their own; with the cyclic GC off, a fresh call leaves
+    # nothing for it to collect
     from homogeo import symmat
     e = parse("abs(x)*sin(x*y) + x^3/(1 + y^2) + 7/13", names=["x", "y"])
     m = symmat.mat([[ex.var("x"), e, 1], [2, ex.var("y"), e], [e, 3, ex.var("x")]])
     pos = (ex.Constraint("x", ">", 0),)
     calls = [lambda: ex.diff(e, "x", pos), lambda: ex.subs(e, {"y": ex.add(ex.var("x"), 1)}),
-             lambda: ex.simplify(e, pos), lambda: symmat.det(m), lambda: symmat.inverse(m)]
+             lambda: ex.simplify(e, pos), lambda: symmat.det(m), lambda: symmat.inverse(m),
+             lambda: parse("sin(x)*(x+2)^2/(1+y)", names=["x", "y"]),
+             lambda: ex.to_dsl(ex.diff(e, "y")), lambda: ex.sign_of(ex.add(e, ex.ONE), pos)]
     gc.collect()
     gc.disable()
     try:
@@ -1881,14 +1883,73 @@ def test_reachable_rational_nodes_are_their_own_rebuild(text, seed):
                 assert ex.simplify(root, cons) is root, text
 
 
-def test_deep_rational_zero_query():
-    # simplify returns a rational query as it is, and the zero test's digest,
-    # tape and GF(p) points need no recursion, so a rational query 6000
-    # levels deep is decided; under a function head only the head is walked
+def _nest(step, x: ex.Expr, depth: int) -> ex.Expr:
+    for _ in range(depth):
+        x = step(x)
+    return x
+
+
+def _ladder(v: ex.Expr) -> ex.Expr:
+    """sin(1 + v*sin(1 + v*...)), 6000 sines deep over v."""
+    return _nest(lambda c: ex.sin_(ex.add(ex.ONE, ex.mul(v, c))), v, 6000)
+
+
+def _deep_diff():
+    e = _ladder(ex.var("deep_d"))
+    assert ex.diff(e, "deep_d") is ex.mul(ex.cos_(e.arg), ex.diff(e.arg, "deep_d"))
+
+
+def _deep_subs():
+    assert ex.subs(_ladder(ex.var("deep_s")), {"deep_s": ex.var("deep_t")}) \
+        is _ladder(ex.var("deep_t"))
+
+
+def _deep_simplify():
+    x = ex.var("deep_a")
+    pos = (ex.Constraint(x.name, ">", 0),)
+    assert ex.simplify(_ladder(ex.abs_(x)), pos) is _ladder(x)
+
+
+def _deep_sines() -> ex.Expr:
+    # to_dsl keeps the text of each node below the root, so a chain costs
+    # memory quadratic in its depth; the two printing cases share this one
+    return _nest(ex.sin_, ex.var("deep_p"), 6000)
+
+
+def _deep_to_dsl():
+    assert ex.to_dsl(_deep_sines()) == "sin(" * 6000 + "deep_p" + ")" * 6000
+
+
+def _deep_sign_of():
+    x = ex.var("deep_g")
+    e = _nest(ex.sign_, x, 6000)
+    assert ex.sign_of(e, (ex.Constraint(x.name, ">", 0),)) == 1
+    assert ex.sign_of(e, (ex.Constraint(x.name, "<", 0),)) == -1
+    assert ex.sign_of(e) is None
+
+
+def _deep_float_query():
+    # a float query prints itself for its seed fingerprint
+    rep = zero_report(_deep_sines())
+    assert not rep.is_zero and not rep.exact
+
+
+def _deep_log():
+    # (2*(2*(...x)^(1/3))^(1/3))^(1/3), 3000 cube roots: simplify leaves a
+    # chain of 3000 cube roots of x for the log to expand
+    x = ex.var("deep_l")
+    a = _nest(lambda c: ex.pw(ex.mul(2, c), Fraction(1, 3)), x, 3000)
+    q = Fraction(1, 3 ** 3000)
+    assert ex.simplify(ex.log_(a), (ex.Constraint(x.name, ">", 0),)) is ex.add(
+        ex.mul(ex.rat(q), ex.log_(x)), ex.mul(ex.rat((1 - q) / 2), ex.log_(ex.rat(2))))
+
+
+def _deep_rational_query():
+    # simplify returns a rational query as it is, and the zero test's
+    # digest, tape and GF(p) points decide it without printing it; under a
+    # function head only the head is walked
     x = ex.var("x")
-    c = ex.ONE
-    for _ in range(6000):
-        c = ex.add(ex.ONE, ex.mul(x, c))
+    c = _nest(lambda c: ex.add(ex.ONE, ex.mul(x, c)), ex.ONE, 6000)
     square = ex.add(ex.pw(x, 2), ex.mul(2, x), ex.ONE)
     r = ex.sub(ex.mul(c, ex.pw(ex.add(x, ex.ONE), 2)), ex.mul(c, square))
     assert r is not ex.ZERO
@@ -1896,6 +1957,19 @@ def test_deep_rational_zero_query():
     assert rep.is_zero and rep.exact and rep.samples == 1
     assert zt.all_zero([("r", r), ("-r", ex.neg(r))]) == (True, None)
     assert ex.simplify(ex.sin_(c)) is ex.sin_(c)
+
+
+@pytest.mark.parametrize("case", [
+    _deep_diff, _deep_subs, _deep_simplify, _deep_to_dsl, _deep_sign_of,
+    _deep_float_query, _deep_log, _deep_rational_query,
+], ids=["diff", "subs", "simplify", "to_dsl", "sign_of", "zero_report-float",
+        "simplify-log", "zero_report-rational"])
+def test_walkers_have_no_depth_limit(case):
+    # every walker visits its nodes in serial order, children first, with
+    # no recursion: each case is far deeper than the default recursion
+    # limit allows a recursive walker
+    assert sys.getrecursionlimit() <= 1000
+    case()
 
 
 def test_cache_key_holds_constraints():
