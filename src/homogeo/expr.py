@@ -5,9 +5,10 @@ variables, n-ary sums and products, powers with a rational exponent, and
 the function heads exp/log/abs/sign/sin/cos (sqrt is parsed and printed as
 sugar for the 1/2 power).  All constructors canonicalize lightly (constant
 folding, flattening, like-term and like-base collection) and intern the
-resulting node, so structurally equal expressions are the *same* object.
-Heavy canonical simplification is intentionally absent; identity checking
-is the zero test's job (see zerotest.py).
+resulting node, so structurally equal expressions are the *same* object,
+and a node hashes by identity.  Heavy canonical simplification is
+intentionally absent; identity checking is the zero test's job (see
+zerotest.py).
 
 Constants fold without Fraction arithmetic.  A Rat, Sum or Prod keeps its
 rational part (`value`, `const`, `coeff`) twice: as a Fraction, one
@@ -15,8 +16,9 @@ object per value made when the node is interned (a Pow's `exponent` is
 that object too), for every reader; and as the reduced numerator and
 denominator ints `n`/`d` (d > 0), which `add`, `mul` and `neg` fold.  A
 ZERO argument ends `mul` before any collecting; `neg` negates the
-constant, the coefficient or each term's coefficient directly.  The
-intern keys and the structural hash hold the same ints.
+constant, the coefficient or each term's coefficient directly, and a Sum
+keeps its negation.  The intern keys and the structural hash `shash`,
+the canonical order of terms and factors, hold the same ints.
 
 Because a node is immutable and stays interned for the life of the
 process, `simplify`, `diff` and the sign walker `_sign_class` keep their
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -139,14 +142,12 @@ class Constraint:
 
 
 class Expr:
-    """Base node.  Instances are interned: structural equality is identity."""
+    """Base node.  Instances are interned: structural equality is identity,
+    and a node hashes by identity too.  `shash`, a structural hash that is
+    the same in every run, is only the canonical sort key of a node's terms
+    or factors; no set of nodes is iterated for output."""
 
     __slots__ = ("shash", "free", "rational", "cache", "serial", "digest")
-
-    # == is identity (interning makes it structural); the structural hash
-    # keeps the order of sets of nodes the same in every run
-    def __hash__(self):
-        return self.shash
 
     def __repr__(self):
         return to_dsl(self)
@@ -164,9 +165,10 @@ class Var(Expr):
 
 
 class Sum(Expr):
-    """const + term1 + ...; terms not Rat/Sum, distinct cores, by shash."""
+    """const + term1 + ...; terms not Rat/Sum, distinct cores, by shash.
+    `negation` is the sum's negation once `neg` has made it, kept both ways."""
 
-    __slots__ = ("const", "terms", "n", "d")
+    __slots__ = ("const", "terms", "n", "d", "negation")
 
 
 class Prod(Expr):
@@ -258,8 +260,23 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
+_by_shash = operator.attrgetter("shash")
+
+
 def _sorted_nodes(nodes):
-    return tuple(sorted(nodes, key=lambda n: n.shash))
+    return tuple(sorted(nodes, key=_by_shash))
+
+
+def _combine(tag: int, n: int, d: int, kids: tuple) -> tuple:
+    """The shash, _fnv((tag, n, d, *the kids' shashes)), free names and
+    rational flag of a new Sum (tag 3) or Prod (tag 4), in one pass."""
+    h, free, rational = _fnv((tag, n, d)), kids[0].free, True
+    for k in kids:
+        h = ((h ^ k.shash) * 0x100000001B3) & _MASK
+        if not k.free <= free:  # else a kid's set is kept, not copied
+            free = free | k.free
+        rational = rational and k.rational
+    return h, free, rational
 
 
 def _make_sum(n: int, d: int, terms: tuple) -> Expr:
@@ -275,15 +292,13 @@ def _make_sum(n: int, d: int, terms: tuple) -> Expr:
     node.const = _rat(n, d).value   # one Fraction per value
     node.n, node.d = n, d
     node.terms = terms
-    shash = _fnv((3, n, d, *(t.shash for t in terms)))
-    free = frozenset().union(*(t.free for t in terms))
-    rational = all(t.rational for t in terms)
-    return _finish(node, key, shash, free, rational)
+    node.negation = None
+    return _finish(node, key, *_combine(3, n, d, terms))
 
 
 def add(*xs) -> Expr:
     n, d = 0, 1
-    acc: dict = {}   # factor tuple of a term -> coefficient pair, in order
+    acc: dict = {}   # factor tuple of a term -> (cn, cd, the term if met once)
     for x in xs:
         x = _coerce(x)
         if isinstance(x, Rat):
@@ -296,10 +311,11 @@ def add(*xs) -> Expr:
         else:
             ts = (x,)
         for t in ts:
-            fs, c = (t.factors, (t.n, t.d)) if isinstance(t, Prod) else ((t,), (1, 1))
+            fs, cn, cd = (t.factors, t.n, t.d) if isinstance(t, Prod) else ((t,), 1, 1)
             old = acc.get(fs)
-            acc[fs] = c if old is None else _qadd(*old, *c)
-    terms = [_make_prod(cn, cd, fs) for fs, (cn, cd) in acc.items() if cn]
+            acc[fs] = (cn, cd, t) if old is None else (*_qadd(old[0], old[1], cn, cd), None)
+    terms = [_make_prod(cn, cd, fs) if t is None else t
+             for fs, (cn, cd, t) in acc.items() if cn]
     return _make_sum(n, d, _sorted_nodes(terms))
 
 
@@ -324,10 +340,7 @@ def _make_prod(n: int, d: int, factors: tuple) -> Expr:
     node.coeff = _rat(n, d).value
     node.n, node.d = n, d
     node.factors = factors
-    shash = _fnv((4, n, d, *(f.shash for f in factors)))
-    free = frozenset().union(*(f.free for f in factors))
-    rational = all(f.rational for f in factors)
-    return _finish(node, key, shash, free, rational)
+    return _finish(node, key, *_combine(4, n, d, factors))
 
 
 def _collect(xs, n: int, d: int, acc: dict) -> tuple:
@@ -377,7 +390,10 @@ def neg(x) -> Expr:
     if isinstance(x, Prod):
         return _make_prod(-x.n, x.d, x.factors)
     if isinstance(x, Sum):
-        return _scale_sum(x, -1, 1)
+        if x.negation is None:     # the negation of a sum is a sum
+            x.negation = _scale_sum(x, -1, 1)
+            x.negation.negation = x
+        return x.negation
     return _make_prod(-1, 1, (x,))
 
 
@@ -739,17 +755,21 @@ def simplify(e: Expr, constraints: Iterable[Constraint] = ()) -> Expr:
     def get(k: Expr) -> Expr:
         return k if k.rational else k.cache[key]
 
+    def power(b: Expr, q: Fraction) -> Expr:
+        # b^q, with (c^e)^q folded to c^(e*q) when c is positive
+        if isinstance(b, Pow) and sign_of(b.base, constraints) == 1:
+            return pw(b.base, b.exponent * q)
+        return pw(b, q)
+
     for x in _reachable(e, done):
         if isinstance(x, Pow):
             base, q = get(x.base), x.exponent
             if q.denominator != 1 and isinstance(base, Prod) and base.n > 0 and all(
                     sign_of(f, constraints) == 1 for f in base.factors):
                 # distribute fractional powers over positive factors
-                out = mul(pw(rat(base.coeff), q), *[pw(f, q) for f in base.factors])
-            elif isinstance(base, Pow) and sign_of(base.base, constraints) == 1:
-                out = pw(base.base, base.exponent * q)
+                out = mul(pw(rat(base.coeff), q), *[power(f, q) for f in base.factors])
             else:
-                out = pw(base, q)
+                out = power(base, q)
         elif isinstance(x, Fun) and x.name in ("abs", "sign", "log"):
             a = get(x.arg)
             if x.name == "log":

@@ -1279,3 +1279,18 @@ def test_suite_verdicts_independent_of_seed(capsys):
     assert verdicts[0]
     for seed, got in verdicts.items():
         assert got == verdicts[0], f"verdicts differ for seed {seed}"
+
+
+def test_suite_report_independent_of_hash_seed():
+    """Nodes hash by identity, and no set of nodes is iterated for output:
+    the seed-0 report is the same bytes under two string hash seeds."""
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "homogeo.cli", "suite", SCENARIOS,
+                               "--json", "--seed", "0"],
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == _SUITE_SHA256[0]

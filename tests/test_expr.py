@@ -1691,6 +1691,51 @@ def test_neg_never_calls_mul(monkeypatch):
     assert [type(c) for c in cases] == [ex.Rat, ex.Var, ex.Prod, ex.Sum, ex.Fun, ex.Pow]
 
 
+def test_neg_of_a_sum_is_kept_both_ways(monkeypatch):
+    x, y = ex.var("negsum_x"), ex.var("negsum_y")
+    s = ex.add(Fraction(2, 3), x, ex.mul(Fraction(-1, 2), y), ex.mul(3, x, y), ex.sin_(y),
+               ex.neg(ex.cos_(x)))
+    scaled = []
+    scale_sum = ex._scale_sum
+
+    def count(*args):
+        scaled.append(args)
+        return scale_sum(*args)
+
+    monkeypatch.setattr(ex, "_scale_sum", count)
+    minus = ex.neg(s)
+    assert ex.neg(minus) is s and ex.neg(s) is minus
+    assert s.negation is minus and minus.negation is s
+    assert len(scaled) == 1     # the sum is scaled once, on the first neg
+    # the constant and every term's coefficient negated
+    assert type(minus) is ex.Sum and (minus.n, minus.d) == (-s.n, s.d)
+
+    def split(t):   # a term's core -> its coefficient pair
+        return (t.factors, (t.n, t.d)) if isinstance(t, ex.Prod) else ((t,), (1, 1))
+
+    terms = dict(map(split, s.terms))
+    assert len(terms) == 5 and -1 in [n for n, _ in terms.values()]
+    assert dict(map(split, minus.terms)) == {fs: (-n, d) for fs, (n, d) in terms.items()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(RATIONAL_DSL, FUNCTION_DSL))
+def test_sum_and_product_fields_follow_their_children(text):
+    """The shash, free names and rational flag `_combine` gives a Sum or
+    Prod in one pass are those of their definitions."""
+    try:
+        e = parse(text, names=["x", "y"])
+    except (ZeroDivisionError, ex.DomainError):
+        return      # a literal division by zero, or sign(0)
+    for x in _subexpressions(e) + _subexpressions(ex.neg(e)):
+        if isinstance(x, (ex.Sum, ex.Prod)):
+            tag, kids = (3, x.terms) if isinstance(x, ex.Sum) else (4, x.factors)
+            assert x.shash == ex._fnv((tag, x.n, x.d, *(k.shash for k in kids)))
+            assert x.free == frozenset().union(*(k.free for k in kids))
+            assert x.rational == all(k.rational for k in kids)
+
+
 # zeros, small and 30-digit integers, and fractions with 30-digit parts
 _CONSTANT = st.one_of(
     st.just(0), st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30),
@@ -1970,6 +2015,26 @@ def test_walkers_have_no_depth_limit(case):
     # limit allows a recursive walker
     assert sys.getrecursionlimit() <= 1000
     case()
+
+
+def test_simplify_folds_positive_powers_it_distributes_over():
+    # under y > 0, (y^(4/3))^(1/3) is y^(4/9), alone or as a factor of a
+    # positive product that a fractional power is distributed over
+    x, y = ex.var("fold_x"), ex.var("fold_y")
+    pos = (ex.Constraint(x.name, ">", 0), ex.Constraint(y.name, ">", 0))
+    third, y43 = Fraction(1, 3), ex.pw(y, Fraction(4, 3))
+    assert ex.simplify(ex.pw(y43, third), pos) is ex.pw(y, Fraction(4, 9))
+    assert ex.simplify(ex.pw(ex.mul(x, y43), third), pos) is ex.mul(
+        ex.pw(x, third), ex.pw(y, Fraction(4, 9)))
+    # each of 3000 levels of (a*y)^(1/3) folds its power of y into one
+    # factor; left unfolded, every level added a factor and the walk was
+    # quadratic (27 s)
+    a = _nest(lambda c: ex.pw(ex.mul(c, y), third), x, 3000)
+    q = Fraction(1, 3 ** 3000)
+    start = time.perf_counter()
+    got = ex.simplify(ex.log_(a), pos)
+    assert time.perf_counter() - start < 5
+    assert got is ex.add(ex.mul(ex.rat(q), ex.log_(x)), ex.mul(ex.rat((1 - q) / 2), ex.log_(y)))
 
 
 def test_cache_key_holds_constraints():
