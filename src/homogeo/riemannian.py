@@ -591,17 +591,12 @@ def flatness_report(triple: MetricTriple, t: dict, RD: List,
     """Which of A, B, C, D (`t`, the `tensors_ABCD` of this triple) and
     the connection curvature `RD` vanish."""
     pol = policy.with_constraints(triple.scenario.base.constraints)
-
-    def vanishes(arr) -> Tuple[bool, Optional[dict]]:
-        ok, bad = all_zero(_entries_last_first(arr), pol)
-        return ok, bad and {"index": bad[0], **bad[1].witness_fields(str)}
-
-    a0, wa = vanishes(t["A"])
-    b0, wb = vanishes(t["B"])
-    c0, wc = vanishes(t["C"])
-    d0, wd = vanishes(t["D"])
-    rd0, wr = vanishes(RD)
-    witness = wa or wb or wc or wd or wr
+    sweeps = [all_zero(_entries_last_first(arr), pol)
+              for arr in (t["A"], t["B"], t["C"], t["D"], RD)]
+    a0, b0, c0, d0, rd0 = (ok for ok, _ in sweeps)
+    # the report shows the first failing tensor's witness, so only that
+    # one is searched for (a nonzero verdict searches when it is read)
+    bad = next((bad for _, bad in sweeps if bad), None)
     return FlatnessReport(a0, b0, c0, d0, rd0,
                           equivalence_consistent=((a0 and b0 and d0) == rd0),
-                          witness=witness)
+                          witness=bad and {"index": bad[0], **bad[1].witness_fields(str)})

@@ -8,13 +8,15 @@ random rational points of the constrained domain and compared against
 `tolerance` in floating point.  Each per-query RNG is derived from the
 seed and a key of the simplified expression plus the constraints, so
 verdicts and witnesses are stable across runs and independent of
-evaluation order.  The GF(p) stream is keyed by the expression's Merkle
-digest (`_digest`), which commits to every bit of it and never prints;
-the stream of rational and float points by its printed DSL text
-(`_fingerprint`), so a float query, or a rational one with a nonzero
-residue, raises ConstantTooLargeError there if the printer refuses a
-constant (expr.unprintable).  A literal nonzero constant is its own
-witness, at the empty point, when it prints; else its note shows it.
+evaluation order.  A rational query is keyed by the expression's Merkle
+digest (`_digest`), which commits to every bit of it and never prints:
+that key seeds its GF(p) stream and the stream of rational points its
+witness search draws.  A float query's points are keyed by its printed
+DSL text (`_fingerprint`), so a float query raises ConstantTooLargeError
+there if the printer refuses a constant (expr.unprintable); a rational
+query is decided and searched whatever its constants.  A literal nonzero
+constant is its own witness, at the empty point, when it prints; else
+its note shows it.
 
 `sample_values` reads validity conditions at sample points (a definite
 metric, a nowhere-zero theta, the point a frame transition is read at)
@@ -66,14 +68,19 @@ rational function that vanishes on an open set vanishes identically.
 
 * zero residues at all k points are the zero verdict, with `samples` = k,
   and the only way a rational query is zero;
-* a nonzero residue is the nonzero verdict.  Only then is the query
-  printed and the rational points drawn, to look for a witness: the first
-  of `sample_count` draws whose value is defined, nonzero and printable,
-  evaluated in Fraction arithmetic (numtape.eval_tape_exact) so that
-  witness_value is exact, and `samples` is the number of draws made.  A draw whose bit-length bound
+* a nonzero residue is the nonzero verdict.  Its witness is searched for
+  only when one is read: the first read of `witness`, `witness_value`,
+  `samples` or `note` (so of witness_fields()) draws the rational points,
+  keyed by the digest as above, and keeps what it finds on the verdict.
+  The witness is the first of `sample_count` draws whose value is
+  defined, nonzero and printable, evaluated in Fraction arithmetic
+  (numtape.eval_tape_exact) so that witness_value is exact, and `samples`
+  is the number of draws made.  A draw whose bit-length bound
   (numtape.degree_bound at the point) exceeds expr.MAX_CONSTANT_BITS is
   not evaluated.  When no draw qualifies, witness is None, `samples` is
-  `sample_count`, and the note is the certificate: p and the residue.
+  `sample_count`, and the note is the certificate: p and the residue.  A
+  ConfigError of a draw is raised by that read, so a caller reads the
+  witness while it builds the check that shows it.
 
 A zero verdict is wrong with probability at most (D/p)^k <= 2^-40
 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on top of the chance
@@ -156,6 +163,23 @@ class ZeroVerdict:
         if self.witness is None:
             return {"note": self.note}
         return {"point": self.witness, "value": fmt(self.witness_value)}
+
+
+class _Searched(ZeroVerdict):
+    """A nonzero rational verdict.  Its witness is searched for (`_search`,
+    set by zero_report) the first time `witness`, `witness_value`,
+    `samples` or `note` is read, and all four are kept on it then; each is
+    a non-data descriptor, so dataclasses.replace, which sets them, makes a
+    verdict that searches nothing."""
+
+    @functools.cached_property
+    def _found(self):
+        return self._search()
+
+    witness = functools.cached_property(lambda self: self._found[0])
+    witness_value = functools.cached_property(lambda self: self._found[1])
+    samples = functools.cached_property(lambda self: self._found[2])
+    note = functools.cached_property(lambda self: self._found[3])
 
 
 def _fingerprint(e: ex.Expr, policy: ZeroTestPolicy) -> int:
@@ -342,17 +366,17 @@ def _tape_prime(tape: numtape.Tape, key: int) -> Tuple[int, random.Random]:
     return p, rng
 
 
-def _uniform_residue(e, tape: numtape.Tape, policy: ZeroTestPolicy):
-    """The one GF(p) decision, of a rational expression or of a tuple of
-    them, the roots of `tape`: p and its RNG from the key _digest(e) (see
-    _tape_prime), then uniform points of GF(p)^n drawn one at a time from
-    that RNG, with a point that is a pole mod p anywhere on the tape
-    skipped, until k points are defined or every root has a nonzero
-    residue.  Returns each root's first nonzero residue, else 0; p; and k,
-    set by the largest root degree bound (the module docstring gives k and
-    the ConfigErrors)."""
+def _uniform_residue(tape: numtape.Tape, key: int, policy: ZeroTestPolicy):
+    """The one GF(p) decision of the roots of a rational `tape`, under the
+    query key `key` (_digest of the roots, mixed with the seed): p and its
+    RNG from that key (see _tape_prime), then uniform points of GF(p)^n
+    drawn one at a time from that RNG, with a point that is a pole mod p
+    anywhere on the tape skipped, until k points are defined or every root
+    has a nonzero residue.  Returns each root's first nonzero residue, else
+    0; p; and k, set by the largest root degree bound (the module docstring
+    gives k and the ConfigErrors)."""
     _bounds(policy.constraints, tape.varnames)     # ConfigError before any draw
-    p, rng = _tape_prime(tape, _digest(e, policy) ^ policy.seed * _SEED_SCALE)
+    p, rng = _tape_prime(tape, key)
     d = numtape.degree_bound(tape)
     k = next((k for k in range(1, 41) if d ** k << 40 <= p ** k), None)
     if k is None:
@@ -373,6 +397,22 @@ def _uniform_residue(e, tape: numtape.Tape, policy: ZeroTestPolicy):
                       "(expression may be singular on the whole domain)")
 
 
+def _witness_search(tape: numtape.Tape, key: int, residue: int, p: int,
+                    policy: ZeroTestPolicy):
+    """The witness fields of a rational query with a nonzero residue mod p:
+    the first of `sample_count` draws of _points keyed by `key` whose exact
+    value is defined, nonzero and printable, or the certificate."""
+    points = _points(tape.varnames, policy.constraints, key)
+    for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
+        val = _exact_at(tape, pt)
+        # not None (a pole, over budget), not 0, and printable
+        if val and not ex.unprintable(val):
+            return pt, val, draws, ""
+    return (None, None, policy.sample_count,
+            f"nonzero residue {residue} mod p = {p} at a uniform point; "
+            "no rational sample is a witness")
+
+
 def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     e = ex.simplify(e, policy.constraints)
     if isinstance(e, ex.Rat):
@@ -386,24 +426,20 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     names = sorted(e.free)
     tape = numtape.compile_tape(e, names)
     if e.rational:
-        # uniform points of GF(p)^n decide the query; the rational points
-        # only look for a witness of a nonzero residue
-        (residue,), p, count = _uniform_residue(e, tape, policy)
+        # uniform points of GF(p)^n decide the query; the rational points,
+        # keyed the same, only look for a witness of a nonzero residue, and
+        # only when one is read
+        key = _digest(e, policy) ^ policy.seed * _SEED_SCALE
+        (residue,), p, count = _uniform_residue(tape, key, policy)
         if residue == 0:
             return ZeroVerdict(True, True, samples=count)
+        rep = _Searched.__new__(_Searched)      # no witness field set yet
+        rep.__dict__.update(is_zero=False, exact=True, _search=functools.partial(
+            _witness_search, tape, key, residue, p, policy))
+        return rep
+
     points = _points(names, policy.constraints,
                      _fingerprint(e, policy) ^ policy.seed * _SEED_SCALE)
-    if e.rational:
-        for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
-            val = _exact_at(tape, pt)
-            # not None (a pole, over budget), not 0, and printable
-            if val and not ex.unprintable(val):
-                return ZeroVerdict(False, True, witness=pt, witness_value=val,
-                                   samples=draws)
-        return ZeroVerdict(False, True, samples=policy.sample_count,
-                           note=f"nonzero residue {residue} mod p = {p} at a "
-                                "uniform point; no rational sample is a witness")
-
     values = ((pt, _float_at(tape, pt, policy.tolerance))
               for pt in itertools.islice(points, MAX_SAMPLES))
     found = list(itertools.islice(((pt, v) for pt, v in values if v is not None),
@@ -491,8 +527,9 @@ def _shared_zeros(exprs, kept: set, policy: ZeroTestPolicy) -> set:
     if not roots:
         return set()
     roots = tuple(roots)
+    key = _digest(roots, policy) ^ policy.seed * _SEED_SCALE
     try:
-        residues, _, _ = _uniform_residue(roots, numtape.compile_tape(roots), policy)
+        residues, _, _ = _uniform_residue(numtape.compile_tape(roots), key, policy)
     except ConfigError:
         return set()
     return {e for e, r in zip(roots, residues) if r == 0}

@@ -204,30 +204,42 @@ def test_run_frame_with_huge_numbers_is_input_error(tmp_path, frame, message):
 
 
 @pytest.mark.parametrize("name, form, field, text, codes, where", [
-    ("riemann_eta_dz", "eta", "x", "10^2200*x", (2,), "after check 'curvature formulas'"),
+    ("riemann_eta_dz", "eta", "x", "10^2200*x", (0,), None),
     ("riemann_eta_dz", "eta", "z", "x^5000*y", (0, 1), None),
-    ("riemann_eta_dz", "eta", "z", "10^2200*x", (2,), "after check 'curvature formulas'"),
-    ("darboux_k2", "theta", "x1", "-10^2200*p1", (2,), "before the first check"),
-], ids=["eta-fingerprint", "eta-witness-draw", "eta-literal-witness", "theta-fingerprint"])
+    ("riemann_eta_dz", "eta", "z", "10^2200*x", (0,), None),
+    ("darboux_k2", "theta", "x1", "-10^2200*p1", (1,), None),
+    ("riemann_eta_dz", "eta", "x", "10^2200*sin(x)", (2,),
+     "after check 'curvature formulas'"),
+], ids=["eta-certificate", "eta-witness-draw", "eta-unprintable-literal",
+        "theta-not-darboux", "eta-float-fingerprint"])
 def test_run_with_unprintable_derived_constant(tmp_path, capsys, name, form, field,
                                                text, codes, where):
-    # each input parses, but a derived constant had more digits than Python
-    # prints: in a query's fingerprint, in a witness draw's exact value, or
-    # as a literal witness; each ended in an internal error.  The input
-    # error names the last check that finished before the constant
+    # each input parses, but a derived constant has more digits than Python
+    # prints; each once ended in an internal error.  A rational query never
+    # prints, so the verdicts are those of the input with a small constant:
+    # a witness whose value does not print gives way to the GF(p)
+    # certificate or, for a literal, to its note, and theta =
+    # du - 10^2200*p1 dx1 is a contact form whose base coordinates are not
+    # Darboux, so no chart is constructed (as for -2*p1), against the
+    # expectation of the unedited scenario.  A float query prints its key,
+    # so there the constant is an input error naming the last check that
+    # finished before it.  No report prints an unprintable value.
     with open(os.path.join(SCENARIOS, name + ".json")) as fh:
         data = json.load(fh)
     data["objects"][form][field] = text
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
-    code, out, err = run_cli(["run", str(path)], capsys)
-    assert code in codes, err
-    if code == 2:
-        assert err == (f"error: {where}: constant has more than "
-                       f"{sys.get_int_max_str_digits()} digits, too many to print\n")
-        assert out == ""
-    else:
-        assert err == "" and "summary:" in out
+    limit = sys.get_int_max_str_digits()
+    for args in (["run", str(path)], ["run", str(path), "--json"]):
+        code, out, err = run_cli(args, capsys)
+        assert code in codes, err
+        if code == 2:
+            assert err == (f"error: {where}: constant has more than "
+                           f"{limit} digits, too many to print\n")
+            assert out == ""
+        else:
+            assert err == "" and ("summary" in out)
+            assert all(len(digits) <= limit for digits in re.findall(r"\d+", out))
 
 
 def test_cli_does_not_import_numpy():
@@ -1143,10 +1155,10 @@ def test_point_values_have_one_rule():
     its own points or evaluates in floats, except frames._fold_rational on
     a constant (at the empty point), and only the CLI catches every
     exception, so a bug elsewhere never becomes a verdict.  Each stream has
-    one key rule: the GF(p) stream is keyed by the node's digest
-    (`_digest`), the rational and float points by the printed text
-    (`_fingerprint`), and nothing else in the package hashes, nor prints a
-    query in zerotest."""
+    one key rule: a rational query's GF(p) stream and rational witness
+    points are keyed by the node's digest (`_digest`), a float query's
+    points by the printed text (`_fingerprint`), and nothing else in the
+    package hashes, nor prints a query in zerotest."""
     broad = _source_sites(lambda n: isinstance(n, ast.ExceptHandler) and (
         n.type is None or "Exception" in {x.id for x in ast.walk(n.type)
                                           if isinstance(x, ast.Name)}))
@@ -1246,21 +1258,21 @@ _SUITE_SHA256 = {
 
 def test_bundled_suite_queries_pinned(monkeypatch, capsys):
     """The sampled zero-test queries of `homogeo suite scenarios --seed 0`,
-    in order, pinned by the count and sha256 of their fingerprints: a check
-    that tests more, fewer or reordered queries moves them."""
+    in order, pinned by the count and sha256 of their keys: the digest of
+    a rational query, the printed fingerprint of a float one.  A check that
+    tests more, fewer or reordered queries moves them, and so does a
+    rational query that prints."""
     seen = []
-    fingerprint = zerotest._fingerprint
-
-    def record(e, policy):
-        seen.append(fingerprint(e, policy))
-        return seen[-1]
-
-    monkeypatch.setattr(zerotest, "_fingerprint", record)
+    for name in ("_digest", "_fingerprint"):
+        def record(e, policy, _real=getattr(zerotest, name), _name=name):
+            seen.append((_name, _real(e, policy)))
+            return seen[-1][1]
+        monkeypatch.setattr(zerotest, name, record)
     code, _, _ = run_cli(["suite", SCENARIOS, "--seed", "0"], capsys)
     assert code == 0
-    assert len(seen) == 55
-    assert hashlib.sha256("\n".join(map(str, seen)).encode()).hexdigest() == \
-        "34ae21a1d785164d83f8796a363c69693d602b2ad92f4047754a4853a2d9c48e"
+    assert len(seen) == 55 and sum(k == "_fingerprint" for k, _ in seen) == 33
+    assert hashlib.sha256("\n".join(f"{k} {v}" for k, v in seen).encode()).hexdigest() == \
+        "5c59b8ce624695be9520dceaba454539bfac14ef95dc40b64161a85fddaf2cd7"
 
 
 def test_suite_verdicts_independent_of_seed(capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import itertools
 import json
@@ -521,15 +522,15 @@ def _reference_report(e, policy):
     """The zero test one point at a time, with every exact value in Fraction
     arithmetic: the rule zero_report's GF(p) and float evaluation must
     reproduce.  A rational query reduces the Fraction value at each
-    uniform point mod p (a pole mod p is replaced by the next draw), keyed
-    by the node's digest, and looks for its witness among the rational
-    draws in order, keyed by its printed text; there is no bit budget, so
-    it suits small inputs only.  Returns the verdict fields and the number
-    of rational draws."""
+    uniform point mod p (a pole mod p is replaced by the next draw), and
+    looks for its witness among the rational draws in order, both keyed by
+    the node's digest; a float query's draws are keyed by its printed text.
+    There is no bit budget, so it suits small inputs only.  Returns the
+    verdict fields and the number of rational draws."""
     e = ex.simplify(e, policy.constraints)
     names = sorted(e.free)
     seed = policy.seed * 0x9E3779B97F4A7C15
-    rng = random.Random(zt._fingerprint(e, policy) ^ seed)
+    rng = random.Random((zt._digest if e.rational else zt._fingerprint)(e, policy) ^ seed)
     lo, hi, excl = zt._bounds(policy.constraints, set(names))
     tape = numtape.compile_tape(e, names)
 
@@ -767,11 +768,13 @@ def test_shared_point_key_of_one_root_is_its_own():
     assert zt._digest((e,), pol) == zt._digest(e, pol)
     assert len({zt._digest(e, pol), zt._digest((e, f), pol),
                 zt._digest((f, e), pol)}) == 3
-    tape = numtape.compile_tape(e)
-    assert zt._uniform_residue((e,), tape, pol) == zt._uniform_residue(e, tape, pol)
+    key = zt._digest(e, pol) ^ pol.seed * zt._SEED_SCALE
+    assert zt._uniform_residue(numtape.compile_tape((e,)), key, pol) == \
+        zt._uniform_residue(numtape.compile_tape(e, ["x", "y"]), key, pol)
     # two roots: each gets the residue it has at the shared points
     both = numtape.compile_tape((e, f))
-    (re_, rf), p, k = zt._uniform_residue((e, f), both, pol)
+    (re_, rf), p, k = zt._uniform_residue(
+        both, zt._digest((e, f), pol) ^ pol.seed * zt._SEED_SCALE, pol)
     assert re_ and rf and k == 1 and both.varnames == ("x", "y")
 
 
@@ -790,9 +793,9 @@ def test_all_zero_matches_reference_loop(monkeypatch):
     nonzero_at = set()
     real = zt._uniform_residue
 
-    def spy(e, tape, policy):
-        residues, p, k = real(e, tape, policy)
-        if isinstance(e, tuple):
+    def spy(tape, key, policy):
+        residues, p, k = real(tape, key, policy)
+        if len(tape.roots) > 1:
             nonzero_at.update(i for i, v in enumerate(residues) if v)
         return residues, p, k
 
@@ -1240,9 +1243,9 @@ def test_digest_commits_to_every_bit_of_a_constant(monkeypatch):
 
 
 def test_gf_zero_verdict_prints_nothing(monkeypatch):
-    # a GF(p) zero is keyed by the node's digest and never printed; a
-    # nonzero verdict prints its query once, to key the witness stream,
-    # and the witnesses that stream gives are pinned
+    # a rational query is keyed by the node's digest and never printed,
+    # zero or not: a nonzero verdict's witness stream has the same key, and
+    # the witnesses that stream gives are pinned
     zero = parse("(x^2 - y^2)/(x - y) - x - y", names=["x", "y"])
     nonzero = parse("(x + y)^2 - x^2 - y^2", names=["x", "y"])
     pole = parse("1/(x - y) + x - y^2/3", names=["x", "y"])
@@ -1254,13 +1257,38 @@ def test_gf_zero_verdict_prints_nothing(monkeypatch):
         assert rep.is_zero and rep.exact and rep.samples == 1
     assert printed == []
     rep = zero_report(nonzero)
-    assert rep.witness == {"x": -2, "y": Fraction(13, 5)}
-    assert rep.witness_value == Fraction(-52, 5) and rep.samples == 1
+    assert rep.witness == {"x": 3, "y": Fraction(13, 5)}
+    assert rep.witness_value == Fraction(78, 5) and rep.samples == 1
     rep = zero_report(pole, ZeroTestPolicy(seed=3, constraints=(
         ex.Constraint("y", ">", 0),)))
-    assert rep.witness == {"x": Fraction(-8, 5), "y": Fraction(26, 11)}
-    assert rep.witness_value == Fraction(-1469737, 395670)
-    assert len(printed) == 2
+    assert rep.witness == {"x": Fraction(-8, 3), "y": Fraction(12, 5)}
+    assert rep.witness_value == Fraction(-27269, 5700) and rep.samples == 1
+    assert printed == []
+
+
+def test_nonzero_rational_verdict_searches_only_when_read(monkeypatch):
+    # a nonzero rational verdict prints nothing and evaluates nothing in
+    # Fractions until a witness field is read; the witness it then finds
+    # depends on the query alone, not on the queries made before it
+    queries = [parse(t, names=["x", "y"]) for t in
+               ("(x + y)^2 - x^2 - y^2", "1/(x - y) + x - y^2/3", "x*y - 1")]
+    printed, exact = [], []
+    real_print, real_exact = ex.to_dsl, numtape.eval_tape_exact
+    monkeypatch.setattr(ex, "to_dsl", lambda e: printed.append(e) or real_print(e))
+    monkeypatch.setattr(numtape, "eval_tape_exact",
+                        lambda tape, pt: exact.append(pt) or real_exact(tape, pt))
+    assert not any(is_zero(q) for q in queries)
+    reps = [zero_report(q) for q in queries]
+    assert exact == []
+    fields = [rep.witness_fields() for rep in reps]
+    assert len(exact) >= 3 and all("point" in f for f in fields)
+    assert [zero_report(q).witness_fields() for q in reversed(queries)] == fields[::-1]
+    assert printed == []
+    # replace reads every field, so its verdict searches nothing again
+    del exact[:]
+    rep = dataclasses.replace(zero_report(queries[0]), note="replaced")
+    assert rep.witness_fields() == fields[0] and rep.note == "replaced"
+    assert len(exact) == rep.samples
 
 
 def test_digest_of_a_deep_chain():
@@ -1278,9 +1306,9 @@ def test_digest_of_a_deep_chain():
 
 
 def test_gf_zero_with_an_unprintable_constant():
-    # the GF(p) stream never prints, so a rational zero is decided whatever
-    # its constants; a nonzero one still prints its query for the witness
-    # stream, and a constant past the digit limit ends it there
+    # neither rational stream prints, so a rational query is decided
+    # whatever its constants; a nonzero one's witness is a draw whose value
+    # prints (here only x = 0 has one), else its note is the certificate
     x = ex.var("x")
     big = ex.rat(10 ** 5000)
     assert ex.unprintable(big.value)
@@ -1289,8 +1317,13 @@ def test_gf_zero_with_an_unprintable_constant():
     assert not isinstance(ex.simplify(zero), ex.Rat)
     rep = zero_report(zero)
     assert rep.is_zero and rep.exact and rep.samples == 1
-    with pytest.raises(ex.ConstantTooLargeError, match="too many to print"):
-        zero_report(ex.add(ex.mul(big, x), ex.ONE))
+    nonzero = ex.add(ex.mul(big, x), ex.ONE)
+    rep = zero_report(nonzero)
+    assert not rep.is_zero and rep.exact
+    assert (rep.witness, rep.witness_value, rep.samples) == ({"x": 0}, 1, 7)
+    rep = zero_report(nonzero, ZeroTestPolicy(seed=1))
+    assert (rep.witness, rep.witness_value, rep.samples) == (None, None, 20)
+    assert rep.note.startswith("nonzero residue ")
 
 
 def test_to_dsl_prints_shared_nodes_once():

@@ -1,9 +1,12 @@
 import collections
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -395,8 +398,9 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     fixed rational triple, in order, pinned by the count and sha256 of
     their keys: every residual is rational, so each query has a GF(p) key
     (zerotest._digest), as has each shared point that decides the rest of
-    a sweep (one key for all its roots), and the few with a nonzero residue
-    also a printed fingerprint.  A constructor change that moves a node on
+    a sweep (one key for all its roots), and none is printed: the few with
+    a nonzero residue key their witness stream by that same digest, and
+    each is computed once a query.  A constructor change that moves a node on
     the curvature path (christoffels, curvature_RD, tensors_ABCD, the
     flatness test), or a residual added, dropped or reordered, moves the
     keys, as test_bundled_suite_queries_pinned does for the bundled
@@ -434,13 +438,41 @@ def test_curvature_queries_pinned(tmp_path, monkeypatch, capsys):
     def sha(values):
         return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
 
-    assert (len(keys), len(printed), len(every_print)) == (9, 7, 38)
+    assert (len(keys), len(printed), len(every_print)) == (9, 0, 38)
     assert sha(keys) == \
         "2b59b71498d2c33144518a0e608d9d76daa27bb1756d3713d79c42fb8c8d1448"
-    assert sha(printed) == \
-        "4907b2b88e134c83586300372043a6d904136c7ccad2dd0e020973f959d32fb3"
     assert sha(every_print) == \
         "64850698f0d17540f14bbab0320c0c5aaf3515479e92935255b134bf3f0ccae5"
+
+
+@pytest.fixture(scope="module")
+def curvature_set(tmp_path_factory):
+    """The benchmark's seed-7 curvature set: three riemannian scenarios."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "curvature_inputs", os.path.join(root, "perfbench", "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    directory = tmp_path_factory.mktemp("curvature_set")
+    inputs.write_curvature_set(str(directory), 7)
+    return str(directory)
+
+
+def test_curvature_set_report_independent_of_hash_seed(curvature_set):
+    # the witnesses searched for when a report reads them are keyed by the
+    # digest, which reads no string hash: the same bytes under two seeds
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "homogeo.cli", "suite",
+                               curvature_set, "--json"],
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    witnesses = [c["witness"] for r in json.loads(outs[0])["scenarios"]
+                 for c in r["checks"] if c.get("witness")]
+    assert witnesses and all("point" in w for w in witnesses)
 
 
 def test_curvature_pass_call_counts_pinned(tmp_path, monkeypatch):
@@ -489,6 +521,21 @@ def test_flatness_witness_of_a_certificate_is_its_note(certificate_verdicts):
     rep = flatness_report(triple, *curvature(triple))
     assert not rep.D_zero and rep.equivalence_consistent
     assert rep.witness == {"index": rep.witness["index"], "note": certificate_verdicts}
+
+
+def test_flatness_report_searches_one_witness(monkeypatch):
+    # the report shows the witness of its first failing tensor, so the
+    # nonzero verdicts of the others search for none
+    searches = []
+    real = zerotest._witness_search
+    monkeypatch.setattr(zerotest, "_witness_search",
+                        lambda *args: searches.append(args) or real(*args))
+    triple = rand_triple(0)
+    rep = flatness_report(triple, *curvature(triple))
+    failing = [not z for z in (rep.A_zero, rep.B_zero, rep.C_zero, rep.D_zero,
+                               rep.RD_zero)]
+    assert sum(failing) > 1 and "point" in rep.witness
+    assert len(searches) == 1
 
 
 def test_flatness_equivalence_suite():

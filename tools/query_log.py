@@ -9,11 +9,17 @@ queries through `is_zero` and `all_zero`, which look the name up in
 negation or a repeat of one it decided zero over GF(p)) makes no query
 and writes no line, and neither does one it decides zero at a sweep's
 shared GF(p) point.  Each line holds, tab-separated: the
-fingerprint of the simplified expression (`unprintable` for a literal
-too large to print, which has none), the verdict (zero or nonzero),
-the exact flag, the witness point, the witness value, the sample count and
-the verdict's note ("-" when empty; a nonzero verdict without a rational
-witness names its GF(p) certificate there).
+fingerprint of the simplified expression (`unprintable` when a constant
+is too long to print), the verdict (zero or nonzero), the exact flag,
+the witness point, the witness value, the sample count and the verdict's
+note ("-" when empty; a nonzero verdict without a rational witness names
+its GF(p) certificate there).
+
+The fingerprint is printed here for every query: the zero test keys a
+float query's points by it, but a rational query's GF(p) stream and
+witness stream by the expression's digest, and prints nothing.  A
+nonzero rational verdict searches for its witness only when one is read;
+the wrapper reads every field, so each logged line is complete.
 
 The package is imported from --src (default: the src/ next to this
 script), so the same tests or scenarios can be logged against two trees
@@ -37,8 +43,8 @@ def _install(out):
     from homogeo import zerotest
 
     original = zerotest.zero_report
-    # bound now: a test that patches zerotest._fingerprint sees only its
-    # own calls
+    # bound now: a test that patches zerotest._fingerprint sees only the
+    # zero test's own calls
     fingerprint = zerotest._fingerprint
 
     def witness_text(w):
@@ -48,8 +54,8 @@ def _install(out):
 
     def zero_report(e, policy=zerotest.DEFAULT_POLICY):
         rep = original(e, policy)
-        # simplify is cached on the node, so this is a lookup of the
-        # expression zero_report just fingerprinted
+        # simplify is cached on the node or returns a rational node as it
+        # is, so this is the expression zero_report just decided
         try:
             fp = f"{fingerprint(ex.simplify(e, policy.constraints), policy):016x}"
         except ex.ConstantTooLargeError:
