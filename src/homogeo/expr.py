@@ -821,7 +821,10 @@ def eval_exact(e: Expr, point: Mapping[str, Fraction]) -> Fraction:
     numtape).  Raises DomainError on non-rational nodes and
     ZeroDivisionError on division by zero."""
     from . import numtape   # numtape imports this module
-    return numtape.eval_tape_exact(numtape.compile_tape(e), point)
+    (value,) = numtape.eval_tape_exact(numtape.compile_tape(e), point)
+    if value is None:
+        raise ZeroDivisionError("pole of the expression at the point")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,16 @@ the codes, one pass per point:
   sweep (zerotest.all_zero) on one tape of several roots at one shared
   point sequence: a node the residuals share is evaluated once, and a
   pole anywhere on the tape skips the point;
-* ``eval_tape_exact`` evaluates a one-root rational tape at one point in
-  Fraction arithmetic, from the same exact constants.  The zero test
-  evaluates its witness on the tape it compiled for the query.
+* ``eval_tape_exact`` evaluates a rational tape at one point on exact
+  (numerator, denominator) ints, from the same exact constants, and in
+  the same pass bounds each value's bit length, so that a root past a
+  budget reads None and is never computed.  The zero test evaluates its
+  witness on the tape it compiled for the query, and the rational values
+  of zerotest.sample_values on one tape of several roots.
 
 ``degree_bound`` is one more pass over a rational tape: a bound on the
 numerator degree of its value (the largest of its roots'), from which
-the zero test sets how many uniform points decide a rational query, or,
-at a point, a bound on the bit length of the value there, which keeps
-the witness search within ``expr.MAX_CONSTANT_BITS``.
+the zero test sets how many uniform points decide a rational query.
 """
 
 from __future__ import annotations
@@ -234,34 +235,23 @@ def eval_tape_mod(tape: Tape, points: Sequence[Mapping[str, Fraction]],
     return out
 
 
-def degree_bound(tape: Tape, point: Optional[Mapping[str, Fraction]] = None) -> int:
-    """Size the value of a rational tape, written as one fraction N/D, by
-    (n, d) in one pass: n1/d1 + n2/d2 gives (max(n1 + d2, n2 + d1) + c,
-    d1 + d2), a product adds the sizes, and a power ^k scales them by |k|,
-    swapping them for k < 0.  With no point the sizes are degrees (a
-    variable is (1, 0), a constant (0, 0), c = 0), and the result bounds
-    the total degree of N.  At a point they are bit lengths (a constant or
-    coordinate gives those of its numerator and denominator, c = 1), and
-    the result, max(n, d), bounds every Fraction the tape computes there,
-    since no rule shrinks a size (no power is ^0).  On a tape of several
-    roots the result is the largest of the roots' bounds."""
+def degree_bound(tape: Tape) -> int:
+    """A bound on the total degree of the numerator N of a rational tape's
+    value, written as one fraction N/D, in one pass over degrees (n, d): a
+    variable is (1, 0), a constant (0, 0), n1/d1 + n2/d2 gives
+    (max(n1 + d2, n2 + d1), d1 + d2), a product adds the degrees, and a
+    power ^k scales them by |k|, swapping them for k < 0.  On a tape of
+    several roots the result is the largest of the roots' bounds."""
     exact = tape.exact
-    if point is None:
-        consts, coords, carry = [(0, 0)] * len(exact), [(1, 0)] * len(tape.varnames), 0
-    else:
-        def bits(q):
-            return q.numerator.bit_length(), q.denominator.bit_length()
-        consts, carry = [bits(c) for c in exact], 1
-        coords = [bits(point[name]) for name in tape.varnames]
     num: list = []
     den: list = []
     for op, a, b in tape.code:
         if op == OP_CONST:
-            n, d = consts[a]
+            n, d = 0, 0
         elif op == OP_VAR:
-            n, d = coords[a]
+            n, d = 1, 0
         elif op == OP_ADD:
-            n, d = max(num[a] + den[b], num[b] + den[a]) + carry, den[a] + den[b]
+            n, d = max(num[a] + den[b], num[b] + den[a]), den[a] + den[b]
         elif op == OP_MUL:
             n, d = num[a] + num[b], den[a] + den[b]
         elif op == OP_POW and exact[b].denominator == 1:
@@ -271,28 +261,73 @@ def degree_bound(tape: Tape, point: Optional[Mapping[str, Fraction]] = None) -> 
             raise ex.DomainError("tape is not rational-exact")
         num.append(n)
         den.append(d)
-    if point is None:
-        return max(num[r] for r in tape.roots)
-    return max(max(num[r], den[r]) for r in tape.roots)
+    return max(num[r] for r in tape.roots)
 
 
-def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction]) -> Fraction:
-    """Exact value of a one-root rational tape at one rational point.
-    Raises ZeroDivisionError at a pole and DomainError on a non-rational
-    tape (functions or fractional powers)."""
-    exact, (root,) = tape.exact, tape.roots
-    buf: list = []
+def eval_tape_exact(tape: Tape, point: Mapping[str, Fraction],
+                    budget: Optional[int] = None) -> List[Optional[Fraction]]:
+    """Exact value of each root of a rational tape at one rational point,
+    in one pass on (numerator, denominator) ints, reduced by gcd as
+    Fraction reduces them.  The pass also bounds each value's bit lengths
+    (n, d) as degree_bound bounds degrees, with a constant or coordinate
+    giving those of its numerator and denominator and a sum adding 1 to n.
+    No rule shrinks a size (no power is ^0), so max(n, d) of a root bounds
+    every value on the way to it.  A root reads None where it meets a pole
+    (0^-k) or where that size passes `budget`, and no value past it is
+    computed.  Raises DomainError on a non-rational tape."""
+    exact, gcd = tape.exact, math.gcd
+    limit = math.inf if budget is None else budget
+    coords = [Fraction(point[name]) for name in tape.varnames]
+    num: list = []      # numerators, None where the value is not computed
+    den: list = []
+    sn: list = []       # bit sizes of the unreduced numerator and denominator
+    sd: list = []
     for op, a, b in tape.code:
-        if op == OP_CONST:
-            buf.append(exact[a])
-        elif op == OP_VAR:
-            buf.append(Fraction(point[tape.varnames[a]]))
-        elif op == OP_ADD:
-            buf.append(buf[a] + buf[b])
+        if op == OP_ADD:
+            n1, n2 = num[a], num[b]
+            s, t = max(sn[a] + sd[b], sn[b] + sd[a]) + 1, sd[a] + sd[b]
+            if n1 is None or n2 is None or s > limit or t > limit:
+                n = d = None
+            else:
+                d1, d2 = den[a], den[b]
+                g = gcd(d1, d2)
+                if g == 1:
+                    n, d = n1 * d2 + n2 * d1, d1 * d2
+                else:
+                    d1 //= g
+                    n = n1 * (d2 // g) + n2 * d1
+                    g = gcd(n, g)
+                    n, d = n // g, d1 * (d2 // g)
         elif op == OP_MUL:
-            buf.append(buf[a] * buf[b])
+            n1, n2 = num[a], num[b]
+            s, t = sn[a] + sn[b], sd[a] + sd[b]
+            if n1 is None or n2 is None or s > limit or t > limit:
+                n = d = None
+            else:
+                d1, d2 = den[a], den[b]
+                g1, g2 = gcd(n1, d2), gcd(n2, d1)
+                n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+        elif op == OP_CONST or op == OP_VAR:
+            q = exact[a] if op == OP_CONST else coords[a]
+            n, d = q.numerator, q.denominator
+            s, t = n.bit_length(), d.bit_length()
+            if s > limit or t > limit:
+                n = d = None
         elif op == OP_POW and exact[b].denominator == 1:
-            buf.append(buf[a] ** exact[b].numerator)   # 0 ** -k raises
+            k, n1 = exact[b].numerator, num[a]
+            s, t = (k * sn[a], k * sd[a]) if k >= 0 else (-k * sd[a], -k * sn[a])
+            if n1 is None or s > limit or t > limit or (k < 0 and n1 == 0):
+                n = d = None
+            elif k >= 0:
+                n, d = n1 ** k, den[a] ** k
+            else:
+                n, d = den[a] ** -k, n1 ** -k
+                if d < 0:
+                    n, d = -n, -d
         else:
             raise ex.DomainError("tape is not rational-exact")
-    return buf[root]
+        num.append(n)
+        den.append(d)
+        sn.append(s)
+        sd.append(t)
+    return [None if num[r] is None else Fraction(num[r], den[r]) for r in tape.roots]

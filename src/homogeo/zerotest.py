@@ -10,18 +10,18 @@ seed and a key of the simplified expression plus the constraints, so
 verdicts and witnesses are stable across runs and independent of
 evaluation order.  A rational query is keyed by the expression's Merkle
 digest (`_digest`), which commits to every bit of it and never prints:
-that key seeds its GF(p) stream and the stream of rational points its
-witness search draws.  A float query's points are keyed by its printed
-DSL text (`_fingerprint`), so a float query raises ConstantTooLargeError
-there if the printer refuses a constant (expr.unprintable); a rational
-query is decided and searched whatever its constants.  A literal nonzero
-constant is its own witness, at the empty point, when it prints; else
-its note shows it.
+that key seeds its point mod P0, its GF(p) stream and the stream of
+rational points its witness search draws.  A float query's points are
+keyed by its printed DSL text (`_fingerprint`), so a float query raises
+ConstantTooLargeError there if the printer refuses a constant
+(expr.unprintable); a rational query is decided and searched whatever
+its constants.  A literal nonzero constant is its own witness, at the
+empty point, when it prints; else its note shows it.
 
 `sample_values` reads validity conditions at sample points (a definite
 metric, a nowhere-zero theta, the point a frame transition is read at)
 from the same point stream and by the same rule: rational expressions
-exactly, others in floats.
+exactly, in one pass per point on one tape, others in floats.
 
 `all_zero` is the one sweep for a family of residuals: it tests
 (key, expression) pairs in order and stops at the first nonzero one.  It
@@ -54,12 +54,21 @@ MAX_SAMPLES = 201 draws; else ConfigError names the cause: a constant
 outside the float range, or an expression that may be singular on the
 whole domain.  The witness is the first point of largest |value|.
 
-Rational queries (Schwartz-Zippel identity testing): an RNG seeded from
-the digest key draws primes uniformly from [2^61, 2^62), and p is the
-first that divides no constant's denominator.  That RNG goes on to draw
-points uniform in GF(p)^n one at a time (numtape.eval_tape_mod), skipping
-poles mod p, until one has a nonzero residue or k have zero residues; k
-is the fewest with (D/p)^k <= 2^-40 for the numerator-degree bound
+Rational queries (Schwartz-Zippel identity testing): the tape is first
+evaluated mod the Mersenne prime P0 = 2^61 - 1 (numtape.eval_tape_mod) at
+one point uniform in GF(P0)^n, drawn by an RNG of its own seeded from the
+digest key (_fixed_point).  A nonzero residue there is the nonzero
+verdict: reduction mod P0 maps every value the tape computes while no
+denominator it inverts is 0 mod P0, so the exact value at that integer
+point is nonzero, whatever the prime.  This proves only the tape's own
+value nonzero, never that of an expression it stands in for.  Any other
+query (a zero residue, a pole mod P0, a denominator P0 divides) gets a
+prime of its own: an RNG seeded from the digest key draws primes
+uniformly from [2^61, 2^62), and p is the first that divides no
+constant's denominator.  That RNG goes on to draw points uniform in
+GF(p)^n one at a time (numtape.eval_tape_mod), skipping poles mod p,
+until one has a nonzero residue or k have zero residues; k is the fewest
+with (D/p)^k <= 2^-40 for the numerator-degree bound
 D = numtape.degree_bound(tape): one point while D <= 2^21, two up to about
 2^41, and ConfigError when D > p/2, or when k + _MAX_REDRAWS draws leave
 fewer than k defined residues (the expression may be singular on the
@@ -68,19 +77,19 @@ rational function that vanishes on an open set vanishes identically.
 
 * zero residues at all k points are the zero verdict, with `samples` = k,
   and the only way a rational query is zero;
-* a nonzero residue is the nonzero verdict.  Its witness is searched for
-  only when one is read: the first read of `witness`, `witness_value`,
-  `samples` or `note` (so of witness_fields()) draws the rational points,
-  keyed by the digest as above, and keeps what it finds on the verdict.
-  The witness is the first of `sample_count` draws whose value is
-  defined, nonzero and printable, evaluated in Fraction arithmetic
+* a nonzero residue, mod P0 or mod p, is the nonzero verdict.  Its witness
+  is searched for only when one is read: the first read of `witness`,
+  `witness_value`, `samples` or `note` (so of witness_fields()) draws the
+  rational points, keyed by the digest as above, and keeps what it finds
+  on the verdict.  The witness is the first of `sample_count` draws whose
+  value is defined, nonzero and printable, evaluated exactly
   (numtape.eval_tape_exact) so that witness_value is exact, and `samples`
-  is the number of draws made.  A draw whose bit-length bound
-  (numtape.degree_bound at the point) exceeds expr.MAX_CONSTANT_BITS is
-  not evaluated.  When no draw qualifies, witness is None, `samples` is
-  `sample_count`, and the note is the certificate: p and the residue.  A
-  ConfigError of a draw is raised by that read, so a caller reads the
-  witness while it builds the check that shows it.
+  is the number of draws made.  A draw whose bit-length bound exceeds
+  expr.MAX_CONSTANT_BITS is not evaluated.  When no draw qualifies,
+  witness is None, `samples` is `sample_count`, and the note is the
+  certificate: the prime that decided the verdict (P0 or p) and the
+  residue.  A ConfigError of a draw is raised by that read, so a caller
+  reads the witness while it builds the check that shows it.
 
 A zero verdict is wrong with probability at most (D/p)^k <= 2^-40
 (Schwartz, JACM 27(4), 1980; Zippel, EUROSAM 1979), on top of the chance
@@ -120,6 +129,7 @@ __all__ = ["ZeroTestPolicy", "ZeroVerdict", "ConfigError", "is_zero",
 _MAX_REDRAWS = 200
 _SEED_SCALE = 0x9E3779B97F4A7C15   # the seed's term in every per-query key
 MAX_SAMPLES = _MAX_REDRAWS + 1   # draws per query: no larger sample_count is met
+_P0 = 2 ** 61 - 1    # the fixed Mersenne prime of a rational query's first residue
 
 
 class ConfigError(ValueError):
@@ -276,18 +286,6 @@ def _points(names, constraints, seed: int):
     return iter(lambda: {n: _draw(rng, lo, hi, excl, n) for n in names}, None)
 
 
-def _exact_at(tape: numtape.Tape, pt) -> Optional[Fraction]:
-    """A rational tape's exact value at a rational point, or None at a pole
-    or where its bit-length bound (numtape.degree_bound at the point)
-    exceeds expr.MAX_CONSTANT_BITS."""
-    if numtape.degree_bound(tape, pt) > ex.MAX_CONSTANT_BITS:
-        return None
-    try:
-        return numtape.eval_tape_exact(tape, pt)
-    except ZeroDivisionError:
-        return None
-
-
 def _float_at(tape: numtape.Tape, pt, tolerance: float) -> Optional[float]:
     v = numtape.eval_tape(tape, [pt])[0]
     return None if not math.isfinite(v) else 0.0 if abs(v) <= tolerance else v
@@ -298,13 +296,22 @@ def sample_values(exprs, names, policy: ZeroTestPolicy, salt: int, count=None):
     None) of _points(names, policy.constraints, policy.seed ^ salt), one at
     a time.  values[i] is exprs[i] there: exact (a Fraction, or None at a
     pole or beyond the bit budget) when it is rational, else a float, 0.0
-    when |v| <= policy.tolerance and None when not finite."""
+    when |v| <= policy.tolerance and None when not finite.  The rational
+    expressions are the roots of one tape, evaluated in one exact pass per
+    point (a node they share once); each other expression has a tape of its
+    own, since a float pass blanks its whole point on a `math` error."""
     points = _points(names, policy.constraints, policy.seed ^ salt)
-    tapes = [(e.rational, numtape.compile_tape(e, names)) for e in exprs]
+    exact = [i for i, e in enumerate(exprs) if e.rational]
+    tape = numtape.compile_tape(tuple(exprs[i] for i in exact), names)
+    floats = [(i, numtape.compile_tape(e, names))
+              for i, e in enumerate(exprs) if not e.rational]
     for pt in itertools.islice(points, policy.sample_count if count is None else count):
-        yield pt, [_exact_at(tape, pt) if rational
-                   else _float_at(tape, pt, policy.tolerance)
-                   for rational, tape in tapes]
+        values = [None] * len(exprs)
+        for i, v in zip(exact, numtape.eval_tape_exact(tape, pt, ex.MAX_CONSTANT_BITS)):
+            values[i] = v
+        for i, t in floats:
+            values[i] = _float_at(t, pt, policy.tolerance)
+        yield pt, values
 
 
 # Miller-Rabin bases that decide primality for every n < 2^64 (Sinclair)
@@ -366,6 +373,14 @@ def _tape_prime(tape: numtape.Tape, key: int) -> Tuple[int, random.Random]:
     return p, rng
 
 
+def _fixed_point(names, key: int) -> dict:
+    """The point of GF(P0)^n at which a rational query is first evaluated:
+    uniform, from an RNG of its own seeded from the query key, so the
+    prime and point streams are left untouched."""
+    rng = random.Random(f"P0:{key}")
+    return {n: rng.randrange(_P0) for n in names}
+
+
 def _uniform_residue(tape: numtape.Tape, key: int, policy: ZeroTestPolicy):
     """The one GF(p) decision of the roots of a rational `tape`, under the
     query key `key` (_digest of the roots, mixed with the seed): p and its
@@ -404,7 +419,7 @@ def _witness_search(tape: numtape.Tape, key: int, residue: int, p: int,
     value is defined, nonzero and printable, or the certificate."""
     points = _points(tape.varnames, policy.constraints, key)
     for draws, pt in enumerate(itertools.islice(points, policy.sample_count), 1):
-        val = _exact_at(tape, pt)
+        (val,) = numtape.eval_tape_exact(tape, pt, ex.MAX_CONSTANT_BITS)
         # not None (a pole, over budget), not 0, and printable
         if val and not ex.unprintable(val):
             return pt, val, draws, ""
@@ -426,13 +441,19 @@ def zero_report(e: ex.Expr, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroVerd
     names = sorted(e.free)
     tape = numtape.compile_tape(e, names)
     if e.rational:
-        # uniform points of GF(p)^n decide the query; the rational points,
-        # keyed the same, only look for a witness of a nonzero residue, and
-        # only when one is read
+        # a nonzero residue at the fixed prime's point decides a nonzero
+        # query; any other goes on to uniform points of GF(p)^n for a prime
+        # p of its own, the only rule that gives a zero verdict.  The
+        # rational points, keyed the same, only look for a witness of a
+        # nonzero residue, and only when one is read
         key = _digest(e, policy) ^ policy.seed * _SEED_SCALE
-        (residue,), p, count = _uniform_residue(tape, key, policy)
-        if residue == 0:
-            return ZeroVerdict(True, True, samples=count)
+        _bounds(policy.constraints, tape.varnames)      # ConfigError first
+        p = _P0
+        (residue,) = numtape.eval_tape_mod(tape, [_fixed_point(names, key)], p)
+        if not residue:         # a zero residue, or a pole mod P0
+            (residue,), p, count = _uniform_residue(tape, key, policy)
+            if residue == 0:
+                return ZeroVerdict(True, True, samples=count)
         rep = _Searched.__new__(_Searched)      # no witness field set yet
         rep.__dict__.update(is_zero=False, exact=True, _search=functools.partial(
             _witness_search, tape, key, residue, p, policy))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from homogeo import expr as ex
+from homogeo import numtape
 from homogeo import ratmat as rm
 from homogeo import riemannian
 from homogeo import zerotest
@@ -183,12 +184,14 @@ def test_criterion_5_rd_cross_check(monkeypatch):
     """Connection curvature equals the closed-form tensors on the flat
     plane, the radius-2 sphere, and 5 seeded random (g, eta) on the
     2-dimensional base.  Also pins how its sampled rational queries are
-    decided: a query alone is zero at one uniform point of GF(p)^n, or has
-    a nonzero residue there and goes on to the witness path, a search for
-    an exact nonzero value at rational draws; after a sweep's first GF(p)
-    zero, the rest of its rational residuals are decided together at one
-    shared point ("shared point" counts those calls, "shared roots" the
-    residuals they decide).  And pins how many residuals the sweep skips:
+    decided: a query alone is first evaluated at one point mod the fixed
+    prime P0 = 2^61 - 1, where a nonzero residue is its nonzero verdict
+    ("fixed prime, nonzero"); a zero residue there goes on to one uniform
+    point of GF(p)^n for a drawn prime p, where it is zero ("uniform
+    point") or has a nonzero residue and goes on to the witness path.
+    After a sweep's first GF(p) zero, the rest of its rational residuals
+    are decided together at one shared point ("shared point" counts those
+    calls, "shared roots" the residuals they decide).  And pins how many residuals the sweep skips:
     each (b, a) residual that is the negation of an (a, b) residual already
     decided zero over GF(p) makes no query, nor does a residual whose
     residue at a shared point is zero."""
@@ -203,6 +206,14 @@ def test_criterion_5_rd_cross_check(monkeypatch):
         else:
             mix["uniform point" if residues == [0] else "witness path"] += 1
         return residues, p, count
+
+    real_mod = numtape.eval_tape_mod
+
+    def fixed(tape, points, p):
+        residues = real_mod(tape, points, p)
+        if p == zerotest._P0:
+            mix["fixed prime, nonzero" if residues[0] else "fixed prime, zero"] += 1
+        return residues
 
     swept = collections.Counter()
     real_report, real_sweep = zerotest.zero_report, riemannian.all_zero
@@ -224,6 +235,7 @@ def test_criterion_5_rd_cross_check(monkeypatch):
         return result
 
     monkeypatch.setattr(zerotest, "_uniform_residue", record)
+    monkeypatch.setattr(numtape, "eval_tape_mod", fixed)
     monkeypatch.setattr(zerotest, "zero_report", report)
     monkeypatch.setattr(riemannian, "all_zero", sweep)
     with _Budget("5 curvature formula cross-check", 300):
@@ -256,8 +268,8 @@ def test_criterion_5_rd_cross_check(monkeypatch):
                                             rand_affine(rng, ("x", "y"))]))
             triple.check_definite(POLICY)
             assert verify_rd_formulas(triple, *curvature(triple, POLICY), POLICY).agree
-    assert mix == {"uniform point": 5, "witness path": 10, "shared point": 5,
-                   "shared roots": 150}
+    assert mix == {"fixed prime, nonzero": 10, "fixed prime, zero": 5,
+                   "uniform point": 5, "shared point": 5, "shared roots": 150}
     assert swept["skipped"] == 265
 
 

@@ -1155,10 +1155,11 @@ def test_point_values_have_one_rule():
     its own points or evaluates in floats, except frames._fold_rational on
     a constant (at the empty point), and only the CLI catches every
     exception, so a bug elsewhere never becomes a verdict.  Each stream has
-    one key rule: a rational query's GF(p) stream and rational witness
-    points are keyed by the node's digest (`_digest`), a float query's
-    points by the printed text (`_fingerprint`), and nothing else in the
-    package hashes, nor prints a query in zerotest."""
+    one key rule: a rational query's point mod the fixed prime, its GF(p)
+    stream and its rational witness points are keyed by the node's digest
+    (`_digest`), a float query's points by the printed text
+    (`_fingerprint`), and nothing else in the package hashes, nor prints a
+    query in zerotest."""
     broad = _source_sites(lambda n: isinstance(n, ast.ExceptHandler) and (
         n.type is None or "Exception" in {x.id for x in ast.walk(n.type)
                                           if isinstance(x, ast.Name)}))
@@ -1171,7 +1172,7 @@ def test_point_values_have_one_rule():
 
     rngs = {(m, f) for m, f, _ in _source_sites(_is_call("random", {"Random"}))}
     assert rngs == {("scenarios.py", "_run_group"), ("zerotest.py", "_points"),
-                    ("zerotest.py", "_query_prime")}
+                    ("zerotest.py", "_query_prime"), ("zerotest.py", "_fixed_point")}
     # one stream of rational points: only _points draws them, and the zero
     # test reads it without a redraw loop of its own
     draws = {(m, f) for m, f, n in _source_sites(

@@ -519,12 +519,15 @@ def test_exact_path_is_exact():
 
 
 def _reference_report(e, policy):
-    """The zero test one point at a time, with every exact value in Fraction
-    arithmetic: the rule zero_report's GF(p) and float evaluation must
-    reproduce.  A rational query reduces the Fraction value at each
-    uniform point mod p (a pole mod p is replaced by the next draw), and
-    looks for its witness among the rational draws in order, both keyed by
-    the node's digest; a float query's draws are keyed by its printed text.
+    """The zero test one point at a time, with every exact value computed
+    whole (expr.eval_exact, which test_numtape checks against sympy): the
+    rule zero_report's GF(p) and float evaluation must reproduce.  A
+    rational query reduces the exact value at its point
+    mod the fixed prime P0 = 2^61 - 1, and when that is not a nonzero
+    residue, at each uniform point mod p (a pole mod p is replaced by the
+    next draw); it looks for the witness of a nonzero residue among the
+    rational draws in order, all keyed by the node's digest; a float
+    query's draws are keyed by its printed text.
     There is no bit budget, so it suits small inputs only.  Returns the
     verdict fields and the number of rational draws."""
     e = ex.simplify(e, policy.constraints)
@@ -541,28 +544,29 @@ def _reference_report(e, policy):
             return None
 
     if e.rational:
-        prime_rng = random.Random(f"prime:{zt._digest(e, policy) ^ seed}")
-        p = 0
-        while not zt._is_prime(p) or any(c.denominator % p == 0 for c in tape.exact):
-            p = prime_rng.getrandbits(61) | (1 << 61) | 1
-        degree = numtape.degree_bound(tape)
-        k = next(k for k in itertools.count(1) if degree ** k << 40 <= p ** k)
-
-        def residue():
-            v = exact({n: Fraction(prime_rng.randrange(p)) for n in names})
+        def residue(rng, p):
+            v = exact({n: Fraction(rng.randrange(p)) for n in names})
             if v is None or v.denominator % p == 0:
                 return None
             return v.numerator * pow(v.denominator, -1, p) % p
 
-        residues = [residue() for _ in range(k)]
-        redraws = 0
-        while None in residues and not any(residues):
-            if redraws == zt._MAX_REDRAWS:
-                raise ConfigError("could not find enough valid sample points")
-            redraws += 1
-            residues[residues.index(None)] = residue()
-        if not any(residues):
-            return (True, True, None, None, k), 0
+        key = zt._digest(e, policy) ^ seed
+        if not residue(random.Random(f"P0:{key}"), 2 ** 61 - 1):
+            prime_rng = random.Random(f"prime:{key}")
+            p = 0
+            while not zt._is_prime(p) or any(c.denominator % p == 0 for c in tape.exact):
+                p = prime_rng.getrandbits(61) | (1 << 61) | 1
+            degree = numtape.degree_bound(tape)
+            k = next(k for k in itertools.count(1) if degree ** k << 40 <= p ** k)
+            residues = [residue(prime_rng, p) for _ in range(k)]
+            redraws = 0
+            while None in residues and not any(residues):
+                if redraws == zt._MAX_REDRAWS:
+                    raise ConfigError("could not find enough valid sample points")
+                redraws += 1
+                residues[residues.index(None)] = residue(prime_rng, p)
+            if not any(residues):
+                return (True, True, None, None, k), 0
         for draws in range(1, policy.sample_count + 1):
             point = {n: zt._draw(rng, lo, hi, excl, n) for n in names}
             val = exact(point)
@@ -611,14 +615,15 @@ def _report_matching_reference(e, pol, want, label):
     """zero_report against the one-point-at-a-time reference: verdict, exact
     flag, witness and value agree, and so does `samples` on a nonzero
     verdict.  A rational query makes no float call, and a zero one is
-    decided at one uniform point of GF(p)^n: one eval_tape_mod call."""
+    evaluated at the fixed prime's point, then decided at one uniform point
+    of GF(p)^n: two eval_tape_mod calls."""
     with _tape_calls() as calls:
         rep = zero_report(e, pol)
     assert (rep.is_zero, rep.exact, rep.witness, rep.witness_value) == want[:4], label
     if rep.exact:
         assert all(kind == "mod" for kind, _ in calls), label
     if rep.is_zero and rep.exact:
-        assert rep.samples == 1 and calls == [("mod", 1)], label
+        assert rep.samples == 1 and calls == [("mod", 1)] * 2, label
     else:
         assert rep.samples == want[4], label
     return rep
@@ -829,20 +834,21 @@ def test_exact_confirmation_once_per_point(monkeypatch):
     calls = []
     real = numtape.eval_tape_exact
 
-    def counting(tape, point):
+    def counting(tape, point, budget=None):
         calls.append(point)
-        return real(tape, point)
+        return real(tape, point, budget)
 
     monkeypatch.setattr(numtape, "eval_tape_exact", counting)
     x, y = ex.var("x"), ex.var("y")
     square = ex.pw(ex.add(x, y), 2)
-    # one residue at a uniform point of GF(p)^2 decides a zero verdict,
-    # with no float pass and no rational point
+    # a zero residue at the fixed prime's point, then one at a uniform
+    # point of GF(p)^2, decide a zero verdict, with no float pass and no
+    # rational point
     with _tape_calls() as tape_calls:
         rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.mul(ex.rat(2), x, y),
                                                 ex.pw(y, 2))))
     assert rep.is_zero and rep.exact and rep.samples == 1
-    assert tape_calls == [("mod", 1)]
+    assert tape_calls == [("mod", 1)] * 2
     assert calls == []
     # a nonzero verdict evaluates its witness exactly, and nothing else
     rep = zero_report(ex.sub(square, ex.add(ex.pw(x, 2), ex.pw(y, 2))))
@@ -918,6 +924,37 @@ def test_modular_confirmation_sees_multiples_of_large_primes(gap):
         assert type(rep.witness_value) is Fraction
 
 
+@pytest.mark.parametrize("case", ["denominator-p0", "zero-residue-mod-p0"])
+def test_fixed_prime_decides_only_nonzero_residues(case, monkeypatch):
+    # a nonzero residue mod P0 = 2^61 - 1 is a nonzero verdict; a query with
+    # none there (P0 divides a denominator, or its value at the fixed point
+    # is 0 mod P0) goes on to a drawn prime, the only rule that gives a zero
+    # verdict, and is nonzero there
+    x = ex.var("x")
+    if case == "denominator-p0":
+        c = Fraction(1, _MERSENNE_61)
+        e, want = ex.add(x, ex.rat(c)), lambda pt: pt["x"] + c
+    else:
+        monkeypatch.setattr(zt, "_fixed_point", lambda names, key: {"x": 5 + _MERSENNE_61})
+        e, want = ex.mul(ex.sub(x, ex.rat(5)), ex.add(x, ex.ONE)), \
+            lambda pt: (pt["x"] - 5) * (pt["x"] + 1)
+    primes = []
+    real_mod = numtape.eval_tape_mod
+
+    def mod_spy(tape, points, q):
+        residues = real_mod(tape, points, q)
+        primes.append((q, residues[0]))
+        return residues
+
+    monkeypatch.setattr(numtape, "eval_tape_mod", mod_spy)
+    rep = zero_report(e)
+    assert not rep.is_zero and rep.exact
+    p, _ = zt._query_prime(zt._digest(ex.simplify(e), zt.DEFAULT_POLICY))
+    assert [q for q, _ in primes] == [_MERSENNE_61, p]
+    assert primes[0][1] == (None if case == "denominator-p0" else 0) and primes[1][1]
+    assert rep.witness_value == want(rep.witness) != 0
+
+
 def test_modular_evaluator_falls_back():
     p = _BIG_PRIMES[0]
     x = ex.var("x")
@@ -937,7 +974,9 @@ def test_modular_evaluator_falls_back():
 def test_zero_report_falls_back_to_fractions(monkeypatch):
     # when the query's first prime divides a constant's denominator, no
     # residue exists mod that prime; the next prime the same RNG draws
-    # decides the query at its uniform point instead
+    # decides the query at its uniform point instead.  Each query here has
+    # no nonzero residue at the fixed prime P0 (a denominator P0 divides,
+    # or a zero), so it reaches the drawn primes
     p = _BIG_PRIMES[0]
     monkeypatch.setattr(zt, "_query_prime", lambda key: (p, random.Random(key)))
     primes = []
@@ -949,9 +988,10 @@ def test_zero_report_falls_back_to_fractions(monkeypatch):
 
     monkeypatch.setattr(numtape, "eval_tape_mod", mod_spy)
     x = ex.var("x")
-    rep = zero_report(ex.add(ex.pw(x, 2), ex.rat(Fraction(1, p))))
+    c = Fraction(1, p * _MERSENNE_61)
+    rep = zero_report(ex.add(ex.pw(x, 2), ex.rat(c)))
     assert not rep.is_zero and rep.exact and rep.samples == 1
-    assert rep.witness_value == rep.witness["x"] ** 2 + Fraction(1, p)
+    assert rep.witness_value == rep.witness["x"] ** 2 + c
     e = ex.sub(ex.pw(ex.add(x, ex.rat(Fraction(1, p))), 2),
                ex.add(ex.pw(x, 2), ex.mul(ex.rat(Fraction(2, p)), x),
                       ex.rat(Fraction(1, p * p))))
@@ -959,24 +999,23 @@ def test_zero_report_falls_back_to_fractions(monkeypatch):
     with _tape_calls() as calls:
         rep = zero_report(e)
     assert rep.is_zero and rep.exact and rep.samples == 1
-    assert calls == [("mod", 1)]
+    assert calls == [("mod", 1)] * 2
     # each query's prime is the one its RNG, keyed by the node's digest,
     # draws after p, never p itself
     key = zt._digest(ex.simplify(e), zt.DEFAULT_POLICY)
     assert primes[-1] == zt._next_prime(random.Random(key)) != p
-    assert len(set(primes)) == 2 and p not in primes
+    assert primes[0] == primes[2] == _MERSENNE_61
+    assert len(set(primes)) == 3 and p not in primes
 
 
-def _uniform_point_residue(e, pol):
-    """The query's prime and its residue at the query's uniform point of
-    GF(p)^n, drawn as zero_report draws them (keyed by the node's digest)
-    and evaluated in Fractions."""
+def _fixed_point_residue(e, pol):
+    """The query's residue at its point of GF(P0)^n, P0 = 2^61 - 1, drawn
+    as zero_report draws it (keyed by the node's digest) and evaluated in
+    Fractions."""
     s = ex.simplify(e, pol.constraints)
     key = zt._digest(s, pol) ^ (pol.seed * 0x9E3779B97F4A7C15)
-    p, rng = zt._query_prime(key)
-    point = {n: Fraction(rng.randrange(p)) for n in sorted(s.free)}
-    v = numtape.eval_tape_exact(numtape.compile_tape(s), point)
-    return p, v.numerator * pow(v.denominator, -1, p) % p
+    v = ex.eval_exact(s, zt._fixed_point(sorted(s.free), key))
+    return v.numerator * pow(v.denominator, -1, _MERSENNE_61) % _MERSENNE_61
 
 
 # every value _draw can produce on 0 < x < 1: k/d with 2 <= d <= 13
@@ -986,8 +1025,8 @@ _DRAWABLE_ON_UNIT_INTERVAL = sorted({Fraction(k, d) for d in range(2, 14)
 
 @pytest.mark.parametrize("case", ["no-finite-sample", "every-sample-a-root"])
 def test_nonzero_proof_without_rational_witness(case):
-    # a nonzero residue at the uniform point proves the query nonzero even
-    # when no rational draw is a witness: here the polynomial vanishes on
+    # a nonzero residue at the fixed prime's point proves the query nonzero
+    # even when no rational draw is a witness: here the polynomial vanishes on
     # every point _draw can give.  No float is evaluated on the way, so a
     # query whose every float value is infinite (10^400*x - 1) has an
     # exact witness at its first draw, and no certificate
@@ -1009,10 +1048,10 @@ def test_nonzero_proof_without_rational_witness(case):
     assert time.perf_counter() - t0 < 1
     assert not rep.is_zero and rep.exact and rep.samples == 20
     assert rep.witness is None and rep.witness_value is None
-    p, r = _uniform_point_residue(e, pol)
+    r = _fixed_point_residue(e, pol)
     assert r != 0
-    assert rep.note == (f"nonzero residue {r} mod p = {p} at a uniform point; "
-                        "no rational sample is a witness")
+    assert rep.note == (f"nonzero residue {r} mod p = {_MERSENNE_61} at a uniform "
+                        "point; no rational sample is a witness")
     assert rep.witness_fields() == {"note": rep.note}
 
 
@@ -1021,7 +1060,8 @@ def test_nested_squares_over_bit_budget_give_a_certificate(d):
     # the bit bound of (1 + x*(... x)^2)^2, d squares deep, read from the
     # tape is past MAX_CONSTANT_BITS at every rational draw (even at 0, where
     # the value is 1), so no draw is evaluated and the residue is the
-    # certificate; an exact value at 13/8 would have millions of bits
+    # certificate; an exact value at 13/8 would have millions of bits.  The
+    # exact evaluator reads the root None under the budget, and 1 without
     e = parse("(1 + x*" * d + "x" + ")^2" * d, names=["x"])
     t0 = time.perf_counter()
     rep = zero_report(e)
@@ -1030,19 +1070,21 @@ def test_nested_squares_over_bit_budget_give_a_certificate(d):
     assert rep.samples == 20 and rep.note.startswith("nonzero residue ")
     tape = numtape.compile_tape(ex.simplify(e), ["x"])
     for k in (-3, 0, 1):
-        assert numtape.degree_bound(tape, {"x": Fraction(k)}) > MAX_CONSTANT_BITS
+        assert numtape.eval_tape_exact(tape, {"x": Fraction(k)}, MAX_CONSTANT_BITS) == [None]
+    assert numtape.eval_tape_exact(tape, {"x": Fraction(0)}) == [1]
 
 
 def test_nowhere_defined_rational_query_is_a_config_error():
     # (x+1)^2 - x^2 - 2*x - 1 is 0 at every point, so 1/(...) is a pole at
-    # every uniform point: redrawn until the redraws run out, never a
-    # verdict (the rational points once counted such poles as zeros)
+    # the fixed prime's point and at every uniform point: redrawn until the
+    # redraws run out, never a verdict (the rational points once counted
+    # such poles as zeros)
     with _tape_calls() as calls:
         with pytest.raises(ConfigError, match=r"^could not find enough valid sample "
                            r"points \(expression may be singular on the whole "
                            r"domain\)$"):
             zero_report(parse("1/((x+1)^2 - x^2 - 2*x - 1)", names=["x"]))
-    assert calls == [("mod", 1)] * (zt._MAX_REDRAWS + 1)
+    assert calls == [("mod", 1)] * (zt._MAX_REDRAWS + 2)
 
 
 @pytest.mark.parametrize("text", [
@@ -1082,23 +1124,53 @@ def _nested_squares(d):
     return g
 
 
+def _square_identity(g):
+    """(g + 1)^2 - g^2 - 2g - 1, zero but not a literal zero."""
+    return ex.sub(ex.pw(ex.add(g, ex.ONE), 2),
+                  ex.add(ex.pw(g, 2), ex.mul(ex.rat(2), g), ex.ONE))
+
+
 def test_zero_verdict_past_one_uniform_point():
-    # (g + 1)^2 - g^2 - 2g - 1 = 0 is not a literal zero; with D ~ 2^22.6
-    # one point has error D/p > 2^-40, so two points decide it
-    g = _nested_squares(20)
-    e = ex.sub(ex.pw(ex.add(g, ex.ONE), 2),
-               ex.add(ex.pw(g, 2), ex.mul(ex.rat(2), g), ex.ONE))
+    # with D ~ 2^22.6 one point has error D/p > 2^-40, so two uniform points
+    # decide the identity, after its zero residue at the fixed prime's point
+    e = _square_identity(_nested_squares(20))
     s = ex.simplify(e)
     assert numtape.degree_bound(numtape.compile_tape(s, ["x"])) == 6291452
     with _tape_calls() as calls:
         rep = zero_report(e)
     assert rep.is_zero and rep.exact and rep.samples == 2
-    assert calls == [("mod", 1), ("mod", 1)]
-    # past p/2 no number of points reaches 2^-40
-    e = ex.sub(ex.pw(_nested_squares(60), 2), ex.pw(ex.var("x"), 2))
+    assert calls == [("mod", 1)] * 3
+    # past p/2 no number of points reaches 2^-40: a query that may be zero
+    # (a zero residue mod P0) raises, while a nonzero residue mod P0 decides
+    # a query of that degree before its degree is read
     with pytest.raises(ConfigError, match="numerator degree bound 6917529027641081852 "
                        "is too large"):
-        zero_report(e)
+        zero_report(_square_identity(_nested_squares(60)))
+    e = ex.sub(ex.pw(_nested_squares(60), 2), ex.pw(ex.var("x"), 2))
+    rep = zero_report(e)
+    assert not rep.is_zero and rep.exact and rep.witness is None
+    assert rep.note.startswith("nonzero residue ") and f"mod p = {_MERSENNE_61} " in rep.note
+
+
+def test_sample_values_reads_each_root_alone():
+    # the rational expressions of one sample_values call are the roots of
+    # one tape, read in one exact pass per point: a root past the bit budget
+    # (nested squares) or at a pole reads None there, and its sibling keeps
+    # its exact value; each float expression has a tape of its own, so a
+    # domain error in one leaves another's value
+    x = ex.var("x")
+    pol = ZeroTestPolicy(sample_count=3)
+    points = list(itertools.islice(zt._points(["x"], (), pol.seed ^ 5), 3))
+    x0 = ex.rat(points[0]["x"])
+    exprs = [_nested_squares(20), ex.pw(ex.sub(x, x0), -1), ex.add(ex.pw(x, 2), ex.ONE),
+             ex.log_(ex.sub(x, x0)), ex.sin_(x)]
+    got = list(zt.sample_values(exprs, ["x"], pol, 5))
+    assert [pt for pt, _ in got] == points
+    for i, (pt, (deep, pole, square, log, sine)) in enumerate(got):
+        v = pt["x"]
+        assert deep is None and square == v ** 2 + 1 and type(square) is Fraction
+        assert pole == (None if i == 0 else 1 / (v - x0.value))
+        assert sine == math.sin(v) and (log is None) == (i == 0 or v < x0.value)
 
 
 @pytest.mark.parametrize("text, degree", [
@@ -1132,20 +1204,21 @@ def test_degree_bound_covers_sympy_numerator(text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(RATIONAL_DSL, ORACLE_POINT)
 def test_bit_bound_covers_exact_value(text, point):
-    # at a point, degree_bound bounds the bit lengths of the numerator and
-    # denominator of the exact value, the sizes the witness budget reads
+    # at a point, the exact evaluator's bit bound covers the bit lengths of
+    # the numerator and denominator of the exact value: under a budget one
+    # bit short of them the root reads None, and past every size the value
     try:
         s = ex.simplify(parse(text, names=["x", "y"]))
     except ZeroDivisionError:
         return
     assume(not isinstance(s, ex.Rat))
     tape = numtape.compile_tape(s, ["x", "y"])
-    try:
-        v = numtape.eval_tape_exact(tape, point)
-    except ZeroDivisionError:
-        return
-    bound = numtape.degree_bound(tape, point)
-    assert max(v.numerator.bit_length(), v.denominator.bit_length()) <= bound, text
+    (v,) = numtape.eval_tape_exact(tape, point)
+    if v is None:
+        return      # a pole
+    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+    assert numtape.eval_tape_exact(tape, point, bits - 1) == [None], text
+    assert numtape.eval_tape_exact(tape, point, 2 * MAX_CONSTANT_BITS) == [v], text
 
 
 def test_query_prime_is_prime():
@@ -1226,14 +1299,18 @@ def test_digest_commits_to_every_bit_of_a_constant(monkeypatch):
     assert near.shash == far.shash
     assert zt._digest(near, zt.DEFAULT_POLICY) != zt._digest(far, zt.DEFAULT_POLICY)
     assert near.digest != far.digest and len(near.digest) == 16
-    # a draw keyed by shash gives x - a, for the a with a = 5 mod 2^64 and
-    # a = x0 mod p (Chinese remainder theorem), the prime p and first
-    # uniform point x0 of x - 5: its residue there is 0, a false zero
+    # a draw keyed by shash gives x - a, for the a with a = 5 mod 2^64,
+    # a = f mod P0 and a = x0 mod p (Chinese remainder theorem), where f is
+    # the fixed prime's point, p the prime and x0 the first uniform point
+    # of x - 5: its residues at both are 0, a false zero
     p, rng = zt._tape_prime(numtape.compile_tape(near), near.shash)
-    x0 = rng.randrange(p)
-    a = 5 + 2 ** 64 * ((x0 - 5) * pow(2 ** 64, -1, p) % p)
+    x0, (f,) = rng.randrange(p), zt._fixed_point(["x"], near.shash).values()
+    m = 2 ** 64 * _MERSENNE_61
+    a = 5 + 2 ** 64 * ((f - 5) * pow(2 ** 64, -1, _MERSENNE_61) % _MERSENNE_61)
+    a += m * ((x0 - a) * pow(m, -1, p) % p)
     crt = ex.sub(x, ex.rat(a))
-    assert crt.shash == near.shash and a % p == x0 and a.bit_length() > 64
+    assert crt.shash == near.shash and a.bit_length() > 64
+    assert a % _MERSENNE_61 == f and a % p == x0
     with monkeypatch.context() as mp:
         mp.setattr(zt, "_digest", lambda e, policy: e.shash)
         assert zero_report(crt).is_zero
@@ -1275,8 +1352,8 @@ def test_nonzero_rational_verdict_searches_only_when_read(monkeypatch):
     printed, exact = [], []
     real_print, real_exact = ex.to_dsl, numtape.eval_tape_exact
     monkeypatch.setattr(ex, "to_dsl", lambda e: printed.append(e) or real_print(e))
-    monkeypatch.setattr(numtape, "eval_tape_exact",
-                        lambda tape, pt: exact.append(pt) or real_exact(tape, pt))
+    monkeypatch.setattr(numtape, "eval_tape_exact", lambda tape, pt, budget=None:
+                        exact.append(pt) or real_exact(tape, pt, budget))
     assert not any(is_zero(q) for q in queries)
     reps = [zero_report(q) for q in queries]
     assert exact == []

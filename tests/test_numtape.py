@@ -77,7 +77,8 @@ def test_tape_matches_sympy():
 def test_exact_evaluation_matches_sympy_and_residues(text, points):
     """eval_tape_exact equals sympy's exact value, and reduces to the
     residue eval_tape_mod returns, over a small and a large prime; the
-    tape is in serial order with pooled constants."""
+    tape is in serial order with pooled constants.  A pole reads None
+    there and in expr.eval_exact raises ZeroDivisionError."""
     sympy = pytest.importorskip("sympy")
     try:
         e = parse(text, names=["x", "y"])
@@ -86,10 +87,10 @@ def test_exact_evaluation_matches_sympy_and_residues(text, points):
     tape = numtape.compile_tape(e, ["x", "y"])
     _assert_serial_tape(tape)
     for point in points:
-        try:
-            got = numtape.eval_tape_exact(tape, point)
-        except ZeroDivisionError:
-            got = None  # a pole of ours, which sympy may have cancelled
+        (got,) = numtape.eval_tape_exact(tape, point)  # None: a pole of ours,
+        if got is None:                                # which sympy may have cancelled
+            with pytest.raises(ZeroDivisionError):
+                ex.eval_exact(e, point)
         want = _sympy_value(sympy, text, point)
         if got is not None and want.is_Rational:
             assert type(got) is Fraction
@@ -106,12 +107,16 @@ def test_exact_evaluation_matches_sympy_and_residues(text, points):
 def test_exact_evaluation_poles_and_non_rational_tapes():
     x, y = ex.var("x"), ex.var("y")
     tape = numtape.compile_tape(ex.add(ex.pw(ex.sub(x, y), -1), ex.ONE))
-    assert numtape.eval_tape_exact(tape, {"x": 3, "y": Fraction(1, 2)}) == Fraction(7, 5)
+    assert numtape.eval_tape_exact(tape, {"x": 3, "y": Fraction(1, 2)}) == [Fraction(7, 5)]
+    half = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
+    assert numtape.eval_tape_exact(tape, half) == [None]
     with pytest.raises(ZeroDivisionError):
-        numtape.eval_tape_exact(tape, {"x": Fraction(1, 2), "y": Fraction(1, 2)})
+        ex.eval_exact(ex.add(ex.pw(ex.sub(x, y), -1), ex.ONE), half)
     for e in (ex.sin_(x), ex.sqrt_(ex.add(ex.mul(x, x), ex.ONE))):
         with pytest.raises(ex.DomainError):
             numtape.eval_tape_exact(numtape.compile_tape(e), {"x": Fraction(1, 2)})
+        with pytest.raises(ex.DomainError):
+            ex.eval_exact(e, {"x": Fraction(1, 2)})
     # a constant beyond the float range is exact on the tape and infinite
     # in its float column
     big = ex.sub(ex.mul(ex.rat(-10 ** 400), x), ex.rat(Fraction(1, 10 ** 400)))
